@@ -14,7 +14,6 @@ from .core import (
     FiberSignature,
     LagrangianDensity,
     Multiplier,
-    Problem,
     Section,
     Variation,
 )

@@ -85,16 +85,27 @@ def _settings(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+    for key, value in cfg.items():
+        want = type(_DEFAULTS[key])
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float) if want is float else want):
+            raise ValueError(f"setting {key} must be of type {want.__name__}, "
+                             f"got {value!r}")
     if cfg["n"] < 2:
         raise ValueError("group size n must be at least 2")
     if cfg["width"] < 1 or cfg["height"] < 1:
         raise ValueError("grid dimensions must be positive")
     if cfg["scale"] < 0:
         raise ValueError("perturbation scale must be nonnegative")
-    if cfg["g_tol"] <= 0 or cfg["ep_tol"] <= 0:
+    if not all(cfg[key] > 0 for key in
+               ("g_tol", "ep_tol", "cons_tol", "adm_tol", "rank_tol")):
         raise ValueError("tolerances must be positive")
+    if cfg["instances"] < 1:
+        raise ValueError("instances must be at least 1")
+    if cfg["max_iterations"] < 0:
+        raise ValueError("max_iterations must be nonnegative")
     if cfg["boundary"] not in ("identity", "random") \
-            and not Path(str(cfg["boundary"])).exists():
+            and not Path(cfg["boundary"]).exists():
         raise ValueError(f"boundary must be identity, random, or an existing "
                          f"field file, got {cfg['boundary']!r}")
     return cfg
@@ -133,6 +144,13 @@ def _config_records(cfg) -> dict:
 # solve
 
 
+def _write_history(path: Path, history: list[dict]) -> None:
+    serialization.write_csv(
+        path, ["iteration", "phase", "objective", "action", "max_gradient", "step"],
+        [(h["iteration"], h["phase"], h["objective"], h["action"],
+          h["max_gradient"], h["step"]) for h in history])
+
+
 def cmd_solve(args) -> int:
     cfg = _settings(args)
     out = _out_dir(cfg)
@@ -145,6 +163,7 @@ def cmd_solve(args) -> int:
     except ConvergenceError as exc:
         serialization.write_report(out / "solve_report.txt", {
             **_config_records(cfg), "converged": False, "error": str(exc)})
+        _write_history(out / "history.csv", exc.history)
         print(f"solve: {exc}", file=sys.stderr)
         return 1
 
@@ -165,11 +184,7 @@ def cmd_solve(args) -> int:
     serialization.write_csv(
         out / "residuals.csv", ["i", "j", "ep_residual"],
         [(i, j, r) for (i, j), r in sorted(report.per_vertex_ep.items())])
-    serialization.write_csv(
-        out / "history.csv",
-        ["iteration", "phase", "objective", "action", "max_gradient", "step"],
-        [(h["iteration"], h["phase"], h["objective"], h["action"],
-          h["max_gradient"], h["step"]) for h in report.history])
+    _write_history(out / "history.csv", report.history)
 
     ok = report.converged and report.max_ep_residual <= cfg["ep_tol"] \
         and report.max_constraint_residual <= 1e-12
@@ -186,13 +201,15 @@ def cmd_solve(args) -> int:
 def _suite_split(cfg, rng):
     n = cfg["n"]
     grid = triangulated_grid(3, 3)
-    problem = reduction.make_reduced_problem(grid, TraceLagrangian(n))
+    lagrangian, constraint = TraceLagrangian(n), PlaquetteConstraint(n)
+    faceset = grid.full_faceset()
     worst = 0.0
     for _ in range(cfg["instances"]):
         y = sampling.random_section(grid, n, rng)
         lam = sampling.random_multiplier(grid, n, rng)
         dy = sampling.random_variation(grid, n, rng)
-        lhs, rhs = problem.split(y, lam, dy)
+        lhs, rhs = core.variational_split(lagrangian, constraint, y, lam, dy,
+                                          faceset)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     return worst <= 1e-12, {"checks": cfg["instances"],
                             "worst_split_defect": worst, "tolerance": 1e-12}
@@ -255,7 +272,8 @@ def _suite_flatness(cfg, rng):
         y_t = core.Section(y.fiber, tampered)
         injected += 1
         try:
-            reduction.reconstruct(grid, y_t, g.values[grid.vertex_id(0, 0)])
+            reduction.reconstruction_report(
+                grid, y_t, g.values[grid.vertex_id(0, 0)])
         except HolonomyError:
             detected += 1
     passed = worst_round <= 1e-12 and worst_path <= 1e-12 and detected == injected

@@ -15,8 +15,7 @@ face- or vertex-parallel scheduling of the sums is legal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "LagrangianDensity",
     "ConstraintMap",
     "CartanForm",
-    "Problem",
     "AdmissibilityReport",
     "RegularityReport",
     "ELResidual",
@@ -51,7 +49,6 @@ __all__ = [
     "action",
     "constraint_values",
     "admissibility_report",
-    "is_admissible",
     "constraint_derivative",
     "regularity_report",
     "euler_lagrange_form",
@@ -224,20 +221,6 @@ class CartanForm:
         self.components = components
         self.matrix = matrix
 
-    @classmethod
-    def from_linear_map(cls, n: int, components: int,
-                        fn: Callable[[tuple[AlgebraElement, ...]], AlgebraElement]
-                        ) -> "CartanForm":
-        d = algebra_dim(n)
-        basis = skew_basis(n)
-        zero = AlgebraElement(np.zeros((n, n)))
-        cols = []
-        for k in range(components):
-            for e in basis:
-                xi = tuple(e if k == kk else zero for kk in range(components))
-                cols.append(skew_to_coords(fn(xi).matrix))
-        return cls(n, components, np.column_stack(cols))
-
     def apply(self, xi: tuple[AlgebraElement, ...]) -> AlgebraElement:
         stacked = np.concatenate([skew_to_coords(x.matrix) for x in xi])
         return AlgebraElement(coords_to_skew(self.matrix @ stacked, self.n))
@@ -293,56 +276,6 @@ class ConstraintMap:
         return CartanForm(n, c, np.column_stack(cols))
 
 
-@dataclass
-class Problem:
-    """Everything solvers and checkers consume, bundled.
-
-    The vertex classification is computed once and cached; the face set and
-    all components are treated as immutable.  The methods delegate to the
-    module-level operations with the bundled pieces filled in.
-    """
-
-    faceset: FaceSet
-    fiber: FiberSignature
-    lagrangian: LagrangianDensity
-    constraint: ConstraintMap
-    _klass: VertexClass | None = field(default=None, repr=False)
-
-    @property
-    def complex(self) -> CellComplex:
-        return self.faceset.complex
-
-    @property
-    def vertex_class(self) -> VertexClass:
-        if self._klass is None:
-            self._klass = classify_vertices(self.complex, self.faceset)
-        return self._klass
-
-    def interior(self) -> list[int]:
-        return sorted(self.vertex_class.interior)
-
-    def frontier(self) -> list[int]:
-        return sorted(self.vertex_class.frontier)
-
-    def action(self, y: "Section") -> float:
-        return action(self.lagrangian, y, self.faceset)
-
-    def admissibility(self, y: "Section", tol: float = TOL_ADMISSIBLE):
-        return admissibility_report(self.constraint, y, self.faceset, tol)
-
-    def split(self, y, lam, dy) -> tuple[float, float]:
-        return variational_split(self.lagrangian, self.constraint, y, lam, dy,
-                                 self.faceset)
-
-    def residual(self, y, lam, vertex: int) -> "ELResidual":
-        return extended_residual(self.lagrangian, self.constraint, y, lam,
-                                 self.faceset, vertex)
-
-    def max_residual(self, y, lam) -> float:
-        return max((self.residual(y, lam, v).norm for v in self.interior()),
-                   default=0.0)
-
-
 # ---------------------------------------------------------------------------
 # action and admissibility
 
@@ -385,11 +318,6 @@ def admissibility_report(constraint: ConstraintMap, y: Section, faceset: FaceSet
             worst_res = res
             worst = f
     return AdmissibilityReport(worst_res <= tol, worst_res, worst, tol)
-
-
-def is_admissible(constraint: ConstraintMap, y: Section, faceset: FaceSet,
-                  tol: float = TOL_ADMISSIBLE) -> bool:
-    return admissibility_report(constraint, y, faceset, tol).admissible
 
 
 def constraint_derivative(constraint: ConstraintMap, y: Section, dy: Variation,
@@ -581,6 +509,35 @@ def el_residual_vector(lagrangian: LagrangianDensity, constraint: ConstraintMap,
 # variation formula, Noether sum, Jacobi and multisymplectic checks
 
 
+def _pairs(faceset: FaceSet, vertices) -> list[tuple[int, int]]:
+    """(vertex, face) pairs: each vertex, sorted, with its sorted star faces."""
+    complex = faceset.complex
+    return [(v, f) for v in sorted(vertices)
+            for f in sorted(complex.star(v) & faceset.faces)]
+
+
+def _paired_sum(lagrangian: LagrangianDensity, constraint: ConstraintMap,
+                y: Section, lam: Multiplier, dy: Variation,
+                complex: CellComplex, pairs) -> float:
+    """Extended Cartan forms applied to dy, summed over (vertex, face) pairs.
+
+    Each pair contributes the Lagrangian differential and then the
+    multiplier-paired constraint form at the vertex's slot in the face, in
+    the order given; the split, Noether and two-form sums differ only in the
+    pair list.
+    """
+    total = 0.0
+    for v, f in pairs:
+        jet = jet_at(y, complex, f)
+        slot = complex.adherence(f).index(v)
+        xi = dy.at(v)
+        total += apply_differential(
+            lagrangian.vertex_differential(complex, jet, slot), xi)
+        total += pairing(lam.at(f),
+                         constraint.cartan_form(complex, jet, slot).apply(xi))
+    return total
+
+
 def variational_split(lagrangian: LagrangianDensity, constraint: ConstraintMap,
                       y: Section, lam: Multiplier, dy: Variation,
                       faceset: FaceSet) -> tuple[float, float]:
@@ -593,36 +550,13 @@ def variational_split(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     the two must agree to round-off for arbitrary inputs.
     """
     complex = faceset.complex
-    lhs = 0.0
-    for f in sorted(faceset.faces):
-        jet = jet_at(y, complex, f)
-        lam_f = lam.at(f)
-        for slot, v in enumerate(complex.adherence(f)):
-            xi = dy.at(v)
-            theta = lagrangian.vertex_differential(complex, jet, slot)
-            lhs += apply_differential(theta, xi)
-            lhs += pairing(lam_f, constraint.cartan_form(complex, jet, slot).apply(xi))
-
     klass = classify_vertices(complex, faceset)
-    rhs = 0.0
-    for v in sorted(klass.interior):
-        xi = dy.at(v)
-        for f in sorted(complex.star(v)):
-            jet = jet_at(y, complex, f)
-            slot = complex.adherence(f).index(v)
-            theta = lagrangian.vertex_differential(complex, jet, slot)
-            rhs += apply_differential(theta, xi)
-            rhs += pairing(lam.at(f),
-                           constraint.cartan_form(complex, jet, slot).apply(xi))
-    for v in sorted(klass.frontier):
-        xi = dy.at(v)
-        for f in sorted(complex.star(v) & faceset.faces):
-            jet = jet_at(y, complex, f)
-            slot = complex.adherence(f).index(v)
-            theta = lagrangian.vertex_differential(complex, jet, slot)
-            rhs += apply_differential(theta, xi)
-            rhs += pairing(lam.at(f),
-                           constraint.cartan_form(complex, jet, slot).apply(xi))
+    face_major = [(v, f) for f in sorted(faceset.faces)
+                  for v in complex.adherence(f)]
+    lhs = _paired_sum(lagrangian, constraint, y, lam, dy, complex, face_major)
+    rhs = _paired_sum(lagrangian, constraint, y, lam, dy, complex,
+                      _pairs(faceset, klass.interior)
+                      + _pairs(faceset, klass.frontier))
     return lhs, rhs
 
 
@@ -668,17 +602,8 @@ def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMa
         lag_defect = max(lag_defect, abs(dl))
         con_defect = max(con_defect, float(np.linalg.norm(dphi)))
 
-    klass = classify_vertices(complex, faceset)
-    total = 0.0
-    for v in sorted(klass.frontier):
-        xi = d.at(v)
-        for f in sorted(complex.star(v) & faceset.faces):
-            jet = jet_at(y, complex, f)
-            slot = complex.adherence(f).index(v)
-            total += apply_differential(
-                lagrangian.vertex_differential(complex, jet, slot), xi)
-            total += pairing(lam.at(f),
-                             constraint.cartan_form(complex, jet, slot).apply(xi))
+    total = _paired_sum(lagrangian, constraint, y, lam, d, complex,
+                        _pairs(faceset, classify_vertices(complex, faceset).frontier))
     ok = lag_defect <= symmetry_tol and con_defect <= symmetry_tol
     return NoetherReport(total, lag_defect, con_defect, ok, symmetry_tol)
 
@@ -725,32 +650,6 @@ def jacobi_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     return float(np.linalg.norm((plus - minus) / (2.0 * step)))
 
 
-def _boundary_pairs(faceset: FaceSet) -> list[tuple[int, int]]:
-    complex = faceset.complex
-    klass = classify_vertices(complex, faceset)
-    pairs = []
-    for v in sorted(klass.frontier):
-        for f in sorted(complex.star(v) & faceset.faces):
-            pairs.append((v, f))
-    return pairs
-
-
-def _boundary_form(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                   y: Section, lam: Multiplier, dy: Variation,
-                   faceset: FaceSet, pairs) -> float:
-    complex = faceset.complex
-    total = 0.0
-    for v, f in pairs:
-        jet = jet_at(y, complex, f)
-        slot = complex.adherence(f).index(v)
-        xi = dy.at(v)
-        total += apply_differential(
-            lagrangian.vertex_differential(complex, jet, slot), xi)
-        total += pairing(lam.at(f),
-                         constraint.cartan_form(complex, jet, slot).apply(xi))
-    return total
-
-
 def _commutator_variation(d1: Variation, d2: Variation) -> Variation:
     """Bracket of the left-invariant extensions: pointwise matrix commutator."""
     values = {}
@@ -777,18 +676,19 @@ def multisymplectic_defect(lagrangian: LagrangianDensity, constraint: Constraint
     bracket therefore the pointwise commutator.  Vanishes on two Jacobi
     fields along a critical pair, up to finite-difference error.
     """
-    pairs = _boundary_pairs(faceset)
+    complex = faceset.complex
+    pairs = _pairs(faceset, classify_vertices(complex, faceset).frontier)
 
     def omega_at(flow_dy, flow_dlam, t, probe_dy):
         yt = section_exp(y, flow_dy, t)
         lamt = multiplier_shift(lam, flow_dlam, t)
-        return _boundary_form(lagrangian, constraint, yt, lamt, probe_dy,
-                              faceset, pairs)
+        return _paired_sum(lagrangian, constraint, yt, lamt, probe_dy,
+                           complex, pairs)
 
     x_of_y = (omega_at(d1, dlam1, step, d2) - omega_at(d1, dlam1, -step, d2)) \
         / (2.0 * step)
     y_of_x = (omega_at(d2, dlam2, step, d1) - omega_at(d2, dlam2, -step, d1)) \
         / (2.0 * step)
-    bracket = _boundary_form(lagrangian, constraint, y, lam,
-                             _commutator_variation(d1, d2), faceset, pairs)
+    bracket = _paired_sum(lagrangian, constraint, y, lam,
+                          _commutator_variation(d1, d2), complex, pairs)
     return x_of_y - y_of_x - bracket

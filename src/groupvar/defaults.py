@@ -14,9 +14,6 @@ TOL_ADMISSIBLE = 1e-10
 # Central finite-difference step for Lagrangian differentials.
 H_LAGRANGIAN = 1e-6
 
-# Relative tolerance for identities backed by finite differences.
-FD_RTOL = 1e-6
-
 # Two-sided step for Jacobi / multisymplectic finite differences.
 H_JACOBI = 1e-5
 

@@ -142,6 +142,21 @@ def ep_symmetric_defect(grid: TriangulatedGrid, y: Section, i: int, j: int,
 # solver
 
 
+# Armijo descent: sufficient-decrease constant, initial (and largest) step,
+# backtracking shrink factor, growth after an accepted step, backtracks per
+# iteration.
+_ARMIJO_C1 = 1e-4
+_STEP_INIT = 1.0
+_STEP_SHRINK = 0.5
+_STEP_GROW = 2.0
+_MAX_BACKTRACKS = 60
+# Newton polish: gradient level where it takes over, step budget, and the
+# finite-difference step of its Jacobian.
+_NEWTON_SWITCH = 1e-3
+_MAX_NEWTON = 40
+_NEWTON_FD_STEP = 1e-6
+
+
 @dataclass
 class SolverConfig:
     """Options and boundary data for the stationary-point solver.
@@ -150,23 +165,16 @@ class SolverConfig:
     window.  The gradient target applies per interior vertex.  Backtracking
     descent alone cannot certify decrease once the energy decrement falls
     under the round-off floor of the energy sum, so a Newton polish on the
-    analytic gradient (finite-difference Jacobian) takes over below
-    ``newton_switch`` unless disabled.
+    analytic gradient (finite-difference Jacobian) takes over below a fixed
+    gradient level unless ``newton_refine`` is off.  ``initializer`` is a
+    field to warm-start the interior from; None means the boundary blend.
     """
 
     boundary: dict[int, GroupElement]
     g_tol: float = G_TOL
     max_iterations: int = 5000
-    armijo_c1: float = 1e-4
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    step_grow: float = 2.0
-    max_backtracks: int = 60
-    initializer: str = "blend"
+    initializer: UnreducedField | None = None
     newton_refine: bool = True
-    newton_switch: float = 1e-3
-    max_newton: int = 40
-    newton_fd_step: float = 1e-6
 
 
 @dataclass
@@ -235,7 +243,7 @@ def _interior_gradients(grid: TriangulatedGrid, values: dict[int, np.ndarray],
 
 
 def _newton_polish(grid: TriangulatedGrid, values: dict[int, np.ndarray],
-                   interior_ij, config: "SolverConfig", n: int, n_faces: int,
+                   interior_ij, g_tol: float, n: int, n_faces: int,
                    iteration0: int):
     """Drive the stationarity system to g_tol by damped Newton steps.
 
@@ -265,9 +273,9 @@ def _newton_polish(grid: TriangulatedGrid, values: dict[int, np.ndarray],
 
     history = []
     f0, worst = residual(values)
-    h = config.newton_fd_step
-    for it in range(config.max_newton):
-        if worst <= config.g_tol:
+    h = _NEWTON_FD_STEP
+    for it in range(_MAX_NEWTON):
+        if worst <= g_tol:
             break
         jac = np.empty((m_block, m_block))
         col = 0
@@ -356,46 +364,42 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     corner_el = config.boundary.get(corner)
     values[corner] = corner_el.matrix if corner_el is not None \
         else values[grid.vertex_id(grid.width, grid.height - 1)]
-    if config.initializer == "blend":
+    if config.initializer is None:
         values.update(_blend_initializer(grid, config.boundary, interior_ij))
-    elif config.initializer == "identity":
-        values.update({grid.vertex_id(i, j): np.eye(n) for i, j in interior_ij})
-    elif isinstance(config.initializer, UnreducedField):
+    else:
         values.update({grid.vertex_id(i, j):
                        config.initializer.at(grid.vertex_id(i, j)).matrix
                        for i, j in interior_ij})
-    else:
-        raise ValueError(f"unknown initializer {config.initializer!r}")
 
     def gradients():
         return _interior_gradients(grid, values, interior_ij)
 
     energy = dirichlet_energy(grid, values, n)
     history = []
-    step = config.step_init
+    step = _STEP_INIT
     converged = False
     iteration = 0
     grads, worst = gradients()
     history.append({"iteration": 0, "phase": "descent", "objective": energy,
                     "action": 2.0 * n * len(faceset) - energy,
                     "max_gradient": worst, "step": 0.0})
-    switch = config.newton_switch if config.newton_refine else 0.0
+    switch = _NEWTON_SWITCH if config.newton_refine else 0.0
     while iteration < config.max_iterations:
         if worst <= config.g_tol or worst <= switch:
             break
         iteration += 1
         slope = sum(float(np.linalg.norm(g) ** 2) for g in grads.values())
         accepted = False
-        for _ in range(config.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = dict(values)
             for (i, j), grad in grads.items():
                 vid = grid.vertex_id(i, j)
                 trial[vid] = values[vid] @ lg.exp(AlgebraElement(-step * grad)).matrix
             trial_energy = dirichlet_energy(grid, trial, n)
-            if trial_energy <= energy - config.armijo_c1 * step * slope:
+            if trial_energy <= energy - _ARMIJO_C1 * step * slope:
                 accepted = True
                 break
-            step *= config.step_shrink
+            step *= _STEP_SHRINK
         if not accepted:
             break
         values = trial
@@ -405,11 +409,11 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
                         "objective": energy,
                         "action": 2.0 * n * len(faceset) - energy,
                         "max_gradient": worst, "step": step})
-        step = min(config.step_init, step * config.step_grow)
+        step = min(_STEP_INIT, step * _STEP_GROW)
 
     if config.newton_refine and worst > config.g_tol:
         values, worst, extra = _newton_polish(
-            grid, values, interior_ij, config, n, len(faceset), iteration)
+            grid, values, interior_ij, config.g_tol, n, len(faceset), iteration)
         history.extend(extra)
         iteration += len(extra)
         energy = dirichlet_energy(grid, values, n)

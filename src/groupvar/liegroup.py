@@ -20,11 +20,9 @@ __all__ = [
     "GroupElement",
     "AlgebraElement",
     "CoAlgebraElement",
-    "TangentVector",
     "identity",
     "exp",
     "log_near_identity",
-    "maurer_cartan",
     "adjoint",
     "coadjoint",
     "pairing",
@@ -137,67 +135,8 @@ class AlgebraElement:
         return f"AlgebraElement(n={self.n}, norm={self.norm():.3e})"
 
 
-class CoAlgebraElement:
-    """An element of the algebra dual, stored as a skew matrix.
-
-    Acts on algebra elements through the trace pairing, see :func:`pairing`.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        m = _as_square(matrix)
-        m = (m - m.T) / 2.0
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoAlgebraElement is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def __add__(self, other):
-        return CoAlgebraElement(self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return CoAlgebraElement(self.matrix - other.matrix)
-
-    def __mul__(self, scalar: float):
-        return CoAlgebraElement(self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return CoAlgebraElement(-self.matrix)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-    def __repr__(self):
-        return f"CoAlgebraElement(n={self.n}, norm={self.norm():.3e})"
-
-
-class TangentVector:
-    """A tangent vector to SO(n) at ``base``: base^T vector must be skew."""
-
-    __slots__ = ("base", "vector")
-
-    def __init__(self, base: GroupElement, vector, tau: float = TAU_GROUP):
-        v = _as_square(vector)
-        if v.shape != base.matrix.shape:
-            raise ValueError("vector shape does not match the base point")
-        body = base.matrix.T @ v
-        if np.linalg.norm(body + body.T) > tau:
-            raise ValueError("vector is not tangent to the group at base")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "vector", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TangentVector is immutable")
+# The trace pairing identifies the algebra dual with the skew matrices.
+CoAlgebraElement = AlgebraElement
 
 
 def identity(n: int) -> GroupElement:
@@ -227,11 +166,6 @@ def log_near_identity(g: GroupElement) -> AlgebraElement:
             raise DomainError("logarithm came out complex, input too far from I")
         log = log.real
     return AlgebraElement(log)
-
-
-def maurer_cartan(d: TangentVector) -> AlgebraElement:
-    """Left-translate a tangent vector at g back to the algebra: g^{-1} D_g."""
-    return AlgebraElement(d.base.matrix.T @ d.vector)
 
 
 def adjoint(g: GroupElement, xi: AlgebraElement) -> AlgebraElement:

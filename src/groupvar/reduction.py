@@ -30,7 +30,6 @@ from .core import (
     Jet1,
     LagrangianDensity,
     Multiplier,
-    Problem,
     Section,
     Variation,
 )
@@ -57,12 +56,10 @@ __all__ = [
     "GaugeField",
     "PlaquetteConstraint",
     "reduced_fiber",
-    "make_reduced_problem",
     "reduce_field",
     "plaquette_holonomy",
     "plaquette_cartan_forms",
     "euler_poincare_residual",
-    "reconstruct",
     "reconstruction_report",
     "ReconstructionReport",
     "reduced_variation",
@@ -158,15 +155,6 @@ def _conjugation_form(n: int, terms_u, terms_v) -> CartanForm:
                 total = total + sign * (p @ e.matrix @ p.T)
             cols.append(skew_to_coords(total))
     return CartanForm(n, 2, np.column_stack(cols))
-
-
-def make_reduced_problem(grid: TriangulatedGrid, lagrangian: LagrangianDensity,
-                         faceset: FaceSet | None = None) -> Problem:
-    if faceset is None:
-        faceset = grid.full_faceset()
-    n = lagrangian.fiber.n
-    return Problem(faceset, reduced_fiber(n),
-                   lagrangian, PlaquetteConstraint(n))
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +312,6 @@ def reconstruction_report(grid: TriangulatedGrid, y: Section, seed: GroupElement
     return ReconstructionReport(field, worst, worst_face, agreement)
 
 
-def reconstruct(grid: TriangulatedGrid, y: Section, seed: GroupElement,
-                tol: float = TOL_ADMISSIBLE) -> UnreducedField:
-    return reconstruction_report(grid, y, seed, tol).field
-
-
 def reduced_variation(grid: TriangulatedGrid, g: UnreducedField,
                       theta: GaugeField) -> Variation:
     """Push a vertex gauge field through reduction, in left-log coordinates.
@@ -385,12 +368,6 @@ def _system_second(lagrangian, grid, y, lam: Multiplier, i, j) -> CoAlgebraEleme
     return right_v - lam_here + coadjoint(GroupElement(u_w), lam_w)
 
 
-def _system_residual_terms(lagrangian, grid, y, lam: Multiplier, i, j):
-    """Both residual expressions at a vertex whose west and south faces exist."""
-    return (_system_first(lagrangian, grid, y, lam, i, j),
-            _system_second(lagrangian, grid, y, lam, i, j))
-
-
 def multiplier_system_residual(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
                                y: Section, lam: Multiplier, i: int, j: int,
                                faceset: FaceSet | None = None
@@ -403,7 +380,8 @@ def multiplier_system_residual(lagrangian: LagrangianDensity, grid: Triangulated
     if faceset is None:
         faceset = grid.full_faceset()
     _require_interior_ij(grid, faceset, i, j)
-    return _system_residual_terms(lagrangian, grid, y, lam, i, j)
+    return (_system_first(lagrangian, grid, y, lam, i, j),
+            _system_second(lagrangian, grid, y, lam, i, j))
 
 
 @dataclass(frozen=True)
@@ -514,7 +492,8 @@ def multiplier_elimination_check(lagrangian: LagrangianDensity,
                                  grid: TriangulatedGrid, y: Section,
                                  lam: Multiplier, i: int, j: int
                                  ) -> EliminationDefects:
-    first, second = _system_residual_terms(lagrangian, grid, y, lam, i, j)
+    first = _system_first(lagrangian, grid, y, lam, i, j)
+    second = _system_second(lagrangian, grid, y, lam, i, j)
     first_w = _system_first(lagrangian, grid, y, lam, i - 1, j)
     second_s = _system_second(lagrangian, grid, y, lam, i, j - 1)
     u_w, _ = _uv(y, grid, i - 1, j)

@@ -95,8 +95,8 @@ def test_criterion_03_flatness_reconstruction():
             lg.GroupElement(u.matrix @ lg.exp(bump).matrix), v)
         injected += 1
         try:
-            red.reconstruct(grid, core.Section(y.fiber, tampered),
-                            g.values[grid.vertex_id(0, 0)])
+            red.reconstruction_report(grid, core.Section(y.fiber, tampered),
+                                      g.values[grid.vertex_id(0, 0)])
         except HolonomyError:
             detected += 1
     elapsed = time.perf_counter() - start

@@ -65,6 +65,27 @@ def test_malformed_config_exits_two(tmp_path):
     assert run("solve", "--config", cfg) == 2
     assert run("solve", "--n", 1) == 2
     assert run("solve", "--width", 0) == 2
+    for bad in ({"n": "3"}, {"instances": 2.5}, {"width": True},
+                {"g_tol": "1e-10"}, {"adm_tol": 0.0},
+                {"rank_tol": -1e-8}, {"max_iterations": -1}):
+        cfg.write_text(json.dumps(bad))
+        assert run("solve", "--config", cfg, "--out", tmp_path / "bad") == 2
+    for flags in (("--instances", 0), ("--instances", -3), ("--cons-tol", -1)):
+        assert run("verify", "split", *flags, "--out", tmp_path / "bad") == 2
+    assert not (tmp_path / "bad").exists()
+    cfg.write_text(json.dumps({"out": 3}))
+    assert run("solve", "--config", cfg) == 2
+
+
+def test_failed_solve_writes_history(tmp_path):
+    out = tmp_path / "run"
+    assert run("solve", "--width", 3, "--height", 3, "--g-tol", 1e-300,
+               "--out", out) == 1
+    report = (out / "solve_report.txt").read_text()
+    assert "converged=False" in report
+    rows = (out / "history.csv").read_text().splitlines()
+    assert rows[0] == "iteration,phase,objective,action,max_gradient,step"
+    assert len(rows) >= 2
 
 
 @pytest.mark.parametrize("suite", ["split", "cartan", "flatness", "regularity"])

@@ -294,15 +294,39 @@ def test_variational_split_zero_variation():
     assert lhs == 0.0 and rhs == 0.0
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_variational_split_resummation(seed):
-    grid = triangulated_grid(3, 3)
+# Proper face subsets of a 5x5 window, by face coordinates (i, j).  Their
+# frontier vertices see only part of their star, which the full window never
+# produces away from its edge.
+SPLIT_SUBSETS = {
+    "corner-block": lambda i, j: i < 3 and j < 3,
+    "middle-rows": lambda i, j: 1 <= j <= 3,
+    "holed": lambda i, j: (i, j) != (2, 2),
+    "staircase": lambda i, j: i + j <= 5,
+}
+
+
+@pytest.mark.parametrize(
+    "seed, subset",
+    [pytest.param(seed, None, id=str(seed)) for seed in range(5)]
+    + [pytest.param(5 + k, name, id=f"5x5-{name}")
+       for k, name in enumerate(SPLIT_SUBSETS)])
+def test_variational_split_resummation(seed, subset):
+    grid = triangulated_grid(3, 3) if subset is None else triangulated_grid(5, 5)
     rng = np.random.default_rng(seed)
     y = sampling.random_section(grid, N, rng)
     lam = sampling.random_multiplier(grid, N, rng)
     dy = sampling.random_variation(grid, N, rng)
+    if subset is None:
+        fs = grid.full_faceset()
+    else:
+        keep = SPLIT_SUBSETS[subset]
+        fs = FaceSet(grid, [f for f in grid.faces if keep(*grid.face_ij(f))])
+        assert set(fs.faces) < set(grid.faces)
+        klass = classify_vertices(grid, fs)
+        assert klass.interior
+        assert any(not grid.star(v) <= fs.faces for v in klass.frontier)
     lhs, rhs = core.variational_split(TraceLagrangian(N), PlaquetteConstraint(N),
-                                      y, lam, dy, grid.full_faceset())
+                                      y, lam, dy, fs)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
 
@@ -444,19 +468,20 @@ def test_regularity_boundary_fixed_shape_and_flags():
 
 
 def test_problem_bundle_delegates():
-    from groupvar.reduction import make_reduced_problem
-
+    """Action, admissibility, residuals and split agree on the identity pair."""
     grid = triangulated_grid(3, 3)
-    problem = make_reduced_problem(grid, TraceLagrangian(N))
-    assert problem.interior() == sorted(
-        classify_vertices(grid, grid.full_faceset()).interior)
+    lagrangian, constraint = TraceLagrangian(N), PlaquetteConstraint(N)
+    fs = grid.full_faceset()
     y = identity_section(grid)
-    assert problem.action(y) == pytest.approx(9 * 6, abs=1e-12)
-    assert problem.admissibility(y).admissible
+    assert core.action(lagrangian, y, fs) == pytest.approx(9 * 6, abs=1e-12)
+    assert core.admissibility_report(constraint, y, fs).admissible
     zero = lg.CoAlgebraElement(np.zeros((N, N)))
     lam = core.Multiplier({f: zero for f in grid.faces})
-    assert problem.max_residual(y, lam) == 0.0
-    lhs, rhs = problem.split(y, lam, core.zero_variation(FIBER))
+    interior = sorted(classify_vertices(grid, fs).interior)
+    assert max(core.extended_residual(lagrangian, constraint, y, lam, fs, v).norm
+               for v in interior) == 0.0
+    lhs, rhs = core.variational_split(lagrangian, constraint, y, lam,
+                                      core.zero_variation(FIBER), fs)
     assert lhs == 0.0 and rhs == 0.0
 
 

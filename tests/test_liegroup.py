@@ -57,38 +57,6 @@ def test_log_outside_region_raises():
         lg.log_near_identity(far)
 
 
-def test_maurer_cartan_at_identity():
-    xi = rand_alg(3, 0)
-    d = lg.TangentVector(lg.identity(3), xi.matrix)
-    assert np.allclose(lg.maurer_cartan(d).matrix, xi.matrix, atol=1e-15)
-
-
-def test_maurer_cartan_analytic_curve():
-    g = lg.exp(rand_alg(3, 1))
-    xi = rand_alg(3, 2)
-    d = lg.TangentVector(g, g.matrix @ xi.matrix)
-    assert np.allclose(lg.maurer_cartan(d).matrix, xi.matrix, atol=1e-14)
-    # left-translating the value back recovers the ambient vector
-    back = g.matrix @ lg.maurer_cartan(d).matrix
-    assert np.linalg.norm(back - d.vector) <= 1e-14
-
-
-def test_maurer_cartan_left_invariance():
-    g = lg.exp(rand_alg(3, 3))
-    h = lg.exp(rand_alg(3, 4))
-    xi = rand_alg(3, 5)
-    d = lg.TangentVector(g, g.matrix @ xi.matrix)
-    hd = lg.TangentVector(h @ g, h.matrix @ g.matrix @ xi.matrix)
-    assert np.linalg.norm(lg.maurer_cartan(d).matrix
-                          - lg.maurer_cartan(hd).matrix) <= 1e-13
-
-
-def test_tangency_violation_rejected():
-    g = lg.exp(rand_alg(3, 6))
-    with pytest.raises(ValueError):
-        lg.TangentVector(g, np.eye(3))
-
-
 def test_adjoint_identity_and_oracle():
     xi = rand_alg(3, 7)
     assert np.allclose(lg.adjoint(lg.identity(3), xi).matrix, xi.matrix)

@@ -150,7 +150,7 @@ def test_ep_residual_generic_nonzero_and_interior_check():
 def test_reconstruct_identity():
     grid = triangulated_grid(3, 3)
     y = red.reduce_field(grid, constant_field(grid, lg.identity(N)))
-    field = red.reconstruct(grid, y, lg.identity(N))
+    field = red.reconstruction_report(grid, y, lg.identity(N)).field
     for g in field.values.values():
         assert np.linalg.norm(g.matrix - np.eye(N)) <= 1e-14
 
@@ -174,8 +174,8 @@ def test_reconstruct_seed_offset():
     y = red.reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
     h1 = lg.exp(lg.random_algebra(N, rng))
     h2 = lg.exp(lg.random_algebra(N, rng))
-    f1 = red.reconstruct(grid, y, h1)
-    f2 = red.reconstruct(grid, y, h2)
+    f1 = red.reconstruction_report(grid, y, h1).field
+    f2 = red.reconstruction_report(grid, y, h2).field
     offset = h2.matrix @ h1.matrix.T
     for v in f1.values:
         assert np.linalg.norm(offset @ f1.values[v].matrix
@@ -193,7 +193,7 @@ def test_reconstruct_detects_broken_plaquette():
     bump = (1e-5 / bump.norm()) * bump
     y.values[vid] = (lg.GroupElement(u.matrix @ lg.exp(bump).matrix), v)
     with pytest.raises(HolonomyError) as err:
-        red.reconstruct(grid, y, g.values[grid.vertex_id(0, 0)])
+        red.reconstruction_report(grid, y, g.values[grid.vertex_id(0, 0)])
     # the tampered u slot feeds the faces at (2, 1) and (2, 0)
     assert err.value.face in (grid.face_id(2, 1), grid.face_id(2, 0))
     assert err.value.defect > 1e-7
