@@ -283,24 +283,25 @@ def _suite_flatness(cfg, rng):
                     "tolerance": 1e-12}
 
 
-def _solve_for_suite(cfg, g_tol=1e-11):
+def _suite_problem(cfg):
     grid = triangulated_grid(cfg["width"], cfg["height"])
-    boundary = _boundary_map(cfg, grid)
-    solver_cfg = SolverConfig(boundary=boundary, g_tol=g_tol,
+    solver_cfg = SolverConfig(boundary=_boundary_map(cfg, grid), g_tol=1e-11,
                               max_iterations=cfg["max_iterations"])
-    field, report = harmonic.solve_unreduced(grid, solver_cfg)
-    return grid, solver_cfg, field, report
+    return grid, solver_cfg
+
+
+def _solve_for_suite(cfg):
+    grid, solver_cfg = _suite_problem(cfg)
+    field, _ = harmonic.solve_unreduced(grid, solver_cfg)
+    return grid, reduction.reduce_field(grid, field)
 
 
 def _suite_noether(cfg, rng, break_symmetry=False):
     n = cfg["n"]
-    grid, solver_cfg, field, _ = _solve_for_suite(cfg)
+    grid, solver_cfg = _suite_problem(cfg)
     xi = random_algebra(n, rng)
-    bad = None
-    if break_symmetry:
-        y = reduction.reduce_field(grid, field)
-        bad = sampling.random_variation(grid, n, rng)
-        bad.values = {v: bad.values[v] for v in y.values}
+    # like a reduced section, a random variation skips the far corner
+    bad = sampling.random_variation(grid, n, rng) if break_symmetry else None
     scenario = harmonic.run_noether_scenario(grid, solver_cfg, xi,
                                              symmetry_field=bad)
     return scenario.passed, {
@@ -315,7 +316,7 @@ def _suite_noether(cfg, rng, break_symmetry=False):
 
 def _suite_multisymplectic(cfg, rng):
     n = cfg["n"]
-    grid, solver_cfg, _, _ = _solve_for_suite(cfg)
+    grid, solver_cfg = _suite_problem(cfg)
     frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
     picks = rng.choice(len(frontier), size=2, replace=False)
     bump1 = {frontier[int(picks[0])]: random_algebra(n, rng)}
@@ -346,9 +347,8 @@ def _recovery_residuals(lagrangian, grid, y, lam):
 
 def _suite_multipliers(cfg, rng):
     n = cfg["n"]
-    grid, _, field, _ = _solve_for_suite(cfg)
+    grid, y = _solve_for_suite(cfg)
     lagrangian = TraceLagrangian(n)
-    y = reduction.reduce_field(grid, field)
     zero = CoAlgebraElement(np.zeros((n, n)))
     lam0, rep0 = reduction.recover_multipliers(lagrangian, grid, y, zero)
     worst0 = _recovery_residuals(lagrangian, grid, y, lam0)
@@ -371,9 +371,8 @@ def _suite_multipliers(cfg, rng):
 
 def _suite_elimination(cfg, rng):
     n = cfg["n"]
-    grid, _, field, _ = _solve_for_suite(cfg)
+    grid, y = _solve_for_suite(cfg)
     lagrangian = TraceLagrangian(n)
-    y = reduction.reduce_field(grid, field)
     zero = CoAlgebraElement(np.zeros((n, n)))
     lam, _ = reduction.recover_multipliers(lagrangian, grid, y, zero)
     klass = classify_vertices(grid, grid.full_faceset())

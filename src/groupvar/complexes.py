@@ -102,6 +102,13 @@ class FaceSet:
             verts.update(self.complex.adherence(f))
         return frozenset(verts)
 
+    @cached_property
+    def _vertex_class(self) -> VertexClass:
+        c = self.complex
+        interior = frozenset(v for v in self.adherent_vertices
+                             if not c.star_is_truncated(v) and c.star(v) <= self.faces)
+        return VertexClass(interior, self.adherent_vertices - interior)
+
     def __contains__(self, face: int) -> bool:
         return face in self.faces
 
@@ -123,20 +130,11 @@ def classify_vertices(complex: CellComplex, faceset: FaceSet) -> VertexClass:
     A vertex is interior when its whole spherical neighborhood lies in the
     face set; a vertex whose star is truncated by the materialized window
     always counts as frontier, since its ambient star cannot be contained in
-    any window face set.
+    any window face set.  The split is computed once per face set.
     """
     if faceset.complex is not complex:
-        for f in faceset.faces:
-            if not complex.has_face(f):
-                raise ValueError(f"face {f} is not a face of the complex")
-    interior = set()
-    frontier = set()
-    for v in faceset.adherent_vertices:
-        if not complex.star_is_truncated(v) and complex.star(v) <= faceset.faces:
-            interior.add(v)
-        else:
-            frontier.add(v)
-    return VertexClass(frozenset(interior), frozenset(frontier))
+        faceset = FaceSet(complex, faceset.faces)
+    return faceset._vertex_class
 
 
 class TriangulatedGrid(CellComplex):
@@ -173,6 +171,7 @@ class TriangulatedGrid(CellComplex):
         everything = [self._vid(i, j)
                       for j in range(height + 1) for i in range(width + 1)]
         super().__init__(adherence, vertices=everything, truncated_star=truncated)
+        self._full = FaceSet(self, self.faces)
 
     def _vid(self, i: int, j: int) -> int:
         return j * (self.width + 1) + i
@@ -200,7 +199,8 @@ class TriangulatedGrid(CellComplex):
         return i, j
 
     def full_faceset(self) -> FaceSet:
-        return FaceSet(self, self.faces)
+        """The face set of the whole window; one instance, shared."""
+        return self._full
 
 
 def triangulated_grid(width: int, height: int) -> TriangulatedGrid:

@@ -15,9 +15,10 @@ Gradient assembly is vertex-parallel within an iteration; scenario runs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from . import liegroup as lg
 from .complexes import FaceSet, TriangulatedGrid, classify_vertices
@@ -140,6 +141,10 @@ def ep_symmetric_defect(grid: TriangulatedGrid, y: Section, i: int, j: int,
 
 # ---------------------------------------------------------------------------
 # solver
+#
+# The iterate is one (H+1, W+1, n, n) array g indexed [j, i]: flattening the
+# first two axes gives vertex ids, and g[1:-1, 1:-1] is the interior.  Scalar
+# reductions run in vertex-id order, one term at a time.
 
 
 # Armijo descent: sufficient-decrease constant, initial (and largest) step,
@@ -166,15 +171,15 @@ class SolverConfig:
     descent alone cannot certify decrease once the energy decrement falls
     under the round-off floor of the energy sum, so a Newton polish on the
     analytic gradient (finite-difference Jacobian) takes over below a fixed
-    gradient level unless ``newton_refine`` is off.  ``initializer`` is a
-    field to warm-start the interior from; None means the boundary blend.
+    gradient level.  ``max_iterations`` bounds descent and Newton steps
+    together.  ``initializer`` is a field to warm-start the interior from;
+    None means the boundary blend.
     """
 
     boundary: dict[int, GroupElement]
     g_tol: float = G_TOL
     max_iterations: int = 5000
     initializer: UnreducedField | None = None
-    newton_refine: bool = True
 
 
 @dataclass
@@ -199,140 +204,151 @@ class SolveReport:
     g_tol: float = G_TOL
 
 
-def dirichlet_energy(grid: TriangulatedGrid, values: dict[int, np.ndarray],
-                     n: int) -> float:
-    """Sum over faces of 2n - tr(u) - tr(v); nonnegative, zero iff constant."""
-    total = 0.0
-    for j in range(grid.height):
-        for i in range(grid.width):
-            g = values[grid.vertex_id(i, j)]
-            total += 2.0 * n \
-                - float(np.vdot(g, values[grid.vertex_id(i + 1, j)])) \
-                - float(np.vdot(g, values[grid.vertex_id(i, j + 1)]))
-    return total
+def _block_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius inner product of corresponding n x n blocks of two stacks."""
+    shape = a.shape[:-2] + (a.shape[-2] * a.shape[-1],)
+    return np.vecdot(a.reshape(shape), b.reshape(shape))
+
+
+def _max_norm(norms: np.ndarray) -> float:
+    """Largest gradient norm; 0.0 when the window has no interior vertex."""
+    return max([0.0, *norms.ravel().tolist()])
+
+
+def dirichlet_energy(g: np.ndarray) -> float:
+    """Sum over faces of 2n - tr(u) - tr(v); nonnegative, zero iff constant.
+
+    ``g`` is a vertex field as an (H+1, W+1, n, n) array indexed [j, i].
+    """
+    n = g.shape[-1]
+    base = g[:-1, :-1]
+    terms = 2.0 * n - _block_dot(base, g[:-1, 1:]) - _block_dot(base, g[1:, :-1])
+    return float(np.cumsum(terms)[-1])
 
 
 def trace_action(grid: TriangulatedGrid, g: UnreducedField) -> float:
     """Trace action of the reduced pair field of g."""
     n = next(iter(g.values.values())).n
-    values = {vid: el.matrix for vid, el in g.values.items()}
-    return 2.0 * n * grid.width * grid.height - dirichlet_energy(grid, values, n)
+    values = np.stack([g.at(v).matrix for v in grid.vertices])
+    return 2.0 * n * grid.width * grid.height - dirichlet_energy(
+        values.reshape(grid.height + 1, grid.width + 1, n, n))
 
 
-def _interior_gradients(grid: TriangulatedGrid, values: dict[int, np.ndarray],
-                        interior_ij) -> tuple[dict, float]:
-    """Energy gradient block per interior vertex, in left-log coordinates.
+def _record(iteration: int, phase: str, g: np.ndarray, energy: float,
+            worst: float, step: float) -> dict:
+    """One history row; the action is 2n per face minus the energy."""
+    faces = (g.shape[0] - 1) * (g.shape[1] - 1)
+    return {"iteration": iteration, "phase": phase, "objective": energy,
+            "action": 2.0 * g.shape[-1] * faces - energy,
+            "max_gradient": worst, "step": step}
 
-    The block at (i, j) is the skew part transposed, (M^T - M) / 2 with
-    M = u_ij + v_ij - u_{i-1,j} - v_{i,j-1}, which is also the reduced
-    residual of the trace equations there; its negation is the action
-    gradient.
+
+def _interior_gradients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energy gradient blocks of the interior vertices and their norms.
+
+    Blocks are in left-log coordinates, one per interior vertex, shaped like
+    g[1:-1, 1:-1].  The block at (i, j) is the skew part transposed,
+    (M^T - M) / 2 with M = u_ij + v_ij - u_{i-1,j} - v_{i,j-1}, which is also
+    the reduced residual of the trace equations there; its negation is the
+    action gradient.
     """
-    grads = {}
-    worst = 0.0
-    for i, j in interior_ij:
-        g = values[grid.vertex_id(i, j)]
-        m = g.T @ values[grid.vertex_id(i + 1, j)] \
-            + g.T @ values[grid.vertex_id(i, j + 1)] \
-            - values[grid.vertex_id(i - 1, j)].T @ g \
-            - values[grid.vertex_id(i, j - 1)].T @ g
-        grad = (m.T - m) / 2.0
-        grads[(i, j)] = grad
-        worst = max(worst, float(np.linalg.norm(grad)))
-    return grads, worst
+    c = g[1:-1, 1:-1]
+    ct = c.swapaxes(-1, -2)
+    m = ct @ g[1:-1, 2:] + ct @ g[2:, 1:-1] \
+        - g[1:-1, :-2].swapaxes(-1, -2) @ c \
+        - g[:-2, 1:-1].swapaxes(-1, -2) @ c
+    grads = (m.swapaxes(-1, -2) - m) / 2.0
+    return grads, np.sqrt(_block_dot(grads, grads))
 
 
-def _newton_polish(grid: TriangulatedGrid, values: dict[int, np.ndarray],
-                   interior_ij, g_tol: float, n: int, n_faces: int,
-                   iteration0: int):
-    """Drive the stationarity system to g_tol by damped Newton steps.
+def _retract(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Exponential retraction g_ij exp(xi_ij) of every interior vertex."""
+    out = g.copy()
+    out[1:-1, 1:-1] = g[1:-1, 1:-1] @ scipy.linalg.expm(xi)
+    return out
+
+
+def _newton_polish(g: np.ndarray, g_tol: float, iteration0: int, budget: int):
+    """Drive the stationarity system to g_tol by at most ``budget`` Newton steps.
 
     The residual is the stacked analytic gradient; its Jacobian is assembled
     column by column with central differences.  Steps are halved until the
     gradient max-norm decreases, so this phase is monotone in the gradient
     rather than in the energy (whose decrements are below round-off here).
     """
-    from .liegroup import skew_basis, skew_to_coords, coords_to_skew, algebra_dim
+    n = g.shape[-1]
+    upper = np.triu_indices(n, 1)
+    lower = upper[::-1]
+    h = _NEWTON_FD_STEP
+    steps = [lg.exp(h * e).matrix for e in lg.skew_basis(n)]
 
-    d = algebra_dim(n)
-    basis = skew_basis(n)
-    m_block = len(interior_ij) * d
+    def residual(x):
+        grads, norms = _interior_gradients(x)
+        return grads[(..., *upper)].ravel(), _max_norm(norms)
 
-    def residual(vals):
-        grads, worst = _interior_gradients(grid, vals, interior_ij)
-        stacked = np.concatenate([skew_to_coords(grads[ij]) for ij in interior_ij])
-        return stacked, worst
-
-    def retract(vals, delta):
-        out = dict(vals)
-        for idx, (i, j) in enumerate(interior_ij):
-            xi = coords_to_skew(delta[idx * d:(idx + 1) * d], n)
-            vid = grid.vertex_id(i, j)
-            out[vid] = vals[vid] @ lg.exp(AlgebraElement(xi)).matrix
-        return out
+    def retract(x, delta):
+        coords = delta.reshape(x.shape[0] - 2, x.shape[1] - 2, -1)
+        xi = np.zeros(coords.shape[:2] + (n, n))
+        xi[(..., *upper)] = coords
+        xi[(..., *lower)] = -coords
+        return _retract(x, xi)
 
     history = []
-    f0, worst = residual(values)
-    h = _NEWTON_FD_STEP
-    for it in range(_MAX_NEWTON):
+    f0, worst = residual(g)
+    block = g[1:-1, 1:-1]
+    for it in range(budget):
         if worst <= g_tol:
             break
-        jac = np.empty((m_block, m_block))
+        jac = np.empty((f0.size, f0.size))
         col = 0
-        for idx, (i, j) in enumerate(interior_ij):
-            vid = grid.vertex_id(i, j)
-            for e in basis:
-                step = lg.exp(AlgebraElement(h * e.matrix)).matrix
-                plus = dict(values)
-                plus[vid] = values[vid] @ step
-                minus = dict(values)
-                minus[vid] = values[vid] @ step.T
-                jac[:, col] = (residual(plus)[0] - residual(minus)[0]) / (2.0 * h)
+        for vertex in np.ndindex(block.shape[:2]):
+            # perturb the iterate in place; restored after the vertex's columns
+            center = block[vertex].copy()
+            for step in steps:
+                block[vertex] = center @ step
+                plus = residual(g)[0]
+                block[vertex] = center @ step.T
+                jac[:, col] = (plus - residual(g)[0]) / (2.0 * h)
                 col += 1
+            block[vertex] = center
         delta, *_ = np.linalg.lstsq(jac, -f0, rcond=None)
-        accepted = False
         scale = 1.0
         for _ in range(8):
-            trial = retract(values, scale * delta)
+            trial = retract(g, scale * delta)
             f_trial, worst_trial = residual(trial)
             if worst_trial < worst:
-                values = trial
+                g, block = trial, trial[1:-1, 1:-1]
                 f0, worst = f_trial, worst_trial
-                accepted = True
                 break
             scale *= 0.5
-        if not accepted:
+        else:
             break
-        energy = dirichlet_energy(grid, values, n)
-        history.append({"iteration": iteration0 + it + 1, "phase": "newton",
-                        "objective": energy,
-                        "action": 2.0 * n * n_faces - energy,
-                        "max_gradient": worst, "step": scale})
-    return values, worst, history
+        history.append(_record(iteration0 + it + 1, "newton", g,
+                               dirichlet_energy(g), worst, scale))
+    return g, worst, history
 
 
-def _blend_initializer(grid: TriangulatedGrid, boundary: dict[int, GroupElement],
-                       interior_ij) -> dict[int, np.ndarray]:
+def _blend_initializer(g: np.ndarray) -> np.ndarray:
     """Bilinear chordal blend of the four boundary edges, projected back.
 
-    Falls back to the identity where the projection is undefined.
+    Reads the boundary rows and columns of ``g`` and returns the interior
+    block.  Falls back to the identity where the projection is undefined.
     """
-    n = next(iter(boundary.values())).n
-    out = {}
-    for i, j in interior_ij:
-        s = i / grid.width
-        t = j / grid.height
-        blend = (
-            (1.0 - t) * boundary[grid.vertex_id(i, 0)].matrix
-            + t * boundary[grid.vertex_id(i, grid.height)].matrix
-            + (1.0 - s) * boundary[grid.vertex_id(0, j)].matrix
-            + s * boundary[grid.vertex_id(grid.width, j)].matrix
-        ) / 2.0
+    height, width = g.shape[0] - 1, g.shape[1] - 1
+    s = (np.arange(1, width) / width)[:, None, None]
+    t = (np.arange(1, height) / height)[:, None, None, None]
+    blend = (
+        (1.0 - t) * g[0, 1:-1]
+        + t * g[-1, 1:-1]
+        + (1.0 - s) * g[1:-1, :1]
+        + s * g[1:-1, -1:]
+    ) / 2.0
+    for vertex in np.ndindex(blend.shape[:2]):
         try:
-            out[grid.vertex_id(i, j)] = project_to_group(blend).matrix
+            blend[vertex] = project_to_group(blend[vertex]).matrix
         except DomainError:
-            out[grid.vertex_id(i, j)] = np.eye(n)
-    return out
+            blend[vertex] = np.eye(g.shape[-1])
+    return blend
 
 
 def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
@@ -353,73 +369,58 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     if missing:
         raise ValueError(f"boundary data missing at vertices {missing[:4]}")
     interior = sorted(klass.interior)
-    interior_ij = [grid.vertex_ij(v) for v in interior]
     n = next(iter(config.boundary.values())).n
 
-    values: dict[int, np.ndarray] = {v: config.boundary[v].matrix for v in frontier}
+    g = np.empty((grid.height + 1, grid.width + 1, n, n))
+    by_vertex = g.reshape(-1, n, n)
+    by_vertex[frontier] = [config.boundary[v].matrix for v in frontier]
     # the far corner adheres to no face and only feeds the edge slots of the
     # reduced section; defaulting it to the boundary value below keeps the
     # whole construction equivariant under constant left translation
-    corner = grid.vertex_id(grid.width, grid.height)
-    corner_el = config.boundary.get(corner)
-    values[corner] = corner_el.matrix if corner_el is not None \
-        else values[grid.vertex_id(grid.width, grid.height - 1)]
+    corner_el = config.boundary.get(grid.vertex_id(grid.width, grid.height))
+    g[-1, -1] = corner_el.matrix if corner_el is not None else g[-2, -1]
     if config.initializer is None:
-        values.update(_blend_initializer(grid, config.boundary, interior_ij))
+        g[1:-1, 1:-1] = _blend_initializer(g)
     else:
-        values.update({grid.vertex_id(i, j):
-                       config.initializer.at(grid.vertex_id(i, j)).matrix
-                       for i, j in interior_ij})
+        for v in interior:
+            by_vertex[v] = config.initializer.at(v).matrix
 
-    def gradients():
-        return _interior_gradients(grid, values, interior_ij)
-
-    energy = dirichlet_energy(grid, values, n)
-    history = []
+    energy = dirichlet_energy(g)
     step = _STEP_INIT
-    converged = False
     iteration = 0
-    grads, worst = gradients()
-    history.append({"iteration": 0, "phase": "descent", "objective": energy,
-                    "action": 2.0 * n * len(faceset) - energy,
-                    "max_gradient": worst, "step": 0.0})
-    switch = _NEWTON_SWITCH if config.newton_refine else 0.0
+    grads, norms = _interior_gradients(g)
+    worst = _max_norm(norms)
+    history = [_record(0, "descent", g, energy, worst, 0.0)]
     while iteration < config.max_iterations:
-        if worst <= config.g_tol or worst <= switch:
+        if worst <= config.g_tol or worst <= _NEWTON_SWITCH:
             break
         iteration += 1
-        slope = sum(float(np.linalg.norm(g) ** 2) for g in grads.values())
-        accepted = False
+        slope = sum(float(x ** 2) for x in norms.ravel())
         for _ in range(_MAX_BACKTRACKS):
-            trial = dict(values)
-            for (i, j), grad in grads.items():
-                vid = grid.vertex_id(i, j)
-                trial[vid] = values[vid] @ lg.exp(AlgebraElement(-step * grad)).matrix
-            trial_energy = dirichlet_energy(grid, trial, n)
+            trial = _retract(g, -step * grads)
+            trial_energy = dirichlet_energy(trial)
             if trial_energy <= energy - _ARMIJO_C1 * step * slope:
-                accepted = True
                 break
             step *= _STEP_SHRINK
-        if not accepted:
+        else:
             break
-        values = trial
-        energy = trial_energy
-        grads, worst = gradients()
-        history.append({"iteration": iteration, "phase": "descent",
-                        "objective": energy,
-                        "action": 2.0 * n * len(faceset) - energy,
-                        "max_gradient": worst, "step": step})
+        g, energy = trial, trial_energy
+        grads, norms = _interior_gradients(g)
+        worst = _max_norm(norms)
+        history.append(_record(iteration, "descent", g, energy, worst, step))
         step = min(_STEP_INIT, step * _STEP_GROW)
 
-    if config.newton_refine and worst > config.g_tol:
-        values, worst, extra = _newton_polish(
-            grid, values, interior_ij, config.g_tol, n, len(faceset), iteration)
+    if worst > config.g_tol:
+        g, worst, extra = _newton_polish(
+            g, config.g_tol, iteration,
+            min(_MAX_NEWTON, config.max_iterations - iteration))
         history.extend(extra)
         iteration += len(extra)
-        energy = dirichlet_energy(grid, values, n)
+        energy = dirichlet_energy(g)
     converged = worst <= config.g_tol
 
-    field_ = UnreducedField({vid: GroupElement(m) for vid, m in sorted(values.items())})
+    field_ = UnreducedField({v: GroupElement(m)
+                             for v, m in enumerate(g.reshape(-1, n, n))})
     if not converged:
         raise ConvergenceError(
             f"gradient norm {worst:.3e} > {config.g_tol:.1e} "
@@ -427,10 +428,9 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
 
     lagrangian = TraceLagrangian(n)
     y = reduce_field(grid, field_)
-    per_vertex = {}
-    for i, j in interior_ij:
-        per_vertex[(i, j)] = euler_poincare_residual(
-            lagrangian, grid, y, i, j, faceset).norm()
+    per_vertex = {(i, j): euler_poincare_residual(lagrangian, grid, y, i, j,
+                                                  faceset).norm()
+                  for i, j in map(grid.vertex_ij, interior)}
     adm = admissibility_report(PlaquetteConstraint(n), y, faceset)
     report = SolveReport(
         converged=converged,
@@ -584,10 +584,8 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
                 raise ValueError(f"bump vertex {vid} is not a frontier vertex")
             boundary[vid] = GroupElement(
                 boundary[vid].matrix @ lg.exp(step * eta).matrix)
-        cfg = SolverConfig(boundary=boundary, g_tol=config.g_tol,
-                           max_iterations=config.max_iterations,
-                           initializer=base_field)
-        field_, _ = solve_unreduced(grid, cfg)
+        field_, _ = solve_unreduced(
+            grid, replace(config, boundary=boundary, initializer=base_field))
         y = reduce_field(grid, field_)
         lam, _ = recover_multipliers(lagrangian, grid, y, zero_seed)
         return y, lam

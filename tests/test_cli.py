@@ -88,6 +88,16 @@ def test_failed_solve_writes_history(tmp_path):
     assert len(rows) >= 2
 
 
+def test_iteration_budget_covers_newton_steps(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run("solve", "--width", 6, "--height", 6, "--scale", 3.0, "--seed", 2,
+               "--max-iterations", 3, "--out", out) == 1
+    rows = (out / "history.csv").read_text().splitlines()[1:]
+    assert 1 <= len(rows) <= 4
+    assert "after 3 iterations" in capsys.readouterr().err
+    assert "after 3 iterations" in (out / "solve_report.txt").read_text()
+
+
 @pytest.mark.parametrize("suite", ["split", "cartan", "flatness", "regularity"])
 def test_verify_algebra_suites(tmp_path, suite):
     assert run("verify", suite, "--instances", 10, "--out", tmp_path) == 0

@@ -80,6 +80,17 @@ def test_full_faceset_interior_count_4x4():
     assert len(klass.interior) == 9
 
 
+def test_full_faceset_and_its_classes_are_shared():
+    grid = triangulated_grid(3, 3)
+    fs = grid.full_faceset()
+    assert grid.full_faceset() is fs
+    assert classify_vertices(grid, fs) is classify_vertices(grid, fs)
+    # against another complex the face set is validated and classified anew
+    assert classify_vertices(triangulated_grid(3, 3), fs) == classify_vertices(grid, fs)
+    with pytest.raises(ValueError):
+        classify_vertices(triangulated_grid(2, 2), fs)
+
+
 def test_empty_faceset():
     grid = triangulated_grid(2, 2)
     klass = classify_vertices(grid, FaceSet(grid, []))

@@ -125,7 +125,7 @@ def test_solver_newton_phase_gradient_monotone(solved66):
 def test_solver_admissible_even_when_loose():
     grid = triangulated_grid(4, 4)
     boundary = hm.random_boundary(grid, N, seed=3, scale=0.1)
-    config = hm.SolverConfig(boundary=boundary, g_tol=5e-2, newton_refine=False)
+    config = hm.SolverConfig(boundary=boundary, g_tol=5e-2)
     field, report = hm.solve_unreduced(grid, config)
     assert report.max_constraint_residual <= 1e-12
 
@@ -149,11 +149,20 @@ def test_solver_left_invariance():
 def test_solver_runs_out_of_budget():
     grid = triangulated_grid(4, 4)
     boundary = hm.random_boundary(grid, N, seed=6, scale=0.1)
-    config = hm.SolverConfig(boundary=boundary, g_tol=1e-13, max_iterations=2,
-                             newton_refine=False)
+    config = hm.SolverConfig(boundary=boundary, g_tol=1e-13, max_iterations=2)
     with pytest.raises(ConvergenceError) as err:
         hm.solve_unreduced(grid, config)
     assert err.value.history
+
+
+@pytest.mark.parametrize("width,height", [(1, 1), (1, 3), (3, 1)])
+def test_solver_window_without_interior(width, height):
+    grid = triangulated_grid(width, height)
+    boundary = hm.random_boundary(grid, N, seed=19, scale=0.5)
+    field, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    assert report.converged and report.iterations == 0
+    assert len(report.history) == 1 and report.per_vertex_ep == {}
+    assert sorted(field.values) == list(grid.vertices)
 
 
 def test_solver_missing_boundary_vertex():
@@ -261,3 +270,49 @@ def test_random_boundary_reproducible():
         assert np.array_equal(b1[v].matrix, b2[v].matrix)
     b3 = hm.random_boundary(grid, N, seed=14, scale=0.1)
     assert any(not np.array_equal(b1[v].matrix, b3[v].matrix) for v in b1)
+
+
+def _array(grid, field):
+    n = field.values[0].n
+    return np.stack([field.values[v].matrix for v in grid.vertices]).reshape(
+        grid.height + 1, grid.width + 1, n, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_interior_gradients_match_ep_defect(n):
+    """The batched gradient blocks are minus half the symmetric EP defect,
+    and bit for bit the per-vertex products they replace."""
+    grid = triangulated_grid(5, 4)
+    field = sampling.random_unreduced_field(grid, n, np.random.default_rng(40 + n))
+    g = _array(grid, field)
+    grads, norms = hm._interior_gradients(g)
+    y = red.reduce_field(grid, field)
+    assert grads.shape == (grid.height - 1, grid.width - 1, n, n)
+    for j in range(1, grid.height):
+        for i in range(1, grid.width):
+            block = grads[j - 1, i - 1]
+            oracle = -hm.ep_symmetric_defect(grid, y, i, j) / 2.0
+            assert np.max(np.abs(block - oracle)) <= 1e-14
+            c = g[j, i]
+            m = c.T @ g[j, i + 1] + c.T @ g[j + 1, i] \
+                - g[j, i - 1].T @ c - g[j - 1, i].T @ c
+            assert np.array_equal(block, (m.T - m) / 2.0)
+            assert norms[j - 1, i - 1] == np.linalg.norm(block)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_dirichlet_energy_matches_trace_action(n):
+    grid = triangulated_grid(4, 5)
+    field = sampling.random_unreduced_field(grid, n, np.random.default_rng(50 + n))
+    y = red.reduce_field(grid, field)
+    action = core.action(hm.TraceLagrangian(n), y, grid.full_faceset())
+    g = _array(grid, field)
+    energy = hm.dirichlet_energy(g)
+    assert abs(energy - (2 * n * len(grid.faces) - action)) <= 1e-12
+    # the running total over faces in id order, term for term
+    total = 0.0
+    for j in range(grid.height):
+        for i in range(grid.width):
+            total += 2.0 * n - float(np.vdot(g[j, i], g[j, i + 1])) \
+                - float(np.vdot(g[j, i], g[j + 1, i]))
+    assert energy == total

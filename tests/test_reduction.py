@@ -333,7 +333,7 @@ def test_system_residual_bounds_ep_residual():
 
     grid = triangulated_grid(5, 5)
     boundary = hm.random_boundary(grid, N, seed=21, scale=0.1)
-    config = hm.SolverConfig(boundary=boundary, g_tol=2e-6, newton_refine=False)
+    config = hm.SolverConfig(boundary=boundary, g_tol=2e-6)
     field, _ = hm.solve_unreduced(grid, config)
     lagrangian = TraceLagrangian(N)
     y = red.reduce_field(grid, field)
