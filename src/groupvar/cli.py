@@ -174,6 +174,10 @@ def cmd_solve(args) -> int:
     records.update({
         "converged": report.converged,
         "iterations": report.iterations,
+        "descent_iterations": report.descent_iterations,
+        "newton_steps": report.newton_steps,
+        "backtracks": report.backtracks,
+        "residual_evaluations": report.residual_evaluations,
         "final_action": report.final_action,
         "final_energy": report.final_energy,
         "max_gradient": report.max_gradient,

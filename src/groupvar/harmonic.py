@@ -16,6 +16,7 @@ Gradient assembly is vertex-parallel within an iteration; scenario runs
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -190,10 +191,16 @@ class SolveReport:
     residual operations, not taken from solver internals.  ``history`` has
     one record per accepted iterate: iteration, objective (the descended
     energy), trace action, max per-vertex gradient norm, accepted step.
+    The counters are deterministic: descent iterations, Newton steps,
+    rejected trial steps of either phase (``backtracks``), and evaluations
+    of the interior gradient (``residual_evaluations``).
     """
 
     converged: bool
-    iterations: int
+    descent_iterations: int
+    newton_steps: int
+    backtracks: int
+    residual_evaluations: int
     final_action: float
     final_energy: float
     max_gradient: float
@@ -202,6 +209,11 @@ class SolveReport:
     per_vertex_ep: dict[tuple[int, int], float] = field(default_factory=dict)
     history: list[dict] = field(default_factory=list)
     g_tol: float = G_TOL
+
+    @property
+    def iterations(self) -> int:
+        """Descent iterations plus Newton steps."""
+        return self.descent_iterations + self.newton_steps
 
 
 def _block_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -268,23 +280,103 @@ def _retract(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _residual(g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Stacked upper-triangle gradient entries and the largest block norm."""
+    grads, norms = _interior_gradients(g)
+    upper = np.triu_indices(g.shape[-1], 1)
+    return grads[(..., *upper)].ravel(), _max_norm(norms)
+
+
+class _JacobianLayout(NamedTuple):
+    """What ``_band_jacobian`` needs besides the iterate; built once per polish.
+
+    ``colours`` holds, per non-empty colour, its vertices as block indices,
+    the residual entries of the rows they reach, and the band rows and
+    columns of those entries for the first skew direction.
+    """
+
+    bandwidth: int
+    steps: list[np.ndarray]
+    colours: list[tuple]
+
+
+def _jacobian_layout(g: np.ndarray) -> _JacobianLayout:
+    """Colouring and band-storage indices for the residual Jacobian of g.
+
+    Interior vertex (i, j) gets colour (i + 2j) mod 5, so the five vertices
+    of every 5-point stencil have five different colours, and the residual at
+    a vertex reads only its stencil.  Perturbing all vertices of one colour
+    at once therefore yields, in each row, the column of the unique stencil
+    vertex of that colour (Curtis, Powell & Reid 1974).  Unknowns are ordered
+    vertex-major, so the half-bandwidth is (interior width + 1) * d - 1.
+    """
+    n = g.shape[-1]
+    d = n * (n - 1) // 2
+    shape = (g.shape[0] - 2, g.shape[1] - 2)
+    bandwidth = (shape[1] + 1) * d - 1
+    jj, ii = np.indices(shape)
+    ids = np.arange(jj.size).reshape(shape)
+    colour = (ii + 2 * jj) % 5
+    rows, cols = [], []
+    for dj, di in ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0)):
+        inside = (0 <= jj + dj) & (jj + dj < shape[0]) \
+            & (0 <= ii + di) & (ii + di < shape[1])
+        rows.append(ids[inside])
+        cols.append(ids[jj[inside] + dj, ii[inside] + di])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    colours = []
+    for c in range(5):
+        members = np.nonzero(colour == c)
+        if members[0].size == 0:
+            continue
+        reached = colour.ravel()[cols] == c
+        entries = rows[reached][:, None] * d + np.arange(d)
+        first = cols[reached][:, None] * d
+        colours.append((members, entries, bandwidth + entries - first, first))
+    steps = [lg.exp(_NEWTON_FD_STEP * e).matrix for e in lg.skew_basis(n)]
+    return _JacobianLayout(bandwidth, steps, colours)
+
+
+def _band_jacobian(g: np.ndarray, layout: _JacobianLayout) -> np.ndarray:
+    """Central-difference Jacobian of ``_residual`` in LAPACK band storage.
+
+    Two residual evaluations per colour and skew direction, whatever the
+    window size.  The iterate is perturbed in place and restored.  Entry
+    [bandwidth + r - c, c] holds the derivative of residual entry r in the
+    direction of unknown c, as ``scipy.linalg.solve_banded`` expects.
+    """
+    h = _NEWTON_FD_STEP
+    block = g[1:-1, 1:-1]
+    size = block.shape[0] * block.shape[1] * len(layout.steps)
+    ab = np.zeros((2 * layout.bandwidth + 1, size))
+    for members, entries, band, first in layout.colours:
+        center = block[members]
+        for k, step in enumerate(layout.steps):
+            block[members] = center @ step
+            plus = _residual(g)[0]
+            block[members] = center @ step.T
+            ab[band - k, first + k] = ((plus - _residual(g)[0]) / (2.0 * h))[entries]
+        block[members] = center
+    return ab
+
+
 def _newton_polish(g: np.ndarray, g_tol: float, iteration0: int, budget: int):
     """Drive the stationarity system to g_tol by at most ``budget`` Newton steps.
 
-    The residual is the stacked analytic gradient; its Jacobian is assembled
-    column by column with central differences.  Steps are halved until the
-    gradient max-norm decreases, so this phase is monotone in the gradient
-    rather than in the energy (whose decrements are below round-off here).
+    The residual is the stacked analytic gradient; its Jacobian comes from
+    coloured central differences (``_band_jacobian``) and is solved by a
+    banded LU factorisation.  Steps are halved until the gradient max-norm
+    decreases, so this phase is monotone in the gradient rather than in the
+    energy (whose decrements are below round-off here).  A singular band
+    factor ends the polish like a failed halving sequence.  Returns the
+    iterate, its gradient max-norm, one history row per step, and the
+    residual evaluations and rejected trial steps spent.
     """
     n = g.shape[-1]
     upper = np.triu_indices(n, 1)
     lower = upper[::-1]
-    h = _NEWTON_FD_STEP
-    steps = [lg.exp(h * e).matrix for e in lg.skew_basis(n)]
-
-    def residual(x):
-        grads, norms = _interior_gradients(x)
-        return grads[(..., *upper)].ravel(), _max_norm(norms)
+    layout = _jacobian_layout(g)
+    per_jacobian = 2 * len(layout.colours) * len(layout.steps)
 
     def retract(x, delta):
         coords = delta.reshape(x.shape[0] - 2, x.shape[1] - 2, -1)
@@ -294,38 +386,33 @@ def _newton_polish(g: np.ndarray, g_tol: float, iteration0: int, budget: int):
         return _retract(x, xi)
 
     history = []
-    f0, worst = residual(g)
-    block = g[1:-1, 1:-1]
+    f0, worst = _residual(g)
+    evaluations, backtracks = 1, 0
     for it in range(budget):
         if worst <= g_tol:
             break
-        jac = np.empty((f0.size, f0.size))
-        col = 0
-        for vertex in np.ndindex(block.shape[:2]):
-            # perturb the iterate in place; restored after the vertex's columns
-            center = block[vertex].copy()
-            for step in steps:
-                block[vertex] = center @ step
-                plus = residual(g)[0]
-                block[vertex] = center @ step.T
-                jac[:, col] = (plus - residual(g)[0]) / (2.0 * h)
-                col += 1
-            block[vertex] = center
-        delta, *_ = np.linalg.lstsq(jac, -f0, rcond=None)
+        jac = _band_jacobian(g, layout)
+        evaluations += per_jacobian
+        try:
+            delta = scipy.linalg.solve_banded(
+                (layout.bandwidth, layout.bandwidth), jac, -f0)
+        except np.linalg.LinAlgError:
+            break
         scale = 1.0
         for _ in range(8):
             trial = retract(g, scale * delta)
-            f_trial, worst_trial = residual(trial)
+            f_trial, worst_trial = _residual(trial)
+            evaluations += 1
             if worst_trial < worst:
-                g, block = trial, trial[1:-1, 1:-1]
-                f0, worst = f_trial, worst_trial
+                g, f0, worst = trial, f_trial, worst_trial
                 break
+            backtracks += 1
             scale *= 0.5
         else:
             break
         history.append(_record(iteration0 + it + 1, "newton", g,
                                dirichlet_energy(g), worst, scale))
-    return g, worst, history
+    return g, worst, history, evaluations, backtracks
 
 
 def _blend_initializer(g: np.ndarray) -> np.ndarray:
@@ -387,8 +474,9 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
 
     energy = dirichlet_energy(g)
     step = _STEP_INIT
-    iteration = 0
+    iteration = backtracks = 0
     grads, norms = _interior_gradients(g)
+    evaluations = 1
     worst = _max_norm(norms)
     history = [_record(0, "descent", g, energy, worst, 0.0)]
     while iteration < config.max_iterations:
@@ -401,21 +489,26 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
             trial_energy = dirichlet_energy(trial)
             if trial_energy <= energy - _ARMIJO_C1 * step * slope:
                 break
+            backtracks += 1
             step *= _STEP_SHRINK
         else:
             break
         g, energy = trial, trial_energy
         grads, norms = _interior_gradients(g)
+        evaluations += 1
         worst = _max_norm(norms)
         history.append(_record(iteration, "descent", g, energy, worst, step))
         step = min(_STEP_INIT, step * _STEP_GROW)
 
+    descent_iterations, newton = iteration, []
     if worst > config.g_tol:
-        g, worst, extra = _newton_polish(
+        g, worst, newton, newton_evaluations, newton_backtracks = _newton_polish(
             g, config.g_tol, iteration,
             min(_MAX_NEWTON, config.max_iterations - iteration))
-        history.extend(extra)
-        iteration += len(extra)
+        history.extend(newton)
+        iteration += len(newton)
+        evaluations += newton_evaluations
+        backtracks += newton_backtracks
         energy = dirichlet_energy(g)
     converged = worst <= config.g_tol
 
@@ -434,7 +527,10 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     adm = admissibility_report(PlaquetteConstraint(n), y, faceset)
     report = SolveReport(
         converged=converged,
-        iterations=iteration,
+        descent_iterations=descent_iterations,
+        newton_steps=len(newton),
+        backtracks=backtracks,
+        residual_evaluations=evaluations,
         final_action=action(lagrangian, y, faceset),
         final_energy=energy,
         max_gradient=worst,

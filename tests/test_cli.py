@@ -25,6 +25,11 @@ def test_solve_writes_files_and_exits_zero(tmp_path):
                   for line in (out / "solve_report.txt").read_text().splitlines())
     assert report["converged"] == "True"
     assert float(report["max_ep_residual"]) <= 1e-8
+    counters = {key: int(report[key]) for key in (
+        "descent_iterations", "newton_steps", "backtracks", "residual_evaluations")}
+    assert int(report["iterations"]) == \
+        counters["descent_iterations"] + counters["newton_steps"]
+    assert counters["residual_evaluations"] > counters["descent_iterations"]
 
 
 def test_solve_deterministic(tmp_path):

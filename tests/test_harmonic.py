@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from groupvar import core, harmonic as hm, liegroup as lg, reduction as red, sampling
 from groupvar.complexes import classify_vertices, triangulated_grid
+from groupvar.cli import main
 from groupvar.errors import ConvergenceError
 
 N = 3
@@ -316,3 +318,126 @@ def test_dirichlet_energy_matches_trace_action(n):
             total += 2.0 * n - float(np.vdot(g[j, i], g[j, i + 1])) \
                 - float(np.vdot(g[j, i], g[j + 1, i]))
     assert energy == total
+
+
+def _dense_fd_jacobian(g):
+    """Column-by-column central-difference Jacobian of ``hm._residual``.
+
+    The oracle for the coloured band Jacobian: one vertex and one skew
+    direction at a time, 2 * N * d residual evaluations.
+    """
+    n = g.shape[-1]
+    h = hm._NEWTON_FD_STEP
+    steps = [lg.exp(h * e).matrix for e in lg.skew_basis(n)]
+    block = g[1:-1, 1:-1]
+    size = hm._residual(g)[0].size
+    jac = np.empty((size, size))
+    col = 0
+    for vertex in np.ndindex(block.shape[:2]):
+        center = block[vertex].copy()
+        for step in steps:
+            block[vertex] = center @ step
+            plus = hm._residual(g)[0]
+            block[vertex] = center @ step.T
+            jac[:, col] = (plus - hm._residual(g)[0]) / (2.0 * h)
+            col += 1
+        block[vertex] = center
+    return jac
+
+
+def _band_to_dense(ab, bandwidth):
+    size = ab.shape[1]
+    dense = np.zeros((size, size))
+    for r in range(size):
+        for c in range(max(0, r - bandwidth), min(size, r + bandwidth + 1)):
+            dense[r, c] = ab[bandwidth + r - c, c]
+    return dense
+
+
+JACOBIAN_WINDOWS = [
+    # (width, height, n, scale)
+    (12, 12, 3, 0.4),
+    (2, 8, 3, 0.4),
+    (8, 2, 3, 0.4),
+    (2, 2, 3, 0.4),
+    (2, 2, 2, 0.4),
+    (5, 6, 2, 0.4),
+    (9, 5, 4, 0.4),
+    (7, 4, 5, 0.4),
+    (6, 6, 3, 3.0),
+]
+
+
+@pytest.mark.parametrize("width,height,n,scale", JACOBIAN_WINDOWS)
+def test_band_jacobian_equals_dense_oracle(width, height, n, scale):
+    """The coloured band Jacobian is the dense FD Jacobian, bit for bit,
+    and its band solve agrees with least squares on the dense matrix."""
+    grid = triangulated_grid(width, height)
+    rng = np.random.default_rng(60 + width + 7 * height + n)
+    g = _array(grid, sampling.random_unreduced_field(grid, n, rng, scale))
+    before = g.copy()
+    layout = hm._jacobian_layout(g)
+    d = n * (n - 1) // 2
+    assert layout.bandwidth == width * d - 1
+    assert len(layout.colours) == min(5, (width - 1) * (height - 1))
+    ab = hm._band_jacobian(g, layout)
+    assert np.array_equal(g, before)
+    dense = _dense_fd_jacobian(g)
+    assert np.array_equal(_band_to_dense(ab, layout.bandwidth), dense)
+
+    f0 = hm._residual(g)[0]
+    band = scipy.linalg.solve_banded((layout.bandwidth, layout.bandwidth), ab, -f0)
+    oracle, *_ = np.linalg.lstsq(dense, -f0, rcond=None)
+    assert np.linalg.norm(band - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_newton_residual_evaluations_per_step_do_not_grow(n):
+    """Newton costs 2 * 5 * d gradient evaluations per Jacobian plus its
+    line-search trials, at 8x8 and at 16x16 alike: no O(N) loop per step."""
+    d = n * (n - 1) // 2
+    per_step = []
+    for width in (8, 16):
+        grid = triangulated_grid(width, width)
+        boundary = hm.random_boundary(grid, n, seed=21, scale=0.1)
+        _, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+        assert report.converged and report.newton_steps >= 1
+        assert report.iterations == report.descent_iterations + report.newton_steps
+        # one evaluation at the start and one per accepted descent iterate;
+        # the polish re-evaluates its starting point once
+        newton = report.residual_evaluations - (report.descent_iterations + 1) - 1
+        per_step.append(newton / report.newton_steps)
+        assert per_step[-1] <= 2 * 5 * d + 8 + 1
+    assert per_step[0] == per_step[1] == 2 * 5 * d + 1
+
+
+def test_singular_band_factor_ends_the_polish(tmp_path, monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(hm.scipy.linalg, "solve_banded", singular)
+    grid = triangulated_grid(6, 6)
+    boundary = hm.random_boundary(grid, N, seed=22, scale=0.1)
+    with pytest.raises(ConvergenceError) as err:
+        hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    history = err.value.history
+    assert history and all(h["phase"] == "descent" for h in history)
+
+    out = tmp_path / "run"
+    assert main(["solve", "--width", "6", "--height", "6", "--seed", "22",
+                 "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (out / "history.csv").read_text().splitlines()
+    assert rows[0].startswith("iteration,phase") and len(rows) == len(history) + 1
+
+
+def test_solver_24x24_converges():
+    """A window the dense Jacobian made impractical; tolerances only."""
+    grid = triangulated_grid(24, 24)
+    boundary = hm.random_boundary(grid, N, seed=1, scale=0.1)
+    config = hm.SolverConfig(boundary=boundary)
+    _, report = hm.solve_unreduced(grid, config)
+    assert report.converged
+    assert report.max_gradient <= config.g_tol
+    assert report.max_ep_residual <= 1e-8
+    assert report.max_constraint_residual <= 1e-12
