@@ -276,7 +276,7 @@ def _interior_gradients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _retract(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Exponential retraction g_ij exp(xi_ij) of every interior vertex."""
     out = g.copy()
-    out[1:-1, 1:-1] = g[1:-1, 1:-1] @ scipy.linalg.expm(xi)
+    out[1:-1, 1:-1] = g[1:-1, 1:-1] @ lg.exp_skew(xi)
     return out
 
 

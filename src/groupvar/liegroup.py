@@ -22,6 +22,7 @@ __all__ = [
     "CoAlgebraElement",
     "identity",
     "exp",
+    "exp_skew",
     "log_near_identity",
     "adjoint",
     "coadjoint",
@@ -144,8 +145,34 @@ def identity(n: int) -> GroupElement:
 
 
 def exp(xi: AlgebraElement) -> GroupElement:
-    """Matrix exponential, the retraction used by solvers and test curves."""
+    """Matrix exponential of one algebra element (scipy's Pade ``expm``).
+
+    Used for boundary data, sampled instances, test curves and the Newton
+    finite-difference steps; the solver retraction uses :func:`exp_skew`.
+    """
     return GroupElement(scipy.linalg.expm(xi.matrix))
+
+
+def exp_skew(xi: np.ndarray) -> np.ndarray:
+    """Exponentials of a stack of skew matrices, shape (..., n, n).
+
+    Closed forms (Gallier & Xu 2002), each written as I plus a correction so
+    that exp(xi) - I keeps full relative accuracy for small xi.  For n <= 3,
+    xi^3 = -theta^2 xi with theta^2 = ||xi||_F^2 / 2, and Rodrigues' formula
+    exp(xi) = I + sinc(theta/pi) xi + sinc(theta/2pi)^2 xi^2 / 2 is exact
+    (np.sinc(0) = 1, so theta = 0 needs no branch).  For n >= 4, with the
+    Hermitian eigendecomposition i xi = V diag(w) V^H,
+    exp(xi) = I + Re(V diag(-2 sin^2(w/2) - i sin w) V^H).
+    ``xi`` must be skew; only its lower triangle is read when n >= 4.
+    """
+    n = xi.shape[-1]
+    if n <= 3:
+        theta = np.sqrt(np.sum(xi * xi, axis=(-2, -1)) / 2.0)[..., None, None]
+        return np.eye(n) + np.sinc(theta / np.pi) * xi \
+            + 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2 * (xi @ xi)
+    w, v = np.linalg.eigh(1j * xi)
+    c = -2.0 * np.sin(w / 2.0) ** 2 - 1j * np.sin(w)
+    return np.eye(n) + ((v * c[..., None, :]) @ v.conj().swapaxes(-1, -2)).real
 
 
 def log_near_identity(g: GroupElement) -> AlgebraElement:

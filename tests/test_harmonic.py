@@ -431,9 +431,12 @@ def test_singular_band_factor_ends_the_polish(tmp_path, monkeypatch, capsys):
     assert rows[0].startswith("iteration,phase") and len(rows) == len(history) + 1
 
 
-def test_solver_24x24_converges():
-    """A window the dense Jacobian made impractical; tolerances only."""
-    grid = triangulated_grid(24, 24)
+@pytest.mark.parametrize("width", [24, 64])
+def test_solver_converges_on_large_windows(width):
+    """Windows the dense Jacobian (24x24) and the per-block Pade expm
+    retraction (64x64, the north-star size) made impractical; tolerances
+    only."""
+    grid = triangulated_grid(width, width)
     boundary = hm.random_boundary(grid, N, seed=1, scale=0.1)
     config = hm.SolverConfig(boundary=boundary)
     _, report = hm.solve_unreduced(grid, config)
@@ -441,3 +444,46 @@ def test_solver_24x24_converges():
     assert report.max_gradient <= config.g_tol
     assert report.max_ep_residual <= 1e-8
     assert report.max_constraint_residual <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_retract_matches_per_block_expm(n):
+    """The batched closed-form retraction is g_ij expm(xi_ij) at every
+    interior vertex and leaves the frontier and the input untouched."""
+    grid = triangulated_grid(5, 4)
+    rng = np.random.default_rng(70 + n)
+    g = _array(grid, sampling.random_unreduced_field(grid, n, rng))
+    before = g.copy()
+    xi = rng.uniform(-1.0, 1.0, g[1:-1, 1:-1].shape)
+    xi = xi - xi.swapaxes(-1, -2)
+    out = hm._retract(g, xi)
+    assert np.array_equal(g, before)
+    interior = np.zeros(g.shape[:2], dtype=bool)
+    interior[1:-1, 1:-1] = True
+    assert np.array_equal(out[~interior], g[~interior])
+    for j, i in np.ndindex(xi.shape[:2]):
+        oracle = g[j + 1, i + 1] @ scipy.linalg.expm(xi[j, i])
+        assert np.max(np.abs(out[j + 1, i + 1] - oracle)) <= 1e-13
+
+
+# (n, scale, seed, descent iterations, Newton steps) of 6x6 solves, as
+# counted with the per-block Pade expm retraction; the closed form must stay
+# on the same branch.
+SAME_BRANCH = [
+    (3, 3.0, 152, 1676, 3),
+    (2, 1.0, 0, 22, 2), (2, 1.0, 1, 37, 2), (2, 1.0, 2, 38, 2),
+    (4, 1.0, 0, 43, 2), (4, 1.0, 1, 35, 2), (4, 1.0, 2, 43, 2),
+    (5, 1.0, 0, 49, 2), (5, 1.0, 1, 46, 2), (5, 1.0, 2, 47, 2),
+]
+
+
+@pytest.mark.parametrize("n,scale,seed,descent,newton", SAME_BRANCH)
+def test_retraction_keeps_the_iteration_counts(n, scale, seed, descent, newton):
+    grid = triangulated_grid(6, 6)
+    boundary = hm.random_boundary(grid, n, seed=seed, scale=scale)
+    field, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    assert report.converged
+    assert (report.descent_iterations, report.newton_steps) == (descent, newton)
+    g = _array(grid, field)[1:-1, 1:-1]
+    defect = np.linalg.norm(g.swapaxes(-1, -2) @ g - np.eye(n), axis=(-2, -1))
+    assert defect.max() <= 1e-13

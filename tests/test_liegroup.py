@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from groupvar import liegroup as lg
 from groupvar.errors import DomainError
@@ -36,6 +37,39 @@ def test_exp_lands_on_group():
         g = lg.exp(rand_alg(3, seed, 2.0))
         assert np.linalg.norm(g.matrix.T @ g.matrix - np.eye(3)) <= 1e-12
         assert np.linalg.det(g.matrix) > 0
+
+
+EXP_THETAS = [0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0, 2.0 * np.pi - 0.01]
+
+
+def skew_stack(n, shape, theta, seed):
+    """Random skew matrices of a stack shape, each with ||xi||_F^2 / 2 = theta^2."""
+    a = np.random.default_rng(seed).standard_normal(shape + (n, n))
+    a = a - a.swapaxes(-1, -2)
+    return theta * a / np.sqrt(np.sum(a * a, axis=(-2, -1)) / 2.0)[..., None, None]
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_exp_skew_matches_expm(n, shape):
+    """The closed forms against per-block Pade expm; for small xi the error
+    is also small relative to exp(xi) - I, not only to exp(xi), and xi = 0
+    gives the identity exactly."""
+    eye = np.eye(n)
+    for k, theta in enumerate(EXP_THETAS):
+        xi = skew_stack(n, shape, theta, 100 * n + k)
+        out = lg.exp_skew(xi)
+        assert out.shape == xi.shape
+        if theta == 0.0:
+            assert np.array_equal(out, np.broadcast_to(eye, out.shape))
+        for block in np.ndindex(shape):
+            got, ref = out[block], scipy.linalg.expm(xi[block])
+            assert np.max(np.abs(got - ref)) <= 1e-12
+            if 0.0 < theta <= 1.0:
+                assert np.linalg.norm(got - ref) \
+                    <= 1e-14 * np.linalg.norm(ref - eye)
+            assert np.linalg.norm(got.T @ got - eye) <= 1e-14
+            assert np.linalg.det(got) > 0.0
 
 
 def test_log_identity():
