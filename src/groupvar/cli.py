@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     RecoveryConflictError,
 )
-from .liegroup import CoAlgebraElement, GroupElement, random_algebra
+from .liegroup import CoAlgebraElement, GroupElement, block_norms, random_algebra
 from .reduction import PlaquetteConstraint
 from .harmonic import SolverConfig, TraceLagrangian
 
@@ -167,9 +167,9 @@ def cmd_solve(args) -> int:
         print(f"solve: {exc}", file=sys.stderr)
         return 1
 
-    y = reduction.reduce_field(grid, field)
     serialization.save_unreduced_field(out / "unreduced_field.txt", grid, field)
-    serialization.save_reduced_section(out / "reduced_section.txt", grid, y)
+    serialization.save_reduced_section(out / "reduced_section.txt", grid,
+                                       report.section)
     records = dict(_config_records(cfg))
     records.update({
         "converged": report.converged,
@@ -187,7 +187,9 @@ def cmd_solve(args) -> int:
     serialization.write_report(out / "solve_report.txt", records)
     serialization.write_csv(
         out / "residuals.csv", ["i", "j", "ep_residual"],
-        [(i, j, r) for (i, j), r in sorted(report.per_vertex_ep.items())])
+        [(i + 1, j + 1, r)
+         for i, column in enumerate(report.per_vertex_ep.T.tolist())
+         for j, r in enumerate(column)])
     _write_history(out / "history.csv", report.history)
 
     ok = report.converged and report.max_ep_residual <= cfg["ep_tol"] \
@@ -296,8 +298,8 @@ def _suite_problem(cfg):
 
 def _solve_for_suite(cfg):
     grid, solver_cfg = _suite_problem(cfg)
-    field, _ = harmonic.solve_unreduced(grid, solver_cfg)
-    return grid, reduction.reduce_field(grid, field)
+    _, report = harmonic.solve_unreduced(grid, solver_cfg)
+    return grid, report.section
 
 
 def _suite_noether(cfg, rng, break_symmetry=False):
@@ -339,14 +341,14 @@ def _suite_multisymplectic(cfg, rng):
     }
 
 
+def _largest(*norms) -> float:
+    """Largest entry of some arrays of norms; 0.0 when they are all empty."""
+    return max([0.0, *(x for a in norms for x in a.ravel().tolist())])
+
+
 def _recovery_residuals(lagrangian, grid, y, lam):
-    klass = classify_vertices(grid, grid.full_faceset())
-    worst = 0.0
-    for v in sorted(klass.interior):
-        i, j = grid.vertex_ij(v)
-        r1, r2 = reduction.multiplier_system_residual(lagrangian, grid, y, lam, i, j)
-        worst = max(worst, r1.norm(), r2.norm())
-    return worst
+    first, second = reduction.multiplier_system_residual(lagrangian, grid, y, lam)
+    return _largest(block_norms(first), block_norms(second))
 
 
 def _suite_multipliers(cfg, rng):
@@ -379,14 +381,9 @@ def _suite_elimination(cfg, rng):
     lagrangian = TraceLagrangian(n)
     zero = CoAlgebraElement(np.zeros((n, n)))
     lam, _ = reduction.recover_multipliers(lagrangian, grid, y, zero)
-    klass = classify_vertices(grid, grid.full_faceset())
-    worst_combo = 0.0
-    worst_cancel = 0.0
-    for v in sorted(klass.interior):
-        i, j = grid.vertex_ij(v)
-        defects = reduction.multiplier_elimination_check(lagrangian, grid, y, lam, i, j)
-        worst_combo = max(worst_combo, defects.ep_combination)
-        worst_cancel = max(worst_cancel, defects.cancellation)
+    defects = reduction.multiplier_elimination_check(lagrangian, grid, y, lam)
+    worst_combo = _largest(defects.ep_combination)
+    worst_cancel = _largest(defects.cancellation)
     passed = worst_cancel <= 1e-12 and worst_combo <= 1e-9
     return passed, {"worst_ep_combination": worst_combo,
                     "worst_cancellation": worst_cancel}

@@ -30,7 +30,6 @@ from .core import (
     Section,
     Variation,
     action,
-    admissibility_report,
     noether_boundary_sum,
     jacobi_residual,
     multisymplectic_defect,
@@ -43,6 +42,8 @@ from .liegroup import (
     CoAlgebraElement,
     GroupElement,
     adjoint,
+    block_dot,
+    block_norms,
     coadjoint_inverse,
     log_near_identity,
     project_to_group,
@@ -52,6 +53,7 @@ from .reduction import (
     PlaquetteConstraint,
     UnreducedField,
     euler_poincare_residual,
+    plaquette_holonomy,
     recover_multipliers,
     reduce_field,
     reduced_fiber,
@@ -188,7 +190,9 @@ class SolveReport:
     """Post-hoc solver diagnostics.
 
     Residual fields are recomputed from the returned field with the public
-    residual operations, not taken from solver internals.  ``history`` has
+    residual operations, not taken from solver internals: ``section`` is its
+    reduced section, ``per_vertex_ep`` the (H-1, W-1) array of reduced
+    residual norms indexed [j-1, i-1].  ``history`` has
     one record per accepted iterate: iteration, objective (the descended
     energy), trace action, max per-vertex gradient norm, accepted step.
     The counters are deterministic: descent iterations, Newton steps,
@@ -206,7 +210,8 @@ class SolveReport:
     max_gradient: float
     max_ep_residual: float
     max_constraint_residual: float
-    per_vertex_ep: dict[tuple[int, int], float] = field(default_factory=dict)
+    section: Section
+    per_vertex_ep: np.ndarray
     history: list[dict] = field(default_factory=list)
     g_tol: float = G_TOL
 
@@ -216,14 +221,8 @@ class SolveReport:
         return self.descent_iterations + self.newton_steps
 
 
-def _block_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Frobenius inner product of corresponding n x n blocks of two stacks."""
-    shape = a.shape[:-2] + (a.shape[-2] * a.shape[-1],)
-    return np.vecdot(a.reshape(shape), b.reshape(shape))
-
-
 def _max_norm(norms: np.ndarray) -> float:
-    """Largest gradient norm; 0.0 when the window has no interior vertex."""
+    """Largest of a stack of norms; 0.0 when it is empty."""
     return max([0.0, *norms.ravel().tolist()])
 
 
@@ -234,7 +233,7 @@ def dirichlet_energy(g: np.ndarray) -> float:
     """
     n = g.shape[-1]
     base = g[:-1, :-1]
-    terms = 2.0 * n - _block_dot(base, g[:-1, 1:]) - _block_dot(base, g[1:, :-1])
+    terms = 2.0 * n - block_dot(base, g[:-1, 1:]) - block_dot(base, g[1:, :-1])
     return float(np.cumsum(terms)[-1])
 
 
@@ -270,7 +269,7 @@ def _interior_gradients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         - g[1:-1, :-2].swapaxes(-1, -2) @ c \
         - g[:-2, 1:-1].swapaxes(-1, -2) @ c
     grads = (m.swapaxes(-1, -2) - m) / 2.0
-    return grads, np.sqrt(_block_dot(grads, grads))
+    return grads, block_norms(grads)
 
 
 def _retract(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -483,7 +482,7 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
         if worst <= config.g_tol or worst <= _NEWTON_SWITCH:
             break
         iteration += 1
-        slope = sum(float(x ** 2) for x in norms.ravel())
+        slope = np.cumsum(norms.ravel() ** 2)[-1]
         for _ in range(_MAX_BACKTRACKS):
             trial = _retract(g, -step * grads)
             trial_energy = dirichlet_energy(trial)
@@ -521,10 +520,8 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
 
     lagrangian = TraceLagrangian(n)
     y = reduce_field(grid, field_)
-    per_vertex = {(i, j): euler_poincare_residual(lagrangian, grid, y, i, j,
-                                                  faceset).norm()
-                  for i, j in map(grid.vertex_ij, interior)}
-    adm = admissibility_report(PlaquetteConstraint(n), y, faceset)
+    ep = block_norms(euler_poincare_residual(lagrangian, grid, y))
+    flat = block_norms(plaquette_holonomy(grid, y) - np.eye(n))
     report = SolveReport(
         converged=converged,
         descent_iterations=descent_iterations,
@@ -534,9 +531,10 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
         final_action=action(lagrangian, y, faceset),
         final_energy=energy,
         max_gradient=worst,
-        max_ep_residual=max(per_vertex.values()) if per_vertex else 0.0,
-        max_constraint_residual=adm.max_residual,
-        per_vertex_ep=per_vertex,
+        max_ep_residual=_max_norm(ep),
+        max_constraint_residual=_max_norm(flat),
+        section=y,
+        per_vertex_ep=ep,
         history=history,
         g_tol=config.g_tol,
     )
@@ -607,8 +605,8 @@ def run_noether_scenario(grid: TriangulatedGrid, config: SolverConfig,
     n = xi.n
     lagrangian = TraceLagrangian(n)
     faceset = grid.full_faceset()
-    field_, solve_report = solve_unreduced(grid, config)
-    y = reduce_field(grid, field_)
+    _, solve_report = solve_unreduced(grid, config)
+    y = solve_report.section
     zero_seed = CoAlgebraElement(np.zeros((n, n)))
     lam, _ = recover_multipliers(lagrangian, grid, y, zero_seed)
     d = symmetry_field if symmetry_field is not None \
@@ -669,8 +667,8 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
     faceset = grid.full_faceset()
     zero_seed = CoAlgebraElement(np.zeros((n, n)))
 
-    base_field, _ = solve_unreduced(grid, config)
-    y0 = reduce_field(grid, base_field)
+    base_field, base_report = solve_unreduced(grid, config)
+    y0 = base_report.section
     lam0, _ = recover_multipliers(lagrangian, grid, y0, zero_seed)
 
     def perturbed(bump):
@@ -680,9 +678,9 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
                 raise ValueError(f"bump vertex {vid} is not a frontier vertex")
             boundary[vid] = GroupElement(
                 boundary[vid].matrix @ lg.exp(step * eta).matrix)
-        field_, _ = solve_unreduced(
+        _, report = solve_unreduced(
             grid, replace(config, boundary=boundary, initializer=base_field))
-        y = reduce_field(grid, field_)
+        y = report.section
         lam, _ = recover_multipliers(lagrangian, grid, y, zero_seed)
         return y, lam
 

@@ -23,6 +23,8 @@ __all__ = [
     "identity",
     "exp",
     "exp_skew",
+    "block_dot",
+    "block_norms",
     "log_near_identity",
     "adjoint",
     "coadjoint",
@@ -173,6 +175,17 @@ def exp_skew(xi: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(1j * xi)
     c = -2.0 * np.sin(w / 2.0) ** 2 - 1j * np.sin(w)
     return np.eye(n) + ((v * c[..., None, :]) @ v.conj().swapaxes(-1, -2)).real
+
+
+def block_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius inner product of corresponding n x n blocks of two stacks."""
+    shape = a.shape[:-2] + (a.shape[-2] * a.shape[-1],)
+    return np.vecdot(a.reshape(shape), b.reshape(shape))
+
+
+def block_norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every n x n block; equals ``np.linalg.norm`` bit for bit."""
+    return np.sqrt(block_dot(x, x))
 
 
 def log_near_identity(g: GroupElement) -> AlgebraElement:

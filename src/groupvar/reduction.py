@@ -11,9 +11,13 @@ component of a top-row vertex reference data outside the window.  No face
 formula on the window ever reads them, so reduction normalizes those slots
 to the identity and variations leave them at zero.
 
-reduce, the residual evaluations and the elimination check are pure and can
-run face- or vertex-parallel; reconstruction and multiplier recovery are
-inherently sequential sweeps and are deterministic for a given seed.
+Each window equation has one definition, as slices over stacked matrices.
+A window function stacks the pair field once as an (H+1, W+1, 2, n, n) array
+indexed [j, i], with the identity at the far corner, and returns stacks
+indexed [j, i] per face and [j-1, i-1] per interior vertex.  Multiplier
+recovery is a column recurrence from the east, and reconstruction
+propagates one row (column) at a time over the whole window; both are
+deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FaceSet, TriangulatedGrid, classify_vertices
+from .complexes import TriangulatedGrid
 from .core import (
     CartanForm,
     ConstraintMap,
@@ -32,6 +36,7 @@ from .core import (
     Multiplier,
     Section,
     Variation,
+    jet_at,
 )
 from .defaults import CONS_TOL, EP_TOL, TOL_ADMISSIBLE
 from .errors import (
@@ -44,9 +49,7 @@ from .liegroup import (
     AlgebraElement,
     CoAlgebraElement,
     GroupElement,
-    adjoint,
-    coadjoint,
-    coadjoint_inverse,
+    block_norms,
     skew_basis,
     skew_to_coords,
 )
@@ -68,7 +71,6 @@ __all__ = [
     "RecoveryReport",
     "multiplier_elimination_check",
     "EliminationDefects",
-    "left_log_differentials",
 ]
 
 
@@ -103,9 +105,83 @@ def reduced_fiber(n: int) -> FiberSignature:
     return FiberSignature(components=2, n=n)
 
 
-def _uv(y: Section, grid: TriangulatedGrid, i: int, j: int):
-    u, v = y.values[grid.vertex_id(i, j)]
-    return u.matrix, v.matrix
+# ---------------------------------------------------------------------------
+# stacked matrix kernels; the operand order and the skew part match
+# liegroup's single-element actions, so results are bit-identical to them
+
+
+def _t(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2)
+
+
+def _skew(x: np.ndarray) -> np.ndarray:
+    """Skew part (X - X^T) / 2, as ``AlgebraElement`` takes it."""
+    return (x - _t(x)) / 2.0
+
+
+def _coadjoint(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Blockwise coadjoint action g^T mu g (see ``liegroup.coadjoint``)."""
+    return _skew(_t(g) @ mu @ g)
+
+
+def _coadjoint_inverse(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Blockwise inverse coadjoint action g mu g^T."""
+    return _skew(g @ mu @ _t(g))
+
+
+def _holonomy(u, v, v_right, u_up) -> np.ndarray:
+    """Plaquette holonomy u v_right u_up^{-1} v^{-1}, blockwise."""
+    return u @ v_right @ _t(u_up) @ _t(v)
+
+
+def _window_holonomy(p: np.ndarray) -> np.ndarray:
+    """Holonomy of every face of a pair stack, (H, W, n, n) indexed [j, i]."""
+    return _holonomy(p[:-1, :-1, 0], p[:-1, :-1, 1], p[:-1, 1:, 1], p[1:, :-1, 0])
+
+
+def _stack(per_id, rows: int) -> np.ndarray:
+    """Per-vertex or per-face data in id order as a (rows, cols, ...) array."""
+    x = np.array(per_id)
+    return x.reshape(rows, -1, *x.shape[1:])
+
+
+def _pair_stack(grid: TriangulatedGrid, y: Section) -> np.ndarray:
+    """(H+1, W+1, 2, n, n) stack of y indexed [j, i]; identity at the far corner."""
+    far = grid.vertex_id(grid.width, grid.height)
+    eye = np.eye(y.fiber.n)
+    return _stack([(eye, eye) if v == far else [c.matrix for c in y.values[v]]
+                   for v in grid.vertices], grid.height + 1)
+
+
+def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
+              y: Section, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left-log partials of every face Lagrangian at its base corner, and their
+    right translates g mu g^T; both (H, W, 2, n, n) indexed [j, i].
+
+    Assumes the density reads only the base-corner fiber, which is the shape
+    of every reduced Lagrangian on this window.
+    """
+    mu = _stack([[c.matrix for c in lagrangian.vertex_differential(
+        grid, jet_at(y, grid, f), 0)] for f in grid.faces], grid.height)
+    return mu, _coadjoint_inverse(p[:-1, :-1], mu)
+
+
+def _reduced_residual(mu: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Four-term reduced residual at every interior vertex, [j-1, i-1]."""
+    return right[1:, 1:, 0] - mu[1:, :-1, 0] + right[1:, 1:, 1] - mu[:-1, 1:, 1]
+
+
+def _system(p: np.ndarray, right: np.ndarray, lam: np.ndarray):
+    """The two multiplier equations wherever the window holds their faces.
+
+    The first, Ad*_{u^-1} mu_u + lam - Ad*_{v_s} lam_s, at vertices (i, j)
+    with 0 <= i < W, 1 <= j < H, indexed [j-1, i]; the second,
+    Ad*_{v^-1} mu_v - lam + Ad*_{u_w} lam_w, at 1 <= i < W, 0 <= j < H,
+    indexed [j, i-1].
+    """
+    first = right[1:, :, 0] + lam[1:] - _coadjoint(p[:-2, :-1, 1], lam[:-1])
+    second = right[:, 1:, 1] - lam[:, 1:] + _coadjoint(p[:-1, :-2, 0], lam[:, :-1])
+    return first, second
 
 
 class PlaquetteConstraint(ConstraintMap):
@@ -122,11 +198,9 @@ class PlaquetteConstraint(ConstraintMap):
         super().__init__(reduced_fiber(n))
 
     def value(self, complex, jet: Jet1) -> GroupElement:
-        u = jet.values[0][0].matrix
-        v = jet.values[0][1].matrix
-        v_right = jet.values[1][1].matrix
-        u_up = jet.values[2][0].matrix
-        return GroupElement(u @ v_right @ u_up.T @ v.T)
+        (u, v), (_, v_right), (u_up, _) = jet.values
+        return GroupElement(_holonomy(u.matrix, v.matrix, v_right.matrix,
+                                      u_up.matrix))
 
     def cartan_form(self, complex, jet: Jet1, slot: int) -> CartanForm:
         n = self.fiber.n
@@ -168,33 +242,25 @@ def reduce_field(grid: TriangulatedGrid, g: UnreducedField) -> Section:
     would need data outside the window (u on the right column, v on the top
     row) are set to the identity and never enter any face formula.
     """
-    n = next(iter(g.values.values())).n
+    x = _stack([g.at(v).matrix for v in grid.vertices], grid.height + 1)
+    u = _t(x[:, :-1]) @ x[:, 1:]
+    v = _t(x[:-1]) @ x[1:]
+    n = x.shape[-1]
     eye = GroupElement(np.eye(n))
     values = {}
     for j in range(grid.height + 1):
         for i in range(grid.width + 1):
             if i == grid.width and j == grid.height:
                 continue
-            base = g.at(grid.vertex_id(i, j)).matrix
-            if i < grid.width:
-                u = GroupElement(base.T @ g.at(grid.vertex_id(i + 1, j)).matrix)
-            else:
-                u = eye
-            if j < grid.height:
-                v = GroupElement(base.T @ g.at(grid.vertex_id(i, j + 1)).matrix)
-            else:
-                v = eye
-            values[grid.vertex_id(i, j)] = (u, v)
+            values[grid.vertex_id(i, j)] = (
+                GroupElement(u[j, i]) if i < grid.width else eye,
+                GroupElement(v[j, i]) if j < grid.height else eye)
     return Section(reduced_fiber(n), values)
 
 
-def plaquette_holonomy(grid: TriangulatedGrid, y: Section, i: int, j: int) -> GroupElement:
-    """The holonomy u_ij v_{i+1,j} u_{i,j+1}^{-1} v_ij^{-1} of face (i, j)."""
-    grid.face_id(i, j)
-    u, v = _uv(y, grid, i, j)
-    _, v_right = _uv(y, grid, i + 1, j)
-    u_up, _ = _uv(y, grid, i, j + 1)
-    return GroupElement(u @ v_right @ u_up.T @ v.T)
+def plaquette_holonomy(grid: TriangulatedGrid, y: Section) -> np.ndarray:
+    """Holonomies u_ij v_{i+1,j} u_{i,j+1}^{-1} v_ij^{-1} of all faces, (H, W, n, n)."""
+    return _window_holonomy(_pair_stack(grid, y))
 
 
 def plaquette_cartan_forms(grid: TriangulatedGrid, y: Section, i: int, j: int,
@@ -205,55 +271,27 @@ def plaquette_cartan_forms(grid: TriangulatedGrid, y: Section, i: int, j: int,
     neighbor.  The closed forms assume the holonomy is the identity, so a
     face beyond ``tol`` from flat is rejected.
     """
-    n = y.fiber.n
-    hol = plaquette_holonomy(grid, y, i, j)
-    defect = float(np.linalg.norm(hol.matrix - np.eye(n)))
+    constraint = PlaquetteConstraint(y.fiber.n)
+    jet = jet_at(y, grid, grid.face_id(i, j))
+    hol = constraint.value(grid, jet).matrix
+    defect = float(np.linalg.norm(hol - np.eye(y.fiber.n)))
     if defect > tol:
         raise InadmissibleSectionError(
             f"face ({i}, {j}) has holonomy defect {defect:.3e} > {tol:.1e}")
-    constraint = PlaquetteConstraint(n)
-    face = grid.face_id(i, j)
-    jet = Jet1(face, tuple(y.values[v] for v in grid.adherence(face)))
     return tuple(constraint.cartan_form(grid, jet, slot) for slot in range(3))
 
 
-def left_log_differentials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
-                           y: Section, i: int, j: int) -> tuple[CoAlgebraElement, CoAlgebraElement]:
-    """Left-log partials of the face Lagrangian at the base corner of face (i, j).
-
-    Assumes the density reads only the base-corner fiber, which is the shape
-    of every reduced Lagrangian on this window.
-    """
-    face = grid.face_id(i, j)
-    jet = Jet1(face, tuple(y.values[v] for v in grid.adherence(face)))
-    return lagrangian.vertex_differential(grid, jet, 0)
-
-
-def _require_interior_ij(grid: TriangulatedGrid, faceset: FaceSet, i: int, j: int):
-    klass = classify_vertices(grid, faceset)
-    if grid.vertex_id(i, j) not in klass.interior:
-        raise ValueError(f"vertex ({i}, {j}) is not interior to the face set")
-
-
 def euler_poincare_residual(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
-                            y: Section, i: int, j: int,
-                            faceset: FaceSet | None = None) -> CoAlgebraElement:
-    """Four-term reduced critical-point residual at an interior vertex.
+                            y: Section) -> np.ndarray:
+    """Four-term reduced critical-point residual at every interior vertex.
 
     Right-translated differentials at (i, j) minus left-translated ones at
     the west and south neighbors, assembled in the trace-pairing
-    representation; zero exactly when the reduced equations hold there.
+    representation; zero exactly where the reduced equations hold.  Shape
+    (H-1, W-1, n, n), indexed [j-1, i-1].
     """
-    if faceset is None:
-        faceset = grid.full_faceset()
-    _require_interior_ij(grid, faceset, i, j)
-    mu_u, mu_v = left_log_differentials(lagrangian, grid, y, i, j)
-    mu_u_w, _ = left_log_differentials(lagrangian, grid, y, i - 1, j)
-    _, mu_v_s = left_log_differentials(lagrangian, grid, y, i, j - 1)
-    u, v = _uv(y, grid, i, j)
-    right_u = coadjoint_inverse(GroupElement(u), mu_u)
-    right_v = coadjoint_inverse(GroupElement(v), mu_v)
-    return right_u - mu_u_w + right_v - mu_v_s
+    p = _pair_stack(grid, y)
+    return _reduced_residual(*_partials(lagrangian, grid, y, p))
 
 
 @dataclass(frozen=True)
@@ -269,46 +307,35 @@ def reconstruction_report(grid: TriangulatedGrid, y: Section, seed: GroupElement
     """Rebuild the vertex field from (u, v) and a seed at the origin corner.
 
     Every plaquette holonomy is re-verified first; the field is then
-    propagated row-major and checked against an independent column-major
-    propagation.  Seeds differ by a constant left factor in the result.
+    propagated along the bottom row and up one whole row at a time, and
+    checked against an independent propagation up the left column and east
+    one whole column at a time.  Seeds differ by a constant left factor in
+    the result.
     """
+    p = _pair_stack(grid, y)
     n = y.fiber.n
-    eye = np.eye(n)
-    worst_face = None
-    worst = 0.0
-    for j in range(grid.height):
-        for i in range(grid.width):
-            defect = float(np.linalg.norm(
-                plaquette_holonomy(grid, y, i, j).matrix - eye))
-            if defect > worst:
-                worst = defect
-                worst_face = grid.face_id(i, j)
+    defects = block_norms(_window_holonomy(p) - np.eye(n)).ravel().tolist()
+    worst = max([0.0, *defects])
+    worst_face = defects.index(worst) if worst > 0.0 else None
     if worst > tol:
         raise HolonomyError(worst_face, worst)
 
-    def u_of(i, j):
-        return y.values[grid.vertex_id(i, j)][0].matrix
-
-    def v_of(i, j):
-        return y.values[grid.vertex_id(i, j)][1].matrix
-
-    rows = {grid.vertex_id(0, 0): seed.matrix}
+    u, v = p[..., 0, :, :], p[..., 1, :, :]
+    rows = np.empty(p.shape[:2] + (n, n))
+    cols = np.empty_like(rows)
+    rows[0, 0] = cols[0, 0] = seed.matrix
     for i in range(grid.width):
-        rows[grid.vertex_id(i + 1, 0)] = rows[grid.vertex_id(i, 0)] @ u_of(i, 0)
+        rows[0, i + 1] = rows[0, i] @ u[0, i]
     for j in range(grid.height):
-        for i in range(grid.width + 1):
-            rows[grid.vertex_id(i, j + 1)] = rows[grid.vertex_id(i, j)] @ v_of(i, j)
-
-    cols = {grid.vertex_id(0, 0): seed.matrix}
+        rows[j + 1] = rows[j] @ v[j]
     for j in range(grid.height):
-        cols[grid.vertex_id(0, j + 1)] = cols[grid.vertex_id(0, j)] @ v_of(0, j)
+        cols[j + 1, 0] = cols[j, 0] @ v[j, 0]
     for i in range(grid.width):
-        for j in range(grid.height + 1):
-            cols[grid.vertex_id(i + 1, j)] = cols[grid.vertex_id(i, j)] @ u_of(i, j)
+        cols[:, i + 1] = cols[:, i] @ u[:, i]
 
-    agreement = max(
-        float(np.linalg.norm(rows[vid] - cols[vid])) for vid in rows)
-    field = UnreducedField({vid: GroupElement(m) for vid, m in sorted(rows.items())})
+    agreement = max(block_norms(rows - cols).ravel().tolist())
+    field = UnreducedField({vid: GroupElement(m)
+                            for vid, m in enumerate(rows.reshape(-1, n, n))})
     return ReconstructionReport(field, worst, worst_face, agreement)
 
 
@@ -322,23 +349,17 @@ def reduced_variation(grid: TriangulatedGrid, g: UnreducedField,
     are tangent to the flat set along any flat section.
     """
     y = reduce_field(grid, g)
-    n = y.fiber.n
-    zero = AlgebraElement(np.zeros((n, n)))
+    p = _pair_stack(grid, y)
+    t = _stack([theta.at(v).matrix for v in grid.vertices], grid.height + 1)
+    # Ad_{g^{-1}} is the coadjoint formula g^T xi g
+    xi_u = t[:, 1:] - _coadjoint(p[:, :-1, 0], t[:, :-1])
+    xi_v = t[1:] - _coadjoint(p[:-1, :, 1], t[:-1])
+    zero = AlgebraElement(np.zeros((y.fiber.n, y.fiber.n)))
     values = {}
-    for vid, (u, v) in y.values.items():
+    for vid in y.values:
         i, j = grid.vertex_ij(vid)
-        here = theta.at(vid)
-        if i < grid.width:
-            xi_u = theta.at(grid.vertex_id(i + 1, j)) \
-                - adjoint(u.inverse(), here)
-        else:
-            xi_u = zero
-        if j < grid.height:
-            xi_v = theta.at(grid.vertex_id(i, j + 1)) \
-                - adjoint(v.inverse(), here)
-        else:
-            xi_v = zero
-        values[vid] = (xi_u, xi_v)
+        values[vid] = (AlgebraElement(xi_u[j, i]) if i < grid.width else zero,
+                       AlgebraElement(xi_v[j, i]) if j < grid.height else zero)
     return Variation(y.fiber, values)
 
 
@@ -346,42 +367,19 @@ def reduced_variation(grid: TriangulatedGrid, g: UnreducedField,
 # multiplier system
 
 
-def _system_first(lagrangian, grid, y, lam: Multiplier, i, j) -> CoAlgebraElement:
-    """First multiplier equation at (i, j); reads the face there and its south."""
-    mu_u, _ = left_log_differentials(lagrangian, grid, y, i, j)
-    u, _ = _uv(y, grid, i, j)
-    right_u = coadjoint_inverse(GroupElement(u), mu_u)
-    _, v_s = _uv(y, grid, i, j - 1)
-    lam_here = lam.at(grid.face_id(i, j))
-    lam_s = lam.at(grid.face_id(i, j - 1))
-    return right_u + lam_here - coadjoint(GroupElement(v_s), lam_s)
-
-
-def _system_second(lagrangian, grid, y, lam: Multiplier, i, j) -> CoAlgebraElement:
-    """Second multiplier equation at (i, j); reads the face there and its west."""
-    _, mu_v = left_log_differentials(lagrangian, grid, y, i, j)
-    _, v = _uv(y, grid, i, j)
-    right_v = coadjoint_inverse(GroupElement(v), mu_v)
-    u_w, _ = _uv(y, grid, i - 1, j)
-    lam_here = lam.at(grid.face_id(i, j))
-    lam_w = lam.at(grid.face_id(i - 1, j))
-    return right_v - lam_here + coadjoint(GroupElement(u_w), lam_w)
-
-
 def multiplier_system_residual(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
-                               y: Section, lam: Multiplier, i: int, j: int,
-                               faceset: FaceSet | None = None
-                               ) -> tuple[CoAlgebraElement, CoAlgebraElement]:
-    """Left-hand sides of the two multiplier equations at an interior vertex.
+                               y: Section, lam: Multiplier
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """Left-hand sides of the two multiplier equations at every interior vertex.
 
-    Both vanish exactly when (y, lam) solves the extended critical-pair
-    system there.
+    Both vanish exactly where (y, lam) solves the extended critical-pair
+    system.  Each has shape (H-1, W-1, n, n), indexed [j-1, i-1].
     """
-    if faceset is None:
-        faceset = grid.full_faceset()
-    _require_interior_ij(grid, faceset, i, j)
-    return (_system_first(lagrangian, grid, y, lam, i, j),
-            _system_second(lagrangian, grid, y, lam, i, j))
+    p = _pair_stack(grid, y)
+    _, right = _partials(lagrangian, grid, y, p)
+    first, second = _system(p, right, _stack(
+        [lam.at(f).matrix for f in grid.faces], grid.height))
+    return first[:, 1:], second[1:]
 
 
 @dataclass(frozen=True)
@@ -397,79 +395,67 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
                         ep_tol: float = EP_TOL, cons_tol: float = CONS_TOL,
                         adm_tol: float = TOL_ADMISSIBLE
                         ) -> tuple[Multiplier, RecoveryReport]:
-    """Solve the multiplier system by a sweep from the max-corner face.
+    """Solve the multiplier system by a column recurrence from the max-corner face.
 
     Preconditions (checked): y is flat and its reduced residual is below
-    ``ep_tol`` at every interior vertex.  The sweep visits interior vertices
-    in decreasing lexicographic order; each determines its west and south
-    star faces through the two coadjoint isomorphisms.  Faces reachable along
-    two sweep paths are compared, never averaged: a discrepancy beyond
-    ``cons_tol`` raises, smaller ones are reported.  Existence is only local
-    in general, so the consistency data is part of the contract.
+    ``ep_tol`` at every interior vertex; the first offending vertex in sweep
+    order (decreasing lexicographic (i, j)) is reported.  At interior vertex
+    (i, j) the first equation determines the south face,
+    lam_s = Ad*_{v_s}^{-1}(Ad*_{u^-1} mu_u + lam), and the second the west
+    face, lam_w = Ad*_{u_w}^{-1}(lam - Ad*_{v^-1} mu_v).  The east interior
+    column i = W-1 is filled top to bottom from the seed by the south
+    recurrence; every column i then fills column i-1 above row 0 in one
+    batched west step.  The south values of the columns 1 <= i < W-1 above
+    row 0 are thus reached along two paths: they are compared, never
+    averaged, and a discrepancy beyond ``cons_tol`` raises at the first face
+    the sweep would compare (east column first, then top row first).  The
+    south value of row 0 is stored.  Existence is only local in general, so
+    the consistency data is part of the contract.
 
-    Faces never touched by any interior vertex's equations (the origin-corner
-    face on a full window) are reported and set to zero; any seed value may
-    be placed at the max-corner face, and different seeds produce different
-    valid multipliers.
+    The origin-corner face is touched by no interior vertex's equations; it
+    is reported and set to zero.  Any seed value may be placed at the
+    max-corner face, and different seeds produce different valid multipliers.
     """
-    faceset = grid.full_faceset()
-    klass = classify_vertices(grid, faceset)
-    interior_ij = sorted(
-        (grid.vertex_ij(v) for v in klass.interior), reverse=True)
-    if not interior_ij:
+    width, height = grid.width, grid.height
+    if width < 2 or height < 2:
         raise PreconditionError("window has no interior vertices")
-    for i, j in interior_ij:
-        res = euler_poincare_residual(lagrangian, grid, y, i, j, faceset)
-        if res.norm() > ep_tol:
-            raise PreconditionError(
-                f"reduced residual {res.norm():.3e} > {ep_tol:.1e} at ({i}, {j})")
-    worst_hol = max(
-        float(np.linalg.norm(plaquette_holonomy(grid, y, i, j).matrix - np.eye(y.fiber.n)))
-        for j in range(grid.height) for i in range(grid.width))
+    p = _pair_stack(grid, y)
+    mu, right = _partials(lagrangian, grid, y, p)
+    ep = block_norms(_reduced_residual(mu, right))
+    for i in range(width - 1, 0, -1):
+        for j in range(height - 1, 0, -1):
+            if ep[j - 1, i - 1] > ep_tol:
+                raise PreconditionError(f"reduced residual {ep[j - 1, i - 1]:.3e} "
+                                        f"> {ep_tol:.1e} at ({i}, {j})")
+    n = y.fiber.n
+    worst_hol = max(block_norms(_window_holonomy(p) - np.eye(n)).ravel().tolist())
     if worst_hol > adm_tol:
         raise PreconditionError(
             f"section is not flat, worst holonomy defect {worst_hol:.3e}")
 
-    seed_face = grid.face_id(grid.width - 1, grid.height - 1)
-    values: dict[int, CoAlgebraElement] = {seed_face: seed}
+    u, v = p[..., 0, :, :], p[..., 1, :, :]
+    lam = np.zeros((height, width, n, n))
+    lam[-1, -1] = seed.matrix
+    for j in range(height - 1, 0, -1):
+        lam[j - 1, -1] = _coadjoint_inverse(v[j - 1, -2], right[j, -1, 0] + lam[j, -1])
     max_disc = 0.0
-    compared = []
+    for i in range(width - 1, 0, -1):
+        if i < width - 1:
+            south = _coadjoint_inverse(v[:-2, i], right[1:, i, 0] + lam[1:, i])
+            disc = block_norms(lam[1:-1, i] - south[1:])
+            over = np.flatnonzero(disc > cons_tol)
+            if over.size:
+                k = int(over[-1]) + 1
+                raise RecoveryConflictError(grid.face_id(i, k), float(disc[k - 1]))
+            max_disc = max([max_disc, *disc.tolist()])
+            lam[0, i] = south[0]
+        lam[1:, i - 1] = _coadjoint_inverse(u[1:-1, i - 1], lam[1:, i] - right[1:, i, 1])
 
-    def assign(face, value):
-        nonlocal max_disc
-        if face in values:
-            disc = (values[face] - value).norm()
-            compared.append(face)
-            if disc > cons_tol:
-                raise RecoveryConflictError(face, disc)
-            max_disc = max(max_disc, disc)
-        else:
-            values[face] = value
-
-    for i, j in interior_ij:
-        face = grid.face_id(i, j)
-        if face not in values:
-            raise PreconditionError(
-                f"sweep reached ({i}, {j}) before face {face} was determined")
-        lam_here = values[face]
-        mu_u, mu_v = left_log_differentials(lagrangian, grid, y, i, j)
-        u, v = _uv(y, grid, i, j)
-        right_u = coadjoint_inverse(GroupElement(u), mu_u)
-        right_v = coadjoint_inverse(GroupElement(v), mu_v)
-        u_w, _ = _uv(y, grid, i - 1, j)
-        _, v_s = _uv(y, grid, i, j - 1)
-        # first equation solved for the south face, second for the west face
-        south = coadjoint_inverse(GroupElement(v_s), right_u + lam_here)
-        west = coadjoint_inverse(GroupElement(u_w), lam_here - right_v)
-        assign(grid.face_id(i, j - 1), south)
-        assign(grid.face_id(i - 1, j), west)
-
-    n = y.fiber.n
-    unconstrained = tuple(f for f in grid.faces if f not in values)
-    for f in unconstrained:
-        values[f] = CoAlgebraElement(np.zeros((n, n)))
-    report = RecoveryReport(seed_face, max_disc, tuple(sorted(compared)),
-                            unconstrained)
+    values = {f: CoAlgebraElement(m) for f, m in enumerate(lam.reshape(-1, n, n))}
+    compared = tuple(grid.face_id(i, k) for k in range(1, height - 1)
+                     for i in range(1, width - 1))
+    report = RecoveryReport(grid.face_id(width - 1, height - 1), max_disc,
+                            compared, (grid.face_id(0, 0),))
     return Multiplier(values), report
 
 
@@ -477,6 +463,7 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
 class EliminationDefects:
     """Per-vertex defects of the multiplier elimination identity.
 
+    Both fields are (H-1, W-1) arrays of norms indexed [j-1, i-1].
     ``ep_combination`` is the norm of the fixed four-term coadjoint
     combination of the system residuals, which algebraically equals the
     reduced residual plus the cancellation term.  ``cancellation`` measures
@@ -484,27 +471,20 @@ class EliminationDefects:
     corner multiplier; flatness of the section makes it vanish.
     """
 
-    ep_combination: float
-    cancellation: float
+    ep_combination: np.ndarray
+    cancellation: np.ndarray
 
 
 def multiplier_elimination_check(lagrangian: LagrangianDensity,
                                  grid: TriangulatedGrid, y: Section,
-                                 lam: Multiplier, i: int, j: int
-                                 ) -> EliminationDefects:
-    first = _system_first(lagrangian, grid, y, lam, i, j)
-    second = _system_second(lagrangian, grid, y, lam, i, j)
-    first_w = _system_first(lagrangian, grid, y, lam, i - 1, j)
-    second_s = _system_second(lagrangian, grid, y, lam, i, j - 1)
-    u_w, _ = _uv(y, grid, i - 1, j)
-    _, v_s = _uv(y, grid, i, j - 1)
-    combo = first - coadjoint(GroupElement(u_w), first_w) \
-        + second - coadjoint(GroupElement(v_s), second_s)
-
-    u_sw, v_sw = _uv(y, grid, i - 1, j - 1)
-    lam_sw = lam.at(grid.face_id(i - 1, j - 1))
-    one_way = coadjoint(GroupElement(v_s),
-                        coadjoint(GroupElement(u_sw), lam_sw))
-    other_way = coadjoint(GroupElement(u_w),
-                          coadjoint(GroupElement(v_sw), lam_sw))
-    return EliminationDefects(combo.norm(), (one_way - other_way).norm())
+                                 lam: Multiplier) -> EliminationDefects:
+    p = _pair_stack(grid, y)
+    _, right = _partials(lagrangian, grid, y, p)
+    m = _stack([lam.at(f).matrix for f in grid.faces], grid.height)
+    first, second = _system(p, right, m)
+    u_w, v_s = p[1:-1, :-2, 0], p[:-2, 1:-1, 1]
+    combo = first[:, 1:] - _coadjoint(u_w, first[:, :-1]) \
+        + second[1:] - _coadjoint(v_s, second[:-1])
+    one_way = _coadjoint(v_s, _coadjoint(p[:-2, :-2, 0], m[:-1, :-1]))
+    other_way = _coadjoint(u_w, _coadjoint(p[:-2, :-2, 1], m[:-1, :-1]))
+    return EliminationDefects(block_norms(combo), block_norms(one_way - other_way))

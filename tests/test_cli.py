@@ -188,3 +188,33 @@ def test_report_pretty_print(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("alpha")
     assert "2.5" in lines[1]
+
+
+@pytest.mark.parametrize("width,height", [(1, 3), (3, 1)])
+def test_recover_multipliers_without_interior_exits_one(tmp_path, capsys,
+                                                        width, height):
+    out = tmp_path / "solve"
+    assert run("solve", "--width", width, "--height", height, "--out", out) == 0
+    mout = tmp_path / "mult"
+    assert run("recover-multipliers", "--section", out / "reduced_section.txt",
+               "--out", mout) == 1
+    assert "window has no interior vertices" in capsys.readouterr().err
+    assert not (mout / "multiplier.txt").exists()
+
+
+@pytest.mark.parametrize("width,height", [(2, 2), (2, 5), (5, 2)])
+def test_thin_windows_solve_recover_reconstruct(tmp_path, width, height):
+    out = tmp_path / "solve"
+    assert run("solve", "--width", width, "--height", height, "--scale", 0.5,
+               "--out", out) == 0
+    section, field = out / "reduced_section.txt", out / "unreduced_field.txt"
+    assert run("recover-multipliers", "--section", section,
+               "--out", tmp_path / "mult") == 0
+    _, lam = ser.load_multiplier(tmp_path / "mult" / "multiplier.txt")
+    assert len(lam.values) == width * height
+    assert run("reconstruct", "--section", section, "--seed-file", field,
+               "--out", tmp_path / "rec") == 0
+    _, solved = ser.load_unreduced_field(field)
+    _, rebuilt = ser.load_unreduced_field(tmp_path / "rec" / "unreduced_field.txt")
+    assert max(np.linalg.norm(rebuilt.values[v].matrix - solved.values[v].matrix)
+               for v in solved.values) <= 1e-12

@@ -18,6 +18,10 @@ def constant_field(grid, g):
     return red.UnreducedField({v: g for v in grid.vertices})
 
 
+def block_norms(x):
+    return np.linalg.norm(x, axis=(-2, -1))
+
+
 def section_distance(a, b):
     return max(
         max(np.linalg.norm(x.matrix - y.matrix) for x, y in zip(a.values[v], b.values[v]))
@@ -37,10 +41,10 @@ def test_reduce_is_flat():
     grid = triangulated_grid(4, 3)
     rng = np.random.default_rng(1)
     y = red.reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
+    hol = red.plaquette_holonomy(grid, y)
     for j in range(grid.height):
         for i in range(grid.width):
-            hol = red.plaquette_holonomy(grid, y, i, j)
-            assert np.linalg.norm(hol.matrix - np.eye(N)) <= 1e-13
+            assert np.linalg.norm(hol[j, i] - np.eye(N)) <= 1e-13
 
 
 def test_reduce_left_invariance():
@@ -64,9 +68,10 @@ def test_reduce_missing_vertex():
 def test_holonomy_identity_section():
     grid = triangulated_grid(2, 2)
     y = red.reduce_field(grid, constant_field(grid, lg.identity(N)))
-    assert np.array_equal(red.plaquette_holonomy(grid, y, 1, 1).matrix, np.eye(N))
-    with pytest.raises(ValueError):
-        red.plaquette_holonomy(grid, y, 2, 0)
+    hol = red.plaquette_holonomy(grid, y)
+    assert np.array_equal(hol[1, 1], np.eye(N))
+    # one block per face of the window, indexed [j, i]
+    assert hol.shape == (grid.height, grid.width, N, N)
 
 
 def test_holonomy_derivative_along_single_factor():
@@ -82,7 +87,7 @@ def test_holonomy_derivative_along_single_factor():
         values = dict(y.values)
         uu, vv = values[grid.vertex_id(i, j)]
         values[grid.vertex_id(i, j)] = (factor, vv)
-        return red.plaquette_holonomy(grid, core.Section(y.fiber, values), i, j).matrix
+        return red.plaquette_holonomy(grid, core.Section(y.fiber, values))[j, i]
     plus = holonomy_with(lg.GroupElement(u.matrix @ lg.exp(t * xi).matrix))
     minus = holonomy_with(lg.GroupElement(u.matrix @ lg.exp(-t * xi).matrix))
     fd = (plus - minus) / (2.0 * t)
@@ -116,8 +121,8 @@ def test_cartan_forms_sum_matches_fd():
     for form, v in zip(forms, grid.adherence(face)):
         total = total + form.apply(dy.at(v)).matrix
     t = 1e-6
-    plus = red.plaquette_holonomy(grid, core.section_exp(y, dy, t), i, j).matrix
-    minus = red.plaquette_holonomy(grid, core.section_exp(y, dy, -t), i, j).matrix
+    plus = red.plaquette_holonomy(grid, core.section_exp(y, dy, t))[j, i]
+    minus = red.plaquette_holonomy(grid, core.section_exp(y, dy, -t))[j, i]
     fd = (plus - minus) / (2.0 * t)
     fd = (fd - fd.T) / 2.0
     assert np.linalg.norm(total - fd) / (1.0 + np.linalg.norm(total)) <= 1e-6
@@ -134,17 +139,18 @@ def test_cartan_forms_reject_non_flat_base():
 def test_ep_residual_identity_section():
     grid = triangulated_grid(3, 3)
     y = red.reduce_field(grid, constant_field(grid, lg.identity(N)))
-    res = red.euler_poincare_residual(TraceLagrangian(N), grid, y, 1, 1)
-    assert res.norm() == 0.0
+    res = red.euler_poincare_residual(TraceLagrangian(N), grid, y)[0, 0]
+    assert np.linalg.norm(res) == 0.0
 
 
 def test_ep_residual_generic_nonzero_and_interior_check():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(8)
     y = red.reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
-    assert red.euler_poincare_residual(TraceLagrangian(N), grid, y, 1, 1).norm() > 1e-3
-    with pytest.raises(ValueError):
-        red.euler_poincare_residual(TraceLagrangian(N), grid, y, 0, 1)
+    res = red.euler_poincare_residual(TraceLagrangian(N), grid, y)
+    assert np.linalg.norm(res[0, 0]) > 1e-3
+    # defined at the interior vertices only, indexed [j-1, i-1]
+    assert res.shape == (grid.height - 1, grid.width - 1, N, N)
 
 
 def test_reconstruct_identity():
@@ -219,16 +225,15 @@ def test_multiplier_system_identity_zero():
     y = red.reduce_field(grid, constant_field(grid, lg.identity(N)))
     zero = lg.CoAlgebraElement(np.zeros((N, N)))
     lam = core.Multiplier({f: zero for f in grid.faces})
-    r1, r2 = red.multiplier_system_residual(TraceLagrangian(N), grid, y, lam, 1, 1)
-    assert r1.norm() == 0.0 and r2.norm() == 0.0
+    r1, r2 = red.multiplier_system_residual(TraceLagrangian(N), grid, y, lam)
+    assert np.linalg.norm(r1[0, 0]) == 0.0 and np.linalg.norm(r2[0, 0]) == 0.0
 
 
 def test_multiplier_system_random_multiplier_nonzero(solved66):
     grid, y = solved66["grid"], solved66["y"]
     lam = sampling.random_multiplier(grid, N, np.random.default_rng(13))
-    r1, r2 = red.multiplier_system_residual(solved66["lagrangian"], grid, y,
-                                            lam, 2, 2)
-    assert max(r1.norm(), r2.norm()) > 1e-3
+    r1, r2 = red.multiplier_system_residual(solved66["lagrangian"], grid, y, lam)
+    assert max(np.linalg.norm(r1[1, 1]), np.linalg.norm(r2[1, 1])) > 1e-3
 
 
 def test_recover_identity_section_gives_zero():
@@ -261,12 +266,8 @@ def test_recover_conflict_surfaces(solved66):
 def test_recovered_multiplier_solves_system(solved66):
     grid, y, lam = solved66["grid"], solved66["y"], solved66["lam"]
     lagrangian = solved66["lagrangian"]
-    klass = classify_vertices(grid, grid.full_faceset())
-    worst = 0.0
-    for v in sorted(klass.interior):
-        i, j = grid.vertex_ij(v)
-        r1, r2 = red.multiplier_system_residual(lagrangian, grid, y, lam, i, j)
-        worst = max(worst, r1.norm(), r2.norm())
+    worst = max(block_norms(r).max() for r in
+                red.multiplier_system_residual(lagrangian, grid, y, lam))
     assert worst <= 1e-10
     assert solved66["recovery"].max_discrepancy <= 1e-9
 
@@ -280,11 +281,8 @@ def test_recovery_seed_nonuniqueness(solved66):
     distance = max((solved66["lam"].values[f] - lam2.values[f]).norm()
                    for f in grid.faces)
     assert distance > 1e-3
-    klass = classify_vertices(grid, grid.full_faceset())
-    worst = max(
-        max(r.norm() for r in red.multiplier_system_residual(
-            lagrangian, grid, y, lam2, *grid.vertex_ij(v)))
-        for v in sorted(klass.interior))
+    worst = max(block_norms(r).max() for r in
+                red.multiplier_system_residual(lagrangian, grid, y, lam2))
     assert worst <= 1e-10
     assert rep2.max_discrepancy <= 1e-9
 
@@ -297,11 +295,13 @@ def test_elimination_combo_matches_ep_residual():
     y = red.reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
     lam = sampling.random_multiplier(grid, N, rng)
     lagrangian = TraceLagrangian(N)
+    defects = red.multiplier_elimination_check(lagrangian, grid, y, lam)
+    ep = block_norms(red.euler_poincare_residual(lagrangian, grid, y))
     for (i, j) in ((1, 1), (2, 2), (3, 3), (1, 3)):
-        defects = red.multiplier_elimination_check(lagrangian, grid, y, lam, i, j)
-        ep = red.euler_poincare_residual(lagrangian, grid, y, i, j).norm()
-        assert defects.cancellation <= 1e-12
-        assert abs(defects.ep_combination - ep) <= defects.cancellation + 1e-12
+        cancellation = defects.cancellation[j - 1, i - 1]
+        assert cancellation <= 1e-12
+        assert abs(defects.ep_combination[j - 1, i - 1] - ep[j - 1, i - 1]) \
+            <= cancellation + 1e-12
 
 
 def test_elimination_cancellation_grows_off_constraint():
@@ -309,20 +309,17 @@ def test_elimination_cancellation_grows_off_constraint():
     rng = np.random.default_rng(17)
     y = sampling.random_section(grid, N, rng)
     lam = sampling.random_multiplier(grid, N, rng)
-    defects = red.multiplier_elimination_check(TraceLagrangian(N), grid, y,
-                                               lam, 1, 1)
-    assert defects.cancellation > 1e-6
+    defects = red.multiplier_elimination_check(TraceLagrangian(N), grid, y, lam)
+    assert defects.cancellation[0, 0] > 1e-6
 
 
 def test_elimination_on_critical_pair(solved66):
     grid, y, lam = solved66["grid"], solved66["y"], solved66["lam"]
-    klass = classify_vertices(grid, grid.full_faceset())
-    for v in sorted(klass.interior):
-        i, j = grid.vertex_ij(v)
-        defects = red.multiplier_elimination_check(solved66["lagrangian"],
-                                                   grid, y, lam, i, j)
-        assert defects.cancellation <= 1e-12
-        assert defects.ep_combination <= 1e-9
+    defects = red.multiplier_elimination_check(solved66["lagrangian"],
+                                               grid, y, lam)
+    assert defects.cancellation.shape == (grid.height - 1, grid.width - 1)
+    assert np.all(defects.cancellation <= 1e-12)
+    assert np.all(defects.ep_combination <= 1e-9)
 
 
 def test_system_residual_bounds_ep_residual():
@@ -340,14 +337,9 @@ def test_system_residual_bounds_ep_residual():
     zero = lg.CoAlgebraElement(np.zeros((N, N)))
     lam, _ = red.recover_multipliers(lagrangian, grid, y, zero,
                                      ep_tol=1e-4, cons_tol=1e-4)
-    klass = classify_vertices(grid, grid.full_faceset())
-    worst_sys = worst_ep = 0.0
-    for v in sorted(klass.interior):
-        i, j = grid.vertex_ij(v)
-        r1, r2 = red.multiplier_system_residual(lagrangian, grid, y, lam, i, j)
-        worst_sys = max(worst_sys, r1.norm(), r2.norm())
-        worst_ep = max(worst_ep,
-                       red.euler_poincare_residual(lagrangian, grid, y, i, j).norm())
+    worst_sys = max(block_norms(r).max() for r in
+                    red.multiplier_system_residual(lagrangian, grid, y, lam))
+    worst_ep = block_norms(red.euler_poincare_residual(lagrangian, grid, y)).max()
     assert worst_sys > 1e-9    # genuinely inexact pair, not a vacuous bound
     assert worst_ep <= 10.0 * worst_sys + 1e-12
 
