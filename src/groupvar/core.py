@@ -1,16 +1,22 @@
 """Sections, variations, and the variational calculus on a face set.
 
-Fibers are finite products of SO(n) copies.  Variations are stored in left
-logarithmic coordinates: the entry xi at a vertex component with value g is
-the tangent of t -> g exp(t xi).  Per-vertex differentials of face-local
-quantities (the Cartan 1-forms of a Lagrangian or of a constraint) are the
-currency of everything here: the action differential splits into an interior
+Fibers are finite products of SO(n) copies.  A section, a variation and a
+multiplier each hold one read-only float array indexed by vertex or face id,
+(V, c, n, n), (V, c, n, n) and (F, n, n); a jet is the gather
+``y.values[adherence]``.  Variations are stored in left logarithmic
+coordinates: the entry xi at a vertex component with value g is the tangent
+of t -> g exp(t xi).  Per-vertex differentials of face-local quantities (the
+Cartan 1-forms of a Lagrangian or of a constraint) are the currency of
+everything here: the action differential splits into an interior
 Euler-Lagrange part and a frontier boundary part by regrouping exactly those
 forms, and that resummation identity is the master property this module is
 tested against.
 
-All operations are pure; sections and multipliers are never mutated, so any
-face- or vertex-parallel scheduling of the sums is legal.
+Nothing here checks group membership: values enter through
+``GroupElement`` or the file loaders, which check them once, and everything
+derived from them is trusted.  All operations are pure; the arrays are
+read-only, so sections and multipliers are never mutated and any face- or
+vertex-parallel scheduling of the sums is legal.
 """
 
 from __future__ import annotations
@@ -18,18 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from . import liegroup as lg
 from .complexes import CellComplex, FaceSet, VertexClass, classify_vertices
 from .defaults import H_JACOBI, H_LAGRANGIAN, TOL_ADMISSIBLE, RANK_TOL
 from .liegroup import (
-    AlgebraElement,
-    CoAlgebraElement,
-    GroupElement,
     algebra_dim,
     coords_to_skew,
-    pairing,
+    read_only,
     skew_basis,
+    skew_part,
     skew_to_coords,
 )
 
@@ -80,82 +84,94 @@ class FiberSignature:
             raise ValueError("group size must be at least 2")
 
 
-@dataclass
+def _freeze_fiber_values(self):
+    """Hold ``values`` as a read-only (V, c, n, n) array."""
+    f = self.fiber
+    object.__setattr__(self, "values",
+                       read_only(self.values, (f.components, f.n, f.n)))
+
+
+def _freeze_matrix_values(self):
+    """Hold ``values`` as a read-only (count, n, n) array."""
+    n = np.shape(self.values)[-1]
+    object.__setattr__(self, "values", read_only(self.values, (n, n)))
+
+
+@dataclass(frozen=True)
 class Section:
-    """Map vertex id -> tuple of group elements, one per fiber component."""
+    """Fiber values per vertex: a read-only (V, c, n, n) array indexed by
+    vertex id, one group element per fiber component."""
 
     fiber: FiberSignature
-    values: dict[int, tuple[GroupElement, ...]]
+    values: np.ndarray
 
-    def __post_init__(self):
-        for v, fib in self.values.items():
-            if len(fib) != self.fiber.components:
-                raise ValueError(f"vertex {v} carries {len(fib)} components, "
-                                 f"expected {self.fiber.components}")
-
-    def at(self, vertex: int) -> tuple[GroupElement, ...]:
-        return self.values[vertex]
+    __post_init__ = _freeze_fiber_values
 
 
-@dataclass
+@dataclass(frozen=True)
 class Variation:
-    """Left-log variation: vertex id -> tuple of algebra elements.
-
-    Vertices absent from ``values`` count as zero, which keeps single-vertex
-    variations cheap to build.
-    """
+    """Left-log variation: a read-only (V, c, n, n) array of algebra elements
+    indexed by vertex id, zero wherever nothing is set."""
 
     fiber: FiberSignature
-    values: dict[int, tuple[AlgebraElement, ...]]
+    values: np.ndarray
 
-    def at(self, vertex: int) -> tuple[AlgebraElement, ...]:
-        got = self.values.get(vertex)
-        if got is not None:
-            return got
-        zero = AlgebraElement(np.zeros((self.fiber.n, self.fiber.n)))
-        return tuple(zero for _ in range(self.fiber.components))
+    __post_init__ = _freeze_fiber_values
 
 
-@dataclass
+@dataclass(frozen=True)
 class Multiplier:
-    """Coalgebra-valued function on faces."""
+    """Coalgebra-valued function on faces: a read-only (F, n, n) array
+    indexed by face id."""
 
-    values: dict[int, CoAlgebraElement]
+    values: np.ndarray
 
-    def at(self, face: int) -> CoAlgebraElement:
-        try:
-            return self.values[face]
-        except KeyError:
-            raise ValueError(f"multiplier missing on face {face}") from None
+    __post_init__ = _freeze_matrix_values
+
+    def at(self, face: int) -> np.ndarray:
+        if not 0 <= face < len(self.values):
+            raise ValueError(f"multiplier missing on face {face}")
+        return self.values[face]
 
 
 @dataclass(frozen=True)
 class Jet1:
-    """Fiber values over one face, ordered like the face's adherence list."""
+    """Fiber values over one face, a (k, c, n, n) array ordered like the
+    face's adherence list."""
 
     face: int
-    values: tuple[tuple[GroupElement, ...], ...]
+    values: np.ndarray
 
 
 def jet_at(y: Section, complex: CellComplex, face: int) -> Jet1:
-    try:
-        values = tuple(y.values[v] for v in complex.adherence(face))
-    except KeyError as exc:
-        raise ValueError(f"section undefined at vertex {exc.args[0]} "
-                         f"adherent to face {face}") from None
-    return Jet1(face, values)
+    adherence = complex.adherence(face)
+    if max(adherence) >= len(y.values):
+        raise ValueError(f"section undefined at vertex {max(adherence)} "
+                         f"adherent to face {face}")
+    return Jet1(face, y.values[list(adherence)])
 
 
-def _jet_replace(jet: Jet1, slot: int, fiber: tuple[GroupElement, ...]) -> Jet1:
-    values = list(jet.values)
-    values[slot] = fiber
-    return Jet1(jet.face, tuple(values))
+def _fd_pairs(jet: Jet1, slot: int, h: float):
+    """Central-difference jet pairs for the default differentials.
+
+    For each fiber component k of the slot and each skew basis direction E,
+    in that order, the jets with the component g moved to g exp(hE) and to
+    g exp(-hE).
+    """
+    fiber = jet.values[slot]
+    steps = scipy.linalg.expm(h * skew_basis(fiber.shape[-1]))
+    for k, g in enumerate(fiber):
+        for step in steps:
+            plus, minus = jet.values.copy(), jet.values.copy()
+            plus[slot, k] = g @ step
+            minus[slot, k] = g @ step.T
+            yield Jet1(jet.face, plus), Jet1(jet.face, minus)
 
 
-def apply_differential(theta: tuple[CoAlgebraElement, ...],
-                       xi: tuple[AlgebraElement, ...]) -> float:
-    """Evaluate a per-vertex differential on a variation entry."""
-    return sum(pairing(mu, x) for mu, x in zip(theta, xi))
+def apply_differential(theta: np.ndarray, xi: np.ndarray) -> float:
+    """Evaluate a per-vertex differential (c, n, n) on a variation entry
+    (c, n, n) through the trace pairing, component after component."""
+    return sum(float(np.trace(mu.T @ x)) for mu, x in zip(theta, xi))
 
 
 class LagrangianDensity:
@@ -174,31 +190,19 @@ class LagrangianDensity:
         raise NotImplementedError
 
     def vertex_differential(self, complex: CellComplex, jet: Jet1,
-                            slot: int) -> tuple[CoAlgebraElement, ...]:
-        """Differential in the selected vertex slot, as a coalgebra tuple.
+                            slot: int) -> np.ndarray:
+        """Differential in the selected vertex slot, a (c, n, n) coalgebra stack.
 
-        The tuple acts on a left-log variation entry through the pairing,
-        see :func:`apply_differential`.
+        It acts on a left-log variation entry through the pairing, see
+        :func:`apply_differential`.
         """
-        n = self.fiber.n
         h = self.fd_step
-        basis = skew_basis(n)
-        out = []
-        fiber = jet.values[slot]
-        for k, g in enumerate(fiber):
-            coeffs = np.zeros(algebra_dim(n))
-            for b, e in enumerate(basis):
-                step = lg.exp(h * e).matrix
-                plus = list(fiber)
-                plus[k] = GroupElement(g.matrix @ step)
-                minus = list(fiber)
-                minus[k] = GroupElement(g.matrix @ step.T)
-                f_plus = self.value(complex, _jet_replace(jet, slot, tuple(plus)))
-                f_minus = self.value(complex, _jet_replace(jet, slot, tuple(minus)))
-                coeffs[b] = (f_plus - f_minus) / (2.0 * h)
-            # coefficient against basis vector E equals <mu, E> = 2 mu_kl
-            out.append(CoAlgebraElement(coords_to_skew(coeffs / 2.0, n)))
-        return tuple(out)
+        coeffs = np.array([
+            (self.value(complex, plus) - self.value(complex, minus)) / (2.0 * h)
+            for plus, minus in _fd_pairs(jet, slot, h)])
+        # coefficient against basis vector E equals <mu, E> = 2 mu_kl
+        return coords_to_skew(coeffs.reshape(self.fiber.components, -1) / 2.0,
+                              self.fiber.n)
 
 
 class CartanForm:
@@ -221,59 +225,44 @@ class CartanForm:
         self.components = components
         self.matrix = matrix
 
-    def apply(self, xi: tuple[AlgebraElement, ...]) -> AlgebraElement:
-        stacked = np.concatenate([skew_to_coords(x.matrix) for x in xi])
-        return AlgebraElement(coords_to_skew(self.matrix @ stacked, self.n))
+    def apply(self, xi: np.ndarray) -> np.ndarray:
+        """The algebra element (n, n) that the form assigns to xi (c, n, n)."""
+        return coords_to_skew(self.matrix @ skew_to_coords(xi).ravel(), self.n)
 
-    def pair_transpose(self, lam: CoAlgebraElement) -> tuple[CoAlgebraElement, ...]:
-        """The coalgebra tuple nu with <nu, xi> = <lam, apply(xi)>."""
-        d = algebra_dim(self.n)
-        lam_coords = skew_to_coords(lam.matrix)
-        back = self.matrix.T @ lam_coords
-        return tuple(
-            CoAlgebraElement(coords_to_skew(back[k * d:(k + 1) * d], self.n))
-            for k in range(self.components)
-        )
+    def pair_transpose(self, lam: np.ndarray) -> np.ndarray:
+        """The (c, n, n) coalgebra stack nu with <nu, xi> = <lam, apply(xi)>."""
+        back = self.matrix.T @ skew_to_coords(lam)
+        return coords_to_skew(back.reshape(self.components, -1), self.n)
 
 
 class ConstraintMap:
     """Group-valued face-local constraint with per-vertex Cartan forms.
 
-    Subclasses implement :meth:`value`.  The default :meth:`cartan_form`
-    differentiates the left-translated constraint by central finite
-    differences; analytic constraints override it.  The decomposition of the
-    full differential into per-vertex forms is unique here because each form
-    acts on a disjoint block of variables.
+    Subclasses implement :meth:`value`, which returns the (n, n) group
+    matrix.  The default :meth:`cartan_form` differentiates the
+    left-translated constraint by central finite differences; analytic
+    constraints override it.  The decomposition of the full differential into
+    per-vertex forms is unique here because each form acts on a disjoint
+    block of variables.
     """
 
     def __init__(self, fiber: FiberSignature, fd_step: float = H_LAGRANGIAN):
         self.fiber = fiber
         self.fd_step = fd_step
 
-    def value(self, complex: CellComplex, jet: Jet1) -> GroupElement:
+    def value(self, complex: CellComplex, jet: Jet1) -> np.ndarray:
         raise NotImplementedError
 
     def cartan_form(self, complex: CellComplex, jet: Jet1, slot: int) -> CartanForm:
-        n = self.fiber.n
-        c = self.fiber.components
         h = self.fd_step
-        base = self.value(complex, jet).matrix
-        base_inv = base.T
-        basis = skew_basis(n)
-        fiber = jet.values[slot]
+        base_inv = self.value(complex, jet).T
         cols = []
-        for k, g in enumerate(fiber):
-            for e in basis:
-                step = lg.exp(h * e).matrix
-                plus = list(fiber)
-                plus[k] = GroupElement(g.matrix @ step)
-                minus = list(fiber)
-                minus[k] = GroupElement(g.matrix @ step.T)
-                v_plus = self.value(complex, _jet_replace(jet, slot, tuple(plus))).matrix
-                v_minus = self.value(complex, _jet_replace(jet, slot, tuple(minus))).matrix
-                deriv = base_inv @ (v_plus - v_minus) / (2.0 * h)
-                cols.append(skew_to_coords((deriv - deriv.T) / 2.0))
-        return CartanForm(n, c, np.column_stack(cols))
+        for plus, minus in _fd_pairs(jet, slot, h):
+            v_plus = self.value(complex, plus)
+            v_minus = self.value(complex, minus)
+            deriv = base_inv @ (v_plus - v_minus) / (2.0 * h)
+            cols.append(skew_to_coords(skew_part(deriv)))
+        return CartanForm(self.fiber.n, self.fiber.components, np.column_stack(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +279,15 @@ def action(lagrangian: LagrangianDensity, y: Section, faceset: FaceSet) -> float
 
 
 def constraint_values(constraint: ConstraintMap, y: Section,
-                      faceset: FaceSet) -> dict[int, GroupElement]:
-    """Per-face constraint values; identity everywhere means admissible."""
+                      faceset: FaceSet) -> np.ndarray:
+    """Constraint values, (F, n, n) indexed by face id like a
+    :class:`Multiplier`, the identity on faces outside ``faceset``;
+    identity everywhere means admissible."""
     complex = faceset.complex
-    return {f: constraint.value(complex, jet_at(y, complex, f))
-            for f in sorted(faceset.faces)}
+    out = np.tile(np.eye(constraint.fiber.n), (len(complex.faces), 1, 1))
+    for f in faceset.faces:
+        out[f] = constraint.value(complex, jet_at(y, complex, f))
+    return out
 
 
 @dataclass(frozen=True)
@@ -312,8 +305,9 @@ def admissibility_report(constraint: ConstraintMap, y: Section, faceset: FaceSet
     eye = np.eye(n)
     worst = None
     worst_res = 0.0
-    for f, g in constraint_values(constraint, y, faceset).items():
-        res = float(np.linalg.norm(g.matrix - eye))
+    values = constraint_values(constraint, y, faceset)
+    for f in sorted(faceset.faces):
+        res = float(np.linalg.norm(values[f] - eye))
         if res > worst_res:
             worst_res = res
             worst = f
@@ -321,22 +315,23 @@ def admissibility_report(constraint: ConstraintMap, y: Section, faceset: FaceSet
 
 
 def constraint_derivative(constraint: ConstraintMap, y: Section, dy: Variation,
-                          faceset: FaceSet) -> dict[int, AlgebraElement]:
-    """Left-translated constraint differential per face, as the form sum.
+                          faceset: FaceSet) -> np.ndarray:
+    """Left-translated constraint differential as the form sum, (F, n, n)
+    indexed by face id like a :class:`Multiplier`, zero on faces outside
+    ``faceset``.
 
     Vanishes exactly on admissible variations; for variations generated by
     gauge fields along admissible sections this is the tangency statement the
     reduction module tests.
     """
     complex = faceset.complex
-    out = {}
+    n = constraint.fiber.n
+    out = np.zeros((len(complex.faces), n, n))
     for f in sorted(faceset.faces):
         jet = jet_at(y, complex, f)
-        total = np.zeros((constraint.fiber.n, constraint.fiber.n))
         for slot, v in enumerate(complex.adherence(f)):
             form = constraint.cartan_form(complex, jet, slot)
-            total = total + form.apply(dy.at(v)).matrix
-        out[f] = AlgebraElement(total)
+            out[f] = out[f] + form.apply(dy.values[v])
     return out
 
 
@@ -432,36 +427,34 @@ def _require_interior(klass: VertexClass, vertex: int):
 
 
 def euler_lagrange_form(lagrangian: LagrangianDensity, y: Section,
-                        faceset: FaceSet, vertex: int) -> tuple[CoAlgebraElement, ...]:
+                        faceset: FaceSet, vertex: int) -> np.ndarray:
     """Euler-Lagrange 1-form at an interior vertex.
 
     The vertex partial of every face Lagrangian in the star, summed.  This is
     the definition that makes the variational split below an exact
-    resummation.
+    resummation.  Returns the (c, n, n) coalgebra stack.
     """
     complex = faceset.complex
     _require_interior(classify_vertices(complex, faceset), vertex)
-    n = lagrangian.fiber.n
-    c = lagrangian.fiber.components
-    total = [np.zeros((n, n)) for _ in range(c)]
+    fib = lagrangian.fiber
+    total = np.zeros((fib.components, fib.n, fib.n))
     for f in sorted(complex.star(vertex)):
         jet = jet_at(y, complex, f)
         slot = complex.adherence(f).index(vertex)
-        theta = lagrangian.vertex_differential(complex, jet, slot)
-        for k in range(c):
-            total[k] = total[k] + theta[k].matrix
-    return tuple(CoAlgebraElement(m) for m in total)
+        total = total + lagrangian.vertex_differential(complex, jet, slot)
+    return total
 
 
 @dataclass(frozen=True)
 class ELResidual:
     """Extended Euler-Lagrange residual at one interior vertex.
 
-    ``coords`` holds the value of the residual functional on each skew basis
-    vector of each fiber component; ``norm`` is its Euclidean norm.
+    ``components`` is the (c, n, n) coalgebra stack, ``coords`` the value of
+    the residual functional on each skew basis vector of each fiber
+    component; ``norm`` is its Euclidean norm.
     """
 
-    components: tuple[CoAlgebraElement, ...]
+    components: np.ndarray
     coords: np.ndarray
     norm: float
 
@@ -476,20 +469,17 @@ def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     """
     complex = faceset.complex
     _require_interior(classify_vertices(complex, faceset), vertex)
-    n = lagrangian.fiber.n
-    c = lagrangian.fiber.components
-    total = [np.zeros((n, n)) for _ in range(c)]
+    fib = lagrangian.fiber
+    total = np.zeros((fib.components, fib.n, fib.n))
     for f in sorted(complex.star(vertex)):
         jet = jet_at(y, complex, f)
         slot = complex.adherence(f).index(vertex)
         theta = lagrangian.vertex_differential(complex, jet, slot)
         nu = constraint.cartan_form(complex, jet, slot).pair_transpose(lam.at(f))
-        for k in range(c):
-            total[k] = total[k] + theta[k].matrix + nu[k].matrix
-    components = tuple(CoAlgebraElement(m) for m in total)
+        total = total + theta + nu
     # value on basis vector E_kl is <mu, E_kl> = 2 mu_kl
-    coords = np.concatenate([2.0 * skew_to_coords(m.matrix) for m in components])
-    return ELResidual(components, coords, float(np.linalg.norm(coords)))
+    coords = (2.0 * skew_to_coords(total)).ravel()
+    return ELResidual(total, coords, float(np.linalg.norm(coords)))
 
 
 def el_residual_vector(lagrangian: LagrangianDensity, constraint: ConstraintMap,
@@ -530,11 +520,11 @@ def _paired_sum(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     for v, f in pairs:
         jet = jet_at(y, complex, f)
         slot = complex.adherence(f).index(v)
-        xi = dy.at(v)
+        xi = dy.values[v]
         total += apply_differential(
             lagrangian.vertex_differential(complex, jet, slot), xi)
-        total += pairing(lam.at(f),
-                         constraint.cartan_form(complex, jet, slot).apply(xi))
+        total += float(np.trace(
+            lam.at(f).T @ constraint.cartan_form(complex, jet, slot).apply(xi)))
     return total
 
 
@@ -595,10 +585,10 @@ def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMa
         dl = 0.0
         dphi = np.zeros((constraint.fiber.n, constraint.fiber.n))
         for slot, v in enumerate(complex.adherence(f)):
-            xi = d.at(v)
+            xi = d.values[v]
             dl += apply_differential(
                 lagrangian.vertex_differential(complex, jet, slot), xi)
-            dphi = dphi + constraint.cartan_form(complex, jet, slot).apply(xi).matrix
+            dphi = dphi + constraint.cartan_form(complex, jet, slot).apply(xi)
         lag_defect = max(lag_defect, abs(dl))
         con_defect = max(con_defect, float(np.linalg.norm(dphi)))
 
@@ -610,28 +600,17 @@ def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMa
 
 def section_exp(y: Section, dy: Variation, t: float) -> Section:
     """Flow the section along a variation: every component g -> g exp(t xi)."""
-    values = {}
-    for v, fib in y.values.items():
-        xi = dy.values.get(v)
-        if xi is None or t == 0.0:
-            values[v] = fib
-        else:
-            values[v] = tuple(
-                GroupElement(g.matrix @ lg.exp(t * x).matrix)
-                for g, x in zip(fib, xi)
-            )
-    return Section(y.fiber, values)
+    return Section(y.fiber, y.values @ scipy.linalg.expm(t * dy.values))
 
 
 def multiplier_shift(lam: Multiplier, dlam: Multiplier, t: float) -> Multiplier:
-    values = dict(lam.values)
-    for f, mu in dlam.values.items():
-        values[f] = values[f] + t * mu if f in values else t * mu
-    return Multiplier(values)
+    return Multiplier(lam.values + t * dlam.values)
 
 
-def zero_variation(fiber: FiberSignature) -> Variation:
-    return Variation(fiber, {})
+def zero_variation(fiber: FiberSignature, complex: CellComplex) -> Variation:
+    """The zero variation over every vertex of the complex."""
+    return Variation(fiber, np.zeros((max(complex.vertices) + 1, fiber.components,
+                                      fiber.n, fiber.n)))
 
 
 def jacobi_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
@@ -652,15 +631,8 @@ def jacobi_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
 
 def _commutator_variation(d1: Variation, d2: Variation) -> Variation:
     """Bracket of the left-invariant extensions: pointwise matrix commutator."""
-    values = {}
-    for v in set(d1.values) | set(d2.values):
-        a = d1.at(v)
-        b = d2.at(v)
-        values[v] = tuple(
-            AlgebraElement(x.matrix @ z.matrix - z.matrix @ x.matrix)
-            for x, z in zip(a, b)
-        )
-    return Variation(d1.fiber, values)
+    x, z = d1.values, d2.values
+    return Variation(d1.fiber, skew_part(x @ z - z @ x))
 
 
 def multisymplectic_defect(lagrangian: LagrangianDensity, constraint: ConstraintMap,

@@ -36,18 +36,17 @@ from .core import (
     NoetherReport,
 )
 from .defaults import G_TOL, H_JACOBI
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .liegroup import (
     AlgebraElement,
     CoAlgebraElement,
     GroupElement,
-    adjoint,
     block_dot,
     block_norms,
     coadjoint_inverse,
     log_near_identity,
-    project_to_group,
     random_algebra,
+    skew_part,
 )
 from .reduction import (
     PlaquetteConstraint,
@@ -91,18 +90,13 @@ class TraceLagrangian(LagrangianDensity):
 
     def value(self, complex, jet: Jet1) -> float:
         u, v = jet.values[0]
-        return float(np.trace(u.matrix) + np.trace(v.matrix))
+        return float(np.trace(u) + np.trace(v))
 
-    def vertex_differential(self, complex, jet: Jet1, slot: int):
-        n = self.fiber.n
+    def vertex_differential(self, complex, jet: Jet1, slot: int) -> np.ndarray:
+        uv = jet.values[0]
         if slot != 0:
-            zero = CoAlgebraElement(np.zeros((n, n)))
-            return (zero, zero)
-        u, v = jet.values[0]
-        return (
-            CoAlgebraElement((u.matrix.T - u.matrix) / 2.0),
-            CoAlgebraElement((v.matrix.T - v.matrix) / 2.0),
-        )
+            return np.zeros(uv.shape)
+        return (uv.swapaxes(-1, -2) - uv) / 2.0
 
 
 def trace_differentials(u: GroupElement, v: GroupElement
@@ -138,7 +132,7 @@ def ep_symmetric_defect(grid: TriangulatedGrid, y: Section, i: int, j: int,
     u, v = y.values[grid.vertex_id(i, j)]
     u_w, _ = y.values[grid.vertex_id(i - 1, j)]
     _, v_s = y.values[grid.vertex_id(i, j - 1)]
-    m = u.matrix + v.matrix - u_w.matrix - v_s.matrix
+    m = u + v - u_w - v_s
     return m - m.T
 
 
@@ -239,10 +233,9 @@ def dirichlet_energy(g: np.ndarray) -> float:
 
 def trace_action(grid: TriangulatedGrid, g: UnreducedField) -> float:
     """Trace action of the reduced pair field of g."""
-    n = next(iter(g.values.values())).n
-    values = np.stack([g.at(v).matrix for v in grid.vertices])
+    n = g.values.shape[-1]
     return 2.0 * n * grid.width * grid.height - dirichlet_energy(
-        values.reshape(grid.height + 1, grid.width + 1, n, n))
+        g.values.reshape(grid.height + 1, grid.width + 1, n, n))
 
 
 def _record(iteration: int, phase: str, g: np.ndarray, energy: float,
@@ -332,7 +325,7 @@ def _jacobian_layout(g: np.ndarray) -> _JacobianLayout:
         entries = rows[reached][:, None] * d + np.arange(d)
         first = cols[reached][:, None] * d
         colours.append((members, entries, bandwidth + entries - first, first))
-    steps = [lg.exp(_NEWTON_FD_STEP * e).matrix for e in lg.skew_basis(n)]
+    steps = scipy.linalg.expm(_NEWTON_FD_STEP * lg.skew_basis(n))
     return _JacobianLayout(bandwidth, steps, colours)
 
 
@@ -418,7 +411,9 @@ def _blend_initializer(g: np.ndarray) -> np.ndarray:
     """Bilinear chordal blend of the four boundary edges, projected back.
 
     Reads the boundary rows and columns of ``g`` and returns the interior
-    block.  Falls back to the identity where the projection is undefined.
+    block.  The projection is the polar factor w vh of the batched SVD
+    w diag(s) vh, as ``project_to_group`` computes it per matrix; it falls
+    back to the identity where that is undefined, i.e. where not det > 0.
     """
     height, width = g.shape[0] - 1, g.shape[1] - 1
     s = (np.arange(1, width) / width)[:, None, None]
@@ -429,12 +424,9 @@ def _blend_initializer(g: np.ndarray) -> np.ndarray:
         + (1.0 - s) * g[1:-1, :1]
         + s * g[1:-1, -1:]
     ) / 2.0
-    for vertex in np.ndindex(blend.shape[:2]):
-        try:
-            blend[vertex] = project_to_group(blend[vertex]).matrix
-        except DomainError:
-            blend[vertex] = np.eye(g.shape[-1])
-    return blend
+    w, _, vh = np.linalg.svd(blend)
+    defined = (np.linalg.det(blend) > 0.0)[..., None, None]
+    return np.where(defined, w @ vh, np.eye(g.shape[-1]))
 
 
 def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
@@ -468,8 +460,7 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     if config.initializer is None:
         g[1:-1, 1:-1] = _blend_initializer(g)
     else:
-        for v in interior:
-            by_vertex[v] = config.initializer.at(v).matrix
+        by_vertex[interior] = config.initializer.values[interior]
 
     energy = dirichlet_energy(g)
     step = _STEP_INIT
@@ -511,8 +502,7 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
         energy = dirichlet_energy(g)
     converged = worst <= config.g_tol
 
-    field_ = UnreducedField({v: GroupElement(m)
-                             for v, m in enumerate(g.reshape(-1, n, n))})
+    field_ = UnreducedField(g.reshape(-1, n, n))
     if not converged:
         raise ConvergenceError(
             f"gradient norm {worst:.3e} > {config.g_tol:.1e} "
@@ -577,10 +567,8 @@ def conjugation_symmetry_field(y: Section, xi: AlgebraElement) -> Variation:
     is exactly invariant along it (the derivative is a commutator trace) and
     the holonomy is conjugated, hence fixed along flat sections.
     """
-    values = {}
-    for v, fib in y.values.items():
-        values[v] = tuple(xi - adjoint(g.inverse(), xi) for g in fib)
-    return Variation(y.fiber, values)
+    g = y.values
+    return Variation(y.fiber, xi.matrix - skew_part(g.swapaxes(-1, -2) @ xi.matrix @ g))
 
 
 @dataclass(frozen=True)
@@ -631,19 +619,12 @@ class MultisymplecticScenarioReport:
 
 
 def _difference_quotient(y0: Section, y1: Section, h: float) -> Variation:
-    values = {}
-    for v, fib0 in y0.values.items():
-        fib1 = y1.values[v]
-        values[v] = tuple(
-            (1.0 / h) * log_near_identity(GroupElement(a.matrix.T @ b.matrix))
-            for a, b in zip(fib0, fib1)
-        )
-    return Variation(y0.fiber, values)
+    rel = y0.values.swapaxes(-1, -2) @ y1.values
+    return Variation(y0.fiber, log_near_identity(rel) * (1.0 / h))
 
 
 def _multiplier_quotient(l0: Multiplier, l1: Multiplier, h: float) -> Multiplier:
-    return Multiplier({f: (1.0 / h) * (l1.values[f] - l0.values[f])
-                       for f in l0.values})
+    return Multiplier((l1.values - l0.values) * (1.0 / h))
 
 
 def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,

@@ -10,6 +10,8 @@ everything here is safe to use from any number of workers.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -21,6 +23,9 @@ __all__ = [
     "AlgebraElement",
     "CoAlgebraElement",
     "identity",
+    "group_array",
+    "read_only",
+    "skew_part",
     "exp",
     "exp_skew",
     "block_dot",
@@ -31,12 +36,16 @@ __all__ = [
     "pairing",
     "project_to_group",
     "skew_basis",
-    "skew_basis_indices",
     "algebra_dim",
     "skew_to_coords",
     "coords_to_skew",
+    "random_skew",
     "random_algebra",
 ]
+
+# Blocks closer than this to orthogonal are stored as given; farther ones (up
+# to the validation tolerance) are replaced by their polar factor.
+_CLEAN = 1e-12
 
 
 def _as_square(matrix) -> np.ndarray:
@@ -51,36 +60,76 @@ def _polar_factor(m: np.ndarray) -> np.ndarray:
     return u
 
 
-class GroupElement:
-    """A special-orthogonal matrix.
+def group_array(matrices) -> np.ndarray:
+    """Validated read-only stack of SO(n) matrices, shape (..., n, n).
 
-    The constructor accepts matrices whose orthogonality defect is below
-    ``tau`` and re-orthonormalizes them (polar factor) instead of rejecting
-    round-off level violations.  Matrices already orthogonal to working
-    precision are stored bit-identically, which keeps file round trips exact.
-    Anything farther than ``tau`` from the group is an error; use
-    :func:`project_to_group` for genuine projection.
+    This is the one membership check, made where data enters: element
+    construction, file loading.  Every block must have finite entries, an
+    orthogonality defect ||m^T m - I||_F within ``TAU_GROUP`` and det > 0;
+    anything else raises ValueError.  Blocks whose defect is above 1e-12 are
+    re-orthonormalized (polar factor); the others are stored bit-identically,
+    which keeps file round trips exact.  Copies unless the input is already
+    read-only.  Use :func:`project_to_group` for genuine projection.
     """
+    m = np.asarray(matrices, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    n = m.shape[-1]
+    blocks = m.reshape(-1, n, n)
+
+    def first(bad) -> str:
+        """The first failing block, named by its flat index in a stack."""
+        return f"matrix {int(np.argmax(bad))}" if m.ndim > 2 else "matrix"
+
+    bad = ~np.isfinite(blocks).all(axis=(-2, -1))
+    if bad.any():
+        raise ValueError(f"{first(bad)} has non-finite entries")
+    defect = block_norms(blocks.swapaxes(-1, -2) @ blocks - np.eye(n))
+    bad = ~(defect <= TAU_GROUP)
+    if bad.any():
+        raise ValueError(f"{first(bad)} is {defect[np.argmax(bad)]:.3e} from "
+                         f"orthogonal, beyond tolerance {TAU_GROUP:.1e}")
+    bad = ~(np.linalg.det(blocks) > 0.0)
+    if bad.any():
+        raise ValueError(f"{first(bad)} is in the reflection component, det <= 0")
+    dirty = np.flatnonzero(defect > _CLEAN)
+    if dirty.size:
+        m = m.copy()
+        blocks = m.reshape(-1, n, n)
+        for k in dirty:
+            blocks[k] = _polar_factor(blocks[k])
+    return read_only(m, m.shape[1:])
+
+
+def read_only(values, tail: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a read-only float array of shape (count, *tail).
+
+    Copies unless the input is already read-only.  Sections, fields,
+    variations and multipliers hold their values this way; no membership
+    check is made here.
+    """
+    a = np.asarray(values, dtype=float)
+    if a.ndim != len(tail) + 1 or a.shape[1:] != tuple(tail):
+        raise ValueError(f"expected shape (count, {', '.join(map(str, tail))}), "
+                         f"got {a.shape}")
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
+def skew_part(x: np.ndarray) -> np.ndarray:
+    """Blockwise skew part (X - X^T) / 2 of a (..., n, n) stack."""
+    return (x - x.swapaxes(-1, -2)) / 2.0
+
+
+class GroupElement:
+    """A special-orthogonal matrix, validated by :func:`group_array`."""
 
     __slots__ = ("matrix",)
 
-    _CLEAN = 1e-12
-
-    def __init__(self, matrix, tau: float = TAU_GROUP):
-        m = _as_square(matrix)
-        defect = np.linalg.norm(m.T @ m - np.eye(m.shape[0]))
-        if defect > tau:
-            raise ValueError(
-                f"matrix is {defect:.3e} from orthogonal, beyond tolerance {tau:.1e}"
-            )
-        if np.linalg.det(m) <= 0.0:
-            raise ValueError("matrix is in the reflection component, det <= 0")
-        if defect > self._CLEAN:
-            m = _polar_factor(m)
-        elif m.flags.writeable:
-            m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+    def __init__(self, matrix):
+        object.__setattr__(self, "matrix", group_array(_as_square(matrix)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
@@ -105,8 +154,7 @@ class AlgebraElement:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = _as_square(matrix)
-        m = (m - m.T) / 2.0
+        m = skew_part(_as_square(matrix))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -188,24 +236,28 @@ def block_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(block_dot(x, x))
 
 
-def log_near_identity(g: GroupElement) -> AlgebraElement:
-    """Principal matrix logarithm, restricted to ||g - I||_F < 1.
+def log_near_identity(g: np.ndarray) -> np.ndarray:
+    """Principal matrix logarithms of a (..., n, n) stack, each restricted to
+    ||g - I||_F < 1; returns their skew parts.
 
     Solvers only ever need the logarithm close to the identity, where the
     principal branch is unambiguous and the Schur-based algorithm is accurate.
     """
-    n = g.n
-    distance = np.linalg.norm(g.matrix - np.eye(n))
+    g = np.asarray(g, dtype=float)
+    distance = max([0.0, *block_norms(g - np.eye(g.shape[-1])).ravel().tolist()])
     if distance >= 1.0:
         raise DomainError(
             f"||g - I|| = {distance:.3f} >= 1, outside the principal log region"
         )
-    log = scipy.linalg.logm(g.matrix)
-    if np.iscomplexobj(log):
-        if np.max(np.abs(log.imag)) > 1e-12:
-            raise DomainError("logarithm came out complex, input too far from I")
-        log = log.real
-    return AlgebraElement(log)
+    out = np.empty_like(g)
+    for k in np.ndindex(g.shape[:-2]):
+        log = scipy.linalg.logm(g[k])
+        if np.iscomplexobj(log):
+            if np.max(np.abs(log.imag)) > 1e-12:
+                raise DomainError("logarithm came out complex, input too far from I")
+            log = log.real
+        out[k] = log
+    return skew_part(out)
 
 
 def adjoint(g: GroupElement, xi: AlgebraElement) -> AlgebraElement:
@@ -252,37 +304,47 @@ def algebra_dim(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def skew_basis_indices(n: int) -> list[tuple[int, int]]:
-    """Index pairs (k, l), k < l, in lexicographic order."""
-    return [(k, l) for k in range(n) for l in range(k + 1, n)]
+@functools.cache
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, 1)``: the (k, l), k < l, in
+    lexicographic order, which is the order of the skew basis."""
+    k, l = np.triu_indices(n, 1)
+    k.flags.writeable = l.flags.writeable = False
+    return k, l
 
 
-def skew_basis(n: int) -> list[AlgebraElement]:
-    """The standard skew basis: +1 at (k, l), -1 at (l, k), k < l."""
-    out = []
-    for k, l in skew_basis_indices(n):
-        m = np.zeros((n, n))
-        m[k, l] = 1.0
-        m[l, k] = -1.0
-        out.append(AlgebraElement(m))
-    return out
+def skew_basis(n: int) -> np.ndarray:
+    """The standard skew basis as a (d, n, n) stack: +1 at (k, l), -1 at (l, k)."""
+    k, l = _upper(n)
+    basis = np.zeros((k.size, n, n))
+    basis[np.arange(k.size), k, l] = 1.0
+    basis[np.arange(k.size), l, k] = -1.0
+    return basis
 
 
 def skew_to_coords(matrix: np.ndarray) -> np.ndarray:
-    """Coordinates of a skew matrix over the standard basis (entry extraction)."""
-    n = matrix.shape[0]
-    return np.array([matrix[k, l] for k, l in skew_basis_indices(n)])
+    """Coordinates of (a stack of) skew matrices over the standard basis."""
+    return matrix[(..., *_upper(matrix.shape[-1]))]
 
 
 def coords_to_skew(coords: np.ndarray, n: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    for c, (k, l) in zip(coords, skew_basis_indices(n)):
-        m[k, l] = c
-        m[l, k] = -c
+    """Skew matrices from basis coordinates, shape (..., d) -> (..., n, n)."""
+    coords = np.asarray(coords, dtype=float)
+    k, l = _upper(n)
+    m = np.zeros(coords.shape[:-1] + (n, n))
+    m[..., k, l] = coords
+    m[..., l, k] = -coords
     return m
+
+
+def random_skew(n: int, rng: np.random.Generator, scale: float = 1.0,
+                shape: tuple[int, ...] = ()) -> np.ndarray:
+    """A shape + (n, n) stack of scale times skew matrices whose basis
+    coordinates are uniform on [-1, 1], drawn block after block in row-major
+    order, so a stack draws what repeated single draws would."""
+    return scale * coords_to_skew(rng.uniform(-1.0, 1.0, shape + (algebra_dim(n),)), n)
 
 
 def random_algebra(n: int, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
     """Scale times a skew matrix with basis coordinates uniform on [-1, 1]."""
-    coords = rng.uniform(-1.0, 1.0, algebra_dim(n))
-    return AlgebraElement(scale * coords_to_skew(coords, n))
+    return AlgebraElement(random_skew(n, rng, scale))

@@ -7,17 +7,20 @@ u_ij v_{i+1,j} u_{i,j+1}^{-1} v_ij^{-1} is the identity, which is also the
 condition for path-independent reconstruction.
 
 Window bookkeeping: the u component of a right-column vertex and the v
-component of a top-row vertex reference data outside the window.  No face
-formula on the window ever reads them, so reduction normalizes those slots
-to the identity and variations leave them at zero.
+component of a top-row vertex reference data outside the window, and the
+far corner (W, H) adheres to no face.  No face formula on the window ever
+reads them, so reduction normalizes those slots and the far corner to the
+identity and variations leave them at zero.
 
-Each window equation has one definition, as slices over stacked matrices.
-A window function stacks the pair field once as an (H+1, W+1, 2, n, n) array
-indexed [j, i], with the identity at the far corner, and returns stacks
-indexed [j, i] per face and [j-1, i-1] per interior vertex.  Multiplier
-recovery is a column recurrence from the east, and reconstruction
-propagates one row (column) at a time over the whole window; both are
-deterministic.
+Fields, sections and multipliers hold one array each, indexed by vertex or
+face id, so each window equation has one definition, as slices over the
+view of that array indexed [j, i]: (H+1, W+1, 2, n, n) for a reduced
+section.  Window functions return stacks indexed [j, i] per face and
+[j-1, i-1] per interior vertex.  Multiplier recovery is a column recurrence
+from the east, and reconstruction propagates one row (column) at a time
+over the whole window; both are deterministic.  Nothing here checks group
+membership: the arrays come from ``GroupElement`` data, the file loaders or
+products of such data.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .core import (
     Multiplier,
     Section,
     Variation,
+    _freeze_matrix_values,
     jet_at,
 )
 from .defaults import CONS_TOL, EP_TOL, TOL_ADMISSIBLE
@@ -46,17 +50,15 @@ from .errors import (
     RecoveryConflictError,
 )
 from .liegroup import (
-    AlgebraElement,
     CoAlgebraElement,
-    GroupElement,
     block_norms,
     skew_basis,
+    skew_part,
     skew_to_coords,
 )
 
 __all__ = [
     "UnreducedField",
-    "GaugeField",
     "PlaquetteConstraint",
     "reduced_fiber",
     "reduce_field",
@@ -74,31 +76,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnreducedField:
-    """Group element per vertex of the working window."""
+    """Group element per vertex of the working window: a read-only (V, n, n)
+    array indexed by vertex id."""
 
-    values: dict[int, GroupElement]
+    values: np.ndarray
 
-    def at(self, vertex: int) -> GroupElement:
-        try:
-            return self.values[vertex]
-        except KeyError:
-            raise ValueError(f"field undefined at vertex {vertex}") from None
-
-
-@dataclass
-class GaugeField:
-    """Algebra element per vertex; missing vertices count as zero."""
-
-    n: int
-    values: dict[int, AlgebraElement]
-
-    def at(self, vertex: int) -> AlgebraElement:
-        got = self.values.get(vertex)
-        if got is not None:
-            return got
-        return AlgebraElement(np.zeros((self.n, self.n)))
+    __post_init__ = _freeze_matrix_values
 
 
 def reduced_fiber(n: int) -> FiberSignature:
@@ -114,19 +99,14 @@ def _t(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
 
 
-def _skew(x: np.ndarray) -> np.ndarray:
-    """Skew part (X - X^T) / 2, as ``AlgebraElement`` takes it."""
-    return (x - _t(x)) / 2.0
-
-
 def _coadjoint(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Blockwise coadjoint action g^T mu g (see ``liegroup.coadjoint``)."""
-    return _skew(_t(g) @ mu @ g)
+    return skew_part(_t(g) @ mu @ g)
 
 
 def _coadjoint_inverse(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Blockwise inverse coadjoint action g mu g^T."""
-    return _skew(g @ mu @ _t(g))
+    return skew_part(g @ mu @ _t(g))
 
 
 def _holonomy(u, v, v_right, u_up) -> np.ndarray:
@@ -139,18 +119,10 @@ def _window_holonomy(p: np.ndarray) -> np.ndarray:
     return _holonomy(p[:-1, :-1, 0], p[:-1, :-1, 1], p[:-1, 1:, 1], p[1:, :-1, 0])
 
 
-def _stack(per_id, rows: int) -> np.ndarray:
-    """Per-vertex or per-face data in id order as a (rows, cols, ...) array."""
-    x = np.array(per_id)
-    return x.reshape(rows, -1, *x.shape[1:])
-
-
-def _pair_stack(grid: TriangulatedGrid, y: Section) -> np.ndarray:
-    """(H+1, W+1, 2, n, n) stack of y indexed [j, i]; identity at the far corner."""
-    far = grid.vertex_id(grid.width, grid.height)
-    eye = np.eye(y.fiber.n)
-    return _stack([(eye, eye) if v == far else [c.matrix for c in y.values[v]]
-                   for v in grid.vertices], grid.height + 1)
+def _on_window(grid: TriangulatedGrid, values: np.ndarray) -> np.ndarray:
+    """Per-vertex (V, ...) or per-face (F, ...) values as a view indexed [j, i]."""
+    extra = int(len(values) == len(grid.vertices))
+    return values.reshape(grid.height + extra, grid.width + extra, *values.shape[1:])
 
 
 def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
@@ -161,8 +133,8 @@ def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     Assumes the density reads only the base-corner fiber, which is the shape
     of every reduced Lagrangian on this window.
     """
-    mu = _stack([[c.matrix for c in lagrangian.vertex_differential(
-        grid, jet_at(y, grid, f), 0)] for f in grid.faces], grid.height)
+    mu = _on_window(grid, np.array([lagrangian.vertex_differential(
+        grid, jet_at(y, grid, f), 0) for f in grid.faces]))
     return mu, _coadjoint_inverse(p[:-1, :-1], mu)
 
 
@@ -197,16 +169,15 @@ class PlaquetteConstraint(ConstraintMap):
     def __init__(self, n: int):
         super().__init__(reduced_fiber(n))
 
-    def value(self, complex, jet: Jet1) -> GroupElement:
+    def value(self, complex, jet: Jet1) -> np.ndarray:
         (u, v), (_, v_right), (u_up, _) = jet.values
-        return GroupElement(_holonomy(u.matrix, v.matrix, v_right.matrix,
-                                      u_up.matrix))
+        return _holonomy(u, v, v_right, u_up)
 
     def cartan_form(self, complex, jet: Jet1, slot: int) -> CartanForm:
         n = self.fiber.n
-        v = jet.values[0][1].matrix
-        v_right = jet.values[1][1].matrix
-        u_up = jet.values[2][0].matrix
+        v = jet.values[0, 1]
+        v_right = jet.values[1, 1]
+        u_up = jet.values[2, 0]
         vu = v @ u_up
         if slot == 0:
             p = vu @ v_right.T
@@ -221,14 +192,13 @@ class PlaquetteConstraint(ConstraintMap):
 def _conjugation_form(n: int, terms_u, terms_v) -> CartanForm:
     """Cartan form whose component maps are signed conjugations xi -> s P xi P^T."""
     basis = skew_basis(n)
-    cols = []
+    blocks = []
     for terms in (terms_u, terms_v):
-        for e in basis:
-            total = np.zeros((n, n))
-            for sign, p in terms:
-                total = total + sign * (p @ e.matrix @ p.T)
-            cols.append(skew_to_coords(total))
-    return CartanForm(n, 2, np.column_stack(cols))
+        total = np.zeros(basis.shape)
+        for sign, p in terms:
+            total = total + sign * (p @ basis @ p.T)
+        blocks.append(skew_to_coords(total))
+    return CartanForm(n, 2, np.ascontiguousarray(np.concatenate(blocks).T))
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +212,18 @@ def reduce_field(grid: TriangulatedGrid, g: UnreducedField) -> Section:
     would need data outside the window (u on the right column, v on the top
     row) are set to the identity and never enter any face formula.
     """
-    x = _stack([g.at(v).matrix for v in grid.vertices], grid.height + 1)
-    u = _t(x[:, :-1]) @ x[:, 1:]
-    v = _t(x[:-1]) @ x[1:]
+    x = _on_window(grid, g.values)
     n = x.shape[-1]
-    eye = GroupElement(np.eye(n))
-    values = {}
-    for j in range(grid.height + 1):
-        for i in range(grid.width + 1):
-            if i == grid.width and j == grid.height:
-                continue
-            values[grid.vertex_id(i, j)] = (
-                GroupElement(u[j, i]) if i < grid.width else eye,
-                GroupElement(v[j, i]) if j < grid.height else eye)
-    return Section(reduced_fiber(n), values)
+    p = np.empty(x.shape[:2] + (2, n, n))
+    p[...] = np.eye(n)
+    p[:, :-1, 0] = _t(x[:, :-1]) @ x[:, 1:]
+    p[:-1, :, 1] = _t(x[:-1]) @ x[1:]
+    return Section(reduced_fiber(n), p.reshape(-1, 2, n, n))
 
 
 def plaquette_holonomy(grid: TriangulatedGrid, y: Section) -> np.ndarray:
     """Holonomies u_ij v_{i+1,j} u_{i,j+1}^{-1} v_ij^{-1} of all faces, (H, W, n, n)."""
-    return _window_holonomy(_pair_stack(grid, y))
+    return _window_holonomy(_on_window(grid, y.values))
 
 
 def plaquette_cartan_forms(grid: TriangulatedGrid, y: Section, i: int, j: int,
@@ -273,7 +236,7 @@ def plaquette_cartan_forms(grid: TriangulatedGrid, y: Section, i: int, j: int,
     """
     constraint = PlaquetteConstraint(y.fiber.n)
     jet = jet_at(y, grid, grid.face_id(i, j))
-    hol = constraint.value(grid, jet).matrix
+    hol = constraint.value(grid, jet)
     defect = float(np.linalg.norm(hol - np.eye(y.fiber.n)))
     if defect > tol:
         raise InadmissibleSectionError(
@@ -290,7 +253,7 @@ def euler_poincare_residual(lagrangian: LagrangianDensity, grid: TriangulatedGri
     representation; zero exactly where the reduced equations hold.  Shape
     (H-1, W-1, n, n), indexed [j-1, i-1].
     """
-    p = _pair_stack(grid, y)
+    p = _on_window(grid, y.values)
     return _reduced_residual(*_partials(lagrangian, grid, y, p))
 
 
@@ -302,9 +265,10 @@ class ReconstructionReport:
     path_agreement: float
 
 
-def reconstruction_report(grid: TriangulatedGrid, y: Section, seed: GroupElement,
+def reconstruction_report(grid: TriangulatedGrid, y: Section, seed: np.ndarray,
                           tol: float = TOL_ADMISSIBLE) -> ReconstructionReport:
-    """Rebuild the vertex field from (u, v) and a seed at the origin corner.
+    """Rebuild the vertex field from (u, v) and a seed, an (n, n) group
+    matrix, at the origin corner.
 
     Every plaquette holonomy is re-verified first; the field is then
     propagated along the bottom row and up one whole row at a time, and
@@ -312,7 +276,7 @@ def reconstruction_report(grid: TriangulatedGrid, y: Section, seed: GroupElement
     one whole column at a time.  Seeds differ by a constant left factor in
     the result.
     """
-    p = _pair_stack(grid, y)
+    p = _on_window(grid, y.values)
     n = y.fiber.n
     defects = block_norms(_window_holonomy(p) - np.eye(n)).ravel().tolist()
     worst = max([0.0, *defects])
@@ -323,7 +287,7 @@ def reconstruction_report(grid: TriangulatedGrid, y: Section, seed: GroupElement
     u, v = p[..., 0, :, :], p[..., 1, :, :]
     rows = np.empty(p.shape[:2] + (n, n))
     cols = np.empty_like(rows)
-    rows[0, 0] = cols[0, 0] = seed.matrix
+    rows[0, 0] = cols[0, 0] = seed
     for i in range(grid.width):
         rows[0, i + 1] = rows[0, i] @ u[0, i]
     for j in range(grid.height):
@@ -334,33 +298,28 @@ def reconstruction_report(grid: TriangulatedGrid, y: Section, seed: GroupElement
         cols[:, i + 1] = cols[:, i] @ u[:, i]
 
     agreement = max(block_norms(rows - cols).ravel().tolist())
-    field = UnreducedField({vid: GroupElement(m)
-                            for vid, m in enumerate(rows.reshape(-1, n, n))})
-    return ReconstructionReport(field, worst, worst_face, agreement)
+    return ReconstructionReport(UnreducedField(rows.reshape(-1, n, n)),
+                                worst, worst_face, agreement)
 
 
 def reduced_variation(grid: TriangulatedGrid, g: UnreducedField,
-                      theta: GaugeField) -> Variation:
+                      theta: np.ndarray) -> Variation:
     """Push a vertex gauge field through reduction, in left-log coordinates.
 
-    The u entry at (i, j) is theta(i+1, j) - Ad_{u^{-1}} theta(i, j) and the
-    v entry is theta(i, j+1) - Ad_{v^{-1}} theta(i, j); these are exactly the
+    ``theta`` is a (V, n, n) skew array indexed by vertex id.  The u entry at
+    (i, j) is theta(i+1, j) - Ad_{u^{-1}} theta(i, j) and the v entry is
+    theta(i, j+1) - Ad_{v^{-1}} theta(i, j); these are exactly the
     variations of the forward differences under g -> g exp(t theta), so they
-    are tangent to the flat set along any flat section.
+    are tangent to the flat set along any flat section.  The edge slots and
+    the far corner stay zero.
     """
-    y = reduce_field(grid, g)
-    p = _pair_stack(grid, y)
-    t = _stack([theta.at(v).matrix for v in grid.vertices], grid.height + 1)
+    p = _on_window(grid, reduce_field(grid, g).values)
+    t = _on_window(grid, theta)
+    xi = np.zeros(p.shape)
     # Ad_{g^{-1}} is the coadjoint formula g^T xi g
-    xi_u = t[:, 1:] - _coadjoint(p[:, :-1, 0], t[:, :-1])
-    xi_v = t[1:] - _coadjoint(p[:-1, :, 1], t[:-1])
-    zero = AlgebraElement(np.zeros((y.fiber.n, y.fiber.n)))
-    values = {}
-    for vid in y.values:
-        i, j = grid.vertex_ij(vid)
-        values[vid] = (AlgebraElement(xi_u[j, i]) if i < grid.width else zero,
-                       AlgebraElement(xi_v[j, i]) if j < grid.height else zero)
-    return Variation(y.fiber, values)
+    xi[:, :-1, 0] = t[:, 1:] - _coadjoint(p[:, :-1, 0], t[:, :-1])
+    xi[:-1, :, 1] = t[1:] - _coadjoint(p[:-1, :, 1], t[:-1])
+    return Variation(reduced_fiber(p.shape[-1]), xi.reshape(-1, *xi.shape[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +334,9 @@ def multiplier_system_residual(lagrangian: LagrangianDensity, grid: Triangulated
     Both vanish exactly where (y, lam) solves the extended critical-pair
     system.  Each has shape (H-1, W-1, n, n), indexed [j-1, i-1].
     """
-    p = _pair_stack(grid, y)
+    p = _on_window(grid, y.values)
     _, right = _partials(lagrangian, grid, y, p)
-    first, second = _system(p, right, _stack(
-        [lam.at(f).matrix for f in grid.faces], grid.height))
+    first, second = _system(p, right, _on_window(grid, lam.values))
     return first[:, 1:], second[1:]
 
 
@@ -419,7 +377,7 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     width, height = grid.width, grid.height
     if width < 2 or height < 2:
         raise PreconditionError("window has no interior vertices")
-    p = _pair_stack(grid, y)
+    p = _on_window(grid, y.values)
     mu, right = _partials(lagrangian, grid, y, p)
     ep = block_norms(_reduced_residual(mu, right))
     for i in range(width - 1, 0, -1):
@@ -451,12 +409,11 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
             lam[0, i] = south[0]
         lam[1:, i - 1] = _coadjoint_inverse(u[1:-1, i - 1], lam[1:, i] - right[1:, i, 1])
 
-    values = {f: CoAlgebraElement(m) for f, m in enumerate(lam.reshape(-1, n, n))}
     compared = tuple(grid.face_id(i, k) for k in range(1, height - 1)
                      for i in range(1, width - 1))
     report = RecoveryReport(grid.face_id(width - 1, height - 1), max_disc,
                             compared, (grid.face_id(0, 0),))
-    return Multiplier(values), report
+    return Multiplier(lam.reshape(-1, n, n)), report
 
 
 @dataclass(frozen=True)
@@ -478,9 +435,9 @@ class EliminationDefects:
 def multiplier_elimination_check(lagrangian: LagrangianDensity,
                                  grid: TriangulatedGrid, y: Section,
                                  lam: Multiplier) -> EliminationDefects:
-    p = _pair_stack(grid, y)
+    p = _on_window(grid, y.values)
     _, right = _partials(lagrangian, grid, y, p)
-    m = _stack([lam.at(f).matrix for f in grid.faces], grid.height)
+    m = _on_window(grid, lam.values)
     first, second = _system(p, right, m)
     u_w, v_s = p[1:-1, :-2, 0], p[:-2, 1:-1, 1]
     combo = first[:, 1:] - _coadjoint(u_w, first[:, :-1]) \

@@ -3,7 +3,9 @@
 Field files carry a one-line magic, a key=value header (group size, component
 count, window dimensions), then one record per vertex or face with row-major
 matrix entries.  Floats are written with repr, which round-trips bit-exactly,
-so identical inputs produce byte-identical files.
+so identical inputs produce byte-identical files.  Loading fills one array
+and rejects missing, duplicate and non-finite records; group-valued files
+then pass the membership check of ``liegroup.group_array``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .complexes import TriangulatedGrid, triangulated_grid
 from .core import Multiplier, Section
-from .liegroup import CoAlgebraElement, GroupElement
+from .liegroup import group_array, skew_part
 from .reduction import UnreducedField, reduced_fiber
 
 MAGIC = "groupvar-field v1"
@@ -42,7 +44,7 @@ def format_value(value) -> str:
 
 
 def _matrix_words(m: np.ndarray) -> str:
-    return " ".join(repr(float(x)) for x in m.reshape(-1))
+    return " ".join(map(repr, m.ravel().tolist()))
 
 
 def _header_lines(kind: str, n: int, components: int,
@@ -84,58 +86,69 @@ def _parse_header(lines: list[str], expected_kind: str):
     return n, components, grid, body_start
 
 
-def _parse_records(lines, body_start, tag, n, components):
-    records = {}
-    per_matrix = n * n
+def _parse_records(lines, body_start, tag, n, components, index, count,
+                   optional=None) -> np.ndarray:
+    """The records as a (count, components, n, n) array indexed by id.
+
+    ``index`` maps a record's (i, j) to its id.  Every id needs exactly one
+    record with finite entries; the id ``optional`` may be left out and then
+    holds the identity.
+    """
+    values = np.empty((count, components, n, n))
+    seen = np.zeros(count, dtype=bool)
+    per_record = components * n * n
     for line in lines[body_start:]:
-        line = line.strip()
-        if not line:
-            continue
         words = line.split()
+        if not words:
+            continue
         if words[0] != tag:
             raise ValueError(f"unexpected record {words[0]!r}, wanted {tag!r}")
-        if len(words) != 3 + components * per_matrix:
+        if len(words) != 3 + per_record:
             raise ValueError(f"record has {len(words) - 3} numbers, "
-                             f"expected {components * per_matrix}")
+                             f"expected {per_record}")
         i, j = int(words[1]), int(words[2])
+        k = index(i, j)
+        if seen[k]:
+            raise ValueError(f"duplicate record {tag} {i} {j}")
         numbers = np.array([float(w) for w in words[3:]])
-        mats = tuple(
-            numbers[k * per_matrix:(k + 1) * per_matrix].reshape(n, n)
-            for k in range(components)
-        )
-        records[(i, j)] = mats
-    return records
+        if not np.isfinite(numbers).all():
+            raise ValueError(f"record {tag} {i} {j} has non-finite entries")
+        values[k] = numbers.reshape(components, n, n)
+        seen[k] = True
+    if optional is not None and not seen[optional]:
+        values[optional] = np.eye(n)
+        seen[optional] = True
+    if not seen.all():
+        raise ValueError(f"{int(np.sum(~seen))} of {count} records missing, "
+                         f"the first with id {int(np.argmin(seen))}")
+    return values
 
 
 def save_reduced_section(path, grid: TriangulatedGrid, y: Section) -> None:
-    n = y.fiber.n
-    lines = _header_lines("reduced_section", n, 2, grid)
-    for vid in sorted(y.values):
+    """One record per vertex, except the far corner, which adheres to no face."""
+    lines = _header_lines("reduced_section", y.fiber.n, 2, grid)
+    for vid in grid.vertices[:-1]:
         i, j = grid.vertex_ij(vid)
-        u, v = y.values[vid]
-        lines.append(f"v {i} {j} {_matrix_words(u.matrix)} {_matrix_words(v.matrix)}")
+        lines.append(f"v {i} {j} {_matrix_words(y.values[vid])}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_reduced_section(path) -> tuple[TriangulatedGrid, Section]:
+    """Every vertex needs a record, except the far corner (identity if absent)."""
     lines = Path(path).read_text().splitlines()
     n, components, grid, body = _parse_header(lines, "reduced_section")
     if components != 2:
         raise ValueError("reduced sections carry two components per vertex")
-    records = _parse_records(lines, body, "v", n, 2)
-    values = {
-        grid.vertex_id(i, j): (GroupElement(u), GroupElement(v))
-        for (i, j), (u, v) in records.items()
-    }
-    return grid, Section(reduced_fiber(n), values)
+    values = _parse_records(lines, body, "v", n, 2, grid.vertex_id,
+                            len(grid.vertices), optional=grid.vertices[-1])
+    return grid, Section(reduced_fiber(n), group_array(values))
 
 
 def save_unreduced_field(path, grid: TriangulatedGrid, g: UnreducedField) -> None:
-    n = next(iter(g.values.values())).n
-    lines = _header_lines("unreduced_field", n, 1, grid)
-    for vid in sorted(g.values):
+    lines = _header_lines("unreduced_field", g.values.shape[-1], 1, grid)
+    for vid in grid.vertices:
         i, j = grid.vertex_ij(vid)
-        lines.append(f"v {i} {j} {_matrix_words(g.values[vid].matrix)}")
+        lines.append(f"v {i} {j} {_matrix_words(g.values[vid])}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -144,30 +157,27 @@ def load_unreduced_field(path) -> tuple[TriangulatedGrid, UnreducedField]:
     n, components, grid, body = _parse_header(lines, "unreduced_field")
     if components != 1:
         raise ValueError("vertex fields carry one component per vertex")
-    records = _parse_records(lines, body, "v", n, 1)
-    values = {grid.vertex_id(i, j): GroupElement(m[0])
-              for (i, j), m in records.items()}
-    return grid, UnreducedField(values)
+    values = _parse_records(lines, body, "v", n, 1, grid.vertex_id,
+                            len(grid.vertices))
+    return grid, UnreducedField(group_array(values[:, 0]))
 
 
 def save_multiplier(path, grid: TriangulatedGrid, lam: Multiplier) -> None:
-    n = next(iter(lam.values.values())).n
-    lines = _header_lines("multiplier", n, 1, grid)
-    for fid in sorted(lam.values):
+    lines = _header_lines("multiplier", lam.values.shape[-1], 1, grid)
+    for fid in grid.faces:
         i, j = grid.face_ij(fid)
-        lines.append(f"f {i} {j} {_matrix_words(lam.values[fid].matrix)}")
+        lines.append(f"f {i} {j} {_matrix_words(lam.values[fid])}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_multiplier(path) -> tuple[TriangulatedGrid, Multiplier]:
+    """Every face needs a record; each entry is taken by its skew part."""
     lines = Path(path).read_text().splitlines()
     n, components, grid, body = _parse_header(lines, "multiplier")
     if components != 1:
         raise ValueError("multipliers carry one coalgebra entry per face")
-    records = _parse_records(lines, body, "f", n, 1)
-    values = {grid.face_id(i, j): CoAlgebraElement(m[0])
-              for (i, j), m in records.items()}
-    return grid, Multiplier(values)
+    values = _parse_records(lines, body, "f", n, 1, grid.face_id, len(grid.faces))
+    return grid, Multiplier(skew_part(values[:, 0]))
 
 
 def write_report(path, records: dict) -> None:

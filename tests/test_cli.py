@@ -5,8 +5,9 @@ import pytest
 
 from groupvar import sampling, serialization as ser
 from groupvar.cli import main
-from groupvar.complexes import triangulated_grid
-from groupvar.liegroup import GroupElement, random_algebra
+from groupvar.complexes import classify_vertices, triangulated_grid
+from groupvar.core import Section
+from groupvar.liegroup import random_algebra
 from groupvar.reduction import reduce_field
 import scipy.linalg
 
@@ -134,8 +135,7 @@ def test_reconstruct_roundtrip(tmp_path):
     assert run("reconstruct", "--section", section, "--seed-file", seeds,
                "--out", out) == 0
     _, rebuilt = ser.load_unreduced_field(out / "unreduced_field.txt")
-    worst = max(np.linalg.norm(rebuilt.values[v].matrix - g.values[v].matrix)
-                for v in g.values)
+    worst = np.linalg.norm(rebuilt.values - g.values, axis=(-2, -1)).max()
     assert worst <= 1e-12
 
 
@@ -144,9 +144,10 @@ def test_reconstruct_tampered_exits_one(tmp_path, capsys):
     rng = np.random.default_rng(1)
     y = reduce_field(grid, sampling.random_unreduced_field(grid, 3, rng))
     vid = grid.vertex_id(1, 1)
-    u, v = y.values[vid]
     bump = scipy.linalg.expm(1e-5 * random_algebra(3, rng).matrix)
-    y.values[vid] = (GroupElement(u.matrix @ bump), v)
+    values = y.values.copy()
+    values[vid, 0] = values[vid, 0] @ bump
+    y = Section(y.fiber, values)
     section = tmp_path / "tampered.txt"
     ser.save_reduced_section(section, grid, y)
     assert run("reconstruct", "--section", section, "--out", tmp_path) == 1
@@ -216,5 +217,63 @@ def test_thin_windows_solve_recover_reconstruct(tmp_path, width, height):
                "--out", tmp_path / "rec") == 0
     _, solved = ser.load_unreduced_field(field)
     _, rebuilt = ser.load_unreduced_field(tmp_path / "rec" / "unreduced_field.txt")
-    assert max(np.linalg.norm(rebuilt.values[v].matrix - solved.values[v].matrix)
-               for v in solved.values) <= 1e-12
+    assert np.linalg.norm(rebuilt.values - solved.values, axis=(-2, -1)).max() <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def solved_section(tmp_path_factory):
+    out = tmp_path_factory.mktemp("solve4x4")
+    assert run("solve", "--width", 4, "--height", 4, "--out", out) == 0
+    return (out / "reduced_section.txt").read_text().splitlines()
+
+
+def _malformed(lines, defect):
+    """A section file with one defect in the record of vertex (1, 1)."""
+    k = next(i for i, line in enumerate(lines) if line.startswith("v 1 1 "))
+    if defect == "missing":
+        return lines[:k] + lines[k + 1:]
+    if defect == "duplicate":
+        return lines[:k + 1] + lines[k:]
+    words = lines[k].split()
+    words[3] = "nan"
+    return lines[:k] + [" ".join(words)] + lines[k + 1:]
+
+
+@pytest.mark.parametrize("defect", ["missing", "nan", "duplicate"])
+@pytest.mark.parametrize("command", ["recover-multipliers", "reconstruct"])
+def test_malformed_section_file_exits_two(tmp_path, capsys, solved_section,
+                                          command, defect):
+    section = tmp_path / "section.txt"
+    section.write_text("\n".join(_malformed(solved_section, defect)) + "\n")
+    out = tmp_path / "out"
+    assert run(command, "--section", section, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("groupvar: ") and "Traceback" not in err
+    assert not any(out.glob("*.txt"))
+
+
+def test_solve_with_boundary_file(tmp_path, capsys):
+    """A boundary file is a saved vertex field with a record for every
+    vertex; the solve takes its frontier and far corner."""
+    first = tmp_path / "first"
+    assert run("solve", "--width", 4, "--height", 4, "--out", first) == 0
+    field = first / "unreduced_field.txt"
+    out = tmp_path / "again"
+    assert run("solve", "--width", 4, "--height", 4, "--boundary", field,
+               "--out", out) == 0
+    grid, given = ser.load_unreduced_field(field)
+    _, solved = ser.load_unreduced_field(out / "unreduced_field.txt")
+    frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
+    assert np.array_equal(solved.values[frontier], given.values[frontier])
+
+    lines = field.read_text().splitlines()
+    interior = [f"v {i} {j} " for i in (1, 2, 3) for j in (1, 2, 3)]
+    partial = tmp_path / "frontier_only.txt"
+    partial.write_text("\n".join(line for line in lines
+                                 if not line.startswith(tuple(interior))) + "\n")
+    capsys.readouterr()
+    assert run("solve", "--width", 4, "--height", 4, "--boundary", partial,
+               "--out", tmp_path / "partial") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("groupvar: ") and "records missing" in err
+    assert "Traceback" not in err

@@ -17,10 +17,25 @@ FIBER = reduced_fiber(N)
 
 
 def identity_section(grid):
-    eye = lg.identity(N)
-    values = {v: (eye, eye) for v in grid.vertices
-              if v != grid.vertex_id(grid.width, grid.height)}
-    return core.Section(FIBER, values)
+    return core.Section(FIBER, np.zeros((len(grid.vertices), 2, N, N)) + np.eye(N))
+
+
+def zero_multiplier(grid):
+    return core.Multiplier(np.zeros((len(grid.faces), N, N)))
+
+
+def replaced(y, v, fiber):
+    """y with the fiber at vertex v replaced."""
+    values = y.values.copy()
+    values[v] = fiber
+    return core.Section(y.fiber, values)
+
+
+def single_vertex_variation(grid, v, xi):
+    """The variation that is xi (2, n, n) at vertex v and zero elsewhere."""
+    values = np.zeros((len(grid.vertices), 2, N, N))
+    values[v] = xi
+    return core.Variation(FIBER, values)
 
 
 class LinearDensity(core.LagrangianDensity):
@@ -39,15 +54,15 @@ class LinearDensity(core.LagrangianDensity):
         total = 0.0
         for slot, fib in enumerate(jet.values):
             for comp, g in enumerate(fib):
-                total += float(np.trace(self.weights[(slot, comp)] @ g.matrix))
+                total += float(np.trace(self.weights[(slot, comp)] @ g))
         return total
 
     def analytic_differential(self, jet, slot):
         out = []
         for comp, g in enumerate(jet.values[slot]):
-            ag = self.weights[(slot, comp)] @ g.matrix
-            out.append(lg.CoAlgebraElement((ag.T - ag) / 2.0))
-        return tuple(out)
+            ag = self.weights[(slot, comp)] @ g
+            out.append((ag.T - ag) / 2.0)
+        return np.array(out)
 
 
 def test_action_empty_faceset_is_zero():
@@ -80,8 +95,9 @@ def test_constraint_values_identity_section():
     grid = triangulated_grid(2, 2)
     vals = core.constraint_values(PlaquetteConstraint(N), identity_section(grid),
                                   grid.full_faceset())
-    for g in vals.values():
-        assert np.array_equal(g.matrix, np.eye(N))
+    assert len(vals) == len(grid.faces)
+    for g in vals:
+        assert np.array_equal(g, np.eye(N))
 
 
 def test_constraint_values_reduced_field_flat():
@@ -89,7 +105,7 @@ def test_constraint_values_reduced_field_flat():
     rng = np.random.default_rng(1)
     y = reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
     vals = core.constraint_values(PlaquetteConstraint(N), y, grid.full_faceset())
-    worst = max(np.linalg.norm(g.matrix - np.eye(N)) for g in vals.values())
+    worst = max(np.linalg.norm(g - np.eye(N)) for g in vals)
     assert worst <= 1e-13
 
 
@@ -101,16 +117,15 @@ def test_constraint_locality_of_vertex_perturbation():
     fs = grid.full_faceset()
     before = core.constraint_values(con, y, fs)
     v = grid.vertex_id(1, 1)
-    u, w = y.values[v]
-    bump = lg.exp(lg.random_algebra(N, rng, 0.3))
-    y.values[v] = (u @ bump, w @ bump)
+    bump = lg.exp(lg.random_algebra(N, rng, 0.3)).matrix
+    y = replaced(y, v, y.values[v] @ bump)
     after = core.constraint_values(con, y, fs)
     touched = {f for f in grid.faces
-               if np.linalg.norm(after[f].matrix - before[f].matrix) > 0}
+               if np.linalg.norm(after[f] - before[f]) > 0}
     assert touched == set(grid.star(v))
     for f in grid.faces:
         if f not in touched:
-            assert np.array_equal(after[f].matrix, before[f].matrix)
+            assert np.array_equal(after[f], before[f])
 
 
 def test_admissibility_report():
@@ -122,7 +137,8 @@ def test_admissibility_report():
     assert rep.admissible and rep.max_residual == 0.0
     v = grid.vertex_id(1, 1)
     u, w = y.values[v]
-    y.values[v] = (u @ lg.exp(lg.random_algebra(N, np.random.default_rng(3), 1e-4)), w)
+    step = lg.exp(lg.random_algebra(N, np.random.default_rng(3), 1e-4)).matrix
+    y = replaced(y, v, (u @ step, w))
     rep = core.admissibility_report(con, y, fs, tol=1e-12)
     assert not rep.admissible
     assert rep.worst_face in grid.star(v)
@@ -132,9 +148,10 @@ def test_constraint_derivative_zero_variation():
     grid = triangulated_grid(2, 2)
     y = identity_section(grid)
     dpsi = core.constraint_derivative(PlaquetteConstraint(N), y,
-                                      core.zero_variation(FIBER),
+                                      core.zero_variation(FIBER, grid),
                                       grid.full_faceset())
-    assert all(a.norm() == 0.0 for a in dpsi.values())
+    assert len(dpsi) == len(grid.faces)
+    assert all(np.linalg.norm(a) == 0.0 for a in dpsi)
 
 
 def test_constraint_derivative_matches_log_quotient():
@@ -142,18 +159,24 @@ def test_constraint_derivative_matches_log_quotient():
     rng = np.random.default_rng(4)
     y = reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
     con = PlaquetteConstraint(N)
-    fs = grid.full_faceset()
     dy = sampling.random_variation(grid, N, rng)
-    dpsi = core.constraint_derivative(con, y, dy, fs)
     t = 1e-6
-    plus = core.constraint_values(con, core.section_exp(y, dy, t), fs)
-    minus = core.constraint_values(con, core.section_exp(y, dy, -t), fs)
-    for f in fs.faces:
-        quotient = scipy.linalg.logm(
-            plus[f].matrix @ minus[f].matrix.T).real / (2.0 * t)
-        rel = np.linalg.norm(dpsi[f].matrix - (quotient - quotient.T) / 2.0) \
-            / (1.0 + np.linalg.norm(dpsi[f].matrix))
-        assert rel <= 1e-6
+    # the full face set, and a proper subset whose sorted positions are not
+    # its face ids: the results stay indexed by face id
+    inner = FaceSet(grid, [grid.face_id(i, j) for i in (1, 2) for j in (0, 2)])
+    for fs in (grid.full_faceset(), inner):
+        dpsi = core.constraint_derivative(con, y, dy, fs)
+        plus = core.constraint_values(con, core.section_exp(y, dy, t), fs)
+        minus = core.constraint_values(con, core.section_exp(y, dy, -t), fs)
+        assert dpsi.shape == plus.shape == (len(grid.faces), N, N)
+        for f in fs.faces:
+            quotient = scipy.linalg.logm(plus[f] @ minus[f].T).real / (2.0 * t)
+            rel = np.linalg.norm(dpsi[f] - (quotient - quotient.T) / 2.0) \
+                / (1.0 + np.linalg.norm(dpsi[f]))
+            assert rel <= 1e-6
+        for f in set(grid.faces) - set(fs.faces):
+            assert np.array_equal(dpsi[f], np.zeros((N, N)))
+            assert np.array_equal(plus[f], np.eye(N))
 
 
 def test_constraint_derivative_vanishes_on_gauge_variations():
@@ -165,7 +188,7 @@ def test_constraint_derivative_vanishes_on_gauge_variations():
     dpsi = core.constraint_derivative(PlaquetteConstraint(N),
                                       reduce_field(grid, g), dy,
                                       grid.full_faceset())
-    assert max(a.norm() for a in dpsi.values()) <= 1e-12
+    assert max(np.linalg.norm(a) for a in dpsi) <= 1e-12
 
 
 def test_fd_lagrangian_differential_against_analytic():
@@ -178,7 +201,7 @@ def test_fd_lagrangian_differential_against_analytic():
         fd = density.vertex_differential(grid, jet, slot)
         exact = density.analytic_differential(jet, slot)
         for a, b in zip(fd, exact):
-            assert np.linalg.norm(a.matrix - b.matrix) <= 1e-9
+            assert np.linalg.norm(a - b) <= 1e-9
 
 
 def test_fd_differential_sum_is_directional_derivative():
@@ -191,7 +214,7 @@ def test_fd_differential_sum_is_directional_derivative():
     jet = core.jet_at(y, grid, face)
     theta_sum = sum(
         core.apply_differential(density.vertex_differential(grid, jet, slot),
-                                dy.at(v))
+                                dy.values[v])
         for slot, v in enumerate(grid.adherence(face)))
     t = 1e-6
     fd = (density.value(grid, core.jet_at(core.section_exp(y, dy, t), grid, face))
@@ -211,7 +234,7 @@ def test_euler_lagrange_form_constant_density():
     y = sampling.random_section(grid, N, rng)
     form = core.euler_lagrange_form(ConstantDensity(FIBER), y,
                                     grid.full_faceset(), grid.vertex_id(1, 1))
-    assert all(mu.norm() == 0.0 for mu in form)
+    assert all(np.linalg.norm(mu) == 0.0 for mu in form)
 
 
 def test_euler_lagrange_form_matches_action_derivative():
@@ -221,8 +244,8 @@ def test_euler_lagrange_form_matches_action_derivative():
     y = sampling.random_section(grid, N, rng)
     fs = grid.full_faceset()
     v = grid.vertex_id(2, 1)
-    xi = (lg.random_algebra(N, rng), lg.random_algebra(N, rng))
-    dy = core.Variation(FIBER, {v: xi})
+    xi = lg.random_skew(N, rng, shape=(2,))
+    dy = single_vertex_variation(grid, v, xi)
     form = core.euler_lagrange_form(density, y, fs, v)
     t = 1e-6
     fd = (core.action(density, core.section_exp(y, dy, t), fs)
@@ -234,7 +257,7 @@ def test_euler_lagrange_form_trace_at_identity():
     grid = triangulated_grid(3, 3)
     form = core.euler_lagrange_form(TraceLagrangian(N), identity_section(grid),
                                     grid.full_faceset(), grid.vertex_id(1, 1))
-    assert all(mu.norm() == 0.0 for mu in form)
+    assert all(np.linalg.norm(mu) == 0.0 for mu in form)
 
 
 def test_euler_lagrange_form_requires_interior():
@@ -247,8 +270,7 @@ def test_euler_lagrange_form_requires_interior():
 def test_extended_residual_identity_zero_multiplier():
     grid = triangulated_grid(3, 3)
     y = identity_section(grid)
-    zero = lg.CoAlgebraElement(np.zeros((N, N)))
-    lam = core.Multiplier({f: zero for f in grid.faces})
+    lam = zero_multiplier(grid)
     res = core.extended_residual(TraceLagrangian(N), PlaquetteConstraint(N),
                                  y, lam, grid.full_faceset(),
                                  grid.vertex_id(1, 1))
@@ -258,7 +280,7 @@ def test_extended_residual_identity_zero_multiplier():
 def test_extended_residual_missing_multiplier():
     grid = triangulated_grid(3, 3)
     y = identity_section(grid)
-    lam = core.Multiplier({})
+    lam = core.Multiplier(np.zeros((0, N, N)))
     with pytest.raises(ValueError):
         core.extended_residual(TraceLagrangian(N), PlaquetteConstraint(N),
                                y, lam, grid.full_faceset(), grid.vertex_id(1, 1))
@@ -277,8 +299,8 @@ def test_extended_residual_locality():
     stencil = {w for f in grid.star(v) for w in grid.adherence(f)}
     outside = grid.vertex_id(3, 3)
     assert outside not in stencil
-    y.values[outside] = (lg.exp(lg.random_algebra(N, rng)),
-                         lg.exp(lg.random_algebra(N, rng)))
+    y = replaced(y, outside, (lg.exp(lg.random_algebra(N, rng)).matrix,
+                              lg.exp(lg.random_algebra(N, rng)).matrix))
     after = core.extended_residual(*args, y, lam, fs, v).coords
     assert np.array_equal(before, after)
 
@@ -289,7 +311,7 @@ def test_variational_split_zero_variation():
     y = sampling.random_section(grid, N, rng)
     lam = sampling.random_multiplier(grid, N, rng)
     lhs, rhs = core.variational_split(TraceLagrangian(N), PlaquetteConstraint(N),
-                                      y, lam, core.zero_variation(FIBER),
+                                      y, lam, core.zero_variation(FIBER, grid),
                                       grid.full_faceset())
     assert lhs == 0.0 and rhs == 0.0
 
@@ -336,13 +358,13 @@ def test_variational_split_single_interior_vertex():
     y = sampling.random_section(grid, N, rng)
     lam = sampling.random_multiplier(grid, N, rng)
     v = grid.vertex_id(2, 2)
-    xi = (lg.random_algebra(N, rng), lg.random_algebra(N, rng))
-    dy = core.Variation(FIBER, {v: xi})
+    xi = lg.random_skew(N, rng, shape=(2,))
+    dy = single_vertex_variation(grid, v, xi)
     lagrangian, constraint = TraceLagrangian(N), PlaquetteConstraint(N)
     fs = grid.full_faceset()
     lhs, rhs = core.variational_split(lagrangian, constraint, y, lam, dy, fs)
     res = core.extended_residual(lagrangian, constraint, y, lam, fs, v)
-    applied = sum(lg.pairing(mu, x) for mu, x in zip(res.components, xi))
+    applied = sum(float(np.trace(mu.T @ x)) for mu, x in zip(res.components, xi))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
     assert lhs == pytest.approx(applied, rel=1e-12, abs=1e-14)
 
@@ -356,10 +378,9 @@ def test_scalar_outputs_linear_in_multiplier():
     dy = sampling.random_variation(grid, N, rng)
     lagrangian, constraint = TraceLagrangian(N), PlaquetteConstraint(N)
     fs = grid.full_faceset()
-    zero = core.Multiplier({f: lg.CoAlgebraElement(np.zeros((N, N)))
-                            for f in grid.faces})
+    zero = zero_multiplier(grid)
     c = 3.7
-    scaled = core.Multiplier({f: c * mu for f, mu in lam.values.items()})
+    scaled = core.Multiplier(c * lam.values)
 
     def lhs(mult):
         return core.variational_split(lagrangian, constraint, y, mult, dy, fs)[0]
@@ -382,7 +403,7 @@ def test_noether_zero_field():
     y = sampling.random_section(grid, N, rng)
     lam = sampling.random_multiplier(grid, N, rng)
     rep = core.noether_boundary_sum(TraceLagrangian(N), PlaquetteConstraint(N),
-                                    y, lam, core.zero_variation(FIBER),
+                                    y, lam, core.zero_variation(FIBER, grid),
                                     grid.full_faceset())
     assert rep.boundary_sum == 0.0
     assert rep.symmetry_ok
@@ -406,10 +427,9 @@ def test_jacobi_residual_zero_direction():
     rng = np.random.default_rng(16)
     y = reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
     lam = sampling.random_multiplier(grid, N, rng)
-    zero_l = core.Multiplier({f: lg.CoAlgebraElement(np.zeros((N, N)))
-                              for f in grid.faces})
+    zero_l = zero_multiplier(grid)
     value = core.jacobi_residual(TraceLagrangian(N), PlaquetteConstraint(N),
-                                 y, lam, core.zero_variation(FIBER), zero_l,
+                                 y, lam, core.zero_variation(FIBER, grid), zero_l,
                                  grid.full_faceset())
     assert value == 0.0
 
@@ -475,13 +495,12 @@ def test_problem_bundle_delegates():
     y = identity_section(grid)
     assert core.action(lagrangian, y, fs) == pytest.approx(9 * 6, abs=1e-12)
     assert core.admissibility_report(constraint, y, fs).admissible
-    zero = lg.CoAlgebraElement(np.zeros((N, N)))
-    lam = core.Multiplier({f: zero for f in grid.faces})
+    lam = zero_multiplier(grid)
     interior = sorted(classify_vertices(grid, fs).interior)
     assert max(core.extended_residual(lagrangian, constraint, y, lam, fs, v).norm
                for v in interior) == 0.0
     lhs, rhs = core.variational_split(lagrangian, constraint, y, lam,
-                                      core.zero_variation(FIBER), fs)
+                                      core.zero_variation(FIBER, grid), fs)
     assert lhs == 0.0 and rhs == 0.0
 
 

@@ -5,7 +5,7 @@ import scipy.linalg
 from groupvar import core, harmonic as hm, liegroup as lg, reduction as red, sampling
 from groupvar.complexes import classify_vertices, triangulated_grid
 from groupvar.cli import main
-from groupvar.errors import ConvergenceError
+from groupvar.errors import ConvergenceError, DomainError
 
 N = 3
 
@@ -18,9 +18,7 @@ def test_trace_value_bounds_and_identity():
     for f in grid.faces:
         value = lagrangian.value(grid, core.jet_at(y, grid, f))
         assert -2 * N <= value <= 2 * N
-    eye = lg.identity(N)
-    values = {v: (eye, eye) for v in y.values}
-    y_eye = core.Section(y.fiber, values)
+    y_eye = core.Section(y.fiber, np.zeros(y.values.shape) + np.eye(N))
     assert lagrangian.value(grid, core.jet_at(y_eye, grid, 0)) == 2 * N
 
 
@@ -34,7 +32,9 @@ def test_trace_differentials_coordinates_exact():
     u = lg.exp(lg.random_algebra(N, rng))
     v = lg.exp(lg.random_algebra(N, rng))
     right_u, left_u, right_v, left_v = hm.trace_differentials(u, v)
-    for (k, l), e in zip(lg.skew_basis_indices(N), lg.skew_basis(N)):
+    pairs = [(k, l) for k in range(N) for l in range(k + 1, N)]
+    for (k, l), e in zip(pairs, lg.skew_basis(N)):
+        e = lg.AlgebraElement(e)
         assert lg.pairing(right_u, e) == pytest.approx(
             u.matrix[l, k] - u.matrix[k, l], abs=1e-13)
         assert lg.pairing(right_v, e) == pytest.approx(
@@ -50,7 +50,7 @@ def test_trace_differentials_fd_oracle():
     v = lg.exp(lg.random_algebra(N, rng))
     right_u, left_u, _, _ = hm.trace_differentials(u, v)
     t = 1e-6
-    for e in lg.skew_basis(N):
+    for e in map(lg.AlgebraElement, lg.skew_basis(N)):
         step = lg.exp(t * e).matrix
         fd_right = (np.trace(step @ u.matrix) - np.trace(step.T @ u.matrix)) \
             / (2.0 * t)
@@ -62,10 +62,8 @@ def test_trace_differentials_fd_oracle():
 
 def test_ep_symmetric_defect_identity():
     grid = triangulated_grid(3, 3)
-    eye = lg.identity(N)
     y = core.Section(red.reduced_fiber(N),
-                     {v: (eye, eye) for v in grid.vertices
-                      if v != grid.vertex_id(3, 3)})
+                     np.zeros((len(grid.vertices), 2, N, N)) + np.eye(N))
     assert np.array_equal(hm.ep_symmetric_defect(grid, y, 1, 1), np.zeros((N, N)))
     with pytest.raises(ValueError):
         hm.ep_symmetric_defect(grid, y, 0, 1)
@@ -91,7 +89,7 @@ def test_action_invariant_under_constant_left_translation():
     rng = np.random.default_rng(31)
     g = sampling.random_unreduced_field(grid, N, rng)
     h = lg.exp(lg.random_algebra(N, rng))
-    hg = red.UnreducedField({v: h @ el for v, el in g.values.items()})
+    hg = red.UnreducedField(h.matrix @ g.values)
     assert abs(hm.trace_action(grid, g) - hm.trace_action(grid, hg)) <= 1e-12
 
 
@@ -100,8 +98,8 @@ def test_solver_identity_boundary_stops_immediately():
     config = hm.SolverConfig(boundary=hm.identity_boundary(grid, N))
     field, report = hm.solve_unreduced(grid, config)
     assert report.converged and report.iterations == 0
-    for g in field.values.values():
-        assert np.array_equal(g.matrix, np.eye(N))
+    for g in field.values:
+        assert np.array_equal(g, np.eye(N))
     assert report.final_action == pytest.approx(2 * N * 16, abs=1e-12)
 
 
@@ -142,10 +140,7 @@ def test_solver_left_invariance():
     f2, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=shifted, g_tol=1e-11))
     y1 = red.reduce_field(grid, f1)
     y2 = red.reduce_field(grid, f2)
-    worst = max(
-        max(np.linalg.norm(a.matrix - b.matrix)
-            for a, b in zip(y1.values[v], y2.values[v]))
-        for v in y1.values)
+    worst = np.linalg.norm(y1.values - y2.values, axis=(-2, -1)).max()
     assert worst <= 1e-10
 
 
@@ -165,7 +160,7 @@ def test_solver_window_without_interior(width, height):
     field, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
     assert report.converged and report.iterations == 0
     assert len(report.history) == 1 and report.per_vertex_ep.size == 0
-    assert sorted(field.values) == list(grid.vertices)
+    assert field.values.shape == (len(grid.vertices), N, N)
 
 
 def test_solver_missing_boundary_vertex():
@@ -179,7 +174,7 @@ def test_solver_missing_boundary_vertex():
 def test_conjugation_field_zero_generator(solved66):
     d = hm.conjugation_symmetry_field(solved66["y"],
                                       lg.AlgebraElement(np.zeros((N, N))))
-    assert all(x.norm() == 0.0 for fib in d.values.values() for x in fib)
+    assert np.all(d.values == 0.0)
 
 
 def test_conjugation_field_is_symmetry(solved66):
@@ -192,11 +187,11 @@ def test_conjugation_field_is_symmetry(solved66):
     for f in sorted(fs.faces):
         jet = core.jet_at(y, grid, f)
         dl = sum(core.apply_differential(
-            lagrangian.vertex_differential(grid, jet, slot), d.at(v))
+            lagrangian.vertex_differential(grid, jet, slot), d.values[v])
             for slot, v in enumerate(grid.adherence(f)))
         assert abs(dl) <= 1e-13
     dpsi = core.constraint_derivative(red.PlaquetteConstraint(N), y, d, fs)
-    assert max(a.norm() for a in dpsi.values()) <= 1e-12
+    assert max(np.linalg.norm(a) for a in dpsi) <= 1e-12
 
 
 def test_noether_scenario(solved66):
@@ -210,7 +205,6 @@ def test_noether_scenario(solved66):
 def test_noether_scenario_negative_control(solved66):
     xi = lg.random_algebra(N, np.random.default_rng(9))
     bad = sampling.random_variation(solved66["grid"], N, np.random.default_rng(10))
-    bad.values = {v: bad.values[v] for v in solved66["y"].values}
     scenario = hm.run_noether_scenario(solved66["grid"], solved66["config"], xi,
                                        symmetry_field=bad)
     assert not scenario.passed
@@ -247,7 +241,6 @@ def test_jacobi_residual_negative_control(solved66):
     grid = solved66["grid"]
     rng = np.random.default_rng(30)
     dy = sampling.random_variation(grid, N, rng)
-    dy.values = {v: dy.values[v] for v in solved66["y"].values}
     dlam = sampling.random_multiplier(grid, N, rng)
     value = core.jacobi_residual(solved66["lagrangian"],
                                  red.PlaquetteConstraint(N), solved66["y"],
@@ -276,9 +269,8 @@ def test_random_boundary_reproducible():
 
 
 def _array(grid, field):
-    n = field.values[0].n
-    return np.stack([field.values[v].matrix for v in grid.vertices]).reshape(
-        grid.height + 1, grid.width + 1, n, n)
+    return field.values.reshape(grid.height + 1, grid.width + 1,
+                                *field.values.shape[1:]).copy()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -329,7 +321,7 @@ def _dense_fd_jacobian(g):
     """
     n = g.shape[-1]
     h = hm._NEWTON_FD_STEP
-    steps = [lg.exp(h * e).matrix for e in lg.skew_basis(n)]
+    steps = [lg.exp(lg.AlgebraElement(h * e)).matrix for e in lg.skew_basis(n)]
     block = g[1:-1, 1:-1]
     size = hm._residual(g)[0].size
     jac = np.empty((size, size))
@@ -488,3 +480,48 @@ def test_retraction_keeps_the_iteration_counts(n, scale, seed, descent, newton):
     g = _array(grid, field)[1:-1, 1:-1]
     defect = np.linalg.norm(g.swapaxes(-1, -2) @ g - np.eye(n), axis=(-2, -1))
     assert defect.max() <= 1e-13
+
+
+def _blend_oracle(g):
+    """The per-vertex projection the batched polar factor replaced."""
+    height, width = g.shape[0] - 1, g.shape[1] - 1
+    s = (np.arange(1, width) / width)[:, None, None]
+    t = (np.arange(1, height) / height)[:, None, None, None]
+    blend = (
+        (1.0 - t) * g[0, 1:-1]
+        + t * g[-1, 1:-1]
+        + (1.0 - s) * g[1:-1, :1]
+        + s * g[1:-1, -1:]
+    ) / 2.0
+    fallbacks = 0
+    for vertex in np.ndindex(blend.shape[:2]):
+        try:
+            blend[vertex] = lg.project_to_group(blend[vertex]).matrix
+        except DomainError:
+            blend[vertex] = np.eye(g.shape[-1])
+            fallbacks += 1
+    return blend, fallbacks
+
+
+# (n, width, scale, boundary seed, vertices where the projection is undefined)
+BLENDS = [
+    (2, 12, 0.4, 0, 0), (3, 12, 0.4, 1, 0), (5, 12, 0.4, 2, 0),
+    (2, 16, 0.4, 3, 0), (3, 16, 0.4, 4, 0), (5, 16, 0.4, 5, 0),
+    (3, 6, 3.0, 5, 4), (3, 6, 3.0, 168, 4), (5, 6, 3.0, 168, 7),
+]
+
+
+@pytest.mark.parametrize("n,width,scale,seed,fallbacks", BLENDS)
+def test_blend_initializer_matches_per_vertex_projection(n, width, scale, seed,
+                                                         fallbacks):
+    """The batched SVD polar factor is ``project_to_group`` bit for bit, and
+    the identity fallback lands on the same vertices."""
+    grid = triangulated_grid(width, width)
+    g = np.zeros((width + 1, width + 1, n, n)) + np.eye(n)
+    for v, el in hm.random_boundary(grid, n, seed=seed, scale=scale).items():
+        g.reshape(-1, n, n)[v] = el.matrix
+    expected, count = _blend_oracle(g)
+    assert count == fallbacks
+    got = hm._blend_initializer(g)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))

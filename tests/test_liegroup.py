@@ -16,7 +16,7 @@ def test_exp_of_zero_is_identity():
 
 
 def test_exp_planar_rotation_closed_form():
-    e12 = lg.skew_basis(2)[0]
+    e12 = lg.AlgebraElement(lg.skew_basis(2)[0])
     g = lg.exp((np.pi / 2) * e12)
     assert np.allclose(g.matrix, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-14)
     theta = 0.37
@@ -73,29 +73,29 @@ def test_exp_skew_matches_expm(n, shape):
 
 
 def test_log_identity():
-    assert np.array_equal(lg.log_near_identity(lg.identity(4)).matrix,
+    assert np.array_equal(lg.log_near_identity(lg.identity(4).matrix),
                           np.zeros((4, 4)))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_log_exp_roundtrip(seed):
     xi = rand_alg(3, seed, 0.5 / 2.0)
-    back = lg.log_near_identity(lg.exp(xi))
-    assert np.linalg.norm(back.matrix - xi.matrix) <= 1e-10
+    back = lg.log_near_identity(lg.exp(xi).matrix)
+    assert np.linalg.norm(back - xi.matrix) <= 1e-10
 
 
 def test_log_outside_region_raises():
-    e12 = lg.skew_basis(2)[0]
+    e12 = lg.AlgebraElement(lg.skew_basis(2)[0])
     far = lg.exp(np.pi * e12)
     with pytest.raises(DomainError):
-        lg.log_near_identity(far)
+        lg.log_near_identity(far.matrix)
 
 
 def test_adjoint_identity_and_oracle():
     xi = rand_alg(3, 7)
     assert np.allclose(lg.adjoint(lg.identity(3), xi).matrix, xi.matrix)
     g = lg.exp(rand_alg(3, 8))
-    e12 = lg.skew_basis(3)[0]
+    e12 = lg.AlgebraElement(lg.skew_basis(3)[0])
     oracle = g.matrix @ e12.matrix @ g.matrix.T
     assert np.linalg.norm(lg.adjoint(g, e12).matrix - oracle) <= 1e-14
 
@@ -113,7 +113,7 @@ def test_coadjoint_identity_and_duality():
     mu = lg.CoAlgebraElement(rand_alg(3, 12).matrix)
     assert np.allclose(lg.coadjoint(lg.identity(3), mu).matrix, mu.matrix)
     g = lg.exp(rand_alg(3, 13))
-    for e in lg.skew_basis(3):
+    for e in map(lg.AlgebraElement, lg.skew_basis(3)):
         lhs = lg.pairing(lg.coadjoint(g, mu), e)
         rhs = lg.pairing(mu, lg.adjoint(g, e))
         assert abs(lhs - rhs) <= 1e-13
@@ -138,12 +138,12 @@ def test_coadjoint_inverse():
 def test_pairing_gram_matrix():
     basis = lg.skew_basis(4)
     for a, ea in enumerate(basis):
-        for b, eb in enumerate(basis):
-            mu = lg.CoAlgebraElement(ea.matrix)
+        for b, eb in enumerate(map(lg.AlgebraElement, basis)):
+            mu = lg.CoAlgebraElement(ea)
             expected = 2.0 if a == b else 0.0
             assert lg.pairing(mu, eb) == pytest.approx(expected, abs=1e-15)
     zero = lg.CoAlgebraElement(np.zeros((4, 4)))
-    assert lg.pairing(zero, basis[0]) == 0.0
+    assert lg.pairing(zero, lg.AlgebraElement(basis[0])) == 0.0
 
 
 def test_project_small_perturbation():
@@ -192,8 +192,55 @@ def test_immutability():
 
 
 def test_basis_indices_order():
-    assert lg.skew_basis_indices(3) == [(0, 1), (0, 2), (1, 2)]
-    assert lg.algebra_dim(5) == 10
     coords = np.arange(1.0, 4.0)
     m = lg.coords_to_skew(coords, 3)
+    assert [m[0, 1], m[0, 2], m[1, 2]] == [1.0, 2.0, 3.0]
+    assert lg.algebra_dim(5) == 10
     assert np.array_equal(lg.skew_to_coords(m), coords)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_skew_coordinates_roundtrip(n):
+    """The index-array coordinates equal the entry-by-entry loops they
+    replaced, also on stacks."""
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    rng = np.random.default_rng(n)
+    coords = rng.standard_normal((2, 3, lg.algebra_dim(n)))
+    stack = lg.coords_to_skew(coords, n)
+    for block in np.ndindex(coords.shape[:-1]):
+        loop = np.zeros((n, n))
+        for c, (k, l) in zip(coords[block], pairs):
+            loop[k, l] = c
+            loop[l, k] = -c
+        assert np.array_equal(stack[block], loop)
+        assert np.array_equal(np.signbit(stack[block]), np.signbit(loop))
+        assert np.array_equal(lg.skew_to_coords(loop),
+                              np.array([loop[k, l] for k, l in pairs]))
+    assert np.array_equal(lg.skew_to_coords(stack), coords)
+    basis = lg.skew_basis(n)
+    assert np.array_equal(lg.skew_to_coords(basis), np.eye(len(pairs)))
+    assert np.array_equal(basis, -basis.swapaxes(-1, -2))
+
+
+def test_group_array_checks_every_block():
+    rng = np.random.default_rng(24)
+    good = np.array([lg.exp(rand_alg(3, s)).matrix for s in range(4)])
+    checked = lg.group_array(good)
+    assert np.array_equal(checked, good) and not checked.flags.writeable
+    near = good + 1e-11 * rng.standard_normal(good.shape)
+    cleaned = lg.group_array(near)
+    assert np.linalg.norm(cleaned.swapaxes(-1, -2) @ cleaned - np.eye(3),
+                          axis=(-2, -1)).max() <= 1e-14
+    for bad in (np.nan, np.inf):
+        broken = good.copy()
+        broken[2, 1, 1] = bad
+        with pytest.raises(ValueError, match="matrix 2 has non-finite"):
+            lg.group_array(broken)
+    reflected = good.copy()
+    reflected[1] = reflected[1] @ np.diag([1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="matrix 1 is in the reflection"):
+        lg.group_array(reflected)
+    with pytest.raises(ValueError, match="from orthogonal"):
+        lg.group_array(good + 1e-3)
+    with pytest.raises(ValueError, match="non-finite"):
+        lg.GroupElement(np.full((3, 3), np.nan))

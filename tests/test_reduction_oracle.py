@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from groupvar import harmonic as hm, liegroup as lg, reduction as red, sampling
-from groupvar.core import Jet1, Section
+from groupvar.core import Jet1
 from groupvar.errors import HolonomyError, PreconditionError, RecoveryConflictError
 from groupvar.harmonic import TraceLagrangian
 from groupvar.liegroup import (
@@ -36,30 +36,32 @@ IDS = [f"n{n}-{w}x{h}-{'flat' if flat else 'nonflat'}" for n, w, h, flat in CASE
 
 def _uv(y, grid, i, j):
     u, v = y.values[grid.vertex_id(i, j)]
-    return u.matrix, v.matrix
+    return u, v
 
 
 def _left_log_differentials(lagrangian, grid, y, i, j):
     face = grid.face_id(i, j)
-    jet = Jet1(face, tuple(y.values[v] for v in grid.adherence(face)))
-    return lagrangian.vertex_differential(grid, jet, 0)
+    jet = Jet1(face, np.array([y.values[v] for v in grid.adherence(face)]))
+    return tuple(CoAlgebraElement(m)
+                 for m in lagrangian.vertex_differential(grid, jet, 0))
 
 
 def oracle_reduce_field(grid, g):
-    n = next(iter(g.values.values())).n
+    """Per-vertex dict of (u, v) GroupElement pairs, without the far corner."""
+    n = g.values.shape[-1]
     eye = GroupElement(np.eye(n))
     values = {}
     for j in range(grid.height + 1):
         for i in range(grid.width + 1):
             if i == grid.width and j == grid.height:
                 continue
-            base = g.at(grid.vertex_id(i, j)).matrix
-            u = GroupElement(base.T @ g.at(grid.vertex_id(i + 1, j)).matrix) \
+            base = g.values[grid.vertex_id(i, j)]
+            u = GroupElement(base.T @ g.values[grid.vertex_id(i + 1, j)]) \
                 if i < grid.width else eye
-            v = GroupElement(base.T @ g.at(grid.vertex_id(i, j + 1)).matrix) \
+            v = GroupElement(base.T @ g.values[grid.vertex_id(i, j + 1)]) \
                 if j < grid.height else eye
             values[grid.vertex_id(i, j)] = (u, v)
-    return Section(red.reduced_fiber(n), values)
+    return values
 
 
 def oracle_holonomy(grid, y, i, j):
@@ -84,8 +86,8 @@ def oracle_first(lagrangian, grid, y, lam, i, j):
     u, _ = _uv(y, grid, i, j)
     right_u = coadjoint_inverse(GroupElement(u), mu_u)
     _, v_s = _uv(y, grid, i, j - 1)
-    lam_here = lam.at(grid.face_id(i, j))
-    lam_s = lam.at(grid.face_id(i, j - 1))
+    lam_here = CoAlgebraElement(lam.values[grid.face_id(i, j)])
+    lam_s = CoAlgebraElement(lam.values[grid.face_id(i, j - 1)])
     return right_u + lam_here - coadjoint(GroupElement(v_s), lam_s)
 
 
@@ -94,8 +96,8 @@ def oracle_second(lagrangian, grid, y, lam, i, j):
     _, v = _uv(y, grid, i, j)
     right_v = coadjoint_inverse(GroupElement(v), mu_v)
     u_w, _ = _uv(y, grid, i - 1, j)
-    lam_here = lam.at(grid.face_id(i, j))
-    lam_w = lam.at(grid.face_id(i - 1, j))
+    lam_here = CoAlgebraElement(lam.values[grid.face_id(i, j)])
+    lam_w = CoAlgebraElement(lam.values[grid.face_id(i - 1, j)])
     return right_v - lam_here + coadjoint(GroupElement(u_w), lam_w)
 
 
@@ -109,7 +111,7 @@ def oracle_elimination(lagrangian, grid, y, lam, i, j):
     combo = first - coadjoint(GroupElement(u_w), first_w) \
         + second - coadjoint(GroupElement(v_s), second_s)
     u_sw, v_sw = _uv(y, grid, i - 1, j - 1)
-    lam_sw = lam.at(grid.face_id(i - 1, j - 1))
+    lam_sw = CoAlgebraElement(lam.values[grid.face_id(i - 1, j - 1)])
     one_way = coadjoint(GroupElement(v_s), coadjoint(GroupElement(u_sw), lam_sw))
     other_way = coadjoint(GroupElement(u_w), coadjoint(GroupElement(v_sw), lam_sw))
     return combo.norm(), (one_way - other_way).norm()
@@ -178,10 +180,10 @@ def oracle_reconstruction(grid, y, seed, tol):
         raise HolonomyError(worst_face, worst)
 
     def u_of(i, j):
-        return y.values[grid.vertex_id(i, j)][0].matrix
+        return y.values[grid.vertex_id(i, j)][0]
 
     def v_of(i, j):
-        return y.values[grid.vertex_id(i, j)][1].matrix
+        return y.values[grid.vertex_id(i, j)][1]
 
     rows = {grid.vertex_id(0, 0): seed.matrix}
     for i in range(grid.width):
@@ -202,17 +204,30 @@ def oracle_reconstruction(grid, y, seed, tol):
 
 def oracle_reduced_variation(grid, g, theta):
     y = oracle_reduce_field(grid, g)
-    zero = AlgebraElement(np.zeros((y.fiber.n, y.fiber.n)))
+    zero = AlgebraElement(np.zeros((g.values.shape[-1],) * 2))
+
+    def at(vid):
+        return AlgebraElement(theta[vid])
+
     values = {}
-    for vid, (u, v) in y.values.items():
+    for vid, (u, v) in y.items():
         i, j = grid.vertex_ij(vid)
-        here = theta.at(vid)
-        xi_u = theta.at(grid.vertex_id(i + 1, j)) - adjoint(u.inverse(), here) \
+        here = at(vid)
+        xi_u = at(grid.vertex_id(i + 1, j)) - adjoint(u.inverse(), here) \
             if i < grid.width else zero
-        xi_v = theta.at(grid.vertex_id(i, j + 1)) - adjoint(v.inverse(), here) \
+        xi_v = at(grid.vertex_id(i, j + 1)) - adjoint(v.inverse(), here) \
             if j < grid.height else zero
         values[vid] = (xi_u, xi_v)
     return values
+
+
+def _same_per_vertex(values, expected, far, fill):
+    """An id-indexed array equals a per-vertex dict of element pairs bit for
+    bit; the far corner, absent from the dict, holds ``fill``."""
+    assert sorted(expected) == [v for v in range(len(values)) if v != far]
+    assert _bits(values[far], np.broadcast_to(fill, values[far].shape))
+    return all(_bits(a, b.matrix) for v in expected
+               for a, b in zip(values[v], expected[v]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +260,10 @@ def test_window_equations_match_oracle(n, w, h, flat):
     grid, rng, g, y, lam = _case(n, w, h, flat)
     lagrangian = TraceLagrangian(n)
 
+    far = grid.vertex_id(w, h)
     reduced = red.reduce_field(grid, g)
-    expected = oracle_reduce_field(grid, g)
-    assert list(reduced.values) == list(expected.values)
-    assert all(_bits(a.matrix, b.matrix) for v in expected.values
-               for a, b in zip(reduced.values[v], expected.values[v]))
+    assert _same_per_vertex(reduced.values, oracle_reduce_field(grid, g),
+                            far, np.eye(n))
 
     hol = red.plaquette_holonomy(grid, y)
     assert hol.shape == (h, w, n, n)
@@ -273,18 +287,16 @@ def test_window_equations_match_oracle(n, w, h, flat):
 
     theta = sampling.random_gauge_field(grid, n, rng)
     dv = red.reduced_variation(grid, g, theta)
-    expected_dv = oracle_reduced_variation(grid, g, theta)
-    assert list(dv.values) == list(expected_dv)
-    assert all(_bits(a.matrix, b.matrix) for v in expected_dv
-               for a, b in zip(dv.values[v], expected_dv[v]))
+    assert _same_per_vertex(dv.values, oracle_reduced_variation(grid, g, theta),
+                            far, np.zeros((n, n)))
 
 
 def _assert_same_recovery(lagrangian, grid, y, seed, **tols):
     values, max_disc, compared, unconstrained, discs = oracle_recover(
         lagrangian, grid, y, seed, **tols)
     lam, rep = red.recover_multipliers(lagrangian, grid, y, seed, **tols)
-    assert sorted(lam.values) == sorted(values)
-    assert all(_bits(lam.values[f].matrix, values[f].matrix) for f in values)
+    assert sorted(values) == list(range(len(lam.values)))
+    assert all(_bits(lam.values[f], values[f].matrix) for f in values)
     assert rep.max_discrepancy == max_disc
     assert rep.compared_faces == compared
     assert rep.unconstrained_faces == unconstrained
@@ -348,16 +360,16 @@ def test_reconstruction_matches_oracle(n, w, h, flat):
     seed = lg.exp(lg.random_algebra(n, rng))
     tol = np.inf if not flat else 1e-10
     field, worst, worst_face, agreement = oracle_reconstruction(grid, y, seed, tol)
-    rep = red.reconstruction_report(grid, y, seed, tol=tol)
-    assert list(rep.field.values) == list(field)
-    assert all(_bits(rep.field.values[v].matrix, field[v].matrix) for v in field)
+    rep = red.reconstruction_report(grid, y, seed.matrix, tol=tol)
+    assert list(field) == list(range(len(rep.field.values)))
+    assert all(_bits(rep.field.values[v], field[v].matrix) for v in field)
     assert (rep.max_plaquette_defect, rep.worst_face, rep.path_agreement) \
         == (worst, worst_face, agreement)
     if not flat:
         with pytest.raises(HolonomyError) as want:
             oracle_reconstruction(grid, y, seed, 1e-10)
         with pytest.raises(HolonomyError) as got:
-            red.reconstruction_report(grid, y, seed)
+            red.reconstruction_report(grid, y, seed.matrix)
         assert (got.value.face, got.value.defect) == (want.value.face, want.value.defect)
 
 
