@@ -29,7 +29,13 @@ from .errors import (
     PreconditionError,
     RecoveryConflictError,
 )
-from .liegroup import CoAlgebraElement, GroupElement, block_norms, random_algebra
+from .liegroup import (
+    CoAlgebraElement,
+    GroupElement,
+    block_norms,
+    max_norm,
+    random_algebra,
+)
 from .reduction import PlaquetteConstraint
 from .harmonic import SolverConfig, TraceLagrangian
 
@@ -208,14 +214,15 @@ def _suite_split(cfg, rng):
     grid = triangulated_grid(3, 3)
     lagrangian, constraint = TraceLagrangian(n), PlaquetteConstraint(n)
     faceset = grid.full_faceset()
-    worst = 0.0
+    defects = []
     for _ in range(cfg["instances"]):
         y = sampling.random_section(grid, n, rng)
         lam = sampling.random_multiplier(grid, n, rng)
         dy = sampling.random_variation(grid, n, rng)
         lhs, rhs = core.variational_split(lagrangian, constraint, y, lam, dy,
                                           faceset)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+        defects.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
+    worst = max_norm(np.array(defects))
     return worst <= 1e-12, {"checks": cfg["instances"],
                             "worst_split_defect": worst, "tolerance": 1e-12}
 
@@ -224,17 +231,16 @@ def _suite_cartan(cfg, rng):
     n = cfg["n"]
     grid = triangulated_grid(3, 3)
     constraint = PlaquetteConstraint(n)
-    worst = 0.0
-    faces = list(grid.faces)
-    for k in range(cfg["instances"]):
-        y = sampling.random_section(grid, n, rng)
-        face = faces[k % len(faces)]
-        jet = core.jet_at(y, grid, face)
-        for slot in range(3):
-            analytic = constraint.cartan_form(grid, jet, slot).matrix
-            fd = core.ConstraintMap.cartan_form(constraint, grid, jet, slot).matrix
-            worst = max(worst, float(np.linalg.norm(analytic - fd))
-                        / (1.0 + float(np.linalg.norm(analytic))))
+    faces = grid.faces
+    jets = np.array([
+        core.jet_at(sampling.random_section(grid, n, rng), grid, faces[k % len(faces)])
+        for k in range(cfg["instances"])])
+    defects = []
+    for slot in range(3):
+        analytic = constraint.cartan_form(grid, jets, slot)
+        fd = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)
+        defects.append(block_norms(analytic - fd) / (1.0 + block_norms(analytic)))
+    worst = max_norm(*defects)
     return worst <= 1e-6, {"checks": cfg["instances"] * 3,
                            "worst_cartan_defect": worst, "tolerance": 1e-6}
 
@@ -243,8 +249,7 @@ def _suite_flatness(cfg, rng):
     n = cfg["n"]
     grid = triangulated_grid(4, 4)
     instances = max(1, cfg["instances"] // 10)
-    worst_round = 0.0
-    worst_path = 0.0
+    rounds, paths = [], []
     detected = 0
     injected = 0
     for _ in range(instances):
@@ -252,12 +257,10 @@ def _suite_flatness(cfg, rng):
         y = reduction.reduce_field(grid, g)
         seed = g.values[grid.vertex_id(0, 0)]
         rep = reduction.reconstruction_report(grid, y, seed)
-        worst_round = max(worst_round,
-                          _largest(block_norms(rep.field.values - g.values)))
-        worst_path = max(worst_path, rep.path_agreement)
         y_back = reduction.reduce_field(grid, rep.field)
-        worst_round = max(worst_round,
-                          _largest(block_norms(y.values - y_back.values)))
+        rounds += [block_norms(rep.field.values - g.values),
+                   block_norms(y.values - y_back.values)]
+        paths.append(rep.path_agreement)
 
         i = int(rng.integers(0, grid.width))
         j = int(rng.integers(0, grid.height))
@@ -272,6 +275,7 @@ def _suite_flatness(cfg, rng):
             reduction.reconstruction_report(grid, y_t, seed)
         except HolonomyError:
             detected += 1
+    worst_round, worst_path = max_norm(*rounds), max_norm(np.array(paths))
     passed = worst_round <= 1e-12 and worst_path <= 1e-12 and detected == injected
     return passed, {"checks": instances, "worst_roundtrip": worst_round,
                     "worst_path_agreement": worst_path,
@@ -331,27 +335,17 @@ def _suite_multisymplectic(cfg, rng):
     }
 
 
-def _largest(*norms) -> float:
-    """Largest entry of some arrays of norms; 0.0 when they are all empty."""
-    return max([0.0, *(x for a in norms for x in a.ravel().tolist())])
-
-
-def _recovery_residuals(lagrangian, grid, y, lam):
-    first, second = reduction.multiplier_system_residual(lagrangian, grid, y, lam)
-    return _largest(block_norms(first), block_norms(second))
-
-
 def _suite_multipliers(cfg, rng):
     n = cfg["n"]
     grid, y = _solve_for_suite(cfg)
     lagrangian = TraceLagrangian(n)
     zero = CoAlgebraElement(np.zeros((n, n)))
     lam0, rep0 = reduction.recover_multipliers(lagrangian, grid, y, zero)
-    worst0 = _recovery_residuals(lagrangian, grid, y, lam0)
+    worst0 = rep0.max_system_residual
     seed = CoAlgebraElement(random_algebra(n, rng, 0.3).matrix)
     lam1, rep1 = reduction.recover_multipliers(lagrangian, grid, y, seed)
-    worst1 = _recovery_residuals(lagrangian, grid, y, lam1)
-    distance = _largest(block_norms(lam0.values - lam1.values))
+    worst1 = rep1.max_system_residual
+    distance = max_norm(block_norms(lam0.values - lam1.values))
     passed = worst0 <= 1e-10 and worst1 <= 1e-10 \
         and rep0.max_discrepancy <= cfg["cons_tol"] \
         and rep1.max_discrepancy <= cfg["cons_tol"] and distance > 1e-3
@@ -372,8 +366,8 @@ def _suite_elimination(cfg, rng):
     zero = CoAlgebraElement(np.zeros((n, n)))
     lam, _ = reduction.recover_multipliers(lagrangian, grid, y, zero)
     defects = reduction.multiplier_elimination_check(lagrangian, grid, y, lam)
-    worst_combo = _largest(defects.ep_combination)
-    worst_cancel = _largest(defects.cancellation)
+    worst_combo = max_norm(defects.ep_combination)
+    worst_cancel = max_norm(defects.cancellation)
     passed = worst_cancel <= 1e-12 and worst_combo <= 1e-9
     return passed, {"worst_ep_combination": worst_combo,
                     "worst_cancellation": worst_cancel}
@@ -479,7 +473,7 @@ def cmd_recover_multipliers(args) -> int:
         print(f"recover-multipliers: {exc}", file=sys.stderr)
         return 1
     serialization.save_multiplier(out / "multiplier.txt", grid, lam)
-    worst = _recovery_residuals(lagrangian, grid, y, lam)
+    worst = rep.max_system_residual
     serialization.write_report(out / "recovery_report.txt", {
         "seed_face": rep.seed_face,
         "max_sweep_discrepancy": rep.max_discrepancy,

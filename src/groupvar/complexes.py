@@ -15,7 +15,9 @@ is exactly how the infinite-plane classification restricts to the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+
+import numpy as np
 
 __all__ = [
     "CellComplex",
@@ -30,29 +32,37 @@ __all__ = [
 class CellComplex:
     """Vertex-face incidence with per-face ordered adherence lists.
 
-    ``adherence`` maps each face id to the ordered tuple of its adherent
-    vertex ids; ``star`` is the exact transpose.  ``vertices`` may add
-    isolated vertices beyond the adherent ones (a grid window has one such
-    corner).  ``truncated_star`` lists vertices whose ambient star is only
-    partially materialized.
+    ``adherence`` maps each face id, 0 to F-1, to the ordered tuple of its
+    adherent vertex ids; every face has the same number k of them, so the
+    whole incidence is one read-only (F, k) int array, ``adherence_array``,
+    which the calculus gathers jets through.  ``star`` is the exact
+    transpose.  ``vertices`` may add isolated vertices beyond the adherent
+    ones (a grid window has one such corner).  ``truncated_star`` lists
+    vertices whose ambient star is only partially materialized.
     """
 
     def __init__(self, adherence, vertices=(), truncated_star=()):
-        adh = {}
-        star = {}
-        for face, verts in adherence.items():
-            verts = tuple(verts)
+        if sorted(adherence) != list(range(len(adherence))):
+            raise ValueError("face ids must be 0, 1, ..., F-1")
+        rows = []
+        for face in range(len(adherence)):
+            verts = tuple(int(v) for v in adherence[face])
             if len(verts) == 0:
                 raise ValueError(f"face {face} has no adherent vertices")
             if len(set(verts)) != len(verts):
                 raise ValueError(f"face {face} has duplicate adherent vertices")
-            adh[int(face)] = tuple(int(v) for v in verts)
-        for face, verts in adh.items():
+            rows.append(verts)
+        if len({len(verts) for verts in rows}) > 1:
+            raise ValueError("every face needs the same number of adherent vertices")
+        star = {}
+        for face, verts in enumerate(rows):
             for v in verts:
                 star.setdefault(v, set()).add(face)
-        self._adherence = adh
+        k = len(rows[0]) if rows else 0
+        self._array = np.array(rows, dtype=int).reshape(len(rows), k)
+        self._array.flags.writeable = False
         self._star = {v: frozenset(fs) for v, fs in star.items()}
-        self._faces = tuple(sorted(adh))
+        self._faces = tuple(range(len(rows)))
         self._vertices = tuple(sorted(set(star) | {int(v) for v in vertices}))
         self._truncated = frozenset(int(v) for v in truncated_star)
 
@@ -65,7 +75,12 @@ class CellComplex:
         return self._faces
 
     def adherence(self, face: int) -> tuple[int, ...]:
-        return self._adherence[face]
+        return tuple(self._array[face].tolist())
+
+    @property
+    def adherence_array(self) -> np.ndarray:
+        """Adherent vertex ids of every face, a read-only (F, k) int array."""
+        return self._array
 
     def star(self, vertex: int) -> frozenset[int]:
         """Faces having the vertex adherent (its spherical neighborhood)."""
@@ -75,12 +90,12 @@ class CellComplex:
         return vertex in self._truncated
 
     def has_face(self, face: int) -> bool:
-        return face in self._adherence
+        return 0 <= face < len(self._faces)
 
     def export_text(self) -> str:
         """One record per face: face id followed by its adherent vertex ids."""
-        lines = [f"face {f} : " + " ".join(str(v) for v in self._adherence[f])
-                 for f in self._faces]
+        lines = [f"face {f} : " + " ".join(str(v) for v in verts)
+                 for f, verts in enumerate(self._array.tolist())]
         return "\n".join(lines) + "\n"
 
 
@@ -96,11 +111,15 @@ class FaceSet:
         self.faces = faces
 
     @cached_property
+    def face_ids(self) -> np.ndarray:
+        """The faces in increasing id order, a read-only int array."""
+        ids = np.array(sorted(self.faces), dtype=int)
+        ids.flags.writeable = False
+        return ids
+
+    @cached_property
     def adherent_vertices(self) -> frozenset[int]:
-        verts = set()
-        for f in self.faces:
-            verts.update(self.complex.adherence(f))
-        return frozenset(verts)
+        return frozenset(self.complex.adherence_array[self.face_ids].ravel().tolist())
 
     @cached_property
     def _vertex_class(self) -> VertexClass:
@@ -153,24 +172,19 @@ class TriangulatedGrid(CellComplex):
             raise ValueError("grid dimensions must be positive")
         self.width = width
         self.height = height
-        adherence = {}
-        for j in range(height):
-            for i in range(width):
-                face = j * width + i
-                adherence[face] = (
-                    self._vid(i, j),
-                    self._vid(i + 1, j),
-                    self._vid(i, j + 1),
-                )
+        adherence = {
+            j * width + i: (self._vid(i, j), self._vid(i + 1, j), self._vid(i, j + 1))
+            for j in range(height)
+            for i in range(width)
+        }
         truncated = [
             self._vid(i, j)
             for j in range(height + 1)
             for i in range(width + 1)
             if i == 0 or j == 0 or i == width or j == height
         ]
-        everything = [self._vid(i, j)
-                      for j in range(height + 1) for i in range(width + 1)]
-        super().__init__(adherence, vertices=everything, truncated_star=truncated)
+        super().__init__(adherence, vertices=range((width + 1) * (height + 1)),
+                         truncated_star=truncated)
         self._full = FaceSet(self, self.faces)
 
     def _vid(self, i: int, j: int) -> int:
@@ -203,6 +217,8 @@ class TriangulatedGrid(CellComplex):
         return self._full
 
 
+@cache
 def triangulated_grid(width: int, height: int) -> TriangulatedGrid:
-    """Build the W x H triangulated window of the plane."""
+    """The W x H triangulated window of the plane: one shared grid per
+    (W, H) in a process, which nothing mutates."""
     return TriangulatedGrid(width, height)

@@ -24,17 +24,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .complexes import CellComplex, FaceSet, VertexClass, classify_vertices
 from .defaults import H_JACOBI, H_LAGRANGIAN, TOL_ADMISSIBLE, RANK_TOL
 from .liegroup import (
     algebra_dim,
+    block_dot,
+    block_norms,
     coords_to_skew,
+    exp_skew,
+    max_norm,
     read_only,
-    skew_basis,
     skew_part,
     skew_to_coords,
+    step_matrices,
 )
 
 __all__ = [
@@ -42,10 +45,8 @@ __all__ = [
     "Section",
     "Variation",
     "Multiplier",
-    "Jet1",
     "LagrangianDensity",
     "ConstraintMap",
-    "CartanForm",
     "AdmissibilityReport",
     "RegularityReport",
     "ELResidual",
@@ -67,6 +68,8 @@ __all__ = [
     "multiplier_shift",
     "zero_variation",
     "apply_differential",
+    "form_apply",
+    "form_transpose",
 ]
 
 
@@ -128,141 +131,158 @@ class Multiplier:
 
     __post_init__ = _freeze_matrix_values
 
-    def at(self, face: int) -> np.ndarray:
-        if not 0 <= face < len(self.values):
-            raise ValueError(f"multiplier missing on face {face}")
-        return self.values[face]
+    def at(self, faces) -> np.ndarray:
+        """Values on a face id or an int array of them; ValueError for a face
+        outside the array."""
+        faces = np.asarray(faces, dtype=int)
+        missing = faces[(faces < 0) | (faces >= len(self.values))]
+        if missing.size:
+            raise ValueError(f"multiplier missing on face {missing.flat[0]}")
+        return self.values[faces]
 
 
-@dataclass(frozen=True)
-class Jet1:
-    """Fiber values over one face, a (k, c, n, n) array ordered like the
-    face's adherence list."""
-
-    face: int
-    values: np.ndarray
+_FD_BLOCK = 256  # jets per value call in the finite-difference defaults
 
 
-def jet_at(y: Section, complex: CellComplex, face: int) -> Jet1:
-    adherence = complex.adherence(face)
-    if max(adherence) >= len(y.values):
-        raise ValueError(f"section undefined at vertex {max(adherence)} "
-                         f"adherent to face {face}")
-    return Jet1(face, y.values[list(adherence)])
+def jet_at(y: Section, complex: CellComplex, faces) -> np.ndarray:
+    """Jets of y over a face id or an int array of them: the gather
+    ``y.values[adherence_array[faces]]``, of shape faces.shape + (k, c, n, n),
+    slots in adherence order; ValueError for a face id outside 0..F-1."""
+    faces = np.asarray(faces, dtype=int)
+    outside = faces[(faces < 0) | (faces >= len(complex.faces))]
+    if outside.size:
+        raise ValueError(f"face {outside.flat[0]} is not a face of the complex")
+    vertices = complex.adherence_array[faces]
+    if vertices.size and vertices.max() >= len(y.values):
+        raise ValueError(f"section undefined at vertex {vertices.max()}, "
+                         f"adherent to a requested face")
+    return y.values[vertices]
 
 
-def _fd_pairs(jet: Jet1, slot: int, h: float):
-    """Central-difference jet pairs for the default differentials.
+def _fd_differences(value, complex: CellComplex, jets: np.ndarray, slot: int,
+                   h: float) -> np.ndarray:
+    """Central differences of ``value`` for the default differentials,
+    shaped (P, c, d) + value shape.
 
-    For each fiber component k of the slot and each skew basis direction E,
-    in that order, the jets with the component g moved to g exp(hE) and to
-    g exp(-hE).
+    Entry [p, m, e] is the value at jet p with component m of the slot moved
+    from g to g exp(h E_e), minus the same with g exp(-h E_e).  ``value`` is
+    called once per block of ``_FD_BLOCK`` jets, so the moved stack stays
+    bounded on large windows (about 12 MB for n = 5 with two components).
     """
-    fiber = jet.values[slot]
-    steps = scipy.linalg.expm(h * skew_basis(fiber.shape[-1]))
-    for k, g in enumerate(fiber):
-        for step in steps:
-            plus, minus = jet.values.copy(), jet.values.copy()
-            plus[slot, k] = g @ step
-            minus[slot, k] = g @ step.T
-            yield Jet1(jet.face, plus), Jet1(jet.face, minus)
+    count, k, c, n, _ = jets.shape
+    steps = step_matrices(n, h)
+    blocks = []
+    for start in range(0, max(count, 1), _FD_BLOCK):
+        block = jets[start:start + _FD_BLOCK]
+        moved = np.broadcast_to(block[:, None, None, None],
+                                (len(block), 2, c, len(steps)) + jets.shape[1:]).copy()
+        for m in range(c):
+            g = block[:, slot, m, None]
+            moved[:, 0, m, :, slot, m] = g @ steps
+            moved[:, 1, m, :, slot, m] = g @ steps.swapaxes(-1, -2)
+        values = value(complex, moved.reshape(-1, k, c, n, n))
+        values = values.reshape(moved.shape[:4] + values.shape[1:])
+        blocks.append(values[:, 0] - values[:, 1])
+    return np.concatenate(blocks)
 
 
-def apply_differential(theta: np.ndarray, xi: np.ndarray) -> float:
-    """Evaluate a per-vertex differential (c, n, n) on a variation entry
-    (c, n, n) through the trace pairing, component after component."""
-    return sum(float(np.trace(mu.T @ x)) for mu, x in zip(theta, xi))
+def apply_differential(theta: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Evaluate per-vertex differentials (..., c, n, n) on variation entries
+    (..., c, n, n) through the trace pairing, summed over the components."""
+    return block_dot(theta, xi).sum(axis=-1)
+
+
+def form_apply(forms: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The algebra elements (..., n, n) that Cartan forms (..., d, c d)
+    assign to variation entries (..., c, n, n)."""
+    coords = skew_to_coords(xi)
+    coords = coords.reshape(coords.shape[:-2] + (coords.shape[-2] * coords.shape[-1],))
+    return coords_to_skew((forms @ coords[..., None])[..., 0], xi.shape[-1])
+
+
+def form_transpose(forms: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The covectors nu (..., c, n, n) with
+    <nu, xi> = <lam, form_apply(forms, xi)> for multiplier values lam
+    (..., n, n)."""
+    n = lam.shape[-1]
+    back = (forms.swapaxes(-1, -2) @ skew_to_coords(lam)[..., None])[..., 0]
+    d = algebra_dim(n)
+    return coords_to_skew(back.reshape(back.shape[:-1] + (back.shape[-1] // d, d)), n)
 
 
 class LagrangianDensity:
-    """Per-face smooth functions with per-vertex differentials.
+    """Per-face smooth functions with per-vertex differentials, on jet stacks.
 
-    Subclasses implement :meth:`value`.  The differential defaults to central
-    finite differences along exponential curves; analytic overrides should
-    reimplement :meth:`vertex_differential`.
+    Subclasses implement :meth:`value`, which receives a (P, k, c, n, n)
+    stack of jets (from :func:`jet_at`) and returns the (P,) values.  The
+    differential defaults to central finite differences along exponential
+    curves, all 2 c d directions of a block of jets in one :meth:`value`
+    call; analytic overrides should reimplement :meth:`vertex_differential`.
     """
 
     def __init__(self, fiber: FiberSignature, fd_step: float = H_LAGRANGIAN):
         self.fiber = fiber
         self.fd_step = fd_step
 
-    def value(self, complex: CellComplex, jet: Jet1) -> float:
+    def value(self, complex: CellComplex, jets: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def vertex_differential(self, complex: CellComplex, jet: Jet1,
+    def vertex_differential(self, complex: CellComplex, jets: np.ndarray,
                             slot: int) -> np.ndarray:
-        """Differential in the selected vertex slot, a (c, n, n) coalgebra stack.
+        """Differentials in the selected vertex slot, a (P, c, n, n) stack.
 
-        It acts on a left-log variation entry through the pairing, see
+        They act on left-log variation entries through the pairing, see
         :func:`apply_differential`.
         """
         h = self.fd_step
-        coeffs = np.array([
-            (self.value(complex, plus) - self.value(complex, minus)) / (2.0 * h)
-            for plus, minus in _fd_pairs(jet, slot, h)])
+        coeffs = _fd_differences(self.value, complex, jets, slot, h) / (2.0 * h)
         # coefficient against basis vector E equals <mu, E> = 2 mu_kl
-        return coords_to_skew(coeffs.reshape(self.fiber.components, -1) / 2.0,
-                              self.fiber.n)
-
-
-class CartanForm:
-    """A linear map from one vertex's variation components to the algebra.
-
-    Stored as a matrix over the skew basis, shape (dim g, components * dim g),
-    so it can be applied, transposed against a multiplier, and stacked into
-    the regularity matrix uniformly.
-    """
-
-    __slots__ = ("n", "components", "matrix")
-
-    def __init__(self, n: int, components: int, matrix: np.ndarray):
-        d = algebra_dim(n)
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (d, components * d):
-            raise ValueError(f"expected shape {(d, components * d)}, "
-                             f"got {matrix.shape}")
-        self.n = n
-        self.components = components
-        self.matrix = matrix
-
-    def apply(self, xi: np.ndarray) -> np.ndarray:
-        """The algebra element (n, n) that the form assigns to xi (c, n, n)."""
-        return coords_to_skew(self.matrix @ skew_to_coords(xi).ravel(), self.n)
-
-    def pair_transpose(self, lam: np.ndarray) -> np.ndarray:
-        """The (c, n, n) coalgebra stack nu with <nu, xi> = <lam, apply(xi)>."""
-        back = self.matrix.T @ skew_to_coords(lam)
-        return coords_to_skew(back.reshape(self.components, -1), self.n)
+        return coords_to_skew(coeffs / 2.0, self.fiber.n)
 
 
 class ConstraintMap:
     """Group-valued face-local constraint with per-vertex Cartan forms.
 
-    Subclasses implement :meth:`value`, which returns the (n, n) group
-    matrix.  The default :meth:`cartan_form` differentiates the
-    left-translated constraint by central finite differences; analytic
-    constraints override it.  The decomposition of the full differential into
-    per-vertex forms is unique here because each form acts on a disjoint
-    block of variables.
+    Subclasses implement :meth:`value`, which maps a (P, k, c, n, n) jet
+    stack to the (P, n, n) group matrices.  :meth:`cartan_form` returns, per
+    jet, the form of one vertex slot: the linear map from that vertex's
+    variation components to the algebra, as a (d, c d) matrix over the skew
+    basis, so a stack is (P, d, c d) (see :func:`form_apply` and
+    :func:`form_transpose`).  The default differentiates the left-translated
+    constraint by central finite differences, one :meth:`value` call per
+    block of jets; analytic constraints override it.  The decomposition
+    of the full differential into per-vertex forms is unique here because
+    each form acts on a disjoint block of variables.
     """
 
     def __init__(self, fiber: FiberSignature, fd_step: float = H_LAGRANGIAN):
         self.fiber = fiber
         self.fd_step = fd_step
 
-    def value(self, complex: CellComplex, jet: Jet1) -> np.ndarray:
+    def value(self, complex: CellComplex, jets: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def cartan_form(self, complex: CellComplex, jet: Jet1, slot: int) -> CartanForm:
+    def cartan_form(self, complex: CellComplex, jets: np.ndarray,
+                    slot: int) -> np.ndarray:
         h = self.fd_step
-        base_inv = self.value(complex, jet).T
-        cols = []
-        for plus, minus in _fd_pairs(jet, slot, h):
-            v_plus = self.value(complex, plus)
-            v_minus = self.value(complex, minus)
-            deriv = base_inv @ (v_plus - v_minus) / (2.0 * h)
-            cols.append(skew_to_coords(skew_part(deriv)))
-        return CartanForm(self.fiber.n, self.fiber.components, np.column_stack(cols))
+        n = self.fiber.n
+        base_inv = self.value(complex, jets).swapaxes(-1, -2)[:, None]
+        diff = _fd_differences(self.value, complex, jets, slot, h).reshape(
+            len(jets), self.fiber.components * algebra_dim(n), n, n)
+        deriv = base_inv @ diff / (2.0 * h)
+        return skew_to_coords(skew_part(deriv)).swapaxes(-1, -2)
+
+
+def _per_slot(method, complex: CellComplex, jets: np.ndarray) -> np.ndarray:
+    """A per-slot density or constraint method on a (P, k, ...) jet stack,
+    one call per slot, stacked [jet, slot]."""
+    return np.stack([method(complex, jets, slot) for slot in range(jets.shape[1])],
+                    axis=1)
+
+
+def _sequential_sum(terms: np.ndarray) -> float:
+    """Sum in the given order, one term at a time; 0.0 when empty."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +290,10 @@ class ConstraintMap:
 
 
 def action(lagrangian: LagrangianDensity, y: Section, faceset: FaceSet) -> float:
-    """Sum of the face Lagrangians over the face set."""
+    """Sum of the face Lagrangians over the face set, in face-id order."""
     complex = faceset.complex
-    return float(sum(
-        lagrangian.value(complex, jet_at(y, complex, f))
-        for f in sorted(faceset.faces)
-    ))
+    jets = jet_at(y, complex, faceset.face_ids)
+    return _sequential_sum(lagrangian.value(complex, jets))
 
 
 def constraint_values(constraint: ConstraintMap, y: Section,
@@ -285,8 +303,8 @@ def constraint_values(constraint: ConstraintMap, y: Section,
     identity everywhere means admissible."""
     complex = faceset.complex
     out = np.tile(np.eye(constraint.fiber.n), (len(complex.faces), 1, 1))
-    for f in faceset.faces:
-        out[f] = constraint.value(complex, jet_at(y, complex, f))
+    faces = faceset.face_ids
+    out[faces] = constraint.value(complex, jet_at(y, complex, faces))
     return out
 
 
@@ -300,17 +318,13 @@ class AdmissibilityReport:
 
 def admissibility_report(constraint: ConstraintMap, y: Section, faceset: FaceSet,
                          tol: float = TOL_ADMISSIBLE) -> AdmissibilityReport:
-    """Max Frobenius distance of the constraint values from the identity."""
-    n = constraint.fiber.n
-    eye = np.eye(n)
-    worst = None
-    worst_res = 0.0
-    values = constraint_values(constraint, y, faceset)
-    for f in sorted(faceset.faces):
-        res = float(np.linalg.norm(values[f] - eye))
-        if res > worst_res:
-            worst_res = res
-            worst = f
+    """Max Frobenius distance of the constraint values from the identity; the
+    first face in id order that attains it (a NaN counts as the largest)."""
+    faces = faceset.face_ids
+    res = block_norms(constraint_values(constraint, y, faceset)[faces]
+                      - np.eye(constraint.fiber.n))
+    worst_res = max_norm(res)
+    worst = None if worst_res == 0.0 else int(faces[np.argmax(res)])
     return AdmissibilityReport(worst_res <= tol, worst_res, worst, tol)
 
 
@@ -326,12 +340,11 @@ def constraint_derivative(constraint: ConstraintMap, y: Section, dy: Variation,
     """
     complex = faceset.complex
     n = constraint.fiber.n
+    faces = faceset.face_ids
+    forms = _per_slot(constraint.cartan_form, complex, jet_at(y, complex, faces))
     out = np.zeros((len(complex.faces), n, n))
-    for f in sorted(faceset.faces):
-        jet = jet_at(y, complex, f)
-        for slot, v in enumerate(complex.adherence(f)):
-            form = constraint.cartan_form(complex, jet, slot)
-            out[f] = out[f] + form.apply(dy.values[v])
+    xi = dy.values[complex.adherence_array[faces]]
+    out[faces] = form_apply(forms, xi).sum(axis=1)
     return out
 
 
@@ -370,39 +383,32 @@ def regularity_report(constraint: ConstraintMap, y: Section, faceset: FaceSet,
     fixed, every adherent vertex otherwise).
     """
     complex = faceset.complex
-    n = constraint.fiber.n
-    c = constraint.fiber.components
-    d = algebra_dim(n)
+    d = algebra_dim(constraint.fiber.n)
     klass = classify_vertices(complex, faceset)
-    variable = sorted(klass.interior) if boundary_fixed \
-        else sorted(faceset.adherent_vertices)
-    col_of = {v: i * c * d for i, v in enumerate(variable)}
-    faces = sorted(faceset.faces)
-    rows = len(faces) * d
-    cols = len(variable) * c * d
-    matrix = np.zeros((rows, cols))
-    reachable = []
-    for fi, f in enumerate(faces):
-        jet = jet_at(y, complex, f)
-        touched = False
-        for slot, v in enumerate(complex.adherence(f)):
-            if v not in col_of:
-                continue
-            form = constraint.cartan_form(complex, jet, slot)
-            matrix[fi * d:(fi + 1) * d, col_of[v]:col_of[v] + c * d] = form.matrix
-            touched = True
-        if touched:
-            reachable.append(fi)
-    unreachable = tuple(faces[fi] for fi in range(len(faces)) if fi not in reachable)
+    variable = np.array(sorted(klass.interior if boundary_fixed
+                               else faceset.adherent_vertices), dtype=int)
+    faces = faceset.face_ids
+    vertices = complex.adherence_array[faces]
+    forms = _per_slot(constraint.cartan_form, complex, jet_at(y, complex, faces))
+    column = np.full(len(y.values), -1)
+    column[variable] = np.arange(len(variable))
+    column = column[vertices]
+    # blocks[face, :, variable vertex, :] holds the (d, c d) form of that pair
+    blocks = np.zeros((len(faces), d, len(variable), forms.shape[-1]))
+    fi, slot = np.nonzero(column >= 0)
+    blocks[fi, :, column[fi, slot]] = forms[fi, slot]
+    rows, cols = len(faces) * d, blocks.shape[2] * blocks.shape[3]
+    matrix = blocks.reshape(rows, cols)
+    reachable = (column >= 0).any(axis=1)
+    unreachable = tuple(faces[~reachable].tolist())
 
     def smallest_sv(m):
         if m.shape[0] == 0 or m.shape[1] == 0:
             return 0.0
         return float(np.linalg.svd(m, compute_uv=False)[-1])
 
-    keep = np.concatenate([np.arange(fi * d, (fi + 1) * d) for fi in reachable]) \
-        if reachable else np.array([], dtype=int)
-    sigma_reachable = smallest_sv(matrix[keep, :]) if keep.size else 0.0
+    keep = np.repeat(reachable, d)
+    sigma_reachable = smallest_sv(matrix[keep]) if keep.any() else 0.0
     sigma_full = smallest_sv(matrix)
     structurally = rows <= cols and not unreachable
     return RegularityReport(
@@ -426,6 +432,50 @@ def _require_interior(klass: VertexClass, vertex: int):
         raise ValueError(f"vertex {vertex} is not interior to the face set")
 
 
+def _star_faces(complex: CellComplex, vertex: int) -> np.ndarray:
+    return np.array(sorted(complex.star(vertex)), dtype=int)
+
+
+def _vertex_major(vertices: np.ndarray, chosen) -> np.ndarray:
+    """Flat [face, slot] indices of the (vertex, face) pairs whose vertex is
+    in ``chosen``: vertex after vertex in id order, each vertex's faces in id
+    order (``vertices`` is the (F', k) adherence of faces in id order)."""
+    flat = vertices.ravel()
+    picked = np.flatnonzero(np.isin(flat, list(chosen)))
+    return picked[np.argsort(flat[picked], kind="stable")]
+
+
+def _vertex_sums(covectors: np.ndarray, vertices: np.ndarray,
+                 chosen: np.ndarray) -> np.ndarray:
+    """Per-vertex sums of pair covectors (F', k, ...) over the sorted
+    ``chosen`` vertices, each over its faces in id order: (len(chosen), ...)."""
+    order = _vertex_major(vertices, chosen)
+    out = np.zeros((len(chosen),) + covectors.shape[2:])
+    np.add.at(out, np.searchsorted(chosen, vertices.ravel()[order]),
+              covectors.reshape(-1, *covectors.shape[2:])[order])
+    return out
+
+
+def _face_forms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
+                y: Section, complex: CellComplex, faces: np.ndarray):
+    """For faces in id order: their adherent vertices (F', k), and the
+    Lagrangian differential theta (F', k, c, n, n) and Cartan form A
+    (F', k, d, c d) of every (face, slot) pair, each evaluated once."""
+    jets = jet_at(y, complex, faces)
+    return (complex.adherence_array[faces],
+            _per_slot(lagrangian.vertex_differential, complex, jets),
+            _per_slot(constraint.cartan_form, complex, jets))
+
+
+def _extended_covectors(lagrangian: LagrangianDensity, constraint: ConstraintMap,
+                        y: Section, lam: Multiplier, complex: CellComplex,
+                        faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adherent vertices (F', k) of the faces and the extended Cartan form
+    theta + A^T lam of every (face, slot) pair, (F', k, c, n, n)."""
+    vertices, theta, forms = _face_forms(lagrangian, constraint, y, complex, faces)
+    return vertices, theta + form_transpose(forms, lam.at(faces)[:, None])
+
+
 def euler_lagrange_form(lagrangian: LagrangianDensity, y: Section,
                         faceset: FaceSet, vertex: int) -> np.ndarray:
     """Euler-Lagrange 1-form at an interior vertex.
@@ -436,13 +486,10 @@ def euler_lagrange_form(lagrangian: LagrangianDensity, y: Section,
     """
     complex = faceset.complex
     _require_interior(classify_vertices(complex, faceset), vertex)
-    fib = lagrangian.fiber
-    total = np.zeros((fib.components, fib.n, fib.n))
-    for f in sorted(complex.star(vertex)):
-        jet = jet_at(y, complex, f)
-        slot = complex.adherence(f).index(vertex)
-        total = total + lagrangian.vertex_differential(complex, jet, slot)
-    return total
+    faces = _star_faces(complex, vertex)
+    jets = jet_at(y, complex, faces)
+    theta = _per_slot(lagrangian.vertex_differential, complex, jets)
+    return _vertex_sums(theta, complex.adherence_array[faces], np.array([vertex]))[0]
 
 
 @dataclass(frozen=True)
@@ -469,14 +516,10 @@ def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     """
     complex = faceset.complex
     _require_interior(classify_vertices(complex, faceset), vertex)
-    fib = lagrangian.fiber
-    total = np.zeros((fib.components, fib.n, fib.n))
-    for f in sorted(complex.star(vertex)):
-        jet = jet_at(y, complex, f)
-        slot = complex.adherence(f).index(vertex)
-        theta = lagrangian.vertex_differential(complex, jet, slot)
-        nu = constraint.cartan_form(complex, jet, slot).pair_transpose(lam.at(f))
-        total = total + theta + nu
+    faces = _star_faces(complex, vertex)
+    vertices, covectors = _extended_covectors(lagrangian, constraint, y, lam,
+                                              complex, faces)
+    total = _vertex_sums(covectors, vertices, np.array([vertex]))[0]
     # value on basis vector E_kl is <mu, E_kl> = 2 mu_kl
     coords = (2.0 * skew_to_coords(total)).ravel()
     return ELResidual(total, coords, float(np.linalg.norm(coords)))
@@ -485,47 +528,52 @@ def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
 def el_residual_vector(lagrangian: LagrangianDensity, constraint: ConstraintMap,
                        y: Section, lam: Multiplier, faceset: FaceSet) -> np.ndarray:
     """Concatenated residual coordinates over all interior vertices (sorted)."""
-    klass = classify_vertices(faceset.complex, faceset)
-    interior = sorted(klass.interior)
-    if not interior:
+    interior = np.array(sorted(classify_vertices(faceset.complex, faceset).interior),
+                        dtype=int)
+    if not interior.size:
         return np.zeros(0)
-    return np.concatenate([
-        extended_residual(lagrangian, constraint, y, lam, faceset, v).coords
-        for v in interior
-    ])
+    vertices, covectors = _extended_covectors(lagrangian, constraint, y, lam,
+                                              faceset.complex, faceset.face_ids)
+    return (2.0 * skew_to_coords(_vertex_sums(covectors, vertices, interior))).ravel()
 
 
 # ---------------------------------------------------------------------------
 # variation formula, Noether sum, Jacobi and multisymplectic checks
 
 
-def _pairs(faceset: FaceSet, vertices) -> list[tuple[int, int]]:
-    """(vertex, face) pairs: each vertex, sorted, with its sorted star faces."""
-    complex = faceset.complex
-    return [(v, f) for v in sorted(vertices)
-            for f in sorted(complex.star(v) & faceset.faces)]
+def _pair_terms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
+                y: Section, lam: Multiplier, dy: Variation, faceset: FaceSet):
+    """The extended Cartan form of every (vertex, face) pair applied to dy,
+    each evaluated once.
+
+    Returns, indexed [face, slot] with the faces in id order: the adherent
+    vertices (F', k), the Lagrangian terms <theta, xi> (F', k), the
+    constraint terms A xi (F', k, n, n), and the pair terms
+    <theta, xi> + <lam, A xi> (F', k) that every sum below adds up.
+    """
+    faces = faceset.face_ids
+    vertices, theta, forms = _face_forms(lagrangian, constraint, y,
+                                         faceset.complex, faces)
+    xi = dy.values[vertices]
+    dl = apply_differential(theta, xi)
+    dphi = form_apply(forms, xi)
+    return vertices, dl, dphi, dl + block_dot(lam.at(faces)[:, None], dphi)
+
+
+def _vertex_major_sum(vertices: np.ndarray, terms: np.ndarray, *groups) -> float:
+    """The pair terms of the vertex groups, one group after another, each
+    vertex-major (see :func:`_vertex_major`), summed in that order."""
+    order = np.concatenate([_vertex_major(vertices, g) for g in groups])
+    return _sequential_sum(terms.ravel()[order])
 
 
 def _paired_sum(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                y: Section, lam: Multiplier, dy: Variation,
-                complex: CellComplex, pairs) -> float:
-    """Extended Cartan forms applied to dy, summed over (vertex, face) pairs.
-
-    Each pair contributes the Lagrangian differential and then the
-    multiplier-paired constraint form at the vertex's slot in the face, in
-    the order given; the split, Noether and two-form sums differ only in the
-    pair list.
-    """
-    total = 0.0
-    for v, f in pairs:
-        jet = jet_at(y, complex, f)
-        slot = complex.adherence(f).index(v)
-        xi = dy.values[v]
-        total += apply_differential(
-            lagrangian.vertex_differential(complex, jet, slot), xi)
-        total += float(np.trace(
-            lam.at(f).T @ constraint.cartan_form(complex, jet, slot).apply(xi)))
-    return total
+                y: Section, lam: Multiplier, dy: Variation, faceset: FaceSet,
+                chosen) -> float:
+    """Extended Cartan forms applied to dy, summed over the (vertex, face)
+    pairs of the chosen vertices, vertex-major."""
+    vertices, _, _, terms = _pair_terms(lagrangian, constraint, y, lam, dy, faceset)
+    return _vertex_major_sum(vertices, terms, chosen)
 
 
 def variational_split(lagrangian: LagrangianDensity, constraint: ConstraintMap,
@@ -536,18 +584,15 @@ def variational_split(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     Left: the face-by-face sum of the Lagrangian differential plus the
     multiplier-paired constraint differential, each in per-vertex form sum.
     Right: the same terms regrouped per vertex, interior Euler-Lagrange part
-    plus frontier boundary part.  The identity is a finite resummation, so
-    the two must agree to round-off for arbitrary inputs.
+    plus frontier boundary part.  Both sides add up one array of pair terms,
+    face-major on the left and interior-then-frontier vertex-major on the
+    right.  The identity is a finite resummation, so the two must agree to
+    round-off for arbitrary inputs.
     """
-    complex = faceset.complex
-    klass = classify_vertices(complex, faceset)
-    face_major = [(v, f) for f in sorted(faceset.faces)
-                  for v in complex.adherence(f)]
-    lhs = _paired_sum(lagrangian, constraint, y, lam, dy, complex, face_major)
-    rhs = _paired_sum(lagrangian, constraint, y, lam, dy, complex,
-                      _pairs(faceset, klass.interior)
-                      + _pairs(faceset, klass.frontier))
-    return lhs, rhs
+    klass = classify_vertices(faceset.complex, faceset)
+    vertices, _, _, terms = _pair_terms(lagrangian, constraint, y, lam, dy, faceset)
+    return (_sequential_sum(terms.ravel()),
+            _vertex_major_sum(vertices, terms, klass.interior, klass.frontier))
 
 
 @dataclass(frozen=True)
@@ -577,30 +622,18 @@ def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMa
     invariance on the whole jet space.  A failed check flags the report
     instead of raising.
     """
-    complex = faceset.complex
-    lag_defect = 0.0
-    con_defect = 0.0
-    for f in sorted(faceset.faces):
-        jet = jet_at(y, complex, f)
-        dl = 0.0
-        dphi = np.zeros((constraint.fiber.n, constraint.fiber.n))
-        for slot, v in enumerate(complex.adherence(f)):
-            xi = d.values[v]
-            dl += apply_differential(
-                lagrangian.vertex_differential(complex, jet, slot), xi)
-            dphi = dphi + constraint.cartan_form(complex, jet, slot).apply(xi)
-        lag_defect = max(lag_defect, abs(dl))
-        con_defect = max(con_defect, float(np.linalg.norm(dphi)))
-
-    total = _paired_sum(lagrangian, constraint, y, lam, d, complex,
-                        _pairs(faceset, classify_vertices(complex, faceset).frontier))
+    frontier = classify_vertices(faceset.complex, faceset).frontier
+    vertices, dl, dphi, terms = _pair_terms(lagrangian, constraint, y, lam, d, faceset)
+    lag_defect = max_norm(np.abs(dl.sum(axis=1)))
+    con_defect = max_norm(block_norms(dphi.sum(axis=1)))
+    total = _vertex_major_sum(vertices, terms, frontier)
     ok = lag_defect <= symmetry_tol and con_defect <= symmetry_tol
     return NoetherReport(total, lag_defect, con_defect, ok, symmetry_tol)
 
 
 def section_exp(y: Section, dy: Variation, t: float) -> Section:
     """Flow the section along a variation: every component g -> g exp(t xi)."""
-    return Section(y.fiber, y.values @ scipy.linalg.expm(t * dy.values))
+    return Section(y.fiber, y.values @ exp_skew(t * dy.values))
 
 
 def multiplier_shift(lam: Multiplier, dlam: Multiplier, t: float) -> Multiplier:
@@ -648,19 +681,18 @@ def multisymplectic_defect(lagrangian: LagrangianDensity, constraint: Constraint
     bracket therefore the pointwise commutator.  Vanishes on two Jacobi
     fields along a critical pair, up to finite-difference error.
     """
-    complex = faceset.complex
-    pairs = _pairs(faceset, classify_vertices(complex, faceset).frontier)
+    frontier = classify_vertices(faceset.complex, faceset).frontier
 
     def omega_at(flow_dy, flow_dlam, t, probe_dy):
         yt = section_exp(y, flow_dy, t)
         lamt = multiplier_shift(lam, flow_dlam, t)
-        return _paired_sum(lagrangian, constraint, yt, lamt, probe_dy,
-                           complex, pairs)
+        return _paired_sum(lagrangian, constraint, yt, lamt, probe_dy, faceset,
+                           frontier)
 
     x_of_y = (omega_at(d1, dlam1, step, d2) - omega_at(d1, dlam1, -step, d2)) \
         / (2.0 * step)
     y_of_x = (omega_at(d2, dlam2, step, d1) - omega_at(d2, dlam2, -step, d1)) \
         / (2.0 * step)
     bracket = _paired_sum(lagrangian, constraint, y, lam,
-                          _commutator_variation(d1, d2), complex, pairs)
+                          _commutator_variation(d1, d2), faceset, frontier)
     return x_of_y - y_of_x - bracket

@@ -24,7 +24,6 @@ import scipy.linalg
 from . import liegroup as lg
 from .complexes import FaceSet, TriangulatedGrid, classify_vertices
 from .core import (
-    Jet1,
     LagrangianDensity,
     Multiplier,
     Section,
@@ -45,8 +44,10 @@ from .liegroup import (
     block_norms,
     coadjoint_inverse,
     log_near_identity,
+    max_norm,
     random_algebra,
     skew_part,
+    step_matrices,
 )
 from .reduction import (
     PlaquetteConstraint,
@@ -88,12 +89,12 @@ class TraceLagrangian(LagrangianDensity):
     def __init__(self, n: int):
         super().__init__(reduced_fiber(n))
 
-    def value(self, complex, jet: Jet1) -> float:
-        u, v = jet.values[0]
-        return float(np.trace(u) + np.trace(v))
+    def value(self, complex, jets: np.ndarray) -> np.ndarray:
+        return np.trace(jets[:, 0, 0], axis1=-2, axis2=-1) \
+            + np.trace(jets[:, 0, 1], axis1=-2, axis2=-1)
 
-    def vertex_differential(self, complex, jet: Jet1, slot: int) -> np.ndarray:
-        uv = jet.values[0]
+    def vertex_differential(self, complex, jets: np.ndarray, slot: int) -> np.ndarray:
+        uv = jets[:, 0]
         if slot != 0:
             return np.zeros(uv.shape)
         return (uv.swapaxes(-1, -2) - uv) / 2.0
@@ -215,11 +216,6 @@ class SolveReport:
         return self.descent_iterations + self.newton_steps
 
 
-def _max_norm(norms: np.ndarray) -> float:
-    """Largest of a stack of norms; 0.0 when it is empty."""
-    return max([0.0, *norms.ravel().tolist()])
-
-
 def dirichlet_energy(g: np.ndarray) -> float:
     """Sum over faces of 2n - tr(u) - tr(v); nonnegative, zero iff constant.
 
@@ -276,7 +272,7 @@ def _residual(g: np.ndarray) -> tuple[np.ndarray, float]:
     """Stacked upper-triangle gradient entries and the largest block norm."""
     grads, norms = _interior_gradients(g)
     upper = np.triu_indices(g.shape[-1], 1)
-    return grads[(..., *upper)].ravel(), _max_norm(norms)
+    return grads[(..., *upper)].ravel(), max_norm(norms)
 
 
 class _JacobianLayout(NamedTuple):
@@ -325,8 +321,7 @@ def _jacobian_layout(g: np.ndarray) -> _JacobianLayout:
         entries = rows[reached][:, None] * d + np.arange(d)
         first = cols[reached][:, None] * d
         colours.append((members, entries, bandwidth + entries - first, first))
-    steps = scipy.linalg.expm(_NEWTON_FD_STEP * lg.skew_basis(n))
-    return _JacobianLayout(bandwidth, steps, colours)
+    return _JacobianLayout(bandwidth, step_matrices(n, _NEWTON_FD_STEP), colours)
 
 
 def _band_jacobian(g: np.ndarray, layout: _JacobianLayout) -> np.ndarray:
@@ -467,7 +462,7 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     iteration = backtracks = 0
     grads, norms = _interior_gradients(g)
     evaluations = 1
-    worst = _max_norm(norms)
+    worst = max_norm(norms)
     history = [_record(0, "descent", g, energy, worst, 0.0)]
     while iteration < config.max_iterations:
         if worst <= config.g_tol or worst <= _NEWTON_SWITCH:
@@ -486,7 +481,7 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
         g, energy = trial, trial_energy
         grads, norms = _interior_gradients(g)
         evaluations += 1
-        worst = _max_norm(norms)
+        worst = max_norm(norms)
         history.append(_record(iteration, "descent", g, energy, worst, step))
         step = min(_STEP_INIT, step * _STEP_GROW)
 
@@ -521,8 +516,8 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
         final_action=action(lagrangian, y, faceset),
         final_energy=energy,
         max_gradient=worst,
-        max_ep_residual=_max_norm(ep),
-        max_constraint_residual=_max_norm(flat),
+        max_ep_residual=max_norm(ep),
+        max_constraint_residual=max_norm(flat),
         section=y,
         per_vertex_ep=ep,
         history=history,

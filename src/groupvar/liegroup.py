@@ -30,12 +30,15 @@ __all__ = [
     "exp_skew",
     "block_dot",
     "block_norms",
+    "max_norm",
     "log_near_identity",
     "adjoint",
+    "adjoint_matrix",
     "coadjoint",
     "pairing",
     "project_to_group",
     "skew_basis",
+    "step_matrices",
     "algebra_dim",
     "skew_to_coords",
     "coords_to_skew",
@@ -197,8 +200,9 @@ def identity(n: int) -> GroupElement:
 def exp(xi: AlgebraElement) -> GroupElement:
     """Matrix exponential of one algebra element (scipy's Pade ``expm``).
 
-    Used for boundary data, sampled instances, test curves and the Newton
-    finite-difference steps; the solver retraction uses :func:`exp_skew`.
+    Used for boundary data, test curves and the finite-difference steps
+    (:func:`step_matrices`); the solver retraction and the sampled
+    instances use :func:`exp_skew`.
     """
     return GroupElement(scipy.linalg.expm(xi.matrix))
 
@@ -226,9 +230,11 @@ def exp_skew(xi: np.ndarray) -> np.ndarray:
 
 
 def block_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Frobenius inner product of corresponding n x n blocks of two stacks."""
-    shape = a.shape[:-2] + (a.shape[-2] * a.shape[-1],)
-    return np.vecdot(a.reshape(shape), b.reshape(shape))
+    """Frobenius inner product of corresponding n x n blocks of two stacks,
+    whose leading shapes broadcast."""
+    size = a.shape[-2] * a.shape[-1]
+    return np.vecdot(a.reshape(a.shape[:-2] + (size,)),
+                     b.reshape(b.shape[:-2] + (size,)))
 
 
 def block_norms(x: np.ndarray) -> np.ndarray:
@@ -236,28 +242,45 @@ def block_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(block_dot(x, x))
 
 
-def log_near_identity(g: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithms of a (..., n, n) stack, each restricted to
-    ||g - I||_F < 1; returns their skew parts.
+def max_norm(*norms: np.ndarray) -> float:
+    """Largest entry of some arrays of norms; 0.0 when they are all empty and
+    NaN when any entry is NaN, so a NaN never reads as small."""
+    worst = 0.0
+    for a in norms:
+        # np.maximum propagates NaN, also through ``initial``
+        worst = np.asarray(a).max(initial=worst)
+    return float(worst)
 
-    Solvers only ever need the logarithm close to the identity, where the
-    principal branch is unambiguous and the Schur-based algorithm is accurate.
+
+def log_near_identity(g: np.ndarray) -> np.ndarray:
+    """Principal logarithms of a (..., n, n) stack of rotations, each
+    restricted to ||g - I||_F < 1; returns skew matrices.
+
+    The inverse of :func:`exp_skew`, in closed form (Gallier & Xu 2002).  The
+    skew part S = (g - g^T) / 2 of g = exp(xi) has the eigenvectors of xi and
+    the sines of its rotation angles for eigenvalues, and ||g - I||_F < 1
+    keeps every angle below pi/3, where arcsin inverts the sine.  For n <= 3,
+    S = sin(theta) xi / theta with sin(theta) = ||S||_F / sqrt(2), so
+    xi = S arcsin(s) / s.  For n >= 4, with i S = V diag(s) V^H,
+    xi = S + Re(V diag(-i (arcsin(s) - s)) V^H), which keeps full relative
+    accuracy for small xi.  Only the skew part of g is read beyond the domain
+    check, which rejects non-finite entries too.
     """
     g = np.asarray(g, dtype=float)
-    distance = max([0.0, *block_norms(g - np.eye(g.shape[-1])).ravel().tolist()])
-    if distance >= 1.0:
+    n = g.shape[-1]
+    distance = block_norms(g - np.eye(n))
+    if not np.all(distance < 1.0):
         raise DomainError(
-            f"||g - I|| = {distance:.3f} >= 1, outside the principal log region"
+            f"||g - I|| = {max_norm(distance):.3f} >= 1 or not finite, outside "
+            f"the principal log region"
         )
-    out = np.empty_like(g)
-    for k in np.ndindex(g.shape[:-2]):
-        log = scipy.linalg.logm(g[k])
-        if np.iscomplexobj(log):
-            if np.max(np.abs(log.imag)) > 1e-12:
-                raise DomainError("logarithm came out complex, input too far from I")
-            log = log.real
-        out[k] = log
-    return skew_part(out)
+    s = skew_part(g)
+    if n <= 3:
+        sine = np.sqrt(np.sum(s * s, axis=(-2, -1)) / 2.0)[..., None, None]
+        return s * (np.arcsin(sine) / np.where(sine > 0.0, sine, 1.0))
+    w, v = np.linalg.eigh(1j * s)
+    c = -1j * (np.arcsin(w) - w)
+    return s + skew_part(((v * c[..., None, :]) @ v.conj().swapaxes(-1, -2)).real)
 
 
 def adjoint(g: GroupElement, xi: AlgebraElement) -> AlgebraElement:
@@ -322,9 +345,28 @@ def skew_basis(n: int) -> np.ndarray:
     return basis
 
 
+@functools.cache
+def step_matrices(n: int, h: float) -> np.ndarray:
+    """exp(h E) for every skew basis element E, a read-only (d, n, n) stack
+    (scipy's Pade ``expm``); built once per (n, h) for the finite-difference
+    derivatives."""
+    steps = scipy.linalg.expm(h * skew_basis(n))
+    steps.flags.writeable = False
+    return steps
+
+
 def skew_to_coords(matrix: np.ndarray) -> np.ndarray:
     """Coordinates of (a stack of) skew matrices over the standard basis."""
     return matrix[(..., *_upper(matrix.shape[-1]))]
+
+
+def adjoint_matrix(p: np.ndarray) -> np.ndarray:
+    """Matrices of xi -> p xi p^T over the skew basis for a (..., n, n)
+    stack, shape (..., d, d): entry [(k, l), (a, b)] is
+    p_ka p_lb - p_kb p_la, the second compound of p."""
+    k, l = _upper(p.shape[-1])
+    row_k, row_l = k[:, None], l[:, None]
+    return p[..., row_k, k] * p[..., row_l, l] - p[..., row_k, l] * p[..., row_l, k]
 
 
 def coords_to_skew(coords: np.ndarray, n: int) -> np.ndarray:

@@ -31,10 +31,8 @@ import numpy as np
 
 from .complexes import TriangulatedGrid
 from .core import (
-    CartanForm,
     ConstraintMap,
     FiberSignature,
-    Jet1,
     LagrangianDensity,
     Multiplier,
     Section,
@@ -51,10 +49,10 @@ from .errors import (
 )
 from .liegroup import (
     CoAlgebraElement,
+    adjoint_matrix,
     block_norms,
-    skew_basis,
+    max_norm,
     skew_part,
-    skew_to_coords,
 )
 
 __all__ = [
@@ -133,8 +131,8 @@ def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     Assumes the density reads only the base-corner fiber, which is the shape
     of every reduced Lagrangian on this window.
     """
-    mu = _on_window(grid, np.array([lagrangian.vertex_differential(
-        grid, jet_at(y, grid, f), 0) for f in grid.faces]))
+    mu = _on_window(grid, lagrangian.vertex_differential(
+        grid, jet_at(y, grid, grid.full_faceset().face_ids), 0))
     return mu, _coadjoint_inverse(p[:-1, :-1], mu)
 
 
@@ -156,6 +154,12 @@ def _system(p: np.ndarray, right: np.ndarray, lam: np.ndarray):
     return first, second
 
 
+def _interior_system(p: np.ndarray, right: np.ndarray, lam: np.ndarray):
+    """Both multiplier equations at the interior vertices, [j-1, i-1]."""
+    first, second = _system(p, right, lam)
+    return first[:, 1:], second[1:]
+
+
 class PlaquetteConstraint(ConstraintMap):
     """Holonomy of the plaquette attached to a face, valued in SO(n).
 
@@ -169,36 +173,23 @@ class PlaquetteConstraint(ConstraintMap):
     def __init__(self, n: int):
         super().__init__(reduced_fiber(n))
 
-    def value(self, complex, jet: Jet1) -> np.ndarray:
-        (u, v), (_, v_right), (u_up, _) = jet.values
-        return _holonomy(u, v, v_right, u_up)
+    def value(self, complex, jets: np.ndarray) -> np.ndarray:
+        return _holonomy(jets[:, 0, 0], jets[:, 0, 1], jets[:, 1, 1], jets[:, 2, 0])
 
-    def cartan_form(self, complex, jet: Jet1, slot: int) -> CartanForm:
-        n = self.fiber.n
-        v = jet.values[0, 1]
-        v_right = jet.values[1, 1]
-        u_up = jet.values[2, 0]
-        vu = v @ u_up
+    def cartan_form(self, complex, jets: np.ndarray, slot: int) -> np.ndarray:
+        # the u and v blocks are signed conjugations xi -> s P xi P^T
+        v = jets[:, 0, 1]
+        vu = v @ jets[:, 2, 0]
         if slot == 0:
-            p = vu @ v_right.T
-            return _conjugation_form(n, [(1.0, p)], [(-1.0, v)])
-        if slot == 1:
-            return _conjugation_form(n, [], [(1.0, vu)])
-        if slot == 2:
-            return _conjugation_form(n, [(-1.0, vu)], [])
-        raise ValueError(f"plaquette faces have three adherent vertices, slot {slot}")
-
-
-def _conjugation_form(n: int, terms_u, terms_v) -> CartanForm:
-    """Cartan form whose component maps are signed conjugations xi -> s P xi P^T."""
-    basis = skew_basis(n)
-    blocks = []
-    for terms in (terms_u, terms_v):
-        total = np.zeros(basis.shape)
-        for sign, p in terms:
-            total = total + sign * (p @ basis @ p.T)
-        blocks.append(skew_to_coords(total))
-    return CartanForm(n, 2, np.ascontiguousarray(np.concatenate(blocks).T))
+            blocks = [adjoint_matrix(vu @ _t(jets[:, 1, 1])), -adjoint_matrix(v)]
+        elif slot in (1, 2):
+            conj = adjoint_matrix(vu)
+            blocks = [np.zeros_like(conj), conj] if slot == 1 \
+                else [-conj, np.zeros_like(conj)]
+        else:
+            raise ValueError(
+                f"plaquette faces have three adherent vertices, slot {slot}")
+        return np.concatenate(blocks, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +218,23 @@ def plaquette_holonomy(grid: TriangulatedGrid, y: Section) -> np.ndarray:
 
 
 def plaquette_cartan_forms(grid: TriangulatedGrid, y: Section, i: int, j: int,
-                           tol: float = TOL_ADMISSIBLE) -> tuple[CartanForm, CartanForm, CartanForm]:
-    """The three per-vertex derivative blocks of the holonomy at a flat face.
+                           tol: float = TOL_ADMISSIBLE
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three per-vertex derivative blocks of the holonomy at a flat face,
+    each a (d, 2d) Cartan form matrix.
 
     Ordered like the adherence list: base corner, right neighbor, upper
     neighbor.  The closed forms assume the holonomy is the identity, so a
     face beyond ``tol`` from flat is rejected.
     """
     constraint = PlaquetteConstraint(y.fiber.n)
-    jet = jet_at(y, grid, grid.face_id(i, j))
-    hol = constraint.value(grid, jet)
+    jets = jet_at(y, grid, [grid.face_id(i, j)])
+    hol = constraint.value(grid, jets)[0]
     defect = float(np.linalg.norm(hol - np.eye(y.fiber.n)))
-    if defect > tol:
+    if not defect <= tol:
         raise InadmissibleSectionError(
             f"face ({i}, {j}) has holonomy defect {defect:.3e} > {tol:.1e}")
-    return tuple(constraint.cartan_form(grid, jet, slot) for slot in range(3))
+    return tuple(constraint.cartan_form(grid, jets, slot)[0] for slot in range(3))
 
 
 def euler_poincare_residual(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
@@ -336,16 +329,20 @@ def multiplier_system_residual(lagrangian: LagrangianDensity, grid: Triangulated
     """
     p = _on_window(grid, y.values)
     _, right = _partials(lagrangian, grid, y, p)
-    first, second = _system(p, right, _on_window(grid, lam.values))
-    return first[:, 1:], second[1:]
+    return _interior_system(p, right, _on_window(grid, lam.values))
 
 
 @dataclass(frozen=True)
 class RecoveryReport:
+    """``max_system_residual`` is the largest block norm of the
+    :func:`multiplier_system_residual` arrays of the recovered multiplier,
+    computed from the same Lagrangian partials as the recovery."""
+
     seed_face: int
     max_discrepancy: float
     compared_faces: tuple[int, ...]
     unconstrained_faces: tuple[int, ...]
+    max_system_residual: float
 
 
 def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
@@ -382,12 +379,12 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     ep = block_norms(_reduced_residual(mu, right))
     for i in range(width - 1, 0, -1):
         for j in range(height - 1, 0, -1):
-            if ep[j - 1, i - 1] > ep_tol:
+            if not ep[j - 1, i - 1] <= ep_tol:
                 raise PreconditionError(f"reduced residual {ep[j - 1, i - 1]:.3e} "
                                         f"> {ep_tol:.1e} at ({i}, {j})")
     n = y.fiber.n
-    worst_hol = max(block_norms(_window_holonomy(p) - np.eye(n)).ravel().tolist())
-    if worst_hol > adm_tol:
+    worst_hol = max_norm(block_norms(_window_holonomy(p) - np.eye(n)))
+    if not worst_hol <= adm_tol:
         raise PreconditionError(
             f"section is not flat, worst holonomy defect {worst_hol:.3e}")
 
@@ -401,18 +398,19 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
         if i < width - 1:
             south = _coadjoint_inverse(v[:-2, i], right[1:, i, 0] + lam[1:, i])
             disc = block_norms(lam[1:-1, i] - south[1:])
-            over = np.flatnonzero(disc > cons_tol)
+            over = np.flatnonzero(~(disc <= cons_tol))
             if over.size:
                 k = int(over[-1]) + 1
                 raise RecoveryConflictError(grid.face_id(i, k), float(disc[k - 1]))
-            max_disc = max([max_disc, *disc.tolist()])
+            max_disc = max_norm(max_disc, disc)
             lam[0, i] = south[0]
         lam[1:, i - 1] = _coadjoint_inverse(u[1:-1, i - 1], lam[1:, i] - right[1:, i, 1])
 
     compared = tuple(grid.face_id(i, k) for k in range(1, height - 1)
                      for i in range(1, width - 1))
+    residual = max_norm(*map(block_norms, _interior_system(p, right, lam)))
     report = RecoveryReport(grid.face_id(width - 1, height - 1), max_disc,
-                            compared, (grid.face_id(0, 0),))
+                            compared, (grid.face_id(0, 0),), residual)
     return Multiplier(lam.reshape(-1, n, n)), report
 
 

@@ -9,11 +9,10 @@ face; it holds the identity or zero.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .complexes import TriangulatedGrid
 from .core import Multiplier, Section, Variation
-from .liegroup import random_skew
+from .liegroup import exp_skew, random_skew
 from .reduction import UnreducedField, reduced_fiber
 
 __all__ = [
@@ -36,16 +35,16 @@ def _pair_draws(grid: TriangulatedGrid, n: int, rng, scale: float) -> np.ndarray
 def random_unreduced_field(grid: TriangulatedGrid, n: int,
                            rng: np.random.Generator,
                            scale: float = 0.4) -> UnreducedField:
-    """exp(scale * xi) at every vertex (scipy's Pade ``expm``)."""
+    """exp(scale * xi) at every vertex (closed form, ``exp_skew``)."""
     xi = random_skew(n, rng, scale, (len(grid.vertices),))
-    return UnreducedField(scipy.linalg.expm(xi))
+    return UnreducedField(exp_skew(xi))
 
 
 def random_section(grid: TriangulatedGrid, n: int, rng: np.random.Generator,
                    scale: float = 0.5) -> Section:
     """A generic pair-field section; not flat except by accident."""
     xi = _pair_draws(grid, n, rng, scale)
-    return Section(reduced_fiber(n), scipy.linalg.expm(xi))
+    return Section(reduced_fiber(n), exp_skew(xi))
 
 
 def random_variation(grid: TriangulatedGrid, n: int, rng: np.random.Generator,

@@ -53,10 +53,10 @@ def test_criterion_02_cartan_decomposition():
     for k in range(100):
         y = sampling.random_section(grid, N, rng)
         face = faces[k % len(faces)]
-        jet = core.jet_at(y, grid, face)
+        jets = core.jet_at(y, grid, [face])
         for slot in range(3):
-            analytic = constraint.cartan_form(grid, jet, slot).matrix
-            fd = core.ConstraintMap.cartan_form(constraint, grid, jet, slot).matrix
+            analytic = constraint.cartan_form(grid, jets, slot)[0]
+            fd = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)[0]
             worst = max(worst, float(np.linalg.norm(analytic - fd))
                         / (1.0 + float(np.linalg.norm(analytic))))
     elapsed = time.perf_counter() - start

@@ -122,6 +122,49 @@ def test_verify_noether_broken_symmetry_fails(tmp_path):
                "--height", 4, "--out", tmp_path) == 1
 
 
+def test_nan_defect_fails_the_suite(tmp_path, monkeypatch):
+    """One NaN split defect among finite ones counts as the worst."""
+    from groupvar import core
+    exact, calls = core.variational_split, []
+
+    def one_nan(*args):
+        lhs, rhs = exact(*args)
+        calls.append(lhs)
+        return (float("nan"), rhs) if len(calls) == 3 else (lhs, rhs)
+
+    monkeypatch.setattr(core, "variational_split", one_nan)
+    assert run("verify", "split", "--instances", 5, "--out", tmp_path) == 1
+    report = (tmp_path / "verify_split.txt").read_text()
+    assert "passed=False" in report and "worst_split_defect=nan" in report
+
+
+def test_loads_of_one_window_share_the_grid(tmp_path):
+    out = tmp_path / "solve"
+    assert run("solve", "--width", 4, "--height", 3, "--out", out) == 0
+    grid, _ = ser.load_unreduced_field(out / "unreduced_field.txt")
+    again, _ = ser.load_reduced_section(out / "reduced_section.txt")
+    assert grid is again is triangulated_grid(4, 3)
+    assert not grid.adherence_array.flags.writeable
+
+
+def test_recover_multipliers_evaluates_partials_once(tmp_path, monkeypatch):
+    """Recovery and its residual check share one stacked evaluation of the
+    face Lagrangian partials."""
+    from groupvar.harmonic import TraceLagrangian
+    out = tmp_path / "solve"
+    assert run("solve", "--width", 5, "--height", 4, "--out", out) == 0
+    exact, calls = TraceLagrangian.vertex_differential, []
+
+    def counted(self, complex, jets, slot):
+        calls.append(len(jets))
+        return exact(self, complex, jets, slot)
+
+    monkeypatch.setattr(TraceLagrangian, "vertex_differential", counted)
+    assert run("recover-multipliers", "--section", out / "reduced_section.txt",
+               "--out", tmp_path / "mult") == 0
+    assert calls == [20]
+
+
 def test_reconstruct_roundtrip(tmp_path):
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(0)

@@ -4,6 +4,7 @@ import pytest
 from groupvar.complexes import (
     CellComplex,
     FaceSet,
+    TriangulatedGrid,
     classify_vertices,
     triangulated_grid,
 )
@@ -86,7 +87,7 @@ def test_full_faceset_and_its_classes_are_shared():
     assert grid.full_faceset() is fs
     assert classify_vertices(grid, fs) is classify_vertices(grid, fs)
     # against another complex the face set is validated and classified anew
-    assert classify_vertices(triangulated_grid(3, 3), fs) == classify_vertices(grid, fs)
+    assert classify_vertices(TriangulatedGrid(3, 3), fs) == classify_vertices(grid, fs)
     with pytest.raises(ValueError):
         classify_vertices(triangulated_grid(2, 2), fs)
 
@@ -165,7 +166,7 @@ def test_adherence_validation():
 def test_export_text_deterministic():
     grid = triangulated_grid(2, 2)
     text = grid.export_text()
-    assert text == triangulated_grid(2, 2).export_text()
+    assert text == TriangulatedGrid(2, 2).export_text()
     lines = text.strip().splitlines()
     assert len(lines) == 4
     assert lines[0] == "face 0 : 0 1 3"

@@ -3,7 +3,12 @@ import pytest
 import scipy.linalg
 
 from groupvar import core, liegroup as lg, sampling
-from groupvar.complexes import FaceSet, classify_vertices, triangulated_grid
+from groupvar.complexes import (
+    FaceSet,
+    TriangulatedGrid,
+    classify_vertices,
+    triangulated_grid,
+)
 from groupvar.harmonic import TraceLagrangian
 from groupvar.reduction import (
     PlaquetteConstraint,
@@ -50,16 +55,17 @@ class LinearDensity(core.LagrangianDensity):
         self.weights = {(slot, comp): rng.standard_normal((N, N))
                         for slot in range(3) for comp in range(2)}
 
-    def value(self, complex, jet):
+    def value(self, complex, jets):
         total = 0.0
-        for slot, fib in enumerate(jet.values):
-            for comp, g in enumerate(fib):
-                total += float(np.trace(self.weights[(slot, comp)] @ g))
+        for slot in range(3):
+            for comp in range(2):
+                total = total + np.trace(self.weights[(slot, comp)] @ jets[:, slot, comp],
+                                         axis1=-2, axis2=-1)
         return total
 
     def analytic_differential(self, jet, slot):
         out = []
-        for comp, g in enumerate(jet.values[slot]):
+        for comp, g in enumerate(jet[slot]):
             ag = self.weights[(slot, comp)] @ g
             out.append((ag.T - ag) / 2.0)
         return np.array(out)
@@ -69,6 +75,13 @@ def test_action_empty_faceset_is_zero():
     grid = triangulated_grid(2, 2)
     y = identity_section(grid)
     assert core.action(TraceLagrangian(N), y, FaceSet(grid, [])) == 0.0
+
+
+@pytest.mark.parametrize("face", [-1, 4])
+def test_jet_at_rejects_face_ids_outside_the_complex(face):
+    grid = triangulated_grid(2, 2)
+    with pytest.raises(ValueError):
+        core.jet_at(identity_section(grid), grid, [0, face])
 
 
 def test_action_identity_section_value():
@@ -196,10 +209,10 @@ def test_fd_lagrangian_differential_against_analytic():
     rng = np.random.default_rng(6)
     density = LinearDensity(rng)
     y = sampling.random_section(grid, N, rng)
-    jet = core.jet_at(y, grid, grid.face_id(1, 1))
+    jets = core.jet_at(y, grid, [grid.face_id(1, 1)])
     for slot in range(3):
-        fd = density.vertex_differential(grid, jet, slot)
-        exact = density.analytic_differential(jet, slot)
+        fd = density.vertex_differential(grid, jets, slot)[0]
+        exact = density.analytic_differential(jets[0], slot)
         for a, b in zip(fd, exact):
             assert np.linalg.norm(a - b) <= 1e-9
 
@@ -211,21 +224,21 @@ def test_fd_differential_sum_is_directional_derivative():
     y = sampling.random_section(grid, N, rng)
     dy = sampling.random_variation(grid, N, rng)
     face = grid.face_id(0, 1)
-    jet = core.jet_at(y, grid, face)
+    jets = core.jet_at(y, grid, [face])
     theta_sum = sum(
-        core.apply_differential(density.vertex_differential(grid, jet, slot),
+        core.apply_differential(density.vertex_differential(grid, jets, slot)[0],
                                 dy.values[v])
         for slot, v in enumerate(grid.adherence(face)))
     t = 1e-6
-    fd = (density.value(grid, core.jet_at(core.section_exp(y, dy, t), grid, face))
-          - density.value(grid, core.jet_at(core.section_exp(y, dy, -t), grid, face))) \
+    fd = (density.value(grid, core.jet_at(core.section_exp(y, dy, t), grid, [face]))[0]
+          - density.value(grid, core.jet_at(core.section_exp(y, dy, -t), grid, [face]))[0]) \
         / (2.0 * t)
     assert abs(theta_sum - fd) / (1.0 + abs(fd)) <= 1e-6
 
 
 class ConstantDensity(core.LagrangianDensity):
-    def value(self, complex, jet):
-        return 4.25
+    def value(self, complex, jets):
+        return np.full(len(jets), 4.25)
 
 
 def test_euler_lagrange_form_constant_density():
@@ -511,7 +524,8 @@ def test_regularity_deterministic_under_rebuild():
     y1 = reduce_field(g1, field)
     rep1 = core.regularity_report(PlaquetteConstraint(N), y1, g1.full_faceset(),
                                   boundary_fixed=False)
-    g2 = triangulated_grid(3, 3)
+    g2 = TriangulatedGrid(3, 3)
+    assert g2 is not g1
     y2 = reduce_field(g2, field)
     rep2 = core.regularity_report(PlaquetteConstraint(N), y2, g2.full_faceset(),
                                   boundary_fixed=False)

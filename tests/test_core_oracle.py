@@ -1,0 +1,358 @@
+"""The stacked calculus of ``groupvar.core`` against per-pair oracles.
+
+The oracles below are the earlier implementations, kept here as test-only
+code: one (vertex, face) pair at a time, one density or constraint call per
+pair on a single-jet stack, finite differences one direction at a time and
+the plaquette forms one basis element at a time.  The stacked versions sum
+the same terms in the same order, so they must agree to round-off (1e-13
+relative) for n = 2..5, on the full face set and on proper subsets whose
+sorted positions are not their face ids, with a finite-difference density
+and constraint as well as the analytic trace density and plaquette holonomy.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from groupvar import core, liegroup as lg, sampling
+from groupvar.complexes import FaceSet, classify_vertices, triangulated_grid
+from groupvar.harmonic import TraceLagrangian
+from groupvar.reduction import PlaquetteConstraint, reduced_fiber
+
+TOL = 1e-13
+
+
+class LinearDensity(core.LagrangianDensity):
+    """tr(A g) summed over every slot and component; differentials by FD."""
+
+    def __init__(self, n, rng):
+        super().__init__(reduced_fiber(n))
+        self.weights = rng.standard_normal((3, 2, n, n))
+
+    def value(self, complex, jets):
+        return np.trace(self.weights @ jets, axis1=-2, axis2=-1).sum(axis=(-2, -1))
+
+
+class FDPlaquette(PlaquetteConstraint):
+    """The plaquette holonomy with the finite-difference Cartan forms."""
+
+    cartan_form = core.ConstraintMap.cartan_form
+
+
+# ---------------------------------------------------------------------------
+# per-pair oracles
+
+
+def one_jet(y, complex, face):
+    return y.values[np.array([complex.adherence(face)])]
+
+
+def oracle_fd_differential(density, complex, jet, slot):
+    """Central differences one fiber component and basis direction at a time."""
+    h, n, c = density.fd_step, density.fiber.n, density.fiber.components
+    steps = scipy.linalg.expm(h * lg.skew_basis(n))
+    coeffs = []
+    for k, g in enumerate(jet[0, slot]):
+        for step in steps:
+            plus, minus = jet.copy(), jet.copy()
+            plus[0, slot, k] = g @ step
+            minus[0, slot, k] = g @ step.T
+            coeffs.append((density.value(complex, plus)[0]
+                           - density.value(complex, minus)[0]) / (2.0 * h))
+    return lg.coords_to_skew(np.reshape(coeffs, (c, -1)) / 2.0, n)
+
+
+def oracle_fd_cartan_form(constraint, complex, jet, slot):
+    h, n = constraint.fd_step, constraint.fiber.n
+    steps = scipy.linalg.expm(h * lg.skew_basis(n))
+    base_inv = constraint.value(complex, jet)[0].T
+    cols = []
+    for k, g in enumerate(jet[0, slot]):
+        for step in steps:
+            plus, minus = jet.copy(), jet.copy()
+            plus[0, slot, k] = g @ step
+            minus[0, slot, k] = g @ step.T
+            deriv = base_inv @ (constraint.value(complex, plus)[0]
+                                - constraint.value(complex, minus)[0]) / (2.0 * h)
+            cols.append(lg.skew_to_coords(lg.skew_part(deriv)))
+    return np.column_stack(cols)
+
+
+def oracle_conjugation_form(n, terms_u, terms_v):
+    """Component maps xi -> sum of s P xi P^T, one basis element at a time."""
+    blocks = []
+    for terms in (terms_u, terms_v):
+        cols = []
+        for e in lg.skew_basis(n):
+            total = np.zeros((n, n))
+            for sign, p in terms:
+                total = total + sign * (p @ e @ p.T)
+            cols.append(lg.skew_to_coords(total))
+        blocks.append(np.array(cols))
+    return np.concatenate(blocks).T
+
+
+def oracle_plaquette_form(jet, slot):
+    n = jet.shape[-1]
+    v, v_right, u_up = jet[0, 0, 1], jet[0, 1, 1], jet[0, 2, 0]
+    vu = v @ u_up
+    if slot == 0:
+        return oracle_conjugation_form(n, [(1.0, vu @ v_right.T)], [(-1.0, v)])
+    if slot == 1:
+        return oracle_conjugation_form(n, [], [(1.0, vu)])
+    return oracle_conjugation_form(n, [(-1.0, vu)], [])
+
+
+def form_of(constraint, complex, jet, slot):
+    return constraint.cartan_form(complex, jet, slot)[0]
+
+
+def apply_form(matrix, xi):
+    return lg.coords_to_skew(matrix @ lg.skew_to_coords(xi).ravel(), xi.shape[-1])
+
+
+def transpose_form(matrix, lam, components):
+    back = matrix.T @ lg.skew_to_coords(lam)
+    return lg.coords_to_skew(back.reshape(components, -1), lam.shape[-1])
+
+
+def pairing(theta, xi):
+    return sum(float(np.trace(mu.T @ x)) for mu, x in zip(theta, xi))
+
+
+def oracle_pairs(faceset, vertices):
+    complex = faceset.complex
+    return [(v, f) for v in sorted(vertices)
+            for f in sorted(complex.star(v) & faceset.faces)]
+
+
+def oracle_paired_sum(lagrangian, constraint, y, lam, dy, complex, pairs):
+    total = 0.0
+    for v, f in pairs:
+        jet = one_jet(y, complex, f)
+        slot = complex.adherence(f).index(v)
+        xi = dy.values[v]
+        total += pairing(lagrangian.vertex_differential(complex, jet, slot)[0], xi)
+        total += float(np.trace(
+            lam.values[f].T @ apply_form(form_of(constraint, complex, jet, slot), xi)))
+    return total
+
+
+def oracle_split(lagrangian, constraint, y, lam, dy, faceset):
+    complex = faceset.complex
+    klass = classify_vertices(complex, faceset)
+    face_major = [(v, f) for f in sorted(faceset.faces) for v in complex.adherence(f)]
+    lhs = oracle_paired_sum(lagrangian, constraint, y, lam, dy, complex, face_major)
+    rhs = oracle_paired_sum(lagrangian, constraint, y, lam, dy, complex,
+                            oracle_pairs(faceset, klass.interior)
+                            + oracle_pairs(faceset, klass.frontier))
+    return lhs, rhs
+
+
+def oracle_noether(lagrangian, constraint, y, lam, d, faceset):
+    complex = faceset.complex
+    n = constraint.fiber.n
+    lag_defect = con_defect = 0.0
+    for f in sorted(faceset.faces):
+        jet = one_jet(y, complex, f)
+        dl, dphi = 0.0, np.zeros((n, n))
+        for slot, v in enumerate(complex.adherence(f)):
+            dl += pairing(lagrangian.vertex_differential(complex, jet, slot)[0],
+                          d.values[v])
+            dphi = dphi + apply_form(form_of(constraint, complex, jet, slot), d.values[v])
+        lag_defect = max(lag_defect, abs(dl))
+        con_defect = max(con_defect, float(np.linalg.norm(dphi)))
+    total = oracle_paired_sum(lagrangian, constraint, y, lam, d, complex,
+                              oracle_pairs(faceset,
+                                           classify_vertices(complex, faceset).frontier))
+    return total, lag_defect, con_defect
+
+
+def oracle_constraint_derivative(constraint, y, dy, faceset):
+    complex = faceset.complex
+    n = constraint.fiber.n
+    out = np.zeros((len(complex.faces), n, n))
+    for f in sorted(faceset.faces):
+        jet = one_jet(y, complex, f)
+        for slot, v in enumerate(complex.adherence(f)):
+            out[f] = out[f] + apply_form(form_of(constraint, complex, jet, slot),
+                                         dy.values[v])
+    return out
+
+
+def oracle_regularity(constraint, y, faceset, boundary_fixed):
+    """(rows, cols, sigma_min, sigma_min_full, unreachable faces)."""
+    complex = faceset.complex
+    c, d = constraint.fiber.components, lg.algebra_dim(constraint.fiber.n)
+    klass = classify_vertices(complex, faceset)
+    variable = sorted(klass.interior) if boundary_fixed \
+        else sorted(faceset.adherent_vertices)
+    col_of = {v: i * c * d for i, v in enumerate(variable)}
+    faces = sorted(faceset.faces)
+    matrix = np.zeros((len(faces) * d, len(variable) * c * d))
+    reachable = []
+    for fi, f in enumerate(faces):
+        jet = one_jet(y, complex, f)
+        touched = False
+        for slot, v in enumerate(complex.adherence(f)):
+            if v in col_of:
+                matrix[fi * d:(fi + 1) * d, col_of[v]:col_of[v] + c * d] = \
+                    form_of(constraint, complex, jet, slot)
+                touched = True
+        if touched:
+            reachable.append(fi)
+
+    def smallest_sv(m):
+        if m.shape[0] == 0 or m.shape[1] == 0:
+            return 0.0
+        return float(np.linalg.svd(m, compute_uv=False)[-1])
+
+    keep = [r for fi in reachable for r in range(fi * d, (fi + 1) * d)]
+    return (matrix.shape[0], matrix.shape[1],
+            smallest_sv(matrix[keep]) if keep else 0.0, smallest_sv(matrix),
+            tuple(faces[fi] for fi in range(len(faces)) if fi not in reachable))
+
+
+def oracle_extended_residual(lagrangian, constraint, y, lam, complex, vertex):
+    c = lagrangian.fiber.components
+    total = 0.0
+    for f in sorted(complex.star(vertex)):
+        jet = one_jet(y, complex, f)
+        slot = complex.adherence(f).index(vertex)
+        theta = lagrangian.vertex_differential(complex, jet, slot)[0]
+        nu = transpose_form(form_of(constraint, complex, jet, slot), lam.values[f], c)
+        total = total + theta + nu
+    return total
+
+
+def oracle_euler_lagrange_form(lagrangian, y, complex, vertex):
+    total = 0.0
+    for f in sorted(complex.star(vertex)):
+        slot = complex.adherence(f).index(vertex)
+        total = total + lagrangian.vertex_differential(
+            complex, one_jet(y, complex, f), slot)[0]
+    return total
+
+
+# ---------------------------------------------------------------------------
+# cases
+
+
+def subset(grid):
+    """A proper face subset of a 4x4 window with interior vertices (2, 1) and
+    (2, 2), whose sorted positions are not its face ids."""
+    keep = [grid.face_id(i, j) for j in range(4) for i in range(4)
+            if i >= 1 and (i, j) != (3, 3)]
+    fs = FaceSet(grid, keep)
+    assert any(pos != f for pos, f in enumerate(fs.face_ids))
+    assert classify_vertices(grid, fs).interior
+    return fs
+
+
+FACESETS = {"full": lambda grid: grid.full_faceset(), "subset": subset}
+KINDS = ("analytic", "fd")
+CASES = [(n, kind, fs) for n in (2, 3, 4, 5) for kind in KINDS for fs in FACESETS]
+IDS = [f"n{n}-{kind}-{fs}" for n, kind, fs in CASES]
+
+
+def problem(n, kind, seed):
+    grid = triangulated_grid(4, 4)
+    rng = np.random.default_rng(seed)
+    if kind == "analytic":
+        lagrangian, constraint = TraceLagrangian(n), PlaquetteConstraint(n)
+    else:
+        lagrangian, constraint = LinearDensity(n, rng), FDPlaquette(n)
+    y = sampling.random_section(grid, n, rng)
+    lam = sampling.random_multiplier(grid, n, rng)
+    dy = sampling.random_variation(grid, n, rng)
+    return grid, lagrangian, constraint, y, lam, dy
+
+
+def close(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    return np.max(np.abs(a - b), initial=0.0) <= TOL * max(1.0, np.max(np.abs(b),
+                                                                     initial=0.0))
+
+
+@pytest.mark.parametrize("n, kind, faces", CASES, ids=IDS)
+def test_sums_match_per_pair_oracles(n, kind, faces):
+    grid, lagrangian, constraint, y, lam, dy = problem(n, kind, 100 + n)
+    fs = FACESETS[faces](grid)
+    args = (lagrangian, constraint, y, lam, dy, fs)
+    assert close(core.variational_split(*args), oracle_split(*args))
+    rep = core.noether_boundary_sum(*args)
+    assert close((rep.boundary_sum, rep.lagrangian_defect, rep.constraint_defect),
+                 oracle_noether(*args))
+    assert close(core.constraint_derivative(constraint, y, dy, fs),
+                 oracle_constraint_derivative(constraint, y, dy, fs))
+    for fixed in (True, False):
+        got = core.regularity_report(constraint, y, fs, boundary_fixed=fixed)
+        rows, cols, sigma, sigma_full, unreachable = \
+            oracle_regularity(constraint, y, fs, fixed)
+        assert (got.rows, got.cols, got.unreachable_faces) == (rows, cols, unreachable)
+        assert close((got.sigma_min, got.sigma_min_full), (sigma, sigma_full))
+
+
+@pytest.mark.parametrize("n, kind, faces", CASES, ids=IDS)
+def test_residuals_match_per_pair_oracles(n, kind, faces):
+    grid, lagrangian, constraint, y, lam, _ = problem(n, kind, 200 + n)
+    fs = FACESETS[faces](grid)
+    interior = sorted(classify_vertices(grid, fs).interior)
+    expected = []
+    for v in interior:
+        oracle = oracle_extended_residual(lagrangian, constraint, y, lam, grid, v)
+        res = core.extended_residual(lagrangian, constraint, y, lam, fs, v)
+        assert close(res.components, oracle)
+        assert close(core.euler_lagrange_form(lagrangian, y, fs, v),
+                     oracle_euler_lagrange_form(lagrangian, y, grid, v))
+        expected.append((2.0 * lg.skew_to_coords(oracle)).ravel())
+    assert close(core.el_residual_vector(lagrangian, constraint, y, lam, fs),
+                 np.concatenate(expected))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_forms_match_per_jet_oracles(n):
+    """FD differentials and Cartan forms, and the closed-form plaquette
+    forms, on a stack of every face jet against one jet at a time."""
+    grid, lagrangian, _, y, _, _ = problem(n, "fd", 300 + n)
+    constraint = PlaquetteConstraint(n)
+    jets = core.jet_at(y, grid, grid.full_faceset().face_ids)
+    for slot in range(3):
+        theta = lagrangian.vertex_differential(grid, jets, slot)
+        fd_forms = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)
+        forms = constraint.cartan_form(grid, jets, slot)
+        for f in grid.faces:
+            jet = jets[f:f + 1]
+            assert close(theta[f], oracle_fd_differential(lagrangian, grid, jet, slot))
+            assert close(fd_forms[f], oracle_fd_cartan_form(constraint, grid, jet, slot))
+            assert close(forms[f], oracle_plaquette_form(jet, slot))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_faceset_sums_vanish(kind):
+    """Every sum on an empty face set is empty, with finite-difference
+    defaults as well as analytic forms."""
+    grid, lagrangian, constraint, y, lam, dy = problem(3, kind, 400)
+    fs = FaceSet(grid, [])
+    assert core.variational_split(lagrangian, constraint, y, lam, dy, fs) == (0.0, 0.0)
+    rep = core.noether_boundary_sum(lagrangian, constraint, y, lam, dy, fs)
+    assert (rep.boundary_sum, rep.lagrangian_defect, rep.constraint_defect) == (0.0,) * 3
+    assert not np.any(core.constraint_derivative(constraint, y, dy, fs))
+    got = core.regularity_report(constraint, y, fs, boundary_fixed=False)
+    assert (got.rows, got.cols) == oracle_regularity(constraint, y, fs, False)[:2]
+
+
+def test_fd_defaults_span_several_value_blocks():
+    """A jet stack longer than one finite-difference block gives each jet
+    the differential and form it has on its own."""
+    grid, lagrangian, constraint, y, _, _ = problem(3, "fd", 500)
+    jets = core.jet_at(y, grid, grid.full_faceset().face_ids)
+    repeats = core._FD_BLOCK // len(jets) + 2
+    stack = np.tile(jets, (repeats, 1, 1, 1, 1))
+    for slot in range(3):
+        assert close(lagrangian.vertex_differential(grid, stack, slot),
+                     np.tile(lagrangian.vertex_differential(grid, jets, slot),
+                             (repeats, 1, 1, 1)))
+        assert close(constraint.cartan_form(grid, stack, slot),
+                     np.tile(constraint.cartan_form(grid, jets, slot), (repeats, 1, 1)))

@@ -16,10 +16,10 @@ def test_trace_value_bounds_and_identity():
     rng = np.random.default_rng(0)
     y = sampling.random_section(grid, N, rng)
     for f in grid.faces:
-        value = lagrangian.value(grid, core.jet_at(y, grid, f))
+        value = lagrangian.value(grid, core.jet_at(y, grid, [f]))[0]
         assert -2 * N <= value <= 2 * N
     y_eye = core.Section(y.fiber, np.zeros(y.values.shape) + np.eye(N))
-    assert lagrangian.value(grid, core.jet_at(y_eye, grid, 0)) == 2 * N
+    assert lagrangian.value(grid, core.jet_at(y_eye, grid, [0]))[0] == 2 * N
 
 
 def test_trace_differentials_at_identity():
@@ -153,6 +153,30 @@ def test_solver_runs_out_of_budget():
     assert err.value.history
 
 
+def test_nan_gradient_is_not_convergence(tmp_path, monkeypatch):
+    """A NaN gradient block counts as the largest, so the solve fails (exit 1
+    from the CLI, with its history) instead of reading as converged: with the
+    identity boundary every other block is exactly zero."""
+    exact = hm._interior_gradients
+
+    def one_nan(g):
+        grads, _ = exact(g)
+        grads = grads.copy()
+        grads[0, 0, 0, 1], grads[0, 0, 1, 0] = np.nan, -np.nan
+        return grads, lg.block_norms(grads)
+
+    monkeypatch.setattr(hm, "_interior_gradients", one_nan)
+    grid = triangulated_grid(3, 3)
+    with pytest.raises(ConvergenceError) as err:
+        hm.solve_unreduced(grid, hm.SolverConfig(boundary=hm.identity_boundary(grid, N)))
+    assert np.isnan(err.value.history[0]["max_gradient"])
+    out = tmp_path / "run"
+    assert main(["solve", "--boundary", "identity", "--width", "3", "--height", "3",
+                 "--out", str(out)]) == 1
+    assert "converged=False" in (out / "solve_report.txt").read_text()
+    assert len((out / "history.csv").read_text().splitlines()) >= 2
+
+
 @pytest.mark.parametrize("width,height", [(1, 1), (1, 3), (3, 1)])
 def test_solver_window_without_interior(width, height):
     grid = triangulated_grid(width, height)
@@ -185,9 +209,9 @@ def test_conjugation_field_is_symmetry(solved66):
     fs = grid.full_faceset()
     # trace derivative along the field is a commutator trace, exactly zero
     for f in sorted(fs.faces):
-        jet = core.jet_at(y, grid, f)
+        jets = core.jet_at(y, grid, [f])
         dl = sum(core.apply_differential(
-            lagrangian.vertex_differential(grid, jet, slot), d.values[v])
+            lagrangian.vertex_differential(grid, jets, slot)[0], d.values[v])
             for slot, v in enumerate(grid.adherence(f)))
         assert abs(dl) <= 1e-13
     dpsi = core.constraint_derivative(red.PlaquetteConstraint(N), y, d, fs)

@@ -84,6 +84,52 @@ def test_log_exp_roundtrip(seed):
     assert np.linalg.norm(back - xi.matrix) <= 1e-10
 
 
+def _scaled_to_distance(xi, target):
+    """xi scaled by the largest factor (bisection) with ||exp(xi) - I||_F < target."""
+    n = xi.shape[-1]
+    lo, hi = 0.0, 4.0 / np.linalg.norm(xi)
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if np.linalg.norm(scipy.linalg.expm(mid * xi) - np.eye(n)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return lo * xi
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_log_matches_logm(n):
+    """The closed form against scipy's logm from ||xi|| = 1e-9 up to
+    ||g - I||_F -> 1.  logm loses relative accuracy for small xi (its error
+    is about 1e-16 absolute), so it is compared absolutely; against the
+    exact xi the closed form keeps full relative accuracy."""
+    rng = np.random.default_rng(40 + n)
+    for size in (1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999):
+        for _ in range(5):
+            xi = lg.random_skew(n, rng)
+            xi = xi * (size / np.linalg.norm(xi)) if size < 1e-3 \
+                else _scaled_to_distance(xi, size)
+            g = scipy.linalg.expm(xi)
+            log = lg.log_near_identity(g)
+            ref = scipy.linalg.logm(g).real
+            assert np.linalg.norm(log - (ref - ref.T) / 2.0) <= 1e-14
+            assert np.linalg.norm(log - xi) <= 1e-14 * np.linalg.norm(xi)
+            assert np.array_equal(log, -log.T)
+    stack = scipy.linalg.expm(lg.random_skew(n, rng, 0.2, (2, 3)))
+    assert np.array_equal(lg.log_near_identity(stack)[1, 2],
+                          lg.log_near_identity(stack[1, 2]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_log_rejects_non_finite_entries(bad):
+    g = np.eye(3)
+    g[0, 1] = bad
+    with pytest.raises(DomainError):
+        lg.log_near_identity(g)
+    with pytest.raises(DomainError):
+        lg.log_near_identity(np.stack([np.eye(3), g]))
+
+
 def test_log_outside_region_raises():
     e12 = lg.AlgebraElement(lg.skew_basis(2)[0])
     far = lg.exp(np.pi * e12)

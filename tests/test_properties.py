@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from groupvar import reduction as red, sampling, serialization as ser
-from groupvar.complexes import triangulated_grid
+from groupvar import core, liegroup as lg, reduction as red, sampling, serialization as ser
+from groupvar.complexes import FaceSet, triangulated_grid
+from groupvar.harmonic import TraceLagrangian
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -59,3 +60,29 @@ def test_reduce_then_reconstruct_returns_the_field(case, scale):
     rep = red.reconstruction_report(grid, y, field.values[0])
     assert np.linalg.norm(rep.field.values - field.values, axis=(-2, -1)).max() <= 1e-12
     assert rep.path_agreement <= 1e-12
+
+
+@PROPERTY
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 0.99))
+def test_log_inverts_exp(n, seed, size):
+    """||xi||_F < 1 keeps ||exp(xi) - I||_F < 1, inside the log's domain."""
+    xi = lg.random_skew(n, np.random.default_rng(seed))
+    xi = xi * (size / np.linalg.norm(xi))
+    log = lg.log_near_identity(lg.exp_skew(xi))
+    assert np.linalg.norm(log - xi) <= 1e-14 * np.linalg.norm(xi)
+
+
+@PROPERTY
+@given(cases, st.integers(0, 2**32 - 1))
+def test_split_identity_on_random_face_subsets(case, subset_seed):
+    n, width, height, seed = case
+    grid = triangulated_grid(width, height)
+    rng = np.random.default_rng(seed)
+    y = sampling.random_section(grid, n, rng)
+    lam = sampling.random_multiplier(grid, n, rng)
+    dy = sampling.random_variation(grid, n, rng)
+    keep = np.random.default_rng(subset_seed).random(len(grid.faces)) < 0.7
+    fs = FaceSet(grid, np.flatnonzero(keep))
+    lhs, rhs = core.variational_split(TraceLagrangian(n), red.PlaquetteConstraint(n),
+                                      y, lam, dy, fs)
+    assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from groupvar import harmonic as hm, liegroup as lg, reduction as red, sampling
-from groupvar.core import Jet1
 from groupvar.errors import HolonomyError, PreconditionError, RecoveryConflictError
 from groupvar.harmonic import TraceLagrangian
 from groupvar.liegroup import (
@@ -41,9 +40,9 @@ def _uv(y, grid, i, j):
 
 def _left_log_differentials(lagrangian, grid, y, i, j):
     face = grid.face_id(i, j)
-    jet = Jet1(face, np.array([y.values[v] for v in grid.adherence(face)]))
+    jets = np.array([[y.values[v] for v in grid.adherence(face)]])
     return tuple(CoAlgebraElement(m)
-                 for m in lagrangian.vertex_differential(grid, jet, 0))
+                 for m in lagrangian.vertex_differential(grid, jets, 0)[0])
 
 
 def oracle_reduce_field(grid, g):
