@@ -16,7 +16,6 @@ Gradient assembly is vertex-parallel within an iteration; scenario runs
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -42,12 +41,10 @@ from .liegroup import (
     GroupElement,
     block_dot,
     block_norms,
-    coadjoint_inverse,
     log_near_identity,
     max_norm,
     random_algebra,
     skew_part,
-    step_matrices,
 )
 from .reduction import (
     PlaquetteConstraint,
@@ -61,7 +58,6 @@ from .reduction import (
 
 __all__ = [
     "TraceLagrangian",
-    "trace_differentials",
     "ep_symmetric_defect",
     "SolverConfig",
     "SolveReport",
@@ -100,23 +96,6 @@ class TraceLagrangian(LagrangianDensity):
         return (uv.swapaxes(-1, -2) - uv) / 2.0
 
 
-def trace_differentials(u: GroupElement, v: GroupElement
-                        ) -> tuple[CoAlgebraElement, CoAlgebraElement,
-                                   CoAlgebraElement, CoAlgebraElement]:
-    """Right and left translated differentials of the trace density.
-
-    Returned in the order: right-translated in u, left-translated in u,
-    right-translated in v, left-translated in v.  The left-translated form is
-    the skew part of the transposed argument; the right-translated one is its
-    inverse coadjoint image, which for the trace density coincides with it.
-    """
-    left_u = CoAlgebraElement((u.matrix.T - u.matrix) / 2.0)
-    left_v = CoAlgebraElement((v.matrix.T - v.matrix) / 2.0)
-    right_u = coadjoint_inverse(u, left_u)
-    right_v = coadjoint_inverse(v, left_v)
-    return right_u, left_u, right_v, left_v
-
-
 def ep_symmetric_defect(grid: TriangulatedGrid, y: Section, i: int, j: int,
                         faceset: FaceSet | None = None) -> np.ndarray:
     """Skew defect M - M^T of M = u_ij + v_ij - u_{i-1,j} - v_{i,j-1}.
@@ -153,11 +132,9 @@ _STEP_INIT = 1.0
 _STEP_SHRINK = 0.5
 _STEP_GROW = 2.0
 _MAX_BACKTRACKS = 60
-# Newton polish: gradient level where it takes over, step budget, and the
-# finite-difference step of its Jacobian.
+# Newton polish: gradient level where it takes over, and step budget.
 _NEWTON_SWITCH = 1e-3
 _MAX_NEWTON = 40
-_NEWTON_FD_STEP = 1e-6
 
 
 @dataclass
@@ -168,7 +145,7 @@ class SolverConfig:
     window.  The gradient target applies per interior vertex.  Backtracking
     descent alone cannot certify decrease once the energy decrement falls
     under the round-off floor of the energy sum, so a Newton polish on the
-    analytic gradient (finite-difference Jacobian) takes over below a fixed
+    analytic gradient (closed-form band Jacobian) takes over below a fixed
     gradient level.  ``max_iterations`` bounds descent and Newton steps
     together.  ``initializer`` is a field to warm-start the interior from;
     None means the boundary blend.
@@ -192,7 +169,9 @@ class SolveReport:
     energy), trace action, max per-vertex gradient norm, accepted step.
     The counters are deterministic: descent iterations, Newton steps,
     rejected trial steps of either phase (``backtracks``), and evaluations
-    of the interior gradient (``residual_evaluations``).
+    of the interior gradient (``residual_evaluations``): one at the start,
+    one per accepted descent iterate, one at the start of the Newton polish
+    and one per Newton trial step; the Newton Jacobian costs none.
     """
 
     converged: bool
@@ -271,106 +250,66 @@ def _retract(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
 def _residual(g: np.ndarray) -> tuple[np.ndarray, float]:
     """Stacked upper-triangle gradient entries and the largest block norm."""
     grads, norms = _interior_gradients(g)
-    upper = np.triu_indices(g.shape[-1], 1)
-    return grads[(..., *upper)].ravel(), max_norm(norms)
+    return lg.skew_to_coords(grads).ravel(), max_norm(norms)
 
 
-class _JacobianLayout(NamedTuple):
-    """What ``_band_jacobian`` needs besides the iterate; built once per polish.
+def _band_jacobian(g: np.ndarray) -> np.ndarray:
+    """Jacobian of ``_residual`` in LAPACK band storage, in closed form.
 
-    ``colours`` holds, per non-empty colour, its vertices as block indices,
-    the residual entries of the rows they reach, and the band rows and
-    columns of those entries for the first skew direction.
+    The gradient block at (i, j) is -skew(M) with M = A - B,
+    A = c^T (g_E + g_N), B = (g_W^T + g_S^T) c and c = g_ij.  Moving one
+    stencil member g -> g exp(t X) along a skew basis element X changes M by
+    -X A - B X (centre), c^T g_E X (east), c^T g_N X (north), X g_W^T c
+    (west) or X g_S^T c (south); minus the skew part of that, in coordinates,
+    is one column of the (d x d) block.  Unknowns are ordered vertex-major,
+    so the half-bandwidth is (interior width + 1) * d - 1, and entry
+    [bandwidth + r - col, col] holds the derivative of residual entry r in
+    the direction of unknown col, as ``scipy.linalg.solve_banded`` expects.
     """
-
-    bandwidth: int
-    steps: list[np.ndarray]
-    colours: list[tuple]
-
-
-def _jacobian_layout(g: np.ndarray) -> _JacobianLayout:
-    """Colouring and band-storage indices for the residual Jacobian of g.
-
-    Interior vertex (i, j) gets colour (i + 2j) mod 5, so the five vertices
-    of every 5-point stencil have five different colours, and the residual at
-    a vertex reads only its stencil.  Perturbing all vertices of one colour
-    at once therefore yields, in each row, the column of the unique stencil
-    vertex of that colour (Curtis, Powell & Reid 1974).  Unknowns are ordered
-    vertex-major, so the half-bandwidth is (interior width + 1) * d - 1.
-    """
-    n = g.shape[-1]
-    d = n * (n - 1) // 2
-    shape = (g.shape[0] - 2, g.shape[1] - 2)
+    basis = lg.skew_basis(g.shape[-1])
+    d = len(basis)
+    c = g[1:-1, 1:-1, None]
+    ct = c.swapaxes(-1, -2)
+    east, north = ct @ g[1:-1, 2:, None], ct @ g[2:, 1:-1, None]
+    west = g[1:-1, :-2, None].swapaxes(-1, -2) @ c
+    south = g[:-2, 1:-1, None].swapaxes(-1, -2) @ c
+    moves = {(0, 0): -basis @ (east + north) - (west + south) @ basis,
+             (0, 1): east @ basis, (1, 0): north @ basis,
+             (0, -1): basis @ west, (-1, 0): basis @ south}
+    shape = c.shape[:2]
     bandwidth = (shape[1] + 1) * d - 1
+    ab = np.zeros((2 * bandwidth + 1, shape[0] * shape[1] * d))
     jj, ii = np.indices(shape)
-    ids = np.arange(jj.size).reshape(shape)
-    colour = (ii + 2 * jj) % 5
-    rows, cols = [], []
-    for dj, di in ((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0)):
+    k = np.arange(d)
+    for (dj, di), dm in moves.items():
+        # blocks[j, i, r, b]: residual entry r at (i, j), direction b
+        blocks = lg.skew_to_coords(-skew_part(dm)).swapaxes(-1, -2)
         inside = (0 <= jj + dj) & (jj + dj < shape[0]) \
             & (0 <= ii + di) & (ii + di < shape[1])
-        rows.append(ids[inside])
-        cols.append(ids[jj[inside] + dj, ii[inside] + di])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    colours = []
-    for c in range(5):
-        members = np.nonzero(colour == c)
-        if members[0].size == 0:
-            continue
-        reached = colour.ravel()[cols] == c
-        entries = rows[reached][:, None] * d + np.arange(d)
-        first = cols[reached][:, None] * d
-        colours.append((members, entries, bandwidth + entries - first, first))
-    return _JacobianLayout(bandwidth, step_matrices(n, _NEWTON_FD_STEP), colours)
-
-
-def _band_jacobian(g: np.ndarray, layout: _JacobianLayout) -> np.ndarray:
-    """Central-difference Jacobian of ``_residual`` in LAPACK band storage.
-
-    Two residual evaluations per colour and skew direction, whatever the
-    window size.  The iterate is perturbed in place and restored.  Entry
-    [bandwidth + r - c, c] holds the derivative of residual entry r in the
-    direction of unknown c, as ``scipy.linalg.solve_banded`` expects.
-    """
-    h = _NEWTON_FD_STEP
-    block = g[1:-1, 1:-1]
-    size = block.shape[0] * block.shape[1] * len(layout.steps)
-    ab = np.zeros((2 * layout.bandwidth + 1, size))
-    for members, entries, band, first in layout.colours:
-        center = block[members]
-        for k, step in enumerate(layout.steps):
-            block[members] = center @ step
-            plus = _residual(g)[0]
-            block[members] = center @ step.T
-            ab[band - k, first + k] = ((plus - _residual(g)[0]) / (2.0 * h))[entries]
-        block[members] = center
+        rows = (jj * shape[1] + ii)[inside][:, None, None] * d + k[:, None]
+        cols = ((jj + dj) * shape[1] + ii + di)[inside][:, None, None] * d + k
+        ab[bandwidth + rows - cols, cols] = blocks[inside]
     return ab
 
 
 def _newton_polish(g: np.ndarray, g_tol: float, iteration0: int, budget: int):
     """Drive the stationarity system to g_tol by at most ``budget`` Newton steps.
 
-    The residual is the stacked analytic gradient; its Jacobian comes from
-    coloured central differences (``_band_jacobian``) and is solved by a
-    banded LU factorisation.  Steps are halved until the gradient max-norm
-    decreases, so this phase is monotone in the gradient rather than in the
-    energy (whose decrements are below round-off here).  A singular band
-    factor ends the polish like a failed halving sequence.  Returns the
-    iterate, its gradient max-norm, one history row per step, and the
-    residual evaluations and rejected trial steps spent.
+    The residual is the stacked analytic gradient; its Jacobian is assembled
+    in closed form (``_band_jacobian``) and solved by a banded LU
+    factorisation, so a step costs no gradient evaluation beyond its trials.
+    Steps are halved until the gradient max-norm decreases, so this phase is
+    monotone in the gradient rather than in the energy (whose decrements are
+    below round-off here).  A singular band factor ends the polish like a
+    failed halving sequence.  Returns the iterate, its gradient max-norm, one
+    history row per step, and the residual evaluations and rejected trial
+    steps spent.
     """
     n = g.shape[-1]
-    upper = np.triu_indices(n, 1)
-    lower = upper[::-1]
-    layout = _jacobian_layout(g)
-    per_jacobian = 2 * len(layout.colours) * len(layout.steps)
 
     def retract(x, delta):
         coords = delta.reshape(x.shape[0] - 2, x.shape[1] - 2, -1)
-        xi = np.zeros(coords.shape[:2] + (n, n))
-        xi[(..., *upper)] = coords
-        xi[(..., *lower)] = -coords
-        return _retract(x, xi)
+        return _retract(x, lg.coords_to_skew(coords, n))
 
     history = []
     f0, worst = _residual(g)
@@ -378,11 +317,10 @@ def _newton_polish(g: np.ndarray, g_tol: float, iteration0: int, budget: int):
     for it in range(budget):
         if worst <= g_tol:
             break
-        jac = _band_jacobian(g, layout)
-        evaluations += per_jacobian
+        jac = _band_jacobian(g)
+        bandwidth = len(jac) // 2
         try:
-            delta = scipy.linalg.solve_banded(
-                (layout.bandwidth, layout.bandwidth), jac, -f0)
+            delta = scipy.linalg.solve_banded((bandwidth, bandwidth), jac, -f0)
         except np.linalg.LinAlgError:
             break
         scale = 1.0

@@ -271,10 +271,11 @@ def reconstruction_report(grid: TriangulatedGrid, y: Section, seed: np.ndarray,
     """
     p = _on_window(grid, y.values)
     n = y.fiber.n
-    defects = block_norms(_window_holonomy(p) - np.eye(n)).ravel().tolist()
-    worst = max([0.0, *defects])
-    worst_face = defects.index(worst) if worst > 0.0 else None
-    if worst > tol:
+    defects = block_norms(_window_holonomy(p) - np.eye(n)).ravel()
+    worst = max_norm(defects)
+    # the first face in id order with the largest defect, or the first NaN
+    worst_face = int(np.argmax(defects)) if worst != 0.0 else None
+    if not worst <= tol:
         raise HolonomyError(worst_face, worst)
 
     u, v = p[..., 0, :, :], p[..., 1, :, :]
@@ -290,7 +291,7 @@ def reconstruction_report(grid: TriangulatedGrid, y: Section, seed: np.ndarray,
     for i in range(grid.width):
         cols[:, i + 1] = cols[:, i] @ u[:, i]
 
-    agreement = max(block_norms(rows - cols).ravel().tolist())
+    agreement = max_norm(block_norms(rows - cols))
     return ReconstructionReport(UnreducedField(rows.reshape(-1, n, n)),
                                 worst, worst_face, agreement)
 

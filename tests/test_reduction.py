@@ -208,6 +208,21 @@ def test_reconstruct_detects_broken_plaquette():
     assert err.value.defect > 1e-7
 
 
+def test_reconstruct_rejects_nan_section():
+    """A NaN defect is not small: the first face in id order that reads the
+    NaN u slot of vertex (1, 1) is named."""
+    grid = triangulated_grid(3, 3)
+    rng = np.random.default_rng(13)
+    g = sampling.random_unreduced_field(grid, N, rng)
+    values = red.reduce_field(grid, g).values.copy()
+    values[grid.vertex_id(1, 1), 0, 0, 0] = np.nan
+    y = core.Section(red.reduced_fiber(N), values)
+    with pytest.raises(HolonomyError) as err:
+        red.reconstruction_report(grid, y, g.values[grid.vertex_id(0, 0)])
+    assert err.value.face == grid.face_id(1, 0)
+    assert np.isnan(err.value.defect)
+
+
 def test_reduced_variation_zero_and_constant_gauge():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(12)
