@@ -13,6 +13,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -500,7 +501,10 @@ def cmd_report(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; each ``parse_args``
+    call returns a fresh namespace, so no parsed state is shared."""
     parser = argparse.ArgumentParser(
         prog="groupvar",
         description="Discrete variational problems with group-valued "

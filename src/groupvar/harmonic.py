@@ -125,8 +125,8 @@ def ep_symmetric_defect(grid: TriangulatedGrid, y: Section, i: int, j: int,
 
 
 # Armijo descent: sufficient-decrease constant, initial (and largest) step,
-# backtracking shrink factor, growth after an accepted step, backtracks per
-# iteration.
+# backtracking shrink factor, growth after an accepted step, trials per
+# iteration (even: ``_descend`` tries them in pairs).
 _ARMIJO_C1 = 1e-4
 _STEP_INIT = 1.0
 _STEP_SHRINK = 0.5
@@ -200,10 +200,17 @@ def dirichlet_energy(g: np.ndarray) -> float:
 
     ``g`` is a vertex field as an (H+1, W+1, n, n) array indexed [j, i].
     """
+    return float(_energies(g))
+
+
+def _energies(g: np.ndarray) -> np.ndarray:
+    """Dirichlet energy of every field in a (..., H+1, W+1, n, n) stack,
+    each summed one face at a time in face-id order."""
     n = g.shape[-1]
-    base = g[:-1, :-1]
-    terms = 2.0 * n - block_dot(base, g[:-1, 1:]) - block_dot(base, g[1:, :-1])
-    return float(np.cumsum(terms)[-1])
+    base = g[..., :-1, :-1, :, :]
+    terms = 2.0 * n - block_dot(base, g[..., :-1, 1:, :, :]) \
+        - block_dot(base, g[..., 1:, :-1, :, :])
+    return np.cumsum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)[..., -1]
 
 
 def trace_action(grid: TriangulatedGrid, g: UnreducedField) -> float:
@@ -241,9 +248,13 @@ def _interior_gradients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _retract(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Exponential retraction g_ij exp(xi_ij) of every interior vertex."""
-    out = g.copy()
-    out[1:-1, 1:-1] = g[1:-1, 1:-1] @ lg.exp_skew(xi)
+    """Exponential retraction g_ij exp(xi_ij) of every interior vertex.
+
+    Axes of ``xi`` in front of the interior shape stack several
+    retractions of the same ``g``; each field of the stack is contiguous.
+    """
+    out = np.broadcast_to(g, xi.shape[:-4] + g.shape).copy()
+    out[..., 1:-1, 1:-1, :, :] = g[1:-1, 1:-1] @ lg.exp_skew(xi)
     return out
 
 
@@ -340,6 +351,54 @@ def _newton_polish(g: np.ndarray, g_tol: float, iteration0: int, budget: int):
     return g, worst, history, evaluations, backtracks
 
 
+def _descend(g: np.ndarray, g_tol: float, max_iterations: int):
+    """Armijo descent on the Dirichlet energy down to g_tol or the Newton switch.
+
+    Each iteration tries step, step / 2, step / 4, ... until one gives
+    sufficient decrease, at most ``_MAX_BACKTRACKS`` trials; the step then
+    doubles, capped at ``_STEP_INIT``.  The trials go in pairs: both steps of
+    a pair are retracted and their energies summed in one stacked call, and
+    the first that passes is taken, so the iterates, steps and counters are
+    those of trying one step at a time.  A pair fits the usual iteration, in
+    which the doubled step is rejected and the one before it accepted.
+    Returns the iterate, its energy and gradient max-norm, one history row
+    per accepted iterate (and one for the start), the iterations begun, the
+    rejected trials and the gradient evaluations.
+    """
+    energy = dirichlet_energy(g)
+    step = _STEP_INIT
+    iteration = backtracks = 0
+    grads, norms = _interior_gradients(g)
+    evaluations = 1
+    worst = max_norm(norms)
+    history = [_record(0, "descent", g, energy, worst, 0.0)]
+    while iteration < max_iterations:
+        if worst <= g_tol or worst <= _NEWTON_SWITCH:
+            break
+        iteration += 1
+        slope = np.cumsum(norms.ravel() ** 2)[-1]
+        for _ in range(_MAX_BACKTRACKS // 2):
+            steps = np.array([step, step * _STEP_SHRINK])
+            trials = _retract(g, -steps[:, None, None, None, None] * grads)
+            energies = _energies(trials)
+            passed = np.flatnonzero(energies <= energy - _ARMIJO_C1 * steps * slope)
+            if passed.size:
+                k = int(passed[0])
+                backtracks += k
+                break
+            backtracks += 2
+            step = steps[1] * _STEP_SHRINK
+        else:
+            break
+        g, energy, step = trials[k], float(energies[k]), float(steps[k])
+        grads, norms = _interior_gradients(g)
+        evaluations += 1
+        worst = max_norm(norms)
+        history.append(_record(iteration, "descent", g, energy, worst, step))
+        step = min(_STEP_INIT, step * _STEP_GROW)
+    return g, energy, worst, history, iteration, backtracks, evaluations
+
+
 def _blend_initializer(g: np.ndarray) -> np.ndarray:
     """Bilinear chordal blend of the four boundary edges, projected back.
 
@@ -395,34 +454,8 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     else:
         by_vertex[interior] = config.initializer.values[interior]
 
-    energy = dirichlet_energy(g)
-    step = _STEP_INIT
-    iteration = backtracks = 0
-    grads, norms = _interior_gradients(g)
-    evaluations = 1
-    worst = max_norm(norms)
-    history = [_record(0, "descent", g, energy, worst, 0.0)]
-    while iteration < config.max_iterations:
-        if worst <= config.g_tol or worst <= _NEWTON_SWITCH:
-            break
-        iteration += 1
-        slope = np.cumsum(norms.ravel() ** 2)[-1]
-        for _ in range(_MAX_BACKTRACKS):
-            trial = _retract(g, -step * grads)
-            trial_energy = dirichlet_energy(trial)
-            if trial_energy <= energy - _ARMIJO_C1 * step * slope:
-                break
-            backtracks += 1
-            step *= _STEP_SHRINK
-        else:
-            break
-        g, energy = trial, trial_energy
-        grads, norms = _interior_gradients(g)
-        evaluations += 1
-        worst = max_norm(norms)
-        history.append(_record(iteration, "descent", g, energy, worst, step))
-        step = min(_STEP_INIT, step * _STEP_GROW)
-
+    g, energy, worst, history, iteration, backtracks, evaluations = _descend(
+        g, config.g_tol, config.max_iterations)
     descent_iterations, newton = iteration, []
     if worst > config.g_tol:
         g, worst, newton, newton_evaluations, newton_backtracks = _newton_polish(

@@ -213,20 +213,39 @@ def exp_skew(xi: np.ndarray) -> np.ndarray:
     Closed forms (Gallier & Xu 2002), each written as I plus a correction so
     that exp(xi) - I keeps full relative accuracy for small xi.  For n <= 3,
     xi^3 = -theta^2 xi with theta^2 = ||xi||_F^2 / 2, and Rodrigues' formula
-    exp(xi) = I + sinc(theta/pi) xi + sinc(theta/2pi)^2 xi^2 / 2 is exact
-    (np.sinc(0) = 1, so theta = 0 needs no branch).  For n >= 4, with the
-    Hermitian eigendecomposition i xi = V diag(w) V^H,
+    exp(xi) = I + sinc(theta/pi) xi + sinc(theta/2pi)^2 xi^2 / 2 is exact;
+    both factors come from one sin(y) / y in np.sinc's own operations, bit
+    for bit its values, with y = eps where y = 0, so theta = 0 needs no
+    branch.  For n >= 4, with the Hermitian eigendecomposition
+    i xi = V diag(w) V^H,
     exp(xi) = I + Re(V diag(-2 sin^2(w/2) - i sin w) V^H).
     ``xi`` must be skew; only its lower triangle is read when n >= 4.
     """
     n = xi.shape[-1]
     if n <= 3:
-        theta = np.sqrt(np.sum(xi * xi, axis=(-2, -1)) / 2.0)[..., None, None]
-        return np.eye(n) + np.sinc(theta / np.pi) * xi \
-            + 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2 * (xi @ xi)
+        theta = np.sqrt(np.sum(xi * xi, axis=(-2, -1)) / 2.0)
+        y = np.pi * (theta[..., None] / _HALF_TURNS)
+        y = np.where(y, y, _EPS)
+        s = (np.sin(y) / y)[..., None]
+        a, b = s[..., :1, :], s[..., 1:, :]
+        return (_eye(n) + a * xi) + (0.5 * b ** 2) * (xi @ xi)
     w, v = np.linalg.eigh(1j * xi)
     c = -2.0 * np.sin(w / 2.0) ** 2 - 1j * np.sin(w)
-    return np.eye(n) + ((v * c[..., None, :]) @ v.conj().swapaxes(-1, -2)).real
+    return _eye(n) + ((v * c[..., None, :]) @ v.conj().swapaxes(-1, -2)).real
+
+
+# exp_skew: theta / pi and theta / 2 pi are the arguments of its two sinc
+# factors; np.sinc maps 0 to eps before dividing
+_HALF_TURNS = np.array([np.pi, 2.0 * np.pi])
+_EPS = np.finfo(float).eps
+
+
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """Read-only n x n identity."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def block_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

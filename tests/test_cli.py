@@ -122,6 +122,22 @@ def test_verify_noether_broken_symmetry_fails(tmp_path):
                "--height", 4, "--out", tmp_path) == 1
 
 
+def test_one_parser_serves_every_call(tmp_path):
+    """The parser is built once per process; no flag or default of one call
+    reaches the next."""
+    small = ("--width", 4, "--height", 4)
+    assert run("verify", "noether", "--break-symmetry", *small,
+               "--out", tmp_path / "broken") == 1
+    assert run("verify", "noether", *small, "--out", tmp_path / "plain") == 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("solve", *small, "--scale", 1.0, "--out", a) == 0
+    assert run("solve", *small, "--scale", 1.0, "--out", b) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_nan_defect_fails_the_suite(tmp_path, monkeypatch):
     """One NaN split defect among finite ones counts as the worst."""
     from groupvar import core

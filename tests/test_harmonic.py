@@ -524,15 +524,152 @@ SAME_BRANCH = [
 
 
 @pytest.mark.parametrize("n,scale,seed,descent,newton", SAME_BRANCH)
-def test_retraction_keeps_the_iteration_counts(n, scale, seed, descent, newton):
+def test_retraction_keeps_the_iteration_counts(monkeypatch, n, scale, seed,
+                                               descent, newton):
+    """Also the paired Armijo trials against the sequential loop: the same
+    field bytes, history and counters."""
     grid = triangulated_grid(6, 6)
-    boundary = hm.random_boundary(grid, n, seed=seed, scale=scale)
-    field, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    config = hm.SolverConfig(boundary=hm.random_boundary(grid, n, seed, scale))
+    field, report = hm.solve_unreduced(grid, config)
     assert report.converged
     assert (report.descent_iterations, report.newton_steps) == (descent, newton)
     g = _array(grid, field)[1:-1, 1:-1]
     defect = np.linalg.norm(g.swapaxes(-1, -2) @ g - np.eye(n), axis=(-2, -1))
     assert defect.max() <= 1e-13
+
+    monkeypatch.setattr(hm, "_descend", _sequential_descent)
+    want_field, want = hm.solve_unreduced(grid, config)
+    assert field.values.tobytes() == want_field.values.tobytes()
+    assert repr(report.history) == repr(want.history)
+    counters = ("descent_iterations", "newton_steps", "backtracks",
+                "residual_evaluations", "final_energy")
+    assert [getattr(report, c) for c in counters] \
+        == [getattr(want, c) for c in counters]
+
+
+def _sequential_descent(g, g_tol, max_iterations):
+    """The Armijo loop that tries one step at a time, which the paired
+    trials of ``harmonic._descend`` replaced; same returns."""
+    energy = hm.dirichlet_energy(g)
+    step = hm._STEP_INIT
+    iteration = backtracks = 0
+    grads, norms = hm._interior_gradients(g)
+    evaluations = 1
+    worst = lg.max_norm(norms)
+    history = [hm._record(0, "descent", g, energy, worst, 0.0)]
+    while iteration < max_iterations:
+        if worst <= g_tol or worst <= hm._NEWTON_SWITCH:
+            break
+        iteration += 1
+        slope = np.cumsum(norms.ravel() ** 2)[-1]
+        for _ in range(hm._MAX_BACKTRACKS):
+            trial = hm._retract(g, -step * grads)
+            trial_energy = hm.dirichlet_energy(trial)
+            if trial_energy <= energy - hm._ARMIJO_C1 * step * slope:
+                break
+            backtracks += 1
+            step *= hm._STEP_SHRINK
+        else:
+            break
+        g, energy = trial, trial_energy
+        grads, norms = hm._interior_gradients(g)
+        evaluations += 1
+        worst = lg.max_norm(norms)
+        history.append(hm._record(iteration, "descent", g, energy, worst, step))
+        step = min(hm._STEP_INIT, step * hm._STEP_GROW)
+    return g, energy, worst, history, iteration, backtracks, evaluations
+
+
+def _descent_start(grid, n, seed, scale):
+    """The field ``solve_unreduced`` descends from: random boundary, far
+    corner copied from its south neighbour, blended interior."""
+    g = np.empty((grid.height + 1, grid.width + 1, n, n))
+    by_vertex = g.reshape(-1, n, n)
+    for vertex, element in hm.random_boundary(grid, n, seed, scale).items():
+        by_vertex[vertex] = element.matrix
+    g[-1, -1] = g[-2, -1]
+    g[1:-1, 1:-1] = hm._blend_initializer(g)
+    return g
+
+
+def _assert_same_descent(g, g_tol, max_iterations):
+    """Paired trials and the sequential loop: the same iterate bytes, and the
+    same energy, gradient level, history, iterations, rejections and
+    gradient evaluations, compared by repr so types count too."""
+    got = hm._descend(g.copy(), g_tol, max_iterations)
+    want = _sequential_descent(g.copy(), g_tol, max_iterations)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert repr(got[1:]) == repr(want[1:])
+    return got
+
+
+def _rejections(history):
+    """Rejected trials per descent iteration, read off the accepted steps."""
+    counts, tried = [], hm._STEP_INIT
+    for row in history[1:]:
+        counts.append(round(np.log2(tried / row["step"])))
+        tried = min(hm._STEP_INIT, hm._STEP_GROW * row["step"])
+    return counts
+
+
+@pytest.mark.parametrize("step_init", [8.0, 64.0])
+def test_paired_trials_past_the_first_pair(monkeypatch, step_init):
+    """No descent of the 640 rough-pool boundaries rejects more than two
+    trials in one iteration, so a larger first step forces the early
+    scale-3.0 iterate to: 4 rejections accept the first step of the third
+    pair, 7 the second step of the fourth."""
+    monkeypatch.setattr(hm, "_STEP_INIT", step_init)
+    g = _descent_start(triangulated_grid(6, 6), 3, 152, 3.0)
+    _, _, _, history, _, backtracks, _ = _assert_same_descent(g, 1e-10, 8)
+    counts = _rejections(history)
+    assert counts[0] == int(np.log2(step_init)) + 1 and sum(counts) == backtracks
+
+
+def _failed_solve_histories(monkeypatch, grid, config):
+    """Histories of one failed solve with paired and with sequential trials."""
+    histories = []
+    for descend in (hm._descend, _sequential_descent):
+        monkeypatch.setattr(hm, "_descend", descend)
+        with pytest.raises(ConvergenceError) as err:
+            hm.solve_unreduced(grid, config)
+        histories.append(repr(err.value.history))
+    return histories
+
+
+def test_paired_trials_exhaust_like_the_sequential_loop(monkeypatch):
+    """60 rejected trials end the descent.  With finite data they never do:
+    the test accepts an unchanged energy, and a small enough step retracts
+    to the iterate itself (a run with no Newton switch and g_tol = 0 made
+    20 000 iterations without one).  A NaN block makes every trial fail."""
+    grid = triangulated_grid(6, 6)
+    g = _descent_start(grid, 3, 152, 3.0)
+    g[2, 3] = np.nan
+    _, _, _, history, iteration, backtracks, _ = _assert_same_descent(g, 1e-10, 8)
+    assert (iteration, backtracks, len(history)) == (1, hm._MAX_BACKTRACKS, 1)
+    config = hm.SolverConfig(boundary=hm.random_boundary(grid, 3, 152, 3.0),
+                             initializer=red.UnreducedField(g.reshape(-1, 3, 3)))
+    paired, sequential = _failed_solve_histories(monkeypatch, grid, config)
+    assert paired == sequential
+
+
+def test_paired_trials_spend_the_budget_like_the_sequential_loop(monkeypatch):
+    grid = triangulated_grid(6, 6)
+    g = _descent_start(grid, 3, 152, 3.0)
+    *_, iteration, _, _ = _assert_same_descent(g, 1e-10, 5)
+    assert iteration == 5
+    config = hm.SolverConfig(boundary=hm.random_boundary(grid, 3, 152, 3.0),
+                             max_iterations=5)
+    paired, sequential = _failed_solve_histories(monkeypatch, grid, config)
+    assert paired == sequential
+
+
+@pytest.mark.parametrize("width,height", [(1, 4), (5, 1)])
+def test_paired_trials_without_interior(width, height):
+    g = _descent_start(triangulated_grid(width, height), 3, 4, 3.0)
+    _, _, worst, history, iteration, backtracks, evaluations = \
+        _assert_same_descent(g, 1e-10, 8)
+    assert (worst, len(history), iteration, backtracks, evaluations) \
+        == (0.0, 1, 0, 0, 1)
 
 
 def _blend_oracle(g):

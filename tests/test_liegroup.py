@@ -72,6 +72,27 @@ def test_exp_skew_matches_expm(n, shape):
             assert np.linalg.det(got) > 0.0
 
 
+SINC_THETAS = [0.0, 1e-300, 1e-200, 1e-100, 1e-30, 1e-15, 1e-9,
+               np.pi - 1e-9, np.nextafter(np.pi, 0.0), np.pi, np.pi + 1e-9, 0.7]
+
+
+def _exp_skew_sinc(xi):
+    """Rodrigues' formula through ``np.sinc``, the form ``exp_skew`` inlined."""
+    theta = np.sqrt(np.sum(xi * xi, axis=(-2, -1)) / 2.0)[..., None, None]
+    return np.eye(xi.shape[-1]) + np.sinc(theta / np.pi) * xi \
+        + 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2 * (xi @ xi)
+
+
+@pytest.mark.parametrize("shape", [(), (len(SINC_THETAS),), (2, 3, 4)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_exp_skew_equals_the_sinc_form_bit_for_bit(n, shape):
+    count = int(np.prod(shape))
+    for offset in range(len(SINC_THETAS)):
+        thetas = np.resize(np.roll(SINC_THETAS, -offset), count).reshape(shape)
+        xi = skew_stack(n, shape, 1.0, 10 * n + offset) * thetas[..., None, None]
+        assert lg.exp_skew(xi).tobytes() == _exp_skew_sinc(xi).tobytes()
+
+
 def test_log_identity():
     assert np.array_equal(lg.log_near_identity(lg.identity(4).matrix),
                           np.zeros((4, 4)))
