@@ -17,6 +17,6 @@ from .core import (
     Section,
     Variation,
 )
-from .liegroup import AlgebraElement, CoAlgebraElement, GroupElement
+from .reduction import UnreducedField
 
 __version__ = "0.1.0"

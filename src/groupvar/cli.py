@@ -30,13 +30,7 @@ from .errors import (
     PreconditionError,
     RecoveryConflictError,
 )
-from .liegroup import (
-    CoAlgebraElement,
-    GroupElement,
-    block_norms,
-    max_norm,
-    random_algebra,
-)
+from .liegroup import block_norms, max_norm, random_skew
 from .reduction import PlaquetteConstraint
 from .harmonic import SolverConfig, TraceLagrangian
 
@@ -124,7 +118,7 @@ def _out_dir(cfg) -> Path:
     return out
 
 
-def _boundary_map(cfg, grid) -> dict[int, GroupElement]:
+def _boundary_map(cfg, grid) -> reduction.UnreducedField:
     if cfg["boundary"] == "identity":
         return harmonic.identity_boundary(grid, cfg["n"])
     if cfg["boundary"] == "random":
@@ -132,10 +126,7 @@ def _boundary_map(cfg, grid) -> dict[int, GroupElement]:
     bgrid, field = serialization.load_unreduced_field(cfg["boundary"])
     if (bgrid.width, bgrid.height) != (grid.width, grid.height):
         raise ValueError("boundary file window does not match the requested grid")
-    # the frontier, and the far corner, which the solver takes when given
-    frontier = classify_vertices(grid, grid.full_faceset()).frontier
-    return {v: GroupElement(field.values[v])
-            for v in sorted(frontier | {grid.vertices[-1]})}
+    return field
 
 
 def _config_records(cfg) -> dict:
@@ -265,11 +256,11 @@ def _suite_flatness(cfg, rng):
 
         i = int(rng.integers(0, grid.width))
         j = int(rng.integers(0, grid.height))
-        bump = random_algebra(n, rng)
-        bump = (1e-6 / bump.norm()) * bump
+        bump = random_skew(n, rng)
+        bump = (1e-6 / np.linalg.norm(bump)) * bump
         tampered = y.values.copy()
         tampered[grid.vertex_id(i, j), 0] = tampered[grid.vertex_id(i, j), 0] @ (
-            np.eye(n) + bump.matrix + bump.matrix @ bump.matrix / 2.0)
+            np.eye(n) + bump + bump @ bump / 2.0)
         y_t = core.Section(y.fiber, tampered)
         injected += 1
         try:
@@ -300,7 +291,7 @@ def _solve_for_suite(cfg):
 def _suite_noether(cfg, rng, break_symmetry=False):
     n = cfg["n"]
     grid, solver_cfg = _suite_problem(cfg)
-    xi = random_algebra(n, rng)
+    xi = random_skew(n, rng)
     # like a reduced section, a random variation skips the far corner
     bad = sampling.random_variation(grid, n, rng) if break_symmetry else None
     scenario = harmonic.run_noether_scenario(grid, solver_cfg, xi,
@@ -320,8 +311,8 @@ def _suite_multisymplectic(cfg, rng):
     grid, solver_cfg = _suite_problem(cfg)
     frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
     picks = rng.choice(len(frontier), size=2, replace=False)
-    bump1 = {frontier[int(picks[0])]: random_algebra(n, rng)}
-    bump2 = {frontier[int(picks[1])]: random_algebra(n, rng)}
+    bump1 = {frontier[int(picks[0])]: random_skew(n, rng)}
+    bump2 = {frontier[int(picks[1])]: random_skew(n, rng)}
     scenario = harmonic.run_multisymplectic_scenario(grid, solver_cfg, bump1, bump2)
     antisym = abs(scenario.defect + scenario.defect_swapped)
     passed = scenario.passed and antisym <= 1e-12 \
@@ -340,10 +331,10 @@ def _suite_multipliers(cfg, rng):
     n = cfg["n"]
     grid, y = _solve_for_suite(cfg)
     lagrangian = TraceLagrangian(n)
-    zero = CoAlgebraElement(np.zeros((n, n)))
-    lam0, rep0 = reduction.recover_multipliers(lagrangian, grid, y, zero)
+    lam0, rep0 = reduction.recover_multipliers(lagrangian, grid, y,
+                                               np.zeros((n, n)))
     worst0 = rep0.max_system_residual
-    seed = CoAlgebraElement(random_algebra(n, rng, 0.3).matrix)
+    seed = random_skew(n, rng, 0.3)
     lam1, rep1 = reduction.recover_multipliers(lagrangian, grid, y, seed)
     worst1 = rep1.max_system_residual
     distance = max_norm(block_norms(lam0.values - lam1.values))
@@ -364,8 +355,7 @@ def _suite_elimination(cfg, rng):
     n = cfg["n"]
     grid, y = _solve_for_suite(cfg)
     lagrangian = TraceLagrangian(n)
-    zero = CoAlgebraElement(np.zeros((n, n)))
-    lam, _ = reduction.recover_multipliers(lagrangian, grid, y, zero)
+    lam, _ = reduction.recover_multipliers(lagrangian, grid, y, np.zeros((n, n)))
     defects = reduction.multiplier_elimination_check(lagrangian, grid, y, lam)
     worst_combo = max_norm(defects.ep_combination)
     worst_cancel = max_norm(defects.cancellation)
@@ -462,10 +452,10 @@ def cmd_recover_multipliers(args) -> int:
     grid, y = serialization.load_reduced_section(args.section)
     n = y.fiber.n
     lagrangian = TraceLagrangian(n)
-    seed = CoAlgebraElement(np.zeros((n, n)))
+    seed = np.zeros((n, n))
     if args.seed_scale:
         rng = np.random.default_rng(cfg["seed"])
-        seed = CoAlgebraElement(random_algebra(n, rng, args.seed_scale).matrix)
+        seed = random_skew(n, rng, args.seed_scale)
     try:
         lam, rep = reduction.recover_multipliers(
             lagrangian, grid, y, seed,

@@ -12,11 +12,11 @@ Euler-Lagrange part and a frontier boundary part by regrouping exactly those
 forms, and that resummation identity is the master property this module is
 tested against.
 
-Nothing here checks group membership: values enter through
-``GroupElement`` or the file loaders, which check them once, and everything
-derived from them is trusted.  All operations are pure; the arrays are
-read-only, so sections and multipliers are never mutated and any face- or
-vertex-parallel scheduling of the sums is legal.
+Nothing here checks group membership: values enter through the solver
+configuration or the file loaders, which check them once with
+``liegroup.group_array``; everything derived from them is trusted.  All
+operations are pure and the arrays read-only, so sections and multipliers are
+never mutated and any face- or vertex-parallel scheduling of sums is legal.
 """
 
 from __future__ import annotations

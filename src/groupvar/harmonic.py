@@ -36,14 +36,13 @@ from .core import (
 from .defaults import G_TOL, H_JACOBI
 from .errors import ConvergenceError
 from .liegroup import (
-    AlgebraElement,
-    CoAlgebraElement,
-    GroupElement,
     block_dot,
     block_norms,
+    coadjoint,
+    group_array,
     log_near_identity,
     max_norm,
-    random_algebra,
+    random_skew,
     skew_part,
 )
 from .reduction import (
@@ -141,20 +140,27 @@ _MAX_NEWTON = 40
 class SolverConfig:
     """Options and boundary data for the stationary-point solver.
 
-    ``boundary`` must give a group element for every frontier vertex of the
-    window.  The gradient target applies per interior vertex.  Backtracking
-    descent alone cannot certify decrease once the energy decrement falls
-    under the round-off floor of the energy sum, so a Newton polish on the
-    analytic gradient (closed-form band Jacobian) takes over below a fixed
-    gradient level.  ``max_iterations`` bounds descent and Newton steps
-    together.  ``initializer`` is a field to warm-start the interior from;
-    None means the boundary blend.
+    ``boundary`` is a vertex field of the window: the solver keeps its
+    frontier and far corner and overwrites its interior.  It, and
+    ``initializer`` when given, pass ``liegroup.group_array`` here, so a
+    malformed block raises ValueError.  The gradient target applies per
+    interior vertex.  Backtracking descent alone cannot certify decrease once
+    the energy decrement falls under the round-off floor of the energy sum,
+    so a Newton polish on the analytic gradient (closed-form band Jacobian)
+    takes over below a fixed gradient level.  ``max_iterations`` bounds
+    descent and Newton steps together.  ``initializer`` is a field to
+    warm-start the interior from; None means the boundary blend.
     """
 
-    boundary: dict[int, GroupElement]
+    boundary: UnreducedField
     g_tol: float = G_TOL
     max_iterations: int = 5000
     initializer: UnreducedField | None = None
+
+    def __post_init__(self):
+        self.boundary = UnreducedField(group_array(self.boundary.values))
+        if self.initializer is not None:
+            self.initializer = UnreducedField(group_array(self.initializer.values))
 
 
 @dataclass
@@ -433,26 +439,19 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     reduced critical equations to the same level and is flat by construction.
     """
     faceset = grid.full_faceset()
-    klass = classify_vertices(grid, faceset)
-    frontier = sorted(klass.frontier)
-    missing = [v for v in frontier if v not in config.boundary]
-    if missing:
-        raise ValueError(f"boundary data missing at vertices {missing[:4]}")
-    interior = sorted(klass.interior)
-    n = next(iter(config.boundary.values())).n
-
-    g = np.empty((grid.height + 1, grid.width + 1, n, n))
-    by_vertex = g.reshape(-1, n, n)
-    by_vertex[frontier] = [config.boundary[v].matrix for v in frontier]
-    # the far corner adheres to no face and only feeds the edge slots of the
-    # reduced section; defaulting it to the boundary value below keeps the
-    # whole construction equivariant under constant left translation
-    corner_el = config.boundary.get(grid.vertex_id(grid.width, grid.height))
-    g[-1, -1] = corner_el.matrix if corner_el is not None else g[-2, -1]
+    n = config.boundary.values.shape[-1]
+    blocks = (len(grid.vertices), n, n)
+    for name, f in (("boundary", config.boundary),
+                    ("initializer", config.initializer)):
+        if f is not None and f.values.shape != blocks:
+            raise ValueError(f"{name} has shape {f.values.shape}, the window "
+                             f"needs {blocks}")
+    shape = (grid.height + 1, grid.width + 1, n, n)
+    g = config.boundary.values.reshape(shape).copy()
     if config.initializer is None:
         g[1:-1, 1:-1] = _blend_initializer(g)
     else:
-        by_vertex[interior] = config.initializer.values[interior]
+        g[1:-1, 1:-1] = config.initializer.values.reshape(shape)[1:-1, 1:-1]
 
     g, energy, worst, history, iteration, backtracks, evaluations = _descend(
         g, config.g_tol, config.max_iterations)
@@ -501,40 +500,44 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
 # boundary data
 
 
-def identity_boundary(grid: TriangulatedGrid, n: int) -> dict[int, GroupElement]:
-    klass = classify_vertices(grid, grid.full_faceset())
-    eye = GroupElement(np.eye(n))
-    return {v: eye for v in sorted(klass.frontier)}
+def identity_boundary(grid: TriangulatedGrid, n: int) -> UnreducedField:
+    """The identity at every vertex."""
+    return UnreducedField(np.tile(np.eye(n), (len(grid.vertices), 1, 1)))
 
 
 def random_boundary(grid: TriangulatedGrid, n: int, seed: int,
-                    scale: float = 0.1) -> dict[int, GroupElement]:
+                    scale: float = 0.1) -> UnreducedField:
     """Geodesic perturbations of the identity at every frontier vertex.
 
-    Each vertex gets exp(scale * xi) with the basis coordinates of xi drawn
-    uniformly from [-1, 1] under the given seed; vertices are visited in
-    sorted id order so the draw is reproducible.
+    Each frontier vertex gets exp(scale * xi) with the basis coordinates of
+    xi drawn uniformly from [-1, 1] under the given seed, in sorted id order
+    so the draw is reproducible.  The far corner, which adheres to no face
+    and only feeds an edge slot of the reduced section, repeats the value
+    at (W, H-1), which keeps the construction equivariant under constant
+    left translation; interior vertices hold the identity.
     """
     rng = np.random.default_rng(seed)
-    klass = classify_vertices(grid, grid.full_faceset())
-    return {v: lg.exp(random_algebra(n, rng, scale))
-            for v in sorted(klass.frontier)}
+    frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
+    values = np.tile(np.eye(n), (len(grid.vertices), 1, 1))
+    values[frontier] = lg.exp(random_skew(n, rng, scale, (len(frontier),)))
+    values[-1] = values[grid.vertex_id(grid.width, grid.height - 1)]
+    return UnreducedField(values)
 
 
 # ---------------------------------------------------------------------------
 # symmetry field and scenarios
 
 
-def conjugation_symmetry_field(y: Section, xi: AlgebraElement) -> Variation:
+def conjugation_symmetry_field(y: Section, xi: np.ndarray) -> Variation:
     """Variation that conjugates every fiber value by the flow of xi.
 
     Left-log entries xi - Ad_{g^{-1}} xi for each component value g; this is
-    the reduction of the right-translation flow upstairs.  The trace density
-    is exactly invariant along it (the derivative is a commutator trace) and
-    the holonomy is conjugated, hence fixed along flat sections.
+    the reduction of the right-translation flow upstairs.  ``xi`` is a skew
+    (n, n) array.  The trace density is exactly invariant along it (the
+    derivative is a commutator trace) and the holonomy is conjugated, hence
+    fixed along flat sections.
     """
-    g = y.values
-    return Variation(y.fiber, xi.matrix - skew_part(g.swapaxes(-1, -2) @ xi.matrix @ g))
+    return Variation(y.fiber, xi - coadjoint(y.values, xi))
 
 
 @dataclass(frozen=True)
@@ -547,7 +550,7 @@ class NoetherScenarioReport:
 
 
 def run_noether_scenario(grid: TriangulatedGrid, config: SolverConfig,
-                         xi: AlgebraElement,
+                         xi: np.ndarray,
                          symmetry_field: Variation | None = None,
                          tol_factor: float = 1e-8) -> NoetherScenarioReport:
     """Solve, recover multipliers, and evaluate the conservation boundary sum.
@@ -556,13 +559,12 @@ def run_noether_scenario(grid: TriangulatedGrid, config: SolverConfig,
     ``tol_factor * (1 + |action|)``.  Passing an explicit ``symmetry_field``
     (for negative controls) overrides the conjugation construction.
     """
-    n = xi.n
+    n = xi.shape[-1]
     lagrangian = TraceLagrangian(n)
     faceset = grid.full_faceset()
     _, solve_report = solve_unreduced(grid, config)
     y = solve_report.section
-    zero_seed = CoAlgebraElement(np.zeros((n, n)))
-    lam, _ = recover_multipliers(lagrangian, grid, y, zero_seed)
+    lam, _ = recover_multipliers(lagrangian, grid, y, np.zeros((n, n)))
     d = symmetry_field if symmetry_field is not None \
         else conjugation_symmetry_field(y, xi)
     noether = noether_boundary_sum(lagrangian, PlaquetteConstraint(n), y, lam,
@@ -594,8 +596,8 @@ def _multiplier_quotient(l0: Multiplier, l1: Multiplier, h: float) -> Multiplier
 
 
 def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
-                                 bump1: dict[int, AlgebraElement],
-                                 bump2: dict[int, AlgebraElement],
+                                 bump1: dict[int, np.ndarray],
+                                 bump2: dict[int, np.ndarray],
                                  step: float = H_JACOBI,
                                  jacobi_tol: float = 1e-4,
                                  defect_tol: float = 1e-4
@@ -603,30 +605,31 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
     """Boundary two-form defect on two finite-difference Jacobi fields.
 
     Solves the base problem plus one boundary-perturbed problem per bump
-    (perturbation g -> g exp(step * eta), multipliers recovered with the same
-    zero seed), forms the difference-quotient fields, verifies they pass the
-    Jacobi check, and evaluates the two-form.  Perturbed solves warm-start
+    (a skew (n, n) array eta per frontier vertex, perturbation
+    g -> g exp(step * eta), multipliers recovered with the same zero seed),
+    forms the difference-quotient fields, verifies they pass the Jacobi
+    check, and evaluates the two-form.  Perturbed solves warm-start
     from the base solution so all three sit on the same branch.
     """
-    n = next(iter(config.boundary.values())).n
+    n = config.boundary.values.shape[-1]
     lagrangian = TraceLagrangian(n)
     constraint = PlaquetteConstraint(n)
     faceset = grid.full_faceset()
-    zero_seed = CoAlgebraElement(np.zeros((n, n)))
+    frontier = classify_vertices(grid, faceset).frontier
+    zero_seed = np.zeros((n, n))
 
     base_field, base_report = solve_unreduced(grid, config)
     y0 = base_report.section
     lam0, _ = recover_multipliers(lagrangian, grid, y0, zero_seed)
 
     def perturbed(bump):
-        boundary = dict(config.boundary)
+        boundary = config.boundary.values.copy()
         for vid, eta in bump.items():
-            if vid not in boundary:
+            if vid not in frontier:
                 raise ValueError(f"bump vertex {vid} is not a frontier vertex")
-            boundary[vid] = GroupElement(
-                boundary[vid].matrix @ lg.exp(step * eta).matrix)
-        _, report = solve_unreduced(
-            grid, replace(config, boundary=boundary, initializer=base_field))
+            boundary[vid] = boundary[vid] @ lg.exp(step * eta)
+        _, report = solve_unreduced(grid, replace(
+            config, boundary=UnreducedField(boundary), initializer=base_field))
         y = report.section
         lam, _ = recover_multipliers(lagrangian, grid, y, zero_seed)
         return y, lam

@@ -1,11 +1,12 @@
 """Matrix Lie group backend for SO(n).
 
-Group elements are special-orthogonal matrices, algebra elements are skew
-matrices, and the algebra dual is represented concretely by skew matrices
-through the trace pairing <mu, xi> = tr(mu^T xi).  With this identification
-the dual of the standard skew basis element E_kl is E_kl / 2, because
-<E_kl, E_kl> = 2.  All operations are pure and all values immutable, so
-everything here is safe to use from any number of workers.
+Group, algebra and coalgebra data are plain float arrays, (..., n, n)
+stacks: special-orthogonal matrices for the group and skew matrices for the
+algebra, whose dual is represented concretely by skew matrices through the
+trace pairing <mu, xi> = tr(mu^T xi) (:func:`block_dot`).  With this
+identification the dual of the standard skew basis element E_kl is E_kl / 2,
+because <E_kl, E_kl> = 2.  All operations are pure and checked arrays are
+read-only, so everything here is safe to use from any number of workers.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from .errors import DomainError
 
 __all__ = [
     "GroupElement",
-    "AlgebraElement",
-    "CoAlgebraElement",
-    "identity",
     "group_array",
     "read_only",
     "skew_part",
@@ -35,7 +33,6 @@ __all__ = [
     "adjoint",
     "adjoint_matrix",
     "coadjoint",
-    "pairing",
     "project_to_group",
     "skew_basis",
     "step_matrices",
@@ -43,7 +40,6 @@ __all__ = [
     "skew_to_coords",
     "coords_to_skew",
     "random_skew",
-    "random_algebra",
 ]
 
 # Blocks closer than this to orthogonal are stored as given; farther ones (up
@@ -66,8 +62,8 @@ def _polar_factor(m: np.ndarray) -> np.ndarray:
 def group_array(matrices) -> np.ndarray:
     """Validated read-only stack of SO(n) matrices, shape (..., n, n).
 
-    This is the one membership check, made where data enters: element
-    construction, file loading.  Every block must have finite entries, an
+    This is the one membership check, made where data enters: the solver
+    configuration, file loading.  Every block must have finite entries, an
     orthogonality defect ||m^T m - I||_F within ``TAU_GROUP`` and det > 0;
     anything else raises ValueError.  Blocks whose defect is above 1e-12 are
     re-orthonormalized (polar factor); the others are stored bit-identically,
@@ -127,84 +123,28 @@ def skew_part(x: np.ndarray) -> np.ndarray:
 
 
 class GroupElement:
-    """A special-orthogonal matrix, validated by :func:`group_array`."""
+    """A special-orthogonal matrix, validated by :func:`group_array`.
 
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        object.__setattr__(self, "matrix", group_array(_as_square(matrix)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElement is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.matrix.T)
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.matrix @ other.matrix)
-
-    def __repr__(self):
-        return f"GroupElement(n={self.n})"
-
-
-class AlgebraElement:
-    """A skew-symmetric matrix; the skew part is enforced on construction."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        m = skew_part(_as_square(matrix))
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def __add__(self, other):
-        return AlgebraElement(self.matrix + other.matrix)
-
-    def __sub__(self, other):
-        return AlgebraElement(self.matrix - other.matrix)
-
-    def __mul__(self, scalar: float):
-        return AlgebraElement(self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return AlgebraElement(-self.matrix)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-    def __repr__(self):
-        return f"AlgebraElement(n={self.n}, norm={self.norm():.3e})"
-
-
-# The trace pairing identifies the algebra dual with the skew matrices.
-CoAlgebraElement = AlgebraElement
-
-
-def identity(n: int) -> GroupElement:
-    return GroupElement(np.eye(n))
-
-
-def exp(xi: AlgebraElement) -> GroupElement:
-    """Matrix exponential of one algebra element (scipy's Pade ``expm``).
-
-    Used for boundary data, test curves and the finite-difference steps
-    (:func:`step_matrices`); the solver retraction and the sampled
-    instances use :func:`exp_skew`.
+    Group data are arrays throughout the package, which builds none of
+    these; the class stays because the benchmark's span table
+    (``perfbench/spans.py``) names its constructor.
     """
-    return GroupElement(scipy.linalg.expm(xi.matrix))
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix):
+        self.matrix = group_array(_as_square(matrix))
+
+
+def exp(xi: np.ndarray) -> np.ndarray:
+    """Matrix exponentials of a (..., n, n) stack of skew matrices (scipy's
+    Pade ``expm``), checked by :func:`group_array`.
+
+    Used for boundary data and its perturbations; the finite-difference
+    steps (:func:`step_matrices`) call ``expm`` directly, and the solver
+    retraction and the sampled instances use :func:`exp_skew`.
+    """
+    return group_array(scipy.linalg.expm(xi))
 
 
 def exp_skew(xi: np.ndarray) -> np.ndarray:
@@ -302,31 +242,26 @@ def log_near_identity(g: np.ndarray) -> np.ndarray:
     return s + skew_part(((v * c[..., None, :]) @ v.conj().swapaxes(-1, -2)).real)
 
 
-def adjoint(g: GroupElement, xi: AlgebraElement) -> AlgebraElement:
-    """Adjoint action g xi g^{-1}; preserves skewness."""
-    return AlgebraElement(g.matrix @ xi.matrix @ g.matrix.T)
+def adjoint(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Blockwise adjoint action Ad_g xi = g xi g^T of stacks whose leading
+    shapes broadcast, taken by its skew part.
 
-
-def coadjoint(g: GroupElement, mu: CoAlgebraElement) -> CoAlgebraElement:
-    """Coadjoint action, defined by <Ad*_g mu, xi> = <mu, Ad_g xi>.
-
-    In the trace-pairing representation this is g^{-1} mu g.  Note the
-    contravariance: Ad*_g Ad*_h = Ad*_{hg}.
+    On the dual side this is the inverse coadjoint action Ad*_{g^{-1}}.
     """
-    return CoAlgebraElement(g.matrix.T @ mu.matrix @ g.matrix)
+    return skew_part(g @ xi @ g.swapaxes(-1, -2))
 
 
-def coadjoint_inverse(g: GroupElement, mu: CoAlgebraElement) -> CoAlgebraElement:
-    """Inverse of :func:`coadjoint` at g, i.e. g mu g^{-1}."""
-    return CoAlgebraElement(g.matrix @ mu.matrix @ g.matrix.T)
+def coadjoint(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Blockwise coadjoint action, defined by <Ad*_g mu, xi> = <mu, Ad_g xi>
+    in the trace pairing (:func:`block_dot`), taken by its skew part.
+
+    In the trace-pairing representation this is g^T mu g, which is also
+    Ad_{g^{-1}}.  Note the contravariance: Ad*_g Ad*_h = Ad*_{hg}.
+    """
+    return skew_part(g.swapaxes(-1, -2) @ mu @ g)
 
 
-def pairing(mu: CoAlgebraElement, xi: AlgebraElement) -> float:
-    """Duality pairing tr(mu^T xi); nondegenerate on skew matrices."""
-    return float(np.trace(mu.matrix.T @ xi.matrix))
-
-
-def project_to_group(matrix) -> GroupElement:
+def project_to_group(matrix) -> np.ndarray:
     """Nearest special-orthogonal matrix in Frobenius norm (polar factor).
 
     Requires det > 0 and a nonsingular input; reflection-branch or singular
@@ -338,8 +273,7 @@ def project_to_group(matrix) -> GroupElement:
         raise DomainError("matrix is singular, projection undefined")
     if det < 0.0:
         raise DomainError("matrix has det < 0, nearest orthogonal is a reflection")
-    u = _polar_factor(m)
-    return GroupElement(u)
+    return group_array(_polar_factor(m))
 
 
 def algebra_dim(n: int) -> int:
@@ -404,8 +338,3 @@ def random_skew(n: int, rng: np.random.Generator, scale: float = 1.0,
     coordinates are uniform on [-1, 1], drawn block after block in row-major
     order, so a stack draws what repeated single draws would."""
     return scale * coords_to_skew(rng.uniform(-1.0, 1.0, shape + (algebra_dim(n),)), n)
-
-
-def random_algebra(n: int, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-    """Scale times a skew matrix with basis coordinates uniform on [-1, 1]."""
-    return AlgebraElement(random_skew(n, rng, scale))

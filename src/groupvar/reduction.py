@@ -19,8 +19,8 @@ section.  Window functions return stacks indexed [j, i] per face and
 [j-1, i-1] per interior vertex.  Multiplier recovery is a column recurrence
 from the east, and reconstruction propagates one row (column) at a time
 over the whole window; both are deterministic.  Nothing here checks group
-membership: the arrays come from ``GroupElement`` data, the file loaders or
-products of such data.
+membership: the arrays come from a checked solver configuration, the file
+loaders or products of such data.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ from .errors import (
     RecoveryConflictError,
 )
 from .liegroup import (
-    CoAlgebraElement,
+    adjoint,
     adjoint_matrix,
     block_norms,
+    coadjoint,
     max_norm,
-    skew_part,
 )
 
 __all__ = [
@@ -89,22 +89,12 @@ def reduced_fiber(n: int) -> FiberSignature:
 
 
 # ---------------------------------------------------------------------------
-# stacked matrix kernels; the operand order and the skew part match
-# liegroup's single-element actions, so results are bit-identical to them
+# stacked matrix kernels; the coadjoint actions are liegroup's stacked
+# ``coadjoint`` (g^T mu g) and its inverse ``adjoint`` (g mu g^T)
 
 
 def _t(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-1, -2)
-
-
-def _coadjoint(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Blockwise coadjoint action g^T mu g (see ``liegroup.coadjoint``)."""
-    return skew_part(_t(g) @ mu @ g)
-
-
-def _coadjoint_inverse(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Blockwise inverse coadjoint action g mu g^T."""
-    return skew_part(g @ mu @ _t(g))
 
 
 def _holonomy(u, v, v_right, u_up) -> np.ndarray:
@@ -133,7 +123,7 @@ def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     """
     mu = _on_window(grid, lagrangian.vertex_differential(
         grid, jet_at(y, grid, grid.full_faceset().face_ids), 0))
-    return mu, _coadjoint_inverse(p[:-1, :-1], mu)
+    return mu, adjoint(p[:-1, :-1], mu)
 
 
 def _reduced_residual(mu: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -149,8 +139,8 @@ def _system(p: np.ndarray, right: np.ndarray, lam: np.ndarray):
     Ad*_{v^-1} mu_v - lam + Ad*_{u_w} lam_w, at 1 <= i < W, 0 <= j < H,
     indexed [j, i-1].
     """
-    first = right[1:, :, 0] + lam[1:] - _coadjoint(p[:-2, :-1, 1], lam[:-1])
-    second = right[:, 1:, 1] - lam[:, 1:] + _coadjoint(p[:-1, :-2, 0], lam[:, :-1])
+    first = right[1:, :, 0] + lam[1:] - coadjoint(p[:-2, :-1, 1], lam[:-1])
+    second = right[:, 1:, 1] - lam[:, 1:] + coadjoint(p[:-1, :-2, 0], lam[:, :-1])
     return first, second
 
 
@@ -311,8 +301,8 @@ def reduced_variation(grid: TriangulatedGrid, g: UnreducedField,
     t = _on_window(grid, theta)
     xi = np.zeros(p.shape)
     # Ad_{g^{-1}} is the coadjoint formula g^T xi g
-    xi[:, :-1, 0] = t[:, 1:] - _coadjoint(p[:, :-1, 0], t[:, :-1])
-    xi[:-1, :, 1] = t[1:] - _coadjoint(p[:-1, :, 1], t[:-1])
+    xi[:, :-1, 0] = t[:, 1:] - coadjoint(p[:, :-1, 0], t[:, :-1])
+    xi[:-1, :, 1] = t[1:] - coadjoint(p[:-1, :, 1], t[:-1])
     return Variation(reduced_fiber(p.shape[-1]), xi.reshape(-1, *xi.shape[2:]))
 
 
@@ -347,7 +337,7 @@ class RecoveryReport:
 
 
 def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
-                        y: Section, seed: CoAlgebraElement,
+                        y: Section, seed: np.ndarray,
                         ep_tol: float = EP_TOL, cons_tol: float = CONS_TOL,
                         adm_tol: float = TOL_ADMISSIBLE
                         ) -> tuple[Multiplier, RecoveryReport]:
@@ -369,8 +359,9 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     the consistency data is part of the contract.
 
     The origin-corner face is touched by no interior vertex's equations; it
-    is reported and set to zero.  Any seed value may be placed at the
-    max-corner face, and different seeds produce different valid multipliers.
+    is reported and set to zero.  Any seed value, a skew (n, n) array, may be
+    placed at the max-corner face, and different seeds produce different
+    valid multipliers.
     """
     width, height = grid.width, grid.height
     if width < 2 or height < 2:
@@ -391,13 +382,13 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
 
     u, v = p[..., 0, :, :], p[..., 1, :, :]
     lam = np.zeros((height, width, n, n))
-    lam[-1, -1] = seed.matrix
+    lam[-1, -1] = seed
     for j in range(height - 1, 0, -1):
-        lam[j - 1, -1] = _coadjoint_inverse(v[j - 1, -2], right[j, -1, 0] + lam[j, -1])
+        lam[j - 1, -1] = adjoint(v[j - 1, -2], right[j, -1, 0] + lam[j, -1])
     max_disc = 0.0
     for i in range(width - 1, 0, -1):
         if i < width - 1:
-            south = _coadjoint_inverse(v[:-2, i], right[1:, i, 0] + lam[1:, i])
+            south = adjoint(v[:-2, i], right[1:, i, 0] + lam[1:, i])
             disc = block_norms(lam[1:-1, i] - south[1:])
             over = np.flatnonzero(~(disc <= cons_tol))
             if over.size:
@@ -405,7 +396,7 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
                 raise RecoveryConflictError(grid.face_id(i, k), float(disc[k - 1]))
             max_disc = max_norm(max_disc, disc)
             lam[0, i] = south[0]
-        lam[1:, i - 1] = _coadjoint_inverse(u[1:-1, i - 1], lam[1:, i] - right[1:, i, 1])
+        lam[1:, i - 1] = adjoint(u[1:-1, i - 1], lam[1:, i] - right[1:, i, 1])
 
     compared = tuple(grid.face_id(i, k) for k in range(1, height - 1)
                      for i in range(1, width - 1))
@@ -439,8 +430,8 @@ def multiplier_elimination_check(lagrangian: LagrangianDensity,
     m = _on_window(grid, lam.values)
     first, second = _system(p, right, m)
     u_w, v_s = p[1:-1, :-2, 0], p[:-2, 1:-1, 1]
-    combo = first[:, 1:] - _coadjoint(u_w, first[:, :-1]) \
-        + second[1:] - _coadjoint(v_s, second[:-1])
-    one_way = _coadjoint(v_s, _coadjoint(p[:-2, :-2, 0], m[:-1, :-1]))
-    other_way = _coadjoint(u_w, _coadjoint(p[:-2, :-2, 1], m[:-1, :-1]))
+    combo = first[:, 1:] - coadjoint(u_w, first[:, :-1]) \
+        + second[1:] - coadjoint(v_s, second[:-1])
+    one_way = coadjoint(v_s, coadjoint(p[:-2, :-2, 0], m[:-1, :-1]))
+    other_way = coadjoint(u_w, coadjoint(p[:-2, :-2, 1], m[:-1, :-1]))
     return EliminationDefects(block_norms(combo), block_norms(one_way - other_way))

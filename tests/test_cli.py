@@ -7,7 +7,7 @@ from groupvar import sampling, serialization as ser
 from groupvar.cli import main
 from groupvar.complexes import classify_vertices, triangulated_grid
 from groupvar.core import Section
-from groupvar.liegroup import random_algebra
+from groupvar.liegroup import random_skew
 from groupvar.reduction import reduce_field
 import scipy.linalg
 
@@ -203,7 +203,7 @@ def test_reconstruct_tampered_exits_one(tmp_path, capsys):
     rng = np.random.default_rng(1)
     y = reduce_field(grid, sampling.random_unreduced_field(grid, 3, rng))
     vid = grid.vertex_id(1, 1)
-    bump = scipy.linalg.expm(1e-5 * random_algebra(3, rng).matrix)
+    bump = scipy.linalg.expm(1e-5 * random_skew(3, rng))
     values = y.values.copy()
     values[vid, 0] = values[vid, 0] @ bump
     y = Section(y.fiber, values)
@@ -313,7 +313,18 @@ def test_malformed_section_file_exits_two(tmp_path, capsys, solved_section,
 
 def test_solve_with_boundary_file(tmp_path, capsys):
     """A boundary file is a saved vertex field with a record for every
-    vertex; the solve takes its frontier and far corner."""
+    vertex; the solve takes its frontier and far corner.  Re-solving from a
+    solved field writes the same field and reduced section, byte for byte,
+    because the blend restarts the same descent."""
+    for n in (2, 3, 4):
+        first, again = tmp_path / f"first{n}", tmp_path / f"again{n}"
+        window = ("--n", n, "--width", 5, "--height", 4, "--scale", 0.3)
+        assert run("solve", *window, "--out", first) == 0
+        assert run("solve", *window, "--boundary", first / "unreduced_field.txt",
+                   "--out", again) == 0
+        for name in ("unreduced_field.txt", "reduced_section.txt"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
     first = tmp_path / "first"
     assert run("solve", "--width", 4, "--height", 4, "--out", first) == 0
     field = first / "unreduced_field.txt"

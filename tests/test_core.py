@@ -130,7 +130,7 @@ def test_constraint_locality_of_vertex_perturbation():
     fs = grid.full_faceset()
     before = core.constraint_values(con, y, fs)
     v = grid.vertex_id(1, 1)
-    bump = lg.exp(lg.random_algebra(N, rng, 0.3)).matrix
+    bump = lg.exp(lg.random_skew(N, rng, 0.3))
     y = replaced(y, v, y.values[v] @ bump)
     after = core.constraint_values(con, y, fs)
     touched = {f for f in grid.faces
@@ -150,7 +150,7 @@ def test_admissibility_report():
     assert rep.admissible and rep.max_residual == 0.0
     v = grid.vertex_id(1, 1)
     u, w = y.values[v]
-    step = lg.exp(lg.random_algebra(N, np.random.default_rng(3), 1e-4)).matrix
+    step = lg.exp(lg.random_skew(N, np.random.default_rng(3), 1e-4))
     y = replaced(y, v, (u @ step, w))
     rep = core.admissibility_report(con, y, fs, tol=1e-12)
     assert not rep.admissible
@@ -312,8 +312,8 @@ def test_extended_residual_locality():
     stencil = {w for f in grid.star(v) for w in grid.adherence(f)}
     outside = grid.vertex_id(3, 3)
     assert outside not in stencil
-    y = replaced(y, outside, (lg.exp(lg.random_algebra(N, rng)).matrix,
-                              lg.exp(lg.random_algebra(N, rng)).matrix))
+    y = replaced(y, outside, (lg.exp(lg.random_skew(N, rng)),
+                              lg.exp(lg.random_skew(N, rng))))
     after = core.extended_residual(*args, y, lam, fs, v).coords
     assert np.array_equal(before, after)
 

@@ -29,7 +29,7 @@ def _trace_differentials(u, v):
     from ``reduction._partials``, on the one face of a 1x1 window."""
     grid = triangulated_grid(1, 1)
     values = np.zeros((len(grid.vertices), 2, N, N)) + np.eye(N)
-    values[grid.vertex_id(0, 0)] = u.matrix, v.matrix
+    values[grid.vertex_id(0, 0)] = u, v
     y = core.Section(red.reduced_fiber(N), values)
     lagrangian = hm.TraceLagrangian(N)
     left = lagrangian.vertex_differential(grid, core.jet_at(y, grid, [0]), 0)[0]
@@ -39,22 +39,21 @@ def _trace_differentials(u, v):
 
 
 def test_trace_differentials_at_identity():
-    left, right = _trace_differentials(lg.identity(N), lg.identity(N))
+    left, right = _trace_differentials(np.eye(N), np.eye(N))
     assert not left.any() and not right.any()
 
 
 def test_trace_differentials_coordinates_exact():
     rng = np.random.default_rng(1)
-    u = lg.exp(lg.random_algebra(N, rng))
-    v = lg.exp(lg.random_algebra(N, rng))
+    u = lg.exp(lg.random_skew(N, rng))
+    v = lg.exp(lg.random_skew(N, rng))
     left, right = _trace_differentials(u, v)
     pairs = [(k, l) for k in range(N) for l in range(k + 1, N)]
     for (k, l), e in zip(pairs, lg.skew_basis(N)):
-        e = lg.AlgebraElement(e)
-        assert lg.pairing(lg.CoAlgebraElement(right[0]), e) == pytest.approx(
-            u.matrix[l, k] - u.matrix[k, l], abs=1e-13)
-        assert lg.pairing(lg.CoAlgebraElement(right[1]), e) == pytest.approx(
-            v.matrix[l, k] - v.matrix[k, l], abs=1e-13)
+        assert lg.block_dot(right[0], e) == pytest.approx(
+            u[l, k] - u[k, l], abs=1e-13)
+        assert lg.block_dot(right[1], e) == pytest.approx(
+            v[l, k] - v[k, l], abs=1e-13)
     # for the trace density the right and left translated forms coincide
     assert np.linalg.norm(right[0] - left[0]) <= 1e-14
     assert np.linalg.norm(right[1] - left[1]) <= 1e-14
@@ -62,19 +61,16 @@ def test_trace_differentials_coordinates_exact():
 
 def test_trace_differentials_fd_oracle():
     rng = np.random.default_rng(2)
-    u = lg.exp(lg.random_algebra(N, rng))
-    v = lg.exp(lg.random_algebra(N, rng))
+    u = lg.exp(lg.random_skew(N, rng))
+    v = lg.exp(lg.random_skew(N, rng))
     left, right = _trace_differentials(u, v)
-    right_u, left_u = lg.CoAlgebraElement(right[0]), lg.CoAlgebraElement(left[0])
     t = 1e-6
-    for e in map(lg.AlgebraElement, lg.skew_basis(N)):
-        step = lg.exp(t * e).matrix
-        fd_right = (np.trace(step @ u.matrix) - np.trace(step.T @ u.matrix)) \
-            / (2.0 * t)
-        assert abs(lg.pairing(right_u, e) - fd_right) <= 1e-7
-        fd_left = (np.trace(u.matrix @ step) - np.trace(u.matrix @ step.T)) \
-            / (2.0 * t)
-        assert abs(lg.pairing(left_u, e) - fd_left) <= 1e-7
+    for e in lg.skew_basis(N):
+        step = lg.exp(t * e)
+        fd_right = (np.trace(step @ u) - np.trace(step.T @ u)) / (2.0 * t)
+        assert abs(lg.block_dot(right[0], e) - fd_right) <= 1e-7
+        fd_left = (np.trace(u @ step) - np.trace(u @ step.T)) / (2.0 * t)
+        assert abs(lg.block_dot(left[0], e) - fd_left) <= 1e-7
 
 
 def test_ep_symmetric_defect_identity():
@@ -105,8 +101,8 @@ def test_action_invariant_under_constant_left_translation():
     grid = triangulated_grid(4, 3)
     rng = np.random.default_rng(31)
     g = sampling.random_unreduced_field(grid, N, rng)
-    h = lg.exp(lg.random_algebra(N, rng))
-    hg = red.UnreducedField(h.matrix @ g.values)
+    h = lg.exp(lg.random_skew(N, rng))
+    hg = red.UnreducedField(h @ g.values)
     assert abs(hm.trace_action(grid, g) - hm.trace_action(grid, hg)) <= 1e-12
 
 
@@ -152,8 +148,8 @@ def test_solver_left_invariance():
     grid = triangulated_grid(4, 4)
     boundary = hm.random_boundary(grid, N, seed=4, scale=0.1)
     f1, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary, g_tol=1e-11))
-    h = lg.exp(lg.random_algebra(N, np.random.default_rng(5)))
-    shifted = {v: h @ g for v, g in boundary.items()}
+    h = lg.exp(lg.random_skew(N, np.random.default_rng(5)))
+    shifted = red.UnreducedField(h @ boundary.values)
     f2, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=shifted, g_tol=1e-11))
     y1 = red.reduce_field(grid, f1)
     y2 = red.reduce_field(grid, f2)
@@ -204,23 +200,69 @@ def test_solver_window_without_interior(width, height):
     assert field.values.shape == (len(grid.vertices), N, N)
 
 
-def test_solver_missing_boundary_vertex():
+def test_solver_rejects_wrong_shape_boundary():
+    """The boundary, and a warm start, need one n x n block per window vertex."""
     grid = triangulated_grid(3, 3)
-    boundary = hm.identity_boundary(grid, N)
-    boundary.pop(sorted(boundary)[0])
-    with pytest.raises(ValueError):
-        hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    short = hm.identity_boundary(triangulated_grid(3, 2), N)
+    with pytest.raises(ValueError, match=r"boundary has shape \(12, 3, 3\)"):
+        hm.solve_unreduced(grid, hm.SolverConfig(boundary=short))
+    other_n = hm.identity_boundary(grid, N + 1)
+    config = hm.SolverConfig(boundary=hm.identity_boundary(grid, N),
+                             initializer=other_n)
+    with pytest.raises(ValueError, match=r"initializer has shape \(16, 4, 4\)"):
+        hm.solve_unreduced(grid, config)
+
+
+@pytest.mark.parametrize("block,message", [
+    (np.diag([1.0, -1.0, 1.0]), "matrix 5 is in the reflection component"),
+    (np.eye(N) + 1e-3, "matrix 5 is .* from orthogonal"),
+    (np.full((N, N), np.inf), "matrix 5 has non-finite entries"),
+])
+def test_solver_rejects_non_group_boundary(block, message):
+    """Boundary blocks pass ``group_array`` where the configuration is made;
+    the interior ones count too, though the solver overwrites them."""
+    grid = triangulated_grid(3, 3)
+    values = hm.identity_boundary(grid, N).values.copy()
+    values[5] = block
+    with pytest.raises(ValueError, match=message):
+        hm.SolverConfig(boundary=red.UnreducedField(values))
+
+
+def test_solver_rejects_non_finite_warm_start():
+    """A warm start with one NaN interior block is malformed input: it raises
+    ValueError where the configuration is made (exit 2 from the CLI), not a
+    ConvergenceError after the descent rejected every trial."""
+    grid = triangulated_grid(6, 6)
+    boundary = hm.random_boundary(grid, 3, 152, 3.0)
+    field, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    vertex = grid.vertex_id(3, 2)
+    values = field.values.copy()
+    values[vertex] = np.nan
+    with pytest.raises(ValueError, match=f"matrix {vertex} has non-finite"):
+        hm.SolverConfig(boundary=boundary, initializer=red.UnreducedField(values))
+
+
+def test_solver_config_keeps_clean_fields():
+    """Checked boundary and warm-start arrays pass the configuration
+    unchanged, so a warm start from a solver output is bit-identical."""
+    grid = triangulated_grid(6, 6)
+    boundary = hm.random_boundary(grid, 3, 152, 3.0)
+    field, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    config = hm.SolverConfig(boundary=boundary, initializer=field)
+    assert config.boundary.values is boundary.values
+    assert config.initializer.values is field.values
+    warm, _ = hm.solve_unreduced(grid, config)
+    assert warm.values.tobytes() == field.values.tobytes()
 
 
 def test_conjugation_field_zero_generator(solved66):
-    d = hm.conjugation_symmetry_field(solved66["y"],
-                                      lg.AlgebraElement(np.zeros((N, N))))
+    d = hm.conjugation_symmetry_field(solved66["y"], np.zeros((N, N)))
     assert np.all(d.values == 0.0)
 
 
 def test_conjugation_field_is_symmetry(solved66):
     grid, y = solved66["grid"], solved66["y"]
-    xi = lg.random_algebra(N, np.random.default_rng(7))
+    xi = lg.random_skew(N, np.random.default_rng(7))
     d = hm.conjugation_symmetry_field(y, xi)
     lagrangian = solved66["lagrangian"]
     fs = grid.full_faceset()
@@ -236,7 +278,7 @@ def test_conjugation_field_is_symmetry(solved66):
 
 
 def test_noether_scenario(solved66):
-    xi = lg.random_algebra(N, np.random.default_rng(8))
+    xi = lg.random_skew(N, np.random.default_rng(8))
     scenario = hm.run_noether_scenario(solved66["grid"], solved66["config"], xi)
     assert scenario.passed
     assert abs(scenario.boundary_sum) <= scenario.threshold
@@ -244,7 +286,7 @@ def test_noether_scenario(solved66):
 
 
 def test_noether_scenario_negative_control(solved66):
-    xi = lg.random_algebra(N, np.random.default_rng(9))
+    xi = lg.random_skew(N, np.random.default_rng(9))
     bad = sampling.random_variation(solved66["grid"], N, np.random.default_rng(10))
     scenario = hm.run_noether_scenario(solved66["grid"], solved66["config"], xi,
                                        symmetry_field=bad)
@@ -256,8 +298,8 @@ def test_multisymplectic_scenario(solved66):
     grid = solved66["grid"]
     frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
     rng = np.random.default_rng(11)
-    bump1 = {frontier[5]: lg.random_algebra(N, rng)}
-    bump2 = {frontier[14]: lg.random_algebra(N, rng)}
+    bump1 = {frontier[5]: lg.random_skew(N, rng)}
+    bump2 = {frontier[14]: lg.random_skew(N, rng)}
     scenario = hm.run_multisymplectic_scenario(grid, solved66["config"],
                                                bump1, bump2)
     assert scenario.passed
@@ -293,7 +335,7 @@ def test_jacobi_residual_negative_control(solved66):
 def test_multisymplectic_bump_must_be_frontier(solved66):
     grid = solved66["grid"]
     rng = np.random.default_rng(12)
-    inner = {grid.vertex_id(2, 2): lg.random_algebra(N, rng)}
+    inner = {grid.vertex_id(2, 2): lg.random_skew(N, rng)}
     with pytest.raises(ValueError):
         hm.run_multisymplectic_scenario(grid, solved66["config"], inner, inner)
 
@@ -302,11 +344,31 @@ def test_random_boundary_reproducible():
     grid = triangulated_grid(4, 4)
     b1 = hm.random_boundary(grid, N, seed=13, scale=0.1)
     b2 = hm.random_boundary(grid, N, seed=13, scale=0.1)
-    assert b1.keys() == b2.keys()
-    for v in b1:
-        assert np.array_equal(b1[v].matrix, b2[v].matrix)
+    assert b1.values.tobytes() == b2.values.tobytes()
     b3 = hm.random_boundary(grid, N, seed=14, scale=0.1)
-    assert any(not np.array_equal(b1[v].matrix, b3[v].matrix) for v in b1)
+    assert not np.array_equal(b1.values, b3.values)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_random_boundary_is_the_per_vertex_expm_draw(n):
+    """One batched draw and one stacked ``lg.exp`` give what a draw and a
+    ``scipy.linalg.expm`` call per frontier vertex gave, byte for byte; the
+    far corner repeats (W, H-1) and the interior holds the identity, like
+    ``identity_boundary``."""
+    grid = triangulated_grid(6, 5)
+    frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
+    interior = sorted(classify_vertices(grid, grid.full_faceset()).interior)
+    corner, below = grid.vertex_id(6, 5), grid.vertex_id(6, 4)
+    eye = hm.identity_boundary(grid, n).values
+    assert eye.shape == (len(grid.vertices), n, n) and np.all(eye == np.eye(n))
+    for seed, scale in enumerate((0.0, 0.1, 0.5, 1.0, 2.0, 3.0)):
+        got = hm.random_boundary(grid, n, seed, scale).values
+        rng = np.random.default_rng(seed)
+        for v in frontier:
+            want = scipy.linalg.expm(lg.random_skew(n, rng, scale))
+            assert got[v].tobytes() == want.tobytes()
+        assert got[corner].tobytes() == got[below].tobytes()
+        assert np.array_equal(got[interior], eye[interior])
 
 
 def _array(grid, field):
@@ -362,7 +424,7 @@ def _dense_fd_jacobian(g):
     """
     n = g.shape[-1]
     h = 1e-6
-    steps = [lg.exp(lg.AlgebraElement(h * e)).matrix for e in lg.skew_basis(n)]
+    steps = [lg.exp(h * e) for e in lg.skew_basis(n)]
     block = g[1:-1, 1:-1]
     size = hm._residual(g)[0].size
     jac = np.empty((size, size))
@@ -581,13 +643,10 @@ def _sequential_descent(g, g_tol, max_iterations):
 
 
 def _descent_start(grid, n, seed, scale):
-    """The field ``solve_unreduced`` descends from: random boundary, far
-    corner copied from its south neighbour, blended interior."""
-    g = np.empty((grid.height + 1, grid.width + 1, n, n))
-    by_vertex = g.reshape(-1, n, n)
-    for vertex, element in hm.random_boundary(grid, n, seed, scale).items():
-        by_vertex[vertex] = element.matrix
-    g[-1, -1] = g[-2, -1]
+    """The field ``solve_unreduced`` descends from: random boundary, whose
+    far corner repeats its south neighbour, and blended interior."""
+    boundary = hm.random_boundary(grid, n, seed, scale).values
+    g = boundary.reshape(grid.height + 1, grid.width + 1, n, n).copy()
     g[1:-1, 1:-1] = hm._blend_initializer(g)
     return g
 
@@ -640,14 +699,16 @@ def test_paired_trials_exhaust_like_the_sequential_loop(monkeypatch):
     """60 rejected trials end the descent.  With finite data they never do:
     the test accepts an unchanged energy, and a small enough step retracts
     to the iterate itself (a run with no Newton switch and g_tol = 0 made
-    20 000 iterations without one).  A NaN block makes every trial fail."""
+    20 000 iterations without one).  A NaN block makes every trial fail; a
+    warm start cannot carry one (the configuration rejects it), so the
+    solve gets it from the blend."""
     grid = triangulated_grid(6, 6)
     g = _descent_start(grid, 3, 152, 3.0)
     g[2, 3] = np.nan
     _, _, _, history, iteration, backtracks, _ = _assert_same_descent(g, 1e-10, 8)
     assert (iteration, backtracks, len(history)) == (1, hm._MAX_BACKTRACKS, 1)
-    config = hm.SolverConfig(boundary=hm.random_boundary(grid, 3, 152, 3.0),
-                             initializer=red.UnreducedField(g.reshape(-1, 3, 3)))
+    monkeypatch.setattr(hm, "_blend_initializer", lambda _: g[1:-1, 1:-1])
+    config = hm.SolverConfig(boundary=hm.random_boundary(grid, 3, 152, 3.0))
     paired, sequential = _failed_solve_histories(monkeypatch, grid, config)
     assert paired == sequential
 
@@ -686,7 +747,7 @@ def _blend_oracle(g):
     fallbacks = 0
     for vertex in np.ndindex(blend.shape[:2]):
         try:
-            blend[vertex] = lg.project_to_group(blend[vertex]).matrix
+            blend[vertex] = lg.project_to_group(blend[vertex])
         except DomainError:
             blend[vertex] = np.eye(g.shape[-1])
             fallbacks += 1
@@ -707,9 +768,8 @@ def test_blend_initializer_matches_per_vertex_projection(n, width, scale, seed,
     """The batched SVD polar factor is ``project_to_group`` bit for bit, and
     the identity fallback lands on the same vertices."""
     grid = triangulated_grid(width, width)
-    g = np.zeros((width + 1, width + 1, n, n)) + np.eye(n)
-    for v, el in hm.random_boundary(grid, n, seed=seed, scale=scale).items():
-        g.reshape(-1, n, n)[v] = el.matrix
+    boundary = hm.random_boundary(grid, n, seed=seed, scale=scale).values
+    g = boundary.reshape(width + 1, width + 1, n, n).copy()
     expected, count = _blend_oracle(g)
     assert count == fallbacks
     got = hm._blend_initializer(g)

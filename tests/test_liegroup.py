@@ -6,37 +6,48 @@ from groupvar import liegroup as lg
 from groupvar.errors import DomainError
 
 
-def rand_alg(n, seed, scale=1.0):
-    return lg.random_algebra(n, np.random.default_rng(seed), scale)
+def rand_skew(n, seed, scale=1.0):
+    return lg.random_skew(n, np.random.default_rng(seed), scale)
 
 
 def test_exp_of_zero_is_identity():
-    z = lg.AlgebraElement(np.zeros((3, 3)))
-    assert np.array_equal(lg.exp(z).matrix, np.eye(3))
+    g = lg.exp(np.zeros((3, 3)))
+    assert np.array_equal(g, np.eye(3)) and not g.flags.writeable
 
 
 def test_exp_planar_rotation_closed_form():
-    e12 = lg.AlgebraElement(lg.skew_basis(2)[0])
+    e12 = lg.skew_basis(2)[0]
     g = lg.exp((np.pi / 2) * e12)
-    assert np.allclose(g.matrix, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-14)
+    assert np.allclose(g, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-14)
     theta = 0.37
     g = lg.exp(theta * e12)
     expected = [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
-    assert np.allclose(g.matrix, expected, atol=1e-14)
+    assert np.allclose(g, expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2), (5, 3)])
 def test_exp_inverse_pair(n, seed):
-    xi = rand_alg(n, seed)
-    g = lg.exp(xi).matrix @ lg.exp(-1.0 * xi).matrix
+    xi = rand_skew(n, seed)
+    g = lg.exp(xi) @ lg.exp(-1.0 * xi)
     assert np.linalg.norm(g - np.eye(n)) <= 1e-12
 
 
 def test_exp_lands_on_group():
     for seed in range(5):
-        g = lg.exp(rand_alg(3, seed, 2.0))
-        assert np.linalg.norm(g.matrix.T @ g.matrix - np.eye(3)) <= 1e-12
-        assert np.linalg.det(g.matrix) > 0
+        g = lg.exp(rand_skew(3, seed, 2.0))
+        assert np.linalg.norm(g.T @ g - np.eye(3)) <= 1e-12
+        assert np.linalg.det(g) > 0
+
+
+def test_exp_stack_checks_every_block():
+    stack = lg.random_skew(3, np.random.default_rng(25), 2.0, (2, 3))
+    g = lg.exp(stack)
+    assert g.shape == stack.shape and not g.flags.writeable
+    for block in np.ndindex(2, 3):
+        assert np.linalg.norm(g[block].T @ g[block] - np.eye(3)) <= 1e-12
+    stack[1, 2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="matrix 5 has non-finite"):
+        lg.exp(stack)
 
 
 EXP_THETAS = [0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0, 2.0 * np.pi - 0.01]
@@ -94,15 +105,14 @@ def test_exp_skew_equals_the_sinc_form_bit_for_bit(n, shape):
 
 
 def test_log_identity():
-    assert np.array_equal(lg.log_near_identity(lg.identity(4).matrix),
-                          np.zeros((4, 4)))
+    assert np.array_equal(lg.log_near_identity(np.eye(4)), np.zeros((4, 4)))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_log_exp_roundtrip(seed):
-    xi = rand_alg(3, seed, 0.5 / 2.0)
-    back = lg.log_near_identity(lg.exp(xi).matrix)
-    assert np.linalg.norm(back - xi.matrix) <= 1e-10
+    xi = rand_skew(3, seed, 0.5 / 2.0)
+    back = lg.log_near_identity(lg.exp(xi))
+    assert np.linalg.norm(back - xi) <= 1e-10
 
 
 def _scaled_to_distance(xi, target):
@@ -152,76 +162,87 @@ def test_log_rejects_non_finite_entries(bad):
 
 
 def test_log_outside_region_raises():
-    e12 = lg.AlgebraElement(lg.skew_basis(2)[0])
-    far = lg.exp(np.pi * e12)
+    far = lg.exp(np.pi * lg.skew_basis(2)[0])
     with pytest.raises(DomainError):
-        lg.log_near_identity(far.matrix)
+        lg.log_near_identity(far)
 
 
 def test_adjoint_identity_and_oracle():
-    xi = rand_alg(3, 7)
-    assert np.allclose(lg.adjoint(lg.identity(3), xi).matrix, xi.matrix)
-    g = lg.exp(rand_alg(3, 8))
-    e12 = lg.AlgebraElement(lg.skew_basis(3)[0])
-    oracle = g.matrix @ e12.matrix @ g.matrix.T
-    assert np.linalg.norm(lg.adjoint(g, e12).matrix - oracle) <= 1e-14
+    xi = rand_skew(3, 7)
+    assert np.allclose(lg.adjoint(np.eye(3), xi), xi)
+    g = lg.exp(rand_skew(3, 8))
+    e12 = lg.skew_basis(3)[0]
+    oracle = g @ e12 @ g.T
+    assert np.linalg.norm(lg.adjoint(g, e12) - oracle) <= 1e-14
 
 
 def test_adjoint_composition():
-    g = lg.exp(rand_alg(3, 9))
-    h = lg.exp(rand_alg(3, 10))
-    xi = rand_alg(3, 11)
+    g = lg.exp(rand_skew(3, 9))
+    h = lg.exp(rand_skew(3, 10))
+    xi = rand_skew(3, 11)
     lhs = lg.adjoint(g @ h, xi)
     rhs = lg.adjoint(g, lg.adjoint(h, xi))
-    assert np.linalg.norm(lhs.matrix - rhs.matrix) <= 1e-13
+    assert np.linalg.norm(lhs - rhs) <= 1e-13
 
 
 def test_coadjoint_identity_and_duality():
-    mu = lg.CoAlgebraElement(rand_alg(3, 12).matrix)
-    assert np.allclose(lg.coadjoint(lg.identity(3), mu).matrix, mu.matrix)
-    g = lg.exp(rand_alg(3, 13))
-    for e in map(lg.AlgebraElement, lg.skew_basis(3)):
-        lhs = lg.pairing(lg.coadjoint(g, mu), e)
-        rhs = lg.pairing(mu, lg.adjoint(g, e))
-        assert abs(lhs - rhs) <= 1e-13
+    mu = rand_skew(3, 12)
+    assert np.allclose(lg.coadjoint(np.eye(3), mu), mu)
+    g = lg.exp(rand_skew(3, 13))
+    basis = lg.skew_basis(3)
+    lhs = lg.block_dot(lg.coadjoint(g, mu), basis)
+    rhs = lg.block_dot(mu, lg.adjoint(g, basis))
+    assert lhs.shape == (3,)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
 
 def test_coadjoint_contravariance():
-    g = lg.exp(rand_alg(3, 14))
-    h = lg.exp(rand_alg(3, 15))
-    mu = lg.CoAlgebraElement(rand_alg(3, 16).matrix)
+    g = lg.exp(rand_skew(3, 14))
+    h = lg.exp(rand_skew(3, 15))
+    mu = rand_skew(3, 16)
     lhs = lg.coadjoint(g, lg.coadjoint(h, mu))
     rhs = lg.coadjoint(h @ g, mu)
-    assert np.linalg.norm(lhs.matrix - rhs.matrix) <= 1e-13
+    assert np.linalg.norm(lhs - rhs) <= 1e-13
 
 
 def test_coadjoint_inverse():
-    g = lg.exp(rand_alg(3, 17))
-    mu = lg.CoAlgebraElement(rand_alg(3, 18).matrix)
-    back = lg.coadjoint(g, lg.coadjoint_inverse(g, mu))
-    assert np.linalg.norm(back.matrix - mu.matrix) <= 1e-14
+    g = lg.exp(rand_skew(3, 17))
+    mu = rand_skew(3, 18)
+    back = lg.coadjoint(g, lg.adjoint(g, mu))
+    assert np.linalg.norm(back - mu) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_actions_equal_their_blocks(n):
+    """Both actions broadcast a single algebra element over a stack of group
+    matrices, and every block equals the single-matrix formula bit for bit."""
+    rng = np.random.default_rng(26 + n)
+    g = lg.exp(lg.random_skew(n, rng, 1.0, (2, 3)))
+    xi = lg.random_skew(n, rng)
+    ad, coad = lg.adjoint(g, xi), lg.coadjoint(g, xi)
+    for block in np.ndindex(2, 3):
+        p = g[block]
+        assert ad[block].tobytes() == ((p @ xi @ p.T - (p @ xi @ p.T).T) / 2.0).tobytes()
+        assert coad[block].tobytes() == ((p.T @ xi @ p - (p.T @ xi @ p).T) / 2.0).tobytes()
+        assert np.array_equal(ad[block], -ad[block].T)
 
 
 def test_pairing_gram_matrix():
     basis = lg.skew_basis(4)
-    for a, ea in enumerate(basis):
-        for b, eb in enumerate(map(lg.AlgebraElement, basis)):
-            mu = lg.CoAlgebraElement(ea)
-            expected = 2.0 if a == b else 0.0
-            assert lg.pairing(mu, eb) == pytest.approx(expected, abs=1e-15)
-    zero = lg.CoAlgebraElement(np.zeros((4, 4)))
-    assert lg.pairing(zero, lg.AlgebraElement(basis[0])) == 0.0
+    gram = lg.block_dot(basis[:, None], basis[None])
+    assert np.allclose(gram, 2.0 * np.eye(len(basis)), rtol=0.0, atol=1e-15)
+    assert lg.block_dot(np.zeros((4, 4)), basis[0]) == 0.0
 
 
 def test_project_small_perturbation():
     rng = np.random.default_rng(19)
     m = np.eye(3) + 1e-9 * rng.standard_normal((3, 3))
-    assert np.linalg.norm(lg.project_to_group(m).matrix - np.eye(3)) <= 1e-8
+    assert np.linalg.norm(lg.project_to_group(m) - np.eye(3)) <= 1e-8
 
 
 def test_project_fixes_group_elements():
-    g = lg.exp(rand_alg(3, 20))
-    assert np.linalg.norm(lg.project_to_group(g.matrix).matrix - g.matrix) <= 1e-14
+    g = lg.exp(rand_skew(3, 20))
+    assert np.linalg.norm(lg.project_to_group(g) - g) <= 1e-14
 
 
 def test_project_rejects_reflections_and_singular():
@@ -237,25 +258,9 @@ def test_group_element_validation():
     with pytest.raises(ValueError):
         lg.GroupElement(np.diag([1.0, -1.0, 1.0]))
     rng = np.random.default_rng(21)
-    near = lg.exp(rand_alg(3, 22)).matrix + 1e-11 * rng.standard_normal((3, 3))
+    near = lg.exp(rand_skew(3, 22)) + 1e-11 * rng.standard_normal((3, 3))
     cleaned = lg.GroupElement(near)
     assert np.linalg.norm(cleaned.matrix.T @ cleaned.matrix - np.eye(3)) <= 1e-14
-
-
-def test_algebra_element_skew_enforced():
-    rng = np.random.default_rng(23)
-    raw = rng.standard_normal((4, 4))
-    xi = lg.AlgebraElement(raw)
-    assert np.array_equal(xi.matrix, -xi.matrix.T)
-    assert np.allclose(xi.matrix, (raw - raw.T) / 2.0)
-
-
-def test_immutability():
-    g = lg.identity(3)
-    with pytest.raises(AttributeError):
-        g.matrix = np.zeros((3, 3))
-    with pytest.raises(ValueError):
-        g.matrix[0, 0] = 5.0
 
 
 def test_basis_indices_order():
@@ -291,7 +296,7 @@ def test_skew_coordinates_roundtrip(n):
 
 def test_group_array_checks_every_block():
     rng = np.random.default_rng(24)
-    good = np.array([lg.exp(rand_alg(3, s)).matrix for s in range(4)])
+    good = np.array([lg.exp(rand_skew(3, s)) for s in range(4)])
     checked = lg.group_array(good)
     assert np.array_equal(checked, good) and not checked.flags.writeable
     near = good + 1e-11 * rng.standard_normal(good.shape)

@@ -15,7 +15,7 @@ N = 3
 
 
 def constant_field(grid, g):
-    return red.UnreducedField(np.broadcast_to(g.matrix, (len(grid.vertices), N, N)))
+    return red.UnreducedField(np.broadcast_to(g, (len(grid.vertices), N, N)))
 
 
 def block_norms(x):
@@ -35,7 +35,7 @@ def replaced(y, v, fiber):
 
 def test_reduce_constant_field_is_identity():
     grid = triangulated_grid(3, 2)
-    g = lg.exp(lg.random_algebra(N, np.random.default_rng(0)))
+    g = lg.exp(lg.random_skew(N, np.random.default_rng(0)))
     y = red.reduce_field(grid, constant_field(grid, g))
     for u, v in y.values:
         assert np.linalg.norm(u - np.eye(N)) <= 1e-14
@@ -56,8 +56,8 @@ def test_reduce_left_invariance():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(2)
     g = sampling.random_unreduced_field(grid, N, rng)
-    h = lg.exp(lg.random_algebra(N, rng))
-    hg = red.UnreducedField(h.matrix @ g.values)
+    h = lg.exp(lg.random_skew(N, rng))
+    hg = red.UnreducedField(h @ g.values)
     assert section_distance(red.reduce_field(grid, g),
                             red.reduce_field(grid, hg)) <= 1e-13
 
@@ -72,7 +72,7 @@ def test_reduce_missing_vertex():
 
 def test_holonomy_identity_section():
     grid = triangulated_grid(2, 2)
-    y = red.reduce_field(grid, constant_field(grid, lg.identity(N)))
+    y = red.reduce_field(grid, constant_field(grid, np.eye(N)))
     hol = red.plaquette_holonomy(grid, y)
     assert np.array_equal(hol[1, 1], np.eye(N))
     # one block per face of the window, indexed [j, i]
@@ -85,27 +85,27 @@ def test_holonomy_derivative_along_single_factor():
     rng = np.random.default_rng(3)
     y = red.reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
     i, j = 1, 1
-    xi = lg.random_algebra(N, rng)
+    xi = lg.random_skew(N, rng)
     u, _ = y.values[grid.vertex_id(i, j)]
     t = 1e-6
     def holonomy_with(factor):
         vid = grid.vertex_id(i, j)
         return red.plaquette_holonomy(
             grid, replaced(y, vid, (factor, y.values[vid, 1])))[j, i]
-    plus = holonomy_with(u @ lg.exp(t * xi).matrix)
-    minus = holonomy_with(u @ lg.exp(-t * xi).matrix)
+    plus = holonomy_with(u @ lg.exp(t * xi))
+    minus = holonomy_with(u @ lg.exp(-t * xi))
     fd = (plus - minus) / (2.0 * t)
     # = (du) u^{-1} at a flat face
-    expected = lg.adjoint(lg.GroupElement(u), xi).matrix
+    expected = lg.adjoint(u, xi)
     assert np.linalg.norm(fd - expected) / (1.0 + np.linalg.norm(expected)) <= 1e-6
 
 
 def test_cartan_forms_at_identity():
     grid = triangulated_grid(2, 2)
-    y = red.reduce_field(grid, constant_field(grid, lg.identity(N)))
+    y = red.reduce_field(grid, constant_field(grid, np.eye(N)))
     f0, f1, f2 = red.plaquette_cartan_forms(grid, y, 0, 0)
-    xi = lg.random_algebra(N, np.random.default_rng(4)).matrix
-    eta = lg.random_algebra(N, np.random.default_rng(5)).matrix
+    xi = lg.random_skew(N, np.random.default_rng(4))
+    eta = lg.random_skew(N, np.random.default_rng(5))
     zero = np.zeros((N, N))
     assert np.allclose(core.form_apply(f0, np.array([xi, eta])), xi - eta, atol=1e-14)
     assert np.allclose(core.form_apply(f1, np.array([xi, eta])), eta, atol=1e-14)
@@ -143,7 +143,7 @@ def test_cartan_forms_reject_non_flat_base():
 
 def test_ep_residual_identity_section():
     grid = triangulated_grid(3, 3)
-    y = red.reduce_field(grid, constant_field(grid, lg.identity(N)))
+    y = red.reduce_field(grid, constant_field(grid, np.eye(N)))
     res = red.euler_poincare_residual(TraceLagrangian(N), grid, y)[0, 0]
     assert np.linalg.norm(res) == 0.0
 
@@ -160,7 +160,7 @@ def test_ep_residual_generic_nonzero_and_interior_check():
 
 def test_reconstruct_identity():
     grid = triangulated_grid(3, 3)
-    y = red.reduce_field(grid, constant_field(grid, lg.identity(N)))
+    y = red.reduce_field(grid, constant_field(grid, np.eye(N)))
     field = red.reconstruction_report(grid, y, np.eye(N)).field
     for g in field.values:
         assert np.linalg.norm(g - np.eye(N)) <= 1e-14
@@ -182,11 +182,11 @@ def test_reconstruct_seed_offset():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(10)
     y = red.reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
-    h1 = lg.exp(lg.random_algebra(N, rng))
-    h2 = lg.exp(lg.random_algebra(N, rng))
-    f1 = red.reconstruction_report(grid, y, h1.matrix).field
-    f2 = red.reconstruction_report(grid, y, h2.matrix).field
-    offset = h2.matrix @ h1.matrix.T
+    h1 = lg.exp(lg.random_skew(N, rng))
+    h2 = lg.exp(lg.random_skew(N, rng))
+    f1 = red.reconstruction_report(grid, y, h1).field
+    f2 = red.reconstruction_report(grid, y, h2).field
+    offset = h2 @ h1.T
     for a, b in zip(f1.values, f2.values):
         assert np.linalg.norm(offset @ a - b) <= 1e-12
 
@@ -198,9 +198,9 @@ def test_reconstruct_detects_broken_plaquette():
     y = red.reduce_field(grid, g)
     vid = grid.vertex_id(2, 1)
     u, v = y.values[vid]
-    bump = lg.random_algebra(N, rng)
-    bump = (1e-5 / bump.norm()) * bump
-    y = replaced(y, vid, (u @ lg.exp(bump).matrix, v))
+    bump = lg.random_skew(N, rng)
+    bump = (1e-5 / np.linalg.norm(bump)) * bump
+    y = replaced(y, vid, (u @ lg.exp(bump), v))
     with pytest.raises(HolonomyError) as err:
         red.reconstruction_report(grid, y, g.values[grid.vertex_id(0, 0)])
     # the tampered u slot feeds the faces at (2, 1) and (2, 0)
@@ -231,16 +231,16 @@ def test_reduced_variation_zero_and_constant_gauge():
     dv = red.reduced_variation(grid, g, zero_theta)
     assert np.all(block_norms(dv.values) == 0.0)
 
-    eye = constant_field(grid, lg.identity(N))
-    xi = lg.random_algebra(N, rng)
-    const = np.broadcast_to(xi.matrix, (len(grid.vertices), N, N))
+    eye = constant_field(grid, np.eye(N))
+    xi = lg.random_skew(N, rng)
+    const = np.broadcast_to(xi, (len(grid.vertices), N, N))
     dv = red.reduced_variation(grid, eye, const)
     assert block_norms(dv.values).max() <= 1e-15
 
 
 def test_multiplier_system_identity_zero():
     grid = triangulated_grid(3, 3)
-    y = red.reduce_field(grid, constant_field(grid, lg.identity(N)))
+    y = red.reduce_field(grid, constant_field(grid, np.eye(N)))
     lam = core.Multiplier(np.zeros((len(grid.faces), N, N)))
     r1, r2 = red.multiplier_system_residual(TraceLagrangian(N), grid, y, lam)
     assert np.linalg.norm(r1[0, 0]) == 0.0 and np.linalg.norm(r2[0, 0]) == 0.0
@@ -255,8 +255,8 @@ def test_multiplier_system_random_multiplier_nonzero(solved66):
 
 def test_recover_identity_section_gives_zero():
     grid = triangulated_grid(3, 3)
-    y = red.reduce_field(grid, constant_field(grid, lg.identity(N)))
-    zero = lg.CoAlgebraElement(np.zeros((N, N)))
+    y = red.reduce_field(grid, constant_field(grid, np.eye(N)))
+    zero = np.zeros((N, N))
     lam, rep = red.recover_multipliers(TraceLagrangian(N), grid, y, zero)
     assert np.all(lam.values == 0.0)
     assert rep.max_discrepancy == 0.0
@@ -267,7 +267,7 @@ def test_recover_requires_critical_section():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(14)
     y = red.reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
-    zero = lg.CoAlgebraElement(np.zeros((N, N)))
+    zero = np.zeros((N, N))
     with pytest.raises(PreconditionError):
         red.recover_multipliers(TraceLagrangian(N), grid, y, zero)
 
@@ -276,7 +276,7 @@ def test_recover_conflict_surfaces(solved66):
     with pytest.raises(RecoveryConflictError):
         red.recover_multipliers(solved66["lagrangian"], solved66["grid"],
                                 solved66["y"],
-                                lg.CoAlgebraElement(np.zeros((N, N))),
+                                np.zeros((N, N)),
                                 cons_tol=1e-18)
 
 
@@ -292,8 +292,7 @@ def test_recovered_multiplier_solves_system(solved66):
 def test_recovery_seed_nonuniqueness(solved66):
     grid, y = solved66["grid"], solved66["y"]
     lagrangian = solved66["lagrangian"]
-    seed = lg.CoAlgebraElement(
-        lg.random_algebra(N, np.random.default_rng(15), 0.3).matrix)
+    seed = lg.random_skew(N, np.random.default_rng(15), 0.3)
     lam2, rep2 = red.recover_multipliers(lagrangian, grid, y, seed)
     distance = block_norms(solved66["lam"].values - lam2.values).max()
     assert distance > 1e-3
@@ -350,7 +349,7 @@ def test_system_residual_bounds_ep_residual():
     field, _ = hm.solve_unreduced(grid, config)
     lagrangian = TraceLagrangian(N)
     y = red.reduce_field(grid, field)
-    zero = lg.CoAlgebraElement(np.zeros((N, N)))
+    zero = np.zeros((N, N))
     lam, _ = red.recover_multipliers(lagrangian, grid, y, zero,
                                      ep_tol=1e-4, cons_tol=1e-4)
     worst_sys = max(block_norms(r).max() for r in
@@ -369,7 +368,7 @@ def test_boundary_fixed_gauge_kernel_is_real():
     g = sampling.random_unreduced_field(grid, N, rng)
     y = red.reduce_field(grid, g)
     theta = np.zeros((len(grid.vertices), N, N))
-    theta[grid.vertex_id(2, 2)] = lg.random_algebra(N, rng).matrix
+    theta[grid.vertex_id(2, 2)] = lg.random_skew(N, rng)
     dv = red.reduced_variation(grid, g, theta)
     klass = classify_vertices(grid, grid.full_faceset())
     for v, fib in enumerate(dv.values):

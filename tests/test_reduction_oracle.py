@@ -1,10 +1,10 @@
 """The window functions of ``groupvar.reduction`` against per-vertex oracles.
 
 The oracles below are the earlier per-vertex implementations, kept here as
-test-only code: one face or vertex at a time, through ``GroupElement`` and
-``AlgebraElement`` objects.  The array versions must equal them bit for bit,
-for n = 2..5, on flat and non-flat sections and on 2 x H, W x 2 and
-non-square windows.
+test-only code: one face or vertex at a time, on single (n, n) matrices,
+with their own one-matrix adjoint and coadjoint formulas.  The array
+versions must equal them bit for bit, for n = 2..5, on flat and non-flat
+sections and on 2 x H, W x 2 and non-square windows.
 """
 
 import numpy as np
@@ -13,14 +13,6 @@ import pytest
 from groupvar import harmonic as hm, liegroup as lg, reduction as red, sampling
 from groupvar.errors import HolonomyError, PreconditionError, RecoveryConflictError
 from groupvar.harmonic import TraceLagrangian
-from groupvar.liegroup import (
-    AlgebraElement,
-    CoAlgebraElement,
-    GroupElement,
-    adjoint,
-    coadjoint,
-    coadjoint_inverse,
-)
 from groupvar.complexes import triangulated_grid
 
 WINDOWS = [(2, 4), (4, 2), (6, 4)]
@@ -33,6 +25,20 @@ IDS = [f"n{n}-{w}x{h}-{'flat' if flat else 'nonflat'}" for n, w, h, flat in CASE
 # per-vertex oracles
 
 
+def _skew(x):
+    return (x - x.T) / 2.0
+
+
+def adjoint(g, xi):
+    """Ad_g xi = g xi g^T of one matrix, i.e. the inverse coadjoint action."""
+    return _skew(g @ xi @ g.T)
+
+
+def coadjoint(g, mu):
+    """Ad*_g mu = g^T mu g of one matrix."""
+    return _skew(g.T @ mu @ g)
+
+
 def _uv(y, grid, i, j):
     u, v = y.values[grid.vertex_id(i, j)]
     return u, v
@@ -41,23 +47,22 @@ def _uv(y, grid, i, j):
 def _left_log_differentials(lagrangian, grid, y, i, j):
     face = grid.face_id(i, j)
     jets = np.array([[y.values[v] for v in grid.adherence(face)]])
-    return tuple(CoAlgebraElement(m)
-                 for m in lagrangian.vertex_differential(grid, jets, 0)[0])
+    return tuple(lagrangian.vertex_differential(grid, jets, 0)[0])
 
 
 def oracle_reduce_field(grid, g):
-    """Per-vertex dict of (u, v) GroupElement pairs, without the far corner."""
+    """Per-vertex dict of (u, v) matrix pairs, without the far corner."""
     n = g.values.shape[-1]
-    eye = GroupElement(np.eye(n))
+    eye = np.eye(n)
     values = {}
     for j in range(grid.height + 1):
         for i in range(grid.width + 1):
             if i == grid.width and j == grid.height:
                 continue
             base = g.values[grid.vertex_id(i, j)]
-            u = GroupElement(base.T @ g.values[grid.vertex_id(i + 1, j)]) \
+            u = base.T @ g.values[grid.vertex_id(i + 1, j)] \
                 if i < grid.width else eye
-            v = GroupElement(base.T @ g.values[grid.vertex_id(i, j + 1)]) \
+            v = base.T @ g.values[grid.vertex_id(i, j + 1)] \
                 if j < grid.height else eye
             values[grid.vertex_id(i, j)] = (u, v)
     return values
@@ -67,7 +72,7 @@ def oracle_holonomy(grid, y, i, j):
     u, v = _uv(y, grid, i, j)
     _, v_right = _uv(y, grid, i + 1, j)
     u_up, _ = _uv(y, grid, i, j + 1)
-    return GroupElement(u @ v_right @ u_up.T @ v.T)
+    return u @ v_right @ u_up.T @ v.T
 
 
 def oracle_ep(lagrangian, grid, y, i, j):
@@ -75,29 +80,29 @@ def oracle_ep(lagrangian, grid, y, i, j):
     mu_u_w, _ = _left_log_differentials(lagrangian, grid, y, i - 1, j)
     _, mu_v_s = _left_log_differentials(lagrangian, grid, y, i, j - 1)
     u, v = _uv(y, grid, i, j)
-    right_u = coadjoint_inverse(GroupElement(u), mu_u)
-    right_v = coadjoint_inverse(GroupElement(v), mu_v)
+    right_u = adjoint(u, mu_u)
+    right_v = adjoint(v, mu_v)
     return right_u - mu_u_w + right_v - mu_v_s
 
 
 def oracle_first(lagrangian, grid, y, lam, i, j):
     mu_u, _ = _left_log_differentials(lagrangian, grid, y, i, j)
     u, _ = _uv(y, grid, i, j)
-    right_u = coadjoint_inverse(GroupElement(u), mu_u)
+    right_u = adjoint(u, mu_u)
     _, v_s = _uv(y, grid, i, j - 1)
-    lam_here = CoAlgebraElement(lam.values[grid.face_id(i, j)])
-    lam_s = CoAlgebraElement(lam.values[grid.face_id(i, j - 1)])
-    return right_u + lam_here - coadjoint(GroupElement(v_s), lam_s)
+    lam_here = lam.values[grid.face_id(i, j)]
+    lam_s = lam.values[grid.face_id(i, j - 1)]
+    return right_u + lam_here - coadjoint(v_s, lam_s)
 
 
 def oracle_second(lagrangian, grid, y, lam, i, j):
     _, mu_v = _left_log_differentials(lagrangian, grid, y, i, j)
     _, v = _uv(y, grid, i, j)
-    right_v = coadjoint_inverse(GroupElement(v), mu_v)
+    right_v = adjoint(v, mu_v)
     u_w, _ = _uv(y, grid, i - 1, j)
-    lam_here = CoAlgebraElement(lam.values[grid.face_id(i, j)])
-    lam_w = CoAlgebraElement(lam.values[grid.face_id(i - 1, j)])
-    return right_v - lam_here + coadjoint(GroupElement(u_w), lam_w)
+    lam_here = lam.values[grid.face_id(i, j)]
+    lam_w = lam.values[grid.face_id(i - 1, j)]
+    return right_v - lam_here + coadjoint(u_w, lam_w)
 
 
 def oracle_elimination(lagrangian, grid, y, lam, i, j):
@@ -107,13 +112,12 @@ def oracle_elimination(lagrangian, grid, y, lam, i, j):
     second_s = oracle_second(lagrangian, grid, y, lam, i, j - 1)
     u_w, _ = _uv(y, grid, i - 1, j)
     _, v_s = _uv(y, grid, i, j - 1)
-    combo = first - coadjoint(GroupElement(u_w), first_w) \
-        + second - coadjoint(GroupElement(v_s), second_s)
+    combo = first - coadjoint(u_w, first_w) + second - coadjoint(v_s, second_s)
     u_sw, v_sw = _uv(y, grid, i - 1, j - 1)
-    lam_sw = CoAlgebraElement(lam.values[grid.face_id(i - 1, j - 1)])
-    one_way = coadjoint(GroupElement(v_s), coadjoint(GroupElement(u_sw), lam_sw))
-    other_way = coadjoint(GroupElement(u_w), coadjoint(GroupElement(v_sw), lam_sw))
-    return combo.norm(), (one_way - other_way).norm()
+    lam_sw = lam.values[grid.face_id(i - 1, j - 1)]
+    one_way = coadjoint(v_s, coadjoint(u_sw, lam_sw))
+    other_way = coadjoint(u_w, coadjoint(v_sw, lam_sw))
+    return np.linalg.norm(combo), np.linalg.norm(one_way - other_way)
 
 
 def oracle_recover(lagrangian, grid, y, seed, ep_tol, cons_tol, adm_tol):
@@ -121,12 +125,12 @@ def oracle_recover(lagrangian, grid, y, seed, ep_tol, cons_tol, adm_tol):
     interior_ij = sorted(((i, j) for i in range(1, grid.width)
                           for j in range(1, grid.height)), reverse=True)
     for i, j in interior_ij:
-        res = oracle_ep(lagrangian, grid, y, i, j)
-        if res.norm() > ep_tol:
+        res = np.linalg.norm(oracle_ep(lagrangian, grid, y, i, j))
+        if res > ep_tol:
             raise PreconditionError(
-                f"reduced residual {res.norm():.3e} > {ep_tol:.1e} at ({i}, {j})")
+                f"reduced residual {res:.3e} > {ep_tol:.1e} at ({i}, {j})")
     worst_hol = max(
-        float(np.linalg.norm(oracle_holonomy(grid, y, i, j).matrix - np.eye(y.fiber.n)))
+        float(np.linalg.norm(oracle_holonomy(grid, y, i, j) - np.eye(y.fiber.n)))
         for j in range(grid.height) for i in range(grid.width))
     if worst_hol > adm_tol:
         raise PreconditionError(
@@ -139,7 +143,7 @@ def oracle_recover(lagrangian, grid, y, seed, ep_tol, cons_tol, adm_tol):
     def assign(face, value):
         nonlocal max_disc
         if face in values:
-            disc = (values[face] - value).norm()
+            disc = np.linalg.norm(values[face] - value)
             compared.append(face)
             discs.append(disc)
             if disc > cons_tol:
@@ -152,18 +156,16 @@ def oracle_recover(lagrangian, grid, y, seed, ep_tol, cons_tol, adm_tol):
         lam_here = values[grid.face_id(i, j)]
         mu_u, mu_v = _left_log_differentials(lagrangian, grid, y, i, j)
         u, v = _uv(y, grid, i, j)
-        right_u = coadjoint_inverse(GroupElement(u), mu_u)
-        right_v = coadjoint_inverse(GroupElement(v), mu_v)
+        right_u = adjoint(u, mu_u)
+        right_v = adjoint(v, mu_v)
         u_w, _ = _uv(y, grid, i - 1, j)
         _, v_s = _uv(y, grid, i, j - 1)
-        assign(grid.face_id(i, j - 1),
-               coadjoint_inverse(GroupElement(v_s), right_u + lam_here))
-        assign(grid.face_id(i - 1, j),
-               coadjoint_inverse(GroupElement(u_w), lam_here - right_v))
+        assign(grid.face_id(i, j - 1), adjoint(v_s, right_u + lam_here))
+        assign(grid.face_id(i - 1, j), adjoint(u_w, lam_here - right_v))
     n = y.fiber.n
     unconstrained = tuple(f for f in grid.faces if f not in values)
     for f in unconstrained:
-        values[f] = CoAlgebraElement(np.zeros((n, n)))
+        values[f] = np.zeros((n, n))
     return values, max_disc, tuple(sorted(compared)), unconstrained, discs
 
 
@@ -172,7 +174,7 @@ def oracle_reconstruction(grid, y, seed, tol):
     worst_face, worst = None, 0.0
     for j in range(grid.height):
         for i in range(grid.width):
-            defect = float(np.linalg.norm(oracle_holonomy(grid, y, i, j).matrix - eye))
+            defect = float(np.linalg.norm(oracle_holonomy(grid, y, i, j) - eye))
             if defect > worst:
                 worst, worst_face = defect, grid.face_id(i, j)
     if worst > tol:
@@ -184,48 +186,44 @@ def oracle_reconstruction(grid, y, seed, tol):
     def v_of(i, j):
         return y.values[grid.vertex_id(i, j)][1]
 
-    rows = {grid.vertex_id(0, 0): seed.matrix}
+    rows = {grid.vertex_id(0, 0): seed}
     for i in range(grid.width):
         rows[grid.vertex_id(i + 1, 0)] = rows[grid.vertex_id(i, 0)] @ u_of(i, 0)
     for j in range(grid.height):
         for i in range(grid.width + 1):
             rows[grid.vertex_id(i, j + 1)] = rows[grid.vertex_id(i, j)] @ v_of(i, j)
-    cols = {grid.vertex_id(0, 0): seed.matrix}
+    cols = {grid.vertex_id(0, 0): seed}
     for j in range(grid.height):
         cols[grid.vertex_id(0, j + 1)] = cols[grid.vertex_id(0, j)] @ v_of(0, j)
     for i in range(grid.width):
         for j in range(grid.height + 1):
             cols[grid.vertex_id(i + 1, j)] = cols[grid.vertex_id(i, j)] @ u_of(i, j)
     agreement = max(float(np.linalg.norm(rows[vid] - cols[vid])) for vid in rows)
-    field = {vid: GroupElement(m) for vid, m in sorted(rows.items())}
+    field = dict(sorted(rows.items()))
     return field, worst, worst_face, agreement
 
 
 def oracle_reduced_variation(grid, g, theta):
     y = oracle_reduce_field(grid, g)
-    zero = AlgebraElement(np.zeros((g.values.shape[-1],) * 2))
-
-    def at(vid):
-        return AlgebraElement(theta[vid])
-
+    zero = np.zeros((g.values.shape[-1],) * 2)
     values = {}
     for vid, (u, v) in y.items():
         i, j = grid.vertex_ij(vid)
-        here = at(vid)
-        xi_u = at(grid.vertex_id(i + 1, j)) - adjoint(u.inverse(), here) \
+        here = theta[vid]
+        xi_u = theta[grid.vertex_id(i + 1, j)] - adjoint(u.T, here) \
             if i < grid.width else zero
-        xi_v = at(grid.vertex_id(i, j + 1)) - adjoint(v.inverse(), here) \
+        xi_v = theta[grid.vertex_id(i, j + 1)] - adjoint(v.T, here) \
             if j < grid.height else zero
         values[vid] = (xi_u, xi_v)
     return values
 
 
 def _same_per_vertex(values, expected, far, fill):
-    """An id-indexed array equals a per-vertex dict of element pairs bit for
+    """An id-indexed array equals a per-vertex dict of matrix pairs bit for
     bit; the far corner, absent from the dict, holds ``fill``."""
     assert sorted(expected) == [v for v in range(len(values)) if v != far]
     assert _bits(values[far], np.broadcast_to(fill, values[far].shape))
-    return all(_bits(a, b.matrix) for v in expected
+    return all(_bits(a, b) for v in expected
                for a, b in zip(values[v], expected[v]))
 
 
@@ -266,7 +264,7 @@ def test_window_equations_match_oracle(n, w, h, flat):
 
     hol = red.plaquette_holonomy(grid, y)
     assert hol.shape == (h, w, n, n)
-    assert all(_bits(hol[j, i], oracle_holonomy(grid, y, i, j).matrix)
+    assert all(_bits(hol[j, i], oracle_holonomy(grid, y, i, j))
                for j in range(h) for i in range(w))
 
     ep = red.euler_poincare_residual(lagrangian, grid, y)
@@ -277,9 +275,9 @@ def test_window_equations_match_oracle(n, w, h, flat):
     assert defects.ep_combination.shape == defects.cancellation.shape == (h - 1, w - 1)
     for i, j in _interior(grid):
         k = (j - 1, i - 1)
-        assert _bits(ep[k], oracle_ep(lagrangian, grid, y, i, j).matrix)
-        assert _bits(first[k], oracle_first(lagrangian, grid, y, lam, i, j).matrix)
-        assert _bits(second[k], oracle_second(lagrangian, grid, y, lam, i, j).matrix)
+        assert _bits(ep[k], oracle_ep(lagrangian, grid, y, i, j))
+        assert _bits(first[k], oracle_first(lagrangian, grid, y, lam, i, j))
+        assert _bits(second[k], oracle_second(lagrangian, grid, y, lam, i, j))
         combo, cancel = oracle_elimination(lagrangian, grid, y, lam, i, j)
         assert defects.ep_combination[k] == combo
         assert defects.cancellation[k] == cancel
@@ -295,7 +293,7 @@ def _assert_same_recovery(lagrangian, grid, y, seed, **tols):
         lagrangian, grid, y, seed, **tols)
     lam, rep = red.recover_multipliers(lagrangian, grid, y, seed, **tols)
     assert sorted(values) == list(range(len(lam.values)))
-    assert all(_bits(lam.values[f], values[f].matrix) for f in values)
+    assert all(_bits(lam.values[f], values[f]) for f in values)
     assert rep.max_discrepancy == max_disc
     assert rep.compared_faces == compared
     assert rep.unconstrained_faces == unconstrained
@@ -320,7 +318,7 @@ def test_recovery_sweep_matches_oracle(n, w, h, flat):
     stores, compares and raises exactly like the vertex sweep."""
     grid, rng, _, y, _ = _case(n, w, h, flat)
     lagrangian = TraceLagrangian(n)
-    seed = CoAlgebraElement(lg.random_algebra(n, rng, 0.3).matrix)
+    seed = lg.random_skew(n, rng, 0.3)
     loose = dict(ep_tol=np.inf, cons_tol=np.inf, adm_tol=np.inf)
     discs = _assert_same_recovery(lagrangian, grid, y, seed, **loose)
     assert len(discs) == (w - 2) * (h - 2)
@@ -345,7 +343,7 @@ def test_recovery_on_solved_section_matches_oracle(n):
                                                          g_tol=1e-11))
     lagrangian = TraceLagrangian(n)
     tols = dict(ep_tol=1e-8, cons_tol=1e-9, adm_tol=1e-10)
-    zero = CoAlgebraElement(np.zeros((n, n)))
+    zero = np.zeros((n, n))
     discs = _assert_same_recovery(lagrangian, grid, report.section, zero, **tols)
     assert 0.0 < max(discs) <= 1e-9
     conflict = _assert_same_raise(lagrangian, grid, report.section, zero,
@@ -356,19 +354,19 @@ def test_recovery_on_solved_section_matches_oracle(n):
 @pytest.mark.parametrize("n,w,h,flat", CASES, ids=IDS)
 def test_reconstruction_matches_oracle(n, w, h, flat):
     grid, rng, _, y, _ = _case(n, w, h, flat)
-    seed = lg.exp(lg.random_algebra(n, rng))
+    seed = lg.exp(lg.random_skew(n, rng))
     tol = np.inf if not flat else 1e-10
     field, worst, worst_face, agreement = oracle_reconstruction(grid, y, seed, tol)
-    rep = red.reconstruction_report(grid, y, seed.matrix, tol=tol)
+    rep = red.reconstruction_report(grid, y, seed, tol=tol)
     assert list(field) == list(range(len(rep.field.values)))
-    assert all(_bits(rep.field.values[v], field[v].matrix) for v in field)
+    assert all(_bits(rep.field.values[v], field[v]) for v in field)
     assert (rep.max_plaquette_defect, rep.worst_face, rep.path_agreement) \
         == (worst, worst_face, agreement)
     if not flat:
         with pytest.raises(HolonomyError) as want:
             oracle_reconstruction(grid, y, seed, 1e-10)
         with pytest.raises(HolonomyError) as got:
-            red.reconstruction_report(grid, y, seed.matrix)
+            red.reconstruction_report(grid, y, seed)
         assert (got.value.face, got.value.defect) == (want.value.face, want.value.defect)
 
 
@@ -381,10 +379,9 @@ def test_recovery_without_interior_and_single_vertex():
         y = red.reduce_field(grid, sampling.random_unreduced_field(
             grid, n, np.random.default_rng(0)))
         with pytest.raises(PreconditionError, match="no interior vertices"):
-            red.recover_multipliers(TraceLagrangian(n), grid, y,
-                                    CoAlgebraElement(np.zeros((n, n))))
+            red.recover_multipliers(TraceLagrangian(n), grid, y, np.zeros((n, n)))
     grid, rng, _, y, _ = _case(n, 2, 2, True)
-    seed = CoAlgebraElement(lg.random_algebra(n, rng, 0.3).matrix)
+    seed = lg.random_skew(n, rng, 0.3)
     discs = _assert_same_recovery(TraceLagrangian(n), grid, y, seed,
                                   ep_tol=np.inf, cons_tol=np.inf, adm_tol=np.inf)
     assert discs == []
