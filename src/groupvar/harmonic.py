@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import liegroup as lg
 from .complexes import FaceSet, TriangulatedGrid, classify_vertices
@@ -146,10 +145,11 @@ class SolverConfig:
     malformed block raises ValueError.  The gradient target applies per
     interior vertex.  Backtracking descent alone cannot certify decrease once
     the energy decrement falls under the round-off floor of the energy sum,
-    so a Newton polish on the analytic gradient (closed-form band Jacobian)
-    takes over below a fixed gradient level.  ``max_iterations`` bounds
-    descent and Newton steps together.  ``initializer`` is a field to
-    warm-start the interior from; None means the boundary blend.
+    so a Newton polish on the analytic gradient (closed-form Jacobian,
+    solved by block elimination over the interior rows) takes over below a
+    fixed gradient level.  ``max_iterations`` bounds descent and Newton steps
+    together.  ``initializer`` is a field to warm-start the interior from;
+    None means the boundary blend.
     """
 
     boundary: UnreducedField
@@ -270,57 +270,88 @@ def _residual(g: np.ndarray) -> tuple[np.ndarray, float]:
     return lg.skew_to_coords(grads).ravel(), max_norm(norms)
 
 
-def _band_jacobian(g: np.ndarray) -> np.ndarray:
-    """Jacobian of ``_residual`` in LAPACK band storage, in closed form.
+def _row_jacobian(g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Jacobian of ``_residual`` in closed form, as five stencil block stacks.
 
     The gradient block at (i, j) is -skew(M) with M = A - B,
     A = c^T (g_E + g_N), B = (g_W^T + g_S^T) c and c = g_ij.  Moving one
     stencil member g -> g exp(t X) along a skew basis element X changes M by
     -X A - B X (centre), c^T g_E X (east), c^T g_N X (north), X g_W^T c
     (west) or X g_S^T c (south); minus the skew part of that, in coordinates,
-    is one column of the (d x d) block.  Unknowns are ordered vertex-major,
-    so the half-bandwidth is (interior width + 1) * d - 1, and entry
-    [bandwidth + r - col, col] holds the derivative of residual entry r in
-    the direction of unknown col, as ``scipy.linalg.solve_banded`` expects.
+    is one column of the (d x d) block.  Returns the centre, east, west,
+    north and south stacks, each shaped (interior rows, interior columns,
+    d, d) and indexed [j-1, i-1, r, b]: the derivative of residual entry r
+    at (i, j) in the direction b of that stencil member.  Blocks that point
+    at a frontier vertex, which is no unknown, are zero.
     """
     basis = lg.skew_basis(g.shape[-1])
-    d = len(basis)
     c = g[1:-1, 1:-1, None]
     ct = c.swapaxes(-1, -2)
     east, north = ct @ g[1:-1, 2:, None], ct @ g[2:, 1:-1, None]
     west = g[1:-1, :-2, None].swapaxes(-1, -2) @ c
     south = g[:-2, 1:-1, None].swapaxes(-1, -2) @ c
-    moves = {(0, 0): -basis @ (east + north) - (west + south) @ basis,
-             (0, 1): east @ basis, (1, 0): north @ basis,
-             (0, -1): basis @ west, (-1, 0): basis @ south}
-    shape = c.shape[:2]
-    bandwidth = (shape[1] + 1) * d - 1
-    ab = np.zeros((2 * bandwidth + 1, shape[0] * shape[1] * d))
-    jj, ii = np.indices(shape)
-    k = np.arange(d)
-    for (dj, di), dm in moves.items():
-        # blocks[j, i, r, b]: residual entry r at (i, j), direction b
-        blocks = lg.skew_to_coords(-skew_part(dm)).swapaxes(-1, -2)
-        inside = (0 <= jj + dj) & (jj + dj < shape[0]) \
-            & (0 <= ii + di) & (ii + di < shape[1])
-        rows = (jj * shape[1] + ii)[inside][:, None, None] * d + k[:, None]
-        cols = ((jj + dj) * shape[1] + ii + di)[inside][:, None, None] * d + k
-        ab[bandwidth + rows - cols, cols] = blocks[inside]
-    return ab
+    moves = (-basis @ (east + north) - (west + south) @ basis,
+             east @ basis, basis @ west, north @ basis, basis @ south)
+    centre, east, west, north, south = (
+        lg.skew_to_coords(-skew_part(dm)).swapaxes(-1, -2) for dm in moves)
+    east[:, -1] = west[:, 0] = north[-1] = south[0] = 0.0
+    return centre, east, west, north, south
+
+
+def _solve_rows(jacobian: tuple[np.ndarray, ...], f: np.ndarray) -> np.ndarray:
+    """Solve J x = f for the Jacobian of ``_row_jacobian`` by block Gaussian
+    elimination over the interior rows.
+
+    Unknowns are ordered vertex-major, so J is block tridiagonal in the
+    rows: the in-row block D_j (centre, east and west blocks) on the
+    diagonal, the block-diagonal south couplings S_j below and north
+    couplings N_j above.  Row j takes one dense solve of
+    D_j - S_j C_{j-1} against the columns [N_j | f_j - S_j y_{j-1}], giving
+    [C_j | y_j]; back substitution x_j = y_j - C_j x_{j+1} follows.  An
+    exactly singular row raises ``np.linalg.LinAlgError``.
+    """
+    centre, east, west, north, south = jacobian
+    rows, cols, d = centre.shape[:3]
+    size = cols * d
+    f = f.reshape(rows, size)
+    k = np.arange(cols)
+    solved = []
+    for j in range(rows):
+        a = np.zeros((cols, d, cols, d))
+        a[k, :, k] = centre[j]
+        a[k[:-1], :, k[1:]] = east[j, :-1]
+        a[k[1:], :, k[:-1]] = west[j, 1:]
+        a = a.reshape(size, size)
+        rhs = f[j]
+        if j:
+            update = (south[j] @ solved[-1].reshape(cols, d, -1)).reshape(size, -1)
+            a -= update[:, :-1]
+            rhs = rhs - update[:, -1]
+        rhs = rhs[:, None]
+        if j < rows - 1:
+            couplings = np.zeros((cols, d, cols, d))
+            couplings[k, :, k] = north[j]
+            rhs = np.concatenate([couplings.reshape(size, size), rhs], axis=1)
+        solved.append(np.linalg.solve(a, rhs))
+    x = np.empty((rows, size))
+    x[-1] = solved[-1][:, -1]
+    for j in range(rows - 2, -1, -1):
+        x[j] = solved[j][:, -1] - solved[j][:, :-1] @ x[j + 1]
+    return x.ravel()
 
 
 def _newton_polish(g: np.ndarray, g_tol: float, iteration0: int, budget: int):
     """Drive the stationarity system to g_tol by at most ``budget`` Newton steps.
 
     The residual is the stacked analytic gradient; its Jacobian is assembled
-    in closed form (``_band_jacobian``) and solved by a banded LU
-    factorisation, so a step costs no gradient evaluation beyond its trials.
-    Steps are halved until the gradient max-norm decreases, so this phase is
-    monotone in the gradient rather than in the energy (whose decrements are
-    below round-off here).  A singular band factor ends the polish like a
-    failed halving sequence.  Returns the iterate, its gradient max-norm, one
-    history row per step, and the residual evaluations and rejected trial
-    steps spent.
+    in closed form (``_row_jacobian``) and solved by block elimination over
+    the interior rows (``_solve_rows``), so a step costs no gradient
+    evaluation beyond its trials.  Steps are halved until the gradient
+    max-norm decreases, so this phase is monotone in the gradient rather
+    than in the energy (whose decrements are below round-off here).  A
+    singular row solve ends the polish like a failed halving sequence.
+    Returns the iterate, its gradient max-norm, one history row per step,
+    and the residual evaluations and rejected trial steps spent.
     """
     n = g.shape[-1]
 
@@ -334,10 +365,8 @@ def _newton_polish(g: np.ndarray, g_tol: float, iteration0: int, budget: int):
     for it in range(budget):
         if worst <= g_tol:
             break
-        jac = _band_jacobian(g)
-        bandwidth = len(jac) // 2
         try:
-            delta = scipy.linalg.solve_banded((bandwidth, bandwidth), jac, -f0)
+            delta = _solve_rows(_row_jacobian(g), -f0)
         except np.linalg.LinAlgError:
             break
         scale = 1.0
@@ -409,9 +438,9 @@ def _blend_initializer(g: np.ndarray) -> np.ndarray:
     """Bilinear chordal blend of the four boundary edges, projected back.
 
     Reads the boundary rows and columns of ``g`` and returns the interior
-    block.  The projection is the polar factor w vh of the batched SVD
-    w diag(s) vh, as ``project_to_group`` computes it per matrix; it falls
-    back to the identity where that is undefined, i.e. where not det > 0.
+    block.  The projection is ``liegroup.polar_factor``, as
+    ``project_to_group`` takes it; it falls back to the identity where that
+    is undefined, i.e. where not det > 0.
     """
     height, width = g.shape[0] - 1, g.shape[1] - 1
     s = (np.arange(1, width) / width)[:, None, None]
@@ -422,9 +451,8 @@ def _blend_initializer(g: np.ndarray) -> np.ndarray:
         + (1.0 - s) * g[1:-1, :1]
         + s * g[1:-1, -1:]
     ) / 2.0
-    w, _, vh = np.linalg.svd(blend)
     defined = (np.linalg.det(blend) > 0.0)[..., None, None]
-    return np.where(defined, w @ vh, np.eye(g.shape[-1]))
+    return np.where(defined, lg.polar_factor(blend), np.eye(g.shape[-1]))
 
 
 def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.linalg
 
 from .defaults import TAU_GROUP
 from .errors import DomainError
@@ -33,6 +32,7 @@ __all__ = [
     "adjoint",
     "adjoint_matrix",
     "coadjoint",
+    "polar_factor",
     "project_to_group",
     "skew_basis",
     "step_matrices",
@@ -52,11 +52,6 @@ def _as_square(matrix) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def _polar_factor(m: np.ndarray) -> np.ndarray:
-    u, _ = scipy.linalg.polar(m)
-    return u
 
 
 def group_array(matrices) -> np.ndarray:
@@ -91,12 +86,11 @@ def group_array(matrices) -> np.ndarray:
     bad = ~(np.linalg.det(blocks) > 0.0)
     if bad.any():
         raise ValueError(f"{first(bad)} is in the reflection component, det <= 0")
-    dirty = np.flatnonzero(defect > _CLEAN)
-    if dirty.size:
+    dirty = defect > _CLEAN
+    if dirty.any():
         m = m.copy()
         blocks = m.reshape(-1, n, n)
-        for k in dirty:
-            blocks[k] = _polar_factor(blocks[k])
+        blocks[dirty] = polar_factor(blocks[dirty])
     return read_only(m, m.shape[1:])
 
 
@@ -137,14 +131,21 @@ class GroupElement:
 
 
 def exp(xi: np.ndarray) -> np.ndarray:
-    """Matrix exponentials of a (..., n, n) stack of skew matrices (scipy's
-    Pade ``expm``), checked by :func:`group_array`.
+    """Matrix exponentials of a (..., n, n) stack of skew matrices,
+    :func:`exp_skew` checked by :func:`group_array`.
 
-    Used for boundary data and its perturbations; the finite-difference
-    steps (:func:`step_matrices`) call ``expm`` directly, and the solver
-    retraction and the sampled instances use :func:`exp_skew`.
+    Used for boundary data and its perturbations, which enter the package
+    here; the solver retraction and the sampled instances call
+    :func:`exp_skew` unchecked.  A block whose symmetric part exceeds
+    ``TAU_GROUP`` raises ValueError, since :func:`exp_skew` would read only
+    one triangle of it.
     """
-    return group_array(scipy.linalg.expm(xi))
+    xi = np.asarray(xi, dtype=float)
+    asymmetry = block_norms(xi + xi.swapaxes(-1, -2))
+    if np.any(asymmetry > TAU_GROUP):
+        raise ValueError(f"xi is {max_norm(asymmetry):.3e} from skew, beyond "
+                         f"tolerance {TAU_GROUP:.1e}")
+    return group_array(exp_skew(xi))
 
 
 def exp_skew(xi: np.ndarray) -> np.ndarray:
@@ -261,8 +262,17 @@ def coadjoint(g: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return skew_part(g.swapaxes(-1, -2) @ mu @ g)
 
 
+def polar_factor(m: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factors w vh of a (..., n, n) stack, from the batched
+    SVD w diag(s) vh; the nearest orthogonal matrix of each block in Frobenius
+    norm.  No check: a block with det <= 0 gets a reflection or an arbitrary
+    factor."""
+    w, _, vh = np.linalg.svd(m)
+    return w @ vh
+
+
 def project_to_group(matrix) -> np.ndarray:
-    """Nearest special-orthogonal matrix in Frobenius norm (polar factor).
+    """Nearest special-orthogonal matrix in Frobenius norm (:func:`polar_factor`).
 
     Requires det > 0 and a nonsingular input; reflection-branch or singular
     matrices have no nearby rotation and raise :class:`DomainError`.
@@ -273,7 +283,7 @@ def project_to_group(matrix) -> np.ndarray:
         raise DomainError("matrix is singular, projection undefined")
     if det < 0.0:
         raise DomainError("matrix has det < 0, nearest orthogonal is a reflection")
-    return group_array(_polar_factor(m))
+    return group_array(polar_factor(m))
 
 
 def algebra_dim(n: int) -> int:
@@ -301,9 +311,9 @@ def skew_basis(n: int) -> np.ndarray:
 @functools.cache
 def step_matrices(n: int, h: float) -> np.ndarray:
     """exp(h E) for every skew basis element E, a read-only (d, n, n) stack
-    (scipy's Pade ``expm``); built once per (n, h) for the finite-difference
+    (:func:`exp_skew`); built once per (n, h) for the finite-difference
     derivatives."""
-    steps = scipy.linalg.expm(h * skew_basis(n))
+    steps = exp_skew(h * skew_basis(n))
     steps.flags.writeable = False
     return steps
 

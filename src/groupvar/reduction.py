@@ -369,11 +369,13 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     p = _on_window(grid, y.values)
     mu, right = _partials(lagrangian, grid, y, p)
     ep = block_norms(_reduced_residual(mu, right))
-    for i in range(width - 1, 0, -1):
-        for j in range(height - 1, 0, -1):
-            if not ep[j - 1, i - 1] <= ep_tol:
-                raise PreconditionError(f"reduced residual {ep[j - 1, i - 1]:.3e} "
-                                        f"> {ep_tol:.1e} at ({i}, {j})")
+    # [i-1, j-1] reversed on both axes: row-major is the sweep order
+    bad = ~(ep.T[::-1, ::-1] <= ep_tol)
+    if bad.any():
+        a, b = np.unravel_index(np.argmax(bad), bad.shape)
+        i, j = width - 1 - int(a), height - 1 - int(b)
+        raise PreconditionError(f"reduced residual {ep[j - 1, i - 1]:.3e} "
+                                f"> {ep_tol:.1e} at ({i}, {j})")
     n = y.fiber.n
     worst_hol = max_norm(block_norms(_window_holonomy(p) - np.eye(n)))
     if not worst_hol <= adm_tol:

@@ -351,10 +351,10 @@ def test_random_boundary_reproducible():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_random_boundary_is_the_per_vertex_expm_draw(n):
-    """One batched draw and one stacked ``lg.exp`` give what a draw and a
-    ``scipy.linalg.expm`` call per frontier vertex gave, byte for byte; the
-    far corner repeats (W, H-1) and the interior holds the identity, like
-    ``identity_boundary``."""
+    """One batched draw and one stacked ``lg.exp`` give what a draw and an
+    ``lg.exp`` call per frontier vertex give, byte for byte, within 1e-12 of
+    ``scipy.linalg.expm``; the far corner repeats (W, H-1) and the interior
+    holds the identity, like ``identity_boundary``."""
     grid = triangulated_grid(6, 5)
     frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
     interior = sorted(classify_vertices(grid, grid.full_faceset()).interior)
@@ -365,8 +365,9 @@ def test_random_boundary_is_the_per_vertex_expm_draw(n):
         got = hm.random_boundary(grid, n, seed, scale).values
         rng = np.random.default_rng(seed)
         for v in frontier:
-            want = scipy.linalg.expm(lg.random_skew(n, rng, scale))
-            assert got[v].tobytes() == want.tobytes()
+            xi = lg.random_skew(n, rng, scale)
+            assert got[v].tobytes() == lg.exp(xi).tobytes()
+            assert np.max(np.abs(got[v] - scipy.linalg.expm(xi))) <= 1e-12
         assert got[corner].tobytes() == got[below].tobytes()
         assert np.array_equal(got[interior], eye[interior])
 
@@ -419,7 +420,7 @@ def test_dirichlet_energy_matches_trace_action(n):
 def _dense_fd_jacobian(g):
     """Column-by-column central-difference Jacobian of ``hm._residual``.
 
-    The oracle for the closed-form band Jacobian: one vertex and one skew
+    The oracle for the closed-form row Jacobian: one vertex and one skew
     direction at a time, 2 * N * d residual evaluations.
     """
     n = g.shape[-1]
@@ -441,13 +442,30 @@ def _dense_fd_jacobian(g):
     return jac
 
 
-def _band_to_dense(ab, bandwidth):
-    size = ab.shape[1]
-    dense = np.zeros((size, size))
+def _row_to_dense(jacobian):
+    """The row Jacobian's five block stacks placed in one dense matrix,
+    unknowns vertex-major; frontier-facing blocks are zero and dropped."""
+    centre, east, west, north, south = jacobian
+    rows, cols, d = centre.shape[:3]
+    dense = np.zeros((rows, cols, d, rows, cols, d))
+    for j, i in np.ndindex(rows, cols):
+        for (dj, di), blocks in (((0, 0), centre), ((0, 1), east), ((0, -1), west),
+                                 ((1, 0), north), ((-1, 0), south)):
+            if 0 <= j + dj < rows and 0 <= i + di < cols:
+                dense[j, i, :, j + dj, i + di] = blocks[j, i]
+            else:
+                assert not blocks[j, i].any()
+    return dense.reshape(rows * cols * d, -1)
+
+
+def _band_layout(dense, bandwidth):
+    """LAPACK band storage of a dense matrix, as ``solve_banded`` reads it."""
+    size = len(dense)
+    ab = np.zeros((2 * bandwidth + 1, size))
     for r in range(size):
         for c in range(max(0, r - bandwidth), min(size, r + bandwidth + 1)):
-            dense[r, c] = ab[bandwidth + r - c, c]
-    return dense
+            ab[bandwidth + r - c, c] = dense[r, c]
+    return ab
 
 
 JACOBIAN_WINDOWS = [
@@ -465,23 +483,28 @@ JACOBIAN_WINDOWS = [
 
 
 def _check_band_jacobian(width, height, n, scale, seed):
-    """The closed-form band Jacobian agrees with the dense FD Jacobian to
-    1e-8, and its band solve agrees with least squares on its dense form."""
+    """The closed-form row Jacobian agrees with the dense FD Jacobian to
+    1e-8, and its row elimination agrees with least squares on its dense
+    form to 1e-12 and with a banded LU of it to 1e-12 relative."""
     grid = triangulated_grid(width, height)
     rng = np.random.default_rng(seed)
     g = _array(grid, sampling.random_unreduced_field(grid, n, rng, scale))
     before = g.copy()
-    ab = hm._band_jacobian(g)
+    jacobian = hm._row_jacobian(g)
     assert np.array_equal(g, before)
+    d = n * (n - 1) // 2
+    assert all(b.shape == (height - 1, width - 1, d, d) for b in jacobian)
     f0 = hm._residual(g)[0]
-    bandwidth = width * (n * (n - 1) // 2) - 1
-    assert ab.shape == (2 * bandwidth + 1, f0.size)
-    dense = _band_to_dense(ab, bandwidth)
+    dense = _row_to_dense(jacobian)
     assert np.max(np.abs(dense - _dense_fd_jacobian(g))) <= 1e-8
 
-    band = scipy.linalg.solve_banded((bandwidth, bandwidth), ab, -f0)
+    rows = hm._solve_rows(jacobian, -f0)
     oracle, *_ = np.linalg.lstsq(dense, -f0, rcond=None)
-    assert np.linalg.norm(band - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert np.linalg.norm(rows - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    bandwidth = width * d - 1
+    band = scipy.linalg.solve_banded((bandwidth, bandwidth),
+                                     _band_layout(dense, bandwidth), -f0)
+    assert np.linalg.norm(rows - band) <= 1e-12 * np.linalg.norm(band)
 
 
 @pytest.mark.parametrize("width,height,n,scale", JACOBIAN_WINDOWS)
@@ -516,14 +539,21 @@ def test_newton_residual_evaluations_per_step_do_not_grow(n):
 
 
 def test_singular_band_factor_ends_the_polish(tmp_path, monkeypatch, capsys):
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
+    """A zero Jacobian makes the first row solve singular."""
+    def singular(g):
+        calls.append(g)
+        return tuple(np.zeros_like(b) for b in row_jacobian(g))
 
-    monkeypatch.setattr(hm.scipy.linalg, "solve_banded", singular)
+    calls = []
+    row_jacobian = hm._row_jacobian
+    monkeypatch.setattr(hm, "_row_jacobian", singular)
     grid = triangulated_grid(6, 6)
     boundary = hm.random_boundary(grid, N, seed=22, scale=0.1)
     with pytest.raises(ConvergenceError) as err:
         hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    assert len(calls) == 1
+    with pytest.raises(np.linalg.LinAlgError):
+        hm._solve_rows(singular(calls[0]), hm._residual(calls[0])[0])
     history = err.value.history
     assert history and all(h["phase"] == "descent" for h in history)
 

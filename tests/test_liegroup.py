@@ -50,6 +50,16 @@ def test_exp_stack_checks_every_block():
         lg.exp(stack)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_exp_rejects_non_skew_input(n):
+    xi = rand_skew(n, 30 + n)
+    with pytest.raises(ValueError):
+        lg.exp(xi + 0.1 * np.eye(n))
+    with pytest.raises(ValueError, match="from skew"):
+        lg.exp(np.stack([xi, np.triu(xi)]))
+    assert np.array_equal(lg.exp(xi), lg.exp_skew(xi))
+
+
 EXP_THETAS = [0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0, 2.0 * np.pi - 0.01]
 
 

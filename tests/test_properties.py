@@ -8,6 +8,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from groupvar import core, liegroup as lg, reduction as red, sampling, serialization as ser
@@ -70,6 +71,46 @@ def test_log_inverts_exp(n, seed, size):
     xi = xi * (size / np.linalg.norm(xi))
     log = lg.log_near_identity(lg.exp_skew(xi))
     assert np.linalg.norm(log - xi) <= 1e-14 * np.linalg.norm(xi)
+
+
+@PROPERTY
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0),
+       st.integers(1, 4))
+def test_exp_matches_expm(n, seed, scale, count):
+    """Coordinates up to 3.0 take the rotation angles beyond pi."""
+    xi = lg.random_skew(n, np.random.default_rng(seed), scale, (count,))
+    g = lg.exp(xi)
+    for block, x in zip(g, xi):
+        assert np.max(np.abs(block - scipy.linalg.expm(x))) <= 1e-12
+        assert np.linalg.norm(block.T @ block - np.eye(n)) <= 1e-13
+        assert np.linalg.det(block) > 0.0
+
+
+@PROPERTY
+@given(st.integers(2, 6), st.sampled_from([1e-6, 1e-5]))
+def test_step_matrices_match_expm(n, h):
+    """Relative to exp(h E) - I, which the finite differences read."""
+    steps = lg.step_matrices(n, h)
+    assert not steps.flags.writeable
+    for step, e in zip(steps, lg.skew_basis(n)):
+        ref = scipy.linalg.expm(h * e)
+        assert np.linalg.norm(step - ref) <= 1e-14 * np.linalg.norm(ref - np.eye(n))
+
+
+@PROPERTY
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(0.01, 3.0),
+       st.booleans())
+def test_polar_factor_is_scipy_polar_bit_for_bit(n, seed, scale, near_identity):
+    m = scale * np.random.default_rng(seed).standard_normal((3, n, n))
+    if near_identity:
+        m = np.eye(n) + 0.1 * m
+    m[..., :, 0] *= np.sign(np.linalg.det(m))[:, None]
+    stacked = lg.polar_factor(m)
+    for k in range(len(m)):
+        assert np.linalg.det(m[k]) > 0.0
+        ref, _ = scipy.linalg.polar(m[k])
+        assert stacked[k].tobytes() == ref.tobytes()
+        assert lg.polar_factor(m[k]).tobytes() == ref.tobytes()
 
 
 @PROPERTY

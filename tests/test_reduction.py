@@ -272,6 +272,31 @@ def test_recover_requires_critical_section():
         red.recover_multipliers(TraceLagrangian(N), grid, y, zero)
 
 
+@pytest.mark.parametrize("planted", [
+    {(3, 1): 1.0, (1, 3): 1.0},
+    {(2, 2): np.nan, (1, 3): 1.0},
+    {(4, 1): np.nan, (4, 3): 1e-3},
+    {(1, 1): 1.0},
+    {(4, 3): np.inf, (2, 3): np.nan},
+])
+def test_recover_names_the_first_offending_vertex(monkeypatch, planted):
+    """Sweep order is i descending, then j descending; NaN offends."""
+    grid = triangulated_grid(5, 4)
+    y = red.reduce_field(grid, constant_field(grid, np.eye(N)))
+    blocks = np.zeros((grid.height - 1, grid.width - 1, N, N))
+    for (i, j), value in planted.items():
+        blocks[j - 1, i - 1, 0, 0] = value
+    monkeypatch.setattr(red, "_reduced_residual", lambda mu, right: blocks)
+    first = next((i, j) for i in range(grid.width - 1, 0, -1)
+                 for j in range(grid.height - 1, 0, -1)
+                 if not abs(blocks[j - 1, i - 1, 0, 0]) <= 1e-6)
+    with pytest.raises(PreconditionError) as err:
+        red.recover_multipliers(TraceLagrangian(N), grid, y, np.zeros((N, N)),
+                                ep_tol=1e-6)
+    value = abs(planted[first])
+    assert str(err.value) == f"reduced residual {value:.3e} > 1.0e-06 at {first}"
+
+
 def test_recover_conflict_surfaces(solved66):
     with pytest.raises(RecoveryConflictError):
         red.recover_multipliers(solved66["lagrangian"], solved66["grid"],
