@@ -126,7 +126,13 @@ def _boundary_map(cfg, grid) -> reduction.UnreducedField:
     bgrid, field = serialization.load_unreduced_field(cfg["boundary"])
     if (bgrid.width, bgrid.height) != (grid.width, grid.height):
         raise ValueError("boundary file window does not match the requested grid")
+    _check_group_size("boundary file", field.values.shape[-1], "--n", cfg["n"])
     return field
+
+
+def _check_group_size(name: str, n: int, other: str, want: int) -> None:
+    if n != want:
+        raise ValueError(f"{name} holds SO({n}) values, {other} is SO({want})")
 
 
 def _config_records(cfg) -> dict:
@@ -171,10 +177,9 @@ def cmd_solve(args) -> int:
     records.update({
         "converged": report.converged,
         "iterations": report.iterations,
-        "descent_iterations": report.descent_iterations,
-        "newton_steps": report.newton_steps,
         "backtracks": report.backtracks,
         "residual_evaluations": report.residual_evaluations,
+        "hessian_products": report.hessian_products,
         "final_action": report.final_action,
         "final_energy": report.final_energy,
         "max_gradient": report.max_gradient,
@@ -427,6 +432,8 @@ def cmd_reconstruct(args) -> int:
     grid, y = serialization.load_reduced_section(args.section)
     if args.seed_file:
         sgrid, sfield = serialization.load_unreduced_field(args.seed_file)
+        _check_group_size("seed file", sfield.values.shape[-1], "the section",
+                          y.fiber.n)
         seed = sfield.values[sgrid.vertex_id(0, 0)]
     else:
         seed = np.eye(y.fiber.n)

@@ -3,11 +3,12 @@
 The density is the trace of both forward differences.  Near the identity
 tr(u) = n - ||u - I||_F^2 / 2, so stationary sections of the trace action
 with boundary data close to the identity are exactly the minimizers of the
-discrete Dirichlet energy, and that energy is what the solver descends: the
+discrete Dirichlet energy, and that energy is what the solver minimizes: the
 critical points coincide, the sought interpolant is a constrained maximizer
-of the trace action, and descending the energy keeps the iteration on the
-branch selected by the boundary blend initializer.  "Critical" throughout
-means stationary; reports claim no minimality of anything.
+of the trace action, and a trust-region Newton method, which lets the energy
+rise by no more than round-off, keeps the iteration near the branch selected
+by the boundary blend initializer.  "Critical" throughout means stationary;
+reports claim no minimality of anything.
 
 Gradient assembly is vertex-parallel within an iteration; scenario runs
 (base plus perturbed solves) are independent of each other.
@@ -122,19 +123,6 @@ def ep_symmetric_defect(grid: TriangulatedGrid, y: Section, i: int, j: int,
 # reductions run in vertex-id order, one term at a time.
 
 
-# Armijo descent: sufficient-decrease constant, initial (and largest) step,
-# backtracking shrink factor, growth after an accepted step, trials per
-# iteration (even: ``_descend`` tries them in pairs).
-_ARMIJO_C1 = 1e-4
-_STEP_INIT = 1.0
-_STEP_SHRINK = 0.5
-_STEP_GROW = 2.0
-_MAX_BACKTRACKS = 60
-# Newton polish: gradient level where it takes over, and step budget.
-_NEWTON_SWITCH = 1e-3
-_MAX_NEWTON = 40
-
-
 @dataclass
 class SolverConfig:
     """Options and boundary data for the stationary-point solver.
@@ -143,13 +131,10 @@ class SolverConfig:
     frontier and far corner and overwrites its interior.  It, and
     ``initializer`` when given, pass ``liegroup.group_array`` here, so a
     malformed block raises ValueError.  The gradient target applies per
-    interior vertex.  Backtracking descent alone cannot certify decrease once
-    the energy decrement falls under the round-off floor of the energy sum,
-    so a Newton polish on the analytic gradient (closed-form Jacobian,
-    solved by block elimination over the interior rows) takes over below a
-    fixed gradient level.  ``max_iterations`` bounds descent and Newton steps
-    together.  ``initializer`` is a field to warm-start the interior from;
-    None means the boundary blend.
+    interior vertex; the solver takes one more step after it first meets
+    it, which carries the gradient to round-off.  ``max_iterations`` bounds
+    the trust-region steps, accepted or rejected.  ``initializer`` is a
+    field to warm-start the interior from; None means the boundary blend.
     """
 
     boundary: UnreducedField
@@ -170,21 +155,21 @@ class SolveReport:
     Residual fields are recomputed from the returned field with the public
     residual operations, not taken from solver internals: ``section`` is its
     reduced section, ``per_vertex_ep`` the (H-1, W-1) array of reduced
-    residual norms indexed [j-1, i-1].  ``history`` has
-    one record per accepted iterate: iteration, objective (the descended
-    energy), trace action, max per-vertex gradient norm, accepted step.
-    The counters are deterministic: descent iterations, Newton steps,
-    rejected trial steps of either phase (``backtracks``), and evaluations
-    of the interior gradient (``residual_evaluations``): one at the start,
-    one per accepted descent iterate, one at the start of the Newton polish
-    and one per Newton trial step; the Newton Jacobian costs none.
+    residual norms indexed [j-1, i-1].  ``history`` has one record for the
+    start and one per accepted step: iteration, objective (the Dirichlet
+    energy), trace action, max per-vertex gradient norm and the coordinate
+    norm of the step.  The counters are deterministic: trust-region steps
+    (``iterations``), the rejected ones among them (``backtracks``),
+    evaluations of the interior gradient (``residual_evaluations``: one at
+    the start and one per accepted step) and Hessian-vector products
+    (``hessian_products``).
     """
 
     converged: bool
-    descent_iterations: int
-    newton_steps: int
+    iterations: int
     backtracks: int
     residual_evaluations: int
+    hessian_products: int
     final_action: float
     final_energy: float
     max_gradient: float
@@ -195,28 +180,17 @@ class SolveReport:
     history: list[dict] = field(default_factory=list)
     g_tol: float = G_TOL
 
-    @property
-    def iterations(self) -> int:
-        """Descent iterations plus Newton steps."""
-        return self.descent_iterations + self.newton_steps
-
 
 def dirichlet_energy(g: np.ndarray) -> float:
     """Sum over faces of 2n - tr(u) - tr(v); nonnegative, zero iff constant.
 
-    ``g`` is a vertex field as an (H+1, W+1, n, n) array indexed [j, i].
+    ``g`` is a vertex field as an (H+1, W+1, n, n) array indexed [j, i],
+    summed one face at a time in face-id order.
     """
-    return float(_energies(g))
-
-
-def _energies(g: np.ndarray) -> np.ndarray:
-    """Dirichlet energy of every field in a (..., H+1, W+1, n, n) stack,
-    each summed one face at a time in face-id order."""
     n = g.shape[-1]
-    base = g[..., :-1, :-1, :, :]
-    terms = 2.0 * n - block_dot(base, g[..., :-1, 1:, :, :]) \
-        - block_dot(base, g[..., 1:, :-1, :, :])
-    return np.cumsum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)[..., -1]
+    base = g[:-1, :-1]
+    terms = 2.0 * n - block_dot(base, g[:-1, 1:]) - block_dot(base, g[1:, :-1])
+    return float(np.cumsum(terms.ravel())[-1])
 
 
 def trace_action(grid: TriangulatedGrid, g: UnreducedField) -> float:
@@ -254,20 +228,18 @@ def _interior_gradients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _retract(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Exponential retraction g_ij exp(xi_ij) of every interior vertex.
-
-    Axes of ``xi`` in front of the interior shape stack several
-    retractions of the same ``g``; each field of the stack is contiguous.
-    """
-    out = np.broadcast_to(g, xi.shape[:-4] + g.shape).copy()
-    out[..., 1:-1, 1:-1, :, :] = g[1:-1, 1:-1] @ lg.exp_skew(xi)
+    """Exponential retraction g_ij exp(xi_ij) of every interior vertex."""
+    out = g.copy()
+    out[1:-1, 1:-1] = g[1:-1, 1:-1] @ lg.exp_skew(xi)
     return out
 
 
 def _residual(g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Stacked upper-triangle gradient entries and the largest block norm."""
+    """Upper-triangle gradient entries, shaped (interior rows, interior
+    columns, d), and the largest block norm.  Along g exp(t X) the energy
+    changes at the rate 2 f . x, x the coordinates of X."""
     grads, norms = _interior_gradients(g)
-    return lg.skew_to_coords(grads).ravel(), max_norm(norms)
+    return lg.skew_to_coords(grads), max_norm(norms)
 
 
 def _row_jacobian(g: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -298,140 +270,159 @@ def _row_jacobian(g: np.ndarray) -> tuple[np.ndarray, ...]:
     return centre, east, west, north, south
 
 
-def _solve_rows(jacobian: tuple[np.ndarray, ...], f: np.ndarray) -> np.ndarray:
-    """Solve J x = f for the Jacobian of ``_row_jacobian`` by block Gaussian
-    elimination over the interior rows.
+def _hessian(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The symmetric part H of the row Jacobian, as its centre, east and
+    north block stacks; the west and south blocks are the transposed east
+    and north blocks of the neighbours.
 
-    Unknowns are ordered vertex-major, so J is block tridiagonal in the
-    rows: the in-row block D_j (centre, east and west blocks) on the
-    diagonal, the block-diagonal south couplings S_j below and north
-    couplings N_j above.  Row j takes one dense solve of
-    D_j - S_j C_{j-1} against the columns [N_j | f_j - S_j y_{j-1}], giving
-    [C_j | y_j]; back substitution x_j = y_j - C_j x_{j+1} follows.  An
-    exactly singular row raises ``np.linalg.LinAlgError``.
+    The energy along g exp(X) is E + 2 (f . x + x . H x / 2) + O(|x|^3):
+    H is half the Hessian of the pulled-back energy at 0.  The Jacobian
+    differs from it by a term that vanishes where the gradient does.
     """
-    centre, east, west, north, south = jacobian
-    rows, cols, d = centre.shape[:3]
-    size = cols * d
-    f = f.reshape(rows, size)
-    k = np.arange(cols)
-    solved = []
-    for j in range(rows):
-        a = np.zeros((cols, d, cols, d))
-        a[k, :, k] = centre[j]
-        a[k[:-1], :, k[1:]] = east[j, :-1]
-        a[k[1:], :, k[:-1]] = west[j, 1:]
-        a = a.reshape(size, size)
-        rhs = f[j]
-        if j:
-            update = (south[j] @ solved[-1].reshape(cols, d, -1)).reshape(size, -1)
-            a -= update[:, :-1]
-            rhs = rhs - update[:, -1]
-        rhs = rhs[:, None]
-        if j < rows - 1:
-            couplings = np.zeros((cols, d, cols, d))
-            couplings[k, :, k] = north[j]
-            rhs = np.concatenate([couplings.reshape(size, size), rhs], axis=1)
-        solved.append(np.linalg.solve(a, rhs))
-    x = np.empty((rows, size))
-    x[-1] = solved[-1][:, -1]
-    for j in range(rows - 2, -1, -1):
-        x[j] = solved[j][:, -1] - solved[j][:, :-1] @ x[j + 1]
-    return x.ravel()
+    centre, east, west, north, south = _row_jacobian(g)
+    return ((centre + centre.swapaxes(-1, -2)) / 2.0,
+            (east[:, :-1] + west[:, 1:].swapaxes(-1, -2)) / 2.0,
+            (north[:-1] + south[1:].swapaxes(-1, -2)) / 2.0)
 
 
-def _newton_polish(g: np.ndarray, g_tol: float, iteration0: int, budget: int):
-    """Drive the stationarity system to g_tol by at most ``budget`` Newton steps.
+def _hessian_product(hessian, v: np.ndarray) -> np.ndarray:
+    """H v for coordinates v shaped like ``_residual``'s."""
+    centre, east, north = hessian
+    v = v[..., None]
+    out = centre @ v
+    out[:, :-1] += east @ v[:, 1:]
+    out[:, 1:] += east.swapaxes(-1, -2) @ v[:, :-1]
+    out[:-1] += north @ v[1:]
+    out[1:] += north.swapaxes(-1, -2) @ v[:-1]
+    return out[..., 0]
 
-    The residual is the stacked analytic gradient; its Jacobian is assembled
-    in closed form (``_row_jacobian``) and solved by block elimination over
-    the interior rows (``_solve_rows``), so a step costs no gradient
-    evaluation beyond its trials.  Steps are halved until the gradient
-    max-norm decreases, so this phase is monotone in the gradient rather
-    than in the energy (whose decrements are below round-off here).  A
-    singular row solve ends the polish like a failed halving sequence.
-    Returns the iterate, its gradient max-norm, one history row per step,
-    and the residual evaluations and rejected trial steps spent.
+
+def _laplacian_solver(rows: int, cols: int):
+    """Solver of L z = r for the 5-point Dirichlet Laplacian L of the
+    interior, applied to each coordinate; L is H at a constant field.
+
+    The orthonormal sine matrices Q diagonalise L in each direction, so
+    z = Q_r ((Q_r r Q_c) / lambda) Q_c with lambda_ab = 4 - 2 cos(pi a /
+    (rows + 1)) - 2 cos(pi b / (cols + 1)): plain matrix products.
+    """
+    def sines(m):
+        k = np.arange(1, m + 1)
+        q = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+        return q, 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
+
+    (q_r, l_r), (q_c, l_c) = sines(rows), sines(cols)
+    eigenvalues = l_r[:, None] + l_c
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        x = np.moveaxis(r, -1, 0)
+        return np.moveaxis(q_r @ ((q_r @ x @ q_c) / eigenvalues) @ q_c, 0, -1)
+    return solve
+
+
+def _truncated_cg(hessian, precondition, f: np.ndarray, radius: float):
+    """Steihaug-Toint truncated CG on the model f . p + p . H p / 2 in the
+    trust region p . L p <= radius^2, L the preconditioner.
+
+    Stops when the model gradient r falls to |r| <= |f| min(|f|, 0.1), at
+    the boundary, or along a direction of nonpositive curvature, which it
+    follows to the boundary.  Returns the step, its model value, whether it
+    ends on the boundary, and the Hessian products spent (Steihaug 1983;
+    Toint 1981; the inner solve of Absil, Baker & Gallivan 2007).  The
+    norms |p|_L^2, p . L d and |d|_L^2 are updated by their recurrences,
+    with no product by L.
+    """
+    p = np.zeros_like(f)
+    r = f
+    z = precondition(r)
+    d = -z
+    rz = np.vdot(r, z)
+    pmp, pmd, dmd = 0.0, 0.0, rz
+    model = 0.0
+    target = np.linalg.norm(f) * min(np.linalg.norm(f), 0.1)
+    for k in range(1, f.size + 1):
+        hd = _hessian_product(hessian, d)
+        dhd = np.vdot(d, hd)
+        # nonpositive curvature, or a CG step that would leave the region:
+        # go to the boundary along d
+        alpha = rz / dhd if dhd > 0.0 else np.inf
+        if dhd <= 0.0 or pmp + (2.0 * pmd + alpha * dmd) * alpha >= radius * radius:
+            tau = (np.sqrt(pmd * pmd + dmd * (radius * radius - pmp)) - pmd) / dmd
+            model += tau * np.vdot(r, d) + tau * tau * dhd / 2.0
+            return p + tau * d, model, True, k
+        model += alpha * np.vdot(r, d) + alpha * alpha * dhd / 2.0
+        p, r = p + alpha * d, r + alpha * hd
+        pmp += (2.0 * pmd + alpha * dmd) * alpha
+        if np.linalg.norm(r) <= target:
+            break
+        z = precondition(r)
+        rz, rz_old = np.vdot(r, z), rz
+        beta = rz / rz_old
+        pmd = beta * (pmd + alpha * dmd)
+        dmd = rz + beta * beta * dmd
+        d = beta * d - z
+    return p, model, False, k
+
+
+def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
+    """Riemannian trust-region Newton on the Dirichlet energy (Absil, Baker &
+    Gallivan, FoCM 2007), from ``g`` until the gradient max-norm meets
+    ``g_tol``, and then one step more.
+
+    Each step solves the model of ``_hessian`` by ``_truncated_cg``,
+    preconditioned by ``_laplacian_solver``, in the trust region of that
+    norm, and retracts it.  With the agreement ratio rho of actual to
+    predicted energy decrease, both offset by 1e3 eps max(1, |E|) so that
+    decrements at round-off read as agreement, the radius shrinks by 4
+    below 0.25 and doubles above 0.75 when the step reached the boundary,
+    up to pi sqrt(interior vertices), from an eighth of that; the step is
+    taken above 0.1, so the energy never rises by more than the offset.
+    The step after the one that first meets ``g_tol`` carries the gradient
+    to round-off; a start that already meets it takes no step.  At most
+    ``max_iterations`` steps, accepted or rejected, are tried, and the loop
+    gives up after an accepted step that predicted a decrease below the
+    offset and did not lower the gradient max-norm.
+    Returns the iterate, its energy and gradient max-norm, one history row
+    for the start and one per accepted step, and the report counters.
     """
     n = g.shape[-1]
-
-    def retract(x, delta):
-        coords = delta.reshape(x.shape[0] - 2, x.shape[1] - 2, -1)
-        return _retract(x, lg.coords_to_skew(coords, n))
-
-    history = []
-    f0, worst = _residual(g)
-    evaluations, backtracks = 1, 0
-    for it in range(budget):
-        if worst <= g_tol:
-            break
-        try:
-            delta = _solve_rows(_row_jacobian(g), -f0)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        for _ in range(8):
-            trial = retract(g, scale * delta)
-            f_trial, worst_trial = _residual(trial)
-            evaluations += 1
-            if worst_trial < worst:
-                g, f0, worst = trial, f_trial, worst_trial
-                break
-            backtracks += 1
-            scale *= 0.5
-        else:
-            break
-        history.append(_record(iteration0 + it + 1, "newton", g,
-                               dirichlet_energy(g), worst, scale))
-    return g, worst, history, evaluations, backtracks
-
-
-def _descend(g: np.ndarray, g_tol: float, max_iterations: int):
-    """Armijo descent on the Dirichlet energy down to g_tol or the Newton switch.
-
-    Each iteration tries step, step / 2, step / 4, ... until one gives
-    sufficient decrease, at most ``_MAX_BACKTRACKS`` trials; the step then
-    doubles, capped at ``_STEP_INIT``.  The trials go in pairs: both steps of
-    a pair are retracted and their energies summed in one stacked call, and
-    the first that passes is taken, so the iterates, steps and counters are
-    those of trying one step at a time.  A pair fits the usual iteration, in
-    which the doubled step is rejected and the one before it accepted.
-    Returns the iterate, its energy and gradient max-norm, one history row
-    per accepted iterate (and one for the start), the iterations begun, the
-    rejected trials and the gradient evaluations.
-    """
     energy = dirichlet_energy(g)
-    step = _STEP_INIT
-    iteration = backtracks = 0
-    grads, norms = _interior_gradients(g)
-    evaluations = 1
-    worst = max_norm(norms)
-    history = [_record(0, "descent", g, energy, worst, 0.0)]
-    while iteration < max_iterations:
-        if worst <= g_tol or worst <= _NEWTON_SWITCH:
-            break
-        iteration += 1
-        slope = np.cumsum(norms.ravel() ** 2)[-1]
-        for _ in range(_MAX_BACKTRACKS // 2):
-            steps = np.array([step, step * _STEP_SHRINK])
-            trials = _retract(g, -steps[:, None, None, None, None] * grads)
-            energies = _energies(trials)
-            passed = np.flatnonzero(energies <= energy - _ARMIJO_C1 * steps * slope)
-            if passed.size:
-                k = int(passed[0])
-                backtracks += k
-                break
-            backtracks += 2
-            step = steps[1] * _STEP_SHRINK
-        else:
-            break
-        g, energy, step = trials[k], float(energies[k]), float(steps[k])
-        grads, norms = _interior_gradients(g)
-        evaluations += 1
-        worst = max_norm(norms)
-        history.append(_record(iteration, "descent", g, energy, worst, step))
-        step = min(_STEP_INIT, step * _STEP_GROW)
-    return g, energy, worst, history, iteration, backtracks, evaluations
+    f, worst = _residual(g)
+    history = [_record(0, "start", g, energy, worst, 0.0)]
+    counters = {"iterations": 0, "backtracks": 0, "residual_evaluations": 1,
+                "hessian_products": 0}
+    precondition = _laplacian_solver(*f.shape[:2])
+    radius_max = np.pi * np.sqrt(f.shape[0] * f.shape[1])
+    radius = radius_max / 8.0
+    previous, hessian, stalled = worst, None, False
+    while counters["iterations"] < max_iterations and not stalled \
+            and (worst > g_tol or previous > g_tol):
+        counters["iterations"] += 1
+        if hessian is None:
+            hessian = _hessian(g)
+        p, model, at_boundary, products = _truncated_cg(
+            hessian, precondition, f, radius)
+        counters["hessian_products"] += products
+        trial = _retract(g, lg.coords_to_skew(p, n))
+        trial_energy = dirichlet_energy(trial)
+        offset = 1e3 * np.finfo(float).eps * max(1.0, abs(energy))
+        rho = (energy - trial_energy + offset) / (offset - 2.0 * model)
+        if rho < 0.25:
+            radius /= 4.0
+        elif rho > 0.75 and at_boundary:
+            radius = min(2.0 * radius, radius_max)
+        if not rho > 0.1:
+            counters["backtracks"] += 1
+            continue
+        previous, hessian = worst, None
+        g, energy = trial, trial_energy
+        f, worst = _residual(g)
+        counters["residual_evaluations"] += 1
+        # a step whose predicted decrease is round-off and which did not
+        # lower the gradient: g_tol is out of the arithmetic's reach
+        stalled = -2.0 * model <= offset and not worst < previous
+        history.append(_record(counters["iterations"], "newton", g, energy,
+                               worst, float(np.linalg.norm(p))))
+    return g, energy, worst, history, counters
 
 
 def _blend_initializer(g: np.ndarray) -> np.ndarray:
@@ -459,10 +450,10 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
                     ) -> tuple[UnreducedField, SolveReport]:
     """Find a vertex field, stationary for the trace action, with fixed boundary.
 
-    Riemannian gradient descent on the Dirichlet energy with Armijo
-    backtracking and exponential retraction; the gradient blocks are the skew
-    parts of the analytic trace differentials, no finite differences in the
-    loop.  Convergence means every interior gradient block has Frobenius norm
+    Riemannian trust-region Newton on the Dirichlet energy with exponential
+    retraction (``_newton_polish``), from the boundary blend or the warm
+    start; the gradient and Hessian blocks are closed-form in the trace
+    differentials, no finite differences in the loop.  Convergence means every interior gradient block has Frobenius norm
     at most ``g_tol``; the reduced section of the result then satisfies the
     reduced critical equations to the same level and is flat by construction.
     """
@@ -481,25 +472,15 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     else:
         g[1:-1, 1:-1] = config.initializer.values.reshape(shape)[1:-1, 1:-1]
 
-    g, energy, worst, history, iteration, backtracks, evaluations = _descend(
+    g, energy, worst, history, counters = _newton_polish(
         g, config.g_tol, config.max_iterations)
-    descent_iterations, newton = iteration, []
-    if worst > config.g_tol:
-        g, worst, newton, newton_evaluations, newton_backtracks = _newton_polish(
-            g, config.g_tol, iteration,
-            min(_MAX_NEWTON, config.max_iterations - iteration))
-        history.extend(newton)
-        iteration += len(newton)
-        evaluations += newton_evaluations
-        backtracks += newton_backtracks
-        energy = dirichlet_energy(g)
     converged = worst <= config.g_tol
 
     field_ = UnreducedField(g.reshape(-1, n, n))
     if not converged:
         raise ConvergenceError(
             f"gradient norm {worst:.3e} > {config.g_tol:.1e} "
-            f"after {iteration} iterations", history)
+            f"after {counters['iterations']} iterations", history)
 
     lagrangian = TraceLagrangian(n)
     y = reduce_field(grid, field_)
@@ -507,10 +488,7 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     flat = block_norms(plaquette_holonomy(grid, y) - np.eye(n))
     report = SolveReport(
         converged=converged,
-        descent_iterations=descent_iterations,
-        newton_steps=len(newton),
-        backtracks=backtracks,
-        residual_evaluations=evaluations,
+        **counters,
         final_action=action(lagrangian, y, faceset),
         final_energy=energy,
         max_gradient=worst,

@@ -108,8 +108,11 @@ def test_criterion_04_solver(solved66):
     start = time.perf_counter()
     field, report = hm.solve_unreduced(grid, solved66["config"])
     elapsed = time.perf_counter() - start
-    descent = [h["objective"] for h in report.history if h["phase"] == "descent"]
-    monotone = all(b <= a for a, b in zip(descent, descent[1:]))
+    # accepted trust-region steps raise the energy by at most the round-off
+    # offset of their test
+    energy = [h["objective"] for h in report.history]
+    monotone = all(b <= a + 1e3 * np.finfo(float).eps * max(1.0, abs(a))
+                   for a, b in zip(energy, energy[1:]))
     ok = report.converged and report.max_ep_residual <= 1e-8 \
         and report.max_constraint_residual <= 1e-12 and monotone \
         and elapsed < 30.0

@@ -27,10 +27,11 @@ def test_solve_writes_files_and_exits_zero(tmp_path):
     assert report["converged"] == "True"
     assert float(report["max_ep_residual"]) <= 1e-8
     counters = {key: int(report[key]) for key in (
-        "descent_iterations", "newton_steps", "backtracks", "residual_evaluations")}
-    assert int(report["iterations"]) == \
-        counters["descent_iterations"] + counters["newton_steps"]
-    assert counters["residual_evaluations"] > counters["descent_iterations"]
+        "iterations", "backtracks", "residual_evaluations", "hessian_products")}
+    assert "descent_iterations" not in report and "newton_steps" not in report
+    assert counters["residual_evaluations"] == \
+        counters["iterations"] - counters["backtracks"] + 1
+    assert counters["hessian_products"] >= counters["iterations"] >= 1
 
 
 def test_solve_deterministic(tmp_path):
@@ -315,7 +316,7 @@ def test_solve_with_boundary_file(tmp_path, capsys):
     """A boundary file is a saved vertex field with a record for every
     vertex; the solve takes its frontier and far corner.  Re-solving from a
     solved field writes the same field and reduced section, byte for byte,
-    because the blend restarts the same descent."""
+    because the blend restarts the same solve."""
     for n in (2, 3, 4):
         first, again = tmp_path / f"first{n}", tmp_path / f"again{n}"
         window = ("--n", n, "--width", 5, "--height", 4, "--scale", 0.3)
@@ -347,3 +348,30 @@ def test_solve_with_boundary_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("groupvar: ") and "records missing" in err
     assert "Traceback" not in err
+
+
+def test_group_size_mismatch_exits_two(tmp_path, capsys):
+    """A boundary file at another n than --n (default 3) is a usage error,
+    for solve and for the solving verify suites, and so is a reconstruct
+    seed file at another n than the section; each message names both
+    sizes, and nothing is solved in the file's group."""
+    window = ("--width", 4, "--height", 4)
+    so4 = tmp_path / "so4"
+    assert run("solve", "--n", 4, *window, "--out", so4) == 0
+    field = so4 / "unreduced_field.txt"
+    capsys.readouterr()
+    for argv in (("solve", *window, "--boundary", field),
+                 ("verify", "multipliers", *window, "--boundary", field)):
+        out = tmp_path / argv[0]
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "groupvar: boundary file holds SO(4) values, --n is SO(3)\n"
+        assert not (out / "solve_report.txt").exists()
+
+    so3 = tmp_path / "so3"
+    assert run("solve", *window, "--out", so3) == 0
+    capsys.readouterr()
+    assert run("reconstruct", "--section", so3 / "reduced_section.txt",
+               "--seed-file", field, "--out", tmp_path / "rebuilt") == 2
+    err = capsys.readouterr().err
+    assert err == "groupvar: seed file holds SO(4) values, the section is SO(3)\n"

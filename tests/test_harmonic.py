@@ -124,15 +124,25 @@ def test_solver_reaches_tolerance(solved66):
     assert report.max_constraint_residual <= 1e-12
 
 
+def _energy_never_rises(history):
+    """The trust-region invariant: an accepted step raises the energy by
+    less than the round-off offset 1e3 eps max(1, |E|) of its test."""
+    objectives = [h["objective"] for h in history]
+    return all(b <= a + 1e3 * np.finfo(float).eps * max(1.0, abs(a))
+               for a, b in zip(objectives, objectives[1:]))
+
+
 def test_solver_descent_phase_monotone(solved66):
-    objectives = [h["objective"] for h in solved66["report"].history
-                  if h["phase"] == "descent"]
-    assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+    history = solved66["report"].history
+    assert history[0]["phase"] == "start"
+    assert all(h["phase"] == "newton" for h in history[1:])
+    assert _energy_never_rises(history)
 
 
 def test_solver_newton_phase_gradient_monotone(solved66):
-    grads = [h["max_gradient"] for h in solved66["report"].history
-             if h["phase"] == "newton"]
+    """Not enforced by the trust region; on this smooth boundary every step
+    is a full Newton step, so the gradient falls at every one."""
+    grads = [h["max_gradient"] for h in solved66["report"].history]
     assert all(b < a for a, b in zip(grads, grads[1:]))
 
 
@@ -155,6 +165,18 @@ def test_solver_left_invariance():
     y2 = red.reduce_field(grid, f2)
     worst = np.linalg.norm(y1.values - y2.values, axis=(-2, -1)).max()
     assert worst <= 1e-10
+
+
+def test_solver_gives_up_below_round_off():
+    """A target below round-off ends in ConvergenceError once a step with a
+    round-off model decrease no longer lowers the gradient, long before the
+    budget runs out."""
+    grid = triangulated_grid(8, 8)
+    boundary = hm.random_boundary(grid, N, seed=6, scale=0.1)
+    with pytest.raises(ConvergenceError) as err:
+        hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary, g_tol=1e-300))
+    history = err.value.history
+    assert len(history) < 20 and history[-1]["max_gradient"] <= 1e-14
 
 
 def test_solver_runs_out_of_budget():
@@ -434,9 +456,9 @@ def _dense_fd_jacobian(g):
         center = block[vertex].copy()
         for step in steps:
             block[vertex] = center @ step
-            plus = hm._residual(g)[0]
+            plus = hm._residual(g)[0].ravel()
             block[vertex] = center @ step.T
-            jac[:, col] = (plus - hm._residual(g)[0]) / (2.0 * h)
+            jac[:, col] = (plus - hm._residual(g)[0].ravel()) / (2.0 * h)
             col += 1
         block[vertex] = center
     return jac
@@ -458,14 +480,10 @@ def _row_to_dense(jacobian):
     return dense.reshape(rows * cols * d, -1)
 
 
-def _band_layout(dense, bandwidth):
-    """LAPACK band storage of a dense matrix, as ``solve_banded`` reads it."""
-    size = len(dense)
-    ab = np.zeros((2 * bandwidth + 1, size))
-    for r in range(size):
-        for c in range(max(0, r - bandwidth), min(size, r + bandwidth + 1)):
-            ab[bandwidth + r - c, c] = dense[r, c]
-    return ab
+def _dense_hessian(g):
+    """sym(J) of the dense row Jacobian at g."""
+    dense = _row_to_dense(hm._row_jacobian(g))
+    return (dense + dense.T) / 2.0
 
 
 JACOBIAN_WINDOWS = [
@@ -484,8 +502,7 @@ JACOBIAN_WINDOWS = [
 
 def _check_band_jacobian(width, height, n, scale, seed):
     """The closed-form row Jacobian agrees with the dense FD Jacobian to
-    1e-8, and its row elimination agrees with least squares on its dense
-    form to 1e-12 and with a banded LU of it to 1e-12 relative."""
+    1e-8 and leaves its input alone."""
     grid = triangulated_grid(width, height)
     rng = np.random.default_rng(seed)
     g = _array(grid, sampling.random_unreduced_field(grid, n, rng, scale))
@@ -494,17 +511,8 @@ def _check_band_jacobian(width, height, n, scale, seed):
     assert np.array_equal(g, before)
     d = n * (n - 1) // 2
     assert all(b.shape == (height - 1, width - 1, d, d) for b in jacobian)
-    f0 = hm._residual(g)[0]
     dense = _row_to_dense(jacobian)
     assert np.max(np.abs(dense - _dense_fd_jacobian(g))) <= 1e-8
-
-    rows = hm._solve_rows(jacobian, -f0)
-    oracle, *_ = np.linalg.lstsq(dense, -f0, rcond=None)
-    assert np.linalg.norm(rows - oracle) <= 1e-12 * np.linalg.norm(oracle)
-    bandwidth = width * d - 1
-    band = scipy.linalg.solve_banded((bandwidth, bandwidth),
-                                     _band_layout(dense, bandwidth), -f0)
-    assert np.linalg.norm(rows - band) <= 1e-12 * np.linalg.norm(band)
 
 
 @pytest.mark.parametrize("width,height,n,scale", JACOBIAN_WINDOWS)
@@ -519,43 +527,120 @@ def test_band_jacobian_property(n, width, height, scale, seed):
     _check_band_jacobian(width, height, n, scale, seed)
 
 
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.integers(2, 5), st.integers(2, 6), st.integers(2, 6),
+       st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+def test_hessian_product_property(n, width, height, scale, seed):
+    """H v is sym(J) v for the dense row Jacobian J, to 1e-12, and v . H v
+    is half the second derivative of the energy along g exp(t v), to the
+    accuracy of a central second difference."""
+    grid = triangulated_grid(width, height)
+    rng = np.random.default_rng(seed)
+    g = _array(grid, sampling.random_unreduced_field(grid, n, rng, scale))
+    v = rng.standard_normal(hm._residual(g)[0].shape)
+    hv = hm._hessian_product(hm._hessian(g), v)
+    oracle = _dense_hessian(g) @ v.ravel()
+    assert hv.shape == v.shape
+    assert np.max(np.abs(hv.ravel() - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
+    t = 1e-4
+    xi = lg.coords_to_skew(v, n)
+    energies = [hm.dirichlet_energy(hm._retract(g, s * xi)) for s in (-t, 0.0, t)]
+    second = (energies[0] - 2.0 * energies[1] + energies[2]) / t**2
+    curvature = 2.0 * np.vdot(v, hv)
+    assert abs(second - curvature) <= 1e-5 * (1.0 + abs(curvature) + energies[1])
+
+
+def _grid_laplacian(rows, cols, d):
+    """The 5-point Dirichlet Laplacian on a rows x cols interior, one copy
+    per coordinate, unknowns vertex-major as in ``hm._residual``."""
+    def second_difference(m):
+        return 2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    grid = np.kron(second_difference(rows), np.eye(cols)) \
+        + np.kron(np.eye(rows), second_difference(cols))
+    return np.kron(grid, np.eye(d))
+
+
+@pytest.mark.parametrize("rows,cols,n", [(1, 1, 2), (1, 7, 3), (6, 1, 3),
+                                         (5, 8, 3), (9, 4, 4), (4, 6, 5)])
+def test_laplacian_solver_inverts_the_dense_laplacian(rows, cols, n):
+    """The sine-matrix solve is the inverse of the 5-point Laplacian, which
+    is the Hessian H at a constant field."""
+    d = n * (n - 1) // 2
+    laplacian = _grid_laplacian(rows, cols, d)
+    constant = np.tile(lg.exp(lg.random_skew(n, np.random.default_rng(n))),
+                       (rows + 2, cols + 2, 1, 1))
+    assert np.max(np.abs(_dense_hessian(constant) - laplacian)) <= 1e-14
+    r = np.random.default_rng(rows + 10 * cols).standard_normal((rows, cols, d))
+    z = hm._laplacian_solver(rows, cols)(r)
+    oracle = np.linalg.solve(laplacian, r.ravel())
+    assert np.max(np.abs(z.ravel() - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def test_truncated_cg_is_the_newton_step_inside_the_region(solved66):
+    """With an inactive radius and a small gradient the truncated CG step is
+    the Newton step H p = -f, to the forcing term |r| <= |f|^2; with a small
+    radius it ends on the boundary of the Laplacian norm.  The model value
+    is f . p + p . H p / 2 both ways."""
+    g = _array(solved66["grid"], solved66["field"])
+    hessian = hm._hessian(g)
+    dense = _dense_hessian(g)
+    rows, cols, d = g.shape[0] - 2, g.shape[1] - 2, 3
+    precondition = hm._laplacian_solver(rows, cols)
+    f = np.random.default_rng(3).standard_normal((rows, cols, d))
+    f *= 1e-8 / np.linalg.norm(f)
+    newton = np.linalg.solve(dense, -f.ravel())
+    for radius, boundary in ((1e6, False), (1e-9, True)):
+        p, model, at_boundary, products = hm._truncated_cg(
+            hessian, precondition, f, radius)
+        assert at_boundary is boundary and 1 <= products <= f.size
+        p = p.ravel()
+        assert model == pytest.approx(f.ravel() @ p + p @ dense @ p / 2.0,
+                                      rel=1e-12)
+        if boundary:
+            length = np.sqrt(p @ _grid_laplacian(rows, cols, d) @ p)
+            assert length == pytest.approx(radius, rel=1e-12)
+        else:
+            assert np.linalg.norm(p - newton) <= 1e-7 * np.linalg.norm(newton)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_newton_residual_evaluations_per_step_do_not_grow(n):
-    """Newton costs one gradient evaluation per step plus its rejected
-    trials, at 8x8 and at 16x16 alike: the closed-form Jacobian costs none."""
-    per_step = []
+    """One gradient evaluation per accepted step and one at the start, at
+    8x8 and at 16x16 alike: rejected steps and the Hessian cost none, and
+    the steps and Hessian products do not grow with the window."""
+    spent = []
     for width in (8, 16):
         grid = triangulated_grid(width, width)
         boundary = hm.random_boundary(grid, n, seed=21, scale=0.1)
         _, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
-        assert report.converged and report.newton_steps >= 1
-        assert report.iterations == report.descent_iterations + report.newton_steps
-        # one evaluation at the start and one per accepted descent iterate;
-        # the polish re-evaluates its starting point once
-        newton = report.residual_evaluations - (report.descent_iterations + 1) - 1
-        per_step.append(newton / report.newton_steps)
-        assert per_step[-1] <= 8 + 1
-    assert per_step[0] == per_step[1] == 1
+        assert report.converged and report.iterations >= 1
+        accepted = report.iterations - report.backtracks
+        assert report.residual_evaluations == accepted + 1 == len(report.history)
+        spent.append((report.iterations, report.hessian_products))
+    assert spent[1][0] <= spent[0][0] + 1
+    assert spent[1][1] <= 2 * spent[0][1]
 
 
 def test_singular_band_factor_ends_the_polish(tmp_path, monkeypatch, capsys):
-    """A zero Jacobian makes the first row solve singular."""
+    """A zeroed row Jacobian, a singular band matrix, leaves only the linear
+    model: the truncated CG meets zero curvature at once and every step runs
+    to the trust-region boundary, so the gradient stalls above g_tol and
+    the loop gives up well within its budget.  The solve ends in
+    ConvergenceError with its history, and the CLI exits 1, with no
+    RuntimeWarning on the way (they are errors here)."""
     def singular(g):
-        calls.append(g)
         return tuple(np.zeros_like(b) for b in row_jacobian(g))
 
-    calls = []
     row_jacobian = hm._row_jacobian
     monkeypatch.setattr(hm, "_row_jacobian", singular)
     grid = triangulated_grid(6, 6)
     boundary = hm.random_boundary(grid, N, seed=22, scale=0.1)
     with pytest.raises(ConvergenceError) as err:
         hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
-    assert len(calls) == 1
-    with pytest.raises(np.linalg.LinAlgError):
-        hm._solve_rows(singular(calls[0]), hm._residual(calls[0])[0])
     history = err.value.history
-    assert history and all(h["phase"] == "descent" for h in history)
+    assert len(history) < 100
+    assert history[0]["phase"] == "start" and len(history) >= 2
+    assert all(h["phase"] == "newton" for h in history[1:])
 
     out = tmp_path / "run"
     assert main(["solve", "--width", "6", "--height", "6", "--seed", "22",
@@ -600,11 +685,15 @@ def test_retract_matches_per_block_expm(n):
         assert np.max(np.abs(out[j + 1, i + 1] - oracle)) <= 1e-13
 
 
-# (n, scale, seed, descent iterations, Newton steps) of 6x6 solves, as
-# counted with the per-block Pade expm retraction; the closed form must stay
-# on the same branch.  The scale-3.0 seeds 168 .. 414, whose recovered
-# multiplier system residual is above 1e-10, were counted with the coloured
-# finite-difference Newton Jacobian; the closed-form one must keep them.
+# (n, scale, seed, descent iterations, Newton steps) of 6x6 solves, as the
+# two-phase solver (Armijo descent to a Newton switch) counted them, and
+# TRUST_REGION below the trust-region solver's steps, rejected steps and
+# final energy on the same boundaries.  The trust region takes fewer steps
+# than the two phases did and keeps their branch, except on seed 414, where
+# it ends on another strict local minimum of the energy: 78.112 against
+# 77.607.  The scale-3.0 seeds 168 .. 414 are the ones whose recovered
+# multiplier system residual was above 1e-10 (see
+# ``test_pool_seeds_recover_to_the_system_tolerance``).
 SAME_BRANCH = [
     (3, 3.0, 152, 1676, 3),
     (3, 3.0, 168, 135, 2), (3, 3.0, 173, 214, 2), (3, 3.0, 318, 219, 2),
@@ -613,154 +702,54 @@ SAME_BRANCH = [
     (4, 1.0, 0, 43, 2), (4, 1.0, 1, 35, 2), (4, 1.0, 2, 43, 2),
     (5, 1.0, 0, 49, 2), (5, 1.0, 1, 46, 2), (5, 1.0, 2, 47, 2),
 ]
+TRUST_REGION = {
+    (3, 3.0, 152): (22, 0, 75.60682153263893),
+    (3, 3.0, 168): (16, 1, 77.9320153318628),
+    (3, 3.0, 173): (12, 0, 87.14657588698391),
+    (3, 3.0, 318): (19, 2, 72.03258024473348),
+    (3, 3.0, 412): (14, 1, 75.82777867302306),
+    (3, 3.0, 414): (17, 2, 78.11151025814067),
+    (2, 1.0, 0): (5, 0, 11.934850238872023),
+    (2, 1.0, 1): (5, 0, 13.372331398186036),
+    (2, 1.0, 2): (5, 0, 11.701870305034625),
+    (4, 1.0, 0): (7, 0, 67.82406994567334),
+    (4, 1.0, 1): (7, 0, 55.94536606179149),
+    (4, 1.0, 2): (7, 0, 54.90069028589691),
+    (5, 1.0, 0): (8, 0, 90.91367727377866),
+    (5, 1.0, 1): (8, 0, 86.64257492667173),
+    (5, 1.0, 2): (8, 0, 83.47396776953559),
+}
 
 
 @pytest.mark.parametrize("n,scale,seed,descent,newton", SAME_BRANCH)
-def test_retraction_keeps_the_iteration_counts(monkeypatch, n, scale, seed,
-                                               descent, newton):
-    """Also the paired Armijo trials against the sequential loop: the same
-    field bytes, history and counters."""
+def test_retraction_keeps_the_iteration_counts(n, scale, seed, descent, newton):
     grid = triangulated_grid(6, 6)
     config = hm.SolverConfig(boundary=hm.random_boundary(grid, n, seed, scale))
     field, report = hm.solve_unreduced(grid, config)
     assert report.converged
-    assert (report.descent_iterations, report.newton_steps) == (descent, newton)
+    iterations, backtracks, energy = TRUST_REGION[n, scale, seed]
+    assert (report.iterations, report.backtracks) == (iterations, backtracks)
+    assert report.iterations < descent + newton
+    assert report.final_energy == pytest.approx(energy, rel=1e-9)
+    assert _energy_never_rises(report.history)
     g = _array(grid, field)[1:-1, 1:-1]
     defect = np.linalg.norm(g.swapaxes(-1, -2) @ g - np.eye(n), axis=(-2, -1))
     assert defect.max() <= 1e-13
 
-    monkeypatch.setattr(hm, "_descend", _sequential_descent)
-    want_field, want = hm.solve_unreduced(grid, config)
-    assert field.values.tobytes() == want_field.values.tobytes()
-    assert repr(report.history) == repr(want.history)
-    counters = ("descent_iterations", "newton_steps", "backtracks",
-                "residual_evaluations", "final_energy")
-    assert [getattr(report, c) for c in counters] \
-        == [getattr(want, c) for c in counters]
 
-
-def _sequential_descent(g, g_tol, max_iterations):
-    """The Armijo loop that tries one step at a time, which the paired
-    trials of ``harmonic._descend`` replaced; same returns."""
-    energy = hm.dirichlet_energy(g)
-    step = hm._STEP_INIT
-    iteration = backtracks = 0
-    grads, norms = hm._interior_gradients(g)
-    evaluations = 1
-    worst = lg.max_norm(norms)
-    history = [hm._record(0, "descent", g, energy, worst, 0.0)]
-    while iteration < max_iterations:
-        if worst <= g_tol or worst <= hm._NEWTON_SWITCH:
-            break
-        iteration += 1
-        slope = np.cumsum(norms.ravel() ** 2)[-1]
-        for _ in range(hm._MAX_BACKTRACKS):
-            trial = hm._retract(g, -step * grads)
-            trial_energy = hm.dirichlet_energy(trial)
-            if trial_energy <= energy - hm._ARMIJO_C1 * step * slope:
-                break
-            backtracks += 1
-            step *= hm._STEP_SHRINK
-        else:
-            break
-        g, energy = trial, trial_energy
-        grads, norms = hm._interior_gradients(g)
-        evaluations += 1
-        worst = lg.max_norm(norms)
-        history.append(hm._record(iteration, "descent", g, energy, worst, step))
-        step = min(hm._STEP_INIT, step * hm._STEP_GROW)
-    return g, energy, worst, history, iteration, backtracks, evaluations
-
-
-def _descent_start(grid, n, seed, scale):
-    """The field ``solve_unreduced`` descends from: random boundary, whose
-    far corner repeats its south neighbour, and blended interior."""
-    boundary = hm.random_boundary(grid, n, seed, scale).values
-    g = boundary.reshape(grid.height + 1, grid.width + 1, n, n).copy()
-    g[1:-1, 1:-1] = hm._blend_initializer(g)
-    return g
-
-
-def _assert_same_descent(g, g_tol, max_iterations):
-    """Paired trials and the sequential loop: the same iterate bytes, and the
-    same energy, gradient level, history, iterations, rejections and
-    gradient evaluations, compared by repr so types count too."""
-    got = hm._descend(g.copy(), g_tol, max_iterations)
-    want = _sequential_descent(g.copy(), g_tol, max_iterations)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert repr(got[1:]) == repr(want[1:])
-    return got
-
-
-def _rejections(history):
-    """Rejected trials per descent iteration, read off the accepted steps."""
-    counts, tried = [], hm._STEP_INIT
-    for row in history[1:]:
-        counts.append(round(np.log2(tried / row["step"])))
-        tried = min(hm._STEP_INIT, hm._STEP_GROW * row["step"])
-    return counts
-
-
-@pytest.mark.parametrize("step_init", [8.0, 64.0])
-def test_paired_trials_past_the_first_pair(monkeypatch, step_init):
-    """No descent of the 640 rough-pool boundaries rejects more than two
-    trials in one iteration, so a larger first step forces the early
-    scale-3.0 iterate to: 4 rejections accept the first step of the third
-    pair, 7 the second step of the fourth."""
-    monkeypatch.setattr(hm, "_STEP_INIT", step_init)
-    g = _descent_start(triangulated_grid(6, 6), 3, 152, 3.0)
-    _, _, _, history, _, backtracks, _ = _assert_same_descent(g, 1e-10, 8)
-    counts = _rejections(history)
-    assert counts[0] == int(np.log2(step_init)) + 1 and sum(counts) == backtracks
-
-
-def _failed_solve_histories(monkeypatch, grid, config):
-    """Histories of one failed solve with paired and with sequential trials."""
-    histories = []
-    for descend in (hm._descend, _sequential_descent):
-        monkeypatch.setattr(hm, "_descend", descend)
-        with pytest.raises(ConvergenceError) as err:
-            hm.solve_unreduced(grid, config)
-        histories.append(repr(err.value.history))
-    return histories
-
-
-def test_paired_trials_exhaust_like_the_sequential_loop(monkeypatch):
-    """60 rejected trials end the descent.  With finite data they never do:
-    the test accepts an unchanged energy, and a small enough step retracts
-    to the iterate itself (a run with no Newton switch and g_tol = 0 made
-    20 000 iterations without one).  A NaN block makes every trial fail; a
-    warm start cannot carry one (the configuration rejects it), so the
-    solve gets it from the blend."""
+@pytest.mark.parametrize("seed", [168, 173, 318, 412, 414])
+def test_pool_seeds_recover_to_the_system_tolerance(seed):
+    """The step after the gradient first meets g_tol carries it to
+    round-off, so the multipliers recovered on these rough-pool boundaries
+    solve their system to the benchmark's 1e-10 (their gradient stopped
+    between 5e-11 and 1e-10 before, and recovery about doubled that)."""
     grid = triangulated_grid(6, 6)
-    g = _descent_start(grid, 3, 152, 3.0)
-    g[2, 3] = np.nan
-    _, _, _, history, iteration, backtracks, _ = _assert_same_descent(g, 1e-10, 8)
-    assert (iteration, backtracks, len(history)) == (1, hm._MAX_BACKTRACKS, 1)
-    monkeypatch.setattr(hm, "_blend_initializer", lambda _: g[1:-1, 1:-1])
-    config = hm.SolverConfig(boundary=hm.random_boundary(grid, 3, 152, 3.0))
-    paired, sequential = _failed_solve_histories(monkeypatch, grid, config)
-    assert paired == sequential
-
-
-def test_paired_trials_spend_the_budget_like_the_sequential_loop(monkeypatch):
-    grid = triangulated_grid(6, 6)
-    g = _descent_start(grid, 3, 152, 3.0)
-    *_, iteration, _, _ = _assert_same_descent(g, 1e-10, 5)
-    assert iteration == 5
-    config = hm.SolverConfig(boundary=hm.random_boundary(grid, 3, 152, 3.0),
-                             max_iterations=5)
-    paired, sequential = _failed_solve_histories(monkeypatch, grid, config)
-    assert paired == sequential
-
-
-@pytest.mark.parametrize("width,height", [(1, 4), (5, 1)])
-def test_paired_trials_without_interior(width, height):
-    g = _descent_start(triangulated_grid(width, height), 3, 4, 3.0)
-    _, _, worst, history, iteration, backtracks, evaluations = \
-        _assert_same_descent(g, 1e-10, 8)
-    assert (worst, len(history), iteration, backtracks, evaluations) \
-        == (0.0, 1, 0, 0, 1)
+    config = hm.SolverConfig(boundary=hm.random_boundary(grid, N, seed, 3.0))
+    _, report = hm.solve_unreduced(grid, config)
+    assert report.max_gradient <= 1e-14
+    _, recovery = red.recover_multipliers(hm.TraceLagrangian(N), grid,
+                                          report.section, np.zeros((N, N)))
+    assert recovery.max_system_residual <= 1e-10
 
 
 def _blend_oracle(g):

@@ -1,7 +1,7 @@
 """The package runs on numpy alone.
 
 A fresh interpreter imports the CLI and runs a solve (on a rough boundary,
-so the Newton polish runs), multiplier recovery, reconstruction and two
+so the trust-region Newton steps run), multiplier recovery, reconstruction and two
 verify suites in-process; afterwards no ``scipy`` module may be loaded (a
 None entry in ``sys.modules``, which blocks an import, loads nothing).  This
 module imports nothing but the standard library and pytest, so it also
@@ -48,6 +48,6 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"codes": [0] * 5, "scipy": []}
     report = (tmp_path / "solve" / "solve_report.txt").read_text()
-    newton = [line for line in report.splitlines()
-              if line.startswith("newton_steps=")]
-    assert newton and int(newton[0].partition("=")[2]) >= 1
+    products = [line for line in report.splitlines()
+                if line.startswith("hessian_products=")]
+    assert products and int(products[0].partition("=")[2]) >= 1

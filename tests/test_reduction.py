@@ -370,10 +370,14 @@ def test_system_residual_bounds_ep_residual():
 
     grid = triangulated_grid(5, 5)
     boundary = hm.random_boundary(grid, N, seed=21, scale=0.1)
-    config = hm.SolverConfig(boundary=boundary, g_tol=2e-6)
-    field, _ = hm.solve_unreduced(grid, config)
+    field, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    # move the solved interior off the critical point by about 1e-6
+    rng = np.random.default_rng(21)
+    values = field.values.reshape(6, 6, N, N).copy()
+    values[1:-1, 1:-1] = values[1:-1, 1:-1] @ lg.exp_skew(
+        lg.random_skew(N, rng, 1e-6, (4, 4)))
     lagrangian = TraceLagrangian(N)
-    y = red.reduce_field(grid, field)
+    y = red.reduce_field(grid, red.UnreducedField(values.reshape(-1, N, N)))
     zero = np.zeros((N, N))
     lam, _ = red.recover_multipliers(lagrangian, grid, y, zero,
                                      ep_tol=1e-4, cons_tol=1e-4)
