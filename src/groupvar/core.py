@@ -60,6 +60,7 @@ __all__ = [
     "extended_residual",
     "el_residual_vector",
     "variational_split",
+    "variational_splits",
     "noether_boundary_sum",
     "jacobi_residual",
     "multisymplectic_defect",
@@ -134,11 +135,17 @@ class Multiplier:
     def at(self, faces) -> np.ndarray:
         """Values on a face id or an int array of them; ValueError for a face
         outside the array."""
-        faces = np.asarray(faces, dtype=int)
-        missing = faces[(faces < 0) | (faces >= len(self.values))]
-        if missing.size:
-            raise ValueError(f"multiplier missing on face {missing.flat[0]}")
-        return self.values[faces]
+        return _face_values(self.values, faces)
+
+
+def _face_values(values: np.ndarray, faces) -> np.ndarray:
+    """Multiplier values (..., F, n, n) on a face id or an int array of them,
+    shaped ... + faces.shape + (n, n); ValueError for a face outside 0..F-1."""
+    faces = np.asarray(faces, dtype=int)
+    missing = faces[(faces < 0) | (faces >= values.shape[-3])]
+    if missing.size:
+        raise ValueError(f"multiplier missing on face {missing.flat[0]}")
+    return values[..., faces, :, :]
 
 
 _FD_BLOCK = 256  # jets per value call in the finite-difference defaults
@@ -148,15 +155,21 @@ def jet_at(y: Section, complex: CellComplex, faces) -> np.ndarray:
     """Jets of y over a face id or an int array of them: the gather
     ``y.values[adherence_array[faces]]``, of shape faces.shape + (k, c, n, n),
     slots in adherence order; ValueError for a face id outside 0..F-1."""
+    return _jets(y.values, complex, faces)
+
+
+def _jets(values: np.ndarray, complex: CellComplex, faces) -> np.ndarray:
+    """:func:`jet_at` on section values (..., V, c, n, n) with any leading
+    instance axes, shaped ... + faces.shape + (k, c, n, n)."""
     faces = np.asarray(faces, dtype=int)
     outside = faces[(faces < 0) | (faces >= len(complex.faces))]
     if outside.size:
         raise ValueError(f"face {outside.flat[0]} is not a face of the complex")
     vertices = complex.adherence_array[faces]
-    if vertices.size and vertices.max() >= len(y.values):
+    if vertices.size and vertices.max() >= values.shape[-4]:
         raise ValueError(f"section undefined at vertex {vertices.max()}, "
                          f"adherent to a requested face")
-    return y.values[vertices]
+    return values[..., vertices, :, :, :]
 
 
 def _fd_differences(value, complex: CellComplex, jets: np.ndarray, slot: int,
@@ -280,9 +293,12 @@ def _per_slot(method, complex: CellComplex, jets: np.ndarray) -> np.ndarray:
                     axis=1)
 
 
-def _sequential_sum(terms: np.ndarray) -> float:
-    """Sum in the given order, one term at a time; 0.0 when empty."""
-    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+def _sequential_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums along the last axis in the given order, one term at a time; 0.0
+    where that axis is empty."""
+    if not terms.shape[-1]:
+        return np.zeros(terms.shape[:-1])
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +309,7 @@ def action(lagrangian: LagrangianDensity, y: Section, faceset: FaceSet) -> float
     """Sum of the face Lagrangians over the face set, in face-id order."""
     complex = faceset.complex
     jets = jet_at(y, complex, faceset.face_ids)
-    return _sequential_sum(lagrangian.value(complex, jets))
+    return float(_sequential_sums(lagrangian.value(complex, jets)))
 
 
 def constraint_values(constraint: ConstraintMap, y: Section,
@@ -457,13 +473,11 @@ def _vertex_sums(covectors: np.ndarray, vertices: np.ndarray,
 
 
 def _face_forms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                y: Section, complex: CellComplex, faces: np.ndarray):
-    """For faces in id order: their adherent vertices (F', k), and the
-    Lagrangian differential theta (F', k, c, n, n) and Cartan form A
-    (F', k, d, c d) of every (face, slot) pair, each evaluated once."""
-    jets = jet_at(y, complex, faces)
-    return (complex.adherence_array[faces],
-            _per_slot(lagrangian.vertex_differential, complex, jets),
+                complex: CellComplex, jets: np.ndarray):
+    """The Lagrangian differential theta (P, k, c, n, n) and Cartan form A
+    (P, k, d, c d) of every (jet, slot) pair of a (P, k, c, n, n) jet stack,
+    each evaluated once."""
+    return (_per_slot(lagrangian.vertex_differential, complex, jets),
             _per_slot(constraint.cartan_form, complex, jets))
 
 
@@ -472,8 +486,10 @@ def _extended_covectors(lagrangian: LagrangianDensity, constraint: ConstraintMap
                         faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Adherent vertices (F', k) of the faces and the extended Cartan form
     theta + A^T lam of every (face, slot) pair, (F', k, c, n, n)."""
-    vertices, theta, forms = _face_forms(lagrangian, constraint, y, complex, faces)
-    return vertices, theta + form_transpose(forms, lam.at(faces)[:, None])
+    theta, forms = _face_forms(lagrangian, constraint, complex,
+                               jet_at(y, complex, faces))
+    return (complex.adherence_array[faces],
+            theta + form_transpose(forms, lam.at(faces)[:, None]))
 
 
 def euler_lagrange_form(lagrangian: LagrangianDensity, y: Section,
@@ -542,29 +558,42 @@ def el_residual_vector(lagrangian: LagrangianDensity, constraint: ConstraintMap,
 
 
 def _pair_terms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                y: Section, lam: Multiplier, dy: Variation, faceset: FaceSet):
-    """The extended Cartan form of every (vertex, face) pair applied to dy,
-    each evaluated once.
+                ys: np.ndarray, lams: np.ndarray, dys: np.ndarray,
+                faceset: FaceSet):
+    """The extended Cartan form of every (vertex, face) pair applied to the
+    variation, each evaluated once, for a stack of B instances: sections ys
+    (B, V, c, n, n), multipliers lams (B, F, n, n) and variations dys
+    (B, V, c, n, n).
 
-    Returns, indexed [face, slot] with the faces in id order: the adherent
-    vertices (F', k), the Lagrangian terms <theta, xi> (F', k), the
-    constraint terms A xi (F', k, n, n), and the pair terms
-    <theta, xi> + <lam, A xi> (F', k) that every sum below adds up.
+    Returns, with the faces in id order: the adherent vertices (F', k), and,
+    indexed [instance, face, slot], the Lagrangian terms <theta, xi>
+    (B, F', k), the constraint terms A xi (B, F', k, n, n) and the pair terms
+    <theta, xi> + <lam, A xi> (B, F', k) that every sum below adds up.  The
+    density and the constraint see all B F' jets in one call per slot.
     """
-    faces = faceset.face_ids
-    vertices, theta, forms = _face_forms(lagrangian, constraint, y,
-                                         faceset.complex, faces)
-    xi = dy.values[vertices]
-    dl = apply_differential(theta, xi)
-    dphi = form_apply(forms, xi)
-    return vertices, dl, dphi, dl + block_dot(lam.at(faces)[:, None], dphi)
+    complex, faces = faceset.complex, faceset.face_ids
+    vertices = complex.adherence_array[faces]
+    jets = _jets(ys, complex, faces)
+    theta, forms = _face_forms(lagrangian, constraint, complex,
+                               jets.reshape((-1,) + jets.shape[2:]))
+    xi = dys[:, vertices]
+    dl = apply_differential(theta.reshape(xi.shape), xi)
+    dphi = form_apply(forms.reshape(xi.shape[:3] + forms.shape[2:]), xi)
+    lam = _face_values(lams, faces)[:, :, None]
+    return vertices, dl, dphi, dl + block_dot(lam, dphi)
 
 
-def _vertex_major_sum(vertices: np.ndarray, terms: np.ndarray, *groups) -> float:
-    """The pair terms of the vertex groups, one group after another, each
-    vertex-major (see :func:`_vertex_major`), summed in that order."""
+def _instance(y: Section, lam: Multiplier, dy: Variation):
+    """One instance as a stack of one, the arguments of :func:`_pair_terms`."""
+    return y.values[None], lam.values[None], dy.values[None]
+
+
+def _vertex_major_sums(vertices: np.ndarray, terms: np.ndarray, *groups) -> np.ndarray:
+    """Per instance, the pair terms (B, F', k) of the vertex groups, one
+    group after another, each vertex-major (see :func:`_vertex_major`),
+    summed in that order: (B,)."""
     order = np.concatenate([_vertex_major(vertices, g) for g in groups])
-    return _sequential_sum(terms.ravel()[order])
+    return _sequential_sums(terms.reshape(len(terms), -1)[:, order])
 
 
 def _paired_sum(lagrangian: LagrangianDensity, constraint: ConstraintMap,
@@ -572,27 +601,43 @@ def _paired_sum(lagrangian: LagrangianDensity, constraint: ConstraintMap,
                 chosen) -> float:
     """Extended Cartan forms applied to dy, summed over the (vertex, face)
     pairs of the chosen vertices, vertex-major."""
-    vertices, _, _, terms = _pair_terms(lagrangian, constraint, y, lam, dy, faceset)
-    return _vertex_major_sum(vertices, terms, chosen)
+    vertices, _, _, terms = _pair_terms(lagrangian, constraint,
+                                        *_instance(y, lam, dy), faceset)
+    return float(_vertex_major_sums(vertices, terms, chosen)[0])
+
+
+def variational_splits(lagrangian: LagrangianDensity, constraint: ConstraintMap,
+                       ys: np.ndarray, lams: np.ndarray, dys: np.ndarray,
+                       faceset: FaceSet) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the variation formula for a stack of B instances.
+
+    ``ys`` holds B section value arrays (B, V, c, n, n), ``lams`` B
+    multiplier value arrays (B, F, n, n) and ``dys`` B variation value arrays
+    (B, V, c, n, n).  Left: the face-by-face sum of the Lagrangian
+    differential plus the multiplier-paired constraint differential, each in
+    per-vertex form sum.  Right: the same terms regrouped per vertex,
+    interior Euler-Lagrange part plus frontier boundary part.  Both sides add
+    up one array of pair terms per instance, face-major on the left and
+    interior-then-frontier vertex-major on the right.  The identity is a
+    finite resummation, so the two must agree to round-off for arbitrary
+    inputs.  Returns the (B,) left and right sides; instance b gets the
+    values :func:`variational_split` gives it on its own, bit for bit.
+    """
+    klass = classify_vertices(faceset.complex, faceset)
+    vertices, _, _, terms = _pair_terms(lagrangian, constraint, ys, lams, dys,
+                                        faceset)
+    return (_sequential_sums(terms.reshape(len(terms), -1)),
+            _vertex_major_sums(vertices, terms, klass.interior, klass.frontier))
 
 
 def variational_split(lagrangian: LagrangianDensity, constraint: ConstraintMap,
                       y: Section, lam: Multiplier, dy: Variation,
                       faceset: FaceSet) -> tuple[float, float]:
-    """Both sides of the variation formula.
-
-    Left: the face-by-face sum of the Lagrangian differential plus the
-    multiplier-paired constraint differential, each in per-vertex form sum.
-    Right: the same terms regrouped per vertex, interior Euler-Lagrange part
-    plus frontier boundary part.  Both sides add up one array of pair terms,
-    face-major on the left and interior-then-frontier vertex-major on the
-    right.  The identity is a finite resummation, so the two must agree to
-    round-off for arbitrary inputs.
-    """
-    klass = classify_vertices(faceset.complex, faceset)
-    vertices, _, _, terms = _pair_terms(lagrangian, constraint, y, lam, dy, faceset)
-    return (_sequential_sum(terms.ravel()),
-            _vertex_major_sum(vertices, terms, klass.interior, klass.frontier))
+    """Both sides of the variation formula for one instance, see
+    :func:`variational_splits`."""
+    lhs, rhs = variational_splits(lagrangian, constraint, *_instance(y, lam, dy),
+                                  faceset)
+    return float(lhs[0]), float(rhs[0])
 
 
 @dataclass(frozen=True)
@@ -623,10 +668,11 @@ def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMa
     instead of raising.
     """
     frontier = classify_vertices(faceset.complex, faceset).frontier
-    vertices, dl, dphi, terms = _pair_terms(lagrangian, constraint, y, lam, d, faceset)
-    lag_defect = max_norm(np.abs(dl.sum(axis=1)))
-    con_defect = max_norm(block_norms(dphi.sum(axis=1)))
-    total = _vertex_major_sum(vertices, terms, frontier)
+    vertices, dl, dphi, terms = _pair_terms(lagrangian, constraint,
+                                            *_instance(y, lam, d), faceset)
+    lag_defect = max_norm(np.abs(dl[0].sum(axis=1)))
+    con_defect = max_norm(block_norms(dphi[0].sum(axis=1)))
+    total = float(_vertex_major_sums(vertices, terms, frontier)[0])
     ok = lag_defect <= symmetry_tol and con_defect <= symmetry_tol
     return NoetherReport(total, lag_defect, con_defect, ok, symmetry_tol)
 

@@ -314,8 +314,10 @@ def _laplacian_solver(rows: int, cols: int):
     eigenvalues = l_r[:, None] + l_c
 
     def solve(r: np.ndarray) -> np.ndarray:
-        x = np.moveaxis(r, -1, 0)
-        return np.moveaxis(q_r @ ((q_r @ x @ q_c) / eigenvalues) @ q_c, 0, -1)
+        """r and the result are (rows, cols, d); each coordinate is solved
+        as a (rows, cols) matrix."""
+        x = r.transpose(2, 0, 1)
+        return (q_r @ ((q_r @ x @ q_c) / eigenvalues) @ q_c).transpose(1, 2, 0)
     return solve
 
 

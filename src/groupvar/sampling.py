@@ -42,8 +42,10 @@ def random_unreduced_field(grid: TriangulatedGrid, n: int,
 
 def random_section(grid: TriangulatedGrid, n: int, rng: np.random.Generator,
                    scale: float = 0.5) -> Section:
-    """A generic pair-field section; not flat except by accident."""
-    xi = _pair_draws(grid, n, rng, scale)
+    """A generic pair-field section, not flat except by accident: the
+    exponential of ``random_variation(grid, n, rng, scale)``, so stacked
+    callers can draw the logs and exponentiate many at once."""
+    xi = random_variation(grid, n, rng, scale).values
     return Section(reduced_fiber(n), exp_skew(xi))
 
 

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from groupvar import sampling, serialization as ser
+from groupvar import cli, core, sampling, serialization as ser
 from groupvar.cli import main
 from groupvar.complexes import classify_vertices, triangulated_grid
 from groupvar.core import Section
-from groupvar.liegroup import random_skew
-from groupvar.reduction import reduce_field
+from groupvar.harmonic import TraceLagrangian
+from groupvar.liegroup import block_norms, max_norm, random_skew
+from groupvar.reduction import PlaquetteConstraint, reduce_field
 import scipy.linalg
 
 
@@ -141,18 +142,70 @@ def test_one_parser_serves_every_call(tmp_path):
 
 def test_nan_defect_fails_the_suite(tmp_path, monkeypatch):
     """One NaN split defect among finite ones counts as the worst."""
-    from groupvar import core
-    exact, calls = core.variational_split, []
+    exact = core.variational_splits
 
     def one_nan(*args):
         lhs, rhs = exact(*args)
-        calls.append(lhs)
-        return (float("nan"), rhs) if len(calls) == 3 else (lhs, rhs)
+        return np.where(np.arange(len(lhs)) == 2, np.nan, lhs), rhs
 
-    monkeypatch.setattr(core, "variational_split", one_nan)
+    monkeypatch.setattr(core, "variational_splits", one_nan)
     assert run("verify", "split", "--instances", 5, "--out", tmp_path) == 1
     report = (tmp_path / "verify_split.txt").read_text()
     assert "passed=False" in report and "worst_split_defect=nan" in report
+
+
+def per_instance_split(cfg, rng):
+    """The split suite as it was, one instance per call: the oracle of the
+    blocked suite."""
+    n = cfg["n"]
+    grid = triangulated_grid(3, 3)
+    lagrangian, constraint = TraceLagrangian(n), PlaquetteConstraint(n)
+    faceset = grid.full_faceset()
+    defects = []
+    for _ in range(cfg["instances"]):
+        y = sampling.random_section(grid, n, rng)
+        lam = sampling.random_multiplier(grid, n, rng)
+        dy = sampling.random_variation(grid, n, rng)
+        lhs, rhs = core.variational_split(lagrangian, constraint, y, lam, dy,
+                                          faceset)
+        defects.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
+    worst = max_norm(np.array(defects))
+    return worst <= 1e-12, {"checks": cfg["instances"],
+                            "worst_split_defect": worst, "tolerance": 1e-12}
+
+
+def per_instance_cartan(cfg, rng):
+    """The cartan suite as it was, one whole random section per instance:
+    the oracle of the suite's jet draws."""
+    n = cfg["n"]
+    grid = triangulated_grid(3, 3)
+    constraint = PlaquetteConstraint(n)
+    faces = grid.faces
+    jets = np.array([
+        core.jet_at(sampling.random_section(grid, n, rng), grid, faces[k % len(faces)])
+        for k in range(cfg["instances"])])
+    defects = []
+    for slot in range(3):
+        analytic = constraint.cartan_form(grid, jets, slot)
+        fd = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)
+        defects.append(block_norms(analytic - fd) / (1.0 + block_norms(analytic)))
+    worst = max_norm(*defects)
+    return worst <= 1e-6, {"checks": cfg["instances"] * 3,
+                           "worst_cartan_defect": worst, "tolerance": 1e-6}
+
+
+@pytest.mark.parametrize("instances", [1, 28, 29, 100])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_blocked_suites_match_the_per_instance_loops(n, instances):
+    """Same draws, same worst defect bit for bit, on both sides of the
+    28-instance block edge."""
+    cfg = {"n": n, "instances": instances}
+    for suite, oracle in ((cli._suite_split, per_instance_split),
+                          (cli._suite_cartan, per_instance_cartan)):
+        rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got, want = suite(cfg, rng), oracle(cfg, oracle_rng)
+        assert repr(got) == repr(want)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_loads_of_one_window_share_the_grid(tmp_path):

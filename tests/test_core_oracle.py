@@ -295,6 +295,38 @@ def test_sums_match_per_pair_oracles(n, kind, faces):
 
 
 @pytest.mark.parametrize("n, kind, faces", CASES, ids=IDS)
+def test_stacked_splits_match_each_instance(n, kind, faces):
+    """A stack one instance past a finite-difference block of full-face-set
+    jets: each instance gets the sides that ``variational_split`` gives it
+    on its own, bit for bit, and the per-pair oracle's to round-off."""
+    grid, lagrangian, constraint, *_ = problem(n, kind, 600 + n)
+    fs = FACESETS[faces](grid)
+    rng = np.random.default_rng(610 + n)
+    count = core._FD_BLOCK // len(grid.faces) + 1
+    instances = [(sampling.random_section(grid, n, rng),
+                  sampling.random_multiplier(grid, n, rng),
+                  sampling.random_variation(grid, n, rng)) for _ in range(count)]
+    stacks = [np.array([part.values for part in parts]) for parts in zip(*instances)]
+    lhs, rhs = core.variational_splits(lagrangian, constraint, *stacks, fs)
+    assert lhs.shape == rhs.shape == (count,)
+    for k, (y, lam, dy) in enumerate(instances):
+        args = (lagrangian, constraint, y, lam, dy, fs)
+        assert (lhs[k], rhs[k]) == core.variational_split(*args)
+        if k in (0, count - 1):
+            assert close((lhs[k], rhs[k]), oracle_split(*args))
+
+
+def test_stacked_splits_reject_short_sections_and_multipliers():
+    grid, lagrangian, constraint, y, lam, dy = problem(3, "analytic", 650)
+    fs = grid.full_faceset()
+    ys, lams, dys = y.values[None], lam.values[None], dy.values[None]
+    with pytest.raises(ValueError, match="multiplier missing on face"):
+        core.variational_splits(lagrangian, constraint, ys, lams[:, :-1], dys, fs)
+    with pytest.raises(ValueError, match="section undefined at vertex"):
+        core.variational_splits(lagrangian, constraint, ys[:, :-2], lams, dys, fs)
+
+
+@pytest.mark.parametrize("n, kind, faces", CASES, ids=IDS)
 def test_residuals_match_per_pair_oracles(n, kind, faces):
     grid, lagrangian, constraint, y, lam, _ = problem(n, kind, 200 + n)
     fs = FACESETS[faces](grid)
