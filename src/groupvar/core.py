@@ -596,16 +596,6 @@ def _vertex_major_sums(vertices: np.ndarray, terms: np.ndarray, *groups) -> np.n
     return _sequential_sums(terms.reshape(len(terms), -1)[:, order])
 
 
-def _paired_sum(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                y: Section, lam: Multiplier, dy: Variation, faceset: FaceSet,
-                chosen) -> float:
-    """Extended Cartan forms applied to dy, summed over the (vertex, face)
-    pairs of the chosen vertices, vertex-major."""
-    vertices, _, _, terms = _pair_terms(lagrangian, constraint,
-                                        *_instance(y, lam, dy), faceset)
-    return float(_vertex_major_sums(vertices, terms, chosen)[0])
-
-
 def variational_splits(lagrangian: LagrangianDensity, constraint: ConstraintMap,
                        ys: np.ndarray, lams: np.ndarray, dys: np.ndarray,
                        faceset: FaceSet) -> tuple[np.ndarray, np.ndarray]:
@@ -728,17 +718,18 @@ def multisymplectic_defect(lagrangian: LagrangianDensity, constraint: Constraint
     fields along a critical pair, up to finite-difference error.
     """
     frontier = classify_vertices(faceset.complex, faceset).frontier
-
-    def omega_at(flow_dy, flow_dlam, t, probe_dy):
-        yt = section_exp(y, flow_dy, t)
-        lamt = multiplier_shift(lam, flow_dlam, t)
-        return _paired_sum(lagrangian, constraint, yt, lamt, probe_dy, faceset,
-                           frontier)
-
-    x_of_y = (omega_at(d1, dlam1, step, d2) - omega_at(d1, dlam1, -step, d2)) \
-        / (2.0 * step)
-    y_of_x = (omega_at(d2, dlam2, step, d1) - omega_at(d2, dlam2, -step, d1)) \
-        / (2.0 * step)
-    bracket = _paired_sum(lagrangian, constraint, y, lam,
-                          _commutator_variation(d1, d2), faceset, frontier)
-    return x_of_y - y_of_x - bracket
+    # omega at the four flowed points, probed by the other field, and at
+    # (y, lam), probed by the bracket: five instances of one pass
+    flows = ((d1, dlam1, step, d2), (d1, dlam1, -step, d2),
+             (d2, dlam2, step, d1), (d2, dlam2, -step, d1))
+    instances = [(section_exp(y, flow, t), multiplier_shift(lam, flow_lam, t),
+                  probe) for flow, flow_lam, t, probe in flows]
+    instances.append((y, lam, _commutator_variation(d1, d2)))
+    ys, lams, dys = (np.array([item.values for item in column])
+                     for column in zip(*instances))
+    vertices, _, _, terms = _pair_terms(lagrangian, constraint, ys, lams, dys,
+                                        faceset)
+    omega = _vertex_major_sums(vertices, terms, frontier)
+    x_of_y = (omega[0] - omega[1]) / (2.0 * step)
+    y_of_x = (omega[2] - omega[3]) / (2.0 * step)
+    return float(x_of_y - y_of_x - omega[4])

@@ -16,6 +16,7 @@ Gradient assembly is vertex-parallel within an iteration; scenario runs
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,7 +44,6 @@ from .liegroup import (
     log_near_identity,
     max_norm,
     random_skew,
-    skew_part,
 )
 from .reduction import (
     PlaquetteConstraint,
@@ -242,47 +242,44 @@ def _residual(g: np.ndarray) -> tuple[np.ndarray, float]:
     return lg.skew_to_coords(grads), max_norm(norms)
 
 
-def _row_jacobian(g: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Jacobian of ``_residual`` in closed form, as five stencil block stacks.
-
-    The gradient block at (i, j) is -skew(M) with M = A - B,
-    A = c^T (g_E + g_N), B = (g_W^T + g_S^T) c and c = g_ij.  Moving one
-    stencil member g -> g exp(t X) along a skew basis element X changes M by
-    -X A - B X (centre), c^T g_E X (east), c^T g_N X (north), X g_W^T c
-    (west) or X g_S^T c (south); minus the skew part of that, in coordinates,
-    is one column of the (d x d) block.  Returns the centre, east, west,
-    north and south stacks, each shaped (interior rows, interior columns,
-    d, d) and indexed [j-1, i-1, r, b]: the derivative of residual entry r
-    at (i, j) in the direction b of that stencil member.  Blocks that point
-    at a frontier vertex, which is no unknown, are zero.
-    """
-    basis = lg.skew_basis(g.shape[-1])
-    c = g[1:-1, 1:-1, None]
-    ct = c.swapaxes(-1, -2)
-    east, north = ct @ g[1:-1, 2:, None], ct @ g[2:, 1:-1, None]
-    west = g[1:-1, :-2, None].swapaxes(-1, -2) @ c
-    south = g[:-2, 1:-1, None].swapaxes(-1, -2) @ c
-    moves = (-basis @ (east + north) - (west + south) @ basis,
-             east @ basis, basis @ west, north @ basis, basis @ south)
-    centre, east, west, north, south = (
-        lg.skew_to_coords(-skew_part(dm)).swapaxes(-1, -2) for dm in moves)
-    east[:, -1] = west[:, 0] = north[-1] = south[0] = 0.0
-    return centre, east, west, north, south
+@functools.cache
+def _trace_table(n: int) -> np.ndarray:
+    """Read-only (d^2, n^2) table of the flattened E_a E_b over the skew
+    basis: tr(E_a P E_b) is row (a, b) dotted with P flattened.  Each row
+    holds at most two nonzero entries, each +-1."""
+    basis = lg.skew_basis(n)
+    table = (basis[:, None] @ basis).reshape(-1, n * n)
+    table.flags.writeable = False
+    return table
 
 
 def _hessian(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The symmetric part H of the row Jacobian, as its centre, east and
-    north block stacks; the west and south blocks are the transposed east
-    and north blocks of the neighbours.
+    """H, half the Hessian of the energy pulled back by the retraction, as
+    its centre, east and north block stacks in the coordinates of
+    ``_residual``: along g exp(X) the energy is E + 2 (f . x + x . H x / 2)
+    + O(|x|^3).  West and south blocks are the transposed east and north
+    blocks of the neighbours; blocks facing the frontier are dropped.
 
-    The energy along g exp(X) is E + 2 (f . x + x . H x / 2) + O(|x|^3):
-    H is half the Hessian of the pulled-back energy at 0.  The Jacobian
-    differs from it by a term that vanishes where the gradient does.
+    With c = g_ij, A_E = c^T g_E, A_N = c^T g_N, S = A_E + A_N
+    + (g_W^T + g_S^T) c and the skew basis E: centre[a, b] =
+    -tr(E_a E_b (S + S^T)) / 4, which for the symmetric S + S^T is
+    -tr(E_a (S + S^T) E_b) / 4 and exactly symmetric in (a, b);
+    east[a, b] = tr(E_a A_E E_b) / 2 and north[a, b] = tr(E_a A_N E_b) / 2.
+    Each stack is one product with ``_trace_table``.
     """
-    centre, east, west, north, south = _row_jacobian(g)
-    return ((centre + centre.swapaxes(-1, -2)) / 2.0,
-            (east[:, :-1] + west[:, 1:].swapaxes(-1, -2)) / 2.0,
-            (north[:-1] + south[1:].swapaxes(-1, -2)) / 2.0)
+    n = g.shape[-1]
+    d = lg.algebra_dim(n)
+    c = g[1:-1, 1:-1]
+    ct = c.swapaxes(-1, -2)
+    east, north = ct @ g[1:-1, 2:], ct @ g[2:, 1:-1]
+    s = east + north + (g[1:-1, :-2] + g[:-2, 1:-1]).swapaxes(-1, -2) @ c
+
+    def blocks(p, factor):
+        rows, cols = p.shape[:2]
+        return (factor * (p.reshape(rows, cols, n * n) @ _trace_table(n).T)
+                ).reshape(rows, cols, d, d)
+    return (blocks(s + s.swapaxes(-1, -2), -0.25),
+            blocks(east[:, :-1], 0.5), blocks(north[:-1], 0.5))
 
 
 def _hessian_product(hessian, v: np.ndarray) -> np.ndarray:
@@ -455,9 +452,10 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     Riemannian trust-region Newton on the Dirichlet energy with exponential
     retraction (``_newton_polish``), from the boundary blend or the warm
     start; the gradient and Hessian blocks are closed-form in the trace
-    differentials, no finite differences in the loop.  Convergence means every interior gradient block has Frobenius norm
-    at most ``g_tol``; the reduced section of the result then satisfies the
-    reduced critical equations to the same level and is flat by construction.
+    differentials, no finite differences in the loop.  Convergence means
+    every interior gradient block has Frobenius norm at most ``g_tol``; the
+    reduced section of the result then satisfies the reduced critical
+    equations to the same level and is flat by construction.
     """
     faceset = grid.full_faceset()
     n = config.boundary.values.shape[-1]

@@ -295,6 +295,51 @@ def test_recover_multipliers_rejects_noncritical(tmp_path):
                "--out", tmp_path) == 1
 
 
+def test_recover_multipliers_honours_adm_tol(tmp_path, capsys):
+    """A flatness tolerance below round-off rejects a solved section in
+    recovery as it does in reconstruction: exit 1, no multiplier file."""
+    out = tmp_path / "solve"
+    assert run("solve", "--width", 5, "--height", 4, "--out", out) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"adm_tol": 1e-30}))
+    section = out / "reduced_section.txt"
+    assert run("reconstruct", "--section", section, "--config", cfg,
+               "--out", tmp_path / "rec") == 1
+    mout = tmp_path / "mult"
+    assert run("recover-multipliers", "--section", section, "--config", cfg,
+               "--out", mout) == 1
+    assert "not flat" in capsys.readouterr().err
+    assert not (mout / "multiplier.txt").exists()
+
+
+def _summary_worst(capsys, suite, out):
+    """The report records and the (key, value) the summary line names."""
+    capsys.readouterr()
+    assert run("verify", suite, "--width", 4, "--height", 4, "--out", out) == 0
+    line = capsys.readouterr().out.strip()
+    key, value = line.split(" worst=")[1].split("=")
+    report = dict(row.split("=", 1) for row in
+                  (out / f"verify_{suite}.txt").read_text().splitlines())
+    return report, key, float(value)
+
+
+def test_verify_summary_names_a_defect_not_a_margin(tmp_path, capsys):
+    """The multipliers suite names its largest residual or discrepancy, not
+    the multiplier distance; the regularity suite its smallest free
+    sigma_min, not the largest."""
+    report, key, value = _summary_worst(capsys, "multipliers", tmp_path)
+    defects = [k for k in report if k.startswith(("system_residual_",
+                                                  "sweep_consistency_"))]
+    assert len(defects) == 4 and key in defects
+    assert float(report[key]) == max(float(report[k]) for k in defects)
+    assert value == pytest.approx(float(report[key]), rel=1e-3)
+    report, key, value = _summary_worst(capsys, "regularity", tmp_path)
+    free = ("sigma_min_3x3", "sigma_min_4x4")
+    assert key in free
+    assert float(report[key]) == min(float(report[k]) for k in free)
+    assert value == pytest.approx(float(report[key]), rel=1e-3)
+
+
 def test_report_pretty_print(tmp_path, capsys):
     path = tmp_path / "r.txt"
     path.write_text("alpha=1\nlong_key=2.5\n")

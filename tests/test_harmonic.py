@@ -464,6 +464,36 @@ def _dense_fd_jacobian(g):
     return jac
 
 
+def _row_jacobian(g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Jacobian of ``_residual`` in closed form, as five stencil block stacks.
+
+    The gradient block at (i, j) is -skew(M) with M = A - B,
+    A = c^T (g_E + g_N), B = (g_W^T + g_S^T) c and c = g_ij.  Moving one
+    stencil member g -> g exp(t X) along a skew basis element X changes M by
+    -X A - B X (centre), c^T g_E X (east), c^T g_N X (north), X g_W^T c
+    (west) or X g_S^T c (south); minus the skew part of that, in coordinates,
+    is one column of the (d x d) block.  Returns the centre, east, west,
+    north and south stacks, each shaped (interior rows, interior columns,
+    d, d) and indexed [j-1, i-1, r, b]: the derivative of residual entry r
+    at (i, j) in the direction b of that stencil member.  Blocks that point
+    at a frontier vertex, which is no unknown, are zero.
+
+    The oracle of ``hm._hessian``, whose H is the symmetric part of this J.
+    """
+    basis = lg.skew_basis(g.shape[-1])
+    c = g[1:-1, 1:-1, None]
+    ct = c.swapaxes(-1, -2)
+    east, north = ct @ g[1:-1, 2:, None], ct @ g[2:, 1:-1, None]
+    west = g[1:-1, :-2, None].swapaxes(-1, -2) @ c
+    south = g[:-2, 1:-1, None].swapaxes(-1, -2) @ c
+    moves = (-basis @ (east + north) - (west + south) @ basis,
+             east @ basis, basis @ west, north @ basis, basis @ south)
+    centre, east, west, north, south = (
+        lg.skew_to_coords(-lg.skew_part(dm)).swapaxes(-1, -2) for dm in moves)
+    east[:, -1] = west[:, 0] = north[-1] = south[0] = 0.0
+    return centre, east, west, north, south
+
+
 def _row_to_dense(jacobian):
     """The row Jacobian's five block stacks placed in one dense matrix,
     unknowns vertex-major; frontier-facing blocks are zero and dropped."""
@@ -482,8 +512,25 @@ def _row_to_dense(jacobian):
 
 def _dense_hessian(g):
     """sym(J) of the dense row Jacobian at g."""
-    dense = _row_to_dense(hm._row_jacobian(g))
+    dense = _row_to_dense(_row_jacobian(g))
     return (dense + dense.T) / 2.0
+
+
+def _hessian_to_dense(hessian):
+    """The centre, east and north stacks of ``hm._hessian`` placed in one
+    dense symmetric matrix, unknowns vertex-major."""
+    centre, east, north = hessian
+    rows, cols, d = centre.shape[:3]
+    dense = np.zeros((rows, cols, d, rows, cols, d))
+    for j, i in np.ndindex(rows, cols):
+        dense[j, i, :, j, i] = centre[j, i]
+        if i + 1 < cols:
+            dense[j, i, :, j, i + 1] = east[j, i]
+            dense[j, i + 1, :, j, i] = east[j, i].T
+        if j + 1 < rows:
+            dense[j, i, :, j + 1, i] = north[j, i]
+            dense[j + 1, i, :, j, i] = north[j, i].T
+    return dense.reshape(rows * cols * d, -1)
 
 
 JACOBIAN_WINDOWS = [
@@ -507,7 +554,7 @@ def _check_band_jacobian(width, height, n, scale, seed):
     rng = np.random.default_rng(seed)
     g = _array(grid, sampling.random_unreduced_field(grid, n, rng, scale))
     before = g.copy()
-    jacobian = hm._row_jacobian(g)
+    jacobian = _row_jacobian(g)
     assert np.array_equal(g, before)
     d = n * (n - 1) // 2
     assert all(b.shape == (height - 1, width - 1, d, d) for b in jacobian)
@@ -533,12 +580,18 @@ def test_band_jacobian_property(n, width, height, scale, seed):
 def test_hessian_product_property(n, width, height, scale, seed):
     """H v is sym(J) v for the dense row Jacobian J, to 1e-12, and v . H v
     is half the second derivative of the energy along g exp(t v), to the
-    accuracy of a central second difference."""
+    accuracy of a central second difference.  The centre blocks of H are
+    exactly symmetric, and g is left alone."""
     grid = triangulated_grid(width, height)
     rng = np.random.default_rng(seed)
     g = _array(grid, sampling.random_unreduced_field(grid, n, rng, scale))
+    before = g.copy()
+    hessian = hm._hessian(g)
+    assert np.array_equal(g, before)
+    centre = hessian[0]
+    assert np.array_equal(centre, centre.swapaxes(-1, -2))
     v = rng.standard_normal(hm._residual(g)[0].shape)
-    hv = hm._hessian_product(hm._hessian(g), v)
+    hv = hm._hessian_product(hessian, v)
     oracle = _dense_hessian(g) @ v.ravel()
     assert hv.shape == v.shape
     assert np.max(np.abs(hv.ravel() - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
@@ -564,12 +617,15 @@ def _grid_laplacian(rows, cols, d):
                                          (5, 8, 3), (9, 4, 4), (4, 6, 5)])
 def test_laplacian_solver_inverts_the_dense_laplacian(rows, cols, n):
     """The sine-matrix solve is the inverse of the 5-point Laplacian, which
-    is the Hessian H at a constant field."""
+    is the Hessian H at a constant field, both as ``hm._hessian`` assembles
+    it and as its oracle does."""
     d = n * (n - 1) // 2
     laplacian = _grid_laplacian(rows, cols, d)
     constant = np.tile(lg.exp(lg.random_skew(n, np.random.default_rng(n))),
                        (rows + 2, cols + 2, 1, 1))
     assert np.max(np.abs(_dense_hessian(constant) - laplacian)) <= 1e-14
+    assembled = _hessian_to_dense(hm._hessian(constant))
+    assert np.max(np.abs(assembled - laplacian)) <= 1e-14
     r = np.random.default_rng(rows + 10 * cols).standard_normal((rows, cols, d))
     z = hm._laplacian_solver(rows, cols)(r)
     oracle = np.linalg.solve(laplacian, r.ravel())
@@ -622,17 +678,17 @@ def test_newton_residual_evaluations_per_step_do_not_grow(n):
 
 
 def test_singular_band_factor_ends_the_polish(tmp_path, monkeypatch, capsys):
-    """A zeroed row Jacobian, a singular band matrix, leaves only the linear
-    model: the truncated CG meets zero curvature at once and every step runs
-    to the trust-region boundary, so the gradient stalls above g_tol and
-    the loop gives up well within its budget.  The solve ends in
+    """A zeroed Hessian leaves only the linear model: the truncated CG meets
+    zero curvature at once and every step runs to the trust-region
+    boundary, so the gradient stalls above g_tol and the loop gives up well
+    within its budget.  The solve ends in
     ConvergenceError with its history, and the CLI exits 1, with no
     RuntimeWarning on the way (they are errors here)."""
     def singular(g):
-        return tuple(np.zeros_like(b) for b in row_jacobian(g))
+        return tuple(np.zeros_like(b) for b in hessian(g))
 
-    row_jacobian = hm._row_jacobian
-    monkeypatch.setattr(hm, "_row_jacobian", singular)
+    hessian = hm._hessian
+    monkeypatch.setattr(hm, "_hessian", singular)
     grid = triangulated_grid(6, 6)
     boundary = hm.random_boundary(grid, N, seed=22, scale=0.1)
     with pytest.raises(ConvergenceError) as err:
@@ -650,13 +706,15 @@ def test_singular_band_factor_ends_the_polish(tmp_path, monkeypatch, capsys):
     assert rows[0].startswith("iteration,phase") and len(rows) == len(history) + 1
 
 
-@pytest.mark.parametrize("width", [24, 64])
-def test_solver_converges_on_large_windows(width):
+@pytest.mark.parametrize("width,n", [pytest.param(24, N, id="24"),
+                                     pytest.param(64, N, id="64"),
+                                     pytest.param(32, 5, id="32-so5")])
+def test_solver_converges_on_large_windows(width, n):
     """Windows the dense Jacobian (24x24) and the per-block Pade expm
-    retraction (64x64, the north-star size) made impractical; tolerances
-    only."""
+    retraction (64x64, the north-star size) made impractical, and SO(5) at
+    32x32, where the Hessian blocks are 10x10; tolerances only."""
     grid = triangulated_grid(width, width)
-    boundary = hm.random_boundary(grid, N, seed=1, scale=0.1)
+    boundary = hm.random_boundary(grid, n, seed=1, scale=0.1)
     config = hm.SolverConfig(boundary=boundary)
     _, report = hm.solve_unreduced(grid, config)
     assert report.converged
