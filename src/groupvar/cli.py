@@ -30,7 +30,8 @@ from .errors import (
     PreconditionError,
     RecoveryConflictError,
 )
-from .liegroup import block_norms, exp_skew, max_norm, random_skew
+from .liegroup import (algebra_dim, block_norms, coords_to_skew, exp_skew,
+                       max_norm, random_skew)
 from .reduction import PlaquetteConstraint
 from .harmonic import SolverConfig, TraceLagrangian
 
@@ -206,6 +207,24 @@ def cmd_solve(args) -> int:
 # verify suites
 
 
+def _split_draws(grid, n: int, rng, count: int):
+    """The logs of ``count`` random sections (scale 0.5), multipliers and
+    variations, as (count, V, 2, n, n), (count, F, n, n) and (count, V, 2,
+    n, n) stacks, from one uniform draw: row-major, so each instance draws
+    what ``random_section``, ``random_multiplier`` and ``random_variation``
+    would draw in turn."""
+    d = algebra_dim(n)
+    vertices, faces = len(grid.vertices), len(grid.faces)
+    pair = 2 * (vertices - 1) * d
+    log, lam, dy = np.split(rng.uniform(-1.0, 1.0, (count, 2 * pair + faces * d)),
+                            [pair, pair + faces * d], axis=1)
+    logs, dys = np.zeros((2, count, vertices, 2, n, n))
+    shape = (count, vertices - 1, 2, d)
+    logs[:, :-1] = 0.5 * coords_to_skew(log.reshape(shape), n)
+    dys[:, :-1] = coords_to_skew(dy.reshape(shape), n)
+    return logs, coords_to_skew(lam.reshape(count, faces, d), n), dys
+
+
 def _suite_split(cfg, rng):
     n = cfg["n"]
     grid = triangulated_grid(3, 3)
@@ -215,13 +234,8 @@ def _suite_split(cfg, rng):
     block = core._FD_BLOCK // len(grid.faces)
     defects = []
     for start in range(0, cfg["instances"], block):
-        # the draws of random_section (as its log), random_multiplier and
-        # random_variation, instance after instance
-        logs, lams, dys = map(np.array, zip(*[
-            (sampling.random_variation(grid, n, rng, 0.5).values,
-             sampling.random_multiplier(grid, n, rng).values,
-             sampling.random_variation(grid, n, rng).values)
-            for _ in range(min(block, cfg["instances"] - start))]))
+        logs, lams, dys = _split_draws(grid, n, rng,
+                                       min(block, cfg["instances"] - start))
         lhs, rhs = core.variational_splits(lagrangian, constraint, exp_skew(logs),
                                            lams, dys, faceset)
         defects.append(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)))

@@ -425,7 +425,8 @@ def regularity_report(constraint: ConstraintMap, y: Section, faceset: FaceSet,
 
     keep = np.repeat(reachable, d)
     sigma_reachable = smallest_sv(matrix[keep]) if keep.any() else 0.0
-    sigma_full = smallest_sv(matrix)
+    # with every face reachable, matrix[keep] is the matrix itself
+    sigma_full = sigma_reachable if keep.all() else smallest_sv(matrix)
     structurally = rows <= cols and not unreachable
     return RegularityReport(
         rows=rows,

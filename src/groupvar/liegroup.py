@@ -137,8 +137,8 @@ def exp(xi: np.ndarray) -> np.ndarray:
     Used for boundary data and its perturbations, which enter the package
     here; the solver retraction and the sampled instances call
     :func:`exp_skew` unchecked.  A block whose symmetric part exceeds
-    ``TAU_GROUP`` raises ValueError, since :func:`exp_skew` would read only
-    one triangle of it.
+    ``TAU_GROUP`` raises ValueError, since :func:`exp_skew` takes skew
+    input.
     """
     xi = np.asarray(xi, dtype=float)
     asymmetry = block_norms(xi + xi.swapaxes(-1, -2))
@@ -151,16 +151,18 @@ def exp(xi: np.ndarray) -> np.ndarray:
 def exp_skew(xi: np.ndarray) -> np.ndarray:
     """Exponentials of a stack of skew matrices, shape (..., n, n).
 
-    Closed forms (Gallier & Xu 2002), each written as I plus a correction so
-    that exp(xi) - I keeps full relative accuracy for small xi.  For n <= 3,
-    xi^3 = -theta^2 xi with theta^2 = ||xi||_F^2 / 2, and Rodrigues' formula
+    Each is written as I plus a correction, so that exp(xi) - I keeps full
+    relative accuracy for small xi.  For n <= 3, xi^3 = -theta^2 xi with
+    theta^2 = ||xi||_F^2 / 2, and Rodrigues' formula (Gallier & Xu 2002)
     exp(xi) = I + sinc(theta/pi) xi + sinc(theta/2pi)^2 xi^2 / 2 is exact;
     both factors come from one sin(y) / y in np.sinc's own operations, bit
     for bit its values, with y = eps where y = 0, so theta = 0 needs no
-    branch.  For n >= 4, with the Hermitian eigendecomposition
-    i xi = V diag(w) V^H,
-    exp(xi) = I + Re(V diag(-2 sin^2(w/2) - i sin w) V^H).
-    ``xi`` must be skew; only its lower triangle is read when n >= 4.
+    branch.  For n >= 4, Taylor's polynomial with scaling and squaring
+    (Higham 2005): each block is halved s times, s >= 0 the least with
+    ||xi / 2^s||_F < 1/4, where the degree-12 polynomial T for exp - I is
+    within eps relative to its value; T <- 2T + T^2 then squares I + T,
+    s times for that block alone, so a block's result does not depend on
+    the rest of its stack.  ``xi`` must be skew.
     """
     n = xi.shape[-1]
     if n <= 3:
@@ -170,15 +172,29 @@ def exp_skew(xi: np.ndarray) -> np.ndarray:
         s = (np.sin(y) / y)[..., None]
         a, b = s[..., :1, :], s[..., 1:, :]
         return (_eye(n) + a * xi) + (0.5 * b ** 2) * (xi @ xi)
-    w, v = np.linalg.eigh(1j * xi)
-    c = -2.0 * np.sin(w / 2.0) ** 2 - 1j * np.sin(w)
-    return _eye(n) + ((v * c[..., None, :]) @ v.conj().swapaxes(-1, -2)).real
+    x = xi.reshape(-1, n, n)
+    # 4 ||x||_F < 2^e, so 2^-e x has norm below 1/4
+    squarings = np.maximum(np.frexp(4.0 * block_norms(x))[1], 0)
+    x = np.ldexp(x, -squarings[:, None, None])
+    # Paterson-Stockmeyer: T = B0 + x^4 (B1 + x^4 B2), where Bj is the sum of
+    # x^i / (4j + i)! over i = 1..4, so I is never formed
+    x2 = x @ x
+    powers = (x, x2, x2 @ x, x2 @ x2)
+    b0, b1, b2 = (sum(c * p for c, p in zip(row, powers)) for row in _TAYLOR)
+    t = b0 + powers[3] @ (b1 + powers[3] @ b2)
+    for k in range(squarings.max(initial=0)):
+        live = np.flatnonzero(squarings > k)
+        u = t[live]
+        t[live] = 2.0 * u + u @ u
+    return _eye(n) + t.reshape(xi.shape)
 
 
 # exp_skew: theta / pi and theta / 2 pi are the arguments of its two sinc
 # factors; np.sinc maps 0 to eps before dividing
 _HALF_TURNS = np.array([np.pi, 2.0 * np.pi])
 _EPS = np.finfo(float).eps
+# exp_skew for n >= 4: row j holds 1 / (4j + i)! for i = 1..4
+_TAYLOR = (1.0 / np.cumprod(np.arange(1.0, 13.0))).reshape(3, 4).tolist()
 
 
 @functools.cache

@@ -194,6 +194,22 @@ def per_instance_cartan(cfg, rng):
                            "worst_cartan_defect": worst, "tolerance": 1e-6}
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_split_draws_match_the_generators(n):
+    """One uniform draw per block gives, bit for bit, what the log of
+    random_section, random_multiplier and random_variation draw instance
+    after instance, and leaves the generator in the same state."""
+    grid = triangulated_grid(3, 3)
+    rng, oracle = np.random.default_rng(n), np.random.default_rng(n)
+    logs, lams, dys = cli._split_draws(grid, n, rng, 4)
+    for k in range(4):
+        for got, want in ((logs[k], sampling.random_variation(grid, n, oracle, 0.5)),
+                          (lams[k], sampling.random_multiplier(grid, n, oracle)),
+                          (dys[k], sampling.random_variation(grid, n, oracle))):
+            assert got.tobytes() == want.values.tobytes()
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 @pytest.mark.parametrize("instances", [1, 28, 29, 100])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_blocked_suites_match_the_per_instance_loops(n, instances):

@@ -114,6 +114,63 @@ def test_exp_skew_equals_the_sinc_form_bit_for_bit(n, shape):
         assert lg.exp_skew(xi).tobytes() == _exp_skew_sinc(xi).tobytes()
 
 
+# Frobenius norms for the Taylor branch (n >= 4), from 1e-300 to past 3 pi:
+# from no squaring of the block to six
+TAYLOR_NORMS = np.concatenate([10.0 ** np.arange(-300.0, 0.0, 20.0),
+                               np.linspace(0.1, 3.0 * np.pi + 0.1, 12)])
+
+
+def skew_with_norms(n, norms, seed):
+    """Random skew matrices of a stack shape with the given Frobenius norms."""
+    a = np.random.default_rng(seed).standard_normal(norms.shape + (n, n))
+    a = a - a.swapaxes(-1, -2)
+    return a * (norms / lg.block_norms(a))[..., None, None]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_exp_skew_taylor_matches_expm_over_norms(n):
+    """One stack of mixed norms against per-block Pade expm; up to norm 1
+    the error is also small relative to exp(xi) - I, measured in units of
+    its largest entry, where a Frobenius norm of 1e-300 entries would
+    underflow."""
+    eye = np.eye(n)
+    xi = skew_with_norms(n, TAYLOR_NORMS, 200 + n)
+    out = lg.exp_skew(xi)
+    for k, norm in enumerate(TAYLOR_NORMS):
+        got, ref = out[k], scipy.linalg.expm(xi[k])
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        if norm <= 1.0:
+            unit = np.max(np.abs(ref - eye))
+            assert np.linalg.norm((got - ref) / unit) \
+                <= 1e-14 * np.linalg.norm((ref - eye) / unit)
+        assert np.linalg.norm(got.T @ got - eye) <= 1e-14
+        assert np.linalg.det(got) > 0.0
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_exp_skew_taylor_block_alone_equals_the_block_in_a_stack(n):
+    """Blocks of one stack take different numbers of squarings; each comes
+    out byte for byte as it does alone or in a row of the stack."""
+    norms = np.resize(TAYLOR_NORMS[::-1], (3, 9))
+    xi = skew_with_norms(n, norms, 300 + n)
+    stack = lg.exp_skew(xi)
+    for row in range(3):
+        assert lg.exp_skew(xi[row]).tobytes() == stack[row].tobytes()
+    for block in np.ndindex(norms.shape):
+        assert lg.exp_skew(xi[block]).tobytes() == stack[block].tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_exp_skew_taylor_of_zero_is_the_identity(n):
+    """Zero blocks give I exactly: alone, in a stack beside a block that
+    takes six squarings, and as an empty stack's shape."""
+    eye = np.eye(n)
+    assert np.array_equal(lg.exp_skew(np.zeros((n, n))), eye)
+    out = lg.exp_skew(skew_with_norms(n, np.array([0.0, 9.0, 0.0]), 400 + n))
+    assert np.array_equal(out[::2], np.stack([eye, eye]))
+    assert lg.exp_skew(np.zeros((2, 0, n, n))).shape == (2, 0, n, n)
+
+
 def test_log_identity():
     assert np.array_equal(lg.log_near_identity(np.eye(4)), np.zeros((4, 4)))
 
