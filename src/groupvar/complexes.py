@@ -2,8 +2,11 @@
 
 Only vertices and top-dimensional faces are materialized: every formula in
 the discrete theory indexes on (vertex, face) pairs, so intermediate cells
-never need to exist.  A complex is immutable after construction and safe for
-concurrent reads.
+never need to exist.  Vertices and faces are ids 0..V-1 and 0..F-1, and the
+whole incidence lives in int arrays: the (F, k) adherence array and its
+transpose, the stars, in compressed sparse row (CSR) form (Saad, *Iterative
+Methods for Sparse Linear Systems*, 2003).  A complex is immutable after
+construction and safe for concurrent reads.
 
 The triangulated grid built here is a finite window of the standard
 triangulation of the plane.  Vertices on the window boundary have part of
@@ -29,118 +32,89 @@ __all__ = [
 ]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class CellComplex:
     """Vertex-face incidence with per-face ordered adherence lists.
 
-    ``adherence`` maps each face id, 0 to F-1, to the ordered tuple of its
-    adherent vertex ids; every face has the same number k of them, so the
-    whole incidence is one read-only (F, k) int array, ``adherence_array``,
-    which the calculus gathers jets through.  ``star`` is the exact
-    transpose.  ``vertices`` may add isolated vertices beyond the adherent
-    ones (a grid window has one such corner).  ``truncated_star`` lists
-    vertices whose ambient star is only partially materialized.
+    ``adherence`` is an (F, k) int array: row f lists the k distinct
+    vertices adherent to face f, in order.  It is kept as the read-only
+    ``adherence_array``, which the calculus gathers jets through, and
+    ``vertices`` and ``faces`` list the ids 0..V-1 and 0..F-1 as read-only
+    int arrays.  The star of every vertex, the exact transpose, is one
+    stable argsort of the adherence, kept in CSR form.  ``vertex_count`` may
+    add isolated vertices beyond the adherent ones (a grid window has one
+    such corner).  ``truncated_star`` lists vertices whose ambient star is
+    only partially materialized; they are kept as a boolean mask.
     """
 
-    def __init__(self, adherence, vertices=(), truncated_star=()):
-        if sorted(adherence) != list(range(len(adherence))):
-            raise ValueError("face ids must be 0, 1, ..., F-1")
-        rows = []
-        for face in range(len(adherence)):
-            verts = tuple(int(v) for v in adherence[face])
-            if len(verts) == 0:
-                raise ValueError(f"face {face} has no adherent vertices")
-            if len(set(verts)) != len(verts):
-                raise ValueError(f"face {face} has duplicate adherent vertices")
-            rows.append(verts)
-        if len({len(verts) for verts in rows}) > 1:
-            raise ValueError("every face needs the same number of adherent vertices")
-        star = {}
-        for face, verts in enumerate(rows):
-            for v in verts:
-                star.setdefault(v, set()).add(face)
-        k = len(rows[0]) if rows else 0
-        self._array = np.array(rows, dtype=int).reshape(len(rows), k)
-        self._array.flags.writeable = False
-        self._star = {v: frozenset(fs) for v, fs in star.items()}
-        self._faces = tuple(range(len(rows)))
-        self._vertices = tuple(sorted(set(star) | {int(v) for v in vertices}))
-        self._truncated = frozenset(int(v) for v in truncated_star)
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self._vertices
-
-    @property
-    def faces(self) -> tuple[int, ...]:
-        return self._faces
+    def __init__(self, adherence, vertex_count: int = 0, truncated_star=()):
+        array = np.array(adherence, dtype=int)
+        if array.ndim != 2 or array.shape[1] == 0:
+            raise ValueError("adherence must be an (F, k) array of vertex ids, k >= 1")
+        ordered = np.sort(array, axis=1)
+        repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if repeated.size:
+            raise ValueError(f"face {repeated[0]} has duplicate adherent vertices")
+        flat = array.ravel()
+        count = max(vertex_count, int(flat.max(initial=-1)) + 1)
+        # flat index f k + slot grows with f, so a stable sort lists each
+        # vertex's faces in increasing id order
+        self._star_faces = _read_only(np.argsort(flat, kind="stable") // array.shape[1])
+        ptr = np.zeros(count + 1, dtype=int)
+        np.cumsum(np.bincount(flat, minlength=count), out=ptr[1:])
+        self._star_ptr = _read_only(ptr)
+        self._truncated = np.zeros(count, dtype=bool)
+        self._truncated[np.asarray(truncated_star, dtype=int)] = True
+        self.adherence_array = _read_only(array)
+        self.vertices = _read_only(np.arange(count))
+        self.faces = _read_only(np.arange(len(array)))
 
     def adherence(self, face: int) -> tuple[int, ...]:
-        return tuple(self._array[face].tolist())
+        return tuple(self.adherence_array[face].tolist())
 
-    @property
-    def adherence_array(self) -> np.ndarray:
-        """Adherent vertex ids of every face, a read-only (F, k) int array."""
-        return self._array
-
-    def star(self, vertex: int) -> frozenset[int]:
-        """Faces having the vertex adherent (its spherical neighborhood)."""
-        return self._star.get(vertex, frozenset())
-
-    def star_is_truncated(self, vertex: int) -> bool:
-        return vertex in self._truncated
-
-    def has_face(self, face: int) -> bool:
-        return 0 <= face < len(self._faces)
-
-    def export_text(self) -> str:
-        """One record per face: face id followed by its adherent vertex ids."""
-        lines = [f"face {f} : " + " ".join(str(v) for v in verts)
-                 for f, verts in enumerate(self._array.tolist())]
-        return "\n".join(lines) + "\n"
+    def star(self, vertex: int) -> np.ndarray:
+        """Faces having the vertex adherent (its spherical neighborhood), a
+        sorted read-only int array."""
+        return self._star_faces[self._star_ptr[vertex]:self._star_ptr[vertex + 1]]
 
 
 class FaceSet:
-    """A finite subset of faces together with its adherent vertex set."""
+    """A finite subset of the faces of a complex."""
 
     def __init__(self, complex: CellComplex, faces):
-        faces = frozenset(int(f) for f in faces)
-        for f in faces:
-            if not complex.has_face(f):
-                raise ValueError(f"face {f} is not a face of the complex")
+        ids = np.asarray(faces, dtype=int)
+        outside = ids[(ids < 0) | (ids >= len(complex.faces))]
+        if outside.size:
+            raise ValueError(f"face {outside[0]} is not a face of the complex")
+        # a mask, not np.unique, which imports numpy.ma on its first call
+        chosen = np.zeros(len(complex.faces), dtype=bool)
+        chosen[ids] = True
         self.complex = complex
-        self.faces = faces
-
-    @cached_property
-    def face_ids(self) -> np.ndarray:
-        """The faces in increasing id order, a read-only int array."""
-        ids = np.array(sorted(self.faces), dtype=int)
-        ids.flags.writeable = False
-        return ids
-
-    @cached_property
-    def adherent_vertices(self) -> frozenset[int]:
-        return frozenset(self.complex.adherence_array[self.face_ids].ravel().tolist())
+        self.face_ids = _read_only(np.flatnonzero(chosen))
 
     @cached_property
     def _vertex_class(self) -> VertexClass:
         c = self.complex
-        interior = frozenset(v for v in self.adherent_vertices
-                             if not c.star_is_truncated(v) and c.star(v) <= self.faces)
-        return VertexClass(interior, self.adherent_vertices - interior)
-
-    def __contains__(self, face: int) -> bool:
-        return face in self.faces
-
-    def __len__(self) -> int:
-        return len(self.faces)
+        # faces of each vertex's star that lie in the set
+        inside = np.bincount(c.adherence_array[self.face_ids].ravel(),
+                             minlength=len(c.vertices))
+        adherent = inside > 0
+        interior = adherent & ~c._truncated & (inside == np.diff(c._star_ptr))
+        return VertexClass(_read_only(np.flatnonzero(interior)),
+                           _read_only(np.flatnonzero(adherent & ~interior)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexClass:
-    """Interior / frontier split of the adherent vertices of a face set."""
+    """Interior / frontier split of the adherent vertices of a face set,
+    each a sorted read-only int array of vertex ids."""
 
-    interior: frozenset[int]
-    frontier: frozenset[int]
+    interior: np.ndarray
+    frontier: np.ndarray
 
 
 def classify_vertices(complex: CellComplex, faceset: FaceSet) -> VertexClass:
@@ -149,10 +123,11 @@ def classify_vertices(complex: CellComplex, faceset: FaceSet) -> VertexClass:
     A vertex is interior when its whole spherical neighborhood lies in the
     face set; a vertex whose star is truncated by the materialized window
     always counts as frontier, since its ambient star cannot be contained in
-    any window face set.  The split is computed once per face set.
+    any window face set.  The split is one ``np.bincount`` of the set's
+    adherence, computed once per face set.
     """
     if faceset.complex is not complex:
-        faceset = FaceSet(complex, faceset.faces)
+        faceset = FaceSet(complex, faceset.face_ids)
     return faceset._vertex_class
 
 
@@ -172,28 +147,18 @@ class TriangulatedGrid(CellComplex):
             raise ValueError("grid dimensions must be positive")
         self.width = width
         self.height = height
-        adherence = {
-            j * width + i: (self._vid(i, j), self._vid(i + 1, j), self._vid(i, j + 1))
-            for j in range(height)
-            for i in range(width)
-        }
-        truncated = [
-            self._vid(i, j)
-            for j in range(height + 1)
-            for i in range(width + 1)
-            if i == 0 or j == 0 or i == width or j == height
-        ]
-        super().__init__(adherence, vertices=range((width + 1) * (height + 1)),
-                         truncated_star=truncated)
+        corner = np.arange(height)[:, None] * (width + 1) + np.arange(width)
+        adherence = np.stack([corner, corner + 1, corner + width + 1], axis=-1)
+        j, i = np.divmod(np.arange((width + 1) * (height + 1)), width + 1)
+        edge = (i == 0) | (j == 0) | (i == width) | (j == height)
+        super().__init__(adherence.reshape(-1, 3), vertex_count=len(edge),
+                         truncated_star=np.flatnonzero(edge))
         self._full = FaceSet(self, self.faces)
-
-    def _vid(self, i: int, j: int) -> int:
-        return j * (self.width + 1) + i
 
     def vertex_id(self, i: int, j: int) -> int:
         if not (0 <= i <= self.width and 0 <= j <= self.height):
             raise ValueError(f"vertex ({i}, {j}) outside the window")
-        return self._vid(i, j)
+        return j * (self.width + 1) + i
 
     def vertex_ij(self, vertex: int) -> tuple[int, int]:
         j, i = divmod(vertex, self.width + 1)

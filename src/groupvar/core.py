@@ -401,8 +401,8 @@ def regularity_report(constraint: ConstraintMap, y: Section, faceset: FaceSet,
     complex = faceset.complex
     d = algebra_dim(constraint.fiber.n)
     klass = classify_vertices(complex, faceset)
-    variable = np.array(sorted(klass.interior if boundary_fixed
-                               else faceset.adherent_vertices), dtype=int)
+    variable = klass.interior if boundary_fixed \
+        else np.sort(np.concatenate([klass.interior, klass.frontier]))
     faces = faceset.face_ids
     vertices = complex.adherence_array[faces]
     forms = _per_slot(constraint.cartan_form, complex, jet_at(y, complex, faces))
@@ -449,16 +449,12 @@ def _require_interior(klass: VertexClass, vertex: int):
         raise ValueError(f"vertex {vertex} is not interior to the face set")
 
 
-def _star_faces(complex: CellComplex, vertex: int) -> np.ndarray:
-    return np.array(sorted(complex.star(vertex)), dtype=int)
-
-
 def _vertex_major(vertices: np.ndarray, chosen) -> np.ndarray:
     """Flat [face, slot] indices of the (vertex, face) pairs whose vertex is
     in ``chosen``: vertex after vertex in id order, each vertex's faces in id
     order (``vertices`` is the (F', k) adherence of faces in id order)."""
     flat = vertices.ravel()
-    picked = np.flatnonzero(np.isin(flat, list(chosen)))
+    picked = np.flatnonzero(np.isin(flat, chosen))
     return picked[np.argsort(flat[picked], kind="stable")]
 
 
@@ -503,7 +499,7 @@ def euler_lagrange_form(lagrangian: LagrangianDensity, y: Section,
     """
     complex = faceset.complex
     _require_interior(classify_vertices(complex, faceset), vertex)
-    faces = _star_faces(complex, vertex)
+    faces = complex.star(vertex)
     jets = jet_at(y, complex, faces)
     theta = _per_slot(lagrangian.vertex_differential, complex, jets)
     return _vertex_sums(theta, complex.adherence_array[faces], np.array([vertex]))[0]
@@ -533,7 +529,7 @@ def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     """
     complex = faceset.complex
     _require_interior(classify_vertices(complex, faceset), vertex)
-    faces = _star_faces(complex, vertex)
+    faces = complex.star(vertex)
     vertices, covectors = _extended_covectors(lagrangian, constraint, y, lam,
                                               complex, faces)
     total = _vertex_sums(covectors, vertices, np.array([vertex]))[0]
@@ -545,8 +541,7 @@ def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
 def el_residual_vector(lagrangian: LagrangianDensity, constraint: ConstraintMap,
                        y: Section, lam: Multiplier, faceset: FaceSet) -> np.ndarray:
     """Concatenated residual coordinates over all interior vertices (sorted)."""
-    interior = np.array(sorted(classify_vertices(faceset.complex, faceset).interior),
-                        dtype=int)
+    interior = classify_vertices(faceset.complex, faceset).interior
     if not interior.size:
         return np.zeros(0)
     vertices, covectors = _extended_covectors(lagrangian, constraint, y, lam,
@@ -679,7 +674,7 @@ def multiplier_shift(lam: Multiplier, dlam: Multiplier, t: float) -> Multiplier:
 
 def zero_variation(fiber: FiberSignature, complex: CellComplex) -> Variation:
     """The zero variation over every vertex of the complex."""
-    return Variation(fiber, np.zeros((max(complex.vertices) + 1, fiber.components,
+    return Variation(fiber, np.zeros((len(complex.vertices), fiber.components,
                                       fiber.n, fiber.n)))
 
 

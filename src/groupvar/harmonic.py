@@ -523,7 +523,7 @@ def random_boundary(grid: TriangulatedGrid, n: int, seed: int,
     left translation; interior vertices hold the identity.
     """
     rng = np.random.default_rng(seed)
-    frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
+    frontier = classify_vertices(grid, grid.full_faceset()).frontier
     values = np.tile(np.eye(n), (len(grid.vertices), 1, 1))
     values[frontier] = lg.exp(random_skew(n, rng, scale, (len(frontier),)))
     values[-1] = values[grid.vertex_id(grid.width, grid.height - 1)]
@@ -629,11 +629,13 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
     lam0, _ = recover_multipliers(lagrangian, grid, y0, zero_seed)
 
     def perturbed(bump):
+        vids = np.array(list(bump), dtype=int)
+        foreign = vids[~np.isin(vids, frontier)]
+        if foreign.size:
+            raise ValueError(f"bump vertex {foreign[0]} is not a frontier vertex")
+        etas = np.array(list(bump.values()), dtype=float).reshape(-1, n, n)
         boundary = config.boundary.values.copy()
-        for vid, eta in bump.items():
-            if vid not in frontier:
-                raise ValueError(f"bump vertex {vid} is not a frontier vertex")
-            boundary[vid] = boundary[vid] @ lg.exp(step * eta)
+        boundary[vids] = boundary[vids] @ lg.exp(step * etas)
         _, report = solve_unreduced(grid, replace(
             config, boundary=UnreducedField(boundary), initializer=base_field))
         y = report.section

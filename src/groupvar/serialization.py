@@ -2,10 +2,14 @@
 
 Field files carry a one-line magic, a key=value header (group size, component
 count, window dimensions), then one record per vertex or face with row-major
-matrix entries.  Floats are written with repr, which round-trips bit-exactly,
-so identical inputs produce byte-identical files.  Loading fills one array
-and rejects missing, duplicate and non-finite records; group-valued files
-then pass the membership check of ``liegroup.group_array``.
+matrix entries.  One writer produces every kind, each record's (i, j)
+computed from its id.  Floats are written with repr, which round-trips
+bit-exactly, so identical inputs produce byte-identical files.  One parser
+reads every kind: it checks the body against the header (tags, record
+lengths, ids inside the window, duplicates, finiteness, missing records) on
+arrays, so its time and memory follow the file, and the window is built
+only once the body has passed.  Group-valued files then pass the membership
+check of ``liegroup.group_array``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .liegroup import group_array, skew_part
 from .reduction import UnreducedField, reduced_fiber
 
 MAGIC = "groupvar-field v1"
+_BLOCK_LINES = 64  # body lines split and converted at a time
 
 __all__ = [
     "save_reduced_section",
@@ -43,23 +48,24 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _matrix_words(m: np.ndarray) -> str:
-    return " ".join(map(repr, m.ravel().tolist()))
-
-
-def _header_lines(kind: str, n: int, components: int,
-                  grid: TriangulatedGrid) -> list[str]:
-    return [
-        MAGIC,
-        f"kind={kind}",
-        f"n={n}",
-        f"components={components}",
-        f"width={grid.width}",
-        f"height={grid.height}",
-    ]
+def _save(path, kind: str, grid: TriangulatedGrid, tag: str, values: np.ndarray,
+          components: int) -> None:
+    """Header, then one record per row of ``values``: row k holds the entries
+    of id k, at (i, j) with k = j * columns + i, columns being W + 1 for
+    vertex records ("v") and W for face records ("f")."""
+    columns = grid.width + 1 if tag == "v" else grid.width
+    lines = [MAGIC, f"kind={kind}", f"n={values.shape[-1]}",
+             f"components={components}", f"width={grid.width}",
+             f"height={grid.height}"]
+    for k, entries in enumerate(values.reshape(len(values), -1)):
+        j, i = divmod(k, columns)
+        lines.append(f"{tag} {i} {j} {' '.join(map(repr, entries.tolist()))}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _parse_header(lines: list[str], expected_kind: str):
+    """Group size, component count, window width and height, and the index
+    of the first body line."""
     if not lines or lines[0].strip() != MAGIC:
         raise ValueError("not a field file (bad magic line)")
     header = {}
@@ -80,103 +86,132 @@ def _parse_header(lines: list[str], expected_kind: str):
     if header["kind"] != expected_kind:
         raise ValueError(
             f"expected a {expected_kind} file, found kind={header['kind']}")
-    n = int(header["n"])
-    components = int(header["components"])
-    grid = triangulated_grid(int(header["width"]), int(header["height"]))
-    return n, components, grid, body_start
+    n, components, width, height = (
+        int(header[key]) for key in ("n", "components", "width", "height"))
+    if width < 1 or height < 1:
+        raise ValueError("grid dimensions must be positive")
+    if (width + 1) * (height + 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"a {width}x{height} window has more vertices than "
+                         f"64-bit ids can address")
+    return n, components, width, height, body_start
 
 
-def _parse_records(lines, body_start, tag, n, components, index, count,
-                   optional=None) -> np.ndarray:
+def _parse_records(lines, body_start, tag, n, components, width, height,
+                   optional=False) -> np.ndarray:
     """The records as a (count, components, n, n) array indexed by id.
 
-    ``index`` maps a record's (i, j) to its id.  Every id needs exactly one
-    record with finite entries; the id ``optional`` may be left out and then
-    holds the identity.
+    Vertex records ("v") address the (W + 1) x (H + 1) vertices and face
+    records ("f") the W x H faces, by (i, j) at id j * columns + i.  Every
+    id needs exactly one record with finite entries; with ``optional`` the
+    last id may be left out and then holds the identity.  Blocks of lines
+    are split and checked for tags and record lengths, and their ids and
+    numbers converted, one np.array call each; window bounds, duplicates,
+    finiteness and missing records are then checked on the whole body's
+    arrays.  Nothing of the header's size exists before the body passes.
     """
-    values = np.empty((count, components, n, n))
-    seen = np.zeros(count, dtype=bool)
+    if n < 0:
+        raise ValueError("negative dimensions are not allowed")
     per_record = components * n * n
-    for line in lines[body_start:]:
-        words = line.split()
-        if not words:
-            continue
-        if words[0] != tag:
-            raise ValueError(f"unexpected record {words[0]!r}, wanted {tag!r}")
-        if len(words) != 3 + per_record:
-            raise ValueError(f"record has {len(words) - 3} numbers, "
+    name, columns, rows = (("vertex", width + 1, height + 1) if tag == "v"
+                           else ("face", width, height))
+    ij, numbers = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    # blocks bound the split words held at once, which take several times
+    # the memory of the lines themselves
+    for start in range(body_start, len(lines), _BLOCK_LINES):
+        records = [words for words in map(str.split, lines[start:start + _BLOCK_LINES])
+                   if words]
+        wrong = next((words for words in records if words[0] != tag), None)
+        if wrong is not None:
+            raise ValueError(f"unexpected record {wrong[0]!r}, wanted {tag!r}")
+        wrong = next((words for words in records if len(words) != 3 + per_record),
+                     None)
+        if wrong is not None:
+            raise ValueError(f"record has {len(wrong) - 3} numbers, "
                              f"expected {per_record}")
-        i, j = int(words[1]), int(words[2])
-        k = index(i, j)
-        if seen[k]:
-            raise ValueError(f"duplicate record {tag} {i} {j}")
-        numbers = np.array([float(w) for w in words[3:]])
-        if not np.isfinite(numbers).all():
-            raise ValueError(f"record {tag} {i} {j} has non-finite entries")
-        values[k] = numbers.reshape(components, n, n)
-        seen[k] = True
-    if optional is not None and not seen[optional]:
-        values[optional] = np.eye(n)
-        seen[optional] = True
-    if not seen.all():
-        raise ValueError(f"{int(np.sum(~seen))} of {count} records missing, "
-                         f"the first with id {int(np.argmin(seen))}")
+        # Python ints until the window check, so an id beyond int64 is
+        # reported as outside the window
+        ij.append(np.array(list(map(int, [w for words in records for w in words[1:3]])),
+                           dtype=object))
+        numbers.append(np.array([word for words in records for word in words[3:]],
+                                dtype=float))
+    ij = np.concatenate(ij).reshape(-1, 2)
+    numbers = np.concatenate(numbers).reshape(len(ij), components, n, n)
+    outside = np.flatnonzero(((ij < 0) | (ij >= (columns, rows))).any(axis=1))
+    if outside.size:
+        i, j = ij[outside[0]]
+        raise ValueError(f"{name} ({i}, {j}) outside the window")
+    ij = ij.astype(int)
+    ids = ij[:, 1] * columns + ij[:, 0]
+    # a stable sort puts each repeat after the line it repeats (np.unique
+    # would import numpy.ma on its first call)
+    order = np.argsort(ids, kind="stable")
+    present = ids[order]
+    repeats = order[1:][present[1:] == present[:-1]]
+    if repeats.size:
+        i, j = ij[repeats.min()]
+        raise ValueError(f"duplicate record {tag} {i} {j}")
+    bad = np.flatnonzero(~np.isfinite(numbers).all(axis=(1, 2, 3)))
+    if bad.size:
+        i, j = ij[bad[0]]
+        raise ValueError(f"record {tag} {i} {j} has non-finite entries")
+    count = columns * rows
+    if optional and not (present.size and present[-1] == count - 1):
+        present = np.append(present, count - 1)
+    if len(present) < count:
+        gaps = np.flatnonzero(present != np.arange(len(present)))
+        raise ValueError(f"{count - len(present)} of {count} records missing, "
+                         f"the first with id {gaps[0] if gaps.size else len(present)}")
+    values = np.empty((count, components, n, n))
+    values[ids] = numbers
+    if len(ids) < count:
+        values[-1] = np.eye(n)
     return values
+
+
+def _load(path, kind: str, tag: str, components: int, mismatch: str,
+          optional: bool = False) -> tuple[TriangulatedGrid, np.ndarray]:
+    """The window and the record values of a field file; the window is built
+    only once the body has passed every check."""
+    lines = Path(path).read_text().splitlines()
+    n, found, width, height, body = _parse_header(lines, kind)
+    if found != components:
+        raise ValueError(mismatch)
+    values = _parse_records(lines, body, tag, n, components, width, height,
+                            optional)
+    return triangulated_grid(width, height), values
 
 
 def save_reduced_section(path, grid: TriangulatedGrid, y: Section) -> None:
     """One record per vertex, except the far corner, which adheres to no face."""
-    lines = _header_lines("reduced_section", y.fiber.n, 2, grid)
-    for vid in grid.vertices[:-1]:
-        i, j = grid.vertex_ij(vid)
-        lines.append(f"v {i} {j} {_matrix_words(y.values[vid])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _save(path, "reduced_section", grid, "v", y.values[:-1], 2)
 
 
 def load_reduced_section(path) -> tuple[TriangulatedGrid, Section]:
     """Every vertex needs a record, except the far corner (identity if absent)."""
-    lines = Path(path).read_text().splitlines()
-    n, components, grid, body = _parse_header(lines, "reduced_section")
-    if components != 2:
-        raise ValueError("reduced sections carry two components per vertex")
-    values = _parse_records(lines, body, "v", n, 2, grid.vertex_id,
-                            len(grid.vertices), optional=grid.vertices[-1])
-    return grid, Section(reduced_fiber(n), group_array(values))
+    grid, values = _load(path, "reduced_section", "v", 2,
+                         "reduced sections carry two components per vertex",
+                         optional=True)
+    return grid, Section(reduced_fiber(values.shape[-1]), group_array(values))
 
 
 def save_unreduced_field(path, grid: TriangulatedGrid, g: UnreducedField) -> None:
-    lines = _header_lines("unreduced_field", g.values.shape[-1], 1, grid)
-    for vid in grid.vertices:
-        i, j = grid.vertex_ij(vid)
-        lines.append(f"v {i} {j} {_matrix_words(g.values[vid])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _save(path, "unreduced_field", grid, "v", g.values, 1)
 
 
 def load_unreduced_field(path) -> tuple[TriangulatedGrid, UnreducedField]:
-    lines = Path(path).read_text().splitlines()
-    n, components, grid, body = _parse_header(lines, "unreduced_field")
-    if components != 1:
-        raise ValueError("vertex fields carry one component per vertex")
-    values = _parse_records(lines, body, "v", n, 1, grid.vertex_id,
-                            len(grid.vertices))
+    grid, values = _load(path, "unreduced_field", "v", 1,
+                         "vertex fields carry one component per vertex")
     return grid, UnreducedField(group_array(values[:, 0]))
 
 
 def save_multiplier(path, grid: TriangulatedGrid, lam: Multiplier) -> None:
-    lines = _header_lines("multiplier", lam.values.shape[-1], 1, grid)
-    for fid in grid.faces:
-        i, j = grid.face_ij(fid)
-        lines.append(f"f {i} {j} {_matrix_words(lam.values[fid])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _save(path, "multiplier", grid, "f", lam.values, 1)
 
 
 def load_multiplier(path) -> tuple[TriangulatedGrid, Multiplier]:
     """Every face needs a record; each entry is taken by its skew part."""
-    lines = Path(path).read_text().splitlines()
-    n, components, grid, body = _parse_header(lines, "multiplier")
-    if components != 1:
-        raise ValueError("multipliers carry one coalgebra entry per face")
-    values = _parse_records(lines, body, "f", n, 1, grid.face_id, len(grid.faces))
+    grid, values = _load(path, "multiplier", "f", 1,
+                         "multipliers carry one coalgebra entry per face")
     return grid, Multiplier(skew_part(values[:, 0]))
 
 

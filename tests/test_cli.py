@@ -464,6 +464,42 @@ def test_solve_with_boundary_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+HEADER_ONLY_DEFECTS = {
+    # a 600x600 window with one record: reported missing from the records
+    # alone, without a 600x600 grid or a seen-array of its size
+    "wide window": (600, 3, "v 0 0 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0",
+                    "groupvar: 361200 of 361201 records missing, the first with id 1"),
+    # n = 100000 on a 1x1 window: the record length is checked before any
+    # array of the header's size (10^10 entries per record) is requested
+    "huge group": (1, 100000, "v 0 0 1.0 0.0 0.0 1.0",
+                   "groupvar: record has 4 numbers, expected 10000000000"),
+    # a window whose vertex ids would not fit 64 bits
+    "huge window": (10 ** 10, 3, "v 0 0 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0",
+                    "groupvar: a 10000000000x10000000000 window has more "
+                    "vertices than 64-bit ids can address"),
+}
+
+
+@pytest.mark.parametrize("defect", list(HEADER_ONLY_DEFECTS))
+def test_boundary_file_body_is_checked_before_its_header_sizes(tmp_path, capsys,
+                                                              monkeypatch, defect):
+    """A header that promises more than the body holds exits 2 with the
+    record message, and the loader never builds the header's window."""
+    size, n, record, message = HEADER_ONLY_DEFECTS[defect]
+    path = tmp_path / "field.txt"
+    path.write_text("\n".join([ser.MAGIC, "kind=unreduced_field", f"n={n}",
+                               "components=1", f"width={size}", f"height={size}",
+                               record]) + "\n")
+
+    def no_grid(width, height):
+        raise AssertionError(f"built a {width}x{height} grid")
+
+    monkeypatch.setattr(ser, "triangulated_grid", no_grid)
+    capsys.readouterr()
+    assert run("solve", "--boundary", path, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_group_size_mismatch_exits_two(tmp_path, capsys):
     """A boundary file at another n than --n (default 3) is a usage error,
     for solve and for the solving verify suites, and so is a reconstruct

@@ -33,11 +33,45 @@ def ambient_interior(grid, face_ids):
     return interior
 
 
+def frozenset_classification(grid, faces):
+    """The set-based classification that the array one replaced, kept as an
+    oracle: a dict of per-vertex frozenset stars built face by face, the
+    frozenset of truncated-star window edge vertices, and a subset test per
+    adherent vertex.  Returns the (interior, frontier) frozensets."""
+    width, height = grid.width, grid.height
+    adherence = {
+        j * width + i: (grid.vertex_id(i, j), grid.vertex_id(i + 1, j),
+                        grid.vertex_id(i, j + 1))
+        for j in range(height)
+        for i in range(width)
+    }
+    truncated = frozenset(
+        grid.vertex_id(i, j)
+        for j in range(height + 1)
+        for i in range(width + 1)
+        if i == 0 or j == 0 or i == width or j == height
+    )
+    star = {}
+    for face, verts in adherence.items():
+        for v in verts:
+            star.setdefault(v, set()).add(face)
+    star = {v: frozenset(fs) for v, fs in star.items()}
+    faces = frozenset(int(f) for f in faces)
+    adherent = frozenset(v for f in faces for v in adherence[f])
+    interior = frozenset(v for v in adherent
+                         if v not in truncated and star.get(v, frozenset()) <= faces)
+    return interior, adherent - interior
+
+
+def adherent_vertices(faceset):
+    return set(faceset.complex.adherence_array[faceset.face_ids].ravel().tolist())
+
+
 def test_single_cell_grid():
     grid = triangulated_grid(1, 1)
     assert len(grid.vertices) == 4
     assert len(grid.faces) == 1
-    assert grid.star(grid.vertex_id(0, 0)) == {grid.face_id(0, 0)}
+    assert grid.star(grid.vertex_id(0, 0)).tolist() == [grid.face_id(0, 0)]
 
 
 def test_grid_counts():
@@ -54,25 +88,26 @@ def test_adherence_order_and_star_stencil():
                                  grid.vertex_id(1, 3))
     v = grid.vertex_id(2, 2)
     stencil = {grid.face_id(2, 2), grid.face_id(1, 2), grid.face_id(2, 1)}
-    assert grid.star(v) <= stencil
-    assert grid.star(v) == stencil
+    assert set(grid.star(v).tolist()) <= stencil
+    assert set(grid.star(v).tolist()) == stencil
 
 
 def test_full_faceset_classification_2x2():
     grid = triangulated_grid(2, 2)
     fs = grid.full_faceset()
-    assert len(fs.adherent_vertices) == 8
-    assert grid.vertex_id(2, 2) not in fs.adherent_vertices
+    adherent = adherent_vertices(fs)
+    assert len(adherent) == 8
+    assert grid.vertex_id(2, 2) not in adherent
     klass = classify_vertices(grid, fs)
-    assert klass.interior == {grid.vertex_id(1, 1)}
-    assert klass.interior | klass.frontier == fs.adherent_vertices
+    assert set(klass.interior.tolist()) == {grid.vertex_id(1, 1)}
+    assert set(klass.interior.tolist()) | set(klass.frontier.tolist()) == adherent
 
 
 def test_full_faceset_classification_3x3():
     grid = triangulated_grid(3, 3)
     klass = classify_vertices(grid, grid.full_faceset())
     expected = {grid.vertex_id(i, j) for i in (1, 2) for j in (1, 2)}
-    assert klass.interior == expected
+    assert set(klass.interior.tolist()) == expected
 
 
 def test_full_faceset_interior_count_4x4():
@@ -87,7 +122,11 @@ def test_full_faceset_and_its_classes_are_shared():
     assert grid.full_faceset() is fs
     assert classify_vertices(grid, fs) is classify_vertices(grid, fs)
     # against another complex the face set is validated and classified anew
-    assert classify_vertices(TriangulatedGrid(3, 3), fs) == classify_vertices(grid, fs)
+    klass = classify_vertices(grid, fs)
+    again = classify_vertices(TriangulatedGrid(3, 3), fs)
+    assert again is not klass
+    assert np.array_equal(again.interior, klass.interior)
+    assert np.array_equal(again.frontier, klass.frontier)
     with pytest.raises(ValueError):
         classify_vertices(triangulated_grid(2, 2), fs)
 
@@ -95,16 +134,16 @@ def test_full_faceset_and_its_classes_are_shared():
 def test_empty_faceset():
     grid = triangulated_grid(2, 2)
     klass = classify_vertices(grid, FaceSet(grid, []))
-    assert klass.interior == frozenset()
-    assert klass.frontier == frozenset()
+    assert set(klass.interior.tolist()) == set()
+    assert set(klass.frontier.tolist()) == set()
 
 
 def test_one_face_subset_classification():
     grid = triangulated_grid(2, 2)
     klass = classify_vertices(grid, FaceSet(grid, [grid.face_id(0, 0)]))
-    assert klass.interior == frozenset()
-    assert klass.frontier == {grid.vertex_id(0, 0), grid.vertex_id(1, 0),
-                              grid.vertex_id(0, 1)}
+    assert set(klass.interior.tolist()) == set()
+    assert set(klass.frontier.tolist()) == {grid.vertex_id(0, 0), grid.vertex_id(1, 0),
+                                            grid.vertex_id(0, 1)}
 
 
 @pytest.mark.parametrize("w,h,seed", [(3, 3, 0), (4, 4, 1), (5, 3, 2)])
@@ -116,9 +155,10 @@ def test_classification_matches_enumeration_oracle(w, h, seed):
         chosen = list(rng.choice(grid.faces, size=k, replace=False))
         fs = FaceSet(grid, chosen)
         klass = classify_vertices(grid, fs)
-        assert klass.interior == ambient_interior(grid, chosen)
-        assert klass.interior | klass.frontier == fs.adherent_vertices
-        assert not (klass.interior & klass.frontier)
+        interior, frontier = set(klass.interior.tolist()), set(klass.frontier.tolist())
+        assert interior == ambient_interior(grid, chosen)
+        assert interior | frontier == adherent_vertices(fs)
+        assert not (interior & frontier)
 
 
 def test_full_interior_count_formula():
@@ -135,10 +175,10 @@ def test_star_adherence_transpose():
         for v in grid.adherence(f):
             rebuilt_star.setdefault(v, set()).add(f)
     for v in grid.vertices:
-        assert grid.star(v) == frozenset(rebuilt_star.get(v, set()))
+        assert set(grid.star(v).tolist()) == rebuilt_star.get(v, set())
     rebuilt_adh = {}
     for v in grid.vertices:
-        for f in grid.star(v):
+        for f in grid.star(v).tolist():
             rebuilt_adh.setdefault(f, set()).add(v)
     for f in grid.faces:
         assert rebuilt_adh[f] == set(grid.adherence(f))
@@ -158,18 +198,11 @@ def test_foreign_face_rejected():
 
 def test_adherence_validation():
     with pytest.raises(ValueError):
-        CellComplex({0: []})
+        CellComplex(np.zeros((1, 0), dtype=int))
     with pytest.raises(ValueError):
-        CellComplex({0: [1, 1, 2]})
-
-
-def test_export_text_deterministic():
-    grid = triangulated_grid(2, 2)
-    text = grid.export_text()
-    assert text == TriangulatedGrid(2, 2).export_text()
-    lines = text.strip().splitlines()
-    assert len(lines) == 4
-    assert lines[0] == "face 0 : 0 1 3"
+        CellComplex([[1, 1, 2]])
+    with pytest.raises(ValueError):
+        CellComplex([[0, 1, 2], [2, 3]])
 
 
 def test_id_layout_roundtrip():
@@ -184,3 +217,49 @@ def test_id_layout_roundtrip():
         grid.vertex_id(5, 0)
     with pytest.raises(ValueError):
         grid.face_id(0, 3)
+
+
+WINDOWS = [(1, 1), (1, 7), (7, 1), (1, 16), (16, 1), (2, 5), (4, 4), (9, 6), (16, 16)]
+
+
+@pytest.mark.parametrize("w,h", WINDOWS)
+def test_classification_matches_frozenset_oracle(w, h):
+    """Random face subsets, the empty and the full set: the bincount
+    classification gives the sets of the frozenset one and of the ambient
+    definition, as sorted read-only int arrays.  A 1 x N or N x 1 window has
+    no interior vertex."""
+    grid = triangulated_grid(w, h)
+    rng = np.random.default_rng(w * 100 + h)
+    subsets = [[], list(grid.faces)]
+    for _ in range(12):
+        k = int(rng.integers(0, len(grid.faces) + 1))
+        subsets.append(rng.choice(len(grid.faces), size=k, replace=False).tolist())
+    for chosen in subsets:
+        klass = classify_vertices(grid, FaceSet(grid, chosen))
+        interior, frontier = frozenset_classification(grid, chosen)
+        assert set(klass.interior.tolist()) == interior
+        assert interior == ambient_interior(grid, chosen)
+        assert set(klass.frontier.tolist()) == frontier
+        for ids in (klass.interior, klass.frontier):
+            assert ids.dtype.kind == "i" and not ids.flags.writeable
+            assert np.array_equal(ids, np.unique(ids))
+        if min(w, h) == 1:
+            assert klass.interior.size == 0
+
+
+def test_star_is_the_csr_transpose_of_a_generic_complex():
+    """On a random complex with k = 4 and an isolated vertex, every star is
+    the sorted list of faces adherent to the vertex; vertex ids run to
+    ``vertex_count`` and a truncated star keeps a vertex out of the
+    interior."""
+    rng = np.random.default_rng(5)
+    adherence = np.array([rng.choice(9, size=4, replace=False) for _ in range(12)])
+    complex = CellComplex(adherence, vertex_count=11, truncated_star=[3])
+    assert complex.vertices.tolist() == list(range(11))
+    assert np.array_equal(complex.adherence_array, adherence)
+    for v in range(11):
+        expected = [f for f in range(12) if v in adherence[f].tolist()]
+        assert complex.star(v).tolist() == expected
+    klass = classify_vertices(complex, FaceSet(complex, range(12)))
+    assert set(klass.interior.tolist()) == set(range(9)) - {3}
+    assert klass.frontier.tolist() == [3]

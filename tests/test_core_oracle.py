@@ -122,8 +122,9 @@ def pairing(theta, xi):
 
 def oracle_pairs(faceset, vertices):
     complex = faceset.complex
-    return [(v, f) for v in sorted(vertices)
-            for f in sorted(complex.star(v) & faceset.faces)]
+    faces = set(faceset.face_ids.tolist())
+    return [(v, f) for v in sorted(vertices.tolist())
+            for f in sorted(set(complex.star(v).tolist()) & faces)]
 
 
 def oracle_paired_sum(lagrangian, constraint, y, lam, dy, complex, pairs):
@@ -141,7 +142,8 @@ def oracle_paired_sum(lagrangian, constraint, y, lam, dy, complex, pairs):
 def oracle_split(lagrangian, constraint, y, lam, dy, faceset):
     complex = faceset.complex
     klass = classify_vertices(complex, faceset)
-    face_major = [(v, f) for f in sorted(faceset.faces) for v in complex.adherence(f)]
+    face_major = [(v, f) for f in sorted(faceset.face_ids.tolist())
+                  for v in complex.adherence(f)]
     lhs = oracle_paired_sum(lagrangian, constraint, y, lam, dy, complex, face_major)
     rhs = oracle_paired_sum(lagrangian, constraint, y, lam, dy, complex,
                             oracle_pairs(faceset, klass.interior)
@@ -153,7 +155,7 @@ def oracle_noether(lagrangian, constraint, y, lam, d, faceset):
     complex = faceset.complex
     n = constraint.fiber.n
     lag_defect = con_defect = 0.0
-    for f in sorted(faceset.faces):
+    for f in sorted(faceset.face_ids.tolist()):
         jet = one_jet(y, complex, f)
         dl, dphi = 0.0, np.zeros((n, n))
         for slot, v in enumerate(complex.adherence(f)):
@@ -172,7 +174,7 @@ def oracle_constraint_derivative(constraint, y, dy, faceset):
     complex = faceset.complex
     n = constraint.fiber.n
     out = np.zeros((len(complex.faces), n, n))
-    for f in sorted(faceset.faces):
+    for f in sorted(faceset.face_ids.tolist()):
         jet = one_jet(y, complex, f)
         for slot, v in enumerate(complex.adherence(f)):
             out[f] = out[f] + apply_form(form_of(constraint, complex, jet, slot),
@@ -185,10 +187,10 @@ def oracle_regularity(constraint, y, faceset, boundary_fixed):
     complex = faceset.complex
     c, d = constraint.fiber.components, lg.algebra_dim(constraint.fiber.n)
     klass = classify_vertices(complex, faceset)
-    variable = sorted(klass.interior) if boundary_fixed \
-        else sorted(faceset.adherent_vertices)
+    variable = sorted(klass.interior.tolist()) if boundary_fixed \
+        else sorted(set(complex.adherence_array[faceset.face_ids].ravel().tolist()))
     col_of = {v: i * c * d for i, v in enumerate(variable)}
-    faces = sorted(faceset.faces)
+    faces = sorted(faceset.face_ids.tolist())
     matrix = np.zeros((len(faces) * d, len(variable) * c * d))
     reachable = []
     for fi, f in enumerate(faces):
@@ -216,7 +218,7 @@ def oracle_regularity(constraint, y, faceset, boundary_fixed):
 def oracle_extended_residual(lagrangian, constraint, y, lam, complex, vertex):
     c = lagrangian.fiber.components
     total = 0.0
-    for f in sorted(complex.star(vertex)):
+    for f in sorted(complex.star(vertex).tolist()):
         jet = one_jet(y, complex, f)
         slot = complex.adherence(f).index(vertex)
         theta = lagrangian.vertex_differential(complex, jet, slot)[0]
@@ -227,7 +229,7 @@ def oracle_extended_residual(lagrangian, constraint, y, lam, complex, vertex):
 
 def oracle_euler_lagrange_form(lagrangian, y, complex, vertex):
     total = 0.0
-    for f in sorted(complex.star(vertex)):
+    for f in sorted(complex.star(vertex).tolist()):
         slot = complex.adherence(f).index(vertex)
         total = total + lagrangian.vertex_differential(
             complex, one_jet(y, complex, f), slot)[0]
@@ -245,7 +247,7 @@ def subset(grid):
             if i >= 1 and (i, j) != (3, 3)]
     fs = FaceSet(grid, keep)
     assert any(pos != f for pos, f in enumerate(fs.face_ids))
-    assert classify_vertices(grid, fs).interior
+    assert classify_vertices(grid, fs).interior.size
     return fs
 
 
@@ -330,7 +332,7 @@ def test_stacked_splits_reject_short_sections_and_multipliers():
 def test_residuals_match_per_pair_oracles(n, kind, faces):
     grid, lagrangian, constraint, y, lam, _ = problem(n, kind, 200 + n)
     fs = FACESETS[faces](grid)
-    interior = sorted(classify_vertices(grid, fs).interior)
+    interior = classify_vertices(grid, fs).interior.tolist()
     expected = []
     for v in interior:
         oracle = oracle_extended_residual(lagrangian, constraint, y, lam, grid, v)

@@ -289,7 +289,7 @@ def test_conjugation_field_is_symmetry(solved66):
     lagrangian = solved66["lagrangian"]
     fs = grid.full_faceset()
     # trace derivative along the field is a commutator trace, exactly zero
-    for f in sorted(fs.faces):
+    for f in fs.face_ids.tolist():
         jets = core.jet_at(y, grid, [f])
         dl = sum(core.apply_differential(
             lagrangian.vertex_differential(grid, jets, slot)[0], d.values[v])
@@ -360,6 +360,11 @@ def test_multisymplectic_bump_must_be_frontier(solved66):
     inner = {grid.vertex_id(2, 2): lg.random_skew(N, rng)}
     with pytest.raises(ValueError):
         hm.run_multisymplectic_scenario(grid, solved66["config"], inner, inner)
+    # one check for the whole bump names its first non-frontier vertex
+    frontier = classify_vertices(grid, grid.full_faceset()).frontier
+    mixed = {int(frontier[3]): lg.random_skew(N, rng), **inner}
+    with pytest.raises(ValueError, match=f"bump vertex {grid.vertex_id(2, 2)} is not"):
+        hm.run_multisymplectic_scenario(grid, solved66["config"], mixed, mixed)
 
 
 def test_random_boundary_reproducible():

@@ -3,7 +3,7 @@ import pytest
 
 from groupvar import sampling, serialization as ser
 from groupvar.complexes import triangulated_grid
-from groupvar.reduction import reduce_field
+from groupvar.reduction import UnreducedField, reduce_field
 
 
 def test_reduced_section_roundtrip_bit_exact(tmp_path):
@@ -126,3 +126,204 @@ def test_far_corner_record_is_optional_for_sections_only(tmp_path):
     field_path.write_text("\n".join(kept) + "\n")
     with pytest.raises(ValueError, match="missing"):
         load_field(field_path)
+
+
+# ---------------------------------------------------------------------------
+# the record parser against the per-line one it replaced
+
+
+def per_line_parse_records(lines, body_start, tag, n, components, index, count,
+                           optional=None) -> np.ndarray:
+    """The per-line record parser that the array one replaced, kept as an
+    oracle.  ``index`` maps a record's (i, j) to its id; the id ``optional``
+    may be left out and then holds the identity."""
+    values = np.empty((count, components, n, n))
+    seen = np.zeros(count, dtype=bool)
+    per_record = components * n * n
+    for line in lines[body_start:]:
+        words = line.split()
+        if not words:
+            continue
+        if words[0] != tag:
+            raise ValueError(f"unexpected record {words[0]!r}, wanted {tag!r}")
+        if len(words) != 3 + per_record:
+            raise ValueError(f"record has {len(words) - 3} numbers, "
+                             f"expected {per_record}")
+        i, j = int(words[1]), int(words[2])
+        k = index(i, j)
+        if seen[k]:
+            raise ValueError(f"duplicate record {tag} {i} {j}")
+        numbers = np.array([float(w) for w in words[3:]])
+        if not np.isfinite(numbers).all():
+            raise ValueError(f"record {tag} {i} {j} has non-finite entries")
+        values[k] = numbers.reshape(components, n, n)
+        seen[k] = True
+    if optional is not None and not seen[optional]:
+        values[optional] = np.eye(n)
+        seen[optional] = True
+    if not seen.all():
+        raise ValueError(f"{int(np.sum(~seen))} of {count} records missing, "
+                         f"the first with id {int(np.argmin(seen))}")
+    return values
+
+
+KINDS = {
+    # kind: (tag, components, optional far corner)
+    "section": ("v", 2, True),
+    "field": ("v", 1, False),
+    "multiplier": ("f", 1, False),
+}
+
+
+def _body(kind, width, height, n, rng):
+    """Header lines and one record line per id in id order, random entries."""
+    tag, components, _ = KINDS[kind]
+    columns, rows = (width + 1, height + 1) if tag == "v" else (width, height)
+    header = [ser.MAGIC, f"kind={kind}", f"n={n}", f"components={components}",
+              f"width={width}", f"height={height}"]
+    records = [f"{tag} {k % columns} {k // columns} "
+               + " ".join(map(repr, rng.standard_normal(components * n * n).tolist()))
+               for k in range(columns * rows)]
+    return header, records
+
+
+DEFECTS = ("tag", "short", "long", "non-integer id", "non-number", "outside",
+           "negative id", "int64 id", "duplicate", "nan", "inf", "missing",
+           "far corner")
+
+
+def _defective(records, defect, kind, width, height, rng):
+    """A copy of the records with one defect on one random line."""
+    records = list(records)
+    k = int(rng.integers(len(records)))
+    words = records[k].split()
+    if defect == "tag":
+        words[0] = "f" if words[0] == "v" else "v"
+    elif defect == "short":
+        words.pop()
+    elif defect == "long":
+        words.append("0.5")
+    elif defect == "non-integer id":
+        words[1 + int(rng.integers(2))] = ("1.5", "x", "1e3")[int(rng.integers(3))]
+    elif defect == "non-number":
+        bad = ("x", "0x1p3", "1e")[int(rng.integers(3))]
+        words[3 + int(rng.integers(len(words) - 3))] = bad
+    elif defect == "outside":
+        words[1] = str(width + 1 if words[0] == "v" else width)
+    elif defect == "negative id":
+        words[2] = "-1"
+    elif defect == "int64 id":
+        # beyond int64 either way
+        words[1 + int(rng.integers(2))] = ("9" * 20, "-" + "9" * 19)[int(rng.integers(2))]
+    elif defect == "duplicate":
+        records.insert(int(rng.integers(k + 1, len(records) + 1)), records[k])
+        return records
+    elif defect in ("nan", "inf"):
+        sign = "-" if rng.random() < 0.5 else ""
+        words[3 + int(rng.integers(len(words) - 3))] = sign + defect
+    elif defect == "missing":
+        return records[:k] + records[k + 1:]
+    elif defect == "far corner":
+        return records[:-1]
+    records[k] = " ".join(words)
+    return records
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _both(kind, lines, width, height, n):
+    """What the array parser and the per-line oracle make of one body."""
+    tag, components, optional = KINDS[kind]
+    grid = triangulated_grid(width, height)
+    index, count = ((grid.vertex_id, len(grid.vertices)) if tag == "v"
+                    else (grid.face_id, len(grid.faces)))
+    got = _outcome(ser._parse_records, lines, 6, tag, n, components, width,
+                   height, optional)
+    want = _outcome(per_line_parse_records, lines, 6, tag, n, components, index,
+                    count, grid.vertices[-1] if optional else None)
+    return got, want
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_parser_matches_per_line_oracle_on_single_defects(kind):
+    """A seeded corpus: every single-defect body gets the oracle's exception
+    message, and every valid body (in id order, shuffled, with blank lines,
+    without the far corner) the oracle's values, bit for bit."""
+    rng = np.random.default_rng(list(KINDS).index(kind))
+    # the 12x9 bodies span several blocks of lines
+    for width, height, n in ((1, 1, 2), (3, 2, 3), (2, 4, 2), (5, 3, 4), (12, 9, 2)):
+        header, records = _body(kind, width, height, n, rng)
+        shuffled = [records[k] for k in rng.permutation(len(records))]
+        for body in (records, shuffled, [""] + records[:2] + ["  "] + records[2:],
+                     records[:-1]):
+            got, want = _both(kind, header + body, width, height, n)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+        for defect in DEFECTS:
+            for _ in range(3):
+                body = _defective(records, defect, kind, width, height, rng)
+                got, want = _both(kind, header + body, width, height, n)
+                if isinstance(want, str):
+                    assert got == want, (defect, body)
+                else:
+                    # a section may leave out its far corner record
+                    assert kind == "section" and len(body) == len(records) - 1
+                    assert body == records[:-1]
+                    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_two_defects_raise_one_of_their_messages(kind):
+    """With defects on two lines the parser still raises ValueError, with
+    the message of one of the two defects on its own."""
+    rng = np.random.default_rng(10 + list(KINDS).index(kind))
+    width, height, n = 3, 2, 2
+    header, records = _body(kind, width, height, n, rng)
+    in_place = [d for d in DEFECTS if d not in ("duplicate", "missing", "far corner")]
+    for _ in range(40):
+        first, second = rng.choice(len(in_place), size=2)
+        a, b = sorted(rng.choice(len(records), size=2, replace=False))
+        one, two = list(records), list(records)
+        one[a] = _defective([records[a]], in_place[first], kind, width, height, rng)[0]
+        two[b] = _defective([records[b]], in_place[second], kind, width, height, rng)[0]
+        both = list(one)
+        both[b] = two[b]
+        got, _ = _both(kind, header + both, width, height, n)
+        alone = {_both(kind, header + body, width, height, n)[0] for body in (one, two)}
+        assert isinstance(got, str) and got in alone
+
+
+def test_saved_field_golden_text(tmp_path):
+    """Record order, spacing, repr floats and the trailing newline of a saved
+    2x2 SO(2) field, pinned byte for byte."""
+    grid = triangulated_grid(2, 2)
+    values = np.tile(np.eye(2), (9, 1, 1))
+    values[1] = [[0.6, -0.8], [0.8, 0.6]]
+    values[8] = [[-1.0, -0.0], [0.0, -1.0]]
+    path = tmp_path / "field.txt"
+    ser.save_unreduced_field(path, grid, UnreducedField(values))
+    assert path.read_text() == (
+        "groupvar-field v1\n"
+        "kind=unreduced_field\n"
+        "n=2\n"
+        "components=1\n"
+        "width=2\n"
+        "height=2\n"
+        "v 0 0 1.0 0.0 0.0 1.0\n"
+        "v 1 0 0.6 -0.8 0.8 0.6\n"
+        "v 2 0 1.0 0.0 0.0 1.0\n"
+        "v 0 1 1.0 0.0 0.0 1.0\n"
+        "v 1 1 1.0 0.0 0.0 1.0\n"
+        "v 2 1 1.0 0.0 0.0 1.0\n"
+        "v 0 2 1.0 0.0 0.0 1.0\n"
+        "v 1 2 1.0 0.0 0.0 1.0\n"
+        "v 2 2 -1.0 -0.0 0.0 -1.0\n")
+    _, loaded = ser.load_unreduced_field(path)
+    assert np.array_equal(loaded.values, values)
