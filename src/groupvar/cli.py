@@ -244,16 +244,26 @@ def _suite_split(cfg, rng):
                             "worst_split_defect": worst, "tolerance": 1e-12}
 
 
+def _cartan_logs(grid, n: int, rng, count: int) -> np.ndarray:
+    """Logs (count, k, 2, n, n) of instance k's jet at face k mod F: one
+    uniform draw per block, row-major, so each instance draws what
+    ``random_variation(grid, n, rng, 0.5)`` would; only the coordinates of
+    the jet's vertices become matrices (the far corner adheres to no face)."""
+    adherence = grid.adherence_array
+    block, coords = core._FD_BLOCK // len(adherence), []
+    for start in range(0, count, block):
+        draw = rng.uniform(-1.0, 1.0, (min(block, count - start),
+                                       len(grid.vertices) - 1, 2, algebra_dim(n)))
+        faces = adherence[np.arange(start, start + len(draw)) % len(adherence)]
+        coords.append(draw[np.arange(len(draw))[:, None], faces])
+    return 0.5 * coords_to_skew(np.concatenate(coords), n)
+
+
 def _suite_cartan(cfg, rng):
     n = cfg["n"]
     grid = triangulated_grid(3, 3)
     constraint = PlaquetteConstraint(n)
-    adherence = grid.adherence_array
-    # per instance, the jet of random_section at the next face in turn: the
-    # exponentials of just the log blocks that jet reads
-    jets = exp_skew(np.array([
-        sampling.random_variation(grid, n, rng, 0.5).values[adherence[k % len(adherence)]]
-        for k in range(cfg["instances"])]))
+    jets = exp_skew(_cartan_logs(grid, n, rng, cfg["instances"]))
     defects = []
     for slot in range(3):
         analytic = constraint.cartan_form(grid, jets, slot)

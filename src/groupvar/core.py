@@ -64,6 +64,7 @@ __all__ = [
     "noether_boundary_sum",
     "jacobi_residual",
     "multisymplectic_defect",
+    "multisymplectic_check",
     "jet_at",
     "section_exp",
     "multiplier_shift",
@@ -452,9 +453,12 @@ def _require_interior(klass: VertexClass, vertex: int):
 def _vertex_major(vertices: np.ndarray, chosen) -> np.ndarray:
     """Flat [face, slot] indices of the (vertex, face) pairs whose vertex is
     in ``chosen``: vertex after vertex in id order, each vertex's faces in id
-    order (``vertices`` is the (F', k) adherence of faces in id order)."""
+    order (``vertices`` is the (F', k) adherence of faces in id order, and
+    each chosen vertex adheres to one of those faces)."""
     flat = vertices.ravel()
-    picked = np.flatnonzero(np.isin(flat, chosen))
+    mask = np.zeros(flat.max(initial=-1) + 1, bool)
+    mask[chosen] = True
+    picked = np.flatnonzero(mask[flat])
     return picked[np.argsort(flat[picked], kind="stable")]
 
 
@@ -470,23 +474,27 @@ def _vertex_sums(covectors: np.ndarray, vertices: np.ndarray,
 
 
 def _face_forms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                complex: CellComplex, jets: np.ndarray):
-    """The Lagrangian differential theta (P, k, c, n, n) and Cartan form A
-    (P, k, d, c d) of every (jet, slot) pair of a (P, k, c, n, n) jet stack,
-    each evaluated once."""
-    return (_per_slot(lagrangian.vertex_differential, complex, jets),
-            _per_slot(constraint.cartan_form, complex, jets))
+                ys: np.ndarray, lams: np.ndarray, complex: CellComplex,
+                faces: np.ndarray):
+    """The per-point part of the calculus for B (section, multiplier) points,
+    ys (B, V, c, n, n) and lams (B, F, n, n): indexed [point, face, slot],
+    the Lagrangian differential theta (B, F', k, c, n, n) and Cartan form A
+    (B, F', k, d, c d) of every pair, from one density and one constraint
+    call per slot on all B F' jets, and the multipliers (B, F', 1, n, n)."""
+    jets = _jets(ys, complex, faces)
+    flat = jets.reshape((-1,) + jets.shape[2:])
+    theta = _per_slot(lagrangian.vertex_differential, complex, flat)
+    forms = _per_slot(constraint.cartan_form, complex, flat)
+    return (theta.reshape(jets.shape), forms.reshape(jets.shape[:3] + forms.shape[2:]),
+            _face_values(lams, faces)[:, :, None])
 
 
-def _extended_covectors(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                        y: Section, lam: Multiplier, complex: CellComplex,
-                        faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adherent vertices (F', k) of the faces and the extended Cartan form
-    theta + A^T lam of every (face, slot) pair, (F', k, c, n, n)."""
-    theta, forms = _face_forms(lagrangian, constraint, complex,
-                               jet_at(y, complex, faces))
-    return (complex.adherence_array[faces],
-            theta + form_transpose(forms, lam.at(faces)[:, None]))
+def _residual_sums(point, vertices: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Per point of a :func:`_face_forms` stack, the extended Cartan forms
+    theta + A^T lam summed per chosen vertex, (B, len(chosen), c, n, n)."""
+    theta, forms, lam = point
+    return np.array([_vertex_sums(covectors, vertices, chosen)
+                     for covectors in theta + form_transpose(forms, lam)])
 
 
 def euler_lagrange_form(lagrangian: LagrangianDensity, y: Section,
@@ -530,9 +538,10 @@ def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     complex = faceset.complex
     _require_interior(classify_vertices(complex, faceset), vertex)
     faces = complex.star(vertex)
-    vertices, covectors = _extended_covectors(lagrangian, constraint, y, lam,
-                                              complex, faces)
-    total = _vertex_sums(covectors, vertices, np.array([vertex]))[0]
+    point = _face_forms(lagrangian, constraint, y.values[None], lam.values[None],
+                        complex, faces)
+    total = _residual_sums(point, complex.adherence_array[faces],
+                           np.array([vertex]))[0, 0]
     # value on basis vector E_kl is <mu, E_kl> = 2 mu_kl
     coords = (2.0 * skew_to_coords(total)).ravel()
     return ELResidual(total, coords, float(np.linalg.norm(coords)))
@@ -541,42 +550,42 @@ def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
 def el_residual_vector(lagrangian: LagrangianDensity, constraint: ConstraintMap,
                        y: Section, lam: Multiplier, faceset: FaceSet) -> np.ndarray:
     """Concatenated residual coordinates over all interior vertices (sorted)."""
-    interior = classify_vertices(faceset.complex, faceset).interior
+    complex, faces = faceset.complex, faceset.face_ids
+    interior = classify_vertices(complex, faceset).interior
     if not interior.size:
         return np.zeros(0)
-    vertices, covectors = _extended_covectors(lagrangian, constraint, y, lam,
-                                              faceset.complex, faceset.face_ids)
-    return (2.0 * skew_to_coords(_vertex_sums(covectors, vertices, interior))).ravel()
+    point = _face_forms(lagrangian, constraint, y.values[None], lam.values[None],
+                        complex, faces)
+    sums = _residual_sums(point, complex.adherence_array[faces], interior)
+    return (2.0 * skew_to_coords(sums[0])).ravel()
 
 
 # ---------------------------------------------------------------------------
 # variation formula, Noether sum, Jacobi and multisymplectic checks
 
 
+def _probe_terms(point, dys: np.ndarray, vertices: np.ndarray):
+    """The per-probe part: a :func:`_face_forms` stack of B points applied to
+    variations dys (B or 1, V, c, n, n).  Returns, indexed [point, face,
+    slot], the terms <theta, xi> (B, F', k), A xi (B, F', k, n, n) and the
+    pair terms <theta, xi> + <lam, A xi> (B, F', k) every sum below adds."""
+    theta, forms, lam = point
+    xi = dys[:, vertices]
+    dl = apply_differential(theta, xi)
+    dphi = form_apply(forms, xi)
+    return dl, dphi, dl + block_dot(lam, dphi)
+
+
 def _pair_terms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
                 ys: np.ndarray, lams: np.ndarray, dys: np.ndarray,
                 faceset: FaceSet):
-    """The extended Cartan form of every (vertex, face) pair applied to the
-    variation, each evaluated once, for a stack of B instances: sections ys
-    (B, V, c, n, n), multipliers lams (B, F, n, n) and variations dys
-    (B, V, c, n, n).
-
-    Returns, with the faces in id order: the adherent vertices (F', k), and,
-    indexed [instance, face, slot], the Lagrangian terms <theta, xi>
-    (B, F', k), the constraint terms A xi (B, F', k, n, n) and the pair terms
-    <theta, xi> + <lam, A xi> (B, F', k) that every sum below adds up.  The
-    density and the constraint see all B F' jets in one call per slot.
-    """
+    """The adherent vertices (F', k) of the faces in id order and the
+    :func:`_probe_terms` of B instances: sections ys (B, V, c, n, n),
+    multipliers lams (B, F, n, n) and variations dys (B, V, c, n, n)."""
     complex, faces = faceset.complex, faceset.face_ids
     vertices = complex.adherence_array[faces]
-    jets = _jets(ys, complex, faces)
-    theta, forms = _face_forms(lagrangian, constraint, complex,
-                               jets.reshape((-1,) + jets.shape[2:]))
-    xi = dys[:, vertices]
-    dl = apply_differential(theta.reshape(xi.shape), xi)
-    dphi = form_apply(forms.reshape(xi.shape[:3] + forms.shape[2:]), xi)
-    lam = _face_values(lams, faces)[:, :, None]
-    return vertices, dl, dphi, dl + block_dot(lam, dphi)
+    point = _face_forms(lagrangian, constraint, ys, lams, complex, faces)
+    return (vertices, *_probe_terms(point, dys, vertices))
 
 
 def _instance(y: Section, lam: Multiplier, dy: Variation):
@@ -678,6 +687,28 @@ def zero_variation(fiber: FiberSignature, complex: CellComplex) -> Variation:
                                       fiber.n, fiber.n)))
 
 
+def _flows(y: Section, lam: Multiplier, fields, step: float):
+    """Section values (P, V, c, n, n) and multiplier values (P, F, n, n) at
+    (y exp(t d), lam + t dlam), as :func:`section_exp` and
+    :func:`multiplier_shift` give them, for each field (d, dlam) and
+    t = step, -step in turn, then at (y, lam) itself."""
+    flows = [(t * d.values, lam.values + t * dlam.values)
+             for d, dlam in fields for t in (step, -step)]
+    ys = y.values @ exp_skew(np.array([xi for xi, _ in flows]))
+    return (np.concatenate([ys, y.values[None]]),
+            np.array([m for _, m in flows] + [lam.values]))
+
+
+def _jacobi_norms(point, vertices: np.ndarray, interior: np.ndarray,
+                  step: float) -> list[float]:
+    """Central-difference norms of the extended residual over the interior,
+    one per consecutive pair of points (flowed by +step, then by -step)."""
+    coords = 2.0 * skew_to_coords(_residual_sums(point, vertices, interior))
+    coords = coords.reshape(len(coords), -1)
+    return [float(np.linalg.norm((plus - minus) / (2.0 * step)))
+            for plus, minus in zip(coords[0::2], coords[1::2])]
+
+
 def jacobi_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
                     y: Section, lam: Multiplier, dy: Variation, dlam: Multiplier,
                     faceset: FaceSet, step: float = H_JACOBI) -> float:
@@ -687,17 +718,19 @@ def jacobi_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     a critical pair annihilates the linearized residual, so the value is of
     the order of the finite-difference error for true Jacobi fields.
     """
-    plus = el_residual_vector(lagrangian, constraint, section_exp(y, dy, step),
-                              multiplier_shift(lam, dlam, step), faceset)
-    minus = el_residual_vector(lagrangian, constraint, section_exp(y, dy, -step),
-                               multiplier_shift(lam, dlam, -step), faceset)
-    return float(np.linalg.norm((plus - minus) / (2.0 * step)))
+    complex, faces = faceset.complex, faceset.face_ids
+    ys, lams = _flows(y, lam, ((dy, dlam),), step)
+    point = _face_forms(lagrangian, constraint, ys[:2], lams[:2], complex, faces)
+    return _jacobi_norms(point, complex.adherence_array[faces],
+                         classify_vertices(complex, faceset).interior, step)[0]
 
 
-def _commutator_variation(d1: Variation, d2: Variation) -> Variation:
-    """Bracket of the left-invariant extensions: pointwise matrix commutator."""
-    x, z = d1.values, d2.values
-    return Variation(d1.fiber, skew_part(x @ z - z @ x))
+def _two_form(x_plus, x_minus, y_plus, y_minus, bracket, step: float) -> float:
+    """d omega(X, Y) = X(omega(Y)) - Y(omega(X)) - omega([X, Y]) from omega
+    at the flows of X probed by Y, at those of Y probed by X, and at the
+    base point probed by the bracket."""
+    return float((x_plus - x_minus) / (2.0 * step) - (y_plus - y_minus) / (2.0 * step)
+                 - bracket)
 
 
 def multisymplectic_defect(lagrangian: LagrangianDensity, constraint: ConstraintMap,
@@ -713,19 +746,41 @@ def multisymplectic_defect(lagrangian: LagrangianDensity, constraint: Constraint
     bracket therefore the pointwise commutator.  Vanishes on two Jacobi
     fields along a critical pair, up to finite-difference error.
     """
-    frontier = classify_vertices(faceset.complex, faceset).frontier
-    # omega at the four flowed points, probed by the other field, and at
-    # (y, lam), probed by the bracket: five instances of one pass
-    flows = ((d1, dlam1, step, d2), (d1, dlam1, -step, d2),
-             (d2, dlam2, step, d1), (d2, dlam2, -step, d1))
-    instances = [(section_exp(y, flow, t), multiplier_shift(lam, flow_lam, t),
-                  probe) for flow, flow_lam, t, probe in flows]
-    instances.append((y, lam, _commutator_variation(d1, d2)))
-    ys, lams, dys = (np.array([item.values for item in column])
-                     for column in zip(*instances))
-    vertices, _, _, terms = _pair_terms(lagrangian, constraint, ys, lams, dys,
-                                        faceset)
-    omega = _vertex_major_sums(vertices, terms, frontier)
-    x_of_y = (omega[0] - omega[1]) / (2.0 * step)
-    y_of_x = (omega[2] - omega[3]) / (2.0 * step)
-    return float(x_of_y - y_of_x - omega[4])
+    return multisymplectic_check(lagrangian, constraint, y, lam, d1, dlam1, d2,
+                                 dlam2, faceset, step)[2]
+
+
+def multisymplectic_check(lagrangian: LagrangianDensity, constraint: ConstraintMap,
+                          y: Section, lam: Multiplier,
+                          d1: Variation, dlam1: Multiplier,
+                          d2: Variation, dlam2: Multiplier,
+                          faceset: FaceSet, step: float = H_JACOBI
+                          ) -> tuple[float, float, float, float, float]:
+    """:func:`jacobi_residual` along (d1, dlam1) and along (d2, dlam2), then
+    :func:`multisymplectic_defect` on the fields in the orders (1, 2), (2, 1)
+    and (1, 1), from one evaluation of the forms at each of the five points
+    (y exp(+-step d_i), lam +- step dlam_i) and (y, lam).
+
+    The swapped defect combines the omega values of the first with the roles
+    exchanged and the bracket negated ([d2, d1] = -[d1, d2] exactly); the
+    repeated one probes the flows of d1 by d1, against the zero bracket.
+    """
+    complex, faces = faceset.complex, faceset.face_ids
+    klass = classify_vertices(complex, faceset)
+    vertices = complex.adherence_array[faces]
+    ys, lams = _flows(y, lam, ((d1, dlam1), (d2, dlam2)), step)
+    point = _face_forms(lagrangian, constraint, ys, lams, complex, faces)
+    jacobi = _jacobi_norms(tuple(a[:4] for a in point), vertices, klass.interior, step)
+    # omega, the frontier sum of the pair terms, at the flows of d1 probed by
+    # d2 and by d1, at the flows of d2 probed by d1, and at (y, lam) probed
+    # by the bracket of the left-invariant extensions, the commutator
+    x, z = d1.values, d2.values
+    omega = np.concatenate([
+        _vertex_major_sums(vertices, _probe_terms(tuple(a[at] for a in point),
+                                                  dy[None], vertices)[2], klass.frontier)
+        for dy, at in ((z, slice(0, 2)), (x, slice(0, 4)),
+                       (skew_part(x @ z - z @ x), slice(4, 5)))])
+    x_flows, repeat, y_flows, bracket = omega[0:2], omega[2:4], omega[4:6], omega[6]
+    return (*jacobi, _two_form(*x_flows, *y_flows, bracket, step),
+            _two_form(*y_flows, *x_flows, -bracket, step),
+            _two_form(*repeat, *repeat, 0.0, step))

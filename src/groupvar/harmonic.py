@@ -30,8 +30,7 @@ from .core import (
     Variation,
     action,
     noether_boundary_sum,
-    jacobi_residual,
-    multisymplectic_defect,
+    multisymplectic_check,
     NoetherReport,
 )
 from .defaults import G_TOL, H_JACOBI
@@ -649,14 +648,8 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
     d2 = _difference_quotient(y0, y2, step)
     dlam2 = _multiplier_quotient(lam0, lam2, step)
 
-    jr1 = jacobi_residual(lagrangian, constraint, y0, lam0, d1, dlam1, faceset, step)
-    jr2 = jacobi_residual(lagrangian, constraint, y0, lam0, d2, dlam2, faceset, step)
-    defect = multisymplectic_defect(lagrangian, constraint, y0, lam0,
-                                    d1, dlam1, d2, dlam2, faceset, step)
-    swapped = multisymplectic_defect(lagrangian, constraint, y0, lam0,
-                                     d2, dlam2, d1, dlam1, faceset, step)
-    repeated = multisymplectic_defect(lagrangian, constraint, y0, lam0,
-                                      d1, dlam1, d1, dlam1, faceset, step)
+    jr1, jr2, defect, swapped, repeated = multisymplectic_check(
+        lagrangian, constraint, y0, lam0, d1, dlam1, d2, dlam2, faceset, step)
     passed = jr1 <= jacobi_tol and jr2 <= jacobi_tol and abs(defect) <= defect_tol
     return MultisymplecticScenarioReport(jr1, jr2, defect, swapped, repeated,
                                          defect_tol, passed)

@@ -14,7 +14,6 @@ check of ``liegroup.group_array``.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +87,8 @@ def _parse_header(lines: list[str], expected_kind: str):
             f"expected a {expected_kind} file, found kind={header['kind']}")
     n, components, width, height = (
         int(header[key]) for key in ("n", "components", "width", "height"))
+    if n < 2:
+        raise ValueError(f"field file header n={n}: group size must be at least 2")
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be positive")
     if (width + 1) * (height + 1) > np.iinfo(np.int64).max:
@@ -109,8 +110,6 @@ def _parse_records(lines, body_start, tag, n, components, width, height,
     finiteness and missing records are then checked on the whole body's
     arrays.  Nothing of the header's size exists before the body passes.
     """
-    if n < 0:
-        raise ValueError("negative dimensions are not allowed")
     per_record = components * n * n
     name, columns, rows = (("vertex", width + 1, height + 1) if tag == "v"
                            else ("face", width, height))
@@ -222,8 +221,8 @@ def write_report(path, records: dict) -> None:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(x) for x in row])
+    """Comma-separated header and rows with CRLF line ends, the bytes of
+    ``csv.writer``'s default dialect: no field written here holds a comma,
+    a quote or a line break, so none is quoted."""
+    lines = (",".join(map(format_value, row)) + "\r\n" for row in (header, *rows))
+    Path(path).write_text("".join(lines), newline="")

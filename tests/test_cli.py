@@ -210,6 +210,23 @@ def test_split_draws_match_the_generators(n):
     assert rng.bit_generator.state == oracle.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_cartan_logs_match_the_generator(n):
+    """One uniform draw per block of 28 instances gives, bit for bit and
+    across the block edge, the log blocks of instance k's jet at face k mod
+    F that random_variation(grid, n, rng, 0.5) draws instance after
+    instance, and leaves the generator in the same state."""
+    grid = triangulated_grid(3, 3)
+    adherence = grid.adherence_array
+    rng, oracle = np.random.default_rng(n), np.random.default_rng(n)
+    logs = cli._cartan_logs(grid, n, rng, 29)
+    assert logs.shape == (29, 3, 2, n, n)
+    for k in range(29):
+        want = sampling.random_variation(grid, n, oracle, 0.5).values
+        assert logs[k].tobytes() == want[adherence[k % len(adherence)]].tobytes()
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 @pytest.mark.parametrize("instances", [1, 28, 29, 100])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_blocked_suites_match_the_per_instance_loops(n, instances):
@@ -525,3 +542,54 @@ def test_group_size_mismatch_exits_two(tmp_path, capsys):
                "--seed-file", field, "--out", tmp_path / "rebuilt") == 2
     err = capsys.readouterr().err
     assert err == "groupvar: seed file holds SO(4) values, the section is SO(3)\n"
+
+
+@pytest.mark.parametrize("command, kind, n", [
+    ("solve", "unreduced_field", 0),
+    ("recover-multipliers", "reduced_section", 1),
+    ("recover-multipliers", "reduced_section", -1),
+])
+def test_field_header_group_size_below_two_exits_two(tmp_path, capsys, command,
+                                                     kind, n):
+    """A header n below 2 is named by its key, as --n is, before any record
+    is read."""
+    path = tmp_path / "field.txt"
+    path.write_text("\n".join([ser.MAGIC, f"kind={kind}", f"n={n}",
+                               f"components={1 if kind == 'unreduced_field' else 2}",
+                               "width=1", "height=1", "v 0 0", "v 1 0", "v 0 1",
+                               "v 1 1"]) + "\n")
+    flag = "--boundary" if command == "solve" else "--section"
+    capsys.readouterr()
+    assert run(command, flag, path, "--width", 1, "--height", 1,
+               "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == \
+        f"groupvar: field file header n={n}: group size must be at least 2\n"
+
+
+def test_solve_csv_files_are_golden(tmp_path):
+    """residuals.csv and history.csv of one small solve, byte for byte:
+    comma-separated, floats by repr, CRLF line ends."""
+    out = tmp_path / "run"
+    assert run("solve", "--boundary", "identity", "--width", 3, "--height", 2,
+               "--out", out) == 0
+    assert (out / "residuals.csv").read_bytes() == \
+        b"i,j,ep_residual\r\n1,1,0.0\r\n2,1,0.0\r\n"
+    assert (out / "history.csv").read_bytes() == (
+        b"iteration,phase,objective,action,max_gradient,step\r\n"
+        b"0,start,0.0,36.0,0.0,0.0\r\n")
+
+
+def test_write_csv_matches_the_csv_module(tmp_path):
+    """The writer gives the bytes of csv.writer's default dialect on the
+    kinds of value the reports hold."""
+    import csv
+    rows = [(1, "newton", 0.1, np.float64(-2.5e-300), float("nan"), None),
+            (2, "start", 1e16, 3, float("inf"), np.int64(7))]
+    header = ["iteration", "phase", "objective", "action", "max_gradient", "step"]
+    ser.write_csv(tmp_path / "got.csv", header, iter(rows))
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([ser.format_value(x) for x in row])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from groupvar import core, harmonic as hm, liegroup as lg, reduction as red, sampling
-from groupvar.complexes import classify_vertices, triangulated_grid
+from groupvar.complexes import FaceSet, classify_vertices, triangulated_grid
 from groupvar.cli import main
 from groupvar.errors import ConvergenceError, DomainError
 
@@ -365,6 +365,103 @@ def test_multisymplectic_bump_must_be_frontier(solved66):
     mixed = {int(frontier[3]): lg.random_skew(N, rng), **inner}
     with pytest.raises(ValueError, match=f"bump vertex {grid.vertex_id(2, 2)} is not"):
         hm.run_multisymplectic_scenario(grid, solved66["config"], mixed, mixed)
+
+
+# The scenario's earlier arithmetic, one point at a time: two jacobi_residual
+# calls, each two el_residual_vector calls at the flowed points, and three
+# multisymplectic_defect calls, each omega a one-instance frontier sum.
+
+
+def oracle_jacobi(lagrangian, constraint, y, lam, dy, dlam, fs, step):
+    plus, minus = (core.el_residual_vector(lagrangian, constraint,
+                                           core.section_exp(y, dy, t),
+                                           core.multiplier_shift(lam, dlam, t), fs)
+                   for t in (step, -step))
+    return float(np.linalg.norm((plus - minus) / (2.0 * step)))
+
+
+def oracle_two_form(lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs, step):
+    def omega(y, lam, probe):
+        return core.noether_boundary_sum(lagrangian, constraint, y, lam, probe,
+                                         fs).boundary_sum
+
+    def flowed(d, dl, t, probe):
+        return omega(core.section_exp(y, d, t), core.multiplier_shift(lam, dl, t), probe)
+
+    x_of_y = (flowed(d1, dl1, step, d2) - flowed(d1, dl1, -step, d2)) / (2.0 * step)
+    y_of_x = (flowed(d2, dl2, step, d1) - flowed(d2, dl2, -step, d1)) / (2.0 * step)
+    x, z = d1.values, d2.values
+    bracket = core.Variation(d1.fiber, lg.skew_part(x @ z - z @ x))
+    return float(x_of_y - y_of_x - omega(y, lam, bracket))
+
+
+def oracle_scenario_values(lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs,
+                           step):
+    base = (lagrangian, constraint, y, lam)
+    return (oracle_jacobi(*base, d1, dl1, fs, step),
+            oracle_jacobi(*base, d2, dl2, fs, step),
+            oracle_two_form(*base, d1, dl1, d2, dl2, fs, step),
+            oracle_two_form(*base, d2, dl2, d1, dl1, fs, step),
+            oracle_two_form(*base, d1, dl1, d1, dl1, fs, step))
+
+
+def same_bits(got, want):
+    return np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("width, height", [(6, 6), (5, 4), (9, 7)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_multisymplectic_check_matches_the_per_call_scenario(monkeypatch, n,
+                                                             width, height):
+    """The scenario's five values, from one pass over its five points, equal
+    the earlier two Jacobi and three two-form calls bit for bit, at scale
+    1.0 with two bump pairs; so do jacobi_residual and
+    multisymplectic_defect on the same fields."""
+    grid = triangulated_grid(width, height)
+    config = hm.SolverConfig(boundary=hm.random_boundary(grid, n, n, 1.0),
+                             g_tol=1e-11)
+    frontier = classify_vertices(grid, grid.full_faceset()).frontier
+    exact, seen = hm.multisymplectic_check, []
+
+    def recorded(*args):
+        seen.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(hm, "multisymplectic_check", recorded)
+    rng = np.random.default_rng(10 * width + height)
+    for _ in range(2):
+        bumps = [{int(frontier[p]): lg.random_skew(n, rng)}
+                 for p in rng.choice(len(frontier), size=2, replace=False)]
+        scenario = hm.run_multisymplectic_scenario(grid, config, *bumps)
+        args = seen.pop()
+        got = (scenario.jacobi_residual_1, scenario.jacobi_residual_2,
+               scenario.defect, scenario.defect_swapped, scenario.defect_repeated)
+        want = oracle_scenario_values(*args)
+        assert same_bits(got, want)
+        lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs, step = args
+        assert same_bits(
+            (core.jacobi_residual(lagrangian, constraint, y, lam, d1, dl1, fs, step),
+             core.jacobi_residual(lagrangian, constraint, y, lam, d2, dl2, fs, step),
+             core.multisymplectic_defect(*args)), want[:3])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_multisymplectic_check_matches_the_oracles_off_critical(n):
+    """Arbitrary sections, multipliers and fields, on the full face set and
+    on a proper subset: the five values still equal the oracles bit for
+    bit, and the repeated value is exactly zero."""
+    grid = triangulated_grid(4, 3)
+    rng = np.random.default_rng(40 + n)
+    lagrangian, constraint = hm.TraceLagrangian(n), red.PlaquetteConstraint(n)
+    y = sampling.random_section(grid, n, rng)
+    lam = sampling.random_multiplier(grid, n, rng)
+    d1, d2 = (sampling.random_variation(grid, n, rng) for _ in range(2))
+    dl1, dl2 = (sampling.random_multiplier(grid, n, rng) for _ in range(2))
+    for fs in (grid.full_faceset(), FaceSet(grid, [0, 1, 4, 5, 6, 9])):
+        args = (lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs, 1e-5)
+        got = core.multisymplectic_check(*args)
+        assert same_bits(got, oracle_scenario_values(*args))
+        assert got[4] == 0.0
 
 
 def test_random_boundary_reproducible():
