@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -97,8 +98,10 @@ def _settings(args) -> dict:
         raise ValueError("group size n must be at least 2")
     if cfg["width"] < 1 or cfg["height"] < 1:
         raise ValueError("grid dimensions must be positive")
-    if cfg["scale"] < 0:
-        raise ValueError("perturbation scale must be nonnegative")
+    for flag, value in (("--scale", cfg["scale"]),
+                        ("--seed-scale", getattr(args, "seed_scale", 0.0))):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{flag} must be finite and nonnegative, got {value!r}")
     if not all(cfg[key] > 0 for key in
                ("g_tol", "ep_tol", "cons_tol", "adm_tol", "rank_tol")):
         raise ValueError("tolerances must be positive")

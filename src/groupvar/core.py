@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CellComplex, FaceSet, VertexClass, classify_vertices
+from .complexes import CellComplex, FaceSet, classify_vertices
 from .defaults import H_JACOBI, H_LAGRANGIAN, TOL_ADMISSIBLE, RANK_TOL
 from .liegroup import (
     algebra_dim,
@@ -49,16 +49,13 @@ __all__ = [
     "ConstraintMap",
     "AdmissibilityReport",
     "RegularityReport",
-    "ELResidual",
     "NoetherReport",
     "action",
     "constraint_values",
     "admissibility_report",
     "constraint_derivative",
     "regularity_report",
-    "euler_lagrange_form",
     "extended_residual",
-    "el_residual_vector",
     "variational_split",
     "variational_splits",
     "noether_boundary_sum",
@@ -67,8 +64,6 @@ __all__ = [
     "multisymplectic_check",
     "jet_at",
     "section_exp",
-    "multiplier_shift",
-    "zero_variation",
     "apply_differential",
     "form_apply",
     "form_transpose",
@@ -132,11 +127,6 @@ class Multiplier:
     values: np.ndarray
 
     __post_init__ = _freeze_matrix_values
-
-    def at(self, faces) -> np.ndarray:
-        """Values on a face id or an int array of them; ValueError for a face
-        outside the array."""
-        return _face_values(self.values, faces)
 
 
 def _face_values(values: np.ndarray, faces) -> np.ndarray:
@@ -445,11 +435,6 @@ def regularity_report(constraint: ConstraintMap, y: Section, faceset: FaceSet,
 # Euler-Lagrange machinery
 
 
-def _require_interior(klass: VertexClass, vertex: int):
-    if vertex not in klass.interior:
-        raise ValueError(f"vertex {vertex} is not interior to the face set")
-
-
 def _vertex_major(vertices: np.ndarray, chosen) -> np.ndarray:
     """Flat [face, slot] indices of the (vertex, face) pairs whose vertex is
     in ``chosen``: vertex after vertex in id order, each vertex's faces in id
@@ -497,67 +482,21 @@ def _residual_sums(point, vertices: np.ndarray, chosen: np.ndarray) -> np.ndarra
                      for covectors in theta + form_transpose(forms, lam)])
 
 
-def euler_lagrange_form(lagrangian: LagrangianDensity, y: Section,
-                        faceset: FaceSet, vertex: int) -> np.ndarray:
-    """Euler-Lagrange 1-form at an interior vertex.
-
-    The vertex partial of every face Lagrangian in the star, summed.  This is
-    the definition that makes the variational split below an exact
-    resummation.  Returns the (c, n, n) coalgebra stack.
-    """
-    complex = faceset.complex
-    _require_interior(classify_vertices(complex, faceset), vertex)
-    faces = complex.star(vertex)
-    jets = jet_at(y, complex, faces)
-    theta = _per_slot(lagrangian.vertex_differential, complex, jets)
-    return _vertex_sums(theta, complex.adherence_array[faces], np.array([vertex]))[0]
-
-
-@dataclass(frozen=True)
-class ELResidual:
-    """Extended Euler-Lagrange residual at one interior vertex.
-
-    ``components`` is the (c, n, n) coalgebra stack, ``coords`` the value of
-    the residual functional on each skew basis vector of each fiber
-    component; ``norm`` is its Euclidean norm.
-    """
-
-    components: np.ndarray
-    coords: np.ndarray
-    norm: float
-
-
 def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                      y: Section, lam: Multiplier, faceset: FaceSet,
-                      vertex: int) -> ELResidual:
-    """Euler-Lagrange form plus the multiplier-paired constraint forms.
+                      y: Section, lam: Multiplier, faceset: FaceSet) -> np.ndarray:
+    """Euler-Lagrange form plus the multiplier-paired constraint forms at
+    every interior vertex: the (I, c, n, n) coalgebra components at the
+    sorted interior vertices, each the sum over its star in face-id order.
 
-    Zero at every interior vertex exactly when (y, lam) solves the extended
-    critical-section equations.
+    Zero exactly when (y, lam) solves the extended critical-section
+    equations; with a zero multiplier it is the Euler-Lagrange form.  The
+    value on basis vector E_kl is <mu, E_kl> = 2 mu_kl.
     """
-    complex = faceset.complex
-    _require_interior(classify_vertices(complex, faceset), vertex)
-    faces = complex.star(vertex)
-    point = _face_forms(lagrangian, constraint, y.values[None], lam.values[None],
-                        complex, faces)
-    total = _residual_sums(point, complex.adherence_array[faces],
-                           np.array([vertex]))[0, 0]
-    # value on basis vector E_kl is <mu, E_kl> = 2 mu_kl
-    coords = (2.0 * skew_to_coords(total)).ravel()
-    return ELResidual(total, coords, float(np.linalg.norm(coords)))
-
-
-def el_residual_vector(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                       y: Section, lam: Multiplier, faceset: FaceSet) -> np.ndarray:
-    """Concatenated residual coordinates over all interior vertices (sorted)."""
     complex, faces = faceset.complex, faceset.face_ids
-    interior = classify_vertices(complex, faceset).interior
-    if not interior.size:
-        return np.zeros(0)
     point = _face_forms(lagrangian, constraint, y.values[None], lam.values[None],
                         complex, faces)
-    sums = _residual_sums(point, complex.adherence_array[faces], interior)
-    return (2.0 * skew_to_coords(sums[0])).ravel()
+    return _residual_sums(point, complex.adherence_array[faces],
+                          classify_vertices(complex, faceset).interior)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -677,21 +616,11 @@ def section_exp(y: Section, dy: Variation, t: float) -> Section:
     return Section(y.fiber, y.values @ exp_skew(t * dy.values))
 
 
-def multiplier_shift(lam: Multiplier, dlam: Multiplier, t: float) -> Multiplier:
-    return Multiplier(lam.values + t * dlam.values)
-
-
-def zero_variation(fiber: FiberSignature, complex: CellComplex) -> Variation:
-    """The zero variation over every vertex of the complex."""
-    return Variation(fiber, np.zeros((len(complex.vertices), fiber.components,
-                                      fiber.n, fiber.n)))
-
-
 def _flows(y: Section, lam: Multiplier, fields, step: float):
     """Section values (P, V, c, n, n) and multiplier values (P, F, n, n) at
-    (y exp(t d), lam + t dlam), as :func:`section_exp` and
-    :func:`multiplier_shift` give them, for each field (d, dlam) and
-    t = step, -step in turn, then at (y, lam) itself."""
+    (y exp(t d), lam + t dlam), the former as :func:`section_exp` gives it,
+    for each field (d, dlam) and t = step, -step in turn, then at (y, lam)
+    itself."""
     flows = [(t * d.values, lam.values + t * dlam.values)
              for d, dlam in fields for t in (step, -step)]
     ys = y.values @ exp_skew(np.array([xi for xi, _ in flows]))

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class InadmissibleSectionError(ValueError):
-    """A section violates its constraint beyond the working tolerance."""
-
-
 class HolonomyError(RuntimeError):
     """Reconstruction failed because some plaquette holonomy is not the identity.
 

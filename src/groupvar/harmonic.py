@@ -17,12 +17,12 @@ Gradient assembly is vertex-parallel within an iteration; scenario runs
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import liegroup as lg
-from .complexes import FaceSet, TriangulatedGrid, classify_vertices
+from .complexes import TriangulatedGrid, classify_vertices
 from .core import (
     LagrangianDensity,
     Multiplier,
@@ -56,12 +56,10 @@ from .reduction import (
 
 __all__ = [
     "TraceLagrangian",
-    "ep_symmetric_defect",
     "SolverConfig",
     "SolveReport",
     "solve_unreduced",
     "dirichlet_energy",
-    "trace_action",
     "identity_boundary",
     "random_boundary",
     "conjugation_symmetry_field",
@@ -92,26 +90,6 @@ class TraceLagrangian(LagrangianDensity):
         if slot != 0:
             return np.zeros(uv.shape)
         return (uv.swapaxes(-1, -2) - uv) / 2.0
-
-
-def ep_symmetric_defect(grid: TriangulatedGrid, y: Section, i: int, j: int,
-                        faceset: FaceSet | None = None) -> np.ndarray:
-    """Skew defect M - M^T of M = u_ij + v_ij - u_{i-1,j} - v_{i,j-1}.
-
-    Zero exactly when the reduced trace equations hold at (i, j).  Equals
-    minus twice the general four-term residual in the trace pairing
-    representation (that residual is (M^T - M) / 2).
-    """
-    if faceset is None:
-        faceset = grid.full_faceset()
-    klass = classify_vertices(grid, faceset)
-    if grid.vertex_id(i, j) not in klass.interior:
-        raise ValueError(f"vertex ({i}, {j}) is not interior to the face set")
-    u, v = y.values[grid.vertex_id(i, j)]
-    u_w, _ = y.values[grid.vertex_id(i - 1, j)]
-    _, v_s = y.values[grid.vertex_id(i, j - 1)]
-    m = u + v - u_w - v_s
-    return m - m.T
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +168,6 @@ def dirichlet_energy(g: np.ndarray) -> float:
     base = g[:-1, :-1]
     terms = 2.0 * n - block_dot(base, g[:-1, 1:]) - block_dot(base, g[1:, :-1])
     return float(np.cumsum(terms.ravel())[-1])
-
-
-def trace_action(grid: TriangulatedGrid, g: UnreducedField) -> float:
-    """Trace action of the reduced pair field of g."""
-    n = g.values.shape[-1]
-    return 2.0 * n * grid.width * grid.height - dirichlet_energy(
-        g.values.reshape(grid.height + 1, grid.width + 1, n, n))
 
 
 def _record(iteration: int, phase: str, g: np.ndarray, energy: float,
@@ -456,7 +427,6 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     reduced section of the result then satisfies the reduced critical
     equations to the same level and is flat by construction.
     """
-    faceset = grid.full_faceset()
     n = config.boundary.values.shape[-1]
     blocks = (len(grid.vertices), n, n)
     for name, f in (("boundary", config.boundary),
@@ -464,21 +434,32 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
         if f is not None and f.values.shape != blocks:
             raise ValueError(f"{name} has shape {f.values.shape}, the window "
                              f"needs {blocks}")
+    return _solve(grid, config.boundary.values,
+                  None if config.initializer is None else config.initializer.values,
+                  config.g_tol, config.max_iterations)
+
+
+def _solve(grid: TriangulatedGrid, boundary: np.ndarray,
+           initializer: np.ndarray | None, g_tol: float, max_iterations: int
+           ) -> tuple[UnreducedField, SolveReport]:
+    """:func:`solve_unreduced` on trusted (V, n, n) arrays of the window:
+    a boundary and an optional warm start derived from checked data."""
+    faceset = grid.full_faceset()
+    n = boundary.shape[-1]
     shape = (grid.height + 1, grid.width + 1, n, n)
-    g = config.boundary.values.reshape(shape).copy()
-    if config.initializer is None:
+    g = boundary.reshape(shape).copy()
+    if initializer is None:
         g[1:-1, 1:-1] = _blend_initializer(g)
     else:
-        g[1:-1, 1:-1] = config.initializer.values.reshape(shape)[1:-1, 1:-1]
+        g[1:-1, 1:-1] = initializer.reshape(shape)[1:-1, 1:-1]
 
-    g, energy, worst, history, counters = _newton_polish(
-        g, config.g_tol, config.max_iterations)
-    converged = worst <= config.g_tol
+    g, energy, worst, history, counters = _newton_polish(g, g_tol, max_iterations)
+    converged = worst <= g_tol
 
     field_ = UnreducedField(g.reshape(-1, n, n))
     if not converged:
         raise ConvergenceError(
-            f"gradient norm {worst:.3e} > {config.g_tol:.1e} "
+            f"gradient norm {worst:.3e} > {g_tol:.1e} "
             f"after {counters['iterations']} iterations", history)
 
     lagrangian = TraceLagrangian(n)
@@ -496,7 +477,7 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
         section=y,
         per_vertex_ep=ep,
         history=history,
-        g_tol=config.g_tol,
+        g_tol=g_tol,
     )
     return field_, report
 
@@ -635,8 +616,10 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
         etas = np.array(list(bump.values()), dtype=float).reshape(-1, n, n)
         boundary = config.boundary.values.copy()
         boundary[vids] = boundary[vids] @ lg.exp(step * etas)
-        _, report = solve_unreduced(grid, replace(
-            config, boundary=UnreducedField(boundary), initializer=base_field))
+        # the bumped boundary and the base solution derive from the checked
+        # configuration, so they skip its checks
+        _, report = _solve(grid, boundary, base_field.values, config.g_tol,
+                           config.max_iterations)
         y = report.section
         lam, _ = recover_multipliers(lagrangian, grid, y, zero_seed)
         return y, lam

@@ -43,7 +43,6 @@ from .core import (
 from .defaults import CONS_TOL, EP_TOL, TOL_ADMISSIBLE
 from .errors import (
     HolonomyError,
-    InadmissibleSectionError,
     PreconditionError,
     RecoveryConflictError,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "reduced_fiber",
     "reduce_field",
     "plaquette_holonomy",
-    "plaquette_cartan_forms",
     "euler_poincare_residual",
     "reconstruction_report",
     "ReconstructionReport",
@@ -205,26 +203,6 @@ def reduce_field(grid: TriangulatedGrid, g: UnreducedField) -> Section:
 def plaquette_holonomy(grid: TriangulatedGrid, y: Section) -> np.ndarray:
     """Holonomies u_ij v_{i+1,j} u_{i,j+1}^{-1} v_ij^{-1} of all faces, (H, W, n, n)."""
     return _window_holonomy(_on_window(grid, y.values))
-
-
-def plaquette_cartan_forms(grid: TriangulatedGrid, y: Section, i: int, j: int,
-                           tol: float = TOL_ADMISSIBLE
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three per-vertex derivative blocks of the holonomy at a flat face,
-    each a (d, 2d) Cartan form matrix.
-
-    Ordered like the adherence list: base corner, right neighbor, upper
-    neighbor.  The closed forms assume the holonomy is the identity, so a
-    face beyond ``tol`` from flat is rejected.
-    """
-    constraint = PlaquetteConstraint(y.fiber.n)
-    jets = jet_at(y, grid, [grid.face_id(i, j)])
-    hol = constraint.value(grid, jets)[0]
-    defect = float(np.linalg.norm(hol - np.eye(y.fiber.n)))
-    if not defect <= tol:
-        raise InadmissibleSectionError(
-            f"face ({i}, {j}) has holonomy defect {defect:.3e} > {tol:.1e}")
-    return tuple(constraint.cartan_form(grid, jets, slot)[0] for slot in range(3))
 
 
 def euler_poincare_residual(lagrangian: LagrangianDensity, grid: TriangulatedGrid,

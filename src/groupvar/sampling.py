@@ -20,7 +20,6 @@ __all__ = [
     "random_section",
     "random_variation",
     "random_multiplier",
-    "random_gauge_field",
 ]
 
 
@@ -57,9 +56,3 @@ def random_variation(grid: TriangulatedGrid, n: int, rng: np.random.Generator,
 def random_multiplier(grid: TriangulatedGrid, n: int, rng: np.random.Generator,
                       scale: float = 1.0) -> Multiplier:
     return Multiplier(random_skew(n, rng, scale, (len(grid.faces),)))
-
-
-def random_gauge_field(grid: TriangulatedGrid, n: int, rng: np.random.Generator,
-                       scale: float = 1.0) -> np.ndarray:
-    """A (V, n, n) skew array, one draw per vertex."""
-    return random_skew(n, rng, scale, (len(grid.vertices),))

@@ -16,6 +16,8 @@ from groupvar.errors import HolonomyError
 from groupvar.harmonic import TraceLagrangian
 from groupvar.reduction import PlaquetteConstraint
 
+from ep_oracle import ep_symmetric_defect
+
 N = 3
 
 
@@ -226,7 +228,7 @@ def test_criterion_10_two_path_ep_agreement():
         residual = red.euler_poincare_residual(lagrangian, grid, y)
         for v in sorted(klass.interior):
             i, j = grid.vertex_ij(v)
-            sym = hm.ep_symmetric_defect(grid, y, i, j)
+            sym = ep_symmetric_defect(grid, y, i, j)
             general = residual[j - 1, i - 1]
             worst = max(worst, float(np.linalg.norm(sym - (-2.0) * general)))
     announce(10, "two-path-ep-agreement", worst <= 1e-12,

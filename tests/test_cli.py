@@ -75,7 +75,8 @@ def test_malformed_config_exits_two(tmp_path):
     assert run("solve", "--width", 0) == 2
     for bad in ({"n": "3"}, {"instances": 2.5}, {"width": True},
                 {"g_tol": "1e-10"}, {"adm_tol": 0.0},
-                {"rank_tol": -1e-8}, {"max_iterations": -1}):
+                {"rank_tol": -1e-8}, {"max_iterations": -1},
+                {"scale": float("nan")}):
         cfg.write_text(json.dumps(bad))
         assert run("solve", "--config", cfg, "--out", tmp_path / "bad") == 2
     for flags in (("--instances", 0), ("--instances", -3), ("--cons-tol", -1)):
@@ -416,6 +417,32 @@ def solved_section(tmp_path_factory):
     out = tmp_path_factory.mktemp("solve4x4")
     assert run("solve", "--width", 4, "--height", 4, "--out", out) == 0
     return (out / "reduced_section.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", -1.0, -1e-300])
+@pytest.mark.parametrize("command, flag", [("solve", "--scale"),
+                                           ("recover-multipliers", "--scale"),
+                                           ("recover-multipliers", "--seed-scale")])
+def test_scale_flags_must_be_finite_and_nonnegative(tmp_path, capsys, solved_section,
+                                                    command, flag, value):
+    """A NaN, infinite or negative scale is a usage error (exit 2) named by
+    its flag, raised before any output is written."""
+    section = tmp_path / "section.txt"
+    section.write_text("\n".join(solved_section) + "\n")
+    argv = [command, f"{flag}={value}", "--out", tmp_path / "out"]
+    if command == "recover-multipliers":
+        argv += ["--section", section]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"groupvar: {flag} must be finite and nonnegative")
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_scales_are_accepted(tmp_path, solved_section):
+    section = tmp_path / "section.txt"
+    section.write_text("\n".join(solved_section) + "\n")
+    assert run("recover-multipliers", "--section", section, "--seed-scale", 0.0,
+               "--scale", 0.0, "--out", tmp_path / "out") == 0
 
 
 def _malformed(lines, defect):

@@ -333,16 +333,15 @@ def test_residuals_match_per_pair_oracles(n, kind, faces):
     grid, lagrangian, constraint, y, lam, _ = problem(n, kind, 200 + n)
     fs = FACESETS[faces](grid)
     interior = classify_vertices(grid, fs).interior.tolist()
-    expected = []
-    for v in interior:
-        oracle = oracle_extended_residual(lagrangian, constraint, y, lam, grid, v)
-        res = core.extended_residual(lagrangian, constraint, y, lam, fs, v)
-        assert close(res.components, oracle)
-        assert close(core.euler_lagrange_form(lagrangian, y, fs, v),
-                     oracle_euler_lagrange_form(lagrangian, y, grid, v))
-        expected.append((2.0 * lg.skew_to_coords(oracle)).ravel())
-    assert close(core.el_residual_vector(lagrangian, constraint, y, lam, fs),
-                 np.concatenate(expected))
+    res = core.extended_residual(lagrangian, constraint, y, lam, fs)
+    # the Euler-Lagrange form is the zero-multiplier case
+    form = core.extended_residual(lagrangian, constraint, y,
+                                  core.Multiplier(np.zeros_like(lam.values)), fs)
+    assert res.shape == form.shape == (len(interior), 2, n, n)
+    for k, v in enumerate(interior):
+        assert close(res[k], oracle_extended_residual(lagrangian, constraint, y, lam,
+                                                      grid, v))
+        assert close(form[k], oracle_euler_lagrange_form(lagrangian, y, grid, v))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -373,6 +372,8 @@ def test_empty_faceset_sums_vanish(kind):
     rep = core.noether_boundary_sum(lagrangian, constraint, y, lam, dy, fs)
     assert (rep.boundary_sum, rep.lagrangian_defect, rep.constraint_defect) == (0.0,) * 3
     assert not np.any(core.constraint_derivative(constraint, y, dy, fs))
+    assert core.extended_residual(lagrangian, constraint, y, lam, fs).shape == \
+        (0, 2, 3, 3)
     got = core.regularity_report(constraint, y, fs, boundary_fixed=False)
     assert (got.rows, got.cols) == oracle_regularity(constraint, y, fs, False)[:2]
 

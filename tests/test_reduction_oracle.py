@@ -282,7 +282,7 @@ def test_window_equations_match_oracle(n, w, h, flat):
         assert defects.ep_combination[k] == combo
         assert defects.cancellation[k] == cancel
 
-    theta = sampling.random_gauge_field(grid, n, rng)
+    theta = lg.random_skew(n, rng, 1.0, (len(grid.vertices),))
     dv = red.reduced_variation(grid, g, theta)
     assert _same_per_vertex(dv.values, oracle_reduced_variation(grid, g, theta),
                             far, np.zeros((n, n)))
