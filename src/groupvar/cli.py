@@ -58,61 +58,69 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-_DEFAULTS = {
-    "n": 3,
-    "width": 6,
-    "height": 6,
-    "boundary": "random",
-    "seed": 42,
-    "scale": 0.1,
-    "g_tol": G_TOL,
-    "ep_tol": EP_TOL,
-    "cons_tol": CONS_TOL,
-    "adm_tol": TOL_ADMISSIBLE,
-    "rank_tol": RANK_TOL,
-    "max_iterations": 5000,
-    "instances": 100,
-    "out": ".",
+def _finite_nonnegative(value) -> bool:
+    return math.isfinite(value) and value >= 0
+
+
+def _positive(value) -> bool:
+    return value > 0
+
+
+SOLVE, VERIFY, REBUILD, RECOVER = ("solve", "verify", "reconstruct",
+                                   "recover-multipliers")
+_SOLVING, _TOLS = (SOLVE, VERIFY), "tolerances must be positive"
+# One row per setting: its default; its check (None: the type alone) and the
+# message a failed check raises, ``{value!r}`` naming the value; the
+# subcommands that read it; the flag's help (None: a config-only key).  A
+# subcommand takes the flag and the config key of exactly the settings it
+# reads, and checks them in row order.
+SETTINGS = {
+    "n": (3, lambda v: v >= 2, "group size n must be at least 2", _SOLVING,
+          "group size"),
+    "width": (6, _positive, "grid dimensions must be positive", _SOLVING,
+              "window width"),
+    "height": (6, _positive, "grid dimensions must be positive", _SOLVING,
+               "window height"),
+    "boundary": ("random", lambda v: v in ("identity", "random") or Path(v).exists(),
+                 "boundary must be identity, random, or an existing field file, "
+                 "got {value!r}", _SOLVING, "identity, random, or a field file"),
+    "seed": (42, None, "", (SOLVE, VERIFY, RECOVER), "random seed"),
+    "scale": (0.1, _finite_nonnegative, "--scale must be finite and nonnegative, "
+              "got {value!r}", _SOLVING, "boundary perturbation scale"),
+    "g_tol": (G_TOL, _positive, _TOLS, (SOLVE,), "solver gradient tolerance"),
+    "ep_tol": (EP_TOL, _positive, _TOLS, (SOLVE, RECOVER), "accepted reduced residual"),
+    "cons_tol": (CONS_TOL, _positive, _TOLS, (VERIFY, RECOVER),
+                 "sweep consistency tolerance"),
+    "adm_tol": (TOL_ADMISSIBLE, _positive, _TOLS, (REBUILD, RECOVER), None),
+    "rank_tol": (RANK_TOL, _positive, _TOLS, (VERIFY,), None),
+    "max_iterations": (5000, lambda v: v >= 0, "max_iterations must be nonnegative",
+                       _SOLVING, "trust-region step budget"),
+    "instances": (100, lambda v: v >= 1, "instances must be at least 1", (VERIFY,),
+                  "checks per suite"),
+    "out": (".", None, "", (SOLVE, VERIFY, REBUILD, RECOVER), "output directory"),
 }
 
 
 def _settings(args) -> dict:
-    """Defaults, overridden by the config file, overridden by flags."""
-    cfg = dict(_DEFAULTS)
-    file_cfg = _load_config(getattr(args, "config", None))
+    """The settings ``args.command`` reads: defaults, overridden by the
+    config file, overridden by flags, each checked."""
+    rows = {key: row for key, row in SETTINGS.items() if args.command in row[3]}
+    cfg = {key: row[0] for key, row in rows.items()}
+    file_cfg = _load_config(args.config)
     unknown = set(file_cfg) - set(cfg)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     cfg.update(file_cfg)
-    for key in cfg:
+    for key, (default, ok, message, _, _) in rows.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    for key, value in cfg.items():
-        want = type(_DEFAULTS[key])
+        value = cfg[key] = cfg[key] if flag is None else flag
+        want = type(default)
         if isinstance(value, bool) or not isinstance(
                 value, (int, float) if want is float else want):
             raise ValueError(f"setting {key} must be of type {want.__name__}, "
                              f"got {value!r}")
-    if cfg["n"] < 2:
-        raise ValueError("group size n must be at least 2")
-    if cfg["width"] < 1 or cfg["height"] < 1:
-        raise ValueError("grid dimensions must be positive")
-    for flag, value in (("--scale", cfg["scale"]),
-                        ("--seed-scale", getattr(args, "seed_scale", 0.0))):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{flag} must be finite and nonnegative, got {value!r}")
-    if not all(cfg[key] > 0 for key in
-               ("g_tol", "ep_tol", "cons_tol", "adm_tol", "rank_tol")):
-        raise ValueError("tolerances must be positive")
-    if cfg["instances"] < 1:
-        raise ValueError("instances must be at least 1")
-    if cfg["max_iterations"] < 0:
-        raise ValueError("max_iterations must be nonnegative")
-    if cfg["boundary"] not in ("identity", "random") \
-            and not Path(cfg["boundary"]).exists():
-        raise ValueError(f"boundary must be identity, random, or an existing "
-                         f"field file, got {cfg['boundary']!r}")
+        if ok is not None and not ok(value):
+            raise ValueError(message.format(value=value))
     return cfg
 
 
@@ -239,8 +247,8 @@ def _suite_split(cfg, rng):
     for start in range(0, cfg["instances"], block):
         logs, lams, dys = _split_draws(grid, n, rng,
                                        min(block, cfg["instances"] - start))
-        lhs, rhs = core.variational_splits(lagrangian, constraint, exp_skew(logs),
-                                           lams, dys, faceset)
+        lhs, rhs = core.variational_split(lagrangian, constraint, exp_skew(logs),
+                                          lams, dys, faceset)
         defects.append(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)))
     worst = max_norm(*defects)
     return worst <= 1e-12, {"checks": cfg["instances"],
@@ -371,11 +379,12 @@ def _suite_multipliers(cfg, rng):
     n = cfg["n"]
     grid, y = _solve_for_suite(cfg)
     lagrangian = TraceLagrangian(n)
-    lam0, rep0 = reduction.recover_multipliers(lagrangian, grid, y,
-                                               np.zeros((n, n)))
+    lam0, rep0 = reduction.recover_multipliers(lagrangian, grid, y, np.zeros((n, n)),
+                                               cons_tol=cfg["cons_tol"])
     worst0 = rep0.max_system_residual
     seed = random_skew(n, rng, 0.3)
-    lam1, rep1 = reduction.recover_multipliers(lagrangian, grid, y, seed)
+    lam1, rep1 = reduction.recover_multipliers(lagrangian, grid, y, seed,
+                                               cons_tol=cfg["cons_tol"])
     worst1 = rep1.max_system_residual
     distance = max_norm(block_norms(lam0.values - lam1.values))
     passed = worst0 <= 1e-10 and worst1 <= 1e-10 \
@@ -497,6 +506,9 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_recover_multipliers(args) -> int:
     cfg = _settings(args)
+    if not _finite_nonnegative(args.seed_scale):
+        raise ValueError(f"--seed-scale must be finite and nonnegative, "
+                         f"got {args.seed_scale!r}")
     out = _out_dir(cfg)
     grid, y = serialization.load_reduced_section(args.section)
     n = y.fiber.n
@@ -546,58 +558,42 @@ def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process; each ``parse_args``
     call returns a fresh namespace, so no parsed state is shared."""
     parser = argparse.ArgumentParser(
-        prog="groupvar",
+        prog="groupvar", allow_abbrev=False,
         description="Discrete variational problems with group-valued "
                     "constraints on the triangulated plane window.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--n", type=int, help="group size")
-        p.add_argument("--width", type=int, help="window width")
-        p.add_argument("--height", type=int, help="window height")
-        p.add_argument("--boundary", help="identity, random, or a field file")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--scale", type=float, help="boundary perturbation scale")
-        p.add_argument("--g-tol", dest="g_tol", type=float,
-                       help="solver gradient tolerance")
-        p.add_argument("--ep-tol", dest="ep_tol", type=float,
-                       help="accepted reduced residual")
-        p.add_argument("--cons-tol", dest="cons_tol", type=float,
-                       help="sweep consistency tolerance")
-        p.add_argument("--max-iterations", dest="max_iterations", type=int)
-        p.add_argument("--instances", type=int, help="checks per suite")
-        p.add_argument("--out", help="output directory")
+    parsers = {}
 
-    p_solve = sub.add_parser("solve", help="solve the boundary problem")
-    common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
+    def command(name, func, help):
+        parsers[name] = p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
 
-    p_verify = sub.add_parser("verify", help="run an identity suite")
+    command(SOLVE, cmd_solve, "solve the boundary problem")
+    p_verify = command(VERIFY, cmd_verify, "run an identity suite")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--break-symmetry", action="store_true",
                           help="negative control: use a non-symmetry field")
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_rec = sub.add_parser("reconstruct", help="rebuild a vertex field")
+    p_rec = command(REBUILD, cmd_reconstruct, "rebuild a vertex field")
     p_rec.add_argument("--section", required=True, help="reduced section file")
     p_rec.add_argument("--seed-file", dest="seed_file",
                        help="field file providing the origin value")
-    common(p_rec)
-    p_rec.set_defaults(func=cmd_reconstruct)
-
-    p_mul = sub.add_parser("recover-multipliers",
-                           help="solve the multiplier system along a section")
+    p_mul = command(RECOVER, cmd_recover_multipliers,
+                    "solve the multiplier system along a section")
     p_mul.add_argument("--section", required=True, help="reduced section file")
     p_mul.add_argument("--seed-scale", dest="seed_scale", type=float, default=0.0,
                        help="scale of a seeded random corner multiplier")
-    common(p_mul)
-    p_mul.set_defaults(func=cmd_recover_multipliers)
+    # each subcommand's settings follow its own arguments
+    for name, p in parsers.items():
+        p.add_argument("--config", help="JSON config file")
+        for key, (default, _, _, commands, help) in SETTINGS.items():
+            if name in commands and help is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type=type(default), help=help)
 
-    p_rep = sub.add_parser("report", help="pretty-print a report file")
+    p_rep = command("report", cmd_report, "pretty-print a report file")
     p_rep.add_argument("file")
-    p_rep.set_defaults(func=cmd_report)
 
     return parser
 

@@ -57,7 +57,6 @@ __all__ = [
     "regularity_report",
     "extended_residual",
     "variational_split",
-    "variational_splits",
     "noether_boundary_sum",
     "jacobi_residual",
     "multisymplectic_defect",
@@ -142,16 +141,12 @@ def _face_values(values: np.ndarray, faces) -> np.ndarray:
 _FD_BLOCK = 256  # jets per value call in the finite-difference defaults
 
 
-def jet_at(y: Section, complex: CellComplex, faces) -> np.ndarray:
-    """Jets of y over a face id or an int array of them: the gather
-    ``y.values[adherence_array[faces]]``, of shape faces.shape + (k, c, n, n),
-    slots in adherence order; ValueError for a face id outside 0..F-1."""
-    return _jets(y.values, complex, faces)
-
-
-def _jets(values: np.ndarray, complex: CellComplex, faces) -> np.ndarray:
-    """:func:`jet_at` on section values (..., V, c, n, n) with any leading
-    instance axes, shaped ... + faces.shape + (k, c, n, n)."""
+def jet_at(values: np.ndarray, complex: CellComplex, faces) -> np.ndarray:
+    """Jets over a face id or an int array of them, from section values
+    (..., V, c, n, n) with any leading instance axes: the gather
+    ``values[..., adherence_array[faces]]``, of shape
+    ... + faces.shape + (k, c, n, n), slots in adherence order; ValueError
+    for a face id outside 0..F-1."""
     faces = np.asarray(faces, dtype=int)
     outside = faces[(faces < 0) | (faces >= len(complex.faces))]
     if outside.size:
@@ -299,7 +294,7 @@ def _sequential_sums(terms: np.ndarray) -> np.ndarray:
 def action(lagrangian: LagrangianDensity, y: Section, faceset: FaceSet) -> float:
     """Sum of the face Lagrangians over the face set, in face-id order."""
     complex = faceset.complex
-    jets = jet_at(y, complex, faceset.face_ids)
+    jets = jet_at(y.values, complex, faceset.face_ids)
     return float(_sequential_sums(lagrangian.value(complex, jets)))
 
 
@@ -311,7 +306,7 @@ def constraint_values(constraint: ConstraintMap, y: Section,
     complex = faceset.complex
     out = np.tile(np.eye(constraint.fiber.n), (len(complex.faces), 1, 1))
     faces = faceset.face_ids
-    out[faces] = constraint.value(complex, jet_at(y, complex, faces))
+    out[faces] = constraint.value(complex, jet_at(y.values, complex, faces))
     return out
 
 
@@ -348,7 +343,7 @@ def constraint_derivative(constraint: ConstraintMap, y: Section, dy: Variation,
     complex = faceset.complex
     n = constraint.fiber.n
     faces = faceset.face_ids
-    forms = _per_slot(constraint.cartan_form, complex, jet_at(y, complex, faces))
+    forms = _per_slot(constraint.cartan_form, complex, jet_at(y.values, complex, faces))
     out = np.zeros((len(complex.faces), n, n))
     xi = dy.values[complex.adherence_array[faces]]
     out[faces] = form_apply(forms, xi).sum(axis=1)
@@ -396,7 +391,7 @@ def regularity_report(constraint: ConstraintMap, y: Section, faceset: FaceSet,
         else np.sort(np.concatenate([klass.interior, klass.frontier]))
     faces = faceset.face_ids
     vertices = complex.adherence_array[faces]
-    forms = _per_slot(constraint.cartan_form, complex, jet_at(y, complex, faces))
+    forms = _per_slot(constraint.cartan_form, complex, jet_at(y.values, complex, faces))
     column = np.full(len(y.values), -1)
     column[variable] = np.arange(len(variable))
     column = column[vertices]
@@ -466,7 +461,7 @@ def _face_forms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     the Lagrangian differential theta (B, F', k, c, n, n) and Cartan form A
     (B, F', k, d, c d) of every pair, from one density and one constraint
     call per slot on all B F' jets, and the multipliers (B, F', 1, n, n)."""
-    jets = _jets(ys, complex, faces)
+    jets = jet_at(ys, complex, faces)
     flat = jets.reshape((-1,) + jets.shape[2:])
     theta = _per_slot(lagrangian.vertex_differential, complex, flat)
     forms = _per_slot(constraint.cartan_form, complex, flat)
@@ -527,11 +522,6 @@ def _pair_terms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     return (vertices, *_probe_terms(point, dys, vertices))
 
 
-def _instance(y: Section, lam: Multiplier, dy: Variation):
-    """One instance as a stack of one, the arguments of :func:`_pair_terms`."""
-    return y.values[None], lam.values[None], dy.values[None]
-
-
 def _vertex_major_sums(vertices: np.ndarray, terms: np.ndarray, *groups) -> np.ndarray:
     """Per instance, the pair terms (B, F', k) of the vertex groups, one
     group after another, each vertex-major (see :func:`_vertex_major`),
@@ -540,9 +530,9 @@ def _vertex_major_sums(vertices: np.ndarray, terms: np.ndarray, *groups) -> np.n
     return _sequential_sums(terms.reshape(len(terms), -1)[:, order])
 
 
-def variational_splits(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                       ys: np.ndarray, lams: np.ndarray, dys: np.ndarray,
-                       faceset: FaceSet) -> tuple[np.ndarray, np.ndarray]:
+def variational_split(lagrangian: LagrangianDensity, constraint: ConstraintMap,
+                      ys: np.ndarray, lams: np.ndarray, dys: np.ndarray,
+                      faceset: FaceSet) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the variation formula for a stack of B instances.
 
     ``ys`` holds B section value arrays (B, V, c, n, n), ``lams`` B
@@ -555,23 +545,13 @@ def variational_splits(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     interior-then-frontier vertex-major on the right.  The identity is a
     finite resummation, so the two must agree to round-off for arbitrary
     inputs.  Returns the (B,) left and right sides; instance b gets the
-    values :func:`variational_split` gives it on its own, bit for bit.
+    values it gets on its own, as a stack of one, bit for bit.
     """
     klass = classify_vertices(faceset.complex, faceset)
     vertices, _, _, terms = _pair_terms(lagrangian, constraint, ys, lams, dys,
                                         faceset)
     return (_sequential_sums(terms.reshape(len(terms), -1)),
             _vertex_major_sums(vertices, terms, klass.interior, klass.frontier))
-
-
-def variational_split(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                      y: Section, lam: Multiplier, dy: Variation,
-                      faceset: FaceSet) -> tuple[float, float]:
-    """Both sides of the variation formula for one instance, see
-    :func:`variational_splits`."""
-    lhs, rhs = variational_splits(lagrangian, constraint, *_instance(y, lam, dy),
-                                  faceset)
-    return float(lhs[0]), float(rhs[0])
 
 
 @dataclass(frozen=True)
@@ -602,8 +582,8 @@ def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMa
     instead of raising.
     """
     frontier = classify_vertices(faceset.complex, faceset).frontier
-    vertices, dl, dphi, terms = _pair_terms(lagrangian, constraint,
-                                            *_instance(y, lam, d), faceset)
+    vertices, dl, dphi, terms = _pair_terms(lagrangian, constraint, y.values[None],
+                                            lam.values[None], d.values[None], faceset)
     lag_defect = max_norm(np.abs(dl[0].sum(axis=1)))
     con_defect = max_norm(block_norms(dphi[0].sum(axis=1)))
     total = float(_vertex_major_sums(vertices, terms, frontier)[0])

@@ -105,24 +105,20 @@ class SolverConfig:
     """Options and boundary data for the stationary-point solver.
 
     ``boundary`` is a vertex field of the window: the solver keeps its
-    frontier and far corner and overwrites its interior.  It, and
-    ``initializer`` when given, pass ``liegroup.group_array`` here, so a
-    malformed block raises ValueError.  The gradient target applies per
-    interior vertex; the solver takes one more step after it first meets
-    it, which carries the gradient to round-off.  ``max_iterations`` bounds
-    the trust-region steps, accepted or rejected.  ``initializer`` is a
-    field to warm-start the interior from; None means the boundary blend.
+    frontier and far corner and overwrites its interior.  It passes
+    ``liegroup.group_array`` here, so a malformed block raises ValueError.
+    The gradient target applies per interior vertex; the solver takes one
+    more step after it first meets it, which carries the gradient to
+    round-off.  ``max_iterations`` bounds the trust-region steps, accepted
+    or rejected.
     """
 
     boundary: UnreducedField
     g_tol: float = G_TOL
     max_iterations: int = 5000
-    initializer: UnreducedField | None = None
 
     def __post_init__(self):
         self.boundary = UnreducedField(group_array(self.boundary.values))
-        if self.initializer is not None:
-            self.initializer = UnreducedField(group_array(self.initializer.values))
 
 
 @dataclass
@@ -420,23 +416,20 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     """Find a vertex field, stationary for the trace action, with fixed boundary.
 
     Riemannian trust-region Newton on the Dirichlet energy with exponential
-    retraction (``_newton_polish``), from the boundary blend or the warm
-    start; the gradient and Hessian blocks are closed-form in the trace
-    differentials, no finite differences in the loop.  Convergence means
+    retraction (``_newton_polish``), from the boundary blend; the gradient
+    and Hessian blocks are closed-form in the trace differentials, no finite
+    differences in the loop.  Convergence means
     every interior gradient block has Frobenius norm at most ``g_tol``; the
     reduced section of the result then satisfies the reduced critical
     equations to the same level and is flat by construction.
     """
     n = config.boundary.values.shape[-1]
     blocks = (len(grid.vertices), n, n)
-    for name, f in (("boundary", config.boundary),
-                    ("initializer", config.initializer)):
-        if f is not None and f.values.shape != blocks:
-            raise ValueError(f"{name} has shape {f.values.shape}, the window "
-                             f"needs {blocks}")
-    return _solve(grid, config.boundary.values,
-                  None if config.initializer is None else config.initializer.values,
-                  config.g_tol, config.max_iterations)
+    if config.boundary.values.shape != blocks:
+        raise ValueError(f"boundary has shape {config.boundary.values.shape}, "
+                         f"the window needs {blocks}")
+    return _solve(grid, config.boundary.values, None, config.g_tol,
+                  config.max_iterations)
 
 
 def _solve(grid: TriangulatedGrid, boundary: np.ndarray,

@@ -65,7 +65,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert report["seed"] == "9"
 
 
-def test_malformed_config_exits_two(tmp_path):
+def test_malformed_config_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{nope")
     assert run("solve", "--config", cfg) == 2
@@ -73,17 +73,107 @@ def test_malformed_config_exits_two(tmp_path):
     assert run("solve", "--config", cfg) == 2
     assert run("solve", "--n", 1) == 2
     assert run("solve", "--width", 0) == 2
-    for bad in ({"n": "3"}, {"instances": 2.5}, {"width": True},
-                {"g_tol": "1e-10"}, {"adm_tol": 0.0},
-                {"rank_tol": -1e-8}, {"max_iterations": -1},
-                {"scale": float("nan")}):
+    # each bad value goes to a command that reads the setting, and its own
+    # message shows that the check, not a later step, rejected it
+    for argv, bad, message in (
+            (("solve",), {"n": "3"}, "setting n must be of type int"),
+            (("verify", "split"), {"instances": 2.5},
+             "setting instances must be of type int"),
+            (("solve",), {"width": True}, "setting width must be of type int"),
+            (("solve",), {"g_tol": "1e-10"}, "setting g_tol must be of type float"),
+            (("reconstruct", "--section", tmp_path / "none.txt"), {"adm_tol": 0.0},
+             "tolerances"),
+            (("verify", "regularity"), {"rank_tol": -1e-8}, "tolerances"),
+            (("solve",), {"max_iterations": -1}, "max_iterations must be"),
+            (("solve",), {"scale": float("nan")}, "--scale must be finite")):
         cfg.write_text(json.dumps(bad))
-        assert run("solve", "--config", cfg, "--out", tmp_path / "bad") == 2
+        capsys.readouterr()
+        assert run(*argv, "--config", cfg, "--out", tmp_path / "bad") == 2
+        assert capsys.readouterr().err.startswith(f"groupvar: {message}")
     for flags in (("--instances", 0), ("--instances", -3), ("--cons-tol", -1)):
         assert run("verify", "split", *flags, "--out", tmp_path / "bad") == 2
     assert not (tmp_path / "bad").exists()
     cfg.write_text(json.dumps({"out": 3}))
     assert run("solve", "--config", cfg) == 2
+
+
+# The settings each subcommand reads: its flags (all but the config-only
+# adm_tol and rank_tol, plus --config) and its config keys.
+READS = {
+    "solve": "n width height boundary seed scale g_tol ep_tol max_iterations out",
+    "verify": "n width height boundary seed scale cons_tol rank_tol max_iterations "
+              "instances out",
+    "reconstruct": "adm_tol out",
+    "recover-multipliers": "seed ep_tol cons_tol adm_tol out",
+}
+CONFIG_ONLY = ("adm_tol", "rank_tol")
+# A valid value of each setting, and the flags every subcommand took before
+# each had its own.
+VALUES = {"n": 5, "width": 4, "height": 4, "boundary": "random", "seed": 5,
+          "scale": 0.0, "g_tol": 1e-12, "ep_tol": 0.1, "cons_tol": 1e-9,
+          "adm_tol": 1e-9, "rank_tol": 1e-8, "max_iterations": 7, "instances": 2,
+          "out": "."}
+SHARED_FLAGS = [key for key in VALUES if key not in CONFIG_ONLY]
+PREFIX = {"solve": ["solve"], "verify": ["verify", "split"],
+          "reconstruct": ["reconstruct", "--section", "section.txt"],
+          "recover-multipliers": ["recover-multipliers", "--section", "section.txt"]}
+
+
+def test_each_subcommand_takes_the_settings_it_reads():
+    own = {"solve": set(), "verify": {"suite", "break_symmetry"},
+           "reconstruct": {"section", "seed_file"},
+           "recover-multipliers": {"section", "seed_scale"}}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, cli.argparse._SubParsersAction)).choices
+    for command, reads in READS.items():
+        dests = {a.dest for a in subparsers[command]._actions} - {"help"}
+        flags = set(reads.split()) - set(CONFIG_ONLY)
+        assert dests == flags | {"config"} | own[command]
+        assert set(reads.split()) == {k for k, row in cli.SETTINGS.items()
+                                      if command in row[3]}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, reads in READS.items()
+    for key in SHARED_FLAGS if key not in reads.split()])
+def test_unread_flags_exit_two(tmp_path, monkeypatch, command, key):
+    """A flag the subcommand does not read is a usage error: argparse exits 2
+    and nothing is written; no flag is taken as an abbreviation of another."""
+    monkeypatch.chdir(tmp_path)
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        run(*PREFIX[command], flag, VALUES[key], "--out", "out")
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, reads in READS.items()
+    for key in VALUES if key not in reads.split()])
+def test_unread_config_keys_exit_two(tmp_path, capsys, command, key):
+    """A config key the subcommand does not read exits 2, named as unknown,
+    before anything is written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: VALUES[key]}))
+    argv = [a if a != "section.txt" else tmp_path / a for a in PREFIX[command]]
+    assert run(*argv, "--config", cfg, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"groupvar: unknown config keys: ['{key}']\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_verify_multipliers_passes_its_cons_tol_to_the_recovery(tmp_path,
+                                                                monkeypatch):
+    from groupvar import reduction
+    exact, calls = reduction.recover_multipliers, []
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "recover_multipliers", recorded)
+    assert run("verify", "multipliers", "--width", 3, "--height", 3,
+               "--cons-tol", 1e-6, "--out", tmp_path) == 0
+    assert [call.get("cons_tol") for call in calls] == [1e-6, 1e-6]
 
 
 def test_failed_solve_writes_history(tmp_path):
@@ -143,13 +233,13 @@ def test_one_parser_serves_every_call(tmp_path):
 
 def test_nan_defect_fails_the_suite(tmp_path, monkeypatch):
     """One NaN split defect among finite ones counts as the worst."""
-    exact = core.variational_splits
+    exact = core.variational_split
 
     def one_nan(*args):
         lhs, rhs = exact(*args)
         return np.where(np.arange(len(lhs)) == 2, np.nan, lhs), rhs
 
-    monkeypatch.setattr(core, "variational_splits", one_nan)
+    monkeypatch.setattr(core, "variational_split", one_nan)
     assert run("verify", "split", "--instances", 5, "--out", tmp_path) == 1
     report = (tmp_path / "verify_split.txt").read_text()
     assert "passed=False" in report and "worst_split_defect=nan" in report
@@ -167,8 +257,9 @@ def per_instance_split(cfg, rng):
         y = sampling.random_section(grid, n, rng)
         lam = sampling.random_multiplier(grid, n, rng)
         dy = sampling.random_variation(grid, n, rng)
-        lhs, rhs = core.variational_split(lagrangian, constraint, y, lam, dy,
-                                          faceset)
+        (lhs,), (rhs,) = core.variational_split(
+            lagrangian, constraint, y.values[None], lam.values[None],
+            dy.values[None], faceset)
         defects.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
     worst = max_norm(np.array(defects))
     return worst <= 1e-12, {"checks": cfg["instances"],
@@ -183,7 +274,8 @@ def per_instance_cartan(cfg, rng):
     constraint = PlaquetteConstraint(n)
     faces = grid.faces
     jets = np.array([
-        core.jet_at(sampling.random_section(grid, n, rng), grid, faces[k % len(faces)])
+        core.jet_at(sampling.random_section(grid, n, rng).values, grid,
+                    faces[k % len(faces)])
         for k in range(cfg["instances"])])
     defects = []
     for slot in range(3):
@@ -421,7 +513,7 @@ def solved_section(tmp_path_factory):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", -1.0, -1e-300])
 @pytest.mark.parametrize("command, flag", [("solve", "--scale"),
-                                           ("recover-multipliers", "--scale"),
+                                           ("verify", "--scale"),
                                            ("recover-multipliers", "--seed-scale")])
 def test_scale_flags_must_be_finite_and_nonnegative(tmp_path, capsys, solved_section,
                                                     command, flag, value):
@@ -430,6 +522,8 @@ def test_scale_flags_must_be_finite_and_nonnegative(tmp_path, capsys, solved_sec
     section = tmp_path / "section.txt"
     section.write_text("\n".join(solved_section) + "\n")
     argv = [command, f"{flag}={value}", "--out", tmp_path / "out"]
+    if command == "verify":
+        argv.insert(1, "multipliers")
     if command == "recover-multipliers":
         argv += ["--section", section]
     assert run(*argv) == 2
@@ -442,7 +536,9 @@ def test_zero_scales_are_accepted(tmp_path, solved_section):
     section = tmp_path / "section.txt"
     section.write_text("\n".join(solved_section) + "\n")
     assert run("recover-multipliers", "--section", section, "--seed-scale", 0.0,
-               "--scale", 0.0, "--out", tmp_path / "out") == 0
+               "--out", tmp_path / "out") == 0
+    assert run("solve", "--width", 3, "--height", 3, "--scale", 0.0,
+               "--out", tmp_path / "solve") == 0
 
 
 def _malformed(lines, defect):
@@ -585,10 +681,10 @@ def test_field_header_group_size_below_two_exits_two(tmp_path, capsys, command,
                                f"components={1 if kind == 'unreduced_field' else 2}",
                                "width=1", "height=1", "v 0 0", "v 1 0", "v 0 1",
                                "v 1 1"]) + "\n")
-    flag = "--boundary" if command == "solve" else "--section"
+    argv = ("--boundary", path, "--width", 1, "--height", 1) if command == "solve" \
+        else ("--section", path)
     capsys.readouterr()
-    assert run(command, flag, path, "--width", 1, "--height", 1,
-               "--out", tmp_path / "out") == 2
+    assert run(command, *argv, "--out", tmp_path / "out") == 2
     assert capsys.readouterr().err == \
         f"groupvar: field file header n={n}: group size must be at least 2\n"
 

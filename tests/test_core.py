@@ -94,7 +94,7 @@ def test_action_empty_faceset_is_zero():
 def test_jet_at_rejects_face_ids_outside_the_complex(face):
     grid = triangulated_grid(2, 2)
     with pytest.raises(ValueError):
-        core.jet_at(identity_section(grid), grid, [0, face])
+        core.jet_at(identity_section(grid).values, grid, [0, face])
 
 
 def test_action_identity_section_value():
@@ -222,7 +222,7 @@ def test_fd_lagrangian_differential_against_analytic():
     rng = np.random.default_rng(6)
     density = LinearDensity(rng)
     y = sampling.random_section(grid, N, rng)
-    jets = core.jet_at(y, grid, [grid.face_id(1, 1)])
+    jets = core.jet_at(y.values, grid, [grid.face_id(1, 1)])
     for slot in range(3):
         fd = density.vertex_differential(grid, jets, slot)[0]
         exact = density.analytic_differential(jets[0], slot)
@@ -237,15 +237,16 @@ def test_fd_differential_sum_is_directional_derivative():
     y = sampling.random_section(grid, N, rng)
     dy = sampling.random_variation(grid, N, rng)
     face = grid.face_id(0, 1)
-    jets = core.jet_at(y, grid, [face])
+    jets = core.jet_at(y.values, grid, [face])
     theta_sum = sum(
         core.apply_differential(density.vertex_differential(grid, jets, slot)[0],
                                 dy.values[v])
         for slot, v in enumerate(grid.adherence(face)))
     t = 1e-6
-    fd = (density.value(grid, core.jet_at(core.section_exp(y, dy, t), grid, [face]))[0]
-          - density.value(grid, core.jet_at(core.section_exp(y, dy, -t), grid, [face]))[0]) \
-        / (2.0 * t)
+    fd = (density.value(grid, core.jet_at(core.section_exp(y, dy, t).values, grid,
+                                          [face]))[0]
+          - density.value(grid, core.jet_at(core.section_exp(y, dy, -t).values, grid,
+                                            [face]))[0]) / (2.0 * t)
     assert abs(theta_sum - fd) / (1.0 + abs(fd)) <= 1e-6
 
 
@@ -331,9 +332,9 @@ def test_variational_split_zero_variation():
     rng = np.random.default_rng(11)
     y = sampling.random_section(grid, N, rng)
     lam = sampling.random_multiplier(grid, N, rng)
-    lhs, rhs = core.variational_split(TraceLagrangian(N), PlaquetteConstraint(N),
-                                      y, lam, zero_variation(grid),
-                                      grid.full_faceset())
+    (lhs,), (rhs,) = core.variational_split(
+        TraceLagrangian(N), PlaquetteConstraint(N), y.values[None], lam.values[None],
+        zero_variation(grid).values[None], grid.full_faceset())
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -369,8 +370,9 @@ def test_variational_split_resummation(seed, subset):
         klass = classify_vertices(grid, fs)
         assert klass.interior.size
         assert any(not set(grid.star(v).tolist()) <= faces for v in klass.frontier)
-    lhs, rhs = core.variational_split(TraceLagrangian(N), PlaquetteConstraint(N),
-                                      y, lam, dy, fs)
+    (lhs,), (rhs,) = core.variational_split(
+        TraceLagrangian(N), PlaquetteConstraint(N), y.values[None], lam.values[None],
+        dy.values[None], fs)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
 
@@ -384,7 +386,8 @@ def test_variational_split_single_interior_vertex():
     dy = single_vertex_variation(grid, v, xi)
     lagrangian, constraint = TraceLagrangian(N), PlaquetteConstraint(N)
     fs = grid.full_faceset()
-    lhs, rhs = core.variational_split(lagrangian, constraint, y, lam, dy, fs)
+    (lhs,), (rhs,) = core.variational_split(lagrangian, constraint, y.values[None],
+                                            lam.values[None], dy.values[None], fs)
     res = residual_at(lagrangian, y, lam, fs, v)
     applied = sum(float(np.trace(mu.T @ x)) for mu, x in zip(res, xi))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
@@ -405,7 +408,8 @@ def test_scalar_outputs_linear_in_multiplier():
     scaled = core.Multiplier(c * lam.values)
 
     def lhs(mult):
-        return core.variational_split(lagrangian, constraint, y, mult, dy, fs)[0]
+        return core.variational_split(lagrangian, constraint, y.values[None],
+                                      mult.values[None], dy.values[None], fs)[0][0]
 
     base = lhs(zero)
     assert (lhs(scaled) - base) == pytest.approx(c * (lhs(lam) - base), rel=1e-12)
@@ -521,8 +525,9 @@ def test_problem_bundle_delegates():
     res = core.extended_residual(lagrangian, constraint, y, lam, fs)
     assert len(res) == len(classify_vertices(grid, fs).interior)
     assert np.linalg.norm(res) == 0.0
-    lhs, rhs = core.variational_split(lagrangian, constraint, y, lam,
-                                      zero_variation(grid), fs)
+    (lhs,), (rhs,) = core.variational_split(lagrangian, constraint, y.values[None],
+                                            lam.values[None],
+                                            zero_variation(grid).values[None], fs)
     assert lhs == 0.0 and rhs == 0.0
 
 

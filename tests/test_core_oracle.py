@@ -270,6 +270,13 @@ def problem(n, kind, seed):
     return grid, lagrangian, constraint, y, lam, dy
 
 
+def split_one(lagrangian, constraint, y, lam, dy, fs):
+    """Both sides of the variation formula for one instance, a stack of one."""
+    lhs, rhs = core.variational_split(lagrangian, constraint, y.values[None],
+                                      lam.values[None], dy.values[None], fs)
+    return float(lhs[0]), float(rhs[0])
+
+
 def close(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
@@ -282,7 +289,7 @@ def test_sums_match_per_pair_oracles(n, kind, faces):
     grid, lagrangian, constraint, y, lam, dy = problem(n, kind, 100 + n)
     fs = FACESETS[faces](grid)
     args = (lagrangian, constraint, y, lam, dy, fs)
-    assert close(core.variational_split(*args), oracle_split(*args))
+    assert close(split_one(*args), oracle_split(*args))
     rep = core.noether_boundary_sum(*args)
     assert close((rep.boundary_sum, rep.lagrangian_defect, rep.constraint_defect),
                  oracle_noether(*args))
@@ -299,8 +306,8 @@ def test_sums_match_per_pair_oracles(n, kind, faces):
 @pytest.mark.parametrize("n, kind, faces", CASES, ids=IDS)
 def test_stacked_splits_match_each_instance(n, kind, faces):
     """A stack one instance past a finite-difference block of full-face-set
-    jets: each instance gets the sides that ``variational_split`` gives it
-    on its own, bit for bit, and the per-pair oracle's to round-off."""
+    jets: each instance gets the sides that it gets on its own, as a stack
+    of one, bit for bit, and the per-pair oracle's to round-off."""
     grid, lagrangian, constraint, *_ = problem(n, kind, 600 + n)
     fs = FACESETS[faces](grid)
     rng = np.random.default_rng(610 + n)
@@ -309,11 +316,11 @@ def test_stacked_splits_match_each_instance(n, kind, faces):
                   sampling.random_multiplier(grid, n, rng),
                   sampling.random_variation(grid, n, rng)) for _ in range(count)]
     stacks = [np.array([part.values for part in parts]) for parts in zip(*instances)]
-    lhs, rhs = core.variational_splits(lagrangian, constraint, *stacks, fs)
+    lhs, rhs = core.variational_split(lagrangian, constraint, *stacks, fs)
     assert lhs.shape == rhs.shape == (count,)
     for k, (y, lam, dy) in enumerate(instances):
         args = (lagrangian, constraint, y, lam, dy, fs)
-        assert (lhs[k], rhs[k]) == core.variational_split(*args)
+        assert (lhs[k], rhs[k]) == split_one(*args)
         if k in (0, count - 1):
             assert close((lhs[k], rhs[k]), oracle_split(*args))
 
@@ -323,9 +330,9 @@ def test_stacked_splits_reject_short_sections_and_multipliers():
     fs = grid.full_faceset()
     ys, lams, dys = y.values[None], lam.values[None], dy.values[None]
     with pytest.raises(ValueError, match="multiplier missing on face"):
-        core.variational_splits(lagrangian, constraint, ys, lams[:, :-1], dys, fs)
+        core.variational_split(lagrangian, constraint, ys, lams[:, :-1], dys, fs)
     with pytest.raises(ValueError, match="section undefined at vertex"):
-        core.variational_splits(lagrangian, constraint, ys[:, :-2], lams, dys, fs)
+        core.variational_split(lagrangian, constraint, ys[:, :-2], lams, dys, fs)
 
 
 @pytest.mark.parametrize("n, kind, faces", CASES, ids=IDS)
@@ -350,7 +357,7 @@ def test_stacked_forms_match_per_jet_oracles(n):
     forms, on a stack of every face jet against one jet at a time."""
     grid, lagrangian, _, y, _, _ = problem(n, "fd", 300 + n)
     constraint = PlaquetteConstraint(n)
-    jets = core.jet_at(y, grid, grid.full_faceset().face_ids)
+    jets = core.jet_at(y.values, grid, grid.full_faceset().face_ids)
     for slot in range(3):
         theta = lagrangian.vertex_differential(grid, jets, slot)
         fd_forms = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)
@@ -368,7 +375,7 @@ def test_empty_faceset_sums_vanish(kind):
     defaults as well as analytic forms."""
     grid, lagrangian, constraint, y, lam, dy = problem(3, kind, 400)
     fs = FaceSet(grid, [])
-    assert core.variational_split(lagrangian, constraint, y, lam, dy, fs) == (0.0, 0.0)
+    assert split_one(lagrangian, constraint, y, lam, dy, fs) == (0.0, 0.0)
     rep = core.noether_boundary_sum(lagrangian, constraint, y, lam, dy, fs)
     assert (rep.boundary_sum, rep.lagrangian_defect, rep.constraint_defect) == (0.0,) * 3
     assert not np.any(core.constraint_derivative(constraint, y, dy, fs))
@@ -382,7 +389,7 @@ def test_fd_defaults_span_several_value_blocks():
     """A jet stack longer than one finite-difference block gives each jet
     the differential and form it has on its own."""
     grid, lagrangian, constraint, y, _, _ = problem(3, "fd", 500)
-    jets = core.jet_at(y, grid, grid.full_faceset().face_ids)
+    jets = core.jet_at(y.values, grid, grid.full_faceset().face_ids)
     repeats = core._FD_BLOCK // len(jets) + 2
     stack = np.tile(jets, (repeats, 1, 1, 1, 1))
     for slot in range(3):

@@ -19,10 +19,10 @@ def test_trace_value_bounds_and_identity():
     rng = np.random.default_rng(0)
     y = sampling.random_section(grid, N, rng)
     for f in grid.faces:
-        value = lagrangian.value(grid, core.jet_at(y, grid, [f]))[0]
+        value = lagrangian.value(grid, core.jet_at(y.values, grid, [f]))[0]
         assert -2 * N <= value <= 2 * N
     y_eye = core.Section(y.fiber, np.zeros(y.values.shape) + np.eye(N))
-    assert lagrangian.value(grid, core.jet_at(y_eye, grid, [0]))[0] == 2 * N
+    assert lagrangian.value(grid, core.jet_at(y_eye.values, grid, [0]))[0] == 2 * N
 
 
 def _trace_differentials(u, v):
@@ -34,7 +34,7 @@ def _trace_differentials(u, v):
     values[grid.vertex_id(0, 0)] = u, v
     y = core.Section(red.reduced_fiber(N), values)
     lagrangian = hm.TraceLagrangian(N)
-    left = lagrangian.vertex_differential(grid, core.jet_at(y, grid, [0]), 0)[0]
+    left = lagrangian.vertex_differential(grid, core.jet_at(y.values, grid, [0]), 0)[0]
     mu, right = red._partials(lagrangian, grid, y, red._on_window(grid, y.values))
     assert np.array_equal(mu[0, 0], left)
     return left, right[0, 0]
@@ -227,16 +227,11 @@ def test_solver_window_without_interior(width, height):
 
 
 def test_solver_rejects_wrong_shape_boundary():
-    """The boundary, and a warm start, need one n x n block per window vertex."""
+    """The boundary needs one n x n block per window vertex."""
     grid = triangulated_grid(3, 3)
     short = hm.identity_boundary(triangulated_grid(3, 2), N)
     with pytest.raises(ValueError, match=r"boundary has shape \(12, 3, 3\)"):
         hm.solve_unreduced(grid, hm.SolverConfig(boundary=short))
-    other_n = hm.identity_boundary(grid, N + 1)
-    config = hm.SolverConfig(boundary=hm.identity_boundary(grid, N),
-                             initializer=other_n)
-    with pytest.raises(ValueError, match=r"initializer has shape \(16, 4, 4\)"):
-        hm.solve_unreduced(grid, config)
 
 
 @pytest.mark.parametrize("block,message", [
@@ -254,30 +249,16 @@ def test_solver_rejects_non_group_boundary(block, message):
         hm.SolverConfig(boundary=red.UnreducedField(values))
 
 
-def test_solver_rejects_non_finite_warm_start():
-    """A warm start with one NaN interior block is malformed input: it raises
-    ValueError where the configuration is made (exit 2 from the CLI), not a
-    ConvergenceError after the descent rejected every trial."""
-    grid = triangulated_grid(6, 6)
-    boundary = hm.random_boundary(grid, 3, 152, 3.0)
-    field, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
-    vertex = grid.vertex_id(3, 2)
-    values = field.values.copy()
-    values[vertex] = np.nan
-    with pytest.raises(ValueError, match=f"matrix {vertex} has non-finite"):
-        hm.SolverConfig(boundary=boundary, initializer=red.UnreducedField(values))
-
-
 def test_solver_config_keeps_clean_fields():
-    """Checked boundary and warm-start arrays pass the configuration
-    unchanged, so a warm start from a solver output is bit-identical."""
+    """A checked boundary array passes the configuration unchanged, and a
+    warm start of ``_solve`` from a solver output is bit-identical."""
     grid = triangulated_grid(6, 6)
     boundary = hm.random_boundary(grid, 3, 152, 3.0)
-    field, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
-    config = hm.SolverConfig(boundary=boundary, initializer=field)
+    config = hm.SolverConfig(boundary=boundary)
     assert config.boundary.values is boundary.values
-    assert config.initializer.values is field.values
-    warm, _ = hm.solve_unreduced(grid, config)
+    field, _ = hm.solve_unreduced(grid, config)
+    warm, _ = hm._solve(grid, boundary.values, field.values, config.g_tol,
+                        config.max_iterations)
     assert warm.values.tobytes() == field.values.tobytes()
 
 
@@ -294,7 +275,7 @@ def test_conjugation_field_is_symmetry(solved66):
     fs = grid.full_faceset()
     # trace derivative along the field is a commutator trace, exactly zero
     for f in fs.face_ids.tolist():
-        jets = core.jet_at(y, grid, [f])
+        jets = core.jet_at(y.values, grid, [f])
         dl = sum(core.apply_differential(
             lagrangian.vertex_differential(grid, jets, slot)[0], d.values[v])
             for slot, v in enumerate(grid.adherence(f)))

@@ -124,8 +124,9 @@ def test_split_identity_on_random_face_subsets(case, subset_seed):
     dy = sampling.random_variation(grid, n, rng)
     keep = np.random.default_rng(subset_seed).random(len(grid.faces)) < 0.7
     fs = FaceSet(grid, np.flatnonzero(keep))
-    lhs, rhs = core.variational_split(TraceLagrangian(n), red.PlaquetteConstraint(n),
-                                      y, lam, dy, fs)
+    (lhs,), (rhs,) = core.variational_split(
+        TraceLagrangian(n), red.PlaquetteConstraint(n), y.values[None],
+        lam.values[None], dy.values[None], fs)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
 

@@ -101,7 +101,7 @@ def test_holonomy_derivative_along_single_factor():
 
 def plaquette_forms(grid, y, i, j):
     """The three (d, 2d) Cartan forms of face (i, j), in adherence order."""
-    jets = core.jet_at(y, grid, [grid.face_id(i, j)])
+    jets = core.jet_at(y.values, grid, [grid.face_id(i, j)])
     return tuple(red.PlaquetteConstraint(N).cartan_form(grid, jets, slot)[0]
                  for slot in range(3))
 
