@@ -85,7 +85,7 @@ SETTINGS = {
                  "boundary must be identity, random, or an existing field file, "
                  "got {value!r}", _SOLVING, "identity, random, or a field file"),
     "seed": (42, None, "", (SOLVE, VERIFY, RECOVER), "random seed"),
-    "scale": (0.1, _finite_nonnegative, "--scale must be finite and nonnegative, "
+    "scale": (0.1, _finite_nonnegative, "scale must be finite and nonnegative, "
               "got {value!r}", _SOLVING, "boundary perturbation scale"),
     "g_tol": (G_TOL, _positive, _TOLS, (SOLVE,), "solver gradient tolerance"),
     "ep_tol": (EP_TOL, _positive, _TOLS, (SOLVE, RECOVER), "accepted reduced residual"),

@@ -208,6 +208,16 @@ def _residual(g: np.ndarray) -> tuple[np.ndarray, float]:
     return lg.skew_to_coords(grads), max_norm(norms)
 
 
+# Interiors with at most this many unknowns (vertices times d) hold the
+# trust-region model as dense matrices, one matrix product per Hessian or
+# preconditioner application; larger ones keep the stacked blocks.  The bound
+# is the measured crossover of the two (README, "Solver").
+_DENSE_UNKNOWNS = 256
+_EPS = np.finfo(float).eps
+# Window shapes whose model operators stay cached: a process may solve many.
+_SHAPES_CACHED = 16
+
+
 @functools.cache
 def _trace_table(n: int) -> np.ndarray:
     """Read-only (d^2, n^2) table of the flattened E_a E_b over the skew
@@ -260,6 +270,47 @@ def _hessian_product(hessian, v: np.ndarray) -> np.ndarray:
     return out[..., 0]
 
 
+@functools.lru_cache(maxsize=_SHAPES_CACHED)
+def _dense_index(rows: int, cols: int, d: int) -> np.ndarray:
+    """Read-only flat indices, into the dense (rows cols d)^2 matrix of H,
+    of the entries of ``_hessian``'s centre, east and north stacks,
+    flattened in that order, and then of the east and north entries again
+    at their transposed positions, which are the west and south blocks."""
+    size = rows * cols * d
+    ids = np.arange(size).reshape(rows, cols, d)
+
+    def places(a, b):
+        return (a[..., :, None] * size + b[..., None, :]).ravel()
+    neighbours = np.concatenate((places(ids[:, :-1], ids[:, 1:]),
+                                 places(ids[:-1], ids[1:])))
+    index = np.concatenate((places(ids, ids), neighbours,
+                            neighbours % size * size + neighbours // size))
+    index.flags.writeable = False
+    return index
+
+
+def _dense_hessian(hessian, dense: np.ndarray) -> np.ndarray:
+    """H written into ``dense``, a square matrix over the unknowns,
+    vertex-major as ``_residual`` flattens them, and returned: H v is
+    ``_hessian_product`` up to the order of the sums.  Only the block band
+    is written, so ``dense`` must be zero elsewhere: fresh zeros, or a
+    matrix this function filled before for the same window."""
+    centre, east, north = hessian
+    dense.ravel()[_dense_index(*centre.shape[:3])] = np.concatenate(
+        (centre.ravel(), east.ravel(), north.ravel(), east.ravel(), north.ravel()))
+    return dense
+
+
+def _sines(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal, symmetric sine matrix Q of size m and the eigenvalues
+    2 - 2 cos(pi k / (m + 1)) of the 1-D Dirichlet second difference it
+    diagonalises."""
+    k = np.arange(1, m + 1)
+    q = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    return q, 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
+
+
+@functools.lru_cache(maxsize=_SHAPES_CACHED)
 def _laplacian_solver(rows: int, cols: int):
     """Solver of L z = r for the 5-point Dirichlet Laplacian L of the
     interior, applied to each coordinate; L is H at a constant field.
@@ -268,12 +319,7 @@ def _laplacian_solver(rows: int, cols: int):
     z = Q_r ((Q_r r Q_c) / lambda) Q_c with lambda_ab = 4 - 2 cos(pi a /
     (rows + 1)) - 2 cos(pi b / (cols + 1)): plain matrix products.
     """
-    def sines(m):
-        k = np.arange(1, m + 1)
-        q = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
-        return q, 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
-
-    (q_r, l_r), (q_c, l_c) = sines(rows), sines(cols)
+    (q_r, l_r), (q_c, l_c) = _sines(rows), _sines(cols)
     eigenvalues = l_r[:, None] + l_c
 
     def solve(r: np.ndarray) -> np.ndarray:
@@ -284,9 +330,23 @@ def _laplacian_solver(rows: int, cols: int):
     return solve
 
 
-def _truncated_cg(hessian, precondition, f: np.ndarray, radius: float):
+@functools.lru_cache(maxsize=_SHAPES_CACHED)
+def _inverse_laplacian(rows: int, cols: int) -> np.ndarray:
+    """Read-only (rows cols)^2 inverse of the 5-point Dirichlet Laplacian
+    of the interior, vertex-major: (Q_r x Q_c) diag(1 / lambda)
+    (Q_r x Q_c)^T with the factors of ``_laplacian_solver``.  Applied to
+    r.reshape(rows cols, d) it solves every coordinate at once."""
+    (q_r, l_r), (q_c, l_c) = _sines(rows), _sines(cols)
+    q = np.kron(q_r, q_c)
+    inverse = (q / (l_r[:, None] + l_c).ravel()) @ q.T
+    inverse.flags.writeable = False
+    return inverse
+
+
+def _truncated_cg(product, precondition, f: np.ndarray, radius: float):
     """Steihaug-Toint truncated CG on the model f . p + p . H p / 2 in the
-    trust region p . L p <= radius^2, L the preconditioner.
+    trust region p . L p <= radius^2, with ``product(v)`` = H v and
+    ``precondition(r)`` = L^-1 r on arrays shaped like f.
 
     Stops when the model gradient r falls to |r| <= |f| min(|f|, 0.1), at
     the boundary, or along a direction of nonpositive curvature, which it
@@ -303,9 +363,10 @@ def _truncated_cg(hessian, precondition, f: np.ndarray, radius: float):
     rz = np.vdot(r, z)
     pmp, pmd, dmd = 0.0, 0.0, rz
     model = 0.0
-    target = np.linalg.norm(f) * min(np.linalg.norm(f), 0.1)
+    norm = np.sqrt(np.vdot(f, f))
+    target = norm * min(norm, 0.1)
     for k in range(1, f.size + 1):
-        hd = _hessian_product(hessian, d)
+        hd = product(d)
         dhd = np.vdot(d, hd)
         # nonpositive curvature, or a CG step that would leave the region:
         # go to the boundary along d
@@ -317,7 +378,7 @@ def _truncated_cg(hessian, precondition, f: np.ndarray, radius: float):
         model += alpha * np.vdot(r, d) + alpha * alpha * dhd / 2.0
         p, r = p + alpha * d, r + alpha * hd
         pmp += (2.0 * pmd + alpha * dmd) * alpha
-        if np.linalg.norm(r) <= target:
+        if np.sqrt(np.vdot(r, r)) <= target:
             break
         z = precondition(r)
         rz, rz_old = np.vdot(r, z), rz
@@ -328,14 +389,41 @@ def _truncated_cg(hessian, precondition, f: np.ndarray, radius: float):
     return p, model, False, k
 
 
+def _model_operators(g: np.ndarray, dense: np.ndarray | None):
+    """The operators of the trust-region model at ``g``: ``product(v)`` =
+    H v for H from ``_hessian``, ``precondition(r)`` = L^-1 r, and
+    ``shape``, the shape of the coordinates both act on.
+
+    Given a ``dense`` matrix for ``_dense_hessian`` to overwrite, each is
+    one matrix product on flat vectors, by that matrix and by
+    ``_inverse_laplacian``; given None, they are the stacked
+    ``_hessian_product`` and ``_laplacian_solver`` on ``_residual``'s
+    (rows, cols, d) stacks.
+    """
+    rows, cols = g.shape[0] - 2, g.shape[1] - 2
+    hessian = _hessian(g)
+    if dense is None:
+        return (functools.partial(_hessian_product, hessian),
+                _laplacian_solver(rows, cols), hessian[0].shape[:3])
+    inverse = _inverse_laplacian(rows, cols)
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        return (inverse @ r.reshape(rows * cols, -1)).ravel()
+    return (_dense_hessian(hessian, dense).__matmul__, precondition,
+            dense.shape[:1])
+
+
 def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
     """Riemannian trust-region Newton on the Dirichlet energy (Absil, Baker &
     Gallivan, FoCM 2007), from ``g`` until the gradient max-norm meets
     ``g_tol``, and then one step more.
 
     Each step solves the model of ``_hessian`` by ``_truncated_cg``,
-    preconditioned by ``_laplacian_solver``, in the trust region of that
-    norm, and retracts it.  With the agreement ratio rho of actual to
+    preconditioned by the Laplacian solve, in the trust region of that
+    norm, and retracts it.  ``_model_operators`` gives both in dense form
+    on an interior of at most ``_DENSE_UNKNOWNS`` unknowns, which reuses
+    one matrix for every step, and in stacked form above: only the input
+    size selects the path.  With the agreement ratio rho of actual to
     predicted energy decrease, both offset by 1e3 eps max(1, |E|) so that
     decrements at round-off read as agreement, the radius shrinks by 4
     below 0.25 and doubles above 0.75 when the step reached the boundary,
@@ -355,21 +443,22 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
     history = [_record(0, "start", g, energy, worst, 0.0)]
     counters = {"iterations": 0, "backtracks": 0, "residual_evaluations": 1,
                 "hessian_products": 0}
-    precondition = _laplacian_solver(*f.shape[:2])
+    dense = np.zeros((f.size,) * 2) if f.size <= _DENSE_UNKNOWNS else None
     radius_max = np.pi * np.sqrt(f.shape[0] * f.shape[1])
     radius = radius_max / 8.0
-    previous, hessian, stalled = worst, None, False
+    previous, model_at_g, stalled = worst, None, False
     while counters["iterations"] < max_iterations and not stalled \
             and (worst > g_tol or previous > g_tol):
         counters["iterations"] += 1
-        if hessian is None:
-            hessian = _hessian(g)
+        if model_at_g is None:
+            model_at_g = _model_operators(g, dense)
+        product, precondition, shape = model_at_g
         p, model, at_boundary, products = _truncated_cg(
-            hessian, precondition, f, radius)
+            product, precondition, f.reshape(shape), radius)
         counters["hessian_products"] += products
-        trial = _retract(g, lg.coords_to_skew(p, n))
+        trial = _retract(g, lg.coords_to_skew(p.reshape(f.shape), n))
         trial_energy = dirichlet_energy(trial)
-        offset = 1e3 * np.finfo(float).eps * max(1.0, abs(energy))
+        offset = 1e3 * _EPS * max(1.0, abs(energy))
         rho = (energy - trial_energy + offset) / (offset - 2.0 * model)
         if rho < 0.25:
             radius /= 4.0
@@ -378,7 +467,7 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
         if not rho > 0.1:
             counters["backtracks"] += 1
             continue
-        previous, hessian = worst, None
+        previous, model_at_g = worst, None
         g, energy = trial, trial_energy
         f, worst = _residual(g)
         counters["residual_evaluations"] += 1

@@ -24,7 +24,7 @@ from .liegroup import group_array, skew_part
 from .reduction import UnreducedField, reduced_fiber
 
 MAGIC = "groupvar-field v1"
-_BLOCK_LINES = 64  # body lines split and converted at a time
+_BLOCK_LINES = 64  # body lines written, or split and converted, at a time
 
 __all__ = [
     "save_reduced_section",
@@ -51,15 +51,19 @@ def _save(path, kind: str, grid: TriangulatedGrid, tag: str, values: np.ndarray,
           components: int) -> None:
     """Header, then one record per row of ``values``: row k holds the entries
     of id k, at (i, j) with k = j * columns + i, columns being W + 1 for
-    vertex records ("v") and W for face records ("f")."""
+    vertex records ("v") and W for face records ("f").  Records are written
+    a block at a time, so only one block's text is held at once."""
     columns = grid.width + 1 if tag == "v" else grid.width
-    lines = [MAGIC, f"kind={kind}", f"n={values.shape[-1]}",
-             f"components={components}", f"width={grid.width}",
-             f"height={grid.height}"]
-    for k, entries in enumerate(values.reshape(len(values), -1)):
-        j, i = divmod(k, columns)
-        lines.append(f"{tag} {i} {j} {' '.join(map(repr, entries.tolist()))}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = values.reshape(len(values), -1)
+    with Path(path).open("w") as out:
+        out.write(f"{MAGIC}\nkind={kind}\nn={values.shape[-1]}\n"
+                  f"components={components}\nwidth={grid.width}\n"
+                  f"height={grid.height}\n")
+        for start in range(0, len(rows), _BLOCK_LINES):
+            block = rows[start:start + _BLOCK_LINES].tolist()
+            out.write("".join(
+                f"{tag} {k % columns} {k // columns} {' '.join(map(repr, entries))}\n"
+                for k, entries in enumerate(block, start)))
 
 
 def _parse_header(lines: list[str], expected_kind: str):

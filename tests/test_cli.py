@@ -85,7 +85,7 @@ def test_malformed_config_exits_two(tmp_path, capsys):
              "tolerances"),
             (("verify", "regularity"), {"rank_tol": -1e-8}, "tolerances"),
             (("solve",), {"max_iterations": -1}, "max_iterations must be"),
-            (("solve",), {"scale": float("nan")}, "--scale must be finite")):
+            (("solve",), {"scale": float("nan")}, "scale must be finite")):
         cfg.write_text(json.dumps(bad))
         capsys.readouterr()
         assert run(*argv, "--config", cfg, "--out", tmp_path / "bad") == 2
@@ -517,8 +517,10 @@ def solved_section(tmp_path_factory):
                                            ("recover-multipliers", "--seed-scale")])
 def test_scale_flags_must_be_finite_and_nonnegative(tmp_path, capsys, solved_section,
                                                     command, flag, value):
-    """A NaN, infinite or negative scale is a usage error (exit 2) named by
-    its flag, raised before any output is written."""
+    """A NaN, infinite or negative scale is a usage error (exit 2), raised
+    before any output is written.  The message names the setting, which a
+    flag or a config key may give (``scale``), or the flag-only
+    ``--seed-scale``."""
     section = tmp_path / "section.txt"
     section.write_text("\n".join(solved_section) + "\n")
     argv = [command, f"{flag}={value}", "--out", tmp_path / "out"]
@@ -528,7 +530,8 @@ def test_scale_flags_must_be_finite_and_nonnegative(tmp_path, capsys, solved_sec
         argv += ["--section", section]
     assert run(*argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"groupvar: {flag} must be finite and nonnegative")
+    name = "scale" if flag == "--scale" else flag
+    assert err.startswith(f"groupvar: {name} must be finite and nonnegative")
     assert not (tmp_path / "out").exists()
 
 

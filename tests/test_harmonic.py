@@ -739,31 +739,99 @@ def test_laplacian_solver_inverts_the_dense_laplacian(rows, cols, n):
     assert np.max(np.abs(z.ravel() - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
+# (interior rows, interior columns, n): 1 x k and k x 1 interiors, and the
+# dense bound's largest window, 6x6 SO(5) (250 unknowns)
+DENSE_INTERIORS = [(1, 1, 2), (1, 7, 3), (6, 1, 3), (1, 9, 5), (5, 1, 5),
+                   (5, 8, 2), (5, 5, 3), (3, 7, 3), (5, 5, 5)]
+
+
+@pytest.mark.parametrize("rows,cols,n", DENSE_INTERIORS)
+def test_dense_model_is_the_stacked_model(rows, cols, n):
+    """The dense H places ``_hessian``'s blocks as the loop oracle does, bit
+    for bit, also when it overwrites the H of another field of the window;
+    the dense H v is ``_hessian_product`` and the dense preconditioner the
+    sine solve of ``_laplacian_solver``, each to 1e-13 relative."""
+    grid = triangulated_grid(cols + 1, rows + 1)
+    rng = np.random.default_rng(rows + 10 * cols + 100 * n)
+    g, other = (_array(grid, sampling.random_unreduced_field(grid, n, rng, 1.0))
+                for _ in range(2))
+    size = rows * cols * (n * (n - 1) // 2)
+    assert size <= hm._DENSE_UNKNOWNS
+    hessian = hm._hessian(g)
+    oracle = _hessian_to_dense(hessian)
+    assert np.array_equal(hm._dense_hessian(hessian, np.zeros((size, size))), oracle)
+    reused = hm._dense_hessian(hm._hessian(other), np.zeros((size, size)))
+    assert np.array_equal(hm._dense_hessian(hessian, reused), oracle)
+    product, precondition, shape = hm._model_operators(g, np.zeros((size, size)))
+    assert shape == (size,)
+    for v in rng.standard_normal((3,) + hessian[0].shape[:3]):
+        stacked = hm._hessian_product(hessian, v).ravel()
+        assert np.max(np.abs(product(v.ravel()) - stacked)) \
+            <= 1e-13 * np.max(np.abs(stacked))
+        solved = hm._laplacian_solver(rows, cols)(v).ravel()
+        assert np.max(np.abs(precondition(v.ravel()) - solved)) \
+            <= 1e-13 * np.max(np.abs(solved))
+
+
+@pytest.mark.parametrize("width,n,dense", [
+    pytest.param(6, 5, True, id="250-dense"),
+    pytest.param(12, 3, False, id="363-stacked")])
+def test_model_path_follows_the_unknown_count(monkeypatch, width, n, dense):
+    """A 6x6 SO(5) window has 250 interior unknowns, within the bound of
+    256: its solve fills the dense H once per accepted step and never calls
+    ``_hessian_product``.  12x12 SO(3) has 363 and calls it once for every
+    Hessian product the report counts, with no dense H."""
+    calls = {"_hessian_product": 0, "_dense_hessian": 0}
+
+    def counted(name):
+        original = getattr(hm, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(hm, name, call)
+    counted("_hessian_product")
+    counted("_dense_hessian")
+    grid = triangulated_grid(width, width)
+    boundary = hm.random_boundary(grid, n, seed=1, scale=0.1)
+    _, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    assert report.converged and report.hessian_products > 0
+    if dense:
+        assert calls == {"_hessian_product": 0,
+                         "_dense_hessian": report.residual_evaluations - 1}
+    else:
+        assert calls == {"_hessian_product": report.hessian_products,
+                         "_dense_hessian": 0}
+
+
 def test_truncated_cg_is_the_newton_step_inside_the_region(solved66):
     """With an inactive radius and a small gradient the truncated CG step is
     the Newton step H p = -f, to the forcing term |r| <= |f|^2; with a small
     radius it ends on the boundary of the Laplacian norm.  The model value
-    is f . p + p . H p / 2 both ways."""
+    is f . p + p . H p / 2 both ways.  All of it holds for the stacked
+    operators on (rows, cols, d) coordinates and for the dense ones on flat
+    vectors."""
     g = _array(solved66["grid"], solved66["field"])
-    hessian = hm._hessian(g)
     dense = _dense_hessian(g)
     rows, cols, d = g.shape[0] - 2, g.shape[1] - 2, 3
-    precondition = hm._laplacian_solver(rows, cols)
     f = np.random.default_rng(3).standard_normal((rows, cols, d))
     f *= 1e-8 / np.linalg.norm(f)
     newton = np.linalg.solve(dense, -f.ravel())
-    for radius, boundary in ((1e6, False), (1e-9, True)):
-        p, model, at_boundary, products = hm._truncated_cg(
-            hessian, precondition, f, radius)
-        assert at_boundary is boundary and 1 <= products <= f.size
-        p = p.ravel()
-        assert model == pytest.approx(f.ravel() @ p + p @ dense @ p / 2.0,
-                                      rel=1e-12)
-        if boundary:
-            length = np.sqrt(p @ _grid_laplacian(rows, cols, d) @ p)
-            assert length == pytest.approx(radius, rel=1e-12)
-        else:
-            assert np.linalg.norm(p - newton) <= 1e-7 * np.linalg.norm(newton)
+    for matrix in (None, np.zeros((f.size, f.size))):
+        product, precondition, shape = hm._model_operators(g, matrix)
+        for radius, boundary in ((1e6, False), (1e-9, True)):
+            p, model, at_boundary, products = hm._truncated_cg(
+                product, precondition, f.reshape(shape), radius)
+            assert p.shape == shape
+            assert at_boundary is boundary and 1 <= products <= f.size
+            p = p.ravel()
+            assert model == pytest.approx(f.ravel() @ p + p @ dense @ p / 2.0,
+                                          rel=1e-12)
+            if boundary:
+                length = np.sqrt(p @ _grid_laplacian(rows, cols, d) @ p)
+                assert length == pytest.approx(radius, rel=1e-12)
+            else:
+                assert np.linalg.norm(p - newton) <= 1e-7 * np.linalg.norm(newton)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -785,7 +853,8 @@ def test_newton_residual_evaluations_per_step_do_not_grow(n):
 
 
 def test_singular_band_factor_ends_the_polish(tmp_path, monkeypatch, capsys):
-    """A zeroed Hessian leaves only the linear model: the truncated CG meets
+    """A zeroed Hessian (the name is from the banded factorisation this
+    solver once used) leaves only the linear model: the truncated CG meets
     zero curvature at once and every step runs to the trust-region
     boundary, so the gradient stalls above g_tol and the loop gives up well
     within its budget.  The solve ends in
@@ -817,9 +886,10 @@ def test_singular_band_factor_ends_the_polish(tmp_path, monkeypatch, capsys):
                                      pytest.param(64, N, id="64"),
                                      pytest.param(32, 5, id="32-so5")])
 def test_solver_converges_on_large_windows(width, n):
-    """Windows the dense Jacobian (24x24) and the per-block Pade expm
-    retraction (64x64, the north-star size) made impractical, and SO(5) at
-    32x32, where the Hessian blocks are 10x10; tolerances only."""
+    """Windows that earlier solvers made impractical (24x24 for a dense
+    finite-difference Jacobian, 64x64, the north-star size, for a per-block
+    Pade expm retraction), and SO(5) at 32x32, where the Hessian blocks are
+    10x10; all on the stacked model, tolerances only."""
     grid = triangulated_grid(width, width)
     boundary = hm.random_boundary(grid, n, seed=1, scale=0.1)
     config = hm.SolverConfig(boundary=boundary)

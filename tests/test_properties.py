@@ -11,7 +11,8 @@ import numpy as np
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from groupvar import core, liegroup as lg, reduction as red, sampling, serialization as ser
+from groupvar import (cli, core, liegroup as lg, reduction as red, sampling,
+                      serialization as ser)
 from groupvar.complexes import FaceSet, triangulated_grid
 from groupvar.harmonic import TraceLagrangian
 
@@ -143,3 +144,30 @@ def test_plaquette_cartan_forms_match_finite_differences(n, slot, count, seed, s
     fd = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)
     defects = lg.block_norms(analytic - fd) / (1.0 + lg.block_norms(analytic))
     assert lg.max_norm(defects) <= 1e-6
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(2, 4), st.floats(0.0, 3.0),
+       st.sampled_from([0, 1, 5000]), st.integers(0, 2**16))
+def test_solve_exit_code_is_its_report(width, height, n, scale, budget, seed):
+    """``solve`` exits 0 or 1, never 2 and never with an exception, on any
+    window (those of width or height 1 have no interior vertex), group size,
+    scale up to about pi and step budget.  It exits 0 exactly when its
+    report reads converged, with the reduced residual within ep_tol and the
+    constraint residual within 1e-12, and a failed solve still writes its
+    history from the start row on."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        code = cli.main(["solve", "--width", str(width), "--height", str(height),
+                         "--n", str(n), "--scale", repr(scale), "--seed", str(seed),
+                         "--max-iterations", str(budget), "--out", tmp])
+        assert code in (0, 1)
+        report = dict(line.split("=", 1) for line in
+                      (out / "solve_report.txt").read_text().splitlines())
+        ok = report["converged"] == "True" \
+            and float(report["max_ep_residual"]) <= float(report["ep_tol"]) \
+            and float(report["max_constraint_residual"]) <= 1e-12
+        assert (code == 0) == ok
+        history = (out / "history.csv").read_text().splitlines()
+        assert history[0].startswith("iteration,phase")
+        assert history[1].startswith("0,start,")

@@ -327,3 +327,40 @@ def test_saved_field_golden_text(tmp_path):
         "v 2 2 -1.0 -0.0 0.0 -1.0\n")
     _, loaded = ser.load_unreduced_field(path)
     assert np.array_equal(loaded.values, values)
+
+
+def _joined_save(path, kind, grid, tag, values, components):
+    """The one-string writer the blocked ``ser._save`` replaced: every line
+    in one list, joined once."""
+    columns = grid.width + 1 if tag == "v" else grid.width
+    lines = [ser.MAGIC, f"kind={kind}", f"n={values.shape[-1]}",
+             f"components={components}", f"width={grid.width}",
+             f"height={grid.height}"]
+    for k, entries in enumerate(values.reshape(len(values), -1)):
+        j, i = divmod(k, columns)
+        lines.append(f"{tag} {i} {j} {' '.join(map(repr, entries.tolist()))}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("width,height", [(9, 9), (8, 8), (1, 63), (15, 4)])
+def test_blocked_writer_matches_the_joined_text(tmp_path, width, height):
+    """Fields, sections and multipliers of more than one block of records,
+    some of them an exact multiple of the block (the 8x8 window's 64 faces,
+    the 1x63 window's 128 vertices), write the bytes of the one-string
+    writer."""
+    grid = triangulated_grid(width, height)
+    rng = np.random.default_rng(width * height)
+    field = sampling.random_unreduced_field(grid, 3, rng, 3.0)
+    section = reduce_field(grid, field)
+    multiplier = sampling.random_multiplier(grid, 3, rng)
+    for save, kind, tag, data, records, components in (
+            (ser.save_unreduced_field, "unreduced_field", "v", field, field.values, 1),
+            # the far corner of a section is not written
+            (ser.save_reduced_section, "reduced_section", "v", section,
+             section.values[:-1], 2),
+            (ser.save_multiplier, "multiplier", "f", multiplier,
+             multiplier.values, 1)):
+        got, want = tmp_path / f"{kind}.txt", tmp_path / f"{kind}.want"
+        save(got, grid, data)
+        _joined_save(want, kind, grid, tag, records, components)
+        assert got.read_bytes() == want.read_bytes()
