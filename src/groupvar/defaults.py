@@ -14,7 +14,7 @@ TOL_ADMISSIBLE = 1e-10
 # Central finite-difference step for Lagrangian differentials.
 H_LAGRANGIAN = 1e-6
 
-# Two-sided step for Jacobi / multisymplectic finite differences.
+# Central-difference step of the Jacobi and two-form check and of dlam.
 H_JACOBI = 1e-5
 
 # Euler-Poincare residual accepted as "critical".

@@ -10,8 +10,8 @@ rise by no more than round-off, keeps the iteration near the branch selected
 by the boundary blend initializer.  "Critical" throughout means stationary;
 reports claim no minimality of anything.
 
-Gradient assembly is vertex-parallel within an iteration; scenario runs
-(base plus perturbed solves) are independent of each other.
+Gradient assembly is vertex-parallel within an iteration; each scenario
+runs one solve.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ from .core import (
     NoetherReport,
 )
 from .defaults import G_TOL, H_JACOBI
-from .errors import ConvergenceError
+from .errors import ConvergenceError, PreconditionError
 from .liegroup import (
     block_dot,
     block_norms,
     coadjoint,
     group_array,
-    log_near_identity,
     max_norm,
     random_skew,
 )
@@ -52,6 +51,7 @@ from .reduction import (
     recover_multipliers,
     reduce_field,
     reduced_fiber,
+    reduced_variation,
 )
 
 __all__ = [
@@ -343,28 +343,28 @@ def _inverse_laplacian(rows: int, cols: int) -> np.ndarray:
     return inverse
 
 
-def _truncated_cg(product, precondition, f: np.ndarray, radius: float):
+def _truncated_cg(product, precondition, f: np.ndarray, radius: float, target: float):
     """Steihaug-Toint truncated CG on the model f . p + p . H p / 2 in the
     trust region p . L p <= radius^2, with ``product(v)`` = H v and
     ``precondition(r)`` = L^-1 r on arrays shaped like f.
 
-    Stops when the model gradient r falls to |r| <= |f| min(|f|, 0.1), at
-    the boundary, or along a direction of nonpositive curvature, which it
-    follows to the boundary.  Returns the step, its model value, whether it
-    ends on the boundary, and the Hessian products spent (Steihaug 1983;
-    Toint 1981; the inner solve of Absil, Baker & Gallivan 2007).  The
-    norms |p|_L^2, p . L d and |d|_L^2 are updated by their recurrences,
-    with no product by L.
+    Stops when the model gradient r falls to |r| <= ``target``, at the
+    boundary, or along a direction of nonpositive curvature, which it
+    follows to the boundary (at infinite radius it stops there).  Returns
+    the step, its model value, whether it ends on the boundary, and the
+    Hessian products spent, none for f = 0 (Steihaug 1983; Toint 1981;
+    Absil, Baker & Gallivan 2007).  The norms |p|_L^2, p . L d and |d|_L^2
+    are updated by their recurrences, with no product by L.
     """
     p = np.zeros_like(f)
     r = f
     z = precondition(r)
     d = -z
     rz = np.vdot(r, z)
+    if rz == 0.0:
+        return p, 0.0, False, 0
     pmp, pmd, dmd = 0.0, 0.0, rz
     model = 0.0
-    norm = np.sqrt(np.vdot(f, f))
-    target = norm * min(norm, 0.1)
     for k in range(1, f.size + 1):
         hd = product(d)
         dhd = np.vdot(d, hd)
@@ -372,6 +372,8 @@ def _truncated_cg(product, precondition, f: np.ndarray, radius: float):
         # go to the boundary along d
         alpha = rz / dhd if dhd > 0.0 else np.inf
         if dhd <= 0.0 or pmp + (2.0 * pmd + alpha * dmd) * alpha >= radius * radius:
+            if radius == np.inf:
+                return p, model, True, k
             tau = (np.sqrt(pmd * pmd + dmd * (radius * radius - pmp)) - pmd) / dmd
             model += tau * np.vdot(r, d) + tau * tau * dhd / 2.0
             return p + tau * d, model, True, k
@@ -387,6 +389,11 @@ def _truncated_cg(product, precondition, f: np.ndarray, radius: float):
         dmd = rz + beta * beta * dmd
         d = beta * d - z
     return p, model, False, k
+
+
+def _model_matrix(unknowns: int) -> np.ndarray | None:
+    """Zeros to hold H densely, or None above ``_DENSE_UNKNOWNS`` unknowns."""
+    return np.zeros((unknowns,) * 2) if unknowns <= _DENSE_UNKNOWNS else None
 
 
 def _model_operators(g: np.ndarray, dense: np.ndarray | None):
@@ -443,7 +450,7 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
     history = [_record(0, "start", g, energy, worst, 0.0)]
     counters = {"iterations": 0, "backtracks": 0, "residual_evaluations": 1,
                 "hessian_products": 0}
-    dense = np.zeros((f.size,) * 2) if f.size <= _DENSE_UNKNOWNS else None
+    dense = _model_matrix(f.size)
     radius_max = np.pi * np.sqrt(f.shape[0] * f.shape[1])
     radius = radius_max / 8.0
     previous, model_at_g, stalled = worst, None, False
@@ -453,8 +460,9 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
         if model_at_g is None:
             model_at_g = _model_operators(g, dense)
         product, precondition, shape = model_at_g
+        norm = np.sqrt(np.vdot(f, f))
         p, model, at_boundary, products = _truncated_cg(
-            product, precondition, f.reshape(shape), radius)
+            product, precondition, f.reshape(shape), radius, norm * min(norm, 0.1))
         counters["hessian_products"] += products
         trial = _retract(g, lg.coords_to_skew(p.reshape(f.shape), n))
         trial_energy = dirichlet_energy(trial)
@@ -512,28 +520,14 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     reduced section of the result then satisfies the reduced critical
     equations to the same level and is flat by construction.
     """
+    g_tol, max_iterations = config.g_tol, config.max_iterations
     n = config.boundary.values.shape[-1]
     blocks = (len(grid.vertices), n, n)
     if config.boundary.values.shape != blocks:
         raise ValueError(f"boundary has shape {config.boundary.values.shape}, "
                          f"the window needs {blocks}")
-    return _solve(grid, config.boundary.values, None, config.g_tol,
-                  config.max_iterations)
-
-
-def _solve(grid: TriangulatedGrid, boundary: np.ndarray,
-           initializer: np.ndarray | None, g_tol: float, max_iterations: int
-           ) -> tuple[UnreducedField, SolveReport]:
-    """:func:`solve_unreduced` on trusted (V, n, n) arrays of the window:
-    a boundary and an optional warm start derived from checked data."""
-    faceset = grid.full_faceset()
-    n = boundary.shape[-1]
-    shape = (grid.height + 1, grid.width + 1, n, n)
-    g = boundary.reshape(shape).copy()
-    if initializer is None:
-        g[1:-1, 1:-1] = _blend_initializer(g)
-    else:
-        g[1:-1, 1:-1] = initializer.reshape(shape)[1:-1, 1:-1]
+    g = config.boundary.values.reshape(grid.height + 1, grid.width + 1, n, n).copy()
+    g[1:-1, 1:-1] = _blend_initializer(g)
 
     g, energy, worst, history, counters = _newton_polish(g, g_tol, max_iterations)
     converged = worst <= g_tol
@@ -551,7 +545,7 @@ def _solve(grid: TriangulatedGrid, boundary: np.ndarray,
     report = SolveReport(
         converged=converged,
         **counters,
-        final_action=action(lagrangian, y, faceset),
+        final_action=action(lagrangian, y, grid.full_faceset()),
         final_energy=energy,
         max_gradient=worst,
         max_ep_residual=max_norm(ep),
@@ -593,7 +587,11 @@ def random_boundary(grid: TriangulatedGrid, n: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# symmetry field and scenarios
+# symmetry field and scenarios, with the scenario thresholds (the Noether one
+# a factor of 1 + |action|) and the recovery targets at sections flowed along
+# a Jacobi field, which are critical only to O(H_JACOBI^2)
+_NOETHER_TOL_FACTOR, _JACOBI_TOL, _DEFECT_TOL = 1e-8, 1e-4, 1e-4
+_FLOWED_TOL = 1e-6
 
 
 def conjugation_symmetry_field(y: Section, xi: np.ndarray) -> Variation:
@@ -619,13 +617,13 @@ class NoetherScenarioReport:
 
 def run_noether_scenario(grid: TriangulatedGrid, config: SolverConfig,
                          xi: np.ndarray,
-                         symmetry_field: Variation | None = None,
-                         tol_factor: float = 1e-8) -> NoetherScenarioReport:
+                         symmetry_field: Variation | None = None
+                         ) -> NoetherScenarioReport:
     """Solve, recover multipliers, and evaluate the conservation boundary sum.
 
     With the conjugation field the sum is predicted to vanish to
-    ``tol_factor * (1 + |action|)``.  Passing an explicit ``symmetry_field``
-    (for negative controls) overrides the conjugation construction.
+    1e-8 (1 + |action|).  Passing an explicit ``symmetry_field`` (for
+    negative controls) overrides the conjugation construction.
     """
     n = xi.shape[-1]
     lagrangian = TraceLagrangian(n)
@@ -637,7 +635,7 @@ def run_noether_scenario(grid: TriangulatedGrid, config: SolverConfig,
         else conjugation_symmetry_field(y, xi)
     noether = noether_boundary_sum(lagrangian, PlaquetteConstraint(n), y, lam,
                                    d, faceset)
-    threshold = tol_factor * (1.0 + abs(solve_report.final_action))
+    threshold = _NOETHER_TOL_FACTOR * (1.0 + abs(solve_report.final_action))
     passed = noether.symmetry_ok and abs(noether.boundary_sum) <= threshold
     return NoetherScenarioReport(solve_report, noether,
                                  noether.boundary_sum, threshold, passed)
@@ -654,67 +652,70 @@ class MultisymplecticScenarioReport:
     passed: bool
 
 
-def _difference_quotient(y0: Section, y1: Section, h: float) -> Variation:
-    rel = y0.values.swapaxes(-1, -2) @ y1.values
-    return Variation(y0.fiber, log_near_identity(rel) * (1.0 / h))
-
-
-def _multiplier_quotient(l0: Multiplier, l1: Multiplier, h: float) -> Multiplier:
-    return Multiplier((l1.values - l0.values) * (1.0 / h))
+def _jacobi_gauges(g: np.ndarray, bumps):
+    """Yields per bump the (V, n, n) gauge of the Jacobi field at the stationary
+    (H+1, W+1, n, n) field g: eta at the bumped vertices, zero on the rest of
+    the frontier, x with H x = -df/deta inside; f is linear in each neighbour,
+    so df/deta is f at g_b + g_b eta minus f at g.  CG at infinite radius to
+    1e-12 |df/deta|; nonpositive curvature raises PreconditionError."""
+    n = g.shape[-1]
+    f, _ = _residual(g)
+    product, precondition, shape = _model_operators(g, _model_matrix(f.size))
+    for bump in bumps:
+        vids = list(bump)
+        etas = np.array(list(bump.values()), dtype=float).reshape(-1, n, n)
+        moved = g.reshape(-1, n, n).copy()
+        moved[vids] += moved[vids] @ etas
+        rhs = (_residual(moved.reshape(g.shape))[0] - f).reshape(shape)
+        x, _, saddle, _ = _truncated_cg(product, precondition, rhs, np.inf,
+                                        1e-12 * np.sqrt(np.vdot(rhs, rhs)))
+        if saddle:
+            raise PreconditionError("nonpositive curvature: the solution is no strict "
+                                    "minimum, so its Jacobi fields are not unique")
+        theta = np.zeros(g.shape)
+        theta[1:-1, 1:-1] = lg.coords_to_skew(x.reshape(f.shape), n)
+        theta.reshape(-1, n, n)[vids] = etas
+        yield theta.reshape(-1, n, n)
 
 
 def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
                                  bump1: dict[int, np.ndarray],
-                                 bump2: dict[int, np.ndarray],
-                                 step: float = H_JACOBI,
-                                 jacobi_tol: float = 1e-4,
-                                 defect_tol: float = 1e-4
+                                 bump2: dict[int, np.ndarray]
                                  ) -> MultisymplecticScenarioReport:
-    """Boundary two-form defect on two finite-difference Jacobi fields.
+    """Boundary two-form defect on the Jacobi fields of two boundary bumps.
 
-    Solves the base problem plus one boundary-perturbed problem per bump
-    (a skew (n, n) array eta per frontier vertex, perturbation
-    g -> g exp(step * eta), multipliers recovered with the same zero seed),
-    forms the difference-quotient fields, verifies they pass the Jacobi
-    check, and evaluates the two-form.  Perturbed solves warm-start
-    from the base solution so all three sit on the same branch.
-    """
+    A bump maps frontier vertices to skew (n, n) arrays eta, moving them
+    along g exp(t eta).  After one solve, each field is ``reduced_variation``
+    of a gauge theta from ``_jacobi_gauges`` and the central difference (step
+    ``H_JACOBI``) of the zero-seed multipliers at g exp(+-t theta)."""
     n = config.boundary.values.shape[-1]
     lagrangian = TraceLagrangian(n)
-    constraint = PlaquetteConstraint(n)
     faceset = grid.full_faceset()
     frontier = classify_vertices(grid, faceset).frontier
     zero_seed = np.zeros((n, n))
+    for vid in (*bump1, *bump2):
+        if vid not in frontier:
+            raise ValueError(f"bump vertex {vid} is not a frontier vertex")
 
     base_field, base_report = solve_unreduced(grid, config)
     y0 = base_report.section
     lam0, _ = recover_multipliers(lagrangian, grid, y0, zero_seed)
+    g = base_field.values
 
-    def perturbed(bump):
-        vids = np.array(list(bump), dtype=int)
-        foreign = vids[~np.isin(vids, frontier)]
-        if foreign.size:
-            raise ValueError(f"bump vertex {foreign[0]} is not a frontier vertex")
-        etas = np.array(list(bump.values()), dtype=float).reshape(-1, n, n)
-        boundary = config.boundary.values.copy()
-        boundary[vids] = boundary[vids] @ lg.exp(step * etas)
-        # the bumped boundary and the base solution derive from the checked
-        # configuration, so they skip its checks
-        _, report = _solve(grid, boundary, base_field.values, config.g_tol,
-                           config.max_iterations)
-        y = report.section
-        lam, _ = recover_multipliers(lagrangian, grid, y, zero_seed)
-        return y, lam
+    def flowed_multiplier(theta, t):
+        y = reduce_field(grid, UnreducedField(g @ lg.exp_skew(t * theta)))
+        return recover_multipliers(lagrangian, grid, y, zero_seed, ep_tol=_FLOWED_TOL,
+                                   cons_tol=_FLOWED_TOL)[0].values
 
-    y1, lam1 = perturbed(bump1)
-    y2, lam2 = perturbed(bump2)
-    d1 = _difference_quotient(y0, y1, step)
-    dlam1 = _multiplier_quotient(lam0, lam1, step)
-    d2 = _difference_quotient(y0, y2, step)
-    dlam2 = _multiplier_quotient(lam0, lam2, step)
+    fields = []
+    for theta in _jacobi_gauges(g.reshape(grid.height + 1, grid.width + 1, n, n),
+                                (bump1, bump2)):
+        plus, minus = (flowed_multiplier(theta, t) for t in (H_JACOBI, -H_JACOBI))
+        fields += [reduced_variation(grid, base_field, theta),
+                   Multiplier((plus - minus) / (2.0 * H_JACOBI))]
 
     jr1, jr2, defect, swapped, repeated = multisymplectic_check(
-        lagrangian, constraint, y0, lam0, d1, dlam1, d2, dlam2, faceset, step)
-    passed = jr1 <= jacobi_tol and jr2 <= jacobi_tol and abs(defect) <= defect_tol
+        lagrangian, PlaquetteConstraint(n), y0, lam0, *fields, faceset, H_JACOBI)
+    passed = jr1 <= _JACOBI_TOL and jr2 <= _JACOBI_TOL and abs(defect) <= _DEFECT_TOL
     return MultisymplecticScenarioReport(jr1, jr2, defect, swapped, repeated,
-                                         defect_tol, passed)
+                                         _DEFECT_TOL, passed)

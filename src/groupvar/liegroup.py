@@ -134,11 +134,10 @@ def exp(xi: np.ndarray) -> np.ndarray:
     """Matrix exponentials of a (..., n, n) stack of skew matrices,
     :func:`exp_skew` checked by :func:`group_array`.
 
-    Used for boundary data and its perturbations, which enter the package
-    here; the solver retraction and the sampled instances call
-    :func:`exp_skew` unchecked.  A block whose symmetric part exceeds
-    ``TAU_GROUP`` raises ValueError, since :func:`exp_skew` takes skew
-    input.
+    Used for boundary data, which enter the package here; the solver
+    retraction and the sampled instances call :func:`exp_skew` unchecked.
+    A block whose symmetric part exceeds ``TAU_GROUP`` raises ValueError,
+    since :func:`exp_skew` takes skew input.
     """
     xi = np.asarray(xi, dtype=float)
     asymmetry = block_norms(xi + xi.swapaxes(-1, -2))
