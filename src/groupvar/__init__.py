@@ -9,14 +9,6 @@ from .complexes import (
     classify_vertices,
     triangulated_grid,
 )
-from .core import (
-    ConstraintMap,
-    FiberSignature,
-    LagrangianDensity,
-    Multiplier,
-    Section,
-    Variation,
-)
-from .reduction import UnreducedField
+from .core import ConstraintMap, LagrangianDensity
 
 __version__ = "0.1.0"

@@ -22,6 +22,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .liegroup import read_only
+
 __all__ = [
     "CellComplex",
     "TriangulatedGrid",
@@ -30,11 +32,6 @@ __all__ = [
     "triangulated_grid",
     "classify_vertices",
 ]
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 class CellComplex:
@@ -63,15 +60,15 @@ class CellComplex:
         count = max(vertex_count, int(flat.max(initial=-1)) + 1)
         # flat index f k + slot grows with f, so a stable sort lists each
         # vertex's faces in increasing id order
-        self._star_faces = _read_only(np.argsort(flat, kind="stable") // array.shape[1])
+        self._star_faces = read_only(np.argsort(flat, kind="stable") // array.shape[1])
         ptr = np.zeros(count + 1, dtype=int)
         np.cumsum(np.bincount(flat, minlength=count), out=ptr[1:])
-        self._star_ptr = _read_only(ptr)
+        self._star_ptr = read_only(ptr)
         self._truncated = np.zeros(count, dtype=bool)
         self._truncated[np.asarray(truncated_star, dtype=int)] = True
-        self.adherence_array = _read_only(array)
-        self.vertices = _read_only(np.arange(count))
-        self.faces = _read_only(np.arange(len(array)))
+        self.adherence_array = read_only(array)
+        self.vertices = read_only(np.arange(count))
+        self.faces = read_only(np.arange(len(array)))
 
     def adherence(self, face: int) -> tuple[int, ...]:
         return tuple(self.adherence_array[face].tolist())
@@ -94,7 +91,7 @@ class FaceSet:
         chosen = np.zeros(len(complex.faces), dtype=bool)
         chosen[ids] = True
         self.complex = complex
-        self.face_ids = _read_only(np.flatnonzero(chosen))
+        self.face_ids = read_only(np.flatnonzero(chosen))
 
     @cached_property
     def _vertex_class(self) -> VertexClass:
@@ -104,8 +101,8 @@ class FaceSet:
                              minlength=len(c.vertices))
         adherent = inside > 0
         interior = adherent & ~c._truncated & (inside == np.diff(c._star_ptr))
-        return VertexClass(_read_only(np.flatnonzero(interior)),
-                           _read_only(np.flatnonzero(adherent & ~interior)))
+        return VertexClass(read_only(np.flatnonzero(interior)),
+                           read_only(np.flatnonzero(adherent & ~interior)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,22 +1,23 @@
 """Sections, variations, and the variational calculus on a face set.
 
-Fibers are finite products of SO(n) copies.  A section, a variation and a
-multiplier each hold one read-only float array indexed by vertex or face id,
-(V, c, n, n), (V, c, n, n) and (F, n, n); a jet is the gather
-``y.values[adherence]``.  Variations are stored in left logarithmic
-coordinates: the entry xi at a vertex component with value g is the tangent
-of t -> g exp(t xi).  Per-vertex differentials of face-local quantities (the
-Cartan 1-forms of a Lagrangian or of a constraint) are the currency of
-everything here: the action differential splits into an interior
-Euler-Lagrange part and a frontier boundary part by regrouping exactly those
-forms, and that resummation identity is the master property this module is
-tested against.
+Fibers are finite products of c copies of SO(n).  A section, a variation
+and a multiplier are each one float array indexed by vertex or face id,
+(V, c, n, n), (V, c, n, n) and (F, n, n), and every function reads c and n
+from the shapes; a jet is the gather ``y[adherence]``.  Variations are
+stored in left logarithmic coordinates: the entry xi at a vertex component
+with value g is the tangent of t -> g exp(t xi).  Per-vertex differentials
+of face-local quantities (the Cartan 1-forms of a Lagrangian or of a
+constraint) are the currency of everything here: the action differential
+splits into an interior Euler-Lagrange part and a frontier boundary part by
+regrouping exactly those forms, and that resummation identity is the master
+property this module is tested against.
 
 Nothing here checks group membership: values enter through the solver
 configuration or the file loaders, which check them once with
 ``liegroup.group_array``; everything derived from them is trusted.  All
-operations are pure and the arrays read-only, so sections and multipliers are
-never mutated and any face- or vertex-parallel scheduling of sums is legal.
+operations are pure and never write to their inputs, and the arrays the
+library returns are read-only, so any face- or vertex-parallel scheduling of
+sums is legal.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import CellComplex, FaceSet, classify_vertices
-from .defaults import H_JACOBI, H_LAGRANGIAN, TOL_ADMISSIBLE, RANK_TOL
+from .defaults import H_JACOBI, H_LAGRANGIAN, RANK_TOL, SYMMETRY_TOL, TOL_ADMISSIBLE
 from .liegroup import (
     algebra_dim,
     block_dot,
@@ -41,10 +42,6 @@ from .liegroup import (
 )
 
 __all__ = [
-    "FiberSignature",
-    "Section",
-    "Variation",
-    "Multiplier",
     "LagrangianDensity",
     "ConstraintMap",
     "AdmissibilityReport",
@@ -69,68 +66,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiberSignature:
-    """Number of group copies per vertex fiber and the group size."""
-
-    components: int
-    n: int
-
-    def __post_init__(self):
-        if self.components < 1:
-            raise ValueError("fiber needs at least one group component")
-        if self.n < 2:
-            raise ValueError("group size must be at least 2")
-
-
-def _freeze_fiber_values(self):
-    """Hold ``values`` as a read-only (V, c, n, n) array."""
-    f = self.fiber
-    object.__setattr__(self, "values",
-                       read_only(self.values, (f.components, f.n, f.n)))
-
-
-def _freeze_matrix_values(self):
-    """Hold ``values`` as a read-only (count, n, n) array."""
-    n = np.shape(self.values)[-1]
-    object.__setattr__(self, "values", read_only(self.values, (n, n)))
-
-
-@dataclass(frozen=True)
-class Section:
-    """Fiber values per vertex: a read-only (V, c, n, n) array indexed by
-    vertex id, one group element per fiber component."""
-
-    fiber: FiberSignature
-    values: np.ndarray
-
-    __post_init__ = _freeze_fiber_values
-
-
-@dataclass(frozen=True)
-class Variation:
-    """Left-log variation: a read-only (V, c, n, n) array of algebra elements
-    indexed by vertex id, zero wherever nothing is set."""
-
-    fiber: FiberSignature
-    values: np.ndarray
-
-    __post_init__ = _freeze_fiber_values
-
-
-@dataclass(frozen=True)
-class Multiplier:
-    """Coalgebra-valued function on faces: a read-only (F, n, n) array
-    indexed by face id."""
-
-    values: np.ndarray
-
-    __post_init__ = _freeze_matrix_values
-
-
 def _face_values(values: np.ndarray, faces) -> np.ndarray:
-    """Multiplier values (..., F, n, n) on a face id or an int array of them,
-    shaped ... + faces.shape + (n, n); ValueError for a face outside 0..F-1."""
+    """The multiplier values (..., F, n, n) on a face id or an int array of
+    them, shaped ... + faces.shape + (n, n); ValueError for a face outside
+    0..F-1."""
     faces = np.asarray(faces, dtype=int)
     missing = faces[(faces < 0) | (faces >= values.shape[-3])]
     if missing.size:
@@ -158,18 +97,19 @@ def jet_at(values: np.ndarray, complex: CellComplex, faces) -> np.ndarray:
     return values[..., vertices, :, :, :]
 
 
-def _fd_differences(value, complex: CellComplex, jets: np.ndarray, slot: int,
-                   h: float) -> np.ndarray:
+def _fd_differences(value, complex: CellComplex, jets: np.ndarray,
+                    slot: int) -> np.ndarray:
     """Central differences of ``value`` for the default differentials,
     shaped (P, c, d) + value shape.
 
     Entry [p, m, e] is the value at jet p with component m of the slot moved
-    from g to g exp(h E_e), minus the same with g exp(-h E_e).  ``value`` is
-    called once per block of ``_FD_BLOCK`` jets, so the moved stack stays
-    bounded on large windows (about 12 MB for n = 5 with two components).
+    from g to g exp(h E_e), minus the same with g exp(-h E_e), h =
+    ``H_LAGRANGIAN``.  ``value`` is called once per block of ``_FD_BLOCK``
+    jets, so the moved stack stays bounded on large windows (about 12 MB for
+    n = 5 with two components).
     """
     count, k, c, n, _ = jets.shape
-    steps = step_matrices(n, h)
+    steps = step_matrices(n, H_LAGRANGIAN)
     blocks = []
     for start in range(0, max(count, 1), _FD_BLOCK):
         block = jets[start:start + _FD_BLOCK]
@@ -216,12 +156,9 @@ class LagrangianDensity:
     stack of jets (from :func:`jet_at`) and returns the (P,) values.  The
     differential defaults to central finite differences along exponential
     curves, all 2 c d directions of a block of jets in one :meth:`value`
-    call; analytic overrides should reimplement :meth:`vertex_differential`.
+    call with step ``H_LAGRANGIAN``; analytic overrides should reimplement
+    :meth:`vertex_differential`.
     """
-
-    def __init__(self, fiber: FiberSignature, fd_step: float = H_LAGRANGIAN):
-        self.fiber = fiber
-        self.fd_step = fd_step
 
     def value(self, complex: CellComplex, jets: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -233,10 +170,10 @@ class LagrangianDensity:
         They act on left-log variation entries through the pairing, see
         :func:`apply_differential`.
         """
-        h = self.fd_step
-        coeffs = _fd_differences(self.value, complex, jets, slot, h) / (2.0 * h)
+        h = H_LAGRANGIAN
+        coeffs = _fd_differences(self.value, complex, jets, slot) / (2.0 * h)
         # coefficient against basis vector E equals <mu, E> = 2 mu_kl
-        return coords_to_skew(coeffs / 2.0, self.fiber.n)
+        return coords_to_skew(coeffs / 2.0, jets.shape[-1])
 
 
 class ConstraintMap:
@@ -248,26 +185,22 @@ class ConstraintMap:
     variation components to the algebra, as a (d, c d) matrix over the skew
     basis, so a stack is (P, d, c d) (see :func:`form_apply` and
     :func:`form_transpose`).  The default differentiates the left-translated
-    constraint by central finite differences, one :meth:`value` call per
-    block of jets; analytic constraints override it.  The decomposition
-    of the full differential into per-vertex forms is unique here because
-    each form acts on a disjoint block of variables.
+    constraint by central finite differences with step ``H_LAGRANGIAN``, one
+    :meth:`value` call per block of jets; analytic constraints override it.
+    The decomposition of the full differential into per-vertex forms is
+    unique here because each form acts on a disjoint block of variables.
     """
-
-    def __init__(self, fiber: FiberSignature, fd_step: float = H_LAGRANGIAN):
-        self.fiber = fiber
-        self.fd_step = fd_step
 
     def value(self, complex: CellComplex, jets: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def cartan_form(self, complex: CellComplex, jets: np.ndarray,
                     slot: int) -> np.ndarray:
-        h = self.fd_step
-        n = self.fiber.n
+        h = H_LAGRANGIAN
+        c, n = jets.shape[-3], jets.shape[-1]
         base_inv = self.value(complex, jets).swapaxes(-1, -2)[:, None]
-        diff = _fd_differences(self.value, complex, jets, slot, h).reshape(
-            len(jets), self.fiber.components * algebra_dim(n), n, n)
+        diff = _fd_differences(self.value, complex, jets, slot).reshape(
+            len(jets), c * algebra_dim(n), n, n)
         deriv = base_inv @ diff / (2.0 * h)
         return skew_to_coords(skew_part(deriv)).swapaxes(-1, -2)
 
@@ -291,22 +224,22 @@ def _sequential_sums(terms: np.ndarray) -> np.ndarray:
 # action and admissibility
 
 
-def action(lagrangian: LagrangianDensity, y: Section, faceset: FaceSet) -> float:
+def action(lagrangian: LagrangianDensity, y: np.ndarray, faceset: FaceSet) -> float:
     """Sum of the face Lagrangians over the face set, in face-id order."""
     complex = faceset.complex
-    jets = jet_at(y.values, complex, faceset.face_ids)
+    jets = jet_at(y, complex, faceset.face_ids)
     return float(_sequential_sums(lagrangian.value(complex, jets)))
 
 
-def constraint_values(constraint: ConstraintMap, y: Section,
+def constraint_values(constraint: ConstraintMap, y: np.ndarray,
                       faceset: FaceSet) -> np.ndarray:
-    """Constraint values, (F, n, n) indexed by face id like a
-    :class:`Multiplier`, the identity on faces outside ``faceset``;
-    identity everywhere means admissible."""
+    """Constraint values, (F, n, n) indexed by face id like a multiplier,
+    the identity on faces outside ``faceset``; identity everywhere means
+    admissible."""
     complex = faceset.complex
-    out = np.tile(np.eye(constraint.fiber.n), (len(complex.faces), 1, 1))
+    out = np.tile(np.eye(y.shape[-1]), (len(complex.faces), 1, 1))
     faces = faceset.face_ids
-    out[faces] = constraint.value(complex, jet_at(y.values, complex, faces))
+    out[faces] = constraint.value(complex, jet_at(y, complex, faces))
     return out
 
 
@@ -318,22 +251,22 @@ class AdmissibilityReport:
     tol: float
 
 
-def admissibility_report(constraint: ConstraintMap, y: Section, faceset: FaceSet,
+def admissibility_report(constraint: ConstraintMap, y: np.ndarray, faceset: FaceSet,
                          tol: float = TOL_ADMISSIBLE) -> AdmissibilityReport:
     """Max Frobenius distance of the constraint values from the identity; the
     first face in id order that attains it (a NaN counts as the largest)."""
     faces = faceset.face_ids
     res = block_norms(constraint_values(constraint, y, faceset)[faces]
-                      - np.eye(constraint.fiber.n))
+                      - np.eye(y.shape[-1]))
     worst_res = max_norm(res)
     worst = None if worst_res == 0.0 else int(faces[np.argmax(res)])
     return AdmissibilityReport(worst_res <= tol, worst_res, worst, tol)
 
 
-def constraint_derivative(constraint: ConstraintMap, y: Section, dy: Variation,
+def constraint_derivative(constraint: ConstraintMap, y: np.ndarray, dy: np.ndarray,
                           faceset: FaceSet) -> np.ndarray:
     """Left-translated constraint differential as the form sum, (F, n, n)
-    indexed by face id like a :class:`Multiplier`, zero on faces outside
+    indexed by face id like a multiplier, zero on faces outside
     ``faceset``.
 
     Vanishes exactly on admissible variations; for variations generated by
@@ -341,11 +274,11 @@ def constraint_derivative(constraint: ConstraintMap, y: Section, dy: Variation,
     reduction module tests.
     """
     complex = faceset.complex
-    n = constraint.fiber.n
+    n = y.shape[-1]
     faces = faceset.face_ids
-    forms = _per_slot(constraint.cartan_form, complex, jet_at(y.values, complex, faces))
+    forms = _per_slot(constraint.cartan_form, complex, jet_at(y, complex, faces))
     out = np.zeros((len(complex.faces), n, n))
-    xi = dy.values[complex.adherence_array[faces]]
+    xi = dy[complex.adherence_array[faces]]
     out[faces] = form_apply(forms, xi).sum(axis=1)
     return out
 
@@ -375,7 +308,7 @@ class RegularityReport:
     rank_tol: float
 
 
-def regularity_report(constraint: ConstraintMap, y: Section, faceset: FaceSet,
+def regularity_report(constraint: ConstraintMap, y: np.ndarray, faceset: FaceSet,
                       boundary_fixed: bool = True,
                       rank_tol: float = RANK_TOL) -> RegularityReport:
     """Assemble the constraint differential as a matrix and measure its rank.
@@ -385,14 +318,14 @@ def regularity_report(constraint: ConstraintMap, y: Section, faceset: FaceSet,
     fixed, every adherent vertex otherwise).
     """
     complex = faceset.complex
-    d = algebra_dim(constraint.fiber.n)
+    d = algebra_dim(y.shape[-1])
     klass = classify_vertices(complex, faceset)
     variable = klass.interior if boundary_fixed \
         else np.sort(np.concatenate([klass.interior, klass.frontier]))
     faces = faceset.face_ids
     vertices = complex.adherence_array[faces]
-    forms = _per_slot(constraint.cartan_form, complex, jet_at(y.values, complex, faces))
-    column = np.full(len(y.values), -1)
+    forms = _per_slot(constraint.cartan_form, complex, jet_at(y, complex, faces))
+    column = np.full(len(y), -1)
     column[variable] = np.arange(len(variable))
     column = column[vertices]
     # blocks[face, :, variable vertex, :] holds the (d, c d) form of that pair
@@ -478,7 +411,7 @@ def _residual_sums(point, vertices: np.ndarray, chosen: np.ndarray) -> np.ndarra
 
 
 def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                      y: Section, lam: Multiplier, faceset: FaceSet) -> np.ndarray:
+                      y: np.ndarray, lam: np.ndarray, faceset: FaceSet) -> np.ndarray:
     """Euler-Lagrange form plus the multiplier-paired constraint forms at
     every interior vertex: the (I, c, n, n) coalgebra components at the
     sorted interior vertices, each the sum over its star in face-id order.
@@ -488,8 +421,7 @@ def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     value on basis vector E_kl is <mu, E_kl> = 2 mu_kl.
     """
     complex, faces = faceset.complex, faceset.face_ids
-    point = _face_forms(lagrangian, constraint, y.values[None], lam.values[None],
-                        complex, faces)
+    point = _face_forms(lagrangian, constraint, y[None], lam[None], complex, faces)
     return _residual_sums(point, complex.adherence_array[faces],
                           classify_vertices(complex, faceset).interior)[0]
 
@@ -559,7 +491,8 @@ class NoetherReport:
     """Boundary sum of the extended Cartan forms on a symmetry field.
 
     ``symmetry_ok`` records whether the field actually left the Lagrangian
-    and the constraint invariant along the section, within ``tol``; the sum
+    and the constraint invariant along the section, within ``tol``
+    (``SYMMETRY_TOL``); the sum
     is returned either way and is only predicted to vanish when the check
     passes and (y, lam) is critical.
     """
@@ -572,8 +505,8 @@ class NoetherReport:
 
 
 def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                         y: Section, lam: Multiplier, d: Variation,
-                         faceset: FaceSet, symmetry_tol: float = 1e-9) -> NoetherReport:
+                         y: np.ndarray, lam: np.ndarray, d: np.ndarray,
+                         faceset: FaceSet) -> NoetherReport:
     """Evaluate the conservation boundary sum for a candidate symmetry field.
 
     The invariance conditions are checked along the section only; this is
@@ -582,71 +515,71 @@ def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMa
     instead of raising.
     """
     frontier = classify_vertices(faceset.complex, faceset).frontier
-    vertices, dl, dphi, terms = _pair_terms(lagrangian, constraint, y.values[None],
-                                            lam.values[None], d.values[None], faceset)
+    vertices, dl, dphi, terms = _pair_terms(lagrangian, constraint, y[None], lam[None],
+                                            d[None], faceset)
     lag_defect = max_norm(np.abs(dl[0].sum(axis=1)))
     con_defect = max_norm(block_norms(dphi[0].sum(axis=1)))
     total = float(_vertex_major_sums(vertices, terms, frontier)[0])
-    ok = lag_defect <= symmetry_tol and con_defect <= symmetry_tol
-    return NoetherReport(total, lag_defect, con_defect, ok, symmetry_tol)
+    ok = lag_defect <= SYMMETRY_TOL and con_defect <= SYMMETRY_TOL
+    return NoetherReport(total, lag_defect, con_defect, ok, SYMMETRY_TOL)
 
 
-def section_exp(y: Section, dy: Variation, t: float) -> Section:
+def section_exp(y: np.ndarray, dy: np.ndarray, t: float) -> np.ndarray:
     """Flow the section along a variation: every component g -> g exp(t xi)."""
-    return Section(y.fiber, y.values @ exp_skew(t * dy.values))
+    return read_only(y @ exp_skew(t * dy))
 
 
-def _flows(y: Section, lam: Multiplier, fields, step: float):
-    """Section values (P, V, c, n, n) and multiplier values (P, F, n, n) at
-    (y exp(t d), lam + t dlam), the former as :func:`section_exp` gives it,
-    for each field (d, dlam) and t = step, -step in turn, then at (y, lam)
-    itself."""
-    flows = [(t * d.values, lam.values + t * dlam.values)
-             for d, dlam in fields for t in (step, -step)]
-    ys = y.values @ exp_skew(np.array([xi for xi, _ in flows]))
-    return (np.concatenate([ys, y.values[None]]),
-            np.array([m for _, m in flows] + [lam.values]))
+def _flows(y: np.ndarray, lam: np.ndarray, fields):
+    """The section values (P, V, c, n, n) and multiplier values (P, F, n, n)
+    at (y exp(t d), lam + t dlam), the former as :func:`section_exp` gives it,
+    for each field (d, dlam) and t = ``H_JACOBI``, -``H_JACOBI`` in turn,
+    then at (y, lam) itself."""
+    flows = [(t * d, lam + t * dlam)
+             for d, dlam in fields for t in (H_JACOBI, -H_JACOBI)]
+    ys = y @ exp_skew(np.array([xi for xi, _ in flows]))
+    return np.concatenate([ys, y[None]]), np.array([m for _, m in flows] + [lam])
 
 
-def _jacobi_norms(point, vertices: np.ndarray, interior: np.ndarray,
-                  step: float) -> list[float]:
+def _jacobi_norms(point, vertices: np.ndarray, interior: np.ndarray) -> list[float]:
     """Central-difference norms of the extended residual over the interior,
-    one per consecutive pair of points (flowed by +step, then by -step)."""
+    one per consecutive pair of points (flowed by +``H_JACOBI``, then by
+    -``H_JACOBI``)."""
     coords = 2.0 * skew_to_coords(_residual_sums(point, vertices, interior))
     coords = coords.reshape(len(coords), -1)
-    return [float(np.linalg.norm((plus - minus) / (2.0 * step)))
+    return [float(np.linalg.norm((plus - minus) / (2.0 * H_JACOBI)))
             for plus, minus in zip(coords[0::2], coords[1::2])]
 
 
 def jacobi_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                    y: Section, lam: Multiplier, dy: Variation, dlam: Multiplier,
-                    faceset: FaceSet, step: float = H_JACOBI) -> float:
+                    y: np.ndarray, lam: np.ndarray, dy: np.ndarray, dlam: np.ndarray,
+                    faceset: FaceSet) -> float:
     """Directional derivative norm of the extended residual along (dy, dlam).
 
-    Central finite differences with the documented step; a Jacobi field along
+    Central finite differences with step ``H_JACOBI``; a Jacobi field along
     a critical pair annihilates the linearized residual, so the value is of
     the order of the finite-difference error for true Jacobi fields.
     """
     complex, faces = faceset.complex, faceset.face_ids
-    ys, lams = _flows(y, lam, ((dy, dlam),), step)
+    ys, lams = _flows(y, lam, ((dy, dlam),))
     point = _face_forms(lagrangian, constraint, ys[:2], lams[:2], complex, faces)
     return _jacobi_norms(point, complex.adherence_array[faces],
-                         classify_vertices(complex, faceset).interior, step)[0]
+                         classify_vertices(complex, faceset).interior)[0]
 
 
-def _two_form(x_plus, x_minus, y_plus, y_minus, bracket, step: float) -> float:
+def _two_form(x_plus, x_minus, y_plus, y_minus, bracket) -> float:
     """d omega(X, Y) = X(omega(Y)) - Y(omega(X)) - omega([X, Y]) from omega
     at the flows of X probed by Y, at those of Y probed by X, and at the
     base point probed by the bracket."""
-    return float((x_plus - x_minus) / (2.0 * step) - (y_plus - y_minus) / (2.0 * step)
+    h = H_JACOBI
+    return float((x_plus - x_minus) / (2.0 * h) - (y_plus - y_minus) / (2.0 * h)
                  - bracket)
 
 
 def multisymplectic_defect(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                           y: Section, lam: Multiplier,
-                           d1: Variation, dlam1: Multiplier,
-                           d2: Variation, dlam2: Multiplier,
-                           faceset: FaceSet, step: float = H_JACOBI) -> float:
+                           y: np.ndarray, lam: np.ndarray,
+                           d1: np.ndarray, dlam1: np.ndarray,
+                           d2: np.ndarray, dlam2: np.ndarray,
+                           faceset: FaceSet) -> float:
     """Exterior derivative of the boundary Cartan form on two fields.
 
     Uses d omega(X, Y) = X(omega(Y)) - Y(omega(X)) - omega([X, Y]) with the
@@ -656,19 +589,18 @@ def multisymplectic_defect(lagrangian: LagrangianDensity, constraint: Constraint
     fields along a critical pair, up to finite-difference error.
     """
     return multisymplectic_check(lagrangian, constraint, y, lam, d1, dlam1, d2,
-                                 dlam2, faceset, step)[2]
+                                 dlam2, faceset)[2]
 
 
 def multisymplectic_check(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                          y: Section, lam: Multiplier,
-                          d1: Variation, dlam1: Multiplier,
-                          d2: Variation, dlam2: Multiplier,
-                          faceset: FaceSet, step: float = H_JACOBI
-                          ) -> tuple[float, float, float, float, float]:
+                          y: np.ndarray, lam: np.ndarray,
+                          d1: np.ndarray, dlam1: np.ndarray,
+                          d2: np.ndarray, dlam2: np.ndarray,
+                          faceset: FaceSet) -> tuple[float, float, float, float, float]:
     """:func:`jacobi_residual` along (d1, dlam1) and along (d2, dlam2), then
     :func:`multisymplectic_defect` on the fields in the orders (1, 2), (2, 1)
     and (1, 1), from one evaluation of the forms at each of the five points
-    (y exp(+-step d_i), lam +- step dlam_i) and (y, lam).
+    (y exp(+-h d_i), lam +- h dlam_i), h = ``H_JACOBI``, and (y, lam).
 
     The swapped defect combines the omega values of the first with the roles
     exchanged and the bracket negated ([d2, d1] = -[d1, d2] exactly); the
@@ -677,19 +609,17 @@ def multisymplectic_check(lagrangian: LagrangianDensity, constraint: ConstraintM
     complex, faces = faceset.complex, faceset.face_ids
     klass = classify_vertices(complex, faceset)
     vertices = complex.adherence_array[faces]
-    ys, lams = _flows(y, lam, ((d1, dlam1), (d2, dlam2)), step)
+    ys, lams = _flows(y, lam, ((d1, dlam1), (d2, dlam2)))
     point = _face_forms(lagrangian, constraint, ys, lams, complex, faces)
-    jacobi = _jacobi_norms(tuple(a[:4] for a in point), vertices, klass.interior, step)
+    jacobi = _jacobi_norms(tuple(a[:4] for a in point), vertices, klass.interior)
     # omega, the frontier sum of the pair terms, at the flows of d1 probed by
     # d2 and by d1, at the flows of d2 probed by d1, and at (y, lam) probed
     # by the bracket of the left-invariant extensions, the commutator
-    x, z = d1.values, d2.values
     omega = np.concatenate([
         _vertex_major_sums(vertices, _probe_terms(tuple(a[at] for a in point),
                                                   dy[None], vertices)[2], klass.frontier)
-        for dy, at in ((z, slice(0, 2)), (x, slice(0, 4)),
-                       (skew_part(x @ z - z @ x), slice(4, 5)))])
+        for dy, at in ((d2, slice(0, 2)), (d1, slice(0, 4)),
+                       (skew_part(d1 @ d2 - d2 @ d1), slice(4, 5)))])
     x_flows, repeat, y_flows, bracket = omega[0:2], omega[2:4], omega[4:6], omega[6]
-    return (*jacobi, _two_form(*x_flows, *y_flows, bracket, step),
-            _two_form(*y_flows, *x_flows, -bracket, step),
-            _two_form(*repeat, *repeat, 0.0, step))
+    return (*jacobi, _two_form(*x_flows, *y_flows, bracket),
+            _two_form(*y_flows, *x_flows, -bracket), _two_form(*repeat, *repeat, 0.0))

@@ -1,7 +1,8 @@
 """Default tolerances and step sizes.
 
-All values are overridable through function arguments or the CLI; these are
-the documented defaults for 64-bit floats at unit-scale fields.
+The documented values for 64-bit floats at unit-scale fields.  The finite-
+difference steps and the symmetry tolerance are fixed; the others are the
+defaults of function arguments or CLI settings.
 """
 
 # Group invariant enforcement: constructors clean up violations below this,
@@ -16,6 +17,10 @@ H_LAGRANGIAN = 1e-6
 
 # Central-difference step of the Jacobi and two-form check and of dlam.
 H_JACOBI = 1e-5
+
+# Invariance defect along the section below which a field counts as a
+# symmetry in the Noether boundary sum.
+SYMMETRY_TOL = 1e-9
 
 # Euler-Poincare residual accepted as "critical".
 EP_TOL = 1e-8

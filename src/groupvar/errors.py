@@ -18,7 +18,7 @@ class HolonomyError(RuntimeError):
 
 
 class RecoveryConflictError(RuntimeError):
-    """Multiplier recovery reached a face along two sweep paths that disagree."""
+    """The multiplier recovery reached a face along two sweep paths that disagree."""
 
     def __init__(self, face, discrepancy):
         super().__init__(

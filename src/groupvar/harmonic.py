@@ -25,9 +25,6 @@ from . import liegroup as lg
 from .complexes import TriangulatedGrid, classify_vertices
 from .core import (
     LagrangianDensity,
-    Multiplier,
-    Section,
-    Variation,
     action,
     noether_boundary_sum,
     multisymplectic_check,
@@ -42,15 +39,14 @@ from .liegroup import (
     group_array,
     max_norm,
     random_skew,
+    read_only,
 )
 from .reduction import (
     PlaquetteConstraint,
-    UnreducedField,
     euler_poincare_residual,
     plaquette_holonomy,
     recover_multipliers,
     reduce_field,
-    reduced_fiber,
     reduced_variation,
 )
 
@@ -78,9 +74,6 @@ class TraceLagrangian(LagrangianDensity):
     skew part of the transposed argument, (g^T - g) / 2.
     """
 
-    def __init__(self, n: int):
-        super().__init__(reduced_fiber(n))
-
     def value(self, complex, jets: np.ndarray) -> np.ndarray:
         return np.trace(jets[:, 0, 0], axis1=-2, axis2=-1) \
             + np.trace(jets[:, 0, 1], axis1=-2, axis2=-1)
@@ -104,8 +97,8 @@ class TraceLagrangian(LagrangianDensity):
 class SolverConfig:
     """Options and boundary data for the stationary-point solver.
 
-    ``boundary`` is a vertex field of the window: the solver keeps its
-    frontier and far corner and overwrites its interior.  It passes
+    ``boundary`` is a (V, n, n) vertex field of the window: the solver keeps
+    its frontier and far corner and overwrites its interior.  It passes
     ``liegroup.group_array`` here, so a malformed block raises ValueError.
     The gradient target applies per interior vertex; the solver takes one
     more step after it first meets it, which carries the gradient to
@@ -113,32 +106,32 @@ class SolverConfig:
     or rejected.
     """
 
-    boundary: UnreducedField
+    boundary: np.ndarray
     g_tol: float = G_TOL
     max_iterations: int = 5000
 
     def __post_init__(self):
-        self.boundary = UnreducedField(group_array(self.boundary.values))
+        self.boundary = group_array(self.boundary)
 
 
 @dataclass
 class SolveReport:
-    """Post-hoc solver diagnostics.
+    """Post-hoc diagnostics of a converged solve (a solve that does not
+    converge raises ``ConvergenceError``).
 
     Residual fields are recomputed from the returned field with the public
     residual operations, not taken from solver internals: ``section`` is its
-    reduced section, ``per_vertex_ep`` the (H-1, W-1) array of reduced
-    residual norms indexed [j-1, i-1].  ``history`` has one record for the
-    start and one per accepted step: iteration, objective (the Dirichlet
-    energy), trace action, max per-vertex gradient norm and the coordinate
-    norm of the step.  The counters are deterministic: trust-region steps
+    read-only (V, 2, n, n) reduced section, ``per_vertex_ep`` the (H-1, W-1)
+    array of reduced residual norms indexed [j-1, i-1].  ``history`` has one
+    record for the start and one per accepted step: iteration, objective
+    (the Dirichlet energy), trace action, max per-vertex gradient norm and
+    the coordinate norm of the step.  The counters are deterministic: trust-region steps
     (``iterations``), the rejected ones among them (``backtracks``),
     evaluations of the interior gradient (``residual_evaluations``: one at
     the start and one per accepted step) and Hessian-vector products
     (``hessian_products``).
     """
 
-    converged: bool
     iterations: int
     backtracks: int
     residual_evaluations: int
@@ -148,10 +141,9 @@ class SolveReport:
     max_gradient: float
     max_ep_residual: float
     max_constraint_residual: float
-    section: Section
+    section: np.ndarray
     per_vertex_ep: np.ndarray
     history: list[dict] = field(default_factory=list)
-    g_tol: float = G_TOL
 
 
 def dirichlet_energy(g: np.ndarray) -> float:
@@ -509,7 +501,7 @@ def _blend_initializer(g: np.ndarray) -> np.ndarray:
 
 
 def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
-                    ) -> tuple[UnreducedField, SolveReport]:
+                    ) -> tuple[np.ndarray, SolveReport]:
     """Find a vertex field, stationary for the trace action, with fixed boundary.
 
     Riemannian trust-region Newton on the Dirichlet energy with exponential
@@ -518,32 +510,31 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
     differences in the loop.  Convergence means
     every interior gradient block has Frobenius norm at most ``g_tol``; the
     reduced section of the result then satisfies the reduced critical
-    equations to the same level and is flat by construction.
+    equations to the same level and is flat by construction.  Returns the
+    read-only (V, n, n) field and its report; raises ``ConvergenceError``
+    otherwise.
     """
     g_tol, max_iterations = config.g_tol, config.max_iterations
-    n = config.boundary.values.shape[-1]
+    n = config.boundary.shape[-1]
     blocks = (len(grid.vertices), n, n)
-    if config.boundary.values.shape != blocks:
-        raise ValueError(f"boundary has shape {config.boundary.values.shape}, "
+    if config.boundary.shape != blocks:
+        raise ValueError(f"boundary has shape {config.boundary.shape}, "
                          f"the window needs {blocks}")
-    g = config.boundary.values.reshape(grid.height + 1, grid.width + 1, n, n).copy()
+    g = config.boundary.reshape(grid.height + 1, grid.width + 1, n, n).copy()
     g[1:-1, 1:-1] = _blend_initializer(g)
 
     g, energy, worst, history, counters = _newton_polish(g, g_tol, max_iterations)
-    converged = worst <= g_tol
-
-    field_ = UnreducedField(g.reshape(-1, n, n))
-    if not converged:
+    if not worst <= g_tol:
         raise ConvergenceError(
             f"gradient norm {worst:.3e} > {g_tol:.1e} "
             f"after {counters['iterations']} iterations", history)
 
-    lagrangian = TraceLagrangian(n)
+    field_ = read_only(g.reshape(-1, n, n))
+    lagrangian = TraceLagrangian()
     y = reduce_field(grid, field_)
     ep = block_norms(euler_poincare_residual(lagrangian, grid, y))
     flat = block_norms(plaquette_holonomy(grid, y) - np.eye(n))
     report = SolveReport(
-        converged=converged,
         **counters,
         final_action=action(lagrangian, y, grid.full_faceset()),
         final_energy=energy,
@@ -553,7 +544,6 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
         section=y,
         per_vertex_ep=ep,
         history=history,
-        g_tol=g_tol,
     )
     return field_, report
 
@@ -562,14 +552,15 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
 # boundary data
 
 
-def identity_boundary(grid: TriangulatedGrid, n: int) -> UnreducedField:
-    """The identity at every vertex."""
-    return UnreducedField(np.tile(np.eye(n), (len(grid.vertices), 1, 1)))
+def identity_boundary(grid: TriangulatedGrid, n: int) -> np.ndarray:
+    """The identity at every vertex, a read-only (V, n, n) array."""
+    return read_only(np.tile(np.eye(n), (len(grid.vertices), 1, 1)))
 
 
 def random_boundary(grid: TriangulatedGrid, n: int, seed: int,
-                    scale: float = 0.1) -> UnreducedField:
-    """Geodesic perturbations of the identity at every frontier vertex.
+                    scale: float = 0.1) -> np.ndarray:
+    """Geodesic perturbations of the identity at every frontier vertex, a
+    read-only (V, n, n) array.
 
     Each frontier vertex gets exp(scale * xi) with the basis coordinates of
     xi drawn uniformly from [-1, 1] under the given seed, in sorted id order
@@ -583,7 +574,7 @@ def random_boundary(grid: TriangulatedGrid, n: int, seed: int,
     values = np.tile(np.eye(n), (len(grid.vertices), 1, 1))
     values[frontier] = lg.exp(random_skew(n, rng, scale, (len(frontier),)))
     values[-1] = values[grid.vertex_id(grid.width, grid.height - 1)]
-    return UnreducedField(values)
+    return read_only(values)
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +585,8 @@ _NOETHER_TOL_FACTOR, _JACOBI_TOL, _DEFECT_TOL = 1e-8, 1e-4, 1e-4
 _FLOWED_TOL = 1e-6
 
 
-def conjugation_symmetry_field(y: Section, xi: np.ndarray) -> Variation:
-    """Variation that conjugates every fiber value by the flow of xi.
+def conjugation_symmetry_field(y: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The variation that conjugates every fiber value by the flow of xi.
 
     Left-log entries xi - Ad_{g^{-1}} xi for each component value g; this is
     the reduction of the right-translation flow upstairs.  ``xi`` is a skew
@@ -603,7 +594,7 @@ def conjugation_symmetry_field(y: Section, xi: np.ndarray) -> Variation:
     derivative is a commutator trace) and the holonomy is conjugated, hence
     fixed along flat sections.
     """
-    return Variation(y.fiber, xi - coadjoint(y.values, xi))
+    return read_only(xi - coadjoint(y, xi))
 
 
 @dataclass(frozen=True)
@@ -617,7 +608,7 @@ class NoetherScenarioReport:
 
 def run_noether_scenario(grid: TriangulatedGrid, config: SolverConfig,
                          xi: np.ndarray,
-                         symmetry_field: Variation | None = None
+                         symmetry_field: np.ndarray | None = None
                          ) -> NoetherScenarioReport:
     """Solve, recover multipliers, and evaluate the conservation boundary sum.
 
@@ -626,15 +617,15 @@ def run_noether_scenario(grid: TriangulatedGrid, config: SolverConfig,
     negative controls) overrides the conjugation construction.
     """
     n = xi.shape[-1]
-    lagrangian = TraceLagrangian(n)
+    lagrangian = TraceLagrangian()
     faceset = grid.full_faceset()
     _, solve_report = solve_unreduced(grid, config)
     y = solve_report.section
     lam, _ = recover_multipliers(lagrangian, grid, y, np.zeros((n, n)))
     d = symmetry_field if symmetry_field is not None \
         else conjugation_symmetry_field(y, xi)
-    noether = noether_boundary_sum(lagrangian, PlaquetteConstraint(n), y, lam,
-                                   d, faceset)
+    noether = noether_boundary_sum(lagrangian, PlaquetteConstraint(), y, lam, d,
+                                   faceset)
     threshold = _NOETHER_TOL_FACTOR * (1.0 + abs(solve_report.final_action))
     passed = noether.symmetry_ok and abs(noether.boundary_sum) <= threshold
     return NoetherScenarioReport(solve_report, noether,
@@ -688,8 +679,8 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
     along g exp(t eta).  After one solve, each field is ``reduced_variation``
     of a gauge theta from ``_jacobi_gauges`` and the central difference (step
     ``H_JACOBI``) of the zero-seed multipliers at g exp(+-t theta)."""
-    n = config.boundary.values.shape[-1]
-    lagrangian = TraceLagrangian(n)
+    n = config.boundary.shape[-1]
+    lagrangian = TraceLagrangian()
     faceset = grid.full_faceset()
     frontier = classify_vertices(grid, faceset).frontier
     zero_seed = np.zeros((n, n))
@@ -697,25 +688,23 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
         if vid not in frontier:
             raise ValueError(f"bump vertex {vid} is not a frontier vertex")
 
-    base_field, base_report = solve_unreduced(grid, config)
+    g, base_report = solve_unreduced(grid, config)
     y0 = base_report.section
     lam0, _ = recover_multipliers(lagrangian, grid, y0, zero_seed)
-    g = base_field.values
 
     def flowed_multiplier(theta, t):
-        y = reduce_field(grid, UnreducedField(g @ lg.exp_skew(t * theta)))
+        y = reduce_field(grid, g @ lg.exp_skew(t * theta))
         return recover_multipliers(lagrangian, grid, y, zero_seed, ep_tol=_FLOWED_TOL,
-                                   cons_tol=_FLOWED_TOL)[0].values
+                                   cons_tol=_FLOWED_TOL)[0]
 
     fields = []
     for theta in _jacobi_gauges(g.reshape(grid.height + 1, grid.width + 1, n, n),
                                 (bump1, bump2)):
         plus, minus = (flowed_multiplier(theta, t) for t in (H_JACOBI, -H_JACOBI))
-        fields += [reduced_variation(grid, base_field, theta),
-                   Multiplier((plus - minus) / (2.0 * H_JACOBI))]
+        fields += [reduced_variation(grid, g, theta), (plus - minus) / (2.0 * H_JACOBI)]
 
     jr1, jr2, defect, swapped, repeated = multisymplectic_check(
-        lagrangian, PlaquetteConstraint(n), y0, lam0, *fields, faceset, H_JACOBI)
+        lagrangian, PlaquetteConstraint(), y0, lam0, *fields, faceset)
     passed = jr1 <= _JACOBI_TOL and jr2 <= _JACOBI_TOL and abs(defect) <= _DEFECT_TOL
     return MultisymplecticScenarioReport(jr1, jr2, defect, swapped, repeated,
                                          _DEFECT_TOL, passed)

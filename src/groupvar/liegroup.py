@@ -87,27 +87,20 @@ def group_array(matrices) -> np.ndarray:
     if bad.any():
         raise ValueError(f"{first(bad)} is in the reflection component, det <= 0")
     dirty = defect > _CLEAN
-    if dirty.any():
+    if dirty.any() or m.flags.writeable:
         m = m.copy()
+    if dirty.any():
         blocks = m.reshape(-1, n, n)
         blocks[dirty] = polar_factor(blocks[dirty])
-    return read_only(m, m.shape[1:])
+    return read_only(m)
 
 
-def read_only(values, tail: tuple[int, ...]) -> np.ndarray:
-    """``values`` as a read-only float array of shape (count, *tail).
-
-    Copies unless the input is already read-only.  Sections, fields,
-    variations and multipliers hold their values this way; no membership
-    check is made here.
-    """
-    a = np.asarray(values, dtype=float)
-    if a.ndim != len(tail) + 1 or a.shape[1:] != tuple(tail):
-        raise ValueError(f"expected shape (count, {', '.join(map(str, tail))}), "
-                         f"got {a.shape}")
-    if a.flags.writeable:
-        a = a.copy()
-        a.flags.writeable = False
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, its writeable flag cleared: how the package returns
+    the fresh arrays it computes (sections, fields, variations,
+    multipliers), so that nothing writes to them later.  No copy and no
+    check is made here."""
+    a.flags.writeable = False
     return a
 
 

@@ -12,15 +12,17 @@ far corner (W, H) adheres to no face.  No face formula on the window ever
 reads them, so reduction normalizes those slots and the far corner to the
 identity and variations leave them at zero.
 
-Fields, sections and multipliers hold one array each, indexed by vertex or
-face id, so each window equation has one definition, as slices over the
+A vertex field is one (V, n, n) array, a reduced section or variation one
+(V, 2, n, n) array and a multiplier one (F, n, n) array, indexed by vertex
+or face id, so each window equation has one definition, as slices over the
 view of that array indexed [j, i]: (H+1, W+1, 2, n, n) for a reduced
-section.  Window functions return stacks indexed [j, i] per face and
-[j-1, i-1] per interior vertex.  Multiplier recovery is a column recurrence
-from the east, and reconstruction propagates one row (column) at a time
-over the whole window; both are deterministic.  Nothing here checks group
-membership: the arrays come from a checked solver configuration, the file
-loaders or products of such data.
+section.  The fields, sections, variations and multipliers returned here
+are fresh read-only arrays.  Window functions return stacks indexed [j, i]
+per face and [j-1, i-1] per interior vertex.  The multiplier recovery is a
+column recurrence from the east, and reconstruction propagates one row
+(column) at a time over the whole window; both are deterministic.  Nothing
+here checks group membership: the arrays come from a checked solver
+configuration, the file loaders or products of such data.
 """
 
 from __future__ import annotations
@@ -30,16 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import TriangulatedGrid
-from .core import (
-    ConstraintMap,
-    FiberSignature,
-    LagrangianDensity,
-    Multiplier,
-    Section,
-    Variation,
-    _freeze_matrix_values,
-    jet_at,
-)
+from .core import ConstraintMap, LagrangianDensity, jet_at
 from .defaults import CONS_TOL, EP_TOL, TOL_ADMISSIBLE
 from .errors import (
     HolonomyError,
@@ -52,12 +45,11 @@ from .liegroup import (
     block_norms,
     coadjoint,
     max_norm,
+    read_only,
 )
 
 __all__ = [
-    "UnreducedField",
     "PlaquetteConstraint",
-    "reduced_fiber",
     "reduce_field",
     "plaquette_holonomy",
     "euler_poincare_residual",
@@ -70,20 +62,6 @@ __all__ = [
     "multiplier_elimination_check",
     "EliminationDefects",
 ]
-
-
-@dataclass(frozen=True)
-class UnreducedField:
-    """Group element per vertex of the working window: a read-only (V, n, n)
-    array indexed by vertex id."""
-
-    values: np.ndarray
-
-    __post_init__ = _freeze_matrix_values
-
-
-def reduced_fiber(n: int) -> FiberSignature:
-    return FiberSignature(components=2, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +90,7 @@ def _on_window(grid: TriangulatedGrid, values: np.ndarray) -> np.ndarray:
 
 
 def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
-              y: Section, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left-log partials of every face Lagrangian at its base corner, and their
     right translates g mu g^T; both (H, W, 2, n, n) indexed [j, i].
 
@@ -120,7 +98,7 @@ def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     of every reduced Lagrangian on this window.
     """
     mu = _on_window(grid, lagrangian.vertex_differential(
-        grid, jet_at(y.values, grid, grid.full_faceset().face_ids), 0))
+        grid, jet_at(y, grid, grid.full_faceset().face_ids), 0))
     return mu, adjoint(p[:-1, :-1], mu)
 
 
@@ -158,9 +136,6 @@ class PlaquetteConstraint(ConstraintMap):
     reduce to right-translation and adjoint formulas of the base factors.
     """
 
-    def __init__(self, n: int):
-        super().__init__(reduced_fiber(n))
-
     def value(self, complex, jets: np.ndarray) -> np.ndarray:
         return _holonomy(jets[:, 0, 0], jets[:, 0, 1], jets[:, 1, 1], jets[:, 2, 0])
 
@@ -184,29 +159,29 @@ class PlaquetteConstraint(ConstraintMap):
 # reduction and reconstruction
 
 
-def reduce_field(grid: TriangulatedGrid, g: UnreducedField) -> Section:
+def reduce_field(grid: TriangulatedGrid, g: np.ndarray) -> np.ndarray:
     """Forward-difference pair field of g; flat by construction.
 
     Defined on every window vertex that is adherent to some face.  Slots that
     would need data outside the window (u on the right column, v on the top
     row) are set to the identity and never enter any face formula.
     """
-    x = _on_window(grid, g.values)
+    x = _on_window(grid, g)
     n = x.shape[-1]
     p = np.empty(x.shape[:2] + (2, n, n))
     p[...] = np.eye(n)
     p[:, :-1, 0] = _t(x[:, :-1]) @ x[:, 1:]
     p[:-1, :, 1] = _t(x[:-1]) @ x[1:]
-    return Section(reduced_fiber(n), p.reshape(-1, 2, n, n))
+    return read_only(p.reshape(-1, 2, n, n))
 
 
-def plaquette_holonomy(grid: TriangulatedGrid, y: Section) -> np.ndarray:
+def plaquette_holonomy(grid: TriangulatedGrid, y: np.ndarray) -> np.ndarray:
     """Holonomies u_ij v_{i+1,j} u_{i,j+1}^{-1} v_ij^{-1} of all faces, (H, W, n, n)."""
-    return _window_holonomy(_on_window(grid, y.values))
+    return _window_holonomy(_on_window(grid, y))
 
 
 def euler_poincare_residual(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
-                            y: Section) -> np.ndarray:
+                            y: np.ndarray) -> np.ndarray:
     """Four-term reduced critical-point residual at every interior vertex.
 
     Right-translated differentials at (i, j) minus left-translated ones at
@@ -214,19 +189,19 @@ def euler_poincare_residual(lagrangian: LagrangianDensity, grid: TriangulatedGri
     representation; zero exactly where the reduced equations hold.  Shape
     (H-1, W-1, n, n), indexed [j-1, i-1].
     """
-    p = _on_window(grid, y.values)
+    p = _on_window(grid, y)
     return _reduced_residual(*_partials(lagrangian, grid, y, p))
 
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    field: UnreducedField
+    field: np.ndarray
     max_plaquette_defect: float
     worst_face: int | None
     path_agreement: float
 
 
-def reconstruction_report(grid: TriangulatedGrid, y: Section, seed: np.ndarray,
+def reconstruction_report(grid: TriangulatedGrid, y: np.ndarray, seed: np.ndarray,
                           tol: float = TOL_ADMISSIBLE) -> ReconstructionReport:
     """Rebuild the vertex field from (u, v) and a seed, an (n, n) group
     matrix, at the origin corner.
@@ -235,10 +210,10 @@ def reconstruction_report(grid: TriangulatedGrid, y: Section, seed: np.ndarray,
     propagated along the bottom row and up one whole row at a time, and
     checked against an independent propagation up the left column and east
     one whole column at a time.  Seeds differ by a constant left factor in
-    the result.
+    the result; the rebuilt (V, n, n) field is ``field``.
     """
-    p = _on_window(grid, y.values)
-    n = y.fiber.n
+    p = _on_window(grid, y)
+    n = y.shape[-1]
     defects = block_norms(_window_holonomy(p) - np.eye(n)).ravel()
     worst = max_norm(defects)
     # the first face in id order with the largest defect, or the first NaN
@@ -260,12 +235,12 @@ def reconstruction_report(grid: TriangulatedGrid, y: Section, seed: np.ndarray,
         cols[:, i + 1] = cols[:, i] @ u[:, i]
 
     agreement = max_norm(block_norms(rows - cols))
-    return ReconstructionReport(UnreducedField(rows.reshape(-1, n, n)),
+    return ReconstructionReport(read_only(rows.reshape(-1, n, n)),
                                 worst, worst_face, agreement)
 
 
-def reduced_variation(grid: TriangulatedGrid, g: UnreducedField,
-                      theta: np.ndarray) -> Variation:
+def reduced_variation(grid: TriangulatedGrid, g: np.ndarray,
+                      theta: np.ndarray) -> np.ndarray:
     """Push a vertex gauge field through reduction, in left-log coordinates.
 
     ``theta`` is a (V, n, n) skew array indexed by vertex id.  The u entry at
@@ -275,13 +250,13 @@ def reduced_variation(grid: TriangulatedGrid, g: UnreducedField,
     are tangent to the flat set along any flat section.  The edge slots and
     the far corner stay zero.
     """
-    p = _on_window(grid, reduce_field(grid, g).values)
+    p = _on_window(grid, reduce_field(grid, g))
     t = _on_window(grid, theta)
     xi = np.zeros(p.shape)
     # Ad_{g^{-1}} is the coadjoint formula g^T xi g
     xi[:, :-1, 0] = t[:, 1:] - coadjoint(p[:, :-1, 0], t[:, :-1])
     xi[:-1, :, 1] = t[1:] - coadjoint(p[:-1, :, 1], t[:-1])
-    return Variation(reduced_fiber(p.shape[-1]), xi.reshape(-1, *xi.shape[2:]))
+    return read_only(xi.reshape(-1, *xi.shape[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +264,16 @@ def reduced_variation(grid: TriangulatedGrid, g: UnreducedField,
 
 
 def multiplier_system_residual(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
-                               y: Section, lam: Multiplier
+                               y: np.ndarray, lam: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray]:
     """Left-hand sides of the two multiplier equations at every interior vertex.
 
     Both vanish exactly where (y, lam) solves the extended critical-pair
     system.  Each has shape (H-1, W-1, n, n), indexed [j-1, i-1].
     """
-    p = _on_window(grid, y.values)
+    p = _on_window(grid, y)
     _, right = _partials(lagrangian, grid, y, p)
-    return _interior_system(p, right, _on_window(grid, lam.values))
+    return _interior_system(p, right, _on_window(grid, lam))
 
 
 @dataclass(frozen=True)
@@ -315,10 +290,10 @@ class RecoveryReport:
 
 
 def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
-                        y: Section, seed: np.ndarray,
+                        y: np.ndarray, seed: np.ndarray,
                         ep_tol: float = EP_TOL, cons_tol: float = CONS_TOL,
                         adm_tol: float = TOL_ADMISSIBLE
-                        ) -> tuple[Multiplier, RecoveryReport]:
+                        ) -> tuple[np.ndarray, RecoveryReport]:
     """Solve the multiplier system by a column recurrence from the max-corner face.
 
     Preconditions (checked): y is flat and its reduced residual is below
@@ -344,7 +319,7 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     width, height = grid.width, grid.height
     if width < 2 or height < 2:
         raise PreconditionError("window has no interior vertices")
-    p = _on_window(grid, y.values)
+    p = _on_window(grid, y)
     mu, right = _partials(lagrangian, grid, y, p)
     ep = block_norms(_reduced_residual(mu, right))
     # [i-1, j-1] reversed on both axes: row-major is the sweep order
@@ -354,7 +329,7 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
         i, j = width - 1 - int(a), height - 1 - int(b)
         raise PreconditionError(f"reduced residual {ep[j - 1, i - 1]:.3e} "
                                 f"> {ep_tol:.1e} at ({i}, {j})")
-    n = y.fiber.n
+    n = y.shape[-1]
     worst_hol = max_norm(block_norms(_window_holonomy(p) - np.eye(n)))
     if not worst_hol <= adm_tol:
         raise PreconditionError(
@@ -383,7 +358,7 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     residual = max_norm(*map(block_norms, _interior_system(p, right, lam)))
     report = RecoveryReport(grid.face_id(width - 1, height - 1), max_disc,
                             compared, (grid.face_id(0, 0),), residual)
-    return Multiplier(lam.reshape(-1, n, n)), report
+    return read_only(lam.reshape(-1, n, n)), report
 
 
 @dataclass(frozen=True)
@@ -403,11 +378,11 @@ class EliminationDefects:
 
 
 def multiplier_elimination_check(lagrangian: LagrangianDensity,
-                                 grid: TriangulatedGrid, y: Section,
-                                 lam: Multiplier) -> EliminationDefects:
-    p = _on_window(grid, y.values)
+                                 grid: TriangulatedGrid, y: np.ndarray,
+                                 lam: np.ndarray) -> EliminationDefects:
+    p = _on_window(grid, y)
     _, right = _partials(lagrangian, grid, y, p)
-    m = _on_window(grid, lam.values)
+    m = _on_window(grid, lam)
     first, second = _system(p, right, m)
     u_w, v_s = p[1:-1, :-2, 0], p[:-2, 1:-1, 1]
     combo = first[:, 1:] - coadjoint(u_w, first[:, :-1]) \

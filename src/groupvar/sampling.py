@@ -2,8 +2,10 @@
 
 Everything draws through a caller-supplied numpy Generator and visits
 vertices and faces in sorted id order, so a seed pins the output exactly.
-Reduced sections and variations skip the far corner, which adheres to no
-face; it holds the identity or zero.
+Each generator returns a fresh read-only array: (V, n, n) for a vertex
+field, (V, 2, n, n) for a reduced section or variation, (F, n, n) for a
+multiplier.  Reduced sections and variations skip the far corner, which
+adheres to no face; it holds the identity or zero.
 """
 
 from __future__ import annotations
@@ -11,9 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import TriangulatedGrid
-from .core import Multiplier, Section, Variation
-from .liegroup import exp_skew, random_skew
-from .reduction import UnreducedField, reduced_fiber
+from .liegroup import exp_skew, random_skew, read_only
 
 __all__ = [
     "random_unreduced_field",
@@ -33,26 +33,25 @@ def _pair_draws(grid: TriangulatedGrid, n: int, rng, scale: float) -> np.ndarray
 
 def random_unreduced_field(grid: TriangulatedGrid, n: int,
                            rng: np.random.Generator,
-                           scale: float = 0.4) -> UnreducedField:
+                           scale: float = 0.4) -> np.ndarray:
     """exp(scale * xi) at every vertex (closed form, ``exp_skew``)."""
     xi = random_skew(n, rng, scale, (len(grid.vertices),))
-    return UnreducedField(exp_skew(xi))
+    return read_only(exp_skew(xi))
 
 
 def random_section(grid: TriangulatedGrid, n: int, rng: np.random.Generator,
-                   scale: float = 0.5) -> Section:
+                   scale: float = 0.5) -> np.ndarray:
     """A generic pair-field section, not flat except by accident: the
     exponential of ``random_variation(grid, n, rng, scale)``, so stacked
     callers can draw the logs and exponentiate many at once."""
-    xi = random_variation(grid, n, rng, scale).values
-    return Section(reduced_fiber(n), exp_skew(xi))
+    return read_only(exp_skew(random_variation(grid, n, rng, scale)))
 
 
 def random_variation(grid: TriangulatedGrid, n: int, rng: np.random.Generator,
-                     scale: float = 1.0) -> Variation:
-    return Variation(reduced_fiber(n), _pair_draws(grid, n, rng, scale))
+                     scale: float = 1.0) -> np.ndarray:
+    return read_only(_pair_draws(grid, n, rng, scale))
 
 
 def random_multiplier(grid: TriangulatedGrid, n: int, rng: np.random.Generator,
-                      scale: float = 1.0) -> Multiplier:
-    return Multiplier(random_skew(n, rng, scale, (len(grid.faces),)))
+                      scale: float = 1.0) -> np.ndarray:
+    return read_only(random_skew(n, rng, scale, (len(grid.faces),)))

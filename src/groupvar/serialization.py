@@ -19,9 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import TriangulatedGrid, triangulated_grid
-from .core import Multiplier, Section
-from .liegroup import group_array, skew_part
-from .reduction import UnreducedField, reduced_fiber
+from .liegroup import group_array, read_only, skew_part
 
 MAGIC = "groupvar-field v1"
 _BLOCK_LINES = 64  # body lines written, or split and converted, at a time
@@ -173,49 +171,53 @@ def _parse_records(lines, body_start, tag, n, components, width, height,
 
 def _load(path, kind: str, tag: str, components: int, mismatch: str,
           optional: bool = False) -> tuple[TriangulatedGrid, np.ndarray]:
-    """The window and the record values of a field file; the window is built
-    only once the body has passed every check."""
+    """The window and the read-only record values of a field file, so that
+    ``group_array`` keeps them without a copy; the window is built only
+    once the body has passed every check."""
     lines = Path(path).read_text().splitlines()
     n, found, width, height, body = _parse_header(lines, kind)
     if found != components:
         raise ValueError(mismatch)
     values = _parse_records(lines, body, tag, n, components, width, height,
                             optional)
-    return triangulated_grid(width, height), values
+    return triangulated_grid(width, height), read_only(values)
 
 
-def save_reduced_section(path, grid: TriangulatedGrid, y: Section) -> None:
+def save_reduced_section(path, grid: TriangulatedGrid, y: np.ndarray) -> None:
     """One record per vertex, except the far corner, which adheres to no face."""
-    _save(path, "reduced_section", grid, "v", y.values[:-1], 2)
+    _save(path, "reduced_section", grid, "v", y[:-1], 2)
 
 
-def load_reduced_section(path) -> tuple[TriangulatedGrid, Section]:
-    """Every vertex needs a record, except the far corner (identity if absent)."""
+def load_reduced_section(path) -> tuple[TriangulatedGrid, np.ndarray]:
+    """The window and the read-only (V, 2, n, n) section.  Every vertex needs
+    a record, except the far corner (identity if absent)."""
     grid, values = _load(path, "reduced_section", "v", 2,
                          "reduced sections carry two components per vertex",
                          optional=True)
-    return grid, Section(reduced_fiber(values.shape[-1]), group_array(values))
+    return grid, group_array(values)
 
 
-def save_unreduced_field(path, grid: TriangulatedGrid, g: UnreducedField) -> None:
-    _save(path, "unreduced_field", grid, "v", g.values, 1)
+def save_unreduced_field(path, grid: TriangulatedGrid, g: np.ndarray) -> None:
+    _save(path, "unreduced_field", grid, "v", g, 1)
 
 
-def load_unreduced_field(path) -> tuple[TriangulatedGrid, UnreducedField]:
+def load_unreduced_field(path) -> tuple[TriangulatedGrid, np.ndarray]:
+    """The window and the read-only (V, n, n) field."""
     grid, values = _load(path, "unreduced_field", "v", 1,
                          "vertex fields carry one component per vertex")
-    return grid, UnreducedField(group_array(values[:, 0]))
+    return grid, group_array(values[:, 0])
 
 
-def save_multiplier(path, grid: TriangulatedGrid, lam: Multiplier) -> None:
-    _save(path, "multiplier", grid, "f", lam.values, 1)
+def save_multiplier(path, grid: TriangulatedGrid, lam: np.ndarray) -> None:
+    _save(path, "multiplier", grid, "f", lam, 1)
 
 
-def load_multiplier(path) -> tuple[TriangulatedGrid, Multiplier]:
-    """Every face needs a record; each entry is taken by its skew part."""
+def load_multiplier(path) -> tuple[TriangulatedGrid, np.ndarray]:
+    """The window and the read-only (F, n, n) multiplier.  Every face needs a
+    record; each entry is taken by its skew part."""
     grid, values = _load(path, "multiplier", "f", 1,
                          "multipliers carry one coalgebra entry per face")
-    return grid, Multiplier(skew_part(values[:, 0]))
+    return grid, read_only(skew_part(values[:, 0]))
 
 
 def write_report(path, records: dict) -> None:

@@ -17,7 +17,7 @@ def solved66():
     boundary = harmonic.random_boundary(grid, n, seed=42, scale=0.1)
     config = harmonic.SolverConfig(boundary=boundary, g_tol=1e-11)
     field, report = harmonic.solve_unreduced(grid, config)
-    lagrangian = harmonic.TraceLagrangian(n)
+    lagrangian = harmonic.TraceLagrangian()
     y = reduction.reduce_field(grid, field)
     lam, recovery = reduction.recover_multipliers(
         lagrangian, grid, y, np.zeros((n, n)))

@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from groupvar.complexes import FaceSet, TriangulatedGrid, classify_vertices
-from groupvar.core import Section
 
 
-def ep_symmetric_defect(grid: TriangulatedGrid, y: Section, i: int, j: int,
+def ep_symmetric_defect(grid: TriangulatedGrid, y: np.ndarray, i: int, j: int,
                         faceset: FaceSet | None = None) -> np.ndarray:
     """Skew defect M - M^T of M = u_ij + v_ij - u_{i-1,j} - v_{i,j-1}.
 
@@ -26,8 +25,8 @@ def ep_symmetric_defect(grid: TriangulatedGrid, y: Section, i: int, j: int,
     klass = classify_vertices(grid, faceset)
     if grid.vertex_id(i, j) not in klass.interior:
         raise ValueError(f"vertex ({i}, {j}) is not interior to the face set")
-    u, v = y.values[grid.vertex_id(i, j)]
-    u_w, _ = y.values[grid.vertex_id(i - 1, j)]
-    _, v_s = y.values[grid.vertex_id(i, j - 1)]
+    u, v = y[grid.vertex_id(i, j)]
+    u_w, _ = y[grid.vertex_id(i - 1, j)]
+    _, v_s = y[grid.vertex_id(i, j - 1)]
     m = u + v - u_w - v_s
     return m - m.T

@@ -139,34 +139,36 @@ def floor(key: str) -> float:
     return 1e-12 if RESIDUAL.search(key) else 0.0
 
 
-def _close(want, got, floor: float) -> bool:
+def _close(want, got, bound: float) -> bool:
     if not (isinstance(want, float) and isinstance(got, float)):
         return type(want) is type(got) and want == got
     if math.isnan(want) or math.isnan(got):
         return math.isnan(want) and math.isnan(got)
-    return abs(want - got) <= max(RELATIVE * max(abs(want), abs(got)), floor)
+    return abs(want - got) <= max(RELATIVE * max(abs(want), abs(got)), bound)
 
 
 def _pairs(want: dict, got: dict):
-    """(key, want, got) per file of two parsed files; each field-file record
-    is keyed by its scale, the largest magnitude in either copy."""
+    """(where, floor, want, got) for every value of two parsed files, or
+    None when their keys, columns, headers or record counts differ.  A
+    field-file entry's floor is 1e-9 times its record's largest entry."""
     if "report" in want:
-        if want["report"].keys() != got["report"].keys():
-            raise KeyError(sorted(want["report"].keys() ^ got["report"].keys()))
-        return [(k, v, got["report"][k]) for k, v in want["report"].items()]
+        if want["report"].keys() != got.get("report", {}).keys():
+            return None
+        return [(k, floor(k), v, got["report"][k]) for k, v in want["report"].items()]
     if "columns" in want:
         if (want["columns"], len(want["rows"])) != (got["columns"], len(got["rows"])):
-            raise KeyError("columns or row count")
-        return [(column, x, y) for a, b in zip(want["rows"], got["rows"])
+            return None
+        return [(f"row {r}/{column}", floor(column), x, y)
+                for r, (a, b) in enumerate(zip(want["rows"], got["rows"]))
                 for column, x, y in zip(want["columns"], a, b)]
-    if want["header"] != got["header"] or len(want["records"]) != len(got["records"]):
-        raise KeyError("header or record count")
+    if want["header"] != got["header"] or \
+            [len(a) for a in want["records"]] != [len(b) for b in got["records"]]:
+        return None
     pairs = []
-    for a, b in zip(want["records"], got["records"]):
-        if len(a) != len(b):
-            raise KeyError("record length")
+    for r, (a, b) in enumerate(zip(want["records"], got["records"])):
         scale = max((abs(x) for x in a[3:] + b[3:]), default=0.0)
-        pairs += [(RELATIVE * scale, x, y) for x, y in zip(a, b)]
+        pairs += [(f"record {r}[{k}]", RELATIVE * scale, x, y)
+                  for k, (x, y) in enumerate(zip(a, b))]
     return pairs
 
 
@@ -177,13 +179,12 @@ def differences(want: dict, got: dict) -> list[str]:
         return [f"files {sorted(want.keys() ^ got.keys())} differ"]
     found = []
     for name in want:
-        try:
-            pairs = _pairs(want[name], got[name])
-        except KeyError as exc:
-            found.append(f"{name}: {exc.args[0]} differ")
+        pairs = _pairs(want[name], got[name])
+        if pairs is None:
+            found.append(f"{name}: keys, columns, header or record counts differ")
             continue
-        found += [f"{name}: {key}={x!r}, got {y!r}" for key, x, y in pairs
-                  if not _close(x, y, key if isinstance(key, float) else floor(key))]
+        found += [f"{name}: {where}={x!r}, got {y!r}" for where, bound, x, y in pairs
+                  if not _close(x, y, bound)]
     return found
 
 
@@ -192,7 +193,8 @@ def dumps(value, depth: int = 0) -> str:
     per dictionary entry, so a moved value shows as a one-line diff."""
     pad = " " * depth
     if isinstance(value, dict):
-        items = [f"{pad} {json.dumps(k)}: {dumps(v, depth + 1)}" for k, v in value.items()]
+        items = [f"{pad} {json.dumps(k)}: {dumps(v, depth + 1)}"
+                 for k, v in value.items()]
     elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
         items = [f"{pad} {dumps(v, depth + 1)}" for v in value]
     else:

@@ -6,7 +6,6 @@ import pytest
 from groupvar import cli, core, sampling, serialization as ser
 from groupvar.cli import main
 from groupvar.complexes import classify_vertices, triangulated_grid
-from groupvar.core import Section
 from groupvar.harmonic import TraceLagrangian
 from groupvar.liegroup import block_norms, max_norm, random_skew
 from groupvar.reduction import PlaquetteConstraint, reduce_field
@@ -250,7 +249,7 @@ def per_instance_split(cfg, rng):
     blocked suite."""
     n = cfg["n"]
     grid = triangulated_grid(3, 3)
-    lagrangian, constraint = TraceLagrangian(n), PlaquetteConstraint(n)
+    lagrangian, constraint = TraceLagrangian(), PlaquetteConstraint()
     faceset = grid.full_faceset()
     defects = []
     for _ in range(cfg["instances"]):
@@ -258,8 +257,8 @@ def per_instance_split(cfg, rng):
         lam = sampling.random_multiplier(grid, n, rng)
         dy = sampling.random_variation(grid, n, rng)
         (lhs,), (rhs,) = core.variational_split(
-            lagrangian, constraint, y.values[None], lam.values[None],
-            dy.values[None], faceset)
+            lagrangian, constraint, y[None], lam[None],
+            dy[None], faceset)
         defects.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
     worst = max_norm(np.array(defects))
     return worst <= 1e-12, {"checks": cfg["instances"],
@@ -271,10 +270,10 @@ def per_instance_cartan(cfg, rng):
     the oracle of the suite's jet draws."""
     n = cfg["n"]
     grid = triangulated_grid(3, 3)
-    constraint = PlaquetteConstraint(n)
+    constraint = PlaquetteConstraint()
     faces = grid.faces
     jets = np.array([
-        core.jet_at(sampling.random_section(grid, n, rng).values, grid,
+        core.jet_at(sampling.random_section(grid, n, rng), grid,
                     faces[k % len(faces)])
         for k in range(cfg["instances"])])
     defects = []
@@ -299,7 +298,7 @@ def test_split_draws_match_the_generators(n):
         for got, want in ((logs[k], sampling.random_variation(grid, n, oracle, 0.5)),
                           (lams[k], sampling.random_multiplier(grid, n, oracle)),
                           (dys[k], sampling.random_variation(grid, n, oracle))):
-            assert got.tobytes() == want.values.tobytes()
+            assert got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == oracle.bit_generator.state
 
 
@@ -315,7 +314,7 @@ def test_cartan_logs_match_the_generator(n):
     logs = cli._cartan_logs(grid, n, rng, 29)
     assert logs.shape == (29, 3, 2, n, n)
     for k in range(29):
-        want = sampling.random_variation(grid, n, oracle, 0.5).values
+        want = sampling.random_variation(grid, n, oracle, 0.5)
         assert logs[k].tobytes() == want[adherence[k % len(adherence)]].tobytes()
     assert rng.bit_generator.state == oracle.bit_generator.state
 
@@ -374,7 +373,7 @@ def test_reconstruct_roundtrip(tmp_path):
     assert run("reconstruct", "--section", section, "--seed-file", seeds,
                "--out", out) == 0
     _, rebuilt = ser.load_unreduced_field(out / "unreduced_field.txt")
-    worst = np.linalg.norm(rebuilt.values - g.values, axis=(-2, -1)).max()
+    worst = np.linalg.norm(rebuilt - g, axis=(-2, -1)).max()
     assert worst <= 1e-12
 
 
@@ -384,9 +383,9 @@ def test_reconstruct_tampered_exits_one(tmp_path, capsys):
     y = reduce_field(grid, sampling.random_unreduced_field(grid, 3, rng))
     vid = grid.vertex_id(1, 1)
     bump = scipy.linalg.expm(1e-5 * random_skew(3, rng))
-    values = y.values.copy()
+    values = y.copy()
     values[vid, 0] = values[vid, 0] @ bump
-    y = Section(y.fiber, values)
+    y = values
     section = tmp_path / "tampered.txt"
     ser.save_reduced_section(section, grid, y)
     assert run("reconstruct", "--section", section, "--out", tmp_path) == 1
@@ -408,7 +407,7 @@ def test_recover_multipliers_cmd(tmp_path):
                   for line in (mout / "recovery_report.txt").read_text().splitlines())
     assert float(report["max_system_residual"]) <= 1e-10
     _, lam = ser.load_multiplier(mout / "multiplier.txt")
-    assert len(lam.values) == 16
+    assert len(lam) == 16
 
 
 def test_recover_multipliers_rejects_noncritical(tmp_path):
@@ -496,12 +495,12 @@ def test_thin_windows_solve_recover_reconstruct(tmp_path, width, height):
     assert run("recover-multipliers", "--section", section,
                "--out", tmp_path / "mult") == 0
     _, lam = ser.load_multiplier(tmp_path / "mult" / "multiplier.txt")
-    assert len(lam.values) == width * height
+    assert len(lam) == width * height
     assert run("reconstruct", "--section", section, "--seed-file", field,
                "--out", tmp_path / "rec") == 0
     _, solved = ser.load_unreduced_field(field)
     _, rebuilt = ser.load_unreduced_field(tmp_path / "rec" / "unreduced_field.txt")
-    assert np.linalg.norm(rebuilt.values - solved.values, axis=(-2, -1)).max() <= 1e-12
+    assert np.linalg.norm(rebuilt - solved, axis=(-2, -1)).max() <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -592,7 +591,7 @@ def test_solve_with_boundary_file(tmp_path, capsys):
     grid, given = ser.load_unreduced_field(field)
     _, solved = ser.load_unreduced_field(out / "unreduced_field.txt")
     frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
-    assert np.array_equal(solved.values[frontier], given.values[frontier])
+    assert np.array_equal(solved[frontier], given[frontier])
 
     lines = field.read_text().splitlines()
     interior = [f"v {i} {j} " for i in (1, 2, 3) for j in (1, 2, 3)]

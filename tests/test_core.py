@@ -13,30 +13,28 @@ from groupvar.harmonic import TraceLagrangian
 from groupvar.reduction import (
     PlaquetteConstraint,
     reduce_field,
-    reduced_fiber,
     reduced_variation,
 )
 
 N = 3
-FIBER = reduced_fiber(N)
 
 
 def identity_section(grid):
-    return core.Section(FIBER, np.zeros((len(grid.vertices), 2, N, N)) + np.eye(N))
+    return np.zeros((len(grid.vertices), 2, N, N)) + np.eye(N)
 
 
 def zero_multiplier(grid):
-    return core.Multiplier(np.zeros((len(grid.faces), N, N)))
+    return np.zeros((len(grid.faces), N, N))
 
 
 def zero_variation(grid):
-    return core.Variation(FIBER, np.zeros((len(grid.vertices), 2, N, N)))
+    return np.zeros((len(grid.vertices), 2, N, N))
 
 
 def residual_at(lagrangian, y, lam, fs, v):
     """The extended residual (2, n, n) at interior vertex v, with the
     plaquette constraint."""
-    res = core.extended_residual(lagrangian, PlaquetteConstraint(N), y, lam, fs)
+    res = core.extended_residual(lagrangian, PlaquetteConstraint(), y, lam, fs)
     interior = classify_vertices(fs.complex, fs).interior
     assert res.shape == (len(interior), 2, N, N)
     return res[interior.tolist().index(v)]
@@ -44,16 +42,16 @@ def residual_at(lagrangian, y, lam, fs, v):
 
 def replaced(y, v, fiber):
     """y with the fiber at vertex v replaced."""
-    values = y.values.copy()
+    values = y.copy()
     values[v] = fiber
-    return core.Section(y.fiber, values)
+    return values
 
 
 def single_vertex_variation(grid, v, xi):
     """The variation that is xi (2, n, n) at vertex v and zero elsewhere."""
     values = np.zeros((len(grid.vertices), 2, N, N))
     values[v] = xi
-    return core.Variation(FIBER, values)
+    return values
 
 
 class LinearDensity(core.LagrangianDensity):
@@ -64,7 +62,6 @@ class LinearDensity(core.LagrangianDensity):
     """
 
     def __init__(self, rng):
-        super().__init__(FIBER)
         self.weights = {(slot, comp): rng.standard_normal((N, N))
                         for slot in range(3) for comp in range(2)}
 
@@ -87,20 +84,20 @@ class LinearDensity(core.LagrangianDensity):
 def test_action_empty_faceset_is_zero():
     grid = triangulated_grid(2, 2)
     y = identity_section(grid)
-    assert core.action(TraceLagrangian(N), y, FaceSet(grid, [])) == 0.0
+    assert core.action(TraceLagrangian(), y, FaceSet(grid, [])) == 0.0
 
 
 @pytest.mark.parametrize("face", [-1, 4])
 def test_jet_at_rejects_face_ids_outside_the_complex(face):
     grid = triangulated_grid(2, 2)
     with pytest.raises(ValueError):
-        core.jet_at(identity_section(grid).values, grid, [0, face])
+        core.jet_at(identity_section(grid), grid, [0, face])
 
 
 def test_action_identity_section_value():
     grid = triangulated_grid(2, 2)
     y = identity_section(grid)
-    total = core.action(TraceLagrangian(N), y, grid.full_faceset())
+    total = core.action(TraceLagrangian(), y, grid.full_faceset())
     assert total == pytest.approx(4 * (3 + 3), abs=1e-13)
 
 
@@ -108,7 +105,7 @@ def test_action_additive_over_disjoint_facesets():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(0)
     y = sampling.random_section(grid, N, rng)
-    lagrangian = TraceLagrangian(N)
+    lagrangian = TraceLagrangian()
     left = FaceSet(grid, [f for f in grid.faces if grid.face_ij(f)[0] < 2])
     right = FaceSet(grid, [f for f in grid.faces if grid.face_ij(f)[0] >= 2])
     total = core.action(lagrangian, y, grid.full_faceset())
@@ -119,7 +116,7 @@ def test_action_additive_over_disjoint_facesets():
 
 def test_constraint_values_identity_section():
     grid = triangulated_grid(2, 2)
-    vals = core.constraint_values(PlaquetteConstraint(N), identity_section(grid),
+    vals = core.constraint_values(PlaquetteConstraint(), identity_section(grid),
                                   grid.full_faceset())
     assert len(vals) == len(grid.faces)
     for g in vals:
@@ -130,7 +127,7 @@ def test_constraint_values_reduced_field_flat():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(1)
     y = reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
-    vals = core.constraint_values(PlaquetteConstraint(N), y, grid.full_faceset())
+    vals = core.constraint_values(PlaquetteConstraint(), y, grid.full_faceset())
     worst = max(np.linalg.norm(g - np.eye(N)) for g in vals)
     assert worst <= 1e-13
 
@@ -139,12 +136,12 @@ def test_constraint_locality_of_vertex_perturbation():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(2)
     y = reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
-    con = PlaquetteConstraint(N)
+    con = PlaquetteConstraint()
     fs = grid.full_faceset()
     before = core.constraint_values(con, y, fs)
     v = grid.vertex_id(1, 1)
     bump = lg.exp(lg.random_skew(N, rng, 0.3))
-    y = replaced(y, v, y.values[v] @ bump)
+    y = replaced(y, v, y[v] @ bump)
     after = core.constraint_values(con, y, fs)
     touched = {f for f in grid.faces
                if np.linalg.norm(after[f] - before[f]) > 0}
@@ -156,13 +153,13 @@ def test_constraint_locality_of_vertex_perturbation():
 
 def test_admissibility_report():
     grid = triangulated_grid(2, 2)
-    con = PlaquetteConstraint(N)
+    con = PlaquetteConstraint()
     fs = grid.full_faceset()
     y = identity_section(grid)
     rep = core.admissibility_report(con, y, fs)
     assert rep.admissible and rep.max_residual == 0.0
     v = grid.vertex_id(1, 1)
-    u, w = y.values[v]
+    u, w = y[v]
     step = lg.exp(lg.random_skew(N, np.random.default_rng(3), 1e-4))
     y = replaced(y, v, (u @ step, w))
     rep = core.admissibility_report(con, y, fs, tol=1e-12)
@@ -173,7 +170,7 @@ def test_admissibility_report():
 def test_constraint_derivative_zero_variation():
     grid = triangulated_grid(2, 2)
     y = identity_section(grid)
-    dpsi = core.constraint_derivative(PlaquetteConstraint(N), y,
+    dpsi = core.constraint_derivative(PlaquetteConstraint(), y,
                                       zero_variation(grid),
                                       grid.full_faceset())
     assert len(dpsi) == len(grid.faces)
@@ -184,7 +181,7 @@ def test_constraint_derivative_matches_log_quotient():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(4)
     y = reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
-    con = PlaquetteConstraint(N)
+    con = PlaquetteConstraint()
     dy = sampling.random_variation(grid, N, rng)
     t = 1e-6
     # the full face set, and a proper subset whose sorted positions are not
@@ -211,7 +208,7 @@ def test_constraint_derivative_vanishes_on_gauge_variations():
     g = sampling.random_unreduced_field(grid, N, rng)
     theta = lg.random_skew(N, rng, 1.0, (len(grid.vertices),))
     dy = reduced_variation(grid, g, theta)
-    dpsi = core.constraint_derivative(PlaquetteConstraint(N),
+    dpsi = core.constraint_derivative(PlaquetteConstraint(),
                                       reduce_field(grid, g), dy,
                                       grid.full_faceset())
     assert max(np.linalg.norm(a) for a in dpsi) <= 1e-12
@@ -222,7 +219,7 @@ def test_fd_lagrangian_differential_against_analytic():
     rng = np.random.default_rng(6)
     density = LinearDensity(rng)
     y = sampling.random_section(grid, N, rng)
-    jets = core.jet_at(y.values, grid, [grid.face_id(1, 1)])
+    jets = core.jet_at(y, grid, [grid.face_id(1, 1)])
     for slot in range(3):
         fd = density.vertex_differential(grid, jets, slot)[0]
         exact = density.analytic_differential(jets[0], slot)
@@ -237,15 +234,15 @@ def test_fd_differential_sum_is_directional_derivative():
     y = sampling.random_section(grid, N, rng)
     dy = sampling.random_variation(grid, N, rng)
     face = grid.face_id(0, 1)
-    jets = core.jet_at(y.values, grid, [face])
+    jets = core.jet_at(y, grid, [face])
     theta_sum = sum(
         core.apply_differential(density.vertex_differential(grid, jets, slot)[0],
-                                dy.values[v])
+                                dy[v])
         for slot, v in enumerate(grid.adherence(face)))
     t = 1e-6
-    fd = (density.value(grid, core.jet_at(core.section_exp(y, dy, t).values, grid,
+    fd = (density.value(grid, core.jet_at(core.section_exp(y, dy, t), grid,
                                           [face]))[0]
-          - density.value(grid, core.jet_at(core.section_exp(y, dy, -t).values, grid,
+          - density.value(grid, core.jet_at(core.section_exp(y, dy, -t), grid,
                                             [face]))[0]) / (2.0 * t)
     assert abs(theta_sum - fd) / (1.0 + abs(fd)) <= 1e-6
 
@@ -261,7 +258,7 @@ def test_euler_lagrange_form_constant_density():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(8)
     y = sampling.random_section(grid, N, rng)
-    form = residual_at(ConstantDensity(FIBER), y, zero_multiplier(grid),
+    form = residual_at(ConstantDensity(), y, zero_multiplier(grid),
                        grid.full_faceset(), grid.vertex_id(1, 1))
     assert all(np.linalg.norm(mu) == 0.0 for mu in form)
 
@@ -284,7 +281,7 @@ def test_euler_lagrange_form_matches_action_derivative():
 
 def test_euler_lagrange_form_trace_at_identity():
     grid = triangulated_grid(3, 3)
-    form = residual_at(TraceLagrangian(N), identity_section(grid),
+    form = residual_at(TraceLagrangian(), identity_section(grid),
                        zero_multiplier(grid), grid.full_faceset(),
                        grid.vertex_id(1, 1))
     assert all(np.linalg.norm(mu) == 0.0 for mu in form)
@@ -294,7 +291,7 @@ def test_extended_residual_identity_zero_multiplier():
     grid = triangulated_grid(3, 3)
     y = identity_section(grid)
     lam = zero_multiplier(grid)
-    res = core.extended_residual(TraceLagrangian(N), PlaquetteConstraint(N),
+    res = core.extended_residual(TraceLagrangian(), PlaquetteConstraint(),
                                  y, lam, grid.full_faceset())
     assert res.shape == (4, 2, N, N)
     assert np.linalg.norm(res) == 0.0
@@ -303,9 +300,9 @@ def test_extended_residual_identity_zero_multiplier():
 def test_extended_residual_missing_multiplier():
     grid = triangulated_grid(3, 3)
     y = identity_section(grid)
-    lam = core.Multiplier(np.zeros((0, N, N)))
+    lam = np.zeros((0, N, N))
     with pytest.raises(ValueError):
-        core.extended_residual(TraceLagrangian(N), PlaquetteConstraint(N),
+        core.extended_residual(TraceLagrangian(), PlaquetteConstraint(),
                                y, lam, grid.full_faceset())
 
 
@@ -316,14 +313,14 @@ def test_extended_residual_locality():
     lam = sampling.random_multiplier(grid, N, rng)
     fs = grid.full_faceset()
     v = grid.vertex_id(1, 1)
-    before = residual_at(TraceLagrangian(N), y, lam, fs, v)
+    before = residual_at(TraceLagrangian(), y, lam, fs, v)
     # vertices adherent to the star faces of (1, 1) form the stencil
     stencil = {w for f in grid.star(v) for w in grid.adherence(f)}
     outside = grid.vertex_id(3, 3)
     assert outside not in stencil
     y = replaced(y, outside, (lg.exp(lg.random_skew(N, rng)),
                               lg.exp(lg.random_skew(N, rng))))
-    after = residual_at(TraceLagrangian(N), y, lam, fs, v)
+    after = residual_at(TraceLagrangian(), y, lam, fs, v)
     assert np.array_equal(before, after)
 
 
@@ -333,8 +330,8 @@ def test_variational_split_zero_variation():
     y = sampling.random_section(grid, N, rng)
     lam = sampling.random_multiplier(grid, N, rng)
     (lhs,), (rhs,) = core.variational_split(
-        TraceLagrangian(N), PlaquetteConstraint(N), y.values[None], lam.values[None],
-        zero_variation(grid).values[None], grid.full_faceset())
+        TraceLagrangian(), PlaquetteConstraint(), y[None], lam[None],
+        zero_variation(grid)[None], grid.full_faceset())
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -371,8 +368,8 @@ def test_variational_split_resummation(seed, subset):
         assert klass.interior.size
         assert any(not set(grid.star(v).tolist()) <= faces for v in klass.frontier)
     (lhs,), (rhs,) = core.variational_split(
-        TraceLagrangian(N), PlaquetteConstraint(N), y.values[None], lam.values[None],
-        dy.values[None], fs)
+        TraceLagrangian(), PlaquetteConstraint(), y[None], lam[None],
+        dy[None], fs)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
 
@@ -384,10 +381,10 @@ def test_variational_split_single_interior_vertex():
     v = grid.vertex_id(2, 2)
     xi = lg.random_skew(N, rng, shape=(2,))
     dy = single_vertex_variation(grid, v, xi)
-    lagrangian, constraint = TraceLagrangian(N), PlaquetteConstraint(N)
+    lagrangian, constraint = TraceLagrangian(), PlaquetteConstraint()
     fs = grid.full_faceset()
-    (lhs,), (rhs,) = core.variational_split(lagrangian, constraint, y.values[None],
-                                            lam.values[None], dy.values[None], fs)
+    (lhs,), (rhs,) = core.variational_split(lagrangian, constraint, y[None],
+                                            lam[None], dy[None], fs)
     res = residual_at(lagrangian, y, lam, fs, v)
     applied = sum(float(np.trace(mu.T @ x)) for mu, x in zip(res, xi))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
@@ -401,15 +398,15 @@ def test_scalar_outputs_linear_in_multiplier():
     y = sampling.random_section(grid, N, rng)
     lam = sampling.random_multiplier(grid, N, rng)
     dy = sampling.random_variation(grid, N, rng)
-    lagrangian, constraint = TraceLagrangian(N), PlaquetteConstraint(N)
+    lagrangian, constraint = TraceLagrangian(), PlaquetteConstraint()
     fs = grid.full_faceset()
     zero = zero_multiplier(grid)
     c = 3.7
-    scaled = core.Multiplier(c * lam.values)
+    scaled = c * lam
 
     def lhs(mult):
-        return core.variational_split(lagrangian, constraint, y.values[None],
-                                      mult.values[None], dy.values[None], fs)[0][0]
+        return core.variational_split(lagrangian, constraint, y[None],
+                                      mult[None], dy[None], fs)[0][0]
 
     base = lhs(zero)
     assert (lhs(scaled) - base) == pytest.approx(c * (lhs(lam) - base), rel=1e-12)
@@ -428,7 +425,7 @@ def test_noether_zero_field():
     rng = np.random.default_rng(14)
     y = sampling.random_section(grid, N, rng)
     lam = sampling.random_multiplier(grid, N, rng)
-    rep = core.noether_boundary_sum(TraceLagrangian(N), PlaquetteConstraint(N),
+    rep = core.noether_boundary_sum(TraceLagrangian(), PlaquetteConstraint(),
                                     y, lam, zero_variation(grid),
                                     grid.full_faceset())
     assert rep.boundary_sum == 0.0
@@ -442,7 +439,7 @@ def test_noether_flags_non_symmetry():
     y = reduce_field(grid, g)
     lam = sampling.random_multiplier(grid, N, rng)
     d = sampling.random_variation(grid, N, rng)
-    rep = core.noether_boundary_sum(TraceLagrangian(N), PlaquetteConstraint(N),
+    rep = core.noether_boundary_sum(TraceLagrangian(), PlaquetteConstraint(),
                                     y, lam, d, grid.full_faceset())
     assert not rep.symmetry_ok
     assert rep.boundary_sum != 0.0
@@ -454,7 +451,7 @@ def test_jacobi_residual_zero_direction():
     y = reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
     lam = sampling.random_multiplier(grid, N, rng)
     zero_l = zero_multiplier(grid)
-    value = core.jacobi_residual(TraceLagrangian(N), PlaquetteConstraint(N),
+    value = core.jacobi_residual(TraceLagrangian(), PlaquetteConstraint(),
                                  y, lam, zero_variation(grid), zero_l,
                                  grid.full_faceset())
     assert value == 0.0
@@ -470,7 +467,7 @@ def test_multisymplectic_antisymmetry_structural():
     d2 = sampling.random_variation(grid, N, rng)
     dl1 = sampling.random_multiplier(grid, N, rng)
     dl2 = sampling.random_multiplier(grid, N, rng)
-    args = (TraceLagrangian(N), PlaquetteConstraint(N), y, lam)
+    args = (TraceLagrangian(), PlaquetteConstraint(), y, lam)
     fs = grid.full_faceset()
     ab = core.multisymplectic_defect(*args, d1, dl1, d2, dl2, fs)
     ba = core.multisymplectic_defect(*args, d2, dl2, d1, dl1, fs)
@@ -482,7 +479,7 @@ def test_multisymplectic_antisymmetry_structural():
 def test_regularity_zero_columns():
     grid = triangulated_grid(2, 2)
     y = identity_section(grid)
-    rep = core.regularity_report(PlaquetteConstraint(N), y,
+    rep = core.regularity_report(PlaquetteConstraint(), y,
                                  FaceSet(grid, [grid.face_id(0, 0)]),
                                  boundary_fixed=True)
     assert rep.cols == 0
@@ -495,7 +492,7 @@ def test_regularity_free_variations_full_rank():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(18)
     y = reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
-    rep = core.regularity_report(PlaquetteConstraint(N), y, grid.full_faceset(),
+    rep = core.regularity_report(PlaquetteConstraint(), y, grid.full_faceset(),
                                  boundary_fixed=False)
     assert rep.rows == 27 and rep.cols == 90
     assert rep.sigma_min > 1e-8
@@ -506,7 +503,7 @@ def test_regularity_boundary_fixed_shape_and_flags():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(19)
     y = reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
-    rep = core.regularity_report(PlaquetteConstraint(N), y, grid.full_faceset(),
+    rep = core.regularity_report(PlaquetteConstraint(), y, grid.full_faceset(),
                                  boundary_fixed=True)
     assert rep.rows == 27 and rep.cols == 24
     assert not rep.structurally_surjective
@@ -516,7 +513,7 @@ def test_regularity_boundary_fixed_shape_and_flags():
 def test_problem_bundle_delegates():
     """Action, admissibility, residuals and split agree on the identity pair."""
     grid = triangulated_grid(3, 3)
-    lagrangian, constraint = TraceLagrangian(N), PlaquetteConstraint(N)
+    lagrangian, constraint = TraceLagrangian(), PlaquetteConstraint()
     fs = grid.full_faceset()
     y = identity_section(grid)
     assert core.action(lagrangian, y, fs) == pytest.approx(9 * 6, abs=1e-12)
@@ -525,9 +522,9 @@ def test_problem_bundle_delegates():
     res = core.extended_residual(lagrangian, constraint, y, lam, fs)
     assert len(res) == len(classify_vertices(grid, fs).interior)
     assert np.linalg.norm(res) == 0.0
-    (lhs,), (rhs,) = core.variational_split(lagrangian, constraint, y.values[None],
-                                            lam.values[None],
-                                            zero_variation(grid).values[None], fs)
+    (lhs,), (rhs,) = core.variational_split(lagrangian, constraint, y[None],
+                                            lam[None],
+                                            zero_variation(grid)[None], fs)
     assert lhs == 0.0 and rhs == 0.0
 
 
@@ -536,11 +533,11 @@ def test_regularity_deterministic_under_rebuild():
     g1 = triangulated_grid(3, 3)
     field = sampling.random_unreduced_field(g1, N, rng)
     y1 = reduce_field(g1, field)
-    rep1 = core.regularity_report(PlaquetteConstraint(N), y1, g1.full_faceset(),
+    rep1 = core.regularity_report(PlaquetteConstraint(), y1, g1.full_faceset(),
                                   boundary_fixed=False)
     g2 = TriangulatedGrid(3, 3)
     assert g2 is not g1
     y2 = reduce_field(g2, field)
-    rep2 = core.regularity_report(PlaquetteConstraint(N), y2, g2.full_faceset(),
+    rep2 = core.regularity_report(PlaquetteConstraint(), y2, g2.full_faceset(),
                                   boundary_fixed=False)
     assert rep1.sigma_min == rep2.sigma_min

@@ -16,8 +16,9 @@ import scipy.linalg
 
 from groupvar import core, liegroup as lg, sampling
 from groupvar.complexes import FaceSet, classify_vertices, triangulated_grid
+from groupvar.defaults import H_LAGRANGIAN
 from groupvar.harmonic import TraceLagrangian
-from groupvar.reduction import PlaquetteConstraint, reduced_fiber
+from groupvar.reduction import PlaquetteConstraint
 
 TOL = 1e-13
 
@@ -26,7 +27,6 @@ class LinearDensity(core.LagrangianDensity):
     """tr(A g) summed over every slot and component; differentials by FD."""
 
     def __init__(self, n, rng):
-        super().__init__(reduced_fiber(n))
         self.weights = rng.standard_normal((3, 2, n, n))
 
     def value(self, complex, jets):
@@ -44,12 +44,12 @@ class FDPlaquette(PlaquetteConstraint):
 
 
 def one_jet(y, complex, face):
-    return y.values[np.array([complex.adherence(face)])]
+    return y[np.array([complex.adherence(face)])]
 
 
 def oracle_fd_differential(density, complex, jet, slot):
     """Central differences one fiber component and basis direction at a time."""
-    h, n, c = density.fd_step, density.fiber.n, density.fiber.components
+    h, n, c = H_LAGRANGIAN, jet.shape[-1], jet.shape[-3]
     steps = scipy.linalg.expm(h * lg.skew_basis(n))
     coeffs = []
     for k, g in enumerate(jet[0, slot]):
@@ -63,7 +63,7 @@ def oracle_fd_differential(density, complex, jet, slot):
 
 
 def oracle_fd_cartan_form(constraint, complex, jet, slot):
-    h, n = constraint.fd_step, constraint.fiber.n
+    h, n = H_LAGRANGIAN, jet.shape[-1]
     steps = scipy.linalg.expm(h * lg.skew_basis(n))
     base_inv = constraint.value(complex, jet)[0].T
     cols = []
@@ -132,10 +132,10 @@ def oracle_paired_sum(lagrangian, constraint, y, lam, dy, complex, pairs):
     for v, f in pairs:
         jet = one_jet(y, complex, f)
         slot = complex.adherence(f).index(v)
-        xi = dy.values[v]
+        xi = dy[v]
         total += pairing(lagrangian.vertex_differential(complex, jet, slot)[0], xi)
         total += float(np.trace(
-            lam.values[f].T @ apply_form(form_of(constraint, complex, jet, slot), xi)))
+            lam[f].T @ apply_form(form_of(constraint, complex, jet, slot), xi)))
     return total
 
 
@@ -153,15 +153,15 @@ def oracle_split(lagrangian, constraint, y, lam, dy, faceset):
 
 def oracle_noether(lagrangian, constraint, y, lam, d, faceset):
     complex = faceset.complex
-    n = constraint.fiber.n
+    n = y.shape[-1]
     lag_defect = con_defect = 0.0
     for f in sorted(faceset.face_ids.tolist()):
         jet = one_jet(y, complex, f)
         dl, dphi = 0.0, np.zeros((n, n))
         for slot, v in enumerate(complex.adherence(f)):
             dl += pairing(lagrangian.vertex_differential(complex, jet, slot)[0],
-                          d.values[v])
-            dphi = dphi + apply_form(form_of(constraint, complex, jet, slot), d.values[v])
+                          d[v])
+            dphi = dphi + apply_form(form_of(constraint, complex, jet, slot), d[v])
         lag_defect = max(lag_defect, abs(dl))
         con_defect = max(con_defect, float(np.linalg.norm(dphi)))
     total = oracle_paired_sum(lagrangian, constraint, y, lam, d, complex,
@@ -172,20 +172,20 @@ def oracle_noether(lagrangian, constraint, y, lam, d, faceset):
 
 def oracle_constraint_derivative(constraint, y, dy, faceset):
     complex = faceset.complex
-    n = constraint.fiber.n
+    n = y.shape[-1]
     out = np.zeros((len(complex.faces), n, n))
     for f in sorted(faceset.face_ids.tolist()):
         jet = one_jet(y, complex, f)
         for slot, v in enumerate(complex.adherence(f)):
             out[f] = out[f] + apply_form(form_of(constraint, complex, jet, slot),
-                                         dy.values[v])
+                                         dy[v])
     return out
 
 
 def oracle_regularity(constraint, y, faceset, boundary_fixed):
     """(rows, cols, sigma_min, sigma_min_full, unreachable faces)."""
     complex = faceset.complex
-    c, d = constraint.fiber.components, lg.algebra_dim(constraint.fiber.n)
+    c, d = y.shape[-3], lg.algebra_dim(y.shape[-1])
     klass = classify_vertices(complex, faceset)
     variable = sorted(klass.interior.tolist()) if boundary_fixed \
         else sorted(set(complex.adherence_array[faceset.face_ids].ravel().tolist()))
@@ -216,13 +216,13 @@ def oracle_regularity(constraint, y, faceset, boundary_fixed):
 
 
 def oracle_extended_residual(lagrangian, constraint, y, lam, complex, vertex):
-    c = lagrangian.fiber.components
+    c = y.shape[-3]
     total = 0.0
     for f in sorted(complex.star(vertex).tolist()):
         jet = one_jet(y, complex, f)
         slot = complex.adherence(f).index(vertex)
         theta = lagrangian.vertex_differential(complex, jet, slot)[0]
-        nu = transpose_form(form_of(constraint, complex, jet, slot), lam.values[f], c)
+        nu = transpose_form(form_of(constraint, complex, jet, slot), lam[f], c)
         total = total + theta + nu
     return total
 
@@ -261,9 +261,9 @@ def problem(n, kind, seed):
     grid = triangulated_grid(4, 4)
     rng = np.random.default_rng(seed)
     if kind == "analytic":
-        lagrangian, constraint = TraceLagrangian(n), PlaquetteConstraint(n)
+        lagrangian, constraint = TraceLagrangian(), PlaquetteConstraint()
     else:
-        lagrangian, constraint = LinearDensity(n, rng), FDPlaquette(n)
+        lagrangian, constraint = LinearDensity(n, rng), FDPlaquette()
     y = sampling.random_section(grid, n, rng)
     lam = sampling.random_multiplier(grid, n, rng)
     dy = sampling.random_variation(grid, n, rng)
@@ -272,8 +272,8 @@ def problem(n, kind, seed):
 
 def split_one(lagrangian, constraint, y, lam, dy, fs):
     """Both sides of the variation formula for one instance, a stack of one."""
-    lhs, rhs = core.variational_split(lagrangian, constraint, y.values[None],
-                                      lam.values[None], dy.values[None], fs)
+    lhs, rhs = core.variational_split(lagrangian, constraint, y[None],
+                                      lam[None], dy[None], fs)
     return float(lhs[0]), float(rhs[0])
 
 
@@ -315,7 +315,7 @@ def test_stacked_splits_match_each_instance(n, kind, faces):
     instances = [(sampling.random_section(grid, n, rng),
                   sampling.random_multiplier(grid, n, rng),
                   sampling.random_variation(grid, n, rng)) for _ in range(count)]
-    stacks = [np.array([part.values for part in parts]) for parts in zip(*instances)]
+    stacks = [np.array(parts) for parts in zip(*instances)]
     lhs, rhs = core.variational_split(lagrangian, constraint, *stacks, fs)
     assert lhs.shape == rhs.shape == (count,)
     for k, (y, lam, dy) in enumerate(instances):
@@ -328,7 +328,7 @@ def test_stacked_splits_match_each_instance(n, kind, faces):
 def test_stacked_splits_reject_short_sections_and_multipliers():
     grid, lagrangian, constraint, y, lam, dy = problem(3, "analytic", 650)
     fs = grid.full_faceset()
-    ys, lams, dys = y.values[None], lam.values[None], dy.values[None]
+    ys, lams, dys = y[None], lam[None], dy[None]
     with pytest.raises(ValueError, match="multiplier missing on face"):
         core.variational_split(lagrangian, constraint, ys, lams[:, :-1], dys, fs)
     with pytest.raises(ValueError, match="section undefined at vertex"):
@@ -343,7 +343,7 @@ def test_residuals_match_per_pair_oracles(n, kind, faces):
     res = core.extended_residual(lagrangian, constraint, y, lam, fs)
     # the Euler-Lagrange form is the zero-multiplier case
     form = core.extended_residual(lagrangian, constraint, y,
-                                  core.Multiplier(np.zeros_like(lam.values)), fs)
+                                  np.zeros_like(lam), fs)
     assert res.shape == form.shape == (len(interior), 2, n, n)
     for k, v in enumerate(interior):
         assert close(res[k], oracle_extended_residual(lagrangian, constraint, y, lam,
@@ -356,8 +356,8 @@ def test_stacked_forms_match_per_jet_oracles(n):
     """FD differentials and Cartan forms, and the closed-form plaquette
     forms, on a stack of every face jet against one jet at a time."""
     grid, lagrangian, _, y, _, _ = problem(n, "fd", 300 + n)
-    constraint = PlaquetteConstraint(n)
-    jets = core.jet_at(y.values, grid, grid.full_faceset().face_ids)
+    constraint = PlaquetteConstraint()
+    jets = core.jet_at(y, grid, grid.full_faceset().face_ids)
     for slot in range(3):
         theta = lagrangian.vertex_differential(grid, jets, slot)
         fd_forms = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)
@@ -389,7 +389,7 @@ def test_fd_defaults_span_several_value_blocks():
     """A jet stack longer than one finite-difference block gives each jet
     the differential and form it has on its own."""
     grid, lagrangian, constraint, y, _, _ = problem(3, "fd", 500)
-    jets = core.jet_at(y.values, grid, grid.full_faceset().face_ids)
+    jets = core.jet_at(y, grid, grid.full_faceset().face_ids)
     repeats = core._FD_BLOCK // len(jets) + 2
     stack = np.tile(jets, (repeats, 1, 1, 1, 1))
     for slot in range(3):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from groupvar import core, harmonic as hm, liegroup as lg, reduction as red, sampling
 from groupvar.complexes import FaceSet, classify_vertices, triangulated_grid
 from groupvar.cli import main
+from groupvar.defaults import H_JACOBI
 from groupvar.errors import ConvergenceError, DomainError
 
 from ep_oracle import ep_symmetric_defect
@@ -15,14 +16,14 @@ N = 3
 
 def test_trace_value_bounds_and_identity():
     grid = triangulated_grid(3, 3)
-    lagrangian = hm.TraceLagrangian(N)
+    lagrangian = hm.TraceLagrangian()
     rng = np.random.default_rng(0)
     y = sampling.random_section(grid, N, rng)
     for f in grid.faces:
-        value = lagrangian.value(grid, core.jet_at(y.values, grid, [f]))[0]
+        value = lagrangian.value(grid, core.jet_at(y, grid, [f]))[0]
         assert -2 * N <= value <= 2 * N
-    y_eye = core.Section(y.fiber, np.zeros(y.values.shape) + np.eye(N))
-    assert lagrangian.value(grid, core.jet_at(y_eye.values, grid, [0]))[0] == 2 * N
+    y_eye = np.zeros(y.shape) + np.eye(N)
+    assert lagrangian.value(grid, core.jet_at(y_eye, grid, [0]))[0] == 2 * N
 
 
 def _trace_differentials(u, v):
@@ -32,10 +33,10 @@ def _trace_differentials(u, v):
     grid = triangulated_grid(1, 1)
     values = np.zeros((len(grid.vertices), 2, N, N)) + np.eye(N)
     values[grid.vertex_id(0, 0)] = u, v
-    y = core.Section(red.reduced_fiber(N), values)
-    lagrangian = hm.TraceLagrangian(N)
-    left = lagrangian.vertex_differential(grid, core.jet_at(y.values, grid, [0]), 0)[0]
-    mu, right = red._partials(lagrangian, grid, y, red._on_window(grid, y.values))
+    y = values
+    lagrangian = hm.TraceLagrangian()
+    left = lagrangian.vertex_differential(grid, core.jet_at(y, grid, [0]), 0)[0]
+    mu, right = red._partials(lagrangian, grid, y, red._on_window(grid, y))
     assert np.array_equal(mu[0, 0], left)
     return left, right[0, 0]
 
@@ -77,8 +78,7 @@ def test_trace_differentials_fd_oracle():
 
 def test_ep_symmetric_defect_identity():
     grid = triangulated_grid(3, 3)
-    y = core.Section(red.reduced_fiber(N),
-                     np.zeros((len(grid.vertices), 2, N, N)) + np.eye(N))
+    y = np.zeros((len(grid.vertices), 2, N, N)) + np.eye(N)
     assert np.array_equal(ep_symmetric_defect(grid, y, 1, 1), np.zeros((N, N)))
     with pytest.raises(ValueError):
         ep_symmetric_defect(grid, y, 0, 1)
@@ -89,7 +89,7 @@ def test_two_path_ep_agreement(seed):
     grid = triangulated_grid(4, 4)
     rng = np.random.default_rng(seed)
     y = sampling.random_section(grid, N, rng)
-    lagrangian = hm.TraceLagrangian(N)
+    lagrangian = hm.TraceLagrangian()
     klass = classify_vertices(grid, grid.full_faceset())
     residual = red.euler_poincare_residual(lagrangian, grid, y)
     for v in sorted(klass.interior):
@@ -105,7 +105,7 @@ def test_action_invariant_under_constant_left_translation():
     rng = np.random.default_rng(31)
     g = sampling.random_unreduced_field(grid, N, rng)
     h = lg.exp(lg.random_skew(N, rng))
-    hg = red.UnreducedField(h @ g.values)
+    hg = h @ g
     assert abs(hm.dirichlet_energy(_array(grid, g))
                - hm.dirichlet_energy(_array(grid, hg))) <= 1e-12
 
@@ -114,15 +114,14 @@ def test_solver_identity_boundary_stops_immediately():
     grid = triangulated_grid(4, 4)
     config = hm.SolverConfig(boundary=hm.identity_boundary(grid, N))
     field, report = hm.solve_unreduced(grid, config)
-    assert report.converged and report.iterations == 0
-    for g in field.values:
+    assert report.iterations == 0
+    for g in field:
         assert np.array_equal(g, np.eye(N))
     assert report.final_action == pytest.approx(2 * N * 16, abs=1e-12)
 
 
 def test_solver_reaches_tolerance(solved66):
     report = solved66["report"]
-    assert report.converged
     assert report.max_gradient <= 1e-11
     assert report.max_ep_residual <= 1e-8
     assert report.max_constraint_residual <= 1e-12
@@ -163,11 +162,11 @@ def test_solver_left_invariance():
     boundary = hm.random_boundary(grid, N, seed=4, scale=0.1)
     f1, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary, g_tol=1e-11))
     h = lg.exp(lg.random_skew(N, np.random.default_rng(5)))
-    shifted = red.UnreducedField(h @ boundary.values)
+    shifted = h @ boundary
     f2, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=shifted, g_tol=1e-11))
     y1 = red.reduce_field(grid, f1)
     y2 = red.reduce_field(grid, f2)
-    worst = np.linalg.norm(y1.values - y2.values, axis=(-2, -1)).max()
+    worst = np.linalg.norm(y1 - y2, axis=(-2, -1)).max()
     assert worst <= 1e-10
 
 
@@ -221,9 +220,9 @@ def test_solver_window_without_interior(width, height):
     grid = triangulated_grid(width, height)
     boundary = hm.random_boundary(grid, N, seed=19, scale=0.5)
     field, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
-    assert report.converged and report.iterations == 0
+    assert report.iterations == 0
     assert len(report.history) == 1 and report.per_vertex_ep.size == 0
-    assert field.values.shape == (len(grid.vertices), N, N)
+    assert field.shape == (len(grid.vertices), N, N)
 
 
 def test_solver_rejects_wrong_shape_boundary():
@@ -243,10 +242,10 @@ def test_solver_rejects_non_group_boundary(block, message):
     """Boundary blocks pass ``group_array`` where the configuration is made;
     the interior ones count too, though the solver overwrites them."""
     grid = triangulated_grid(3, 3)
-    values = hm.identity_boundary(grid, N).values.copy()
+    values = hm.identity_boundary(grid, N).copy()
     values[5] = block
     with pytest.raises(ValueError, match=message):
-        hm.SolverConfig(boundary=red.UnreducedField(values))
+        hm.SolverConfig(boundary=values)
 
 
 def test_solver_config_keeps_clean_fields():
@@ -254,12 +253,12 @@ def test_solver_config_keeps_clean_fields():
     grid = triangulated_grid(6, 6)
     boundary = hm.random_boundary(grid, 3, 152, 3.0)
     config = hm.SolverConfig(boundary=boundary)
-    assert config.boundary.values is boundary.values
+    assert config.boundary is boundary
 
 
 def test_conjugation_field_zero_generator(solved66):
     d = hm.conjugation_symmetry_field(solved66["y"], np.zeros((N, N)))
-    assert np.all(d.values == 0.0)
+    assert np.all(d == 0.0)
 
 
 def test_conjugation_field_is_symmetry(solved66):
@@ -270,12 +269,12 @@ def test_conjugation_field_is_symmetry(solved66):
     fs = grid.full_faceset()
     # trace derivative along the field is a commutator trace, exactly zero
     for f in fs.face_ids.tolist():
-        jets = core.jet_at(y.values, grid, [f])
+        jets = core.jet_at(y, grid, [f])
         dl = sum(core.apply_differential(
-            lagrangian.vertex_differential(grid, jets, slot)[0], d.values[v])
+            lagrangian.vertex_differential(grid, jets, slot)[0], d[v])
             for slot, v in enumerate(grid.adherence(f)))
         assert abs(dl) <= 1e-13
-    dpsi = core.constraint_derivative(red.PlaquetteConstraint(N), y, d, fs)
+    dpsi = core.constraint_derivative(red.PlaquetteConstraint(), y, d, fs)
     assert max(np.linalg.norm(a) for a in dpsi) <= 1e-12
 
 
@@ -315,7 +314,7 @@ def test_multisymplectic_scenario(solved66):
 def test_extended_residual_small_on_critical_pair(solved66):
     grid = solved66["grid"]
     fs = grid.full_faceset()
-    res = core.extended_residual(solved66["lagrangian"], red.PlaquetteConstraint(N),
+    res = core.extended_residual(solved66["lagrangian"], red.PlaquetteConstraint(),
                                  solved66["y"], solved66["lam"], fs)
     assert len(res) == len(classify_vertices(grid, fs).interior)
     coords = 2.0 * lg.skew_to_coords(res)
@@ -329,7 +328,7 @@ def test_jacobi_residual_negative_control(solved66):
     dy = sampling.random_variation(grid, N, rng)
     dlam = sampling.random_multiplier(grid, N, rng)
     value = core.jacobi_residual(solved66["lagrangian"],
-                                 red.PlaquetteConstraint(N), solved66["y"],
+                                 red.PlaquetteConstraint(), solved66["y"],
                                  solved66["lam"], dy, dlam,
                                  grid.full_faceset())
     assert value > 1e-2
@@ -467,7 +466,8 @@ def test_jacobi_fields_match_the_bumped_solves(monkeypatch, n):
     monkeypatch.setattr(hm, "multisymplectic_check",
                         lambda *args: seen.append(args) or exact(*args))
     assert hm.run_multisymplectic_scenario(grid, config, *bumps).passed
-    lagrangian, _, y0, lam0, d1, dl1, d2, dl2, _, step = seen.pop()
+    lagrangian, _, y0, lam0, d1, dl1, d2, dl2, _ = seen.pop()
+    step = H_JACOBI
     field, _ = hm.solve_unreduced(grid, config)
     zero = np.zeros((n, n))
     for bump, d, dlam in zip(bumps, (d1, d2), (dl1, dl2)):
@@ -476,14 +476,12 @@ def test_jacobi_fields_match_the_bumped_solves(monkeypatch, n):
         for vid, eta in bump.items():
             blocks[vid] = blocks[vid] @ lg.exp(step * eta)
         g1 = hm._newton_polish(g, config.g_tol, config.max_iterations)[0]
-        y1 = red.reduce_field(grid, red.UnreducedField(g1.reshape(-1, n, n)))
+        y1 = red.reduce_field(grid, g1.reshape(-1, n, n))
         lam1, _ = red.recover_multipliers(lagrangian, grid, y1, zero)
-        quotient = lg.log_near_identity(
-            y0.values.swapaxes(-1, -2) @ y1.values) / step
-        assert np.linalg.norm(quotient - d.values) \
-            <= 1e-4 * np.linalg.norm(d.values)
-        assert np.linalg.norm((lam1.values - lam0.values) / step - dlam.values) \
-            <= 1e-4 * np.linalg.norm(dlam.values)
+        quotient = lg.log_near_identity(y0.swapaxes(-1, -2) @ y1) / step
+        assert np.linalg.norm(quotient - d) <= 1e-4 * np.linalg.norm(d)
+        assert np.linalg.norm((lam1 - lam0) / step - dlam) \
+            <= 1e-4 * np.linalg.norm(dlam)
 
 
 # The scenario's earlier arithmetic, one point at a time: two jacobi_residual
@@ -492,17 +490,20 @@ def test_jacobi_fields_match_the_bumped_solves(monkeypatch, n):
 
 
 def flowed_multiplier(lam, dlam, t):
-    return core.Multiplier(lam.values + t * dlam.values)
+    return lam + t * dlam
 
 
-def oracle_jacobi(lagrangian, constraint, y, lam, dy, dlam, fs, step):
+def oracle_jacobi(lagrangian, constraint, y, lam, dy, dlam, fs):
+    step = H_JACOBI
     plus, minus = ((2.0 * lg.skew_to_coords(core.extended_residual(
         lagrangian, constraint, core.section_exp(y, dy, t),
         flowed_multiplier(lam, dlam, t), fs))).ravel() for t in (step, -step))
     return float(np.linalg.norm((plus - minus) / (2.0 * step)))
 
 
-def oracle_two_form(lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs, step):
+def oracle_two_form(lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs):
+    step = H_JACOBI
+
     def omega(y, lam, probe):
         return core.noether_boundary_sum(lagrangian, constraint, y, lam, probe,
                                          fs).boundary_sum
@@ -512,19 +513,17 @@ def oracle_two_form(lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs, step):
 
     x_of_y = (flowed(d1, dl1, step, d2) - flowed(d1, dl1, -step, d2)) / (2.0 * step)
     y_of_x = (flowed(d2, dl2, step, d1) - flowed(d2, dl2, -step, d1)) / (2.0 * step)
-    x, z = d1.values, d2.values
-    bracket = core.Variation(d1.fiber, lg.skew_part(x @ z - z @ x))
+    bracket = lg.skew_part(d1 @ d2 - d2 @ d1)
     return float(x_of_y - y_of_x - omega(y, lam, bracket))
 
 
-def oracle_scenario_values(lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs,
-                           step):
+def oracle_scenario_values(lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs):
     base = (lagrangian, constraint, y, lam)
-    return (oracle_jacobi(*base, d1, dl1, fs, step),
-            oracle_jacobi(*base, d2, dl2, fs, step),
-            oracle_two_form(*base, d1, dl1, d2, dl2, fs, step),
-            oracle_two_form(*base, d2, dl2, d1, dl1, fs, step),
-            oracle_two_form(*base, d1, dl1, d1, dl1, fs, step))
+    return (oracle_jacobi(*base, d1, dl1, fs),
+            oracle_jacobi(*base, d2, dl2, fs),
+            oracle_two_form(*base, d1, dl1, d2, dl2, fs),
+            oracle_two_form(*base, d2, dl2, d1, dl1, fs),
+            oracle_two_form(*base, d1, dl1, d1, dl1, fs))
 
 
 def same_bits(got, want):
@@ -560,10 +559,10 @@ def test_multisymplectic_check_matches_the_per_call_scenario(monkeypatch, n,
                scenario.defect, scenario.defect_swapped, scenario.defect_repeated)
         want = oracle_scenario_values(*args)
         assert same_bits(got, want)
-        lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs, step = args
+        lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs = args
         assert same_bits(
-            (core.jacobi_residual(lagrangian, constraint, y, lam, d1, dl1, fs, step),
-             core.jacobi_residual(lagrangian, constraint, y, lam, d2, dl2, fs, step),
+            (core.jacobi_residual(lagrangian, constraint, y, lam, d1, dl1, fs),
+             core.jacobi_residual(lagrangian, constraint, y, lam, d2, dl2, fs),
              core.multisymplectic_defect(*args)), want[:3])
 
 
@@ -574,13 +573,13 @@ def test_multisymplectic_check_matches_the_oracles_off_critical(n):
     bit, and the repeated value is exactly zero."""
     grid = triangulated_grid(4, 3)
     rng = np.random.default_rng(40 + n)
-    lagrangian, constraint = hm.TraceLagrangian(n), red.PlaquetteConstraint(n)
+    lagrangian, constraint = hm.TraceLagrangian(), red.PlaquetteConstraint()
     y = sampling.random_section(grid, n, rng)
     lam = sampling.random_multiplier(grid, n, rng)
     d1, d2 = (sampling.random_variation(grid, n, rng) for _ in range(2))
     dl1, dl2 = (sampling.random_multiplier(grid, n, rng) for _ in range(2))
     for fs in (grid.full_faceset(), FaceSet(grid, [0, 1, 4, 5, 6, 9])):
-        args = (lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs, 1e-5)
+        args = (lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs)
         got = core.multisymplectic_check(*args)
         assert same_bits(got, oracle_scenario_values(*args))
         assert got[4] == 0.0
@@ -590,9 +589,9 @@ def test_random_boundary_reproducible():
     grid = triangulated_grid(4, 4)
     b1 = hm.random_boundary(grid, N, seed=13, scale=0.1)
     b2 = hm.random_boundary(grid, N, seed=13, scale=0.1)
-    assert b1.values.tobytes() == b2.values.tobytes()
+    assert b1.tobytes() == b2.tobytes()
     b3 = hm.random_boundary(grid, N, seed=14, scale=0.1)
-    assert not np.array_equal(b1.values, b3.values)
+    assert not np.array_equal(b1, b3)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -605,10 +604,10 @@ def test_random_boundary_is_the_per_vertex_expm_draw(n):
     frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
     interior = sorted(classify_vertices(grid, grid.full_faceset()).interior)
     corner, below = grid.vertex_id(6, 5), grid.vertex_id(6, 4)
-    eye = hm.identity_boundary(grid, n).values
+    eye = hm.identity_boundary(grid, n)
     assert eye.shape == (len(grid.vertices), n, n) and np.all(eye == np.eye(n))
     for seed, scale in enumerate((0.0, 0.1, 0.5, 1.0, 2.0, 3.0)):
-        got = hm.random_boundary(grid, n, seed, scale).values
+        got = hm.random_boundary(grid, n, seed, scale)
         rng = np.random.default_rng(seed)
         for v in frontier:
             xi = lg.random_skew(n, rng, scale)
@@ -619,8 +618,7 @@ def test_random_boundary_is_the_per_vertex_expm_draw(n):
 
 
 def _array(grid, field):
-    return field.values.reshape(grid.height + 1, grid.width + 1,
-                                *field.values.shape[1:]).copy()
+    return field.reshape(grid.height + 1, grid.width + 1, *field.shape[1:]).copy()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -650,7 +648,7 @@ def test_dirichlet_energy_matches_trace_action(n):
     grid = triangulated_grid(4, 5)
     field = sampling.random_unreduced_field(grid, n, np.random.default_rng(50 + n))
     y = red.reduce_field(grid, field)
-    action = core.action(hm.TraceLagrangian(n), y, grid.full_faceset())
+    action = core.action(hm.TraceLagrangian(), y, grid.full_faceset())
     g = _array(grid, field)
     energy = hm.dirichlet_energy(g)
     assert abs(energy - (2 * n * len(grid.faces) - action)) <= 1e-12
@@ -912,7 +910,7 @@ def test_model_path_follows_the_unknown_count(monkeypatch, width, n, dense):
     grid = triangulated_grid(width, width)
     boundary = hm.random_boundary(grid, n, seed=1, scale=0.1)
     _, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
-    assert report.converged and report.hessian_products > 0
+    assert report.hessian_products > 0
     if dense:
         assert calls == {"_hessian_product": 0,
                          "_dense_hessian": report.residual_evaluations - 1}
@@ -981,7 +979,7 @@ def test_newton_residual_evaluations_per_step_do_not_grow(n):
         grid = triangulated_grid(width, width)
         boundary = hm.random_boundary(grid, n, seed=21, scale=0.1)
         _, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
-        assert report.converged and report.iterations >= 1
+        assert report.iterations >= 1
         accepted = report.iterations - report.backtracks
         assert report.residual_evaluations == accepted + 1 == len(report.history)
         spent.append((report.iterations, report.hessian_products))
@@ -1031,7 +1029,6 @@ def test_solver_converges_on_large_windows(width, n):
     boundary = hm.random_boundary(grid, n, seed=1, scale=0.1)
     config = hm.SolverConfig(boundary=boundary)
     _, report = hm.solve_unreduced(grid, config)
-    assert report.converged
     assert report.max_gradient <= config.g_tol
     assert report.max_ep_residual <= 1e-8
     assert report.max_constraint_residual <= 1e-12
@@ -1098,7 +1095,6 @@ def test_retraction_keeps_the_iteration_counts(n, scale, seed, descent, newton):
     grid = triangulated_grid(6, 6)
     config = hm.SolverConfig(boundary=hm.random_boundary(grid, n, seed, scale))
     field, report = hm.solve_unreduced(grid, config)
-    assert report.converged
     iterations, backtracks, energy = TRUST_REGION[n, scale, seed]
     assert (report.iterations, report.backtracks) == (iterations, backtracks)
     assert report.iterations < descent + newton
@@ -1119,7 +1115,7 @@ def test_pool_seeds_recover_to_the_system_tolerance(seed):
     config = hm.SolverConfig(boundary=hm.random_boundary(grid, N, seed, 3.0))
     _, report = hm.solve_unreduced(grid, config)
     assert report.max_gradient <= 1e-14
-    _, recovery = red.recover_multipliers(hm.TraceLagrangian(N), grid,
+    _, recovery = red.recover_multipliers(hm.TraceLagrangian(), grid,
                                           report.section, np.zeros((N, N)))
     assert recovery.max_system_residual <= 1e-10
 
@@ -1159,7 +1155,7 @@ def test_blend_initializer_matches_per_vertex_projection(n, width, scale, seed,
     """The batched SVD polar factor is ``project_to_group`` bit for bit, and
     the identity fallback lands on the same vertices."""
     grid = triangulated_grid(width, width)
-    boundary = hm.random_boundary(grid, n, seed=seed, scale=scale).values
+    boundary = hm.random_boundary(grid, n, seed=seed, scale=scale)
     g = boundary.reshape(width + 1, width + 1, n, n).copy()
     expected, count = _blend_oracle(g)
     assert count == fallbacks

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from groupvar import core, liegroup as lg, reduction as red, sampling
+from groupvar import core, harmonic as hm, liegroup as lg, reduction as red, sampling
+from groupvar import serialization as ser
 from groupvar.complexes import classify_vertices, triangulated_grid
 from groupvar.errors import (
     HolonomyError,
@@ -14,7 +15,7 @@ N = 3
 
 
 def constant_field(grid, g):
-    return red.UnreducedField(np.broadcast_to(g, (len(grid.vertices), N, N)))
+    return np.broadcast_to(g, (len(grid.vertices), N, N))
 
 
 def block_norms(x):
@@ -22,21 +23,21 @@ def block_norms(x):
 
 
 def section_distance(a, b):
-    return block_norms(a.values - b.values).max()
+    return block_norms(a - b).max()
 
 
 def replaced(y, v, fiber):
     """y with the fiber at vertex v replaced."""
-    values = y.values.copy()
+    values = y.copy()
     values[v] = fiber
-    return core.Section(y.fiber, values)
+    return values
 
 
 def test_reduce_constant_field_is_identity():
     grid = triangulated_grid(3, 2)
     g = lg.exp(lg.random_skew(N, np.random.default_rng(0)))
     y = red.reduce_field(grid, constant_field(grid, g))
-    for u, v in y.values:
+    for u, v in y:
         assert np.linalg.norm(u - np.eye(N)) <= 1e-14
         assert np.linalg.norm(v - np.eye(N)) <= 1e-14
 
@@ -56,7 +57,7 @@ def test_reduce_left_invariance():
     rng = np.random.default_rng(2)
     g = sampling.random_unreduced_field(grid, N, rng)
     h = lg.exp(lg.random_skew(N, rng))
-    hg = red.UnreducedField(h @ g.values)
+    hg = h @ g
     assert section_distance(red.reduce_field(grid, g),
                             red.reduce_field(grid, hg)) <= 1e-13
 
@@ -66,7 +67,7 @@ def test_reduce_missing_vertex():
     values = np.delete(np.zeros((len(grid.vertices), N, N)) + np.eye(N),
                        grid.vertex_id(2, 1), axis=0)
     with pytest.raises(ValueError):
-        red.reduce_field(grid, red.UnreducedField(values))
+        red.reduce_field(grid, values)
 
 
 def test_holonomy_identity_section():
@@ -85,12 +86,12 @@ def test_holonomy_derivative_along_single_factor():
     y = red.reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
     i, j = 1, 1
     xi = lg.random_skew(N, rng)
-    u, _ = y.values[grid.vertex_id(i, j)]
+    u, _ = y[grid.vertex_id(i, j)]
     t = 1e-6
     def holonomy_with(factor):
         vid = grid.vertex_id(i, j)
         return red.plaquette_holonomy(
-            grid, replaced(y, vid, (factor, y.values[vid, 1])))[j, i]
+            grid, replaced(y, vid, (factor, y[vid, 1])))[j, i]
     plus = holonomy_with(u @ lg.exp(t * xi))
     minus = holonomy_with(u @ lg.exp(-t * xi))
     fd = (plus - minus) / (2.0 * t)
@@ -101,8 +102,8 @@ def test_holonomy_derivative_along_single_factor():
 
 def plaquette_forms(grid, y, i, j):
     """The three (d, 2d) Cartan forms of face (i, j), in adherence order."""
-    jets = core.jet_at(y.values, grid, [grid.face_id(i, j)])
-    return tuple(red.PlaquetteConstraint(N).cartan_form(grid, jets, slot)[0]
+    jets = core.jet_at(y, grid, [grid.face_id(i, j)])
+    return tuple(red.PlaquetteConstraint().cartan_form(grid, jets, slot)[0]
                  for slot in range(3))
 
 
@@ -130,7 +131,7 @@ def test_cartan_forms_sum_matches_fd():
     dy = sampling.random_variation(grid, N, rng)
     total = np.zeros((N, N))
     for form, v in zip(forms, grid.adherence(face)):
-        total = total + core.form_apply(form, dy.values[v])
+        total = total + core.form_apply(form, dy[v])
     t = 1e-6
     plus = red.plaquette_holonomy(grid, core.section_exp(y, dy, t))[j, i]
     minus = red.plaquette_holonomy(grid, core.section_exp(y, dy, -t))[j, i]
@@ -142,7 +143,7 @@ def test_cartan_forms_sum_matches_fd():
 def test_ep_residual_identity_section():
     grid = triangulated_grid(3, 3)
     y = red.reduce_field(grid, constant_field(grid, np.eye(N)))
-    res = red.euler_poincare_residual(TraceLagrangian(N), grid, y)[0, 0]
+    res = red.euler_poincare_residual(TraceLagrangian(), grid, y)[0, 0]
     assert np.linalg.norm(res) == 0.0
 
 
@@ -150,7 +151,7 @@ def test_ep_residual_generic_nonzero_and_interior_check():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(8)
     y = red.reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
-    res = red.euler_poincare_residual(TraceLagrangian(N), grid, y)
+    res = red.euler_poincare_residual(TraceLagrangian(), grid, y)
     assert np.linalg.norm(res[0, 0]) > 1e-3
     # defined at the interior vertices only, indexed [j-1, i-1]
     assert res.shape == (grid.height - 1, grid.width - 1, N, N)
@@ -160,7 +161,7 @@ def test_reconstruct_identity():
     grid = triangulated_grid(3, 3)
     y = red.reduce_field(grid, constant_field(grid, np.eye(N)))
     field = red.reconstruction_report(grid, y, np.eye(N)).field
-    for g in field.values:
+    for g in field:
         assert np.linalg.norm(g - np.eye(N)) <= 1e-14
 
 
@@ -169,8 +170,8 @@ def test_reconstruct_roundtrips():
     rng = np.random.default_rng(9)
     g = sampling.random_unreduced_field(grid, N, rng)
     y = red.reduce_field(grid, g)
-    rep = red.reconstruction_report(grid, y, g.values[grid.vertex_id(0, 0)])
-    dev = block_norms(rep.field.values - g.values).max()
+    rep = red.reconstruction_report(grid, y, g[grid.vertex_id(0, 0)])
+    dev = block_norms(rep.field - g).max()
     assert dev <= 1e-12
     assert rep.path_agreement <= 1e-12
     assert section_distance(red.reduce_field(grid, rep.field), y) <= 1e-12
@@ -185,7 +186,7 @@ def test_reconstruct_seed_offset():
     f1 = red.reconstruction_report(grid, y, h1).field
     f2 = red.reconstruction_report(grid, y, h2).field
     offset = h2 @ h1.T
-    for a, b in zip(f1.values, f2.values):
+    for a, b in zip(f1, f2):
         assert np.linalg.norm(offset @ a - b) <= 1e-12
 
 
@@ -195,12 +196,12 @@ def test_reconstruct_detects_broken_plaquette():
     g = sampling.random_unreduced_field(grid, N, rng)
     y = red.reduce_field(grid, g)
     vid = grid.vertex_id(2, 1)
-    u, v = y.values[vid]
+    u, v = y[vid]
     bump = lg.random_skew(N, rng)
     bump = (1e-5 / np.linalg.norm(bump)) * bump
     y = replaced(y, vid, (u @ lg.exp(bump), v))
     with pytest.raises(HolonomyError) as err:
-        red.reconstruction_report(grid, y, g.values[grid.vertex_id(0, 0)])
+        red.reconstruction_report(grid, y, g[grid.vertex_id(0, 0)])
     # the tampered u slot feeds the faces at (2, 1) and (2, 0)
     assert err.value.face in (grid.face_id(2, 1), grid.face_id(2, 0))
     assert err.value.defect > 1e-7
@@ -212,11 +213,11 @@ def test_reconstruct_rejects_nan_section():
     grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(13)
     g = sampling.random_unreduced_field(grid, N, rng)
-    values = red.reduce_field(grid, g).values.copy()
+    values = red.reduce_field(grid, g).copy()
     values[grid.vertex_id(1, 1), 0, 0, 0] = np.nan
-    y = core.Section(red.reduced_fiber(N), values)
+    y = values
     with pytest.raises(HolonomyError) as err:
-        red.reconstruction_report(grid, y, g.values[grid.vertex_id(0, 0)])
+        red.reconstruction_report(grid, y, g[grid.vertex_id(0, 0)])
     assert err.value.face == grid.face_id(1, 0)
     assert np.isnan(err.value.defect)
 
@@ -227,20 +228,20 @@ def test_reduced_variation_zero_and_constant_gauge():
     g = sampling.random_unreduced_field(grid, N, rng)
     zero_theta = np.zeros((len(grid.vertices), N, N))
     dv = red.reduced_variation(grid, g, zero_theta)
-    assert np.all(block_norms(dv.values) == 0.0)
+    assert np.all(block_norms(dv) == 0.0)
 
     eye = constant_field(grid, np.eye(N))
     xi = lg.random_skew(N, rng)
     const = np.broadcast_to(xi, (len(grid.vertices), N, N))
     dv = red.reduced_variation(grid, eye, const)
-    assert block_norms(dv.values).max() <= 1e-15
+    assert block_norms(dv).max() <= 1e-15
 
 
 def test_multiplier_system_identity_zero():
     grid = triangulated_grid(3, 3)
     y = red.reduce_field(grid, constant_field(grid, np.eye(N)))
-    lam = core.Multiplier(np.zeros((len(grid.faces), N, N)))
-    r1, r2 = red.multiplier_system_residual(TraceLagrangian(N), grid, y, lam)
+    lam = np.zeros((len(grid.faces), N, N))
+    r1, r2 = red.multiplier_system_residual(TraceLagrangian(), grid, y, lam)
     assert np.linalg.norm(r1[0, 0]) == 0.0 and np.linalg.norm(r2[0, 0]) == 0.0
 
 
@@ -255,8 +256,8 @@ def test_recover_identity_section_gives_zero():
     grid = triangulated_grid(3, 3)
     y = red.reduce_field(grid, constant_field(grid, np.eye(N)))
     zero = np.zeros((N, N))
-    lam, rep = red.recover_multipliers(TraceLagrangian(N), grid, y, zero)
-    assert np.all(lam.values == 0.0)
+    lam, rep = red.recover_multipliers(TraceLagrangian(), grid, y, zero)
+    assert np.all(lam == 0.0)
     assert rep.max_discrepancy == 0.0
     assert rep.unconstrained_faces == (grid.face_id(0, 0),)
 
@@ -267,7 +268,7 @@ def test_recover_requires_critical_section():
     y = red.reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
     zero = np.zeros((N, N))
     with pytest.raises(PreconditionError):
-        red.recover_multipliers(TraceLagrangian(N), grid, y, zero)
+        red.recover_multipliers(TraceLagrangian(), grid, y, zero)
 
 
 @pytest.mark.parametrize("planted", [
@@ -289,7 +290,7 @@ def test_recover_names_the_first_offending_vertex(monkeypatch, planted):
                  for j in range(grid.height - 1, 0, -1)
                  if not abs(blocks[j - 1, i - 1, 0, 0]) <= 1e-6)
     with pytest.raises(PreconditionError) as err:
-        red.recover_multipliers(TraceLagrangian(N), grid, y, np.zeros((N, N)),
+        red.recover_multipliers(TraceLagrangian(), grid, y, np.zeros((N, N)),
                                 ep_tol=1e-6)
     value = abs(planted[first])
     assert str(err.value) == f"reduced residual {value:.3e} > 1.0e-06 at {first}"
@@ -317,7 +318,7 @@ def test_recovery_seed_nonuniqueness(solved66):
     lagrangian = solved66["lagrangian"]
     seed = lg.random_skew(N, np.random.default_rng(15), 0.3)
     lam2, rep2 = red.recover_multipliers(lagrangian, grid, y, seed)
-    distance = block_norms(solved66["lam"].values - lam2.values).max()
+    distance = block_norms(solved66["lam"] - lam2).max()
     assert distance > 1e-3
     worst = max(block_norms(r).max() for r in
                 red.multiplier_system_residual(lagrangian, grid, y, lam2))
@@ -332,7 +333,7 @@ def test_elimination_combo_matches_ep_residual():
     rng = np.random.default_rng(16)
     y = red.reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
     lam = sampling.random_multiplier(grid, N, rng)
-    lagrangian = TraceLagrangian(N)
+    lagrangian = TraceLagrangian()
     defects = red.multiplier_elimination_check(lagrangian, grid, y, lam)
     ep = block_norms(red.euler_poincare_residual(lagrangian, grid, y))
     for (i, j) in ((1, 1), (2, 2), (3, 3), (1, 3)):
@@ -347,7 +348,7 @@ def test_elimination_cancellation_grows_off_constraint():
     rng = np.random.default_rng(17)
     y = sampling.random_section(grid, N, rng)
     lam = sampling.random_multiplier(grid, N, rng)
-    defects = red.multiplier_elimination_check(TraceLagrangian(N), grid, y, lam)
+    defects = red.multiplier_elimination_check(TraceLagrangian(), grid, y, lam)
     assert defects.cancellation[0, 0] > 1e-6
 
 
@@ -371,11 +372,11 @@ def test_system_residual_bounds_ep_residual():
     field, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
     # move the solved interior off the critical point by about 1e-6
     rng = np.random.default_rng(21)
-    values = field.values.reshape(6, 6, N, N).copy()
+    values = field.reshape(6, 6, N, N).copy()
     values[1:-1, 1:-1] = values[1:-1, 1:-1] @ lg.exp_skew(
         lg.random_skew(N, rng, 1e-6, (4, 4)))
-    lagrangian = TraceLagrangian(N)
-    y = red.reduce_field(grid, red.UnreducedField(values.reshape(-1, N, N)))
+    lagrangian = TraceLagrangian()
+    y = red.reduce_field(grid, values.reshape(-1, N, N))
     zero = np.zeros((N, N))
     lam, _ = red.recover_multipliers(lagrangian, grid, y, zero,
                                      ep_tol=1e-4, cons_tol=1e-4)
@@ -398,13 +399,63 @@ def test_boundary_fixed_gauge_kernel_is_real():
     theta[grid.vertex_id(2, 2)] = lg.random_skew(N, rng)
     dv = red.reduced_variation(grid, g, theta)
     klass = classify_vertices(grid, grid.full_faceset())
-    for v, fib in enumerate(dv.values):
+    for v, fib in enumerate(dv):
         if v not in klass.interior:
             assert all(np.linalg.norm(x) == 0.0 for x in fib)
-    assert any(np.linalg.norm(x) > 0.1 for v in klass.interior for x in dv.values[v])
-    dpsi = core.constraint_derivative(red.PlaquetteConstraint(N), y, dv,
+    assert any(np.linalg.norm(x) > 0.1 for v in klass.interior for x in dv[v])
+    dpsi = core.constraint_derivative(red.PlaquetteConstraint(), y, dv,
                                       grid.full_faceset())
     assert max(np.linalg.norm(a) for a in dpsi) <= 1e-12
-    rep = core.regularity_report(red.PlaquetteConstraint(N), y,
+    rep = core.regularity_report(red.PlaquetteConstraint(), y,
                                  grid.full_faceset(), boundary_fixed=True)
     assert rep.sigma_min <= 1e-12
+
+
+def test_returned_arrays_are_read_only_and_keep_their_values(tmp_path):
+    """Fields, sections, variations and multipliers come back as read-only
+    arrays, and writing to an input after the call (an array, or the file
+    a loader read) leaves them as they were."""
+    grid = triangulated_grid(4, 3)
+    rng = np.random.default_rng(11)
+
+    def check(result, *inputs):
+        kept = result.copy()
+        for a in inputs:
+            a[...] = 0.5
+        assert not result.flags.writeable
+        assert np.array_equal(result, kept)
+
+    boundary = np.array(hm.random_boundary(grid, N, 4, 0.3))
+    field, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    check(field, boundary)
+    check(report.section)
+    g = np.array(field)
+    y = red.reduce_field(grid, g)
+    check(y, g)
+    section, seed = np.array(y), np.zeros((N, N))
+    lam, _ = red.recover_multipliers(TraceLagrangian(), grid, section, seed)
+    check(lam, section, seed)
+    section, seed = np.array(y), np.eye(N)
+    check(red.reconstruction_report(grid, section, seed).field, section, seed)
+    g, theta = np.array(field), lg.random_skew(N, rng, 1.0, (len(grid.vertices),))
+    check(red.reduced_variation(grid, g, theta), g, theta)
+    section, dy = np.array(y), np.array(sampling.random_variation(grid, N, rng))
+    check(core.section_exp(section, dy, 0.1), section, dy)
+    section, xi = np.array(y), lg.random_skew(N, rng)
+    check(hm.conjugation_symmetry_field(section, xi), section, xi)
+    for sample in (sampling.random_unreduced_field(grid, N, rng),
+                   sampling.random_section(grid, N, rng),
+                   sampling.random_variation(grid, N, rng),
+                   sampling.random_multiplier(grid, N, rng),
+                   hm.identity_boundary(grid, N), hm.random_boundary(grid, N, 1)):
+        check(sample)
+
+    for save, load, data in ((ser.save_unreduced_field, ser.load_unreduced_field, field),
+                             (ser.save_reduced_section, ser.load_reduced_section, y),
+                             (ser.save_multiplier, ser.load_multiplier, lam)):
+        path = tmp_path / "data.txt"
+        save(path, grid, data)
+        _, loaded = load(path)
+        save(path, grid, np.zeros_like(data) + np.eye(N))
+        check(loaded)
+        assert np.array_equal(loaded, data)

@@ -40,29 +40,29 @@ def coadjoint(g, mu):
 
 
 def _uv(y, grid, i, j):
-    u, v = y.values[grid.vertex_id(i, j)]
+    u, v = y[grid.vertex_id(i, j)]
     return u, v
 
 
 def _left_log_differentials(lagrangian, grid, y, i, j):
     face = grid.face_id(i, j)
-    jets = np.array([[y.values[v] for v in grid.adherence(face)]])
+    jets = np.array([[y[v] for v in grid.adherence(face)]])
     return tuple(lagrangian.vertex_differential(grid, jets, 0)[0])
 
 
 def oracle_reduce_field(grid, g):
     """Per-vertex dict of (u, v) matrix pairs, without the far corner."""
-    n = g.values.shape[-1]
+    n = g.shape[-1]
     eye = np.eye(n)
     values = {}
     for j in range(grid.height + 1):
         for i in range(grid.width + 1):
             if i == grid.width and j == grid.height:
                 continue
-            base = g.values[grid.vertex_id(i, j)]
-            u = base.T @ g.values[grid.vertex_id(i + 1, j)] \
+            base = g[grid.vertex_id(i, j)]
+            u = base.T @ g[grid.vertex_id(i + 1, j)] \
                 if i < grid.width else eye
-            v = base.T @ g.values[grid.vertex_id(i, j + 1)] \
+            v = base.T @ g[grid.vertex_id(i, j + 1)] \
                 if j < grid.height else eye
             values[grid.vertex_id(i, j)] = (u, v)
     return values
@@ -90,8 +90,8 @@ def oracle_first(lagrangian, grid, y, lam, i, j):
     u, _ = _uv(y, grid, i, j)
     right_u = adjoint(u, mu_u)
     _, v_s = _uv(y, grid, i, j - 1)
-    lam_here = lam.values[grid.face_id(i, j)]
-    lam_s = lam.values[grid.face_id(i, j - 1)]
+    lam_here = lam[grid.face_id(i, j)]
+    lam_s = lam[grid.face_id(i, j - 1)]
     return right_u + lam_here - coadjoint(v_s, lam_s)
 
 
@@ -100,8 +100,8 @@ def oracle_second(lagrangian, grid, y, lam, i, j):
     _, v = _uv(y, grid, i, j)
     right_v = adjoint(v, mu_v)
     u_w, _ = _uv(y, grid, i - 1, j)
-    lam_here = lam.values[grid.face_id(i, j)]
-    lam_w = lam.values[grid.face_id(i - 1, j)]
+    lam_here = lam[grid.face_id(i, j)]
+    lam_w = lam[grid.face_id(i - 1, j)]
     return right_v - lam_here + coadjoint(u_w, lam_w)
 
 
@@ -114,7 +114,7 @@ def oracle_elimination(lagrangian, grid, y, lam, i, j):
     _, v_s = _uv(y, grid, i, j - 1)
     combo = first - coadjoint(u_w, first_w) + second - coadjoint(v_s, second_s)
     u_sw, v_sw = _uv(y, grid, i - 1, j - 1)
-    lam_sw = lam.values[grid.face_id(i - 1, j - 1)]
+    lam_sw = lam[grid.face_id(i - 1, j - 1)]
     one_way = coadjoint(v_s, coadjoint(u_sw, lam_sw))
     other_way = coadjoint(u_w, coadjoint(v_sw, lam_sw))
     return np.linalg.norm(combo), np.linalg.norm(one_way - other_way)
@@ -130,7 +130,7 @@ def oracle_recover(lagrangian, grid, y, seed, ep_tol, cons_tol, adm_tol):
             raise PreconditionError(
                 f"reduced residual {res:.3e} > {ep_tol:.1e} at ({i}, {j})")
     worst_hol = max(
-        float(np.linalg.norm(oracle_holonomy(grid, y, i, j) - np.eye(y.fiber.n)))
+        float(np.linalg.norm(oracle_holonomy(grid, y, i, j) - np.eye(y.shape[-1])))
         for j in range(grid.height) for i in range(grid.width))
     if worst_hol > adm_tol:
         raise PreconditionError(
@@ -162,7 +162,7 @@ def oracle_recover(lagrangian, grid, y, seed, ep_tol, cons_tol, adm_tol):
         _, v_s = _uv(y, grid, i, j - 1)
         assign(grid.face_id(i, j - 1), adjoint(v_s, right_u + lam_here))
         assign(grid.face_id(i - 1, j), adjoint(u_w, lam_here - right_v))
-    n = y.fiber.n
+    n = y.shape[-1]
     unconstrained = tuple(f for f in grid.faces if f not in values)
     for f in unconstrained:
         values[f] = np.zeros((n, n))
@@ -170,7 +170,7 @@ def oracle_recover(lagrangian, grid, y, seed, ep_tol, cons_tol, adm_tol):
 
 
 def oracle_reconstruction(grid, y, seed, tol):
-    eye = np.eye(y.fiber.n)
+    eye = np.eye(y.shape[-1])
     worst_face, worst = None, 0.0
     for j in range(grid.height):
         for i in range(grid.width):
@@ -181,10 +181,10 @@ def oracle_reconstruction(grid, y, seed, tol):
         raise HolonomyError(worst_face, worst)
 
     def u_of(i, j):
-        return y.values[grid.vertex_id(i, j)][0]
+        return y[grid.vertex_id(i, j)][0]
 
     def v_of(i, j):
-        return y.values[grid.vertex_id(i, j)][1]
+        return y[grid.vertex_id(i, j)][1]
 
     rows = {grid.vertex_id(0, 0): seed}
     for i in range(grid.width):
@@ -205,7 +205,7 @@ def oracle_reconstruction(grid, y, seed, tol):
 
 def oracle_reduced_variation(grid, g, theta):
     y = oracle_reduce_field(grid, g)
-    zero = np.zeros((g.values.shape[-1],) * 2)
+    zero = np.zeros((g.shape[-1],) * 2)
     values = {}
     for vid, (u, v) in y.items():
         i, j = grid.vertex_ij(vid)
@@ -255,11 +255,11 @@ def _bits(a, b):
 @pytest.mark.parametrize("n,w,h,flat", CASES, ids=IDS)
 def test_window_equations_match_oracle(n, w, h, flat):
     grid, rng, g, y, lam = _case(n, w, h, flat)
-    lagrangian = TraceLagrangian(n)
+    lagrangian = TraceLagrangian()
 
     far = grid.vertex_id(w, h)
     reduced = red.reduce_field(grid, g)
-    assert _same_per_vertex(reduced.values, oracle_reduce_field(grid, g),
+    assert _same_per_vertex(reduced, oracle_reduce_field(grid, g),
                             far, np.eye(n))
 
     hol = red.plaquette_holonomy(grid, y)
@@ -284,7 +284,7 @@ def test_window_equations_match_oracle(n, w, h, flat):
 
     theta = lg.random_skew(n, rng, 1.0, (len(grid.vertices),))
     dv = red.reduced_variation(grid, g, theta)
-    assert _same_per_vertex(dv.values, oracle_reduced_variation(grid, g, theta),
+    assert _same_per_vertex(dv, oracle_reduced_variation(grid, g, theta),
                             far, np.zeros((n, n)))
 
 
@@ -292,8 +292,8 @@ def _assert_same_recovery(lagrangian, grid, y, seed, **tols):
     values, max_disc, compared, unconstrained, discs = oracle_recover(
         lagrangian, grid, y, seed, **tols)
     lam, rep = red.recover_multipliers(lagrangian, grid, y, seed, **tols)
-    assert sorted(values) == list(range(len(lam.values)))
-    assert all(_bits(lam.values[f], values[f]) for f in values)
+    assert sorted(values) == list(range(len(lam)))
+    assert all(_bits(lam[f], values[f]) for f in values)
     assert rep.max_discrepancy == max_disc
     assert rep.compared_faces == compared
     assert rep.unconstrained_faces == unconstrained
@@ -317,7 +317,7 @@ def test_recovery_sweep_matches_oracle(n, w, h, flat):
     """Off the critical set (preconditions switched off) the recurrence still
     stores, compares and raises exactly like the vertex sweep."""
     grid, rng, _, y, _ = _case(n, w, h, flat)
-    lagrangian = TraceLagrangian(n)
+    lagrangian = TraceLagrangian()
     seed = lg.random_skew(n, rng, 0.3)
     loose = dict(ep_tol=np.inf, cons_tol=np.inf, adm_tol=np.inf)
     discs = _assert_same_recovery(lagrangian, grid, y, seed, **loose)
@@ -341,7 +341,7 @@ def test_recovery_on_solved_section_matches_oracle(n):
     boundary = hm.random_boundary(grid, n, seed=n, scale=0.3)
     _, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary,
                                                          g_tol=1e-11))
-    lagrangian = TraceLagrangian(n)
+    lagrangian = TraceLagrangian()
     tols = dict(ep_tol=1e-8, cons_tol=1e-9, adm_tol=1e-10)
     zero = np.zeros((n, n))
     discs = _assert_same_recovery(lagrangian, grid, report.section, zero, **tols)
@@ -358,8 +358,8 @@ def test_reconstruction_matches_oracle(n, w, h, flat):
     tol = np.inf if not flat else 1e-10
     field, worst, worst_face, agreement = oracle_reconstruction(grid, y, seed, tol)
     rep = red.reconstruction_report(grid, y, seed, tol=tol)
-    assert list(field) == list(range(len(rep.field.values)))
-    assert all(_bits(rep.field.values[v], field[v]) for v in field)
+    assert list(field) == list(range(len(rep.field)))
+    assert all(_bits(rep.field[v], field[v]) for v in field)
     assert (rep.max_plaquette_defect, rep.worst_face, rep.path_agreement) \
         == (worst, worst_face, agreement)
     if not flat:
@@ -379,9 +379,9 @@ def test_recovery_without_interior_and_single_vertex():
         y = red.reduce_field(grid, sampling.random_unreduced_field(
             grid, n, np.random.default_rng(0)))
         with pytest.raises(PreconditionError, match="no interior vertices"):
-            red.recover_multipliers(TraceLagrangian(n), grid, y, np.zeros((n, n)))
+            red.recover_multipliers(TraceLagrangian(), grid, y, np.zeros((n, n)))
     grid, rng, _, y, _ = _case(n, 2, 2, True)
     seed = lg.random_skew(n, rng, 0.3)
-    discs = _assert_same_recovery(TraceLagrangian(n), grid, y, seed,
+    discs = _assert_same_recovery(TraceLagrangian(), grid, y, seed,
                                   ep_tol=np.inf, cons_tol=np.inf, adm_tol=np.inf)
     assert discs == []

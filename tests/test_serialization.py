@@ -3,7 +3,7 @@ import pytest
 
 from groupvar import sampling, serialization as ser
 from groupvar.complexes import triangulated_grid
-from groupvar.reduction import UnreducedField, reduce_field
+from groupvar.reduction import reduce_field
 
 
 def test_reduced_section_roundtrip_bit_exact(tmp_path):
@@ -14,8 +14,8 @@ def test_reduced_section_roundtrip_bit_exact(tmp_path):
     ser.save_reduced_section(path, grid, y)
     grid2, y2 = ser.load_reduced_section(path)
     assert (grid2.width, grid2.height) == (3, 2)
-    assert y2.values.shape == y.values.shape
-    assert np.array_equal(y.values, y2.values)
+    assert y2.shape == y.shape
+    assert np.array_equal(y, y2)
     ser.save_reduced_section(tmp_path / "again.txt", grid2, y2)
     assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
@@ -27,7 +27,7 @@ def test_unreduced_field_roundtrip(tmp_path):
     path = tmp_path / "field.txt"
     ser.save_unreduced_field(path, grid, g)
     _, g2 = ser.load_unreduced_field(path)
-    assert np.array_equal(g.values, g2.values)
+    assert np.array_equal(g, g2)
 
 
 def test_multiplier_roundtrip(tmp_path):
@@ -37,7 +37,7 @@ def test_multiplier_roundtrip(tmp_path):
     path = tmp_path / "mult.txt"
     ser.save_multiplier(path, grid, lam)
     _, lam2 = ser.load_multiplier(path)
-    assert np.array_equal(lam.values, lam2.values)
+    assert np.array_equal(lam, lam2)
 
 
 def test_loader_rejects_garbage(tmp_path):
@@ -119,7 +119,7 @@ def test_far_corner_record_is_optional_for_sections_only(tmp_path):
     lines = path.read_text().splitlines()
     assert not any(line.startswith("v 3 2 ") for line in lines)
     grid, y = load(path)
-    assert np.array_equal(y.values[grid.vertex_id(3, 2)], np.stack([np.eye(3)] * 2))
+    assert np.array_equal(y[grid.vertex_id(3, 2)], np.stack([np.eye(3)] * 2))
     field_path, load_field = _saved(tmp_path, "field")
     lines = field_path.read_text().splitlines()
     kept = [line for line in lines if not line.startswith("v 3 2 ")]
@@ -308,7 +308,7 @@ def test_saved_field_golden_text(tmp_path):
     values[1] = [[0.6, -0.8], [0.8, 0.6]]
     values[8] = [[-1.0, -0.0], [0.0, -1.0]]
     path = tmp_path / "field.txt"
-    ser.save_unreduced_field(path, grid, UnreducedField(values))
+    ser.save_unreduced_field(path, grid, values)
     assert path.read_text() == (
         "groupvar-field v1\n"
         "kind=unreduced_field\n"
@@ -326,7 +326,7 @@ def test_saved_field_golden_text(tmp_path):
         "v 1 2 1.0 0.0 0.0 1.0\n"
         "v 2 2 -1.0 -0.0 0.0 -1.0\n")
     _, loaded = ser.load_unreduced_field(path)
-    assert np.array_equal(loaded.values, values)
+    assert np.array_equal(loaded, values)
 
 
 def _joined_save(path, kind, grid, tag, values, components):
@@ -354,12 +354,12 @@ def test_blocked_writer_matches_the_joined_text(tmp_path, width, height):
     section = reduce_field(grid, field)
     multiplier = sampling.random_multiplier(grid, 3, rng)
     for save, kind, tag, data, records, components in (
-            (ser.save_unreduced_field, "unreduced_field", "v", field, field.values, 1),
+            (ser.save_unreduced_field, "unreduced_field", "v", field, field, 1),
             # the far corner of a section is not written
             (ser.save_reduced_section, "reduced_section", "v", section,
-             section.values[:-1], 2),
+             section[:-1], 2),
             (ser.save_multiplier, "multiplier", "f", multiplier,
-             multiplier.values, 1)):
+             multiplier, 1)):
         got, want = tmp_path / f"{kind}.txt", tmp_path / f"{kind}.want"
         save(got, grid, data)
         _joined_save(want, kind, grid, tag, records, components)
