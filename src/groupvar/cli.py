@@ -38,9 +38,6 @@ from .harmonic import SolverConfig, TraceLagrangian
 
 BOUNDARY_GENERATOR = "uniform-coordinate-geodesic"
 
-SUITES = ("split", "cartan", "flatness", "noether", "multisymplectic",
-          "multipliers", "elimination", "regularity")
-
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -66,38 +63,44 @@ def _positive(value) -> bool:
     return value > 0
 
 
-SOLVE, VERIFY, REBUILD, RECOVER = ("solve", "verify", "reconstruct",
-                                   "recover-multipliers")
-_SOLVING, _TOLS = (SOLVE, VERIFY), "tolerances must be positive"
+SOLVE, REBUILD, RECOVER = "solve", "reconstruct", "recover-multipliers"
+# The verify suites by the settings they read: drawing, solving, regularity.
+DRAWING = ("verify split", "verify cartan", "verify flatness")
+SOLVING = ("verify noether", "verify multisymplectic", "verify multipliers",
+           "verify elimination")
+SUITES = (*DRAWING, *SOLVING, "verify regularity")
+_WINDOW, _TOLS = (SOLVE, *SOLVING), "tolerances must be positive"
 # One row per setting: its default; its check (None: the type alone) and the
 # message a failed check raises, ``{value!r}`` naming the value; the
-# subcommands that read it; the flag's help (None: a config-only key).  A
-# subcommand takes the flag and the config key of exactly the settings it
-# reads, and checks them in row order.
+# subcommands and suites that read it; the flag's help (None: a config-only
+# key).  A reader takes the flag and the config key of exactly the settings
+# it reads, and checks them in row order.
 SETTINGS = {
-    "n": (3, lambda v: v >= 2, "group size n must be at least 2", _SOLVING,
+    "n": (3, lambda v: v >= 2, "group size n must be at least 2", (SOLVE, *SUITES),
           "group size"),
-    "width": (6, _positive, "grid dimensions must be positive", _SOLVING,
+    "width": (6, _positive, "grid dimensions must be positive", _WINDOW,
               "window width"),
-    "height": (6, _positive, "grid dimensions must be positive", _SOLVING,
+    "height": (6, _positive, "grid dimensions must be positive", _WINDOW,
                "window height"),
     "boundary": ("random", lambda v: v in ("identity", "random") or Path(v).exists(),
                  "boundary must be identity, random, or an existing field file, "
-                 "got {value!r}", _SOLVING, "identity, random, or a field file"),
-    "seed": (42, None, "", (SOLVE, VERIFY, RECOVER), "random seed"),
+                 "got {value!r}", _WINDOW, "identity, random, or a field file"),
+    "seed": (42, lambda v: v >= 0, "seed must be nonnegative, got {value!r}",
+             (SOLVE, *SUITES, RECOVER), "random seed"),
     "scale": (0.1, _finite_nonnegative, "scale must be finite and nonnegative, "
-              "got {value!r}", _SOLVING, "boundary perturbation scale"),
+              "got {value!r}", _WINDOW, "boundary perturbation scale"),
     "g_tol": (G_TOL, _positive, _TOLS, (SOLVE,), "solver gradient tolerance"),
     "ep_tol": (EP_TOL, _positive, _TOLS, (SOLVE, RECOVER), "accepted reduced residual"),
-    "cons_tol": (CONS_TOL, _positive, _TOLS, (VERIFY, RECOVER),
+    "cons_tol": (CONS_TOL, _positive, _TOLS, ("verify multipliers", RECOVER),
                  "sweep consistency tolerance"),
     "adm_tol": (TOL_ADMISSIBLE, _positive, _TOLS, (REBUILD, RECOVER), None),
-    "rank_tol": (RANK_TOL, _positive, _TOLS, (VERIFY,), None),
+    "rank_tol": (RANK_TOL, _positive, _TOLS, ("verify regularity",), None),
     "max_iterations": (5000, lambda v: v >= 0, "max_iterations must be nonnegative",
-                       _SOLVING, "trust-region step budget"),
-    "instances": (100, lambda v: v >= 1, "instances must be at least 1", (VERIFY,),
-                  "checks per suite"),
-    "out": (".", None, "", (SOLVE, VERIFY, REBUILD, RECOVER), "output directory"),
+                       _WINDOW, "trust-region step budget"),
+    # verify multipliers reads none: it takes the benchmark warm-up's --instances 2
+    "instances": (100, lambda v: v >= 1, "instances must be at least 1",
+                  (*DRAWING, "verify multipliers"), "checks per suite"),
+    "out": (".", None, "", (SOLVE, *SUITES, REBUILD, RECOVER), "output directory"),
 }
 
 
@@ -168,9 +171,9 @@ def _write_history(path: Path, history: list[dict]) -> None:
 
 def cmd_solve(args) -> int:
     cfg = _settings(args)
-    out = _out_dir(cfg)
     grid = triangulated_grid(cfg["width"], cfg["height"])
     boundary = _boundary_map(cfg, grid)
+    out = _out_dir(cfg)
     solver_cfg = SolverConfig(boundary=boundary, g_tol=cfg["g_tol"],
                               max_iterations=cfg["max_iterations"])
     try:
@@ -437,24 +440,11 @@ def _suite_regularity(cfg, rng):
 
 def cmd_verify(args) -> int:
     cfg = _settings(args)
-    out = _out_dir(cfg)
-    rng = np.random.default_rng(cfg["seed"])
     suite = args.suite
-    runners = {
-        "split": _suite_split,
-        "cartan": _suite_cartan,
-        "flatness": _suite_flatness,
-        "noether": lambda c, r: _suite_noether(
-            c, r, break_symmetry=getattr(args, "break_symmetry", False)),
-        "multisymplectic": _suite_multisymplectic,
-        "multipliers": _suite_multipliers,
-        "elimination": _suite_elimination,
-        "regularity": _suite_regularity,
-    }
-    passed, records = runners[suite](cfg, rng)
+    passed, records = args.run(cfg, np.random.default_rng(cfg["seed"]))
     report = {"suite": suite, "seed": cfg["seed"], "passed": passed}
     report.update(records)
-    serialization.write_report(out / f"verify_{suite}.txt", report)
+    serialization.write_report(_out_dir(cfg) / f"verify_{suite}.txt", report)
     # the worst defect; the multiplier distance and the free sigma_min, the
     # regularity suite's checks, are margins that must be large to pass
     if suite == "regularity":
@@ -477,7 +467,6 @@ def cmd_verify(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     cfg = _settings(args)
-    out = _out_dir(cfg)
     grid, y = serialization.load_reduced_section(args.section)
     if args.seed_file:
         sgrid, sfield = serialization.load_unreduced_field(args.seed_file)
@@ -492,6 +481,7 @@ def cmd_reconstruct(args) -> int:
         print(f"reconstruct: holonomy defect {exc.defect:.3e} at plaquette "
               f"({i}, {j})", file=sys.stderr)
         return 1
+    out = _out_dir(cfg)
     serialization.save_unreduced_field(out / "unreduced_field.txt", grid, rep.field)
     serialization.write_report(out / "reconstruct_report.txt", {
         "max_plaquette_defect": rep.max_plaquette_defect,
@@ -506,7 +496,6 @@ def cmd_recover_multipliers(args) -> int:
     if not _finite_nonnegative(args.seed_scale):
         raise ValueError(f"--seed-scale must be finite and nonnegative, "
                          f"got {args.seed_scale!r}")
-    out = _out_dir(cfg)
     grid, y = serialization.load_reduced_section(args.section)
     n = y.shape[-1]
     lagrangian = TraceLagrangian()
@@ -522,6 +511,7 @@ def cmd_recover_multipliers(args) -> int:
     except (PreconditionError, RecoveryConflictError) as exc:
         print(f"recover-multipliers: {exc}", file=sys.stderr)
         return 1
+    out = _out_dir(cfg)
     serialization.save_multiplier(out / "multiplier.txt", grid, lam)
     worst = rep.max_system_residual
     serialization.write_report(out / "recovery_report.txt", {
@@ -562,26 +552,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     parsers = {}
 
-    def command(name, func, help):
-        parsers[name] = p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.set_defaults(func=func)
+    def command(name, func, within=sub, **kwargs):
+        parsers[name] = p = within.add_parser(name.split()[-1], allow_abbrev=False,
+                                              **kwargs)
+        p.set_defaults(func=func, command=name)
         return p
 
-    command(SOLVE, cmd_solve, "solve the boundary problem")
-    p_verify = command(VERIFY, cmd_verify, "run an identity suite")
-    p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--break-symmetry", action="store_true",
-                          help="negative control: use a non-symmetry field")
-    p_rec = command(REBUILD, cmd_reconstruct, "rebuild a vertex field")
+    command(SOLVE, cmd_solve, help="solve the boundary problem")
+    verify = sub.add_parser("verify", help="run an identity suite", allow_abbrev=False)
+    suites = verify.add_subparsers(dest="suite", required=True)
+    for run in (_suite_split, _suite_cartan, _suite_flatness, _suite_noether,
+                _suite_multisymplectic, _suite_multipliers, _suite_elimination,
+                _suite_regularity):
+        name = run.__name__.replace("_suite_", "verify ")
+        command(name, cmd_verify, within=suites).set_defaults(run=run)
+    parsers["verify noether"].add_argument(
+        "--break-symmetry", dest="run", action="store_const",
+        const=functools.partial(_suite_noether, break_symmetry=True),
+        help="negative control: use a non-symmetry field")
+    p_rec = command(REBUILD, cmd_reconstruct, help="rebuild a vertex field")
     p_rec.add_argument("--section", required=True, help="reduced section file")
     p_rec.add_argument("--seed-file", dest="seed_file",
                        help="field file providing the origin value")
     p_mul = command(RECOVER, cmd_recover_multipliers,
-                    "solve the multiplier system along a section")
+                    help="solve the multiplier system along a section")
     p_mul.add_argument("--section", required=True, help="reduced section file")
     p_mul.add_argument("--seed-scale", dest="seed_scale", type=float, default=0.0,
                        help="scale of a seeded random corner multiplier")
-    # each subcommand's settings follow its own arguments
+    # each reader's settings follow its own arguments
     for name, p in parsers.items():
         p.add_argument("--config", help="JSON config file")
         for key, (default, _, _, commands, help) in SETTINGS.items():
@@ -589,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--" + key.replace("_", "-"), dest=key,
                                type=type(default), help=help)
 
-    p_rep = command("report", cmd_report, "pretty-print a report file")
+    p_rep = command("report", cmd_report, help="pretty-print a report file")
     p_rep.add_argument("file")
 
     return parser

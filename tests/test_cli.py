@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,19 +91,54 @@ def test_malformed_config_exits_two(tmp_path, capsys):
         capsys.readouterr()
         assert run(*argv, "--config", cfg, "--out", tmp_path / "bad") == 2
         assert capsys.readouterr().err.startswith(f"groupvar: {message}")
-    for flags in (("--instances", 0), ("--instances", -3), ("--cons-tol", -1)):
-        assert run("verify", "split", *flags, "--out", tmp_path / "bad") == 2
+    for argv in (("split", "--instances", 0), ("split", "--instances", -3),
+                 ("multipliers", "--cons-tol", -1)):
+        assert run("verify", *argv, "--out", tmp_path / "bad") == 2
     assert not (tmp_path / "bad").exists()
     cfg.write_text(json.dumps({"out": 3}))
     assert run("solve", "--config", cfg) == 2
 
 
-# The settings each subcommand reads: its flags (all but the config-only
-# adm_tol and rank_tol, plus --config) and its config keys.
+@pytest.mark.parametrize("argv", [("solve",), ("verify", "split"),
+                                  ("recover-multipliers", "--section", "none.txt")])
+def test_negative_seed_is_a_setting_error(tmp_path, capsys, argv):
+    """A negative seed, from a flag or a config key, exits 2 with a message
+    that names the setting, and nothing is written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -2}))
+    for flags, value in ((("--seed", -1), -1), (("--config", cfg), -2)):
+        assert run(*argv, *flags, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == \
+            f"groupvar: seed must be nonnegative, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_input_errors_write_nothing(tmp_path, capsys):
+    """A missing section or a malformed boundary file exits 2 before the
+    output directory is made."""
+    boundary = tmp_path / "boundary.txt"
+    boundary.write_text("not a field file\n")
+    for argv in (("recover-multipliers", "--section", tmp_path / "missing.txt"),
+                 ("reconstruct", "--section", tmp_path / "missing.txt"),
+                 ("solve", "--boundary", boundary),
+                 ("verify", "noether", "--boundary", boundary)):
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("groupvar: ")
+        assert not (tmp_path / "out").exists()
+
+
+# The settings each subcommand or verify suite reads: its flags (all but the
+# config-only adm_tol and rank_tol, plus --config) and its config keys.
 READS = {
     "solve": "n width height boundary seed scale g_tol ep_tol max_iterations out",
-    "verify": "n width height boundary seed scale cons_tol rank_tol max_iterations "
-              "instances out",
+    **dict.fromkeys(("verify split", "verify cartan", "verify flatness"),
+                    "n seed instances out"),
+    **dict.fromkeys(("verify noether", "verify multisymplectic", "verify elimination"),
+                    "n width height boundary seed scale max_iterations out"),
+    # takes instances, which it does not read, for the benchmark's warm-up
+    "verify multipliers": "n width height boundary seed scale cons_tol "
+                          "max_iterations instances out",
+    "verify regularity": "n seed rank_tol out",
     "reconstruct": "adm_tol out",
     "recover-multipliers": "seed ep_tol cons_tol adm_tol out",
 }
@@ -113,51 +150,90 @@ VALUES = {"n": 5, "width": 4, "height": 4, "boundary": "random", "seed": 5,
           "adm_tol": 1e-9, "rank_tol": 1e-8, "max_iterations": 7, "instances": 2,
           "out": "."}
 SHARED_FLAGS = [key for key in VALUES if key not in CONFIG_ONLY]
-PREFIX = {"solve": ["solve"], "verify": ["verify", "split"],
-          "reconstruct": ["reconstruct", "--section", "section.txt"],
-          "recover-multipliers": ["recover-multipliers", "--section", "section.txt"]}
+PREFIX = {reader: reader.split() for reader in READS} | {
+    "reconstruct": ["reconstruct", "--section", "section.txt"],
+    "recover-multipliers": ["recover-multipliers", "--section", "section.txt"]}
+
+
+def _unread(keys):
+    """Each (subcommand, key) that some reader of the subcommand does not
+    read, with those readers: a verify case covers every such suite.
+    --break-symmetry is a flag of the noether suite alone."""
+    cases = {}
+    for reader, reads in READS.items():
+        for key in keys:
+            if key not in reads.split() and (reader, key) != ("verify noether",
+                                                              "break_symmetry"):
+                cases.setdefault((reader.split()[0], key), []).append(reader)
+    return cases
+
+
+UNREAD_FLAGS = _unread(SHARED_FLAGS + ["break_symmetry"])
+UNREAD_KEYS = _unread(VALUES)
+
+
+def _leaf_parsers(parser, prefix=""):
+    """Every parser without subcommands, by the words that select it."""
+    subs = [a for a in parser._actions if isinstance(a, cli.argparse._SubParsersAction)]
+    if not subs:
+        return {prefix.strip(): parser}
+    return {reader: leaf for name, p in subs[0].choices.items()
+            for reader, leaf in _leaf_parsers(p, f"{prefix}{name} ").items()}
 
 
 def test_each_subcommand_takes_the_settings_it_reads():
-    own = {"solve": set(), "verify": {"suite", "break_symmetry"},
-           "reconstruct": {"section", "seed_file"},
+    own = {"verify noether": {"run"}, "reconstruct": {"section", "seed_file"},
            "recover-multipliers": {"section", "seed_scale"}}
-    subparsers = next(a for a in cli.build_parser()._actions
-                      if isinstance(a, cli.argparse._SubParsersAction)).choices
+    leaves = _leaf_parsers(cli.build_parser())
+    assert set(leaves) == set(READS) | {"report"}
     for command, reads in READS.items():
-        dests = {a.dest for a in subparsers[command]._actions} - {"help"}
+        dests = {a.dest for a in leaves[command]._actions} - {"help"}
         flags = set(reads.split()) - set(CONFIG_ONLY)
-        assert dests == flags | {"config"} | own[command]
+        assert dests == flags | {"config"} | own.get(command, set())
         assert set(reads.split()) == {k for k, row in cli.SETTINGS.items()
                                       if command in row[3]}
 
 
-@pytest.mark.parametrize("command, key", [
-    (command, key) for command, reads in READS.items()
-    for key in SHARED_FLAGS if key not in reads.split()])
+@pytest.mark.parametrize("command, key", list(UNREAD_FLAGS))
 def test_unread_flags_exit_two(tmp_path, monkeypatch, command, key):
-    """A flag the subcommand does not read is a usage error: argparse exits 2
-    and nothing is written; no flag is taken as an abbreviation of another."""
+    """A flag the subcommand or suite does not read is a usage error:
+    argparse exits 2 and nothing is written; no flag is taken as an
+    abbreviation of another."""
     monkeypatch.chdir(tmp_path)
-    flag = "--" + key.replace("_", "-")
-    with pytest.raises(SystemExit) as exc:
-        run(*PREFIX[command], flag, VALUES[key], "--out", "out")
-    assert exc.value.code == 2
+    flag = ["--" + key.replace("_", "-"), *([VALUES[key]] if key in VALUES else [])]
+    for reader in UNREAD_FLAGS[command, key]:
+        with pytest.raises(SystemExit) as exc:
+            run(*PREFIX[reader], *flag, "--out", "out")
+        assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command, key", [
-    (command, key) for command, reads in READS.items()
-    for key in VALUES if key not in reads.split()])
+@pytest.mark.parametrize("command, key", list(UNREAD_KEYS))
 def test_unread_config_keys_exit_two(tmp_path, capsys, command, key):
-    """A config key the subcommand does not read exits 2, named as unknown,
-    before anything is written."""
+    """A config key the subcommand or suite does not read exits 2, named as
+    unknown, before anything is written."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: VALUES[key]}))
-    argv = [a if a != "section.txt" else tmp_path / a for a in PREFIX[command]]
-    assert run(*argv, "--config", cfg, "--out", tmp_path / "out") == 2
-    assert capsys.readouterr().err == f"groupvar: unknown config keys: ['{key}']\n"
+    for reader in UNREAD_KEYS[command, key]:
+        argv = [a if a != "section.txt" else tmp_path / a for a in PREFIX[reader]]
+        assert run(*argv, "--config", cfg, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"groupvar: unknown config keys: ['{key}']\n"
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_parser_takes_the_benchmark_command_lines(monkeypatch, tmp_path):
+    """Every command line the benchmark builds parses to valid settings: the
+    warm-up of each workload, one solve operation's three commands and one
+    certify round, the broken-symmetry control included."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    wl = importlib.import_module("perfbench.workloads")
+    ops = [wl.warmup_operation(workload, 1) for workload in wl.WORKLOADS]
+    ops += wl.operations("solve-rough", 1, 1.0)[:1] + wl.operations("certify", 1, 1.0)
+    argvs = [argv for op in ops for argv in op.commands(tmp_path)]
+    assert len(argvs) == 2 * 3 + 1 + 3 + 9
+    assert sum("--break-symmetry" in argv for argv in argvs) == 1
+    for argv in argvs:
+        cli._settings(cli.build_parser().parse_args(argv))
 
 
 def test_verify_multipliers_passes_its_cons_tol_to_the_recovery(tmp_path,
@@ -198,7 +274,8 @@ def test_iteration_budget_covers_newton_steps(tmp_path, capsys):
 
 @pytest.mark.parametrize("suite", ["split", "cartan", "flatness", "regularity"])
 def test_verify_algebra_suites(tmp_path, suite):
-    assert run("verify", suite, "--instances", 10, "--out", tmp_path) == 0
+    instances = () if suite == "regularity" else ("--instances", 10)
+    assert run("verify", suite, *instances, "--out", tmp_path) == 0
     assert (tmp_path / f"verify_{suite}.txt").exists()
 
 
@@ -437,10 +514,10 @@ def test_recover_multipliers_honours_adm_tol(tmp_path, capsys):
     assert not (mout / "multiplier.txt").exists()
 
 
-def _summary_worst(capsys, suite, out):
+def _summary_worst(capsys, out, suite, *flags):
     """The report records and the (key, value) the summary line names."""
     capsys.readouterr()
-    assert run("verify", suite, "--width", 4, "--height", 4, "--out", out) == 0
+    assert run("verify", suite, *flags, "--out", out) == 0
     line = capsys.readouterr().out.strip()
     key, value = line.split(" worst=")[1].split("=")
     report = dict(row.split("=", 1) for row in
@@ -452,13 +529,14 @@ def test_verify_summary_names_a_defect_not_a_margin(tmp_path, capsys):
     """The multipliers suite names its largest residual or discrepancy, not
     the multiplier distance; the regularity suite its smallest free
     sigma_min, not the largest."""
-    report, key, value = _summary_worst(capsys, "multipliers", tmp_path)
+    report, key, value = _summary_worst(capsys, tmp_path, "multipliers",
+                                        "--width", 4, "--height", 4)
     defects = [k for k in report if k.startswith(("system_residual_",
                                                   "sweep_consistency_"))]
     assert len(defects) == 4 and key in defects
     assert float(report[key]) == max(float(report[k]) for k in defects)
     assert value == pytest.approx(float(report[key]), rel=1e-3)
-    report, key, value = _summary_worst(capsys, "regularity", tmp_path)
+    report, key, value = _summary_worst(capsys, tmp_path, "regularity")
     free = ("sigma_min_3x3", "sigma_min_4x4")
     assert key in free
     assert float(report[key]) == min(float(report[k]) for k in free)
