@@ -202,11 +202,6 @@ def cmd_solve(args) -> int:
         "max_constraint_residual": report.max_constraint_residual,
     })
     serialization.write_report(out / "solve_report.txt", records)
-    serialization.write_csv(
-        out / "residuals.csv", ["i", "j", "ep_residual"],
-        [(i + 1, j + 1, r)
-         for i, column in enumerate(report.per_vertex_ep.T.tolist())
-         for j, r in enumerate(column)])
     _write_history(out / "history.csv", report.history)
 
     ok = report.max_ep_residual <= cfg["ep_tol"] \
@@ -496,6 +491,10 @@ def cmd_recover_multipliers(args) -> int:
     if not _finite_nonnegative(args.seed_scale):
         raise ValueError(f"--seed-scale must be finite and nonnegative, "
                          f"got {args.seed_scale!r}")
+    if not args.seed_scale and (args.seed is not None
+                                or "seed" in _load_config(args.config)):
+        raise ValueError("the seed (--seed or the seed config key) draws the "
+                         "corner multiplier only with a positive --seed-scale")
     grid, y = serialization.load_reduced_section(args.section)
     n = y.shape[-1]
     lagrangian = TraceLagrangian()

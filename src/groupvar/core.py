@@ -293,19 +293,16 @@ class RegularityReport:
 
     ``sigma_min`` is the smallest singular value after dropping face blocks
     that no variable vertex touches (those rows are structurally zero on a
-    finite window and are listed in ``unreachable_faces``).
-    ``sigma_min_full`` keeps every row.  ``regular`` requires the map to be
-    structurally onto and numerically full rank.
+    finite window and are listed in ``unreachable_faces``).  ``regular``
+    requires the map to be structurally onto and numerically full rank.
     """
 
     rows: int
     cols: int
     sigma_min: float
-    sigma_min_full: float
     unreachable_faces: tuple[int, ...]
     structurally_surjective: bool
     regular: bool
-    rank_tol: float
 
 
 def regularity_report(constraint: ConstraintMap, y: np.ndarray, faceset: FaceSet,
@@ -337,25 +334,16 @@ def regularity_report(constraint: ConstraintMap, y: np.ndarray, faceset: FaceSet
     reachable = (column >= 0).any(axis=1)
     unreachable = tuple(faces[~reachable].tolist())
 
-    def smallest_sv(m):
-        if m.shape[0] == 0 or m.shape[1] == 0:
-            return 0.0
-        return float(np.linalg.svd(m, compute_uv=False)[-1])
-
-    keep = np.repeat(reachable, d)
-    sigma_reachable = smallest_sv(matrix[keep]) if keep.any() else 0.0
-    # with every face reachable, matrix[keep] is the matrix itself
-    sigma_full = sigma_reachable if keep.all() else smallest_sv(matrix)
+    kept = matrix[np.repeat(reachable, d)]
+    sigma = float(np.linalg.svd(kept, compute_uv=False)[-1]) if kept.size else 0.0
     structurally = rows <= cols and not unreachable
     return RegularityReport(
         rows=rows,
         cols=cols,
-        sigma_min=sigma_reachable,
-        sigma_min_full=sigma_full,
+        sigma_min=sigma,
         unreachable_faces=unreachable,
         structurally_surjective=structurally,
-        regular=structurally and sigma_reachable > rank_tol,
-        rank_tol=rank_tol,
+        regular=structurally and sigma > rank_tol,
     )
 
 
@@ -491,17 +479,15 @@ class NoetherReport:
     """Boundary sum of the extended Cartan forms on a symmetry field.
 
     ``symmetry_ok`` records whether the field actually left the Lagrangian
-    and the constraint invariant along the section, within ``tol``
-    (``SYMMETRY_TOL``); the sum
-    is returned either way and is only predicted to vanish when the check
-    passes and (y, lam) is critical.
+    and the constraint invariant along the section, within ``SYMMETRY_TOL``;
+    the sum is returned either way and is only predicted to vanish when the
+    check passes and (y, lam) is critical.
     """
 
     boundary_sum: float
     lagrangian_defect: float
     constraint_defect: float
     symmetry_ok: bool
-    tol: float
 
 
 def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMap,
@@ -521,7 +507,7 @@ def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMa
     con_defect = max_norm(block_norms(dphi[0].sum(axis=1)))
     total = float(_vertex_major_sums(vertices, terms, frontier)[0])
     ok = lag_defect <= SYMMETRY_TOL and con_defect <= SYMMETRY_TOL
-    return NoetherReport(total, lag_defect, con_defect, ok, SYMMETRY_TOL)
+    return NoetherReport(total, lag_defect, con_defect, ok)
 
 
 def section_exp(y: np.ndarray, dy: np.ndarray, t: float) -> np.ndarray:

@@ -121,11 +121,10 @@ class SolveReport:
 
     Residual fields are recomputed from the returned field with the public
     residual operations, not taken from solver internals: ``section`` is its
-    read-only (V, 2, n, n) reduced section, ``per_vertex_ep`` the (H-1, W-1)
-    array of reduced residual norms indexed [j-1, i-1].  ``history`` has one
-    record for the start and one per accepted step: iteration, objective
-    (the Dirichlet energy), trace action, max per-vertex gradient norm and
-    the coordinate norm of the step.  The counters are deterministic: trust-region steps
+    read-only (V, 2, n, n) reduced section.  ``history`` has one record for
+    the start and one per accepted step: iteration, objective (the Dirichlet
+    energy), trace action, max per-vertex gradient norm and the coordinate
+    norm of the step.  The counters are deterministic: trust-region steps
     (``iterations``), the rejected ones among them (``backtracks``),
     evaluations of the interior gradient (``residual_evaluations``: one at
     the start and one per accepted step) and Hessian-vector products
@@ -142,7 +141,6 @@ class SolveReport:
     max_ep_residual: float
     max_constraint_residual: float
     section: np.ndarray
-    per_vertex_ep: np.ndarray
     history: list[dict] = field(default_factory=list)
 
 
@@ -542,7 +540,6 @@ def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
         max_ep_residual=max_norm(ep),
         max_constraint_residual=max_norm(flat),
         section=y,
-        per_vertex_ep=ep,
         history=history,
     )
     return field_, report
@@ -599,7 +596,6 @@ def conjugation_symmetry_field(y: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoetherScenarioReport:
-    solve: SolveReport
     noether: NoetherReport
     boundary_sum: float
     threshold: float
@@ -628,8 +624,7 @@ def run_noether_scenario(grid: TriangulatedGrid, config: SolverConfig,
                                    faceset)
     threshold = _NOETHER_TOL_FACTOR * (1.0 + abs(solve_report.final_action))
     passed = noether.symmetry_ok and abs(noether.boundary_sum) <= threshold
-    return NoetherScenarioReport(solve_report, noether,
-                                 noether.boundary_sum, threshold, passed)
+    return NoetherScenarioReport(noether, noether.boundary_sum, threshold, passed)
 
 
 @dataclass(frozen=True)

@@ -284,7 +284,6 @@ class RecoveryReport:
 
     seed_face: int
     max_discrepancy: float
-    compared_faces: tuple[int, ...]
     unconstrained_faces: tuple[int, ...]
     max_system_residual: float
 
@@ -353,11 +352,9 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
             lam[0, i] = south[0]
         lam[1:, i - 1] = adjoint(u[1:-1, i - 1], lam[1:, i] - right[1:, i, 1])
 
-    compared = tuple(grid.face_id(i, k) for k in range(1, height - 1)
-                     for i in range(1, width - 1))
     residual = max_norm(*map(block_norms, _interior_system(p, right, lam)))
     report = RecoveryReport(grid.face_id(width - 1, height - 1), max_disc,
-                            compared, (grid.face_id(0, 0),), residual)
+                            (grid.face_id(0, 0),), residual)
     return read_only(lam.reshape(-1, n, n)), report
 
 

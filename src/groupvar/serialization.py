@@ -38,9 +38,9 @@ __all__ = [
 
 
 def format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    """A float, numpy's included, by ``repr`` of its Python float; anything
+    else by ``str``."""
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 

@@ -18,12 +18,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+SOLVE_FILES = {"solve_report.txt", "unreduced_field.txt", "reduced_section.txt",
+               "history.csv"}
+
+
 def test_solve_writes_files_and_exits_zero(tmp_path):
     out = tmp_path / "run"
     assert run("solve", "--width", 4, "--height", 4, "--out", out) == 0
-    for name in ("solve_report.txt", "unreduced_field.txt",
-                 "reduced_section.txt", "residuals.csv", "history.csv"):
-        assert (out / name).exists()
+    assert {p.name for p in out.iterdir()} == SOLVE_FILES
     report = dict(line.split("=", 1)
                   for line in (out / "solve_report.txt").read_text().splitlines())
     assert report["converged"] == "True"
@@ -40,8 +42,7 @@ def test_solve_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("solve", "--out", a) == 0
     assert run("solve", "--out", b) == 0
-    for name in ("solve_report.txt", "unreduced_field.txt",
-                 "reduced_section.txt", "residuals.csv", "history.csv"):
+    for name in SOLVE_FILES:
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -612,6 +613,25 @@ def test_scale_flags_must_be_finite_and_nonnegative(tmp_path, capsys, solved_sec
     assert not (tmp_path / "out").exists()
 
 
+def test_seed_without_seed_scale_is_a_usage_error(tmp_path, capsys, solved_section):
+    """With a zero --seed-scale no seed is drawn, so a seed given by flag or
+    config key exits 2, naming both, and nothing is written."""
+    section = tmp_path / "section.txt"
+    section.write_text("\n".join(solved_section) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    for flags in (("--seed", 7), ("--config", cfg),
+                  ("--seed", 7, "--seed-scale", 0.0)):
+        assert run("recover-multipliers", "--section", section, *flags,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("groupvar: ") and "seed config key" in err \
+            and "--seed-scale" in err
+        assert not (tmp_path / "out").exists()
+    assert run("recover-multipliers", "--section", section, "--seed", 7,
+               "--seed-scale", 0.3, "--out", tmp_path / "out") == 0
+
+
 def test_zero_scales_are_accepted(tmp_path, solved_section):
     section = tmp_path / "section.txt"
     section.write_text("\n".join(solved_section) + "\n")
@@ -770,13 +790,11 @@ def test_field_header_group_size_below_two_exits_two(tmp_path, capsys, command,
 
 
 def test_solve_csv_files_are_golden(tmp_path):
-    """residuals.csv and history.csv of one small solve, byte for byte:
-    comma-separated, floats by repr, CRLF line ends."""
+    """history.csv of one small solve, byte for byte: comma-separated,
+    floats by repr, CRLF line ends."""
     out = tmp_path / "run"
     assert run("solve", "--boundary", "identity", "--width", 3, "--height", 2,
                "--out", out) == 0
-    assert (out / "residuals.csv").read_bytes() == \
-        b"i,j,ep_residual\r\n1,1,0.0\r\n2,1,0.0\r\n"
     assert (out / "history.csv").read_bytes() == (
         b"iteration,phase,objective,action,max_gradient,step\r\n"
         b"0,start,0.0,36.0,0.0,0.0\r\n")
@@ -784,7 +802,8 @@ def test_solve_csv_files_are_golden(tmp_path):
 
 def test_write_csv_matches_the_csv_module(tmp_path):
     """The writer gives the bytes of csv.writer's default dialect on the
-    kinds of value the reports hold."""
+    kinds of value the reports hold, a numpy float as its Python float's
+    repr; so does a report."""
     import csv
     rows = [(1, "newton", 0.1, np.float64(-2.5e-300), float("nan"), None),
             (2, "start", 1e16, 3, float("inf"), np.int64(7))]
@@ -793,6 +812,8 @@ def test_write_csv_matches_the_csv_module(tmp_path):
     with open(tmp_path / "want.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([ser.format_value(x) for x in row])
+        writer.writerow(["1", "newton", "0.1", "-2.5e-300", "nan", "None"])
+        writer.writerow(["2", "start", "1e+16", "3", "inf", "7"])
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    ser.write_report(tmp_path / "report.txt", {"k": np.float64(0.5)})
+    assert (tmp_path / "report.txt").read_text() == "k=0.5\n"
