@@ -234,13 +234,21 @@ def _split_draws(grid, n: int, rng, count: int):
     return logs, coords_to_skew(lam.reshape(count, faces, d), n), dys
 
 
+def _split_block(grid, n: int) -> int:
+    """Instances per block of the split suite, sized by the largest array of
+    one instance, its (F, k, d, c d) Cartan forms, and at least two: each
+    call of the analytic forms pays an indexing cost that grows like d^2
+    whatever the block, and from n = 9 on one instance alone would fill a
+    block."""
+    return max(2, core._block_size(len(grid.faces) * 3 * 2 * algebra_dim(n) ** 2))
+
+
 def _suite_split(cfg, rng):
     n = cfg["n"]
     grid = triangulated_grid(3, 3)
     lagrangian, constraint = TraceLagrangian(), PlaquetteConstraint()
     faceset = grid.full_faceset()
-    # whole instances per block of jets, which bounds the stacked arrays
-    block = core._FD_BLOCK // len(grid.faces)
+    block = _split_block(grid, n)
     defects = []
     for start in range(0, cfg["instances"], block):
         logs, lams, dys = _split_draws(grid, n, rng,
@@ -253,31 +261,37 @@ def _suite_split(cfg, rng):
                             "worst_split_defect": worst, "tolerance": 1e-12}
 
 
-def _cartan_logs(grid, n: int, rng, count: int) -> np.ndarray:
-    """Logs (count, k, 2, n, n) of instance k's jet at face k mod F: one
-    uniform draw per block, row-major, so each instance draws what
-    ``random_variation(grid, n, rng, 0.5)`` would; only the coordinates of
-    the jet's vertices become matrices (the far corner adheres to no face)."""
+def _cartan_logs(grid, n: int, rng, start: int, count: int) -> np.ndarray:
+    """Logs (count, k, 2, n, n) of instances start..start+count-1, instance
+    i's jet at face i mod F: one uniform draw, row-major, so each instance
+    draws what ``random_variation(grid, n, rng, 0.5)`` would; only the
+    coordinates of the jet's vertices become matrices (the far corner
+    adheres to no face)."""
     adherence = grid.adherence_array
-    block, coords = core._FD_BLOCK // len(adherence), []
-    for start in range(0, count, block):
-        draw = rng.uniform(-1.0, 1.0, (min(block, count - start),
-                                       len(grid.vertices) - 1, 2, algebra_dim(n)))
-        faces = adherence[np.arange(start, start + len(draw)) % len(adherence)]
-        coords.append(draw[np.arange(len(draw))[:, None], faces])
-    return 0.5 * coords_to_skew(np.concatenate(coords), n)
+    draw = rng.uniform(-1.0, 1.0, (count, len(grid.vertices) - 1, 2, algebra_dim(n)))
+    faces = adherence[np.arange(start, start + count) % len(adherence)]
+    return 0.5 * coords_to_skew(draw[np.arange(count)[:, None], faces], n)
+
+
+def _cartan_block(n: int) -> int:
+    """Instances per block of the cartan suite, sized like the blocks of
+    the finite-difference oracle: d moved copies of each (k, c, n, n) jet."""
+    return core._block_size(algebra_dim(n) * 3 * 2 * n * n)
 
 
 def _suite_cartan(cfg, rng):
     n = cfg["n"]
     grid = triangulated_grid(3, 3)
     constraint = PlaquetteConstraint()
-    jets = exp_skew(_cartan_logs(grid, n, rng, cfg["instances"]))
+    block = _cartan_block(n)
     defects = []
-    for slot in range(3):
-        analytic = constraint.cartan_form(grid, jets, slot)
-        fd = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)
-        defects.append(block_norms(analytic - fd) / (1.0 + block_norms(analytic)))
+    for start in range(0, cfg["instances"], block):
+        count = min(block, cfg["instances"] - start)
+        jets = exp_skew(_cartan_logs(grid, n, rng, start, count))
+        for slot in range(3):
+            analytic = constraint.cartan_form(grid, jets, slot)
+            fd = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)
+            defects.append(block_norms(analytic - fd) / (1.0 + block_norms(analytic)))
     worst = max_norm(*defects)
     return worst <= 1e-6, {"checks": cfg["instances"] * 3,
                            "worst_cartan_defect": worst, "tolerance": 1e-6}
@@ -341,7 +355,7 @@ def _suite_noether(cfg, rng, break_symmetry=False):
     scenario = harmonic.run_noether_scenario(grid, solver_cfg, xi,
                                              symmetry_field=bad)
     return scenario.passed, {
-        "boundary_sum": scenario.boundary_sum,
+        "boundary_sum": scenario.noether.boundary_sum,
         "threshold": scenario.threshold,
         "lagrangian_symmetry_defect": scenario.noether.lagrangian_defect,
         "constraint_symmetry_defect": scenario.noether.constraint_defect,

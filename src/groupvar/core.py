@@ -77,7 +77,13 @@ def _face_values(values: np.ndarray, faces) -> np.ndarray:
     return values[..., faces, :, :]
 
 
-_FD_BLOCK = 256  # jets per value call in the finite-difference defaults
+_BLOCK_BYTES = 1 << 20  # float64 working bytes per block of jets or instances
+
+
+def _block_size(floats_per_item: int) -> int:
+    """Items per block when each holds ``floats_per_item`` float64 values:
+    as many as fit in ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * floats_per_item))
 
 
 def jet_at(values: np.ndarray, complex: CellComplex, faces) -> np.ndarray:
@@ -104,25 +110,37 @@ def _fd_differences(value, complex: CellComplex, jets: np.ndarray,
 
     Entry [p, m, e] is the value at jet p with component m of the slot moved
     from g to g exp(h E_e), minus the same with g exp(-h E_e), h =
-    ``H_LAGRANGIAN``.  ``value`` is called once per block of ``_FD_BLOCK``
-    jets, so the moved stack stays bounded on large windows (about 12 MB for
-    n = 5 with two components).
+    ``H_LAGRANGIAN``.  The jets go in blocks of at most ``_BLOCK_BYTES`` of
+    moved stack: each block is repeated once per basis direction, and for
+    each component and sign the slot entry of every copy is moved in place,
+    ``value`` is called on the stack, and g is written back, so ``value``
+    runs 2 c times per block on d copies of each jet.  The plus values are
+    copied out before the stack moves again, since ``value`` may return a
+    view of its input.
     """
     count, k, c, n, _ = jets.shape
     steps = step_matrices(n, H_LAGRANGIAN)
-    blocks = []
-    for start in range(0, max(count, 1), _FD_BLOCK):
-        block = jets[start:start + _FD_BLOCK]
-        moved = np.broadcast_to(block[:, None, None, None],
-                                (len(block), 2, c, len(steps)) + jets.shape[1:]).copy()
+    d = len(steps)
+    size = _block_size(d * k * c * n * n)
+    out = None
+    for start in range(0, max(count, 1), size):
+        block = jets[start:start + size]
+        stack = np.repeat(block, d, axis=0)
+        moved = stack.reshape((len(block), d) + jets.shape[1:])[:, :, slot]
         for m in range(c):
-            g = block[:, slot, m, None]
-            moved[:, 0, m, :, slot, m] = g @ steps
-            moved[:, 1, m, :, slot, m] = g @ steps.swapaxes(-1, -2)
-        values = value(complex, moved.reshape(-1, k, c, n, n))
-        values = values.reshape(moved.shape[:4] + values.shape[1:])
-        blocks.append(values[:, 0] - values[:, 1])
-    return np.concatenate(blocks)
+            g = block[:, None, slot, m]
+            for sign, turn in enumerate((steps, steps.swapaxes(-1, -2))):
+                moved[:, :, m] = g @ turn
+                values = value(complex, stack)
+                values = values.reshape((len(block), d) + values.shape[1:])
+                if out is None:
+                    out = np.empty((count, c) + values.shape[1:])
+                if sign:
+                    out[start:start + len(block), m] -= values
+                else:
+                    out[start:start + len(block), m] = values
+            moved[:, :, m] = g
+    return out
 
 
 def apply_differential(theta: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -155,9 +173,9 @@ class LagrangianDensity:
     Subclasses implement :meth:`value`, which receives a (P, k, c, n, n)
     stack of jets (from :func:`jet_at`) and returns the (P,) values.  The
     differential defaults to central finite differences along exponential
-    curves, all 2 c d directions of a block of jets in one :meth:`value`
-    call with step ``H_LAGRANGIAN``; analytic overrides should reimplement
-    :meth:`vertex_differential`.
+    curves with step ``H_LAGRANGIAN``, d directions of a block of jets per
+    :meth:`value` call (see :func:`_fd_differences`); analytic overrides
+    should reimplement :meth:`vertex_differential`.
     """
 
     def value(self, complex: CellComplex, jets: np.ndarray) -> np.ndarray:
@@ -185,8 +203,8 @@ class ConstraintMap:
     variation components to the algebra, as a (d, c d) matrix over the skew
     basis, so a stack is (P, d, c d) (see :func:`form_apply` and
     :func:`form_transpose`).  The default differentiates the left-translated
-    constraint by central finite differences with step ``H_LAGRANGIAN``, one
-    :meth:`value` call per block of jets; analytic constraints override it.
+    constraint by central finite differences with step ``H_LAGRANGIAN``, 2 c
+    :meth:`value` calls per block of jets; analytic constraints override it.
     The decomposition of the full differential into per-vertex forms is
     unique here because each form acts on a disjoint block of variables.
     """

@@ -597,7 +597,6 @@ def conjugation_symmetry_field(y: np.ndarray, xi: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class NoetherScenarioReport:
     noether: NoetherReport
-    boundary_sum: float
     threshold: float
     passed: bool
 
@@ -624,7 +623,7 @@ def run_noether_scenario(grid: TriangulatedGrid, config: SolverConfig,
                                    faceset)
     threshold = _NOETHER_TOL_FACTOR * (1.0 + abs(solve_report.final_action))
     passed = noether.symmetry_ok and abs(noether.boundary_sum) <= threshold
-    return NoetherScenarioReport(noether, noether.boundary_sum, threshold, passed)
+    return NoetherScenarioReport(noether, threshold, passed)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import importlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -382,33 +383,69 @@ def test_split_draws_match_the_generators(n):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_cartan_logs_match_the_generator(n):
-    """One uniform draw per block of 28 instances gives, bit for bit and
-    across the block edge, the log blocks of instance k's jet at face k mod
-    F that random_variation(grid, n, rng, 0.5) draws instance after
-    instance, and leaves the generator in the same state."""
+    """One uniform draw per block of the cartan suite, each at its global
+    instance offset, gives, bit for bit and across the block edge, the log
+    blocks of instance k's jet at face k mod F that random_variation(grid,
+    n, rng, 0.5) draws instance after instance, and leaves the generator in
+    the same state."""
     grid = triangulated_grid(3, 3)
     adherence = grid.adherence_array
+    block = cli._cartan_block(n)
     rng, oracle = np.random.default_rng(n), np.random.default_rng(n)
-    logs = cli._cartan_logs(grid, n, rng, 29)
-    assert logs.shape == (29, 3, 2, n, n)
-    for k in range(29):
+    logs = np.concatenate([cli._cartan_logs(grid, n, rng, 0, block),
+                           cli._cartan_logs(grid, n, rng, block, 2)])
+    assert logs.shape == (block + 2, 3, 2, n, n)
+    for k in range(block + 2):
         want = sampling.random_variation(grid, n, oracle, 0.5)
         assert logs[k].tobytes() == want[adherence[k % len(adherence)]].tobytes()
     assert rng.bit_generator.state == oracle.bit_generator.state
 
 
+SUITE_ORACLES = ((cli._suite_split, per_instance_split),
+                 (cli._suite_cartan, per_instance_cartan))
+
+
+def check_blocked_suite(suite, oracle, n, instances):
+    """The blocked suite draws what its per-instance loop draws and reports
+    the same worst defect, bit for bit."""
+    cfg = {"n": n, "instances": instances}
+    rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
+    got, want = suite(cfg, rng), oracle(cfg, oracle_rng)
+    assert repr(got) == repr(want)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("instances", [1, 28, 29, 100])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_blocked_suites_match_the_per_instance_loops(n, instances):
-    """Same draws, same worst defect bit for bit, on both sides of the
-    28-instance block edge."""
-    cfg = {"n": n, "instances": instances}
-    for suite, oracle in ((cli._suite_split, per_instance_split),
-                          (cli._suite_cartan, per_instance_cartan)):
-        rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
-        got, want = suite(cfg, rng), oracle(cfg, oracle_rng)
-        assert repr(got) == repr(want)
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    """Same draws, same worst defect bit for bit, at fixed instance counts
+    (100 is the CLI default)."""
+    for suite, oracle in SUITE_ORACLES:
+        check_blocked_suite(suite, oracle, n, instances)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_blocked_suites_match_the_per_instance_loops_at_block_edges(n):
+    """Same draws, same worst defect bit for bit, on both sides of each
+    suite's first block edge and one past its second."""
+    blocks = (cli._split_block(triangulated_grid(3, 3), n), cli._cartan_block(n))
+    for (suite, oracle), block in zip(SUITE_ORACLES, blocks):
+        for instances in (block, block + 1, 2 * block + 1):
+            check_blocked_suite(suite, oracle, n, instances)
+
+
+@pytest.mark.parametrize("suite", ["split", "cartan"])
+@pytest.mark.parametrize("n", [8, 10])
+def test_sampled_suites_run_in_bounded_memory(tmp_path, n, suite):
+    """The traced peak of a whole in-process run stays within 4 MiB: the
+    blocks of instances and of finite-difference jets bound every stack."""
+    tracemalloc.start()
+    try:
+        assert run("verify", suite, "--n", n, "--out", tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_loads_of_one_window_share_the_grid(tmp_path):

@@ -78,6 +78,35 @@ def oracle_fd_cartan_form(constraint, complex, jet, slot):
     return np.column_stack(cols)
 
 
+BROADCAST_BLOCK = 256  # jets per value call of the broadcast-copy oracle
+
+
+def broadcast_fd_differences(value, complex, jets, slot):
+    """The finite differences of ``core._fd_differences`` as they were: every
+    jet of a block of 256 copied once per direction, sign and component by
+    one broadcast, all moved at once and handed to one ``value`` call."""
+    count, k, c, n, _ = jets.shape
+    steps = lg.step_matrices(n, H_LAGRANGIAN)
+    blocks = []
+    for start in range(0, max(count, 1), BROADCAST_BLOCK):
+        block = jets[start:start + BROADCAST_BLOCK]
+        moved = np.broadcast_to(block[:, None, None, None],
+                                (len(block), 2, c, len(steps)) + jets.shape[1:]).copy()
+        for m in range(c):
+            g = block[:, slot, m, None]
+            moved[:, 0, m, :, slot, m] = g @ steps
+            moved[:, 1, m, :, slot, m] = g @ steps.swapaxes(-1, -2)
+        values = value(complex, moved.reshape(-1, k, c, n, n))
+        values = values.reshape(moved.shape[:4] + values.shape[1:])
+        blocks.append(values[:, 0] - values[:, 1])
+    return np.concatenate(blocks)
+
+
+def fd_jet_block(n, components):
+    """Jets per block of the finite-difference defaults on (k = 3) jets."""
+    return core._block_size(lg.algebra_dim(n) * 3 * components * n * n)
+
+
 def oracle_conjugation_form(n, terms_u, terms_v):
     """Component maps xi -> sum of s P xi P^T, one basis element at a time."""
     blocks = []
@@ -310,7 +339,7 @@ def test_stacked_splits_match_each_instance(n, kind, faces):
     grid, lagrangian, constraint, *_ = problem(n, kind, 600 + n)
     fs = FACESETS[faces](grid)
     rng = np.random.default_rng(610 + n)
-    count = core._FD_BLOCK // len(grid.faces) + 1
+    count = fd_jet_block(n, 2) // len(grid.faces) + 1
     instances = [(sampling.random_section(grid, n, rng),
                   sampling.random_multiplier(grid, n, rng),
                   sampling.random_variation(grid, n, rng)) for _ in range(count)]
@@ -389,7 +418,7 @@ def test_fd_defaults_span_several_value_blocks():
     the differential and form it has on its own."""
     grid, lagrangian, constraint, y, _, _ = problem(3, "fd", 500)
     jets = core.jet_at(y, grid, grid.full_faceset().face_ids)
-    repeats = core._FD_BLOCK // len(jets) + 2
+    repeats = fd_jet_block(3, 2) // len(jets) + 2
     stack = np.tile(jets, (repeats, 1, 1, 1, 1))
     for slot in range(3):
         assert close(lagrangian.vertex_differential(grid, stack, slot),
@@ -397,3 +426,73 @@ def test_fd_defaults_span_several_value_blocks():
                              (repeats, 1, 1, 1)))
         assert close(constraint.cartan_form(grid, stack, slot),
                      np.tile(constraint.cartan_form(grid, jets, slot), (repeats, 1, 1)))
+
+
+def chain_product(jets):
+    """The product of every slot's every component, slot-major, per jet."""
+    count, k, c, n, _ = jets.shape
+    factors = jets.reshape(count, k * c, n, n)
+    out = factors[:, 0]
+    for i in range(1, k * c):
+        out = out @ factors[:, i]
+    return out
+
+
+class ChainDensity(core.LagrangianDensity):
+    """The trace of :func:`chain_product`, for any c."""
+
+    def value(self, complex, jets):
+        return np.trace(chain_product(jets), axis1=-2, axis2=-1)
+
+
+class ChainConstraint(core.ConstraintMap):
+    """:func:`chain_product` as a group-valued constraint, for any c."""
+
+    def value(self, complex, jets):
+        return chain_product(jets)
+
+
+class ViewDensity(core.LagrangianDensity):
+    """An entry of the jets: ``value`` returns a view of its input."""
+
+    def value(self, complex, jets):
+        return jets[:, 0, -1, 0, 1]
+
+
+class ViewConstraint(core.ConstraintMap):
+    """The first slot's last component: ``value`` returns a view of its
+    input."""
+
+    def value(self, complex, jets):
+        return jets[:, 0, -1]
+
+
+def random_jets(count, n, components, rng):
+    return lg.exp_skew(lg.random_skew(n, rng, shape=(count, 3, components)))
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fd_differences_equal_the_broadcast_copies(n, components):
+    """In-place moves give, bit for bit, the differences of the broadcast
+    copies for every slot, on a stack of two full finite-difference blocks
+    and one more jet, also when ``value`` returns a view of its input."""
+    grid = triangulated_grid(3, 3)
+    rng = np.random.default_rng(700 + 10 * n + components)
+    jets = random_jets(2 * fd_jet_block(n, components) + 1, n, components, rng)
+    for model in (ChainDensity(), ChainConstraint(), ViewDensity(), ViewConstraint()):
+        for slot in range(3):
+            got = core._fd_differences(model.value, grid, jets, slot)
+            want = broadcast_fd_differences(model.value, grid, jets, slot)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_fd_differences_leave_the_jets_unchanged():
+    grid = triangulated_grid(3, 3)
+    jets = random_jets(5, 3, 2, np.random.default_rng(750))
+    before = jets.copy()
+    core._fd_differences(ViewConstraint().value, grid, jets, 1)
+    assert jets.tobytes() == before.tobytes()
+    empty = core._fd_differences(ChainConstraint().value, grid, jets[:0], 0)
+    assert empty.shape == (0, 2, 3, 3, 3)

@@ -282,7 +282,7 @@ def test_noether_scenario(solved66):
     xi = lg.random_skew(N, np.random.default_rng(8))
     scenario = hm.run_noether_scenario(solved66["grid"], solved66["config"], xi)
     assert scenario.passed
-    assert abs(scenario.boundary_sum) <= scenario.threshold
+    assert abs(scenario.noether.boundary_sum) <= scenario.threshold
     assert scenario.noether.symmetry_ok
 
 
@@ -292,7 +292,7 @@ def test_noether_scenario_negative_control(solved66):
     scenario = hm.run_noether_scenario(solved66["grid"], solved66["config"], xi,
                                        symmetry_field=bad)
     assert not scenario.passed
-    assert abs(scenario.boundary_sum) > 1e-3
+    assert abs(scenario.noether.boundary_sum) > 1e-3
 
 
 def test_multisymplectic_scenario(solved66):
