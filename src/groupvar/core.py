@@ -600,16 +600,11 @@ def multisymplectic_check(lagrangian: LagrangianDensity, constraint: ConstraintM
                           y: np.ndarray, lam: np.ndarray,
                           d1: np.ndarray, dlam1: np.ndarray,
                           d2: np.ndarray, dlam2: np.ndarray,
-                          faceset: FaceSet) -> tuple[float, float, float, float, float]:
+                          faceset: FaceSet) -> tuple[float, float, float]:
     """:func:`jacobi_residual` along (d1, dlam1) and along (d2, dlam2), then
-    :func:`multisymplectic_defect` on the fields in the orders (1, 2), (2, 1)
-    and (1, 1), from one evaluation of the forms at each of the five points
-    (y exp(+-h d_i), lam +- h dlam_i), h = ``H_JACOBI``, and (y, lam).
-
-    The swapped defect combines the omega values of the first with the roles
-    exchanged and the bracket negated ([d2, d1] = -[d1, d2] exactly); the
-    repeated one probes the flows of d1 by d1, against the zero bracket.
-    """
+    :func:`multisymplectic_defect` on (d1, d2), from one evaluation of the
+    forms at each of the five points (y exp(+-h d_i), lam +- h dlam_i),
+    h = ``H_JACOBI``, and (y, lam)."""
     complex, faces = faceset.complex, faceset.face_ids
     klass = classify_vertices(complex, faceset)
     vertices = complex.adherence_array[faces]
@@ -617,13 +612,11 @@ def multisymplectic_check(lagrangian: LagrangianDensity, constraint: ConstraintM
     point = _face_forms(lagrangian, constraint, ys, lams, complex, faces)
     jacobi = _jacobi_norms(tuple(a[:4] for a in point), vertices, klass.interior)
     # omega, the frontier sum of the pair terms, at the flows of d1 probed by
-    # d2 and by d1, at the flows of d2 probed by d1, and at (y, lam) probed
-    # by the bracket of the left-invariant extensions, the commutator
+    # d2, at the flows of d2 probed by d1, and at (y, lam) probed by the
+    # bracket of the left-invariant extensions, the commutator
     omega = np.concatenate([
         _vertex_major_sums(vertices, _probe_terms(tuple(a[at] for a in point),
                                                   dy[None], vertices)[2], klass.frontier)
-        for dy, at in ((d2, slice(0, 2)), (d1, slice(0, 4)),
+        for dy, at in ((d2, slice(0, 2)), (d1, slice(2, 4)),
                        (skew_part(d1 @ d2 - d2 @ d1), slice(4, 5)))])
-    x_flows, repeat, y_flows, bracket = omega[0:2], omega[2:4], omega[4:6], omega[6]
-    return (*jacobi, _two_form(*x_flows, *y_flows, bracket),
-            _two_form(*y_flows, *x_flows, -bracket), _two_form(*repeat, *repeat, 0.0))
+    return (*jacobi, _two_form(*omega[0:2], *omega[2:4], omega[4]))

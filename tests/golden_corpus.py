@@ -37,14 +37,13 @@ from pathlib import Path
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
 RELATIVE, ABSOLUTE = 1e-9, 1e-12
 # Report keys and CSV columns whose value a converged run drives to
-# round-off: residuals, defects, step norms and the singular values that
-# vanish structurally.  Those that are also central-difference quotients,
-# with steps 1e-6 and 1e-5, carry round-off divided by the step instead: run
-# under five other OpenBLAS kernel sets (OPENBLAS_CORETYPE), they moved by up
-# to 2e-11, so their floor is 1e-9.
+# round-off: residuals, defects and step norms.  Those that are also
+# central-difference quotients, with steps 1e-6 and 1e-5, carry round-off
+# divided by the step instead: run under five other OpenBLAS kernel sets
+# (OPENBLAS_CORETYPE), they moved by up to 2e-11, so their floor is 1e-9.
 RESIDUAL = re.compile(r"residual|defect|discrepancy|consistency|agreement|"
                       r"gradient|roundtrip|cancellation|combination|boundary_sum|"
-                      r"^step$|sigma_min_boundary_fixed")
+                      r"^step$")
 FINITE_DIFFERENCE = re.compile(r"cartan_defect|jacobi_residual|two_form_defect")
 MAGIC = "groupvar-field v1"
 SUITES = ("split", "cartan", "flatness", "noether", "multisymplectic",

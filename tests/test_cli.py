@@ -84,9 +84,9 @@ def test_malformed_config_exits_two(tmp_path, capsys):
              "setting instances must be of type int"),
             (("solve",), {"width": True}, "setting width must be of type int"),
             (("solve",), {"g_tol": "1e-10"}, "setting g_tol must be of type float"),
-            (("reconstruct", "--section", tmp_path / "none.txt"), {"adm_tol": 0.0},
-             "tolerances"),
-            (("verify", "regularity"), {"rank_tol": -1e-8}, "tolerances"),
+            (("recover-multipliers", "--section", tmp_path / "none.txt"),
+             {"cons_tol": 0.0}, "tolerances"),
+            (("solve",), {"ep_tol": -1e-8}, "tolerances"),
             (("solve",), {"max_iterations": -1}, "max_iterations must be"),
             (("solve",), {"scale": float("nan")}, "scale must be finite")):
         cfg.write_text(json.dumps(bad))
@@ -94,7 +94,7 @@ def test_malformed_config_exits_two(tmp_path, capsys):
         assert run(*argv, "--config", cfg, "--out", tmp_path / "bad") == 2
         assert capsys.readouterr().err.startswith(f"groupvar: {message}")
     for argv in (("split", "--instances", 0), ("split", "--instances", -3),
-                 ("multipliers", "--cons-tol", -1)):
+                 ("multipliers", "--scale", -1)):
         assert run("verify", *argv, "--out", tmp_path / "bad") == 2
     assert not (tmp_path / "bad").exists()
     cfg.write_text(json.dumps({"out": 3}))
@@ -129,8 +129,8 @@ def test_input_errors_write_nothing(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
-# The settings each subcommand or verify suite reads: its flags (all but the
-# config-only adm_tol and rank_tol, plus --config) and its config keys.
+# The settings each subcommand or verify suite reads: its flags (plus
+# --config) and its config keys.
 READS = {
     "solve": "n width height boundary seed scale g_tol ep_tol max_iterations out",
     **dict.fromkeys(("verify split", "verify cartan", "verify flatness"),
@@ -138,20 +138,18 @@ READS = {
     **dict.fromkeys(("verify noether", "verify multisymplectic", "verify elimination"),
                     "n width height boundary seed scale max_iterations out"),
     # takes instances, which it does not read, for the benchmark's warm-up
-    "verify multipliers": "n width height boundary seed scale cons_tol "
-                          "max_iterations instances out",
-    "verify regularity": "n seed rank_tol out",
-    "reconstruct": "adm_tol out",
-    "recover-multipliers": "seed ep_tol cons_tol adm_tol out",
+    "verify multipliers": "n width height boundary seed scale max_iterations "
+                          "instances out",
+    "verify regularity": "n seed out",
+    "reconstruct": "out",
+    "recover-multipliers": "seed ep_tol cons_tol out",
 }
-CONFIG_ONLY = ("adm_tol", "rank_tol")
-# A valid value of each setting, and the flags every subcommand took before
-# each had its own.
+# A valid value of each setting, and of adm_tol and rank_tol, which no
+# subcommand reads: as flags or config keys they exit 2 everywhere.
 VALUES = {"n": 5, "width": 4, "height": 4, "boundary": "random", "seed": 5,
           "scale": 0.0, "g_tol": 1e-12, "ep_tol": 0.1, "cons_tol": 1e-9,
           "adm_tol": 1e-9, "rank_tol": 1e-8, "max_iterations": 7, "instances": 2,
           "out": "."}
-SHARED_FLAGS = [key for key in VALUES if key not in CONFIG_ONLY]
 PREFIX = {reader: reader.split() for reader in READS} | {
     "reconstruct": ["reconstruct", "--section", "section.txt"],
     "recover-multipliers": ["recover-multipliers", "--section", "section.txt"]}
@@ -170,7 +168,7 @@ def _unread(keys):
     return cases
 
 
-UNREAD_FLAGS = _unread(SHARED_FLAGS + ["break_symmetry"])
+UNREAD_FLAGS = _unread([*VALUES, "break_symmetry"])
 UNREAD_KEYS = _unread(VALUES)
 
 
@@ -190,8 +188,7 @@ def test_each_subcommand_takes_the_settings_it_reads():
     assert set(leaves) == set(READS) | {"report"}
     for command, reads in READS.items():
         dests = {a.dest for a in leaves[command]._actions} - {"help"}
-        flags = set(reads.split()) - set(CONFIG_ONLY)
-        assert dests == flags | {"config"} | own.get(command, set())
+        assert dests == set(reads.split()) | {"config"} | own.get(command, set())
         assert set(reads.split()) == {k for k, row in cli.SETTINGS.items()
                                       if command in row[3]}
 
@@ -236,21 +233,6 @@ def test_parser_takes_the_benchmark_command_lines(monkeypatch, tmp_path):
     assert sum("--break-symmetry" in argv for argv in argvs) == 1
     for argv in argvs:
         cli._settings(cli.build_parser().parse_args(argv))
-
-
-def test_verify_multipliers_passes_its_cons_tol_to_the_recovery(tmp_path,
-                                                                monkeypatch):
-    from groupvar import reduction
-    exact, calls = reduction.recover_multipliers, []
-
-    def recorded(*args, **kwargs):
-        calls.append(kwargs)
-        return exact(*args, **kwargs)
-
-    monkeypatch.setattr(reduction, "recover_multipliers", recorded)
-    assert run("verify", "multipliers", "--width", 3, "--height", 3,
-               "--cons-tol", 1e-6, "--out", tmp_path) == 0
-    assert [call.get("cons_tol") for call in calls] == [1e-6, 1e-6]
 
 
 def test_failed_solve_writes_history(tmp_path):
@@ -323,15 +305,15 @@ def test_nan_defect_fails_the_suite(tmp_path, monkeypatch):
     assert "passed=False" in report and "worst_split_defect=nan" in report
 
 
-def per_instance_split(cfg, rng):
+def per_instance_split(n, count, rng):
     """The split suite as it was, one instance per call: the oracle of the
-    blocked suite."""
-    n = cfg["n"]
+    blocked suite.  Each instance's defect, and the generator state after
+    it."""
     grid = triangulated_grid(3, 3)
     lagrangian, constraint = TraceLagrangian(), PlaquetteConstraint()
     faceset = grid.full_faceset()
-    defects = []
-    for _ in range(cfg["instances"]):
+    defects, states = [], []
+    for _ in range(count):
         y = sampling.random_section(grid, n, rng)
         lam = sampling.random_multiplier(grid, n, rng)
         dy = sampling.random_variation(grid, n, rng)
@@ -339,29 +321,40 @@ def per_instance_split(cfg, rng):
             lagrangian, constraint, y[None], lam[None],
             dy[None], faceset)
         defects.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
-    worst = max_norm(np.array(defects))
-    return worst <= 1e-12, {"checks": cfg["instances"],
+        states.append(rng.bit_generator.state)
+    return np.array(defects), states
+
+
+def split_report(defects):
+    worst = max_norm(defects)
+    return worst <= 1e-12, {"checks": len(defects),
                             "worst_split_defect": worst, "tolerance": 1e-12}
 
 
-def per_instance_cartan(cfg, rng):
+def per_instance_cartan(n, count, rng):
     """The cartan suite as it was, one whole random section per instance:
-    the oracle of the suite's jet draws."""
-    n = cfg["n"]
+    the oracle of the suite's jet draws.  Each instance's worst defect over
+    the three slots, and the generator state after it."""
     grid = triangulated_grid(3, 3)
     constraint = PlaquetteConstraint()
     faces = grid.faces
-    jets = np.array([
-        core.jet_at(sampling.random_section(grid, n, rng), grid,
-                    faces[k % len(faces)])
-        for k in range(cfg["instances"])])
+    jets, states = [], []
+    for k in range(count):
+        jets.append(core.jet_at(sampling.random_section(grid, n, rng), grid,
+                                faces[k % len(faces)]))
+        states.append(rng.bit_generator.state)
+    jets = np.array(jets)
     defects = []
     for slot in range(3):
         analytic = constraint.cartan_form(grid, jets, slot)
         fd = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)
         defects.append(block_norms(analytic - fd) / (1.0 + block_norms(analytic)))
-    worst = max_norm(*defects)
-    return worst <= 1e-6, {"checks": cfg["instances"] * 3,
+    return np.maximum.reduce(defects), states
+
+
+def cartan_report(defects):
+    worst = max_norm(defects)
+    return worst <= 1e-6, {"checks": len(defects) * 3,
                            "worst_cartan_defect": worst, "tolerance": 1e-6}
 
 
@@ -401,18 +394,20 @@ def test_cartan_logs_match_the_generator(n):
     assert rng.bit_generator.state == oracle.bit_generator.state
 
 
-SUITE_ORACLES = ((cli._suite_split, per_instance_split),
-                 (cli._suite_cartan, per_instance_cartan))
+SUITE_ORACLES = ((cli._suite_split, per_instance_split, split_report),
+                 (cli._suite_cartan, per_instance_cartan, cartan_report))
 
 
-def check_blocked_suite(suite, oracle, n, instances):
-    """The blocked suite draws what its per-instance loop draws and reports
-    the same worst defect, bit for bit."""
-    cfg = {"n": n, "instances": instances}
-    rng, oracle_rng = np.random.default_rng(n), np.random.default_rng(n)
-    got, want = suite(cfg, rng), oracle(cfg, oracle_rng)
-    assert repr(got) == repr(want)
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+def check_blocked_suite(suite, oracle, report, n, counts):
+    """The blocked suite at each instance count draws what the first
+    instances of one per-instance loop draw, and reports the same worst
+    defect, bit for bit.  Draws are row-major, so the first m instances are
+    the same at every count, and the loop runs once, at the largest."""
+    defects, states = oracle(n, max(counts), np.random.default_rng(n))
+    for m in counts:
+        rng = np.random.default_rng(n)
+        assert repr(suite({"n": n, "instances": m}, rng)) == repr(report(defects[:m]))
+        assert rng.bit_generator.state == states[m - 1]
 
 
 @pytest.mark.parametrize("instances", [1, 28, 29, 100])
@@ -420,8 +415,8 @@ def check_blocked_suite(suite, oracle, n, instances):
 def test_blocked_suites_match_the_per_instance_loops(n, instances):
     """Same draws, same worst defect bit for bit, at fixed instance counts
     (100 is the CLI default)."""
-    for suite, oracle in SUITE_ORACLES:
-        check_blocked_suite(suite, oracle, n, instances)
+    for suite, oracle, report in SUITE_ORACLES:
+        check_blocked_suite(suite, oracle, report, n, (instances,))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -429,9 +424,8 @@ def test_blocked_suites_match_the_per_instance_loops_at_block_edges(n):
     """Same draws, same worst defect bit for bit, on both sides of each
     suite's first block edge and one past its second."""
     blocks = (cli._split_block(triangulated_grid(3, 3), n), cli._cartan_block(n))
-    for (suite, oracle), block in zip(SUITE_ORACLES, blocks):
-        for instances in (block, block + 1, 2 * block + 1):
-            check_blocked_suite(suite, oracle, n, instances)
+    for (suite, oracle, report), block in zip(SUITE_ORACLES, blocks):
+        check_blocked_suite(suite, oracle, report, n, (block, block + 1, 2 * block + 1))
 
 
 @pytest.mark.parametrize("suite", ["split", "cartan"])
@@ -536,17 +530,20 @@ def test_recover_multipliers_rejects_noncritical(tmp_path):
 
 
 def test_recover_multipliers_honours_adm_tol(tmp_path, capsys):
-    """A flatness tolerance below round-off rejects a solved section in
-    recovery as it does in reconstruction: exit 1, no multiplier file."""
+    """A solved section turned by about 1e-8 at one vertex is not flat beyond
+    ``TOL_ADMISSIBLE``: recovery rejects it as reconstruction does, exit 1
+    and no multiplier file, though its reduced residual is within --ep-tol."""
     out = tmp_path / "solve"
     assert run("solve", "--width", 5, "--height", 4, "--out", out) == 0
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"adm_tol": 1e-30}))
-    section = out / "reduced_section.txt"
-    assert run("reconstruct", "--section", section, "--config", cfg,
-               "--out", tmp_path / "rec") == 1
+    grid, y = ser.load_reduced_section(out / "reduced_section.txt")
+    y = y.copy()
+    bump = scipy.linalg.expm(1e-8 * random_skew(3, np.random.default_rng(0)))
+    y[grid.vertex_id(2, 2), 0] = y[grid.vertex_id(2, 2), 0] @ bump
+    section = tmp_path / "tilted.txt"
+    ser.save_reduced_section(section, grid, y)
+    assert run("reconstruct", "--section", section, "--out", tmp_path / "rec") == 1
     mout = tmp_path / "mult"
-    assert run("recover-multipliers", "--section", section, "--config", cfg,
+    assert run("recover-multipliers", "--section", section, "--ep-tol", 1e-6,
                "--out", mout) == 1
     assert "not flat" in capsys.readouterr().err
     assert not (mout / "multiplier.txt").exists()
@@ -564,9 +561,8 @@ def _summary_worst(capsys, out, suite, *flags):
 
 
 def test_verify_summary_names_a_defect_not_a_margin(tmp_path, capsys):
-    """The multipliers suite names its largest residual or discrepancy, not
-    the multiplier distance; the regularity suite its smallest free
-    sigma_min, not the largest."""
+    """The multipliers suite names its largest residual or discrepancy; the
+    regularity suite its smallest sigma_min, a margin, not the largest."""
     report, key, value = _summary_worst(capsys, tmp_path, "multipliers",
                                         "--width", 4, "--height", 4)
     defects = [k for k in report if k.startswith(("system_residual_",
@@ -579,6 +575,20 @@ def test_verify_summary_names_a_defect_not_a_margin(tmp_path, capsys):
     assert key in free
     assert float(report[key]) == min(float(report[k]) for k in free)
     assert value == pytest.approx(float(report[key]), rel=1e-3)
+
+
+def test_verify_multipliers_exits_one_on_a_sweep_conflict(tmp_path, monkeypatch,
+                                                          capsys):
+    """The suite's sweep-consistency gate is the recovery's: a discrepancy
+    beyond the recovery's tolerance raises, and the suite exits 1 without a
+    report."""
+    from groupvar import reduction
+    exact = reduction.recover_multipliers
+    monkeypatch.setattr(reduction, "recover_multipliers",
+                        lambda *args: exact(*args, cons_tol=1e-18))
+    assert run("verify", "multipliers", "--out", tmp_path) == 1
+    assert "conflict" in capsys.readouterr().err
+    assert not (tmp_path / "verify_multipliers.txt").exists()
 
 
 def test_report_pretty_print(tmp_path, capsys):

@@ -326,6 +326,26 @@ def test_recovery_seed_nonuniqueness(solved66):
     assert rep2.max_discrepancy <= 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_seed_moves_each_face_by_its_norm(n):
+    """The recovery is affine in its seed, and its coadjoint steps are
+    isometries: on a solved 6x6 section, a random seed s moves the
+    multiplier of every face but the origin corner by exactly |s|, to
+    round-off, and that corner is zero for both seeds."""
+    grid = triangulated_grid(6, 6)
+    config = hm.SolverConfig(boundary=hm.random_boundary(grid, n, n, 0.3),
+                             g_tol=1e-11)
+    y = hm.solve_unreduced(grid, config)[1].section
+    seed = lg.random_skew(n, np.random.default_rng(30 + n), 0.3)
+    lam0, _ = red.recover_multipliers(TraceLagrangian(), grid, y, np.zeros((n, n)))
+    lam1, _ = red.recover_multipliers(TraceLagrangian(), grid, y, seed)
+    origin = grid.face_id(0, 0)
+    assert not lam0[origin].any() and not lam1[origin].any()
+    moved = np.delete(block_norms(lam1 - lam0), origin)
+    assert len(moved) == 35
+    assert np.abs(moved - np.linalg.norm(seed)).max() <= 1e-12 * np.linalg.norm(seed)
+
+
 def test_elimination_combo_matches_ep_residual():
     """For flat sections and any multiplier, the four-term combination equals
     the reduced residual up to the cancellation defect."""
