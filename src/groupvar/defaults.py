@@ -15,7 +15,7 @@ TOL_ADMISSIBLE = 1e-10
 # Central finite-difference step for Lagrangian differentials.
 H_LAGRANGIAN = 1e-6
 
-# Central-difference step of the Jacobi and two-form check and of dlam.
+# Central-difference step of the Jacobi and two-form check and of dlam's right side.
 H_JACOBI = 1e-5
 
 # Invariance defect along the section below which a field counts as a

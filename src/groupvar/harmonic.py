@@ -44,6 +44,8 @@ from .liegroup import (
 from .reduction import (
     PlaquetteConstraint,
     euler_poincare_residual,
+    multiplier_sweep,
+    multiplier_system_residual,
     plaquette_holonomy,
     recover_multipliers,
     reduce_field,
@@ -576,10 +578,8 @@ def random_boundary(grid: TriangulatedGrid, n: int, seed: int,
 
 # ---------------------------------------------------------------------------
 # symmetry field and scenarios, with the scenario thresholds (the Noether one
-# a factor of 1 + |action|) and the recovery targets at sections flowed along
-# a Jacobi field, which are critical only to O(H_JACOBI^2)
+# a factor of 1 + |action|)
 _NOETHER_TOL_FACTOR, _JACOBI_TOL, _DEFECT_TOL = 1e-8, 1e-4, 1e-4
-_FLOWED_TOL = 1e-6
 
 
 def conjugation_symmetry_field(y: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -671,9 +671,11 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
     """Boundary two-form defect on the Jacobi fields of two boundary bumps.
 
     A bump maps frontier vertices to skew (n, n) arrays eta, moving them
-    along g exp(t eta).  After one solve, each field is ``reduced_variation``
-    of a gauge theta from ``_jacobi_gauges`` and the central difference (step
-    ``H_JACOBI``) of the zero-seed multipliers at g exp(+-t theta)."""
+    along g exp(t eta).  After one solve and one recovery lam0, each field is
+    ``reduced_variation`` of a gauge theta from ``_jacobi_gauges`` and dlam,
+    the linearised multiplier: ``multiplier_sweep`` at the base section from
+    the zero seed, on the central difference (step ``H_JACOBI``) of the
+    multiplier system at (g exp(+-t theta), lam0)."""
     n = config.boundary.shape[-1]
     lagrangian = TraceLagrangian()
     faceset = grid.full_faceset()
@@ -687,16 +689,15 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
     y0 = base_report.section
     lam0, _ = recover_multipliers(lagrangian, grid, y0, zero_seed)
 
-    def flowed_multiplier(theta, t):
-        y = reduce_field(grid, g @ lg.exp_skew(t * theta))
-        return recover_multipliers(lagrangian, grid, y, zero_seed, ep_tol=_FLOWED_TOL,
-                                   cons_tol=_FLOWED_TOL)[0]
-
     fields = []
     for theta in _jacobi_gauges(g.reshape(grid.height + 1, grid.width + 1, n, n),
                                 (bump1, bump2)):
-        plus, minus = (flowed_multiplier(theta, t) for t in (H_JACOBI, -H_JACOBI))
-        fields += [reduced_variation(grid, g, theta), (plus - minus) / (2.0 * H_JACOBI)]
+        plus, minus = (multiplier_system_residual(
+            lagrangian, grid, reduce_field(grid, g @ lg.exp_skew(t * theta)), lam0)
+            for t in (H_JACOBI, -H_JACOBI))
+        difference = np.subtract(plus, minus) / (2.0 * H_JACOBI)
+        dlam, _ = multiplier_sweep(grid, y0, *difference, zero_seed)
+        fields += [reduced_variation(grid, g, theta), dlam]
 
     jr1, jr2, defect = multisymplectic_check(
         lagrangian, PlaquetteConstraint(), y0, lam0, *fields, faceset)

@@ -18,7 +18,7 @@ or face id, so each window equation has one definition, as slices over the
 view of that array indexed [j, i]: (H+1, W+1, 2, n, n) for a reduced
 section.  The fields, sections, variations and multipliers returned here
 are fresh read-only arrays.  Window functions return stacks indexed [j, i]
-per face and [j-1, i-1] per interior vertex.  The multiplier recovery is a
+per face and [j-1, i-1] per interior vertex.  The multiplier sweep is a
 column recurrence from the east, and reconstruction propagates one row
 (column) at a time over the whole window; both are deterministic.  Nothing
 here checks group membership: the arrays come from a checked solver
@@ -57,6 +57,7 @@ __all__ = [
     "ReconstructionReport",
     "reduced_variation",
     "multiplier_system_residual",
+    "multiplier_sweep",
     "recover_multipliers",
     "RecoveryReport",
     "multiplier_elimination_check",
@@ -276,15 +277,54 @@ def multiplier_system_residual(lagrangian: LagrangianDensity, grid: Triangulated
     return _interior_system(p, right, _on_window(grid, lam))
 
 
+def _first_over(x: np.ndarray, tol: float) -> tuple[int, int] | None:
+    """(i, j) of the first entry of x, indexed [j-1, i-1], above ``tol`` or
+    NaN in sweep order (decreasing lexicographic (i, j)), or None."""
+    bad = np.flatnonzero(~(x.T[::-1, ::-1] <= tol))  # row-major is the sweep order
+    if bad.size:
+        a, b = divmod(int(bad[0]), x.shape[0])
+        return x.shape[1] - a, x.shape[0] - b
+    return None
+
+
+def multiplier_sweep(grid: TriangulatedGrid, y: np.ndarray, first: np.ndarray,
+                     second: np.ndarray, seed: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplier lam, ``seed`` at the max-corner face, that solves
+    first + lam - Ad*_{v_s} lam_s = 0 and second - lam + Ad*_{u_w} lam_w = 0
+    along y, for (H-1, W-1, n, n) stacks indexed [j-1, i-1]; linear in
+    (first, second, seed).  The east interior column i = W-1 is filled top
+    to bottom from the seed by the first equation (south faces); each
+    column i then fills column i-1 above row 0 by the second (west faces)
+    in one batched step.  The south values of the columns 1 <= i < W-1 are
+    stored in row 0 and compared above it, never averaged.  Returns lam,
+    read-only (F, n, n) and zero at the origin-corner face, which no
+    interior equation touches, and the (H-2, W-2) path discrepancies."""
+    p = _on_window(grid, y)
+    u, v = p[..., 0, :, :], p[..., 1, :, :]
+    height, width, n = grid.height, grid.width, y.shape[-1]
+    lam = np.zeros((height, width, n, n))
+    lam[-1, -1] = seed
+    for j in range(height - 1, 0, -1):
+        lam[j - 1, -1] = adjoint(v[j - 1, -2], first[j - 1, -1] + lam[j, -1])
+    disc = np.zeros((height - 2, width - 2))
+    for i in range(width - 1, 0, -1):
+        if i < width - 1:
+            south = adjoint(v[:-2, i], first[:, i - 1] + lam[1:, i])
+            disc[:, i - 1] = block_norms(lam[1:-1, i] - south[1:])
+            lam[0, i] = south[0]
+        lam[1:, i - 1] = adjoint(u[1:-1, i - 1], lam[1:, i] - second[:, i - 1])
+    return read_only(lam.reshape(-1, n, n)), disc
+
+
 @dataclass(frozen=True)
 class RecoveryReport:
-    """``max_system_residual`` is the largest block norm of the
+    """``max_discrepancy`` is the largest one of the sweep's two paths;
+    ``max_system_residual`` is the largest block norm of the
     :func:`multiplier_system_residual` arrays of the recovered multiplier,
     computed from the same Lagrangian partials as the recovery."""
 
-    seed_face: int
     max_discrepancy: float
-    unconstrained_faces: tuple[int, ...]
     max_system_residual: float
 
 
@@ -293,69 +333,35 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
                         ep_tol: float = EP_TOL, cons_tol: float = CONS_TOL,
                         adm_tol: float = TOL_ADMISSIBLE
                         ) -> tuple[np.ndarray, RecoveryReport]:
-    """Solve the multiplier system by a column recurrence from the max-corner face.
-
-    Preconditions (checked): y is flat and its reduced residual is below
-    ``ep_tol`` at every interior vertex; the first offending vertex in sweep
-    order (decreasing lexicographic (i, j)) is reported.  At interior vertex
-    (i, j) the first equation determines the south face,
-    lam_s = Ad*_{v_s}^{-1}(Ad*_{u^-1} mu_u + lam), and the second the west
-    face, lam_w = Ad*_{u_w}^{-1}(lam - Ad*_{v^-1} mu_v).  The east interior
-    column i = W-1 is filled top to bottom from the seed by the south
-    recurrence; every column i then fills column i-1 above row 0 in one
-    batched west step.  The south values of the columns 1 <= i < W-1 above
-    row 0 are thus reached along two paths: they are compared, never
-    averaged, and a discrepancy beyond ``cons_tol`` raises at the first face
-    the sweep would compare (east column first, then top row first).  The
-    south value of row 0 is stored.  Existence is only local in general, so
-    the consistency data is part of the contract.
-
-    The origin-corner face is touched by no interior vertex's equations; it
-    is reported and set to zero.  Any seed value, a skew (n, n) array, may be
-    placed at the max-corner face, and different seeds produce different
-    valid multipliers.
-    """
-    width, height = grid.width, grid.height
-    if width < 2 or height < 2:
+    """Solve the multiplier system along y by :func:`multiplier_sweep` from
+    ``seed``, a skew (n, n) array; different seeds give different valid
+    multipliers.  Preconditions (checked): y is flat and its reduced
+    residual is below ``ep_tol`` at every interior vertex; the first
+    offending vertex in sweep order (decreasing lexicographic (i, j)) is
+    reported, and so is the first face the sweep compares (east column
+    first, then top row first) whose path discrepancy exceeds ``cons_tol``:
+    existence is only local in general, so consistency is in the contract."""
+    if grid.width < 2 or grid.height < 2:
         raise PreconditionError("window has no interior vertices")
     p = _on_window(grid, y)
     mu, right = _partials(lagrangian, grid, y, p)
     ep = block_norms(_reduced_residual(mu, right))
-    # [i-1, j-1] reversed on both axes: row-major is the sweep order
-    bad = ~(ep.T[::-1, ::-1] <= ep_tol)
-    if bad.any():
-        a, b = np.unravel_index(np.argmax(bad), bad.shape)
-        i, j = width - 1 - int(a), height - 1 - int(b)
+    if bad := _first_over(ep, ep_tol):
+        i, j = bad
         raise PreconditionError(f"reduced residual {ep[j - 1, i - 1]:.3e} "
                                 f"> {ep_tol:.1e} at ({i}, {j})")
-    n = y.shape[-1]
-    worst_hol = max_norm(block_norms(_window_holonomy(p) - np.eye(n)))
+    worst_hol = max_norm(block_norms(_window_holonomy(p) - np.eye(y.shape[-1])))
     if not worst_hol <= adm_tol:
         raise PreconditionError(
             f"section is not flat, worst holonomy defect {worst_hol:.3e}")
 
-    u, v = p[..., 0, :, :], p[..., 1, :, :]
-    lam = np.zeros((height, width, n, n))
-    lam[-1, -1] = seed
-    for j in range(height - 1, 0, -1):
-        lam[j - 1, -1] = adjoint(v[j - 1, -2], right[j, -1, 0] + lam[j, -1])
-    max_disc = 0.0
-    for i in range(width - 1, 0, -1):
-        if i < width - 1:
-            south = adjoint(v[:-2, i], right[1:, i, 0] + lam[1:, i])
-            disc = block_norms(lam[1:-1, i] - south[1:])
-            over = np.flatnonzero(~(disc <= cons_tol))
-            if over.size:
-                k = int(over[-1]) + 1
-                raise RecoveryConflictError(grid.face_id(i, k), float(disc[k - 1]))
-            max_disc = max_norm(max_disc, disc)
-            lam[0, i] = south[0]
-        lam[1:, i - 1] = adjoint(u[1:-1, i - 1], lam[1:, i] - right[1:, i, 1])
-
-    residual = max_norm(*map(block_norms, _interior_system(p, right, lam)))
-    report = RecoveryReport(grid.face_id(width - 1, height - 1), max_disc,
-                            (grid.face_id(0, 0),), residual)
-    return read_only(lam.reshape(-1, n, n)), report
+    lam, disc = multiplier_sweep(grid, y, right[1:, 1:, 0], right[1:, 1:, 1], seed)
+    if bad := _first_over(disc, cons_tol):
+        i, j = bad
+        raise RecoveryConflictError(grid.face_id(i, j), float(disc[j - 1, i - 1]))
+    residual = max_norm(*map(block_norms, _interior_system(p, right,
+                                                           _on_window(grid, lam))))
+    return lam, RecoveryReport(max_norm(disc), residual)
 
 
 @dataclass(frozen=True)

@@ -580,15 +580,18 @@ def test_verify_summary_names_a_defect_not_a_margin(tmp_path, capsys):
 def test_verify_multipliers_exits_one_on_a_sweep_conflict(tmp_path, monkeypatch,
                                                           capsys):
     """The suite's sweep-consistency gate is the recovery's: a discrepancy
-    beyond the recovery's tolerance raises, and the suite exits 1 without a
-    report."""
+    beyond the recovery's tolerance raises, and the suite exits 1 with a
+    report that names the suite, its seed and the error."""
     from groupvar import reduction
     exact = reduction.recover_multipliers
     monkeypatch.setattr(reduction, "recover_multipliers",
                         lambda *args: exact(*args, cons_tol=1e-18))
     assert run("verify", "multipliers", "--out", tmp_path) == 1
-    assert "conflict" in capsys.readouterr().err
-    assert not (tmp_path / "verify_multipliers.txt").exists()
+    err = capsys.readouterr().err
+    assert "conflict" in err
+    report = (tmp_path / "verify_multipliers.txt").read_text().splitlines()
+    assert report == ["suite=multipliers", "seed=42", "passed=False",
+                      f"error={err.strip().removeprefix('groupvar: ')}"]
 
 
 def test_report_pretty_print(tmp_path, capsys):

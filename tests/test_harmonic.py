@@ -374,8 +374,9 @@ def _verify_multisymplectic(tmp_path, n, seed, *extra):
 def test_rough_multisymplectic_seeds_pass(tmp_path, n, seed):
     """Rough 6x6 boundaries (scale 3.0) whose difference-quotient Jacobi
     fields read residuals of 1e-4 to 8e-4 pass with the linearised ones.
-    At seed 13 the recoveries at the flowed sections disagree along their
-    sweep paths by 1.03e-9, which passes only their 1e-6 target."""
+    At seed 13 full recoveries at the flowed sections disagree along their
+    sweep paths by 1.03e-9, beyond the default 1e-9; the suite's dlam is
+    one linear sweep at the base section, which compares no paths."""
     code, report = _verify_multisymplectic(tmp_path, n, seed, "--scale", "3.0")
     assert code == 0 and report["passed"] == "True"
 
@@ -442,9 +443,13 @@ def test_nonpositive_curvature_fails_the_suite(tmp_path, monkeypatch, capsys):
         return gauges(g, bumps)
 
     monkeypatch.setattr(hm, "_jacobi_gauges", saddle_gauges)
-    code, _ = _verify_multisymplectic(tmp_path, 3, 7)
+    code, report = _verify_multisymplectic(tmp_path, 3, 7)
     assert code == 1
-    assert "nonpositive curvature" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "nonpositive curvature" in err
+    # the failed suite still writes its report, with the error in it
+    assert report == {"suite": "multisymplectic", "seed": "7", "passed": "False",
+                      "error": err.strip().removeprefix("groupvar: ")}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -480,6 +485,58 @@ def test_jacobi_fields_match_the_bumped_solves(monkeypatch, n):
         assert np.linalg.norm(quotient - d) <= 1e-4 * np.linalg.norm(d)
         assert np.linalg.norm((lam1 - lam0) / step - dlam) \
             <= 1e-4 * np.linalg.norm(dlam)
+
+
+def recovered_dlam(grid, g, theta):
+    """The earlier dlam, kept as the oracle: the central difference (step
+    ``H_JACOBI``) of two zero-seed recoveries at the flowed sections
+    g exp(+-h theta).  Those are critical only to O(h^2), so the recoveries
+    run at ``ep_tol`` and ``cons_tol`` 1e-6."""
+    n = g.shape[-1]
+    plus, minus = (red.recover_multipliers(
+        hm.TraceLagrangian(), grid, red.reduce_field(grid, g @ lg.exp_skew(t * theta)),
+        np.zeros((n, n)), ep_tol=1e-6, cons_tol=1e-6)[0] for t in (H_JACOBI, -H_JACOBI))
+    return (plus - minus) / (2.0 * H_JACOBI)
+
+
+@pytest.mark.parametrize("n,seed,scale,tol", [
+    (2, 7, "0.1", 1e-10), (3, 7, "0.1", 1e-10), (4, 7, "0.1", 1e-10),
+    (5, 7, "0.1", 1e-10), (5, 13, "3.0", 1e-9)])
+def test_swept_dlam_matches_the_recovered_difference(tmp_path, monkeypatch, n, seed,
+                                                     scale, tol):
+    """The linearised multiplier of the scenario against the difference of
+    two full recoveries, relative in the Frobenius norm: measured at most
+    3e-11 on the smooth 6x6 windows (seed 7, scale 0.1) and 2.7e-10 on the
+    rough one (seed 13, scale 3.0), whose flowed recoveries disagree along
+    their sweep paths by about 1e-9."""
+    gauges, check = hm._jacobi_gauges, hm.multisymplectic_check
+    thetas, seen = [], []
+
+    def spy(g, bumps):
+        for theta in gauges(g, bumps):
+            thetas.append((g.reshape(-1, n, n), theta))
+            yield theta
+
+    monkeypatch.setattr(hm, "_jacobi_gauges", spy)
+    monkeypatch.setattr(hm, "multisymplectic_check",
+                        lambda *args: seen.append(args) or check(*args))
+    code, _ = _verify_multisymplectic(tmp_path, n, seed, "--scale", scale)
+    assert code == 0
+    grid = triangulated_grid(6, 6)
+    for (g, theta), dlam in zip(thetas, seen[0][5:8:2], strict=True):
+        oracle = recovered_dlam(grid, g, theta)
+        assert np.linalg.norm(dlam - oracle) <= tol * np.linalg.norm(oracle)
+
+
+def test_verify_multisymplectic_runs_one_recovery(tmp_path, monkeypatch):
+    """The base multiplier is the suite's only recovery; each dlam is one
+    linear sweep."""
+    calls, exact = [], hm.recover_multipliers
+    monkeypatch.setattr(hm, "recover_multipliers",
+                        lambda *args, **kw: calls.append(1) or exact(*args, **kw))
+    monkeypatch.setattr(red, "recover_multipliers", hm.recover_multipliers)
+    assert _verify_multisymplectic(tmp_path, 3, 7)[0] == 0
+    assert calls == [1]
 
 
 # The scenario's earlier arithmetic, one point at a time: two jacobi_residual

@@ -294,8 +294,9 @@ def _assert_same_recovery(lagrangian, grid, y, seed, **tols):
     assert sorted(values) == list(range(len(lam)))
     assert all(_bits(lam[f], values[f]) for f in values)
     assert rep.max_discrepancy == max_disc
-    assert rep.unconstrained_faces == unconstrained
-    assert rep.seed_face == grid.face_id(grid.width - 1, grid.height - 1)
+    # no interior equation reaches the origin-corner face: it is zero
+    assert unconstrained == (grid.face_id(0, 0),) and not lam[0].any()
+    assert _bits(lam[-1], seed)
     return discs
 
 
