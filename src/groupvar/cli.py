@@ -288,8 +288,8 @@ def _suite_cartan(cfg, rng):
         count = min(block, cfg["instances"] - start)
         jets = exp_skew(_cartan_logs(grid, n, rng, start, count))
         for slot in range(3):
-            analytic = constraint.cartan_form(grid, jets, slot)
-            fd = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)
+            analytic = constraint.cartan_form(jets, slot)
+            fd = core.ConstraintMap.cartan_form(constraint, jets, slot)
             defects.append(block_norms(analytic - fd) / (1.0 + block_norms(analytic)))
     worst = max_norm(*defects)
     return worst <= 1e-6, {"checks": cfg["instances"] * 3,
@@ -366,7 +366,7 @@ def _suite_noether(cfg, rng, break_symmetry=False):
 def _suite_multisymplectic(cfg, rng):
     n = cfg["n"]
     grid, solver_cfg = _suite_problem(cfg)
-    frontier = classify_vertices(grid, grid.full_faceset()).frontier
+    frontier = classify_vertices(grid.full_faceset()).frontier
     picks = rng.choice(len(frontier), size=2, replace=False)
     bump1 = {int(frontier[picks[0]]): random_skew(n, rng)}
     bump2 = {int(frontier[picks[1]]): random_skew(n, rng)}

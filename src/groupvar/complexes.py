@@ -114,8 +114,9 @@ class VertexClass:
     frontier: np.ndarray
 
 
-def classify_vertices(complex: CellComplex, faceset: FaceSet) -> VertexClass:
-    """Split the adherent vertices into interior and frontier.
+def classify_vertices(faceset: FaceSet) -> VertexClass:
+    """Split the adherent vertices into interior and frontier, in the face
+    set's own complex.
 
     A vertex is interior when its whole spherical neighborhood lies in the
     face set; a vertex whose star is truncated by the materialized window
@@ -123,8 +124,6 @@ def classify_vertices(complex: CellComplex, faceset: FaceSet) -> VertexClass:
     any window face set.  The split is one ``np.bincount`` of the set's
     adherence, computed once per face set.
     """
-    if faceset.complex is not complex:
-        faceset = FaceSet(complex, faceset.face_ids)
     return faceset._vertex_class
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import CellComplex, FaceSet, classify_vertices
-from .defaults import H_JACOBI, H_LAGRANGIAN, RANK_TOL, SYMMETRY_TOL, TOL_ADMISSIBLE
+from .defaults import H_JACOBI, H_LAGRANGIAN, SYMMETRY_TOL, TOL_ADMISSIBLE
 from .liegroup import (
     algebra_dim,
     block_dot,
@@ -103,8 +103,7 @@ def jet_at(values: np.ndarray, complex: CellComplex, faces) -> np.ndarray:
     return values[..., vertices, :, :, :]
 
 
-def _fd_differences(value, complex: CellComplex, jets: np.ndarray,
-                    slot: int) -> np.ndarray:
+def _fd_differences(value, jets: np.ndarray, slot: int) -> np.ndarray:
     """Central differences of ``value`` for the default differentials,
     shaped (P, c, d) + value shape.
 
@@ -131,7 +130,7 @@ def _fd_differences(value, complex: CellComplex, jets: np.ndarray,
             g = block[:, None, slot, m]
             for sign, turn in enumerate((steps, steps.swapaxes(-1, -2))):
                 moved[:, :, m] = g @ turn
-                values = value(complex, stack)
+                values = value(stack)
                 values = values.reshape((len(block), d) + values.shape[1:])
                 if out is None:
                     out = np.empty((count, c) + values.shape[1:])
@@ -170,26 +169,26 @@ def form_transpose(forms: np.ndarray, lam: np.ndarray) -> np.ndarray:
 class LagrangianDensity:
     """Per-face smooth functions with per-vertex differentials, on jet stacks.
 
-    Subclasses implement :meth:`value`, which receives a (P, k, c, n, n)
-    stack of jets (from :func:`jet_at`) and returns the (P,) values.  The
-    differential defaults to central finite differences along exponential
-    curves with step ``H_LAGRANGIAN``, d directions of a block of jets per
-    :meth:`value` call (see :func:`_fd_differences`); analytic overrides
-    should reimplement :meth:`vertex_differential`.
+    Subclasses implement ``value(jets)``, which receives a (P, k, c, n, n)
+    stack of jets (from :func:`jet_at`) and returns the (P,) values; a
+    density reads nothing but its jets.  The differential
+    ``vertex_differential(jets, slot)`` defaults to central finite
+    differences along exponential curves with step ``H_LAGRANGIAN``, d
+    directions of a block of jets per :meth:`value` call (see
+    :func:`_fd_differences`); analytic overrides should reimplement it.
     """
 
-    def value(self, complex: CellComplex, jets: np.ndarray) -> np.ndarray:
+    def value(self, jets: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def vertex_differential(self, complex: CellComplex, jets: np.ndarray,
-                            slot: int) -> np.ndarray:
+    def vertex_differential(self, jets: np.ndarray, slot: int) -> np.ndarray:
         """Differentials in the selected vertex slot, a (P, c, n, n) stack.
 
         They act on left-log variation entries through the pairing, see
         :func:`apply_differential`.
         """
         h = H_LAGRANGIAN
-        coeffs = _fd_differences(self.value, complex, jets, slot) / (2.0 * h)
+        coeffs = _fd_differences(self.value, jets, slot) / (2.0 * h)
         # coefficient against basis vector E equals <mu, E> = 2 mu_kl
         return coords_to_skew(coeffs / 2.0, jets.shape[-1])
 
@@ -197,37 +196,36 @@ class LagrangianDensity:
 class ConstraintMap:
     """Group-valued face-local constraint with per-vertex Cartan forms.
 
-    Subclasses implement :meth:`value`, which maps a (P, k, c, n, n) jet
-    stack to the (P, n, n) group matrices.  :meth:`cartan_form` returns, per
-    jet, the form of one vertex slot: the linear map from that vertex's
-    variation components to the algebra, as a (d, c d) matrix over the skew
-    basis, so a stack is (P, d, c d) (see :func:`form_apply` and
-    :func:`form_transpose`).  The default differentiates the left-translated
-    constraint by central finite differences with step ``H_LAGRANGIAN``, 2 c
-    :meth:`value` calls per block of jets; analytic constraints override it.
+    Subclasses implement ``value(jets)``, which maps a (P, k, c, n, n) jet
+    stack to the (P, n, n) group matrices; like a density, it reads nothing
+    but its jets.  ``cartan_form(jets, slot)`` returns, per jet, the form of
+    one vertex slot: the linear map from that vertex's variation components
+    to the algebra, as a (d, c d) matrix over the skew basis, so a stack is
+    (P, d, c d) (see :func:`form_apply` and :func:`form_transpose`).  The
+    default differentiates the left-translated constraint by central finite
+    differences with step ``H_LAGRANGIAN``, 2 c :meth:`value` calls per
+    block of jets; analytic constraints override it.
     The decomposition of the full differential into per-vertex forms is
     unique here because each form acts on a disjoint block of variables.
     """
 
-    def value(self, complex: CellComplex, jets: np.ndarray) -> np.ndarray:
+    def value(self, jets: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def cartan_form(self, complex: CellComplex, jets: np.ndarray,
-                    slot: int) -> np.ndarray:
+    def cartan_form(self, jets: np.ndarray, slot: int) -> np.ndarray:
         h = H_LAGRANGIAN
         c, n = jets.shape[-3], jets.shape[-1]
-        base_inv = self.value(complex, jets).swapaxes(-1, -2)[:, None]
-        diff = _fd_differences(self.value, complex, jets, slot).reshape(
+        base_inv = self.value(jets).swapaxes(-1, -2)[:, None]
+        diff = _fd_differences(self.value, jets, slot).reshape(
             len(jets), c * algebra_dim(n), n, n)
         deriv = base_inv @ diff / (2.0 * h)
         return skew_to_coords(skew_part(deriv)).swapaxes(-1, -2)
 
 
-def _per_slot(method, complex: CellComplex, jets: np.ndarray) -> np.ndarray:
+def _per_slot(method, jets: np.ndarray) -> np.ndarray:
     """A per-slot density or constraint method on a (P, k, ...) jet stack,
     one call per slot, stacked [jet, slot]."""
-    return np.stack([method(complex, jets, slot) for slot in range(jets.shape[1])],
-                    axis=1)
+    return np.stack([method(jets, slot) for slot in range(jets.shape[1])], axis=1)
 
 
 def _sequential_sums(terms: np.ndarray) -> np.ndarray:
@@ -244,9 +242,8 @@ def _sequential_sums(terms: np.ndarray) -> np.ndarray:
 
 def action(lagrangian: LagrangianDensity, y: np.ndarray, faceset: FaceSet) -> float:
     """Sum of the face Lagrangians over the face set, in face-id order."""
-    complex = faceset.complex
-    jets = jet_at(y, complex, faceset.face_ids)
-    return float(_sequential_sums(lagrangian.value(complex, jets)))
+    jets = jet_at(y, faceset.complex, faceset.face_ids)
+    return float(_sequential_sums(lagrangian.value(jets)))
 
 
 def constraint_values(constraint: ConstraintMap, y: np.ndarray,
@@ -257,7 +254,7 @@ def constraint_values(constraint: ConstraintMap, y: np.ndarray,
     complex = faceset.complex
     out = np.tile(np.eye(y.shape[-1]), (len(complex.faces), 1, 1))
     faces = faceset.face_ids
-    out[faces] = constraint.value(complex, jet_at(y, complex, faces))
+    out[faces] = constraint.value(jet_at(y, complex, faces))
     return out
 
 
@@ -294,7 +291,7 @@ def constraint_derivative(constraint: ConstraintMap, y: np.ndarray, dy: np.ndarr
     complex = faceset.complex
     n = y.shape[-1]
     faces = faceset.face_ids
-    forms = _per_slot(constraint.cartan_form, complex, jet_at(y, complex, faces))
+    forms = _per_slot(constraint.cartan_form, jet_at(y, complex, faces))
     out = np.zeros((len(complex.faces), n, n))
     xi = dy[complex.adherence_array[faces]]
     out[faces] = form_apply(forms, xi).sum(axis=1)
@@ -311,21 +308,19 @@ class RegularityReport:
 
     ``sigma_min`` is the smallest singular value after dropping face blocks
     that no variable vertex touches (those rows are structurally zero on a
-    finite window and are listed in ``unreachable_faces``).  ``regular``
-    requires the map to be structurally onto and numerically full rank.
+    finite window and are listed in ``unreachable_faces``).  The map can
+    only be onto when no face is unreachable and ``rows <= cols``; ``verify
+    regularity`` then gates ``sigma_min`` against ``RANK_TOL``.
     """
 
     rows: int
     cols: int
     sigma_min: float
     unreachable_faces: tuple[int, ...]
-    structurally_surjective: bool
-    regular: bool
 
 
 def regularity_report(constraint: ConstraintMap, y: np.ndarray, faceset: FaceSet,
-                      boundary_fixed: bool = True,
-                      rank_tol: float = RANK_TOL) -> RegularityReport:
+                      boundary_fixed: bool = True) -> RegularityReport:
     """Assemble the constraint differential as a matrix and measure its rank.
 
     Rows are per-face algebra coordinates; columns are the variation
@@ -334,12 +329,12 @@ def regularity_report(constraint: ConstraintMap, y: np.ndarray, faceset: FaceSet
     """
     complex = faceset.complex
     d = algebra_dim(y.shape[-1])
-    klass = classify_vertices(complex, faceset)
+    klass = classify_vertices(faceset)
     variable = klass.interior if boundary_fixed \
         else np.sort(np.concatenate([klass.interior, klass.frontier]))
     faces = faceset.face_ids
     vertices = complex.adherence_array[faces]
-    forms = _per_slot(constraint.cartan_form, complex, jet_at(y, complex, faces))
+    forms = _per_slot(constraint.cartan_form, jet_at(y, complex, faces))
     column = np.full(len(y), -1)
     column[variable] = np.arange(len(variable))
     column = column[vertices]
@@ -354,15 +349,7 @@ def regularity_report(constraint: ConstraintMap, y: np.ndarray, faceset: FaceSet
 
     kept = matrix[np.repeat(reachable, d)]
     sigma = float(np.linalg.svd(kept, compute_uv=False)[-1]) if kept.size else 0.0
-    structurally = rows <= cols and not unreachable
-    return RegularityReport(
-        rows=rows,
-        cols=cols,
-        sigma_min=sigma,
-        unreachable_faces=unreachable,
-        structurally_surjective=structurally,
-        regular=structurally and sigma > rank_tol,
-    )
+    return RegularityReport(rows, cols, sigma, unreachable)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +389,8 @@ def _face_forms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     call per slot on all B F' jets, and the multipliers (B, F', 1, n, n)."""
     jets = jet_at(ys, complex, faces)
     flat = jets.reshape((-1,) + jets.shape[2:])
-    theta = _per_slot(lagrangian.vertex_differential, complex, flat)
-    forms = _per_slot(constraint.cartan_form, complex, flat)
+    theta = _per_slot(lagrangian.vertex_differential, flat)
+    forms = _per_slot(constraint.cartan_form, flat)
     return (theta.reshape(jets.shape), forms.reshape(jets.shape[:3] + forms.shape[2:]),
             _face_values(lams, faces)[:, :, None])
 
@@ -429,7 +416,7 @@ def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     complex, faces = faceset.complex, faceset.face_ids
     point = _face_forms(lagrangian, constraint, y[None], lam[None], complex, faces)
     return _residual_sums(point, complex.adherence_array[faces],
-                          classify_vertices(complex, faceset).interior)[0]
+                          classify_vertices(faceset).interior)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +472,7 @@ def variational_split(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     inputs.  Returns the (B,) left and right sides; instance b gets the
     values it gets on its own, as a stack of one, bit for bit.
     """
-    klass = classify_vertices(faceset.complex, faceset)
+    klass = classify_vertices(faceset)
     vertices, _, _, terms = _pair_terms(lagrangian, constraint, ys, lams, dys,
                                         faceset)
     return (_sequential_sums(terms.reshape(len(terms), -1)),
@@ -518,7 +505,7 @@ def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMa
     invariance on the whole jet space.  A failed check flags the report
     instead of raising.
     """
-    frontier = classify_vertices(faceset.complex, faceset).frontier
+    frontier = classify_vertices(faceset).frontier
     vertices, dl, dphi, terms = _pair_terms(lagrangian, constraint, y[None], lam[None],
                                             d[None], faceset)
     lag_defect = max_norm(np.abs(dl[0].sum(axis=1)))
@@ -567,7 +554,7 @@ def jacobi_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     ys, lams = _flows(y, lam, ((dy, dlam),))
     point = _face_forms(lagrangian, constraint, ys[:2], lams[:2], complex, faces)
     return _jacobi_norms(point, complex.adherence_array[faces],
-                         classify_vertices(complex, faceset).interior)[0]
+                         classify_vertices(faceset).interior)[0]
 
 
 def _two_form(x_plus, x_minus, y_plus, y_minus, bracket) -> float:
@@ -606,7 +593,7 @@ def multisymplectic_check(lagrangian: LagrangianDensity, constraint: ConstraintM
     forms at each of the five points (y exp(+-h d_i), lam +- h dlam_i),
     h = ``H_JACOBI``, and (y, lam)."""
     complex, faces = faceset.complex, faceset.face_ids
-    klass = classify_vertices(complex, faceset)
+    klass = classify_vertices(faceset)
     vertices = complex.adherence_array[faces]
     ys, lams = _flows(y, lam, ((d1, dlam1), (d2, dlam2)))
     point = _face_forms(lagrangian, constraint, ys, lams, complex, faces)

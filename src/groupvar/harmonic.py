@@ -76,11 +76,11 @@ class TraceLagrangian(LagrangianDensity):
     skew part of the transposed argument, (g^T - g) / 2.
     """
 
-    def value(self, complex, jets: np.ndarray) -> np.ndarray:
+    def value(self, jets: np.ndarray) -> np.ndarray:
         return np.trace(jets[:, 0, 0], axis1=-2, axis2=-1) \
             + np.trace(jets[:, 0, 1], axis1=-2, axis2=-1)
 
-    def vertex_differential(self, complex, jets: np.ndarray, slot: int) -> np.ndarray:
+    def vertex_differential(self, jets: np.ndarray, slot: int) -> np.ndarray:
         uv = jets[:, 0]
         if slot != 0:
             return np.zeros(uv.shape)
@@ -569,7 +569,7 @@ def random_boundary(grid: TriangulatedGrid, n: int, seed: int,
     left translation; interior vertices hold the identity.
     """
     rng = np.random.default_rng(seed)
-    frontier = classify_vertices(grid, grid.full_faceset()).frontier
+    frontier = classify_vertices(grid.full_faceset()).frontier
     values = np.tile(np.eye(n), (len(grid.vertices), 1, 1))
     values[frontier] = lg.exp(random_skew(n, rng, scale, (len(frontier),)))
     values[-1] = values[grid.vertex_id(grid.width, grid.height - 1)]
@@ -679,7 +679,7 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
     n = config.boundary.shape[-1]
     lagrangian = TraceLagrangian()
     faceset = grid.full_faceset()
-    frontier = classify_vertices(grid, faceset).frontier
+    frontier = classify_vertices(faceset).frontier
     zero_seed = np.zeros((n, n))
     for vid in (*bump1, *bump2):
         if vid not in frontier:

@@ -99,7 +99,7 @@ def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     of every reduced Lagrangian on this window.
     """
     mu = _on_window(grid, lagrangian.vertex_differential(
-        grid, jet_at(y, grid, grid.full_faceset().face_ids), 0))
+        jet_at(y, grid, grid.full_faceset().face_ids), 0))
     return mu, adjoint(p[:-1, :-1], mu)
 
 
@@ -137,10 +137,10 @@ class PlaquetteConstraint(ConstraintMap):
     reduce to right-translation and adjoint formulas of the base factors.
     """
 
-    def value(self, complex, jets: np.ndarray) -> np.ndarray:
+    def value(self, jets: np.ndarray) -> np.ndarray:
         return _holonomy(jets[:, 0, 0], jets[:, 0, 1], jets[:, 1, 1], jets[:, 2, 0])
 
-    def cartan_form(self, complex, jets: np.ndarray, slot: int) -> np.ndarray:
+    def cartan_form(self, jets: np.ndarray, slot: int) -> np.ndarray:
         # the u and v blocks are signed conjugations xi -> s P xi P^T
         v = jets[:, 0, 1]
         vu = v @ jets[:, 2, 0]
@@ -198,7 +198,6 @@ def euler_poincare_residual(lagrangian: LagrangianDensity, grid: TriangulatedGri
 class ReconstructionReport:
     field: np.ndarray
     max_plaquette_defect: float
-    worst_face: int | None
     path_agreement: float
 
 
@@ -217,10 +216,9 @@ def reconstruction_report(grid: TriangulatedGrid, y: np.ndarray, seed: np.ndarra
     n = y.shape[-1]
     defects = block_norms(_window_holonomy(p) - np.eye(n)).ravel()
     worst = max_norm(defects)
-    # the first face in id order with the largest defect, or the first NaN
-    worst_face = int(np.argmax(defects)) if worst != 0.0 else None
     if not worst <= tol:
-        raise HolonomyError(worst_face, worst)
+        # the first face in id order with the largest defect, or the first NaN
+        raise HolonomyError(int(np.argmax(defects)) if worst != 0.0 else None, worst)
 
     u, v = p[..., 0, :, :], p[..., 1, :, :]
     rows = np.empty(p.shape[:2] + (n, n))
@@ -236,8 +234,7 @@ def reconstruction_report(grid: TriangulatedGrid, y: np.ndarray, seed: np.ndarra
         cols[:, i + 1] = cols[:, i] @ u[:, i]
 
     agreement = max_norm(block_norms(rows - cols))
-    return ReconstructionReport(read_only(rows.reshape(-1, n, n)),
-                                worst, worst_face, agreement)
+    return ReconstructionReport(read_only(rows.reshape(-1, n, n)), worst, agreement)
 
 
 def reduced_variation(grid: TriangulatedGrid, g: np.ndarray,

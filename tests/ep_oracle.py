@@ -22,7 +22,7 @@ def ep_symmetric_defect(grid: TriangulatedGrid, y: np.ndarray, i: int, j: int,
     """
     if faceset is None:
         faceset = grid.full_faceset()
-    klass = classify_vertices(grid, faceset)
+    klass = classify_vertices(faceset)
     if grid.vertex_id(i, j) not in klass.interior:
         raise ValueError(f"vertex ({i}, {j}) is not interior to the face set")
     u, v = y[grid.vertex_id(i, j)]

@@ -58,8 +58,8 @@ def test_criterion_02_cartan_decomposition():
         face = faces[k % len(faces)]
         jets = core.jet_at(y, grid, [face])
         for slot in range(3):
-            analytic = constraint.cartan_form(grid, jets, slot)[0]
-            fd = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)[0]
+            analytic = constraint.cartan_form(jets, slot)[0]
+            fd = core.ConstraintMap.cartan_form(constraint, jets, slot)[0]
             worst = max(worst, float(np.linalg.norm(analytic - fd))
                         / (1.0 + float(np.linalg.norm(analytic))))
     elapsed = time.perf_counter() - start
@@ -182,7 +182,7 @@ def test_criterion_07_noether_boundary_identity(solved66):
 
 def test_criterion_08_multisymplectic_form(solved66):
     grid = solved66["grid"]
-    frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
+    frontier = sorted(classify_vertices(grid.full_faceset()).frontier)
     rng = np.random.default_rng(108)
     bump1 = {frontier[4]: lg.random_skew(N, rng)}
     bump2 = {frontier[17]: lg.random_skew(N, rng)}
@@ -219,7 +219,7 @@ def test_criterion_10_two_path_ep_agreement():
     grid = triangulated_grid(4, 4)
     lagrangian = TraceLagrangian()
     rng = np.random.default_rng(110)
-    klass = classify_vertices(grid, grid.full_faceset())
+    klass = classify_vertices(grid.full_faceset())
     worst = 0.0
     for _ in range(100):
         y = sampling.random_section(grid, N, rng)

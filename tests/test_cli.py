@@ -346,8 +346,8 @@ def per_instance_cartan(n, count, rng):
     jets = np.array(jets)
     defects = []
     for slot in range(3):
-        analytic = constraint.cartan_form(grid, jets, slot)
-        fd = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)
+        analytic = constraint.cartan_form(jets, slot)
+        fd = core.ConstraintMap.cartan_form(constraint, jets, slot)
         defects.append(block_norms(analytic - fd) / (1.0 + block_norms(analytic)))
     return np.maximum.reduce(defects), states
 
@@ -459,9 +459,9 @@ def test_recover_multipliers_evaluates_partials_once(tmp_path, monkeypatch):
     assert run("solve", "--width", 5, "--height", 4, "--out", out) == 0
     exact, calls = TraceLagrangian.vertex_differential, []
 
-    def counted(self, complex, jets, slot):
+    def counted(self, jets, slot):
         calls.append(len(jets))
-        return exact(self, complex, jets, slot)
+        return exact(self, jets, slot)
 
     monkeypatch.setattr(TraceLagrangian, "vertex_differential", counted)
     assert run("recover-multipliers", "--section", out / "reduced_section.txt",
@@ -738,7 +738,7 @@ def test_solve_with_boundary_file(tmp_path, capsys):
                "--out", out) == 0
     grid, given = ser.load_unreduced_field(field)
     _, solved = ser.load_unreduced_field(out / "unreduced_field.txt")
-    frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
+    frontier = sorted(classify_vertices(grid.full_faceset()).frontier)
     assert np.array_equal(solved[frontier], given[frontier])
 
     lines = field.read_text().splitlines()

@@ -4,7 +4,6 @@ import pytest
 from groupvar.complexes import (
     CellComplex,
     FaceSet,
-    TriangulatedGrid,
     classify_vertices,
     triangulated_grid,
 )
@@ -98,21 +97,21 @@ def test_full_faceset_classification_2x2():
     adherent = adherent_vertices(fs)
     assert len(adherent) == 8
     assert grid.vertex_id(2, 2) not in adherent
-    klass = classify_vertices(grid, fs)
+    klass = classify_vertices(fs)
     assert set(klass.interior.tolist()) == {grid.vertex_id(1, 1)}
     assert set(klass.interior.tolist()) | set(klass.frontier.tolist()) == adherent
 
 
 def test_full_faceset_classification_3x3():
     grid = triangulated_grid(3, 3)
-    klass = classify_vertices(grid, grid.full_faceset())
+    klass = classify_vertices(grid.full_faceset())
     expected = {grid.vertex_id(i, j) for i in (1, 2) for j in (1, 2)}
     assert set(klass.interior.tolist()) == expected
 
 
 def test_full_faceset_interior_count_4x4():
     grid = triangulated_grid(4, 4)
-    klass = classify_vertices(grid, grid.full_faceset())
+    klass = classify_vertices(grid.full_faceset())
     assert len(klass.interior) == 9
 
 
@@ -120,27 +119,19 @@ def test_full_faceset_and_its_classes_are_shared():
     grid = triangulated_grid(3, 3)
     fs = grid.full_faceset()
     assert grid.full_faceset() is fs
-    assert classify_vertices(grid, fs) is classify_vertices(grid, fs)
-    # against another complex the face set is validated and classified anew
-    klass = classify_vertices(grid, fs)
-    again = classify_vertices(TriangulatedGrid(3, 3), fs)
-    assert again is not klass
-    assert np.array_equal(again.interior, klass.interior)
-    assert np.array_equal(again.frontier, klass.frontier)
-    with pytest.raises(ValueError):
-        classify_vertices(triangulated_grid(2, 2), fs)
+    assert classify_vertices(fs) is classify_vertices(fs)
 
 
 def test_empty_faceset():
     grid = triangulated_grid(2, 2)
-    klass = classify_vertices(grid, FaceSet(grid, []))
+    klass = classify_vertices(FaceSet(grid, []))
     assert set(klass.interior.tolist()) == set()
     assert set(klass.frontier.tolist()) == set()
 
 
 def test_one_face_subset_classification():
     grid = triangulated_grid(2, 2)
-    klass = classify_vertices(grid, FaceSet(grid, [grid.face_id(0, 0)]))
+    klass = classify_vertices(FaceSet(grid, [grid.face_id(0, 0)]))
     assert set(klass.interior.tolist()) == set()
     assert set(klass.frontier.tolist()) == {grid.vertex_id(0, 0), grid.vertex_id(1, 0),
                                             grid.vertex_id(0, 1)}
@@ -154,7 +145,7 @@ def test_classification_matches_enumeration_oracle(w, h, seed):
         k = int(rng.integers(0, len(grid.faces) + 1))
         chosen = list(rng.choice(grid.faces, size=k, replace=False))
         fs = FaceSet(grid, chosen)
-        klass = classify_vertices(grid, fs)
+        klass = classify_vertices(fs)
         interior, frontier = set(klass.interior.tolist()), set(klass.frontier.tolist())
         assert interior == ambient_interior(grid, chosen)
         assert interior | frontier == adherent_vertices(fs)
@@ -164,7 +155,7 @@ def test_classification_matches_enumeration_oracle(w, h, seed):
 def test_full_interior_count_formula():
     for w, h in ((2, 2), (3, 5), (6, 6)):
         grid = triangulated_grid(w, h)
-        klass = classify_vertices(grid, grid.full_faceset())
+        klass = classify_vertices(grid.full_faceset())
         assert len(klass.interior) == (w - 1) * (h - 1)
 
 
@@ -235,7 +226,7 @@ def test_classification_matches_frozenset_oracle(w, h):
         k = int(rng.integers(0, len(grid.faces) + 1))
         subsets.append(rng.choice(len(grid.faces), size=k, replace=False).tolist())
     for chosen in subsets:
-        klass = classify_vertices(grid, FaceSet(grid, chosen))
+        klass = classify_vertices(FaceSet(grid, chosen))
         interior, frontier = frozenset_classification(grid, chosen)
         assert set(klass.interior.tolist()) == interior
         assert interior == ambient_interior(grid, chosen)
@@ -260,6 +251,6 @@ def test_star_is_the_csr_transpose_of_a_generic_complex():
     for v in range(11):
         expected = [f for f in range(12) if v in adherence[f].tolist()]
         assert complex.star(v).tolist() == expected
-    klass = classify_vertices(complex, FaceSet(complex, range(12)))
+    klass = classify_vertices(FaceSet(complex, range(12)))
     assert set(klass.interior.tolist()) == set(range(9)) - {3}
     assert klass.frontier.tolist() == [3]

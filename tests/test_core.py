@@ -35,7 +35,7 @@ def residual_at(lagrangian, y, lam, fs, v):
     """The extended residual (2, n, n) at interior vertex v, with the
     plaquette constraint."""
     res = core.extended_residual(lagrangian, PlaquetteConstraint(), y, lam, fs)
-    interior = classify_vertices(fs.complex, fs).interior
+    interior = classify_vertices(fs).interior
     assert res.shape == (len(interior), 2, N, N)
     return res[interior.tolist().index(v)]
 
@@ -65,7 +65,7 @@ class LinearDensity(core.LagrangianDensity):
         self.weights = {(slot, comp): rng.standard_normal((N, N))
                         for slot in range(3) for comp in range(2)}
 
-    def value(self, complex, jets):
+    def value(self, jets):
         total = 0.0
         for slot in range(3):
             for comp in range(2):
@@ -221,7 +221,7 @@ def test_fd_lagrangian_differential_against_analytic():
     y = sampling.random_section(grid, N, rng)
     jets = core.jet_at(y, grid, [grid.face_id(1, 1)])
     for slot in range(3):
-        fd = density.vertex_differential(grid, jets, slot)[0]
+        fd = density.vertex_differential(jets, slot)[0]
         exact = density.analytic_differential(jets[0], slot)
         for a, b in zip(fd, exact):
             assert np.linalg.norm(a - b) <= 1e-9
@@ -236,19 +236,17 @@ def test_fd_differential_sum_is_directional_derivative():
     face = grid.face_id(0, 1)
     jets = core.jet_at(y, grid, [face])
     theta_sum = sum(
-        core.apply_differential(density.vertex_differential(grid, jets, slot)[0],
-                                dy[v])
+        core.apply_differential(density.vertex_differential(jets, slot)[0], dy[v])
         for slot, v in enumerate(grid.adherence(face)))
     t = 1e-6
-    fd = (density.value(grid, core.jet_at(core.section_exp(y, dy, t), grid,
-                                          [face]))[0]
-          - density.value(grid, core.jet_at(core.section_exp(y, dy, -t), grid,
-                                            [face]))[0]) / (2.0 * t)
+    fd = (density.value(core.jet_at(core.section_exp(y, dy, t), grid, [face]))[0]
+          - density.value(core.jet_at(core.section_exp(y, dy, -t), grid, [face]))[0]) \
+        / (2.0 * t)
     assert abs(theta_sum - fd) / (1.0 + abs(fd)) <= 1e-6
 
 
 class ConstantDensity(core.LagrangianDensity):
-    def value(self, complex, jets):
+    def value(self, jets):
         return np.full(len(jets), 4.25)
 
 
@@ -364,7 +362,7 @@ def test_variational_split_resummation(seed, subset):
         fs = FaceSet(grid, [f for f in grid.faces if keep(*grid.face_ij(f))])
         faces = set(fs.face_ids.tolist())
         assert faces < set(grid.faces.tolist())
-        klass = classify_vertices(grid, fs)
+        klass = classify_vertices(fs)
         assert klass.interior.size
         assert any(not set(grid.star(v).tolist()) <= faces for v in klass.frontier)
     (lhs,), (rhs,) = core.variational_split(
@@ -482,10 +480,9 @@ def test_regularity_zero_columns():
     rep = core.regularity_report(PlaquetteConstraint(), y,
                                  FaceSet(grid, [grid.face_id(0, 0)]),
                                  boundary_fixed=True)
-    assert rep.cols == 0
+    assert rep.cols == 0 < rep.rows
     assert rep.sigma_min == 0.0
-    assert not rep.structurally_surjective
-    assert not rep.regular
+    assert rep.unreachable_faces == (grid.face_id(0, 0),)
 
 
 def test_regularity_free_variations_full_rank():
@@ -496,7 +493,7 @@ def test_regularity_free_variations_full_rank():
                                  boundary_fixed=False)
     assert rep.rows == 27 and rep.cols == 90
     assert rep.sigma_min > 1e-8
-    assert rep.regular
+    assert rep.unreachable_faces == ()
 
 
 def test_regularity_boundary_fixed_shape_and_flags():
@@ -506,7 +503,6 @@ def test_regularity_boundary_fixed_shape_and_flags():
     rep = core.regularity_report(PlaquetteConstraint(), y, grid.full_faceset(),
                                  boundary_fixed=True)
     assert rep.rows == 27 and rep.cols == 24
-    assert not rep.structurally_surjective
     assert rep.unreachable_faces == (grid.face_id(0, 0),)
 
 
@@ -520,7 +516,7 @@ def test_problem_bundle_delegates():
     assert core.admissibility_report(constraint, y, fs).admissible
     lam = zero_multiplier(grid)
     res = core.extended_residual(lagrangian, constraint, y, lam, fs)
-    assert len(res) == len(classify_vertices(grid, fs).interior)
+    assert len(res) == len(classify_vertices(fs).interior)
     assert np.linalg.norm(res) == 0.0
     (lhs,), (rhs,) = core.variational_split(lagrangian, constraint, y[None],
                                             lam[None],

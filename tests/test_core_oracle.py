@@ -29,7 +29,7 @@ class LinearDensity(core.LagrangianDensity):
     def __init__(self, n, rng):
         self.weights = rng.standard_normal((3, 2, n, n))
 
-    def value(self, complex, jets):
+    def value(self, jets):
         return np.trace(self.weights @ jets, axis1=-2, axis2=-1).sum(axis=(-2, -1))
 
 
@@ -47,7 +47,7 @@ def one_jet(y, complex, face):
     return y[np.array([complex.adherence(face)])]
 
 
-def oracle_fd_differential(density, complex, jet, slot):
+def oracle_fd_differential(density, jet, slot):
     """Central differences one fiber component and basis direction at a time."""
     h, n, c = H_LAGRANGIAN, jet.shape[-1], jet.shape[-3]
     steps = scipy.linalg.expm(h * lg.skew_basis(n))
@@ -57,23 +57,22 @@ def oracle_fd_differential(density, complex, jet, slot):
             plus, minus = jet.copy(), jet.copy()
             plus[0, slot, k] = g @ step
             minus[0, slot, k] = g @ step.T
-            coeffs.append((density.value(complex, plus)[0]
-                           - density.value(complex, minus)[0]) / (2.0 * h))
+            coeffs.append((density.value(plus)[0] - density.value(minus)[0]) / (2.0 * h))
     return lg.coords_to_skew(np.reshape(coeffs, (c, -1)) / 2.0, n)
 
 
-def oracle_fd_cartan_form(constraint, complex, jet, slot):
+def oracle_fd_cartan_form(constraint, jet, slot):
     h, n = H_LAGRANGIAN, jet.shape[-1]
     steps = scipy.linalg.expm(h * lg.skew_basis(n))
-    base_inv = constraint.value(complex, jet)[0].T
+    base_inv = constraint.value(jet)[0].T
     cols = []
     for k, g in enumerate(jet[0, slot]):
         for step in steps:
             plus, minus = jet.copy(), jet.copy()
             plus[0, slot, k] = g @ step
             minus[0, slot, k] = g @ step.T
-            deriv = base_inv @ (constraint.value(complex, plus)[0]
-                                - constraint.value(complex, minus)[0]) / (2.0 * h)
+            deriv = base_inv @ (constraint.value(plus)[0] - constraint.value(minus)[0]) \
+                / (2.0 * h)
             cols.append(lg.skew_to_coords(lg.skew_part(deriv)))
     return np.column_stack(cols)
 
@@ -81,7 +80,7 @@ def oracle_fd_cartan_form(constraint, complex, jet, slot):
 BROADCAST_BLOCK = 256  # jets per value call of the broadcast-copy oracle
 
 
-def broadcast_fd_differences(value, complex, jets, slot):
+def broadcast_fd_differences(value, jets, slot):
     """The finite differences of ``core._fd_differences`` as they were: every
     jet of a block of 256 copied once per direction, sign and component by
     one broadcast, all moved at once and handed to one ``value`` call."""
@@ -96,7 +95,7 @@ def broadcast_fd_differences(value, complex, jets, slot):
             g = block[:, slot, m, None]
             moved[:, 0, m, :, slot, m] = g @ steps
             moved[:, 1, m, :, slot, m] = g @ steps.swapaxes(-1, -2)
-        values = value(complex, moved.reshape(-1, k, c, n, n))
+        values = value(moved.reshape(-1, k, c, n, n))
         values = values.reshape(moved.shape[:4] + values.shape[1:])
         blocks.append(values[:, 0] - values[:, 1])
     return np.concatenate(blocks)
@@ -132,8 +131,8 @@ def oracle_plaquette_form(jet, slot):
     return oracle_conjugation_form(n, [(-1.0, vu)], [])
 
 
-def form_of(constraint, complex, jet, slot):
-    return constraint.cartan_form(complex, jet, slot)[0]
+def form_of(constraint, jet, slot):
+    return constraint.cartan_form(jet, slot)[0]
 
 
 def apply_form(matrix, xi):
@@ -162,15 +161,15 @@ def oracle_paired_sum(lagrangian, constraint, y, lam, dy, complex, pairs):
         jet = one_jet(y, complex, f)
         slot = complex.adherence(f).index(v)
         xi = dy[v]
-        total += pairing(lagrangian.vertex_differential(complex, jet, slot)[0], xi)
+        total += pairing(lagrangian.vertex_differential(jet, slot)[0], xi)
         total += float(np.trace(
-            lam[f].T @ apply_form(form_of(constraint, complex, jet, slot), xi)))
+            lam[f].T @ apply_form(form_of(constraint, jet, slot), xi)))
     return total
 
 
 def oracle_split(lagrangian, constraint, y, lam, dy, faceset):
     complex = faceset.complex
-    klass = classify_vertices(complex, faceset)
+    klass = classify_vertices(faceset)
     face_major = [(v, f) for f in sorted(faceset.face_ids.tolist())
                   for v in complex.adherence(f)]
     lhs = oracle_paired_sum(lagrangian, constraint, y, lam, dy, complex, face_major)
@@ -188,14 +187,13 @@ def oracle_noether(lagrangian, constraint, y, lam, d, faceset):
         jet = one_jet(y, complex, f)
         dl, dphi = 0.0, np.zeros((n, n))
         for slot, v in enumerate(complex.adherence(f)):
-            dl += pairing(lagrangian.vertex_differential(complex, jet, slot)[0],
-                          d[v])
-            dphi = dphi + apply_form(form_of(constraint, complex, jet, slot), d[v])
+            dl += pairing(lagrangian.vertex_differential(jet, slot)[0], d[v])
+            dphi = dphi + apply_form(form_of(constraint, jet, slot), d[v])
         lag_defect = max(lag_defect, abs(dl))
         con_defect = max(con_defect, float(np.linalg.norm(dphi)))
     total = oracle_paired_sum(lagrangian, constraint, y, lam, d, complex,
                               oracle_pairs(faceset,
-                                           classify_vertices(complex, faceset).frontier))
+                                           classify_vertices(faceset).frontier))
     return total, lag_defect, con_defect
 
 
@@ -206,8 +204,7 @@ def oracle_constraint_derivative(constraint, y, dy, faceset):
     for f in sorted(faceset.face_ids.tolist()):
         jet = one_jet(y, complex, f)
         for slot, v in enumerate(complex.adherence(f)):
-            out[f] = out[f] + apply_form(form_of(constraint, complex, jet, slot),
-                                         dy[v])
+            out[f] = out[f] + apply_form(form_of(constraint, jet, slot), dy[v])
     return out
 
 
@@ -215,7 +212,7 @@ def oracle_regularity(constraint, y, faceset, boundary_fixed):
     """(rows, cols, sigma_min, unreachable faces)."""
     complex = faceset.complex
     c, d = y.shape[-3], lg.algebra_dim(y.shape[-1])
-    klass = classify_vertices(complex, faceset)
+    klass = classify_vertices(faceset)
     variable = sorted(klass.interior.tolist()) if boundary_fixed \
         else sorted(set(complex.adherence_array[faceset.face_ids].ravel().tolist()))
     col_of = {v: i * c * d for i, v in enumerate(variable)}
@@ -228,7 +225,7 @@ def oracle_regularity(constraint, y, faceset, boundary_fixed):
         for slot, v in enumerate(complex.adherence(f)):
             if v in col_of:
                 matrix[fi * d:(fi + 1) * d, col_of[v]:col_of[v] + c * d] = \
-                    form_of(constraint, complex, jet, slot)
+                    form_of(constraint, jet, slot)
                 touched = True
         if touched:
             reachable.append(fi)
@@ -250,8 +247,8 @@ def oracle_extended_residual(lagrangian, constraint, y, lam, complex, vertex):
     for f in sorted(complex.star(vertex).tolist()):
         jet = one_jet(y, complex, f)
         slot = complex.adherence(f).index(vertex)
-        theta = lagrangian.vertex_differential(complex, jet, slot)[0]
-        nu = transpose_form(form_of(constraint, complex, jet, slot), lam[f], c)
+        theta = lagrangian.vertex_differential(jet, slot)[0]
+        nu = transpose_form(form_of(constraint, jet, slot), lam[f], c)
         total = total + theta + nu
     return total
 
@@ -260,8 +257,7 @@ def oracle_euler_lagrange_form(lagrangian, y, complex, vertex):
     total = 0.0
     for f in sorted(complex.star(vertex).tolist()):
         slot = complex.adherence(f).index(vertex)
-        total = total + lagrangian.vertex_differential(
-            complex, one_jet(y, complex, f), slot)[0]
+        total = total + lagrangian.vertex_differential(one_jet(y, complex, f), slot)[0]
     return total
 
 
@@ -276,7 +272,7 @@ def subset(grid):
             if i >= 1 and (i, j) != (3, 3)]
     fs = FaceSet(grid, keep)
     assert any(pos != f for pos, f in enumerate(fs.face_ids))
-    assert classify_vertices(grid, fs).interior.size
+    assert classify_vertices(fs).interior.size
     return fs
 
 
@@ -367,7 +363,7 @@ def test_stacked_splits_reject_short_sections_and_multipliers():
 def test_residuals_match_per_pair_oracles(n, kind, faces):
     grid, lagrangian, constraint, y, lam, _ = problem(n, kind, 200 + n)
     fs = FACESETS[faces](grid)
-    interior = classify_vertices(grid, fs).interior.tolist()
+    interior = classify_vertices(fs).interior.tolist()
     res = core.extended_residual(lagrangian, constraint, y, lam, fs)
     # the Euler-Lagrange form is the zero-multiplier case
     form = core.extended_residual(lagrangian, constraint, y,
@@ -387,13 +383,13 @@ def test_stacked_forms_match_per_jet_oracles(n):
     constraint = PlaquetteConstraint()
     jets = core.jet_at(y, grid, grid.full_faceset().face_ids)
     for slot in range(3):
-        theta = lagrangian.vertex_differential(grid, jets, slot)
-        fd_forms = core.ConstraintMap.cartan_form(constraint, grid, jets, slot)
-        forms = constraint.cartan_form(grid, jets, slot)
+        theta = lagrangian.vertex_differential(jets, slot)
+        fd_forms = core.ConstraintMap.cartan_form(constraint, jets, slot)
+        forms = constraint.cartan_form(jets, slot)
         for f in grid.faces:
             jet = jets[f:f + 1]
-            assert close(theta[f], oracle_fd_differential(lagrangian, grid, jet, slot))
-            assert close(fd_forms[f], oracle_fd_cartan_form(constraint, grid, jet, slot))
+            assert close(theta[f], oracle_fd_differential(lagrangian, jet, slot))
+            assert close(fd_forms[f], oracle_fd_cartan_form(constraint, jet, slot))
             assert close(forms[f], oracle_plaquette_form(jet, slot))
 
 
@@ -421,11 +417,11 @@ def test_fd_defaults_span_several_value_blocks():
     repeats = fd_jet_block(3, 2) // len(jets) + 2
     stack = np.tile(jets, (repeats, 1, 1, 1, 1))
     for slot in range(3):
-        assert close(lagrangian.vertex_differential(grid, stack, slot),
-                     np.tile(lagrangian.vertex_differential(grid, jets, slot),
+        assert close(lagrangian.vertex_differential(stack, slot),
+                     np.tile(lagrangian.vertex_differential(jets, slot),
                              (repeats, 1, 1, 1)))
-        assert close(constraint.cartan_form(grid, stack, slot),
-                     np.tile(constraint.cartan_form(grid, jets, slot), (repeats, 1, 1)))
+        assert close(constraint.cartan_form(stack, slot),
+                     np.tile(constraint.cartan_form(jets, slot), (repeats, 1, 1)))
 
 
 def chain_product(jets):
@@ -441,21 +437,21 @@ def chain_product(jets):
 class ChainDensity(core.LagrangianDensity):
     """The trace of :func:`chain_product`, for any c."""
 
-    def value(self, complex, jets):
+    def value(self, jets):
         return np.trace(chain_product(jets), axis1=-2, axis2=-1)
 
 
 class ChainConstraint(core.ConstraintMap):
     """:func:`chain_product` as a group-valued constraint, for any c."""
 
-    def value(self, complex, jets):
+    def value(self, jets):
         return chain_product(jets)
 
 
 class ViewDensity(core.LagrangianDensity):
     """An entry of the jets: ``value`` returns a view of its input."""
 
-    def value(self, complex, jets):
+    def value(self, jets):
         return jets[:, 0, -1, 0, 1]
 
 
@@ -463,7 +459,7 @@ class ViewConstraint(core.ConstraintMap):
     """The first slot's last component: ``value`` returns a view of its
     input."""
 
-    def value(self, complex, jets):
+    def value(self, jets):
         return jets[:, 0, -1]
 
 
@@ -477,22 +473,20 @@ def test_fd_differences_equal_the_broadcast_copies(n, components):
     """In-place moves give, bit for bit, the differences of the broadcast
     copies for every slot, on a stack of two full finite-difference blocks
     and one more jet, also when ``value`` returns a view of its input."""
-    grid = triangulated_grid(3, 3)
     rng = np.random.default_rng(700 + 10 * n + components)
     jets = random_jets(2 * fd_jet_block(n, components) + 1, n, components, rng)
     for model in (ChainDensity(), ChainConstraint(), ViewDensity(), ViewConstraint()):
         for slot in range(3):
-            got = core._fd_differences(model.value, grid, jets, slot)
-            want = broadcast_fd_differences(model.value, grid, jets, slot)
+            got = core._fd_differences(model.value, jets, slot)
+            want = broadcast_fd_differences(model.value, jets, slot)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
 
 def test_fd_differences_leave_the_jets_unchanged():
-    grid = triangulated_grid(3, 3)
     jets = random_jets(5, 3, 2, np.random.default_rng(750))
     before = jets.copy()
-    core._fd_differences(ViewConstraint().value, grid, jets, 1)
+    core._fd_differences(ViewConstraint().value, jets, 1)
     assert jets.tobytes() == before.tobytes()
-    empty = core._fd_differences(ChainConstraint().value, grid, jets[:0], 0)
+    empty = core._fd_differences(ChainConstraint().value, jets[:0], 0)
     assert empty.shape == (0, 2, 3, 3, 3)

@@ -20,10 +20,10 @@ def test_trace_value_bounds_and_identity():
     rng = np.random.default_rng(0)
     y = sampling.random_section(grid, N, rng)
     for f in grid.faces:
-        value = lagrangian.value(grid, core.jet_at(y, grid, [f]))[0]
+        value = lagrangian.value(core.jet_at(y, grid, [f]))[0]
         assert -2 * N <= value <= 2 * N
     y_eye = np.zeros(y.shape) + np.eye(N)
-    assert lagrangian.value(grid, core.jet_at(y_eye, grid, [0]))[0] == 2 * N
+    assert lagrangian.value(core.jet_at(y_eye, grid, [0]))[0] == 2 * N
 
 
 def _trace_differentials(u, v):
@@ -35,7 +35,7 @@ def _trace_differentials(u, v):
     values[grid.vertex_id(0, 0)] = u, v
     y = values
     lagrangian = hm.TraceLagrangian()
-    left = lagrangian.vertex_differential(grid, core.jet_at(y, grid, [0]), 0)[0]
+    left = lagrangian.vertex_differential(core.jet_at(y, grid, [0]), 0)[0]
     mu, right = red._partials(lagrangian, grid, y, red._on_window(grid, y))
     assert np.array_equal(mu[0, 0], left)
     return left, right[0, 0]
@@ -90,7 +90,7 @@ def test_two_path_ep_agreement(seed):
     rng = np.random.default_rng(seed)
     y = sampling.random_section(grid, N, rng)
     lagrangian = hm.TraceLagrangian()
-    klass = classify_vertices(grid, grid.full_faceset())
+    klass = classify_vertices(grid.full_faceset())
     residual = red.euler_poincare_residual(lagrangian, grid, y)
     for v in sorted(klass.interior):
         i, j = grid.vertex_ij(v)
@@ -271,7 +271,7 @@ def test_conjugation_field_is_symmetry(solved66):
     for f in fs.face_ids.tolist():
         jets = core.jet_at(y, grid, [f])
         dl = sum(core.apply_differential(
-            lagrangian.vertex_differential(grid, jets, slot)[0], d[v])
+            lagrangian.vertex_differential(jets, slot)[0], d[v])
             for slot, v in enumerate(grid.adherence(f)))
         assert abs(dl) <= 1e-13
     dpsi = core.constraint_derivative(red.PlaquetteConstraint(), y, d, fs)
@@ -297,7 +297,7 @@ def test_noether_scenario_negative_control(solved66):
 
 def test_multisymplectic_scenario(solved66):
     grid = solved66["grid"]
-    frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
+    frontier = sorted(classify_vertices(grid.full_faceset()).frontier)
     rng = np.random.default_rng(11)
     bump1 = {frontier[5]: lg.random_skew(N, rng)}
     bump2 = {frontier[14]: lg.random_skew(N, rng)}
@@ -314,7 +314,7 @@ def test_extended_residual_small_on_critical_pair(solved66):
     fs = grid.full_faceset()
     res = core.extended_residual(solved66["lagrangian"], red.PlaquetteConstraint(),
                                  solved66["y"], solved66["lam"], fs)
-    assert len(res) == len(classify_vertices(grid, fs).interior)
+    assert len(res) == len(classify_vertices(fs).interior)
     coords = 2.0 * lg.skew_to_coords(res)
     worst = max(np.linalg.norm(coords.reshape(len(res), -1), axis=1))
     assert worst <= 1e-8
@@ -339,7 +339,7 @@ def test_multisymplectic_bump_must_be_frontier(solved66):
     with pytest.raises(ValueError):
         hm.run_multisymplectic_scenario(grid, solved66["config"], inner, inner)
     # one check for the whole bump names its first non-frontier vertex
-    frontier = classify_vertices(grid, grid.full_faceset()).frontier
+    frontier = classify_vertices(grid.full_faceset()).frontier
     mixed = {int(frontier[3]): lg.random_skew(N, rng), **inner}
     with pytest.raises(ValueError, match=f"bump vertex {grid.vertex_id(2, 2)} is not"):
         hm.run_multisymplectic_scenario(grid, solved66["config"], mixed, mixed)
@@ -349,7 +349,7 @@ def test_multisymplectic_scenario_checks_no_derived_field(solved66, monkeypatch)
     """The Jacobi fields and the flowed sections derive from the base
     solution as it is: no group membership check after the configuration's."""
     grid = solved66["grid"]
-    frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
+    frontier = sorted(classify_vertices(grid.full_faceset()).frontier)
     rng = np.random.default_rng(13)
     bump1 = {frontier[2]: lg.random_skew(N, rng)}
     bump2 = {frontier[9]: lg.random_skew(N, rng)}
@@ -401,7 +401,7 @@ def test_multisymplectic_scenario_runs_one_newton_solve(solved66, monkeypatch):
     monkeypatch.setattr(hm, "_newton_polish",
                         lambda *args: calls.append(1) or polish(*args))
     grid = solved66["grid"]
-    frontier = classify_vertices(grid, grid.full_faceset()).frontier
+    frontier = classify_vertices(grid.full_faceset()).frontier
     rng = np.random.default_rng(14)
     bump1 = {int(frontier[1]): lg.random_skew(N, rng)}
     bump2 = {int(frontier[8]): lg.random_skew(N, rng)}
@@ -421,7 +421,7 @@ def test_corner_bump_moves_no_interior_vertex(solved66):
     theta, = hm._jacobi_gauges(g, [{corner: eta}])
     assert np.array_equal(theta[corner], eta)
     assert not np.delete(theta, corner, axis=0).any()
-    frontier = classify_vertices(grid, grid.full_faceset()).frontier
+    frontier = classify_vertices(grid.full_faceset()).frontier
     other = {int(frontier[6]): lg.random_skew(N, np.random.default_rng(16))}
     assert hm.run_multisymplectic_scenario(grid, solved66["config"],
                                            {corner: eta}, other).passed
@@ -461,7 +461,7 @@ def test_jacobi_fields_match_the_bumped_solves(monkeypatch, n):
     grid = triangulated_grid(6, 6)
     config = hm.SolverConfig(boundary=hm.random_boundary(grid, n, 7, 0.1),
                              g_tol=1e-11)
-    frontier = classify_vertices(grid, grid.full_faceset()).frontier
+    frontier = classify_vertices(grid.full_faceset()).frontier
     rng = np.random.default_rng(20 + n)
     bumps = [{int(frontier[p]): lg.random_skew(n, rng)}
              for p in rng.choice(len(frontier), size=2, replace=False)]
@@ -594,7 +594,7 @@ def test_multisymplectic_check_matches_the_per_call_scenario(monkeypatch, n,
     grid = triangulated_grid(width, height)
     config = hm.SolverConfig(boundary=hm.random_boundary(grid, n, n, 1.0),
                              g_tol=1e-11)
-    frontier = classify_vertices(grid, grid.full_faceset()).frontier
+    frontier = classify_vertices(grid.full_faceset()).frontier
     exact, seen = hm.multisymplectic_check, []
 
     def recorded(*args):
@@ -653,8 +653,8 @@ def test_random_boundary_is_the_per_vertex_expm_draw(n):
     ``scipy.linalg.expm``; the far corner repeats (W, H-1) and the interior
     holds the identity, like ``identity_boundary``."""
     grid = triangulated_grid(6, 5)
-    frontier = sorted(classify_vertices(grid, grid.full_faceset()).frontier)
-    interior = sorted(classify_vertices(grid, grid.full_faceset()).interior)
+    frontier = sorted(classify_vertices(grid.full_faceset()).frontier)
+    interior = sorted(classify_vertices(grid.full_faceset()).interior)
     corner, below = grid.vertex_id(6, 5), grid.vertex_id(6, 4)
     eye = hm.identity_boundary(grid, n)
     assert eye.shape == (len(grid.vertices), n, n) and np.all(eye == np.eye(n))

@@ -63,3 +63,39 @@ def test_every_public_name_has_a_caller_or_a_readme_line():
             if attr not in loaded and attr not in spans and not documented:
                 unused.append(f"{name}.{attr}")
     assert unused == []
+
+
+# The verify suites share one runner signature, (cfg, rng); the elimination
+# suite solves its window from cfg alone and draws nothing from rng.
+UNREAD_PARAMETERS = {("cli.py", "_suite_elimination", "rng")}
+
+
+def _only_raises(body) -> bool:
+    """A body that is a raise, after an optional docstring."""
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return len(body) == 1 and isinstance(body[0], ast.Raise)
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every function and lambda in ``src/groupvar``,
+    except ``self`` and ``cls``, is loaded in its body; a body that only
+    raises, such as an abstract method, reads none."""
+    unread = []
+    for path in sorted((ROOT / "src" / "groupvar").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            if _only_raises(body):
+                continue
+            loaded = {sub.id for part in body for sub in ast.walk(part)
+                      if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            name = getattr(node, "name", "<lambda>")
+            unread += [(path.name, name, p.arg) for p in params
+                       if p.arg not in ("self", "cls") and p.arg not in loaded
+                       and (path.name, name, p.arg) not in UNREAD_PARAMETERS]
+    assert unread == []

@@ -103,7 +103,7 @@ def test_holonomy_derivative_along_single_factor():
 def plaquette_forms(grid, y, i, j):
     """The three (d, 2d) Cartan forms of face (i, j), in adherence order."""
     jets = core.jet_at(y, grid, [grid.face_id(i, j)])
-    return tuple(red.PlaquetteConstraint().cartan_form(grid, jets, slot)[0]
+    return tuple(red.PlaquetteConstraint().cartan_form(jets, slot)[0]
                  for slot in range(3))
 
 
@@ -419,7 +419,7 @@ def test_boundary_fixed_gauge_kernel_is_real():
     theta = np.zeros((len(grid.vertices), N, N))
     theta[grid.vertex_id(2, 2)] = lg.random_skew(N, rng)
     dv = red.reduced_variation(grid, g, theta)
-    klass = classify_vertices(grid, grid.full_faceset())
+    klass = classify_vertices(grid.full_faceset())
     for v, fib in enumerate(dv):
         if v not in klass.interior:
             assert all(np.linalg.norm(x) == 0.0 for x in fib)
