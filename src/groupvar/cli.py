@@ -456,6 +456,8 @@ def cmd_reconstruct(args) -> int:
     grid, y = serialization.load_reduced_section(args.section)
     if args.seed_file:
         sgrid, sfield = serialization.load_unreduced_field(args.seed_file)
+        if (sgrid.width, sgrid.height) != (grid.width, grid.height):
+            raise ValueError("seed file window does not match the section")
         _check_group_size("seed file", sfield.shape[-1], "the section", y.shape[-1])
         seed = sfield[sgrid.vertex_id(0, 0)]
     else:

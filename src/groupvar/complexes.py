@@ -39,7 +39,7 @@ class CellComplex:
 
     ``adherence`` is an (F, k) int array: row f lists the k distinct
     vertices adherent to face f, in order.  It is kept as the read-only
-    ``adherence_array``, which the calculus gathers jets through, and
+    ``adherence_array``, whose rows each face set gathers once, and
     ``vertices`` and ``faces`` list the ids 0..V-1 and 0..F-1 as read-only
     int arrays.  The star of every vertex, the exact transpose, is one
     stable argsort of the adherence, kept in CSR form.  ``vertex_count`` may
@@ -80,7 +80,14 @@ class CellComplex:
 
 
 class FaceSet:
-    """A finite subset of the faces of a complex."""
+    """A finite subset of the faces of a complex: the one domain argument of
+    the calculus.
+
+    ``faces`` is any int array-like of face ids, in any order and with
+    repeats; ValueError for an id outside 0..F-1.  ``face_ids`` holds the
+    distinct ids sorted, and ``adherence`` their rows of the complex's
+    adherence, (F', k), gathered once; both are read-only int arrays.
+    """
 
     def __init__(self, complex: CellComplex, faces):
         ids = np.asarray(faces, dtype=int)
@@ -92,13 +99,13 @@ class FaceSet:
         chosen[ids] = True
         self.complex = complex
         self.face_ids = read_only(np.flatnonzero(chosen))
+        self.adherence = read_only(complex.adherence_array[self.face_ids])
 
     @cached_property
     def _vertex_class(self) -> VertexClass:
         c = self.complex
         # faces of each vertex's star that lie in the set
-        inside = np.bincount(c.adherence_array[self.face_ids].ravel(),
-                             minlength=len(c.vertices))
+        inside = np.bincount(self.adherence.ravel(), minlength=len(c.vertices))
         adherent = inside > 0
         interior = adherent & ~c._truncated & (inside == np.diff(c._star_ptr))
         return VertexClass(read_only(np.flatnonzero(interior)),

@@ -3,14 +3,16 @@
 Fibers are finite products of c copies of SO(n).  A section, a variation
 and a multiplier are each one float array indexed by vertex or face id,
 (V, c, n, n), (V, c, n, n) and (F, n, n), and every function reads c and n
-from the shapes; a jet is the gather ``y[adherence]``.  Variations are
-stored in left logarithmic coordinates: the entry xi at a vertex component
-with value g is the tangent of t -> g exp(t xi).  Per-vertex differentials
-of face-local quantities (the Cartan 1-forms of a Lagrangian or of a
-constraint) are the currency of everything here: the action differential
-splits into an interior Euler-Lagrange part and a frontier boundary part by
-regrouping exactly those forms, and that resummation identity is the master
-property this module is tested against.
+from the shapes.  Every function takes its domain as one face set
+(:class:`~groupvar.complexes.FaceSet`), and a jet is the gather
+``y[faceset.adherence]``.  Variations are stored in left logarithmic
+coordinates: the entry xi at a vertex component with value g is the
+tangent of t -> g exp(t xi).  Per-vertex differentials of face-local
+quantities (the Cartan 1-forms of a Lagrangian or of a constraint) are the
+currency of everything here: the action differential splits into an
+interior Euler-Lagrange part and a frontier boundary part by regrouping
+exactly those forms, and that resummation identity is the master property
+this module is tested against.
 
 Nothing here checks group membership: values enter through the solver
 configuration or the file loaders, which check them once with
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import CellComplex, FaceSet, classify_vertices
+from .complexes import FaceSet, classify_vertices
 from .defaults import H_JACOBI, H_LAGRANGIAN, SYMMETRY_TOL, TOL_ADMISSIBLE
 from .liegroup import (
     algebra_dim,
@@ -66,14 +68,14 @@ __all__ = [
 ]
 
 
-def _face_values(values: np.ndarray, faces) -> np.ndarray:
-    """The multiplier values (..., F, n, n) on a face id or an int array of
-    them, shaped ... + faces.shape + (n, n); ValueError for a face outside
-    0..F-1."""
-    faces = np.asarray(faces, dtype=int)
-    missing = faces[(faces < 0) | (faces >= values.shape[-3])]
+def _face_values(values: np.ndarray, faceset: FaceSet) -> np.ndarray:
+    """The multiplier values (..., F, n, n) on the faces of a face set, in
+    face-id order: (..., F', n, n); ValueError when the values stop short of
+    one of its faces."""
+    faces = faceset.face_ids
+    missing = faces[faces >= values.shape[-3]]
     if missing.size:
-        raise ValueError(f"multiplier missing on face {missing.flat[0]}")
+        raise ValueError(f"multiplier missing on face {missing[0]}")
     return values[..., faces, :, :]
 
 
@@ -86,17 +88,13 @@ def _block_size(floats_per_item: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * floats_per_item))
 
 
-def jet_at(values: np.ndarray, complex: CellComplex, faces) -> np.ndarray:
-    """Jets over a face id or an int array of them, from section values
-    (..., V, c, n, n) with any leading instance axes: the gather
-    ``values[..., adherence_array[faces]]``, of shape
-    ... + faces.shape + (k, c, n, n), slots in adherence order; ValueError
-    for a face id outside 0..F-1."""
-    faces = np.asarray(faces, dtype=int)
-    outside = faces[(faces < 0) | (faces >= len(complex.faces))]
-    if outside.size:
-        raise ValueError(f"face {outside.flat[0]} is not a face of the complex")
-    vertices = complex.adherence_array[faces]
+def jet_at(values: np.ndarray, faceset: FaceSet) -> np.ndarray:
+    """Jets over the faces of a face set, in face-id order, from section
+    values (..., V, c, n, n) with any leading instance axes: the gather
+    ``values[..., faceset.adherence]``, of shape ... + (F', k, c, n, n),
+    slots in adherence order; ValueError when the values stop short of a
+    vertex adherent to one of its faces."""
+    vertices = faceset.adherence
     if vertices.size and vertices.max() >= values.shape[-4]:
         raise ValueError(f"section undefined at vertex {vertices.max()}, "
                          f"adherent to a requested face")
@@ -170,8 +168,9 @@ class LagrangianDensity:
     """Per-face smooth functions with per-vertex differentials, on jet stacks.
 
     Subclasses implement ``value(jets)``, which receives a (P, k, c, n, n)
-    stack of jets (from :func:`jet_at`) and returns the (P,) values; a
-    density reads nothing but its jets.  The differential
+    stack of jets (from :func:`jet_at` on a face set, or any stack of k
+    vertex fibers) and returns the (P,) values; a density reads nothing but
+    its jets, never the complex or the face ids.  The differential
     ``vertex_differential(jets, slot)`` defaults to central finite
     differences along exponential curves with step ``H_LAGRANGIAN``, d
     directions of a block of jets per :meth:`value` call (see
@@ -242,7 +241,7 @@ def _sequential_sums(terms: np.ndarray) -> np.ndarray:
 
 def action(lagrangian: LagrangianDensity, y: np.ndarray, faceset: FaceSet) -> float:
     """Sum of the face Lagrangians over the face set, in face-id order."""
-    jets = jet_at(y, faceset.complex, faceset.face_ids)
+    jets = jet_at(y, faceset)
     return float(_sequential_sums(lagrangian.value(jets)))
 
 
@@ -251,10 +250,8 @@ def constraint_values(constraint: ConstraintMap, y: np.ndarray,
     """Constraint values, (F, n, n) indexed by face id like a multiplier,
     the identity on faces outside ``faceset``; identity everywhere means
     admissible."""
-    complex = faceset.complex
-    out = np.tile(np.eye(y.shape[-1]), (len(complex.faces), 1, 1))
-    faces = faceset.face_ids
-    out[faces] = constraint.value(jet_at(y, complex, faces))
+    out = np.tile(np.eye(y.shape[-1]), (len(faceset.complex.faces), 1, 1))
+    out[faceset.face_ids] = constraint.value(jet_at(y, faceset))
     return out
 
 
@@ -288,13 +285,10 @@ def constraint_derivative(constraint: ConstraintMap, y: np.ndarray, dy: np.ndarr
     gauge fields along admissible sections this is the tangency statement the
     reduction module tests.
     """
-    complex = faceset.complex
     n = y.shape[-1]
-    faces = faceset.face_ids
-    forms = _per_slot(constraint.cartan_form, jet_at(y, complex, faces))
-    out = np.zeros((len(complex.faces), n, n))
-    xi = dy[complex.adherence_array[faces]]
-    out[faces] = form_apply(forms, xi).sum(axis=1)
+    forms = _per_slot(constraint.cartan_form, jet_at(y, faceset))
+    out = np.zeros((len(faceset.complex.faces), n, n))
+    out[faceset.face_ids] = form_apply(forms, dy[faceset.adherence]).sum(axis=1)
     return out
 
 
@@ -327,17 +321,15 @@ def regularity_report(constraint: ConstraintMap, y: np.ndarray, faceset: FaceSet
     coordinates of the variable vertices (interior ones when the boundary is
     fixed, every adherent vertex otherwise).
     """
-    complex = faceset.complex
     d = algebra_dim(y.shape[-1])
     klass = classify_vertices(faceset)
     variable = klass.interior if boundary_fixed \
         else np.sort(np.concatenate([klass.interior, klass.frontier]))
     faces = faceset.face_ids
-    vertices = complex.adherence_array[faces]
-    forms = _per_slot(constraint.cartan_form, jet_at(y, complex, faces))
+    forms = _per_slot(constraint.cartan_form, jet_at(y, faceset))
     column = np.full(len(y), -1)
     column[variable] = np.arange(len(variable))
-    column = column[vertices]
+    column = column[faceset.adherence]
     # blocks[face, :, variable vertex, :] holds the (d, c d) form of that pair
     blocks = np.zeros((len(faces), d, len(variable), forms.shape[-1]))
     fi, slot = np.nonzero(column >= 0)
@@ -380,19 +372,19 @@ def _vertex_sums(covectors: np.ndarray, vertices: np.ndarray,
 
 
 def _face_forms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                ys: np.ndarray, lams: np.ndarray, complex: CellComplex,
-                faces: np.ndarray):
-    """The per-point part of the calculus for B (section, multiplier) points,
-    ys (B, V, c, n, n) and lams (B, F, n, n): indexed [point, face, slot],
-    the Lagrangian differential theta (B, F', k, c, n, n) and Cartan form A
-    (B, F', k, d, c d) of every pair, from one density and one constraint
-    call per slot on all B F' jets, and the multipliers (B, F', 1, n, n)."""
-    jets = jet_at(ys, complex, faces)
+                ys: np.ndarray, lams: np.ndarray, faceset: FaceSet):
+    """The per-point part of the calculus on a face set for B (section,
+    multiplier) points, ys (B, V, c, n, n) and lams (B, F, n, n): indexed
+    [point, face, slot], the Lagrangian differential theta
+    (B, F', k, c, n, n) and Cartan form A (B, F', k, d, c d) of every pair,
+    from one density and one constraint call per slot on all B F' jets, and
+    the multipliers (B, F', 1, n, n)."""
+    jets = jet_at(ys, faceset)
     flat = jets.reshape((-1,) + jets.shape[2:])
     theta = _per_slot(lagrangian.vertex_differential, flat)
     forms = _per_slot(constraint.cartan_form, flat)
     return (theta.reshape(jets.shape), forms.reshape(jets.shape[:3] + forms.shape[2:]),
-            _face_values(lams, faces)[:, :, None])
+            _face_values(lams, faceset)[:, :, None])
 
 
 def _residual_sums(point, vertices: np.ndarray, chosen: np.ndarray) -> np.ndarray:
@@ -413,9 +405,8 @@ def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     equations; with a zero multiplier it is the Euler-Lagrange form.  The
     value on basis vector E_kl is <mu, E_kl> = 2 mu_kl.
     """
-    complex, faces = faceset.complex, faceset.face_ids
-    point = _face_forms(lagrangian, constraint, y[None], lam[None], complex, faces)
-    return _residual_sums(point, complex.adherence_array[faces],
+    point = _face_forms(lagrangian, constraint, y[None], lam[None], faceset)
+    return _residual_sums(point, faceset.adherence,
                           classify_vertices(faceset).interior)[0]
 
 
@@ -438,13 +429,11 @@ def _probe_terms(point, dys: np.ndarray, vertices: np.ndarray):
 def _pair_terms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
                 ys: np.ndarray, lams: np.ndarray, dys: np.ndarray,
                 faceset: FaceSet):
-    """The adherent vertices (F', k) of the faces in id order and the
-    :func:`_probe_terms` of B instances: sections ys (B, V, c, n, n),
-    multipliers lams (B, F, n, n) and variations dys (B, V, c, n, n)."""
-    complex, faces = faceset.complex, faceset.face_ids
-    vertices = complex.adherence_array[faces]
-    point = _face_forms(lagrangian, constraint, ys, lams, complex, faces)
-    return (vertices, *_probe_terms(point, dys, vertices))
+    """The :func:`_probe_terms` on a face set of B instances: sections ys
+    (B, V, c, n, n), multipliers lams (B, F, n, n) and variations dys
+    (B, V, c, n, n)."""
+    point = _face_forms(lagrangian, constraint, ys, lams, faceset)
+    return _probe_terms(point, dys, faceset.adherence)
 
 
 def _vertex_major_sums(vertices: np.ndarray, terms: np.ndarray, *groups) -> np.ndarray:
@@ -473,10 +462,10 @@ def variational_split(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     values it gets on its own, as a stack of one, bit for bit.
     """
     klass = classify_vertices(faceset)
-    vertices, _, _, terms = _pair_terms(lagrangian, constraint, ys, lams, dys,
-                                        faceset)
+    terms = _pair_terms(lagrangian, constraint, ys, lams, dys, faceset)[2]
     return (_sequential_sums(terms.reshape(len(terms), -1)),
-            _vertex_major_sums(vertices, terms, klass.interior, klass.frontier))
+            _vertex_major_sums(faceset.adherence, terms, klass.interior,
+                               klass.frontier))
 
 
 @dataclass(frozen=True)
@@ -506,11 +495,11 @@ def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMa
     instead of raising.
     """
     frontier = classify_vertices(faceset).frontier
-    vertices, dl, dphi, terms = _pair_terms(lagrangian, constraint, y[None], lam[None],
-                                            d[None], faceset)
+    dl, dphi, terms = _pair_terms(lagrangian, constraint, y[None], lam[None],
+                                  d[None], faceset)
     lag_defect = max_norm(np.abs(dl[0].sum(axis=1)))
     con_defect = max_norm(block_norms(dphi[0].sum(axis=1)))
-    total = float(_vertex_major_sums(vertices, terms, frontier)[0])
+    total = float(_vertex_major_sums(faceset.adherence, terms, frontier)[0])
     ok = lag_defect <= SYMMETRY_TOL and con_defect <= SYMMETRY_TOL
     return NoetherReport(total, lag_defect, con_defect, ok)
 
@@ -550,10 +539,9 @@ def jacobi_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     a critical pair annihilates the linearized residual, so the value is of
     the order of the finite-difference error for true Jacobi fields.
     """
-    complex, faces = faceset.complex, faceset.face_ids
     ys, lams = _flows(y, lam, ((dy, dlam),))
-    point = _face_forms(lagrangian, constraint, ys[:2], lams[:2], complex, faces)
-    return _jacobi_norms(point, complex.adherence_array[faces],
+    point = _face_forms(lagrangian, constraint, ys[:2], lams[:2], faceset)
+    return _jacobi_norms(point, faceset.adherence,
                          classify_vertices(faceset).interior)[0]
 
 
@@ -592,11 +580,10 @@ def multisymplectic_check(lagrangian: LagrangianDensity, constraint: ConstraintM
     :func:`multisymplectic_defect` on (d1, d2), from one evaluation of the
     forms at each of the five points (y exp(+-h d_i), lam +- h dlam_i),
     h = ``H_JACOBI``, and (y, lam)."""
-    complex, faces = faceset.complex, faceset.face_ids
     klass = classify_vertices(faceset)
-    vertices = complex.adherence_array[faces]
+    vertices = faceset.adherence
     ys, lams = _flows(y, lam, ((d1, dlam1), (d2, dlam2)))
-    point = _face_forms(lagrangian, constraint, ys, lams, complex, faces)
+    point = _face_forms(lagrangian, constraint, ys, lams, faceset)
     jacobi = _jacobi_norms(tuple(a[:4] for a in point), vertices, klass.interior)
     # omega, the frontier sum of the pair terms, at the flows of d1 probed by
     # d2, at the flows of d2 probed by d1, and at (y, lam) probed by the

@@ -99,7 +99,7 @@ def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     of every reduced Lagrangian on this window.
     """
     mu = _on_window(grid, lagrangian.vertex_differential(
-        jet_at(y, grid, grid.full_faceset().face_ids), 0))
+        jet_at(y, grid.full_faceset()), 0))
     return mu, adjoint(p[:-1, :-1], mu)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from groupvar import core, harmonic as hm, liegroup as lg, reduction as red, sampling
-from groupvar.complexes import classify_vertices, triangulated_grid
+from groupvar.complexes import FaceSet, classify_vertices, triangulated_grid
 from groupvar.errors import HolonomyError
 from groupvar.harmonic import TraceLagrangian
 from groupvar.reduction import PlaquetteConstraint
@@ -56,7 +56,7 @@ def test_criterion_02_cartan_decomposition():
     for k in range(100):
         y = sampling.random_section(grid, N, rng)
         face = faces[k % len(faces)]
-        jets = core.jet_at(y, grid, [face])
+        jets = core.jet_at(y, FaceSet(grid, [face]))
         for slot in range(3):
             analytic = constraint.cartan_form(jets, slot)[0]
             fd = core.ConstraintMap.cartan_form(constraint, jets, slot)[0]

@@ -8,7 +8,7 @@ import pytest
 
 from groupvar import cli, core, sampling, serialization as ser
 from groupvar.cli import main
-from groupvar.complexes import classify_vertices, triangulated_grid
+from groupvar.complexes import FaceSet, classify_vertices, triangulated_grid
 from groupvar.harmonic import TraceLagrangian
 from groupvar.liegroup import block_norms, max_norm, random_skew
 from groupvar.reduction import PlaquetteConstraint, reduce_field
@@ -340,8 +340,8 @@ def per_instance_cartan(n, count, rng):
     faces = grid.faces
     jets, states = [], []
     for k in range(count):
-        jets.append(core.jet_at(sampling.random_section(grid, n, rng), grid,
-                                faces[k % len(faces)]))
+        jets.append(core.jet_at(sampling.random_section(grid, n, rng),
+                                FaceSet(grid, [faces[k % len(faces)]]))[0])
         states.append(rng.bit_generator.state)
     jets = np.array(jets)
     defects = []
@@ -815,6 +815,25 @@ def test_group_size_mismatch_exits_two(tmp_path, capsys):
                "--seed-file", field, "--out", tmp_path / "rebuilt") == 2
     err = capsys.readouterr().err
     assert err == "groupvar: seed file holds SO(4) values, the section is SO(3)\n"
+
+
+def test_seed_file_from_another_window_exits_two(tmp_path, capsys):
+    """A reconstruct seed file whose window is not the section's is a usage
+    error, as a boundary file's is for solve, raised before anything is
+    written."""
+    rng = np.random.default_rng(0)
+    seeds, section = tmp_path / "field.txt", tmp_path / "section.txt"
+    small = triangulated_grid(1, 1)
+    ser.save_unreduced_field(seeds, small, sampling.random_unreduced_field(small, 3, rng))
+    grid = triangulated_grid(6, 4)
+    ser.save_reduced_section(
+        section, grid, reduce_field(grid, sampling.random_unreduced_field(grid, 3, rng)))
+    out = tmp_path / "out"
+    assert run("reconstruct", "--section", section, "--seed-file", seeds,
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == "groupvar: seed file window does not match the section\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, kind, n", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from groupvar import core
 from groupvar.complexes import (
     CellComplex,
     FaceSet,
@@ -254,3 +255,29 @@ def test_star_is_the_csr_transpose_of_a_generic_complex():
     klass = classify_vertices(FaceSet(complex, range(12)))
     assert set(klass.interior.tolist()) == set(range(9)) - {3}
     assert klass.frontier.tolist() == [3]
+
+
+@pytest.mark.parametrize("complex", [
+    triangulated_grid(3, 2),
+    CellComplex([[0, 4, 2, 7], [5, 1, 3, 0], [6, 2, 4, 1], [3, 7, 6, 5], [2, 0, 5, 6]],
+                vertex_count=9),
+], ids=["grid", "cell complex"])
+def test_faceset_gathers_adherence_once_and_jets_through_it(complex):
+    """The full set, a subset given unsorted with a repeat, and the empty
+    set: ``adherence`` is the read-only gather of the complex's rows at the
+    sorted face ids, jet_at on values with a leading instance axis is the
+    gather through it, and values one vertex short of an adherent vertex
+    raise."""
+    rng = np.random.default_rng(3)
+    last = len(complex.faces) - 1
+    values = rng.normal(size=(2, len(complex.vertices), 1, 3, 3))
+    for faces in (complex.faces, [last, 1, last], []):
+        faceset = FaceSet(complex, faces)
+        expected = complex.adherence_array[faceset.face_ids]
+        assert not faceset.adherence.flags.writeable
+        assert np.array_equal(faceset.adherence, expected)
+        assert faceset.adherence.shape == (len(faceset.face_ids), expected.shape[1])
+        assert np.array_equal(core.jet_at(values, faceset), values[:, expected])
+        if len(faceset.face_ids):
+            with pytest.raises(ValueError, match="section undefined at vertex"):
+                core.jet_at(values[:, :faceset.adherence.max()], faceset)

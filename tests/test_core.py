@@ -88,10 +88,12 @@ def test_action_empty_faceset_is_zero():
 
 
 @pytest.mark.parametrize("face", [-1, 4])
-def test_jet_at_rejects_face_ids_outside_the_complex(face):
+def test_faceset_rejects_face_ids_outside_the_complex(face):
+    """The face set, the domain of every jet, checks its ids once: -1 and F
+    raise."""
     grid = triangulated_grid(2, 2)
-    with pytest.raises(ValueError):
-        core.jet_at(identity_section(grid), grid, [0, face])
+    with pytest.raises(ValueError, match=f"face {face} is not a face of the complex"):
+        FaceSet(grid, [0, face])
 
 
 def test_action_identity_section_value():
@@ -219,7 +221,7 @@ def test_fd_lagrangian_differential_against_analytic():
     rng = np.random.default_rng(6)
     density = LinearDensity(rng)
     y = sampling.random_section(grid, N, rng)
-    jets = core.jet_at(y, grid, [grid.face_id(1, 1)])
+    jets = core.jet_at(y, FaceSet(grid, [grid.face_id(1, 1)]))
     for slot in range(3):
         fd = density.vertex_differential(jets, slot)[0]
         exact = density.analytic_differential(jets[0], slot)
@@ -234,13 +236,14 @@ def test_fd_differential_sum_is_directional_derivative():
     y = sampling.random_section(grid, N, rng)
     dy = sampling.random_variation(grid, N, rng)
     face = grid.face_id(0, 1)
-    jets = core.jet_at(y, grid, [face])
+    single = FaceSet(grid, [face])
+    jets = core.jet_at(y, single)
     theta_sum = sum(
         core.apply_differential(density.vertex_differential(jets, slot)[0], dy[v])
         for slot, v in enumerate(grid.adherence(face)))
     t = 1e-6
-    fd = (density.value(core.jet_at(core.section_exp(y, dy, t), grid, [face]))[0]
-          - density.value(core.jet_at(core.section_exp(y, dy, -t), grid, [face]))[0]) \
+    fd = (density.value(core.jet_at(core.section_exp(y, dy, t), single))[0]
+          - density.value(core.jet_at(core.section_exp(y, dy, -t), single))[0]) \
         / (2.0 * t)
     assert abs(theta_sum - fd) / (1.0 + abs(fd)) <= 1e-6
 

@@ -381,7 +381,7 @@ def test_stacked_forms_match_per_jet_oracles(n):
     forms, on a stack of every face jet against one jet at a time."""
     grid, lagrangian, _, y, _, _ = problem(n, "fd", 300 + n)
     constraint = PlaquetteConstraint()
-    jets = core.jet_at(y, grid, grid.full_faceset().face_ids)
+    jets = core.jet_at(y, grid.full_faceset())
     for slot in range(3):
         theta = lagrangian.vertex_differential(jets, slot)
         fd_forms = core.ConstraintMap.cartan_form(constraint, jets, slot)
@@ -413,7 +413,7 @@ def test_fd_defaults_span_several_value_blocks():
     """A jet stack longer than one finite-difference block gives each jet
     the differential and form it has on its own."""
     grid, lagrangian, constraint, y, _, _ = problem(3, "fd", 500)
-    jets = core.jet_at(y, grid, grid.full_faceset().face_ids)
+    jets = core.jet_at(y, grid.full_faceset())
     repeats = fd_jet_block(3, 2) // len(jets) + 2
     stack = np.tile(jets, (repeats, 1, 1, 1, 1))
     for slot in range(3):

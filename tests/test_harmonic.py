@@ -20,10 +20,10 @@ def test_trace_value_bounds_and_identity():
     rng = np.random.default_rng(0)
     y = sampling.random_section(grid, N, rng)
     for f in grid.faces:
-        value = lagrangian.value(core.jet_at(y, grid, [f]))[0]
+        value = lagrangian.value(core.jet_at(y, FaceSet(grid, [f])))[0]
         assert -2 * N <= value <= 2 * N
     y_eye = np.zeros(y.shape) + np.eye(N)
-    assert lagrangian.value(core.jet_at(y_eye, grid, [0]))[0] == 2 * N
+    assert lagrangian.value(core.jet_at(y_eye, FaceSet(grid, [0])))[0] == 2 * N
 
 
 def _trace_differentials(u, v):
@@ -35,7 +35,7 @@ def _trace_differentials(u, v):
     values[grid.vertex_id(0, 0)] = u, v
     y = values
     lagrangian = hm.TraceLagrangian()
-    left = lagrangian.vertex_differential(core.jet_at(y, grid, [0]), 0)[0]
+    left = lagrangian.vertex_differential(core.jet_at(y, FaceSet(grid, [0])), 0)[0]
     mu, right = red._partials(lagrangian, grid, y, red._on_window(grid, y))
     assert np.array_equal(mu[0, 0], left)
     return left, right[0, 0]
@@ -269,7 +269,7 @@ def test_conjugation_field_is_symmetry(solved66):
     fs = grid.full_faceset()
     # trace derivative along the field is a commutator trace, exactly zero
     for f in fs.face_ids.tolist():
-        jets = core.jet_at(y, grid, [f])
+        jets = core.jet_at(y, FaceSet(grid, [f]))
         dl = sum(core.apply_differential(
             lagrangian.vertex_differential(jets, slot)[0], d[v])
             for slot, v in enumerate(grid.adherence(f)))

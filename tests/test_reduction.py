@@ -3,7 +3,7 @@ import pytest
 
 from groupvar import core, harmonic as hm, liegroup as lg, reduction as red, sampling
 from groupvar import serialization as ser
-from groupvar.complexes import classify_vertices, triangulated_grid
+from groupvar.complexes import FaceSet, classify_vertices, triangulated_grid
 from groupvar.errors import (
     HolonomyError,
     PreconditionError,
@@ -102,7 +102,7 @@ def test_holonomy_derivative_along_single_factor():
 
 def plaquette_forms(grid, y, i, j):
     """The three (d, 2d) Cartan forms of face (i, j), in adherence order."""
-    jets = core.jet_at(y, grid, [grid.face_id(i, j)])
+    jets = core.jet_at(y, FaceSet(grid, [grid.face_id(i, j)]))
     return tuple(red.PlaquetteConstraint().cartan_form(jets, slot)[0]
                  for slot in range(3))
 
