@@ -14,8 +14,8 @@ interior Euler-Lagrange part and a frontier boundary part by regrouping
 exactly those forms, and that resummation identity is the master property
 this module is tested against.
 
-Nothing here checks group membership: values enter through the solver
-configuration or the file loaders, which check them once with
+Nothing here checks group membership: values enter through the solver's
+boundary or the file loaders, which check them once with
 ``liegroup.group_array``; everything derived from them is trusted.  All
 operations are pure and never write to their inputs, and the arrays the
 library returns are read-only, so any face- or vertex-parallel scheduling of

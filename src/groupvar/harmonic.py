@@ -10,8 +10,8 @@ rise by no more than round-off, keeps the iteration near the branch selected
 by the boundary blend initializer.  "Critical" throughout means stationary;
 reports claim no minimality of anything.
 
-Gradient assembly is vertex-parallel within an iteration; each scenario
-runs one solve.
+Gradient assembly is vertex-parallel within an iteration.  The scenarios
+take a solved field or section and measure it: they neither solve nor judge.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .reduction import (
 
 __all__ = [
     "TraceLagrangian",
-    "SolverConfig",
     "SolveReport",
     "solve_unreduced",
     "dirichlet_energy",
@@ -62,9 +61,7 @@ __all__ = [
     "random_boundary",
     "conjugation_symmetry_field",
     "run_noether_scenario",
-    "NoetherScenarioReport",
     "run_multisymplectic_scenario",
-    "MultisymplecticScenarioReport",
 ]
 
 
@@ -93,27 +90,6 @@ class TraceLagrangian(LagrangianDensity):
 # The iterate is one (H+1, W+1, n, n) array g indexed [j, i]: flattening the
 # first two axes gives vertex ids, and g[1:-1, 1:-1] is the interior.  Scalar
 # reductions run in vertex-id order, one term at a time.
-
-
-@dataclass
-class SolverConfig:
-    """Options and boundary data for the stationary-point solver.
-
-    ``boundary`` is a (V, n, n) vertex field of the window: the solver keeps
-    its frontier and far corner and overwrites its interior.  It passes
-    ``liegroup.group_array`` here, so a malformed block raises ValueError.
-    The gradient target applies per interior vertex; the solver takes one
-    more step after it first meets it, which carries the gradient to
-    round-off.  ``max_iterations`` bounds the trust-region steps, accepted
-    or rejected.
-    """
-
-    boundary: np.ndarray
-    g_tol: float = G_TOL
-    max_iterations: int = 5000
-
-    def __post_init__(self):
-        self.boundary = group_array(self.boundary)
 
 
 @dataclass
@@ -500,27 +476,35 @@ def _blend_initializer(g: np.ndarray) -> np.ndarray:
     return np.where(defined, lg.polar_factor(blend), np.eye(g.shape[-1]))
 
 
-def solve_unreduced(grid: TriangulatedGrid, config: SolverConfig
+def solve_unreduced(grid: TriangulatedGrid, boundary: np.ndarray,
+                    g_tol: float = G_TOL, max_iterations: int = 5000
                     ) -> tuple[np.ndarray, SolveReport]:
     """Find a vertex field, stationary for the trace action, with fixed boundary.
+
+    ``boundary`` is a (V, n, n) vertex field of the window: the solver keeps
+    its frontier and far corner and overwrites its interior.  It passes
+    ``liegroup.group_array`` first, so a malformed block, interior ones
+    included, raises ValueError.
 
     Riemannian trust-region Newton on the Dirichlet energy with exponential
     retraction (``_newton_polish``), from the boundary blend; the gradient
     and Hessian blocks are closed-form in the trace differentials, no finite
-    differences in the loop.  Convergence means
-    every interior gradient block has Frobenius norm at most ``g_tol``; the
-    reduced section of the result then satisfies the reduced critical
-    equations to the same level and is flat by construction.  Returns the
-    read-only (V, n, n) field and its report; raises ``ConvergenceError``
-    otherwise.
+    differences in the loop.  Convergence means every interior gradient
+    block has Frobenius norm at most ``g_tol``; the solver takes one more
+    step after it first meets it, which carries the gradient to round-off,
+    and tries at most ``max_iterations`` trust-region steps, accepted or
+    rejected.  The reduced section of the result then satisfies the reduced
+    critical equations to the same level and is flat by construction.
+    Returns the read-only (V, n, n) field and its report; raises
+    ``ConvergenceError`` otherwise.
     """
-    g_tol, max_iterations = config.g_tol, config.max_iterations
-    n = config.boundary.shape[-1]
+    boundary = group_array(boundary)
+    n = boundary.shape[-1]
     blocks = (len(grid.vertices), n, n)
-    if config.boundary.shape != blocks:
-        raise ValueError(f"boundary has shape {config.boundary.shape}, "
+    if boundary.shape != blocks:
+        raise ValueError(f"boundary has shape {boundary.shape}, "
                          f"the window needs {blocks}")
-    g = config.boundary.reshape(grid.height + 1, grid.width + 1, n, n).copy()
+    g = boundary.reshape(grid.height + 1, grid.width + 1, n, n).copy()
     g[1:-1, 1:-1] = _blend_initializer(g)
 
     g, energy, worst, history, counters = _newton_polish(g, g_tol, max_iterations)
@@ -577,9 +561,7 @@ def random_boundary(grid: TriangulatedGrid, n: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# symmetry field and scenarios, with the scenario thresholds (the Noether one
-# a factor of 1 + |action|)
-_NOETHER_TOL_FACTOR, _JACOBI_TOL, _DEFECT_TOL = 1e-8, 1e-4, 1e-4
+# symmetry field and scenarios
 
 
 def conjugation_symmetry_field(y: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -594,48 +576,24 @@ def conjugation_symmetry_field(y: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return read_only(xi - coadjoint(y, xi))
 
 
-@dataclass(frozen=True)
-class NoetherScenarioReport:
-    noether: NoetherReport
-    threshold: float
-    passed: bool
+def run_noether_scenario(grid: TriangulatedGrid, y: np.ndarray, xi: np.ndarray,
+                         symmetry_field: np.ndarray | None = None) -> NoetherReport:
+    """The conservation boundary sum along a solved section ``y``.
 
-
-def run_noether_scenario(grid: TriangulatedGrid, config: SolverConfig,
-                         xi: np.ndarray,
-                         symmetry_field: np.ndarray | None = None
-                         ) -> NoetherScenarioReport:
-    """Solve, recover multipliers, and evaluate the conservation boundary sum.
-
-    With the conjugation field the sum is predicted to vanish to
-    1e-8 (1 + |action|).  Passing an explicit ``symmetry_field`` (for
-    negative controls) overrides the conjugation construction.
+    Recovers the zero-seed multiplier along ``y`` and returns the
+    ``noether_boundary_sum`` report on the conjugation field of ``xi``;
+    passing an explicit ``symmetry_field`` (for negative controls) overrides
+    that construction.  Along a critical section the sum is predicted to
+    vanish; the bound is the caller's (``verify noether`` takes
+    1e-8 (1 + |action|)).
     """
     n = xi.shape[-1]
     lagrangian = TraceLagrangian()
-    faceset = grid.full_faceset()
-    _, solve_report = solve_unreduced(grid, config)
-    y = solve_report.section
     lam, _ = recover_multipliers(lagrangian, grid, y, np.zeros((n, n)))
     d = symmetry_field if symmetry_field is not None \
         else conjugation_symmetry_field(y, xi)
-    noether = noether_boundary_sum(lagrangian, PlaquetteConstraint(), y, lam, d,
-                                   faceset)
-    threshold = _NOETHER_TOL_FACTOR * (1.0 + abs(solve_report.final_action))
-    passed = noether.symmetry_ok and abs(noether.boundary_sum) <= threshold
-    return NoetherScenarioReport(noether, threshold, passed)
-
-
-@dataclass(frozen=True)
-class MultisymplecticScenarioReport:
-    """Both Jacobi residuals and the two-form defect on (d1, d2), the whole
-    verdict of ``verify multisymplectic``: passed when each of the three is
-    at most 1e-4 in magnitude; ``threshold`` is the defect's bound."""
-    jacobi_residual_1: float
-    jacobi_residual_2: float
-    defect: float
-    threshold: float
-    passed: bool
+    return noether_boundary_sum(lagrangian, PlaquetteConstraint(), y, lam, d,
+                                grid.full_faceset())
 
 
 def _jacobi_gauges(g: np.ndarray, bumps):
@@ -664,19 +622,22 @@ def _jacobi_gauges(g: np.ndarray, bumps):
         yield theta.reshape(-1, n, n)
 
 
-def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
+def run_multisymplectic_scenario(grid: TriangulatedGrid, g: np.ndarray,
                                  bump1: dict[int, np.ndarray],
                                  bump2: dict[int, np.ndarray]
-                                 ) -> MultisymplecticScenarioReport:
-    """Boundary two-form defect on the Jacobi fields of two boundary bumps.
+                                 ) -> tuple[float, float, float]:
+    """Both Jacobi residuals and the boundary two-form defect on the Jacobi
+    fields of two boundary bumps, at the solved (V, n, n) field ``g``.
 
     A bump maps frontier vertices to skew (n, n) arrays eta, moving them
-    along g exp(t eta).  After one solve and one recovery lam0, each field is
+    along g exp(t eta); a vertex off the frontier raises ValueError.  After
+    one recovery lam0 at the section y0 of ``g``, each field is
     ``reduced_variation`` of a gauge theta from ``_jacobi_gauges`` and dlam,
-    the linearised multiplier: ``multiplier_sweep`` at the base section from
-    the zero seed, on the central difference (step ``H_JACOBI``) of the
-    multiplier system at (g exp(+-t theta), lam0)."""
-    n = config.boundary.shape[-1]
+    the linearised multiplier: ``multiplier_sweep`` at y0 from the zero
+    seed, on the central difference (step ``H_JACOBI``) of the multiplier
+    system at (g exp(+-t theta), lam0).  Returns the three values of
+    ``multisymplectic_check``; the bounds are the caller's."""
+    n = g.shape[-1]
     lagrangian = TraceLagrangian()
     faceset = grid.full_faceset()
     frontier = classify_vertices(faceset).frontier
@@ -685,8 +646,7 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
         if vid not in frontier:
             raise ValueError(f"bump vertex {vid} is not a frontier vertex")
 
-    g, base_report = solve_unreduced(grid, config)
-    y0 = base_report.section
+    y0 = reduce_field(grid, g)
     lam0, _ = recover_multipliers(lagrangian, grid, y0, zero_seed)
 
     fields = []
@@ -699,7 +659,5 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, config: SolverConfig,
         dlam, _ = multiplier_sweep(grid, y0, *difference, zero_seed)
         fields += [reduced_variation(grid, g, theta), dlam]
 
-    jr1, jr2, defect = multisymplectic_check(
-        lagrangian, PlaquetteConstraint(), y0, lam0, *fields, faceset)
-    passed = jr1 <= _JACOBI_TOL and jr2 <= _JACOBI_TOL and abs(defect) <= _DEFECT_TOL
-    return MultisymplecticScenarioReport(jr1, jr2, defect, _DEFECT_TOL, passed)
+    return multisymplectic_check(lagrangian, PlaquetteConstraint(), y0, lam0,
+                                 *fields, faceset)

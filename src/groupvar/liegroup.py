@@ -57,8 +57,8 @@ def _as_square(matrix) -> np.ndarray:
 def group_array(matrices) -> np.ndarray:
     """Validated read-only stack of SO(n) matrices, shape (..., n, n).
 
-    This is the one membership check, made where data enters: the solver
-    configuration, file loading.  Every block must have finite entries, an
+    This is the one membership check, made where data enters: the solver's
+    boundary, file loading.  Every block must have finite entries, an
     orthogonality defect ||m^T m - I||_F within ``TAU_GROUP`` and det > 0;
     anything else raises ValueError.  Blocks whose defect is above 1e-12 are
     re-orthonormalized (polar factor); the others are stored bit-identically,

@@ -21,8 +21,8 @@ are fresh read-only arrays.  Window functions return stacks indexed [j, i]
 per face and [j-1, i-1] per interior vertex.  The multiplier sweep is a
 column recurrence from the east, and reconstruction propagates one row
 (column) at a time over the whole window; both are deterministic.  Nothing
-here checks group membership: the arrays come from a checked solver
-configuration, the file loaders or products of such data.
+here checks group membership: the arrays come from a solver
+boundary, the file loaders (both checked) or products of such data.
 """
 
 from __future__ import annotations

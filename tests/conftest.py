@@ -9,14 +9,14 @@ from groupvar.complexes import triangulated_grid
 def solved66():
     """One converged 6x6 SO(3) boundary problem, shared across tests.
 
-    Carries the grid, solver config, the stationary field, its reduced
-    section, and the zero-seed multiplier with its recovery report.
+    Carries the grid, the boundary (solved to the gradient target 1e-11),
+    the stationary field, its reduced section, and the zero-seed multiplier
+    with its recovery report.
     """
     n = 3
     grid = triangulated_grid(6, 6)
     boundary = harmonic.random_boundary(grid, n, seed=42, scale=0.1)
-    config = harmonic.SolverConfig(boundary=boundary, g_tol=1e-11)
-    field, report = harmonic.solve_unreduced(grid, config)
+    field, report = harmonic.solve_unreduced(grid, boundary, g_tol=1e-11)
     lagrangian = harmonic.TraceLagrangian()
     y = reduction.reduce_field(grid, field)
     lam, recovery = reduction.recover_multipliers(
@@ -24,7 +24,7 @@ def solved66():
     return {
         "n": n,
         "grid": grid,
-        "config": config,
+        "boundary": boundary,
         "field": field,
         "report": report,
         "lagrangian": lagrangian,

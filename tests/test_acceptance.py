@@ -109,7 +109,7 @@ def test_criterion_03_flatness_reconstruction():
 def test_criterion_04_solver(solved66):
     grid = solved66["grid"]
     start = time.perf_counter()
-    field, report = hm.solve_unreduced(grid, solved66["config"])
+    field, report = hm.solve_unreduced(grid, solved66["boundary"], g_tol=1e-11)
     elapsed = time.perf_counter() - start
     # accepted trust-region steps raise the energy by at most the round-off
     # offset of their test
@@ -187,15 +187,13 @@ def test_criterion_08_multisymplectic_form(solved66):
     bump1 = {frontier[4]: lg.random_skew(N, rng)}
     bump2 = {frontier[17]: lg.random_skew(N, rng)}
     start = time.perf_counter()
-    scenario = hm.run_multisymplectic_scenario(grid, solved66["config"],
-                                               bump1, bump2)
+    field, _ = hm.solve_unreduced(grid, solved66["boundary"], g_tol=1e-11)
+    jr1, jr2, defect = hm.run_multisymplectic_scenario(grid, field, bump1, bump2)
     elapsed = time.perf_counter() - start
-    ok = scenario.jacobi_residual_1 <= 1e-4 and scenario.jacobi_residual_2 <= 1e-4 \
-        and abs(scenario.defect) <= 1e-4 and elapsed < 120.0
+    ok = jr1 <= 1e-4 and jr2 <= 1e-4 and abs(defect) <= 1e-4 and elapsed < 120.0
     announce(8, "multisymplectic-form", ok,
-             f"jacobi {scenario.jacobi_residual_1:.2e},"
-             f"{scenario.jacobi_residual_2:.2e} <= 1e-4, defect "
-             f"{abs(scenario.defect):.2e} <= 1e-4, {elapsed:.1f} s < 120 s")
+             f"jacobi {jr1:.2e},{jr2:.2e} <= 1e-4, defect "
+             f"{abs(defect):.2e} <= 1e-4, {elapsed:.1f} s < 120 s")
 
 
 def test_criterion_09_regularity_rank():

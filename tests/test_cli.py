@@ -270,6 +270,21 @@ def test_verify_solver_suites(tmp_path, suite):
                "--out", tmp_path) == 0
 
 
+@pytest.mark.parametrize("suite", ["noether", "multisymplectic", "multipliers",
+                                   "elimination"])
+def test_solving_suite_out_of_budget_exits_one(tmp_path, capsys, suite):
+    """A solving suite whose solve runs out of steps exits 1 with a report
+    that names the suite, its seed and the convergence error, and nothing
+    else: no record of a scenario that never ran."""
+    assert run("verify", suite, "--scale", 3.0, "--max-iterations", 1,
+               "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "after 1 iterations" in err
+    report = (tmp_path / f"verify_{suite}.txt").read_text().splitlines()
+    assert report == [f"suite={suite}", "seed=42", "passed=False",
+                      f"error={err.strip().removeprefix('groupvar: ')}"]
+
+
 def test_verify_noether_broken_symmetry_fails(tmp_path):
     assert run("verify", "noether", "--break-symmetry", "--width", 4,
                "--height", 4, "--out", tmp_path) == 1

@@ -182,10 +182,13 @@ def test_invalid_dimensions():
             triangulated_grid(w, h)
 
 
-def test_foreign_face_rejected():
+@pytest.mark.parametrize("face", [-1, 4, 99])
+def test_faceset_rejects_face_ids_outside_the_complex(face):
+    """The face set, the domain of every jet, checks its ids once: -1, F
+    and an id far past F raise."""
     grid = triangulated_grid(2, 2)
-    with pytest.raises(ValueError):
-        FaceSet(grid, [99])
+    with pytest.raises(ValueError, match=f"face {face} is not a face of the complex"):
+        FaceSet(grid, [0, face])
 
 
 def test_adherence_validation():

@@ -87,15 +87,6 @@ def test_action_empty_faceset_is_zero():
     assert core.action(TraceLagrangian(), y, FaceSet(grid, [])) == 0.0
 
 
-@pytest.mark.parametrize("face", [-1, 4])
-def test_faceset_rejects_face_ids_outside_the_complex(face):
-    """The face set, the domain of every jet, checks its ids once: -1 and F
-    raise."""
-    grid = triangulated_grid(2, 2)
-    with pytest.raises(ValueError, match=f"face {face} is not a face of the complex"):
-        FaceSet(grid, [0, face])
-
-
 def test_action_identity_section_value():
     grid = triangulated_grid(2, 2)
     y = identity_section(grid)

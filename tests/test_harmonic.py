@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from groupvar import core, harmonic as hm, liegroup as lg, reduction as red, sampling
 from groupvar.complexes import FaceSet, classify_vertices, triangulated_grid
 from groupvar.cli import main
-from groupvar.defaults import H_JACOBI
+from groupvar.defaults import G_TOL, H_JACOBI
 from groupvar.errors import ConvergenceError, DomainError
 
 from ep_oracle import ep_symmetric_defect
@@ -112,8 +112,7 @@ def test_action_invariant_under_constant_left_translation():
 
 def test_solver_identity_boundary_stops_immediately():
     grid = triangulated_grid(4, 4)
-    config = hm.SolverConfig(boundary=hm.identity_boundary(grid, N))
-    field, report = hm.solve_unreduced(grid, config)
+    field, report = hm.solve_unreduced(grid, hm.identity_boundary(grid, N))
     assert report.iterations == 0
     for g in field:
         assert np.array_equal(g, np.eye(N))
@@ -152,18 +151,17 @@ def test_solver_newton_phase_gradient_monotone(solved66):
 def test_solver_admissible_even_when_loose():
     grid = triangulated_grid(4, 4)
     boundary = hm.random_boundary(grid, N, seed=3, scale=0.1)
-    config = hm.SolverConfig(boundary=boundary, g_tol=5e-2)
-    field, report = hm.solve_unreduced(grid, config)
+    field, report = hm.solve_unreduced(grid, boundary, g_tol=5e-2)
     assert report.max_constraint_residual <= 1e-12
 
 
 def test_solver_left_invariance():
     grid = triangulated_grid(4, 4)
     boundary = hm.random_boundary(grid, N, seed=4, scale=0.1)
-    f1, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary, g_tol=1e-11))
+    f1, _ = hm.solve_unreduced(grid, boundary, g_tol=1e-11)
     h = lg.exp(lg.random_skew(N, np.random.default_rng(5)))
     shifted = h @ boundary
-    f2, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=shifted, g_tol=1e-11))
+    f2, _ = hm.solve_unreduced(grid, shifted, g_tol=1e-11)
     y1 = red.reduce_field(grid, f1)
     y2 = red.reduce_field(grid, f2)
     worst = np.linalg.norm(y1 - y2, axis=(-2, -1)).max()
@@ -177,7 +175,7 @@ def test_solver_gives_up_below_round_off():
     grid = triangulated_grid(8, 8)
     boundary = hm.random_boundary(grid, N, seed=6, scale=0.1)
     with pytest.raises(ConvergenceError) as err:
-        hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary, g_tol=1e-300))
+        hm.solve_unreduced(grid, boundary, g_tol=1e-300)
     history = err.value.history
     assert len(history) < 20 and history[-1]["max_gradient"] <= 1e-14
 
@@ -185,9 +183,8 @@ def test_solver_gives_up_below_round_off():
 def test_solver_runs_out_of_budget():
     grid = triangulated_grid(4, 4)
     boundary = hm.random_boundary(grid, N, seed=6, scale=0.1)
-    config = hm.SolverConfig(boundary=boundary, g_tol=1e-13, max_iterations=2)
     with pytest.raises(ConvergenceError) as err:
-        hm.solve_unreduced(grid, config)
+        hm.solve_unreduced(grid, boundary, g_tol=1e-13, max_iterations=2)
     assert err.value.history
 
 
@@ -206,7 +203,7 @@ def test_nan_gradient_is_not_convergence(tmp_path, monkeypatch):
     monkeypatch.setattr(hm, "_interior_gradients", one_nan)
     grid = triangulated_grid(3, 3)
     with pytest.raises(ConvergenceError) as err:
-        hm.solve_unreduced(grid, hm.SolverConfig(boundary=hm.identity_boundary(grid, N)))
+        hm.solve_unreduced(grid, hm.identity_boundary(grid, N))
     assert np.isnan(err.value.history[0]["max_gradient"])
     out = tmp_path / "run"
     assert main(["solve", "--boundary", "identity", "--width", "3", "--height", "3",
@@ -219,7 +216,7 @@ def test_nan_gradient_is_not_convergence(tmp_path, monkeypatch):
 def test_solver_window_without_interior(width, height):
     grid = triangulated_grid(width, height)
     boundary = hm.random_boundary(grid, N, seed=19, scale=0.5)
-    field, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    field, report = hm.solve_unreduced(grid, boundary)
     assert report.iterations == 0
     assert len(report.history) == 1 and report.max_ep_residual == 0.0
     assert field.shape == (len(grid.vertices), N, N)
@@ -230,7 +227,7 @@ def test_solver_rejects_wrong_shape_boundary():
     grid = triangulated_grid(3, 3)
     short = hm.identity_boundary(triangulated_grid(3, 2), N)
     with pytest.raises(ValueError, match=r"boundary has shape \(12, 3, 3\)"):
-        hm.solve_unreduced(grid, hm.SolverConfig(boundary=short))
+        hm.solve_unreduced(grid, short)
 
 
 @pytest.mark.parametrize("block,message", [
@@ -239,21 +236,25 @@ def test_solver_rejects_wrong_shape_boundary():
     (np.full((N, N), np.inf), "matrix 5 has non-finite entries"),
 ])
 def test_solver_rejects_non_group_boundary(block, message):
-    """Boundary blocks pass ``group_array`` where the configuration is made;
-    the interior ones count too, though the solver overwrites them."""
+    """Boundary blocks pass ``group_array`` when the solve starts; the
+    interior ones count too, though the solver overwrites them."""
     grid = triangulated_grid(3, 3)
     values = hm.identity_boundary(grid, N).copy()
     values[5] = block
     with pytest.raises(ValueError, match=message):
-        hm.SolverConfig(boundary=values)
+        hm.solve_unreduced(grid, values)
 
 
-def test_solver_config_keeps_clean_fields():
-    """A checked boundary array passes the configuration unchanged."""
+def test_solver_config_keeps_clean_fields(monkeypatch):
+    """The solver's entry check passes an already checked boundary array
+    unchanged: ``group_array`` returns the array itself."""
     grid = triangulated_grid(6, 6)
     boundary = hm.random_boundary(grid, 3, 152, 3.0)
-    config = hm.SolverConfig(boundary=boundary)
-    assert config.boundary is boundary
+    checked = []
+    monkeypatch.setattr(hm, "group_array",
+                        lambda m: checked.append(lg.group_array(m)) or checked[-1])
+    hm.solve_unreduced(grid, boundary)
+    assert len(checked) == 1 and checked[0] is boundary
 
 
 def test_conjugation_field_zero_generator(solved66):
@@ -278,21 +279,34 @@ def test_conjugation_field_is_symmetry(solved66):
     assert max(np.linalg.norm(a) for a in dpsi) <= 1e-12
 
 
+def _noether_passes(solved66, noether):
+    """The gate of ``verify noether``: the symmetry holds and the sum is
+    within 1e-8 (1 + |action|)."""
+    threshold = 1e-8 * (1.0 + abs(solved66["report"].final_action))
+    return noether.symmetry_ok and abs(noether.boundary_sum) <= threshold
+
+
+def _multisymplectic_passes(values):
+    """The gate of ``verify multisymplectic``: both Jacobi residuals and the
+    two-form defect at most 1e-4 in magnitude."""
+    jr1, jr2, defect = values
+    return jr1 <= 1e-4 and jr2 <= 1e-4 and abs(defect) <= 1e-4
+
+
 def test_noether_scenario(solved66):
     xi = lg.random_skew(N, np.random.default_rng(8))
-    scenario = hm.run_noether_scenario(solved66["grid"], solved66["config"], xi)
-    assert scenario.passed
-    assert abs(scenario.noether.boundary_sum) <= scenario.threshold
-    assert scenario.noether.symmetry_ok
+    noether = hm.run_noether_scenario(solved66["grid"], solved66["y"], xi)
+    assert _noether_passes(solved66, noether)
+    assert noether.symmetry_ok
 
 
 def test_noether_scenario_negative_control(solved66):
     xi = lg.random_skew(N, np.random.default_rng(9))
     bad = sampling.random_variation(solved66["grid"], N, np.random.default_rng(10))
-    scenario = hm.run_noether_scenario(solved66["grid"], solved66["config"], xi,
-                                       symmetry_field=bad)
-    assert not scenario.passed
-    assert abs(scenario.noether.boundary_sum) > 1e-3
+    noether = hm.run_noether_scenario(solved66["grid"], solved66["y"], xi,
+                                      symmetry_field=bad)
+    assert not _noether_passes(solved66, noether)
+    assert abs(noether.boundary_sum) > 1e-3
 
 
 def test_multisymplectic_scenario(solved66):
@@ -301,12 +315,8 @@ def test_multisymplectic_scenario(solved66):
     rng = np.random.default_rng(11)
     bump1 = {frontier[5]: lg.random_skew(N, rng)}
     bump2 = {frontier[14]: lg.random_skew(N, rng)}
-    scenario = hm.run_multisymplectic_scenario(grid, solved66["config"],
-                                               bump1, bump2)
-    assert scenario.passed
-    assert scenario.jacobi_residual_1 <= 1e-4
-    assert scenario.jacobi_residual_2 <= 1e-4
-    assert abs(scenario.defect) <= 1e-4
+    assert _multisymplectic_passes(hm.run_multisymplectic_scenario(
+        grid, solved66["field"], bump1, bump2))
 
 
 def test_extended_residual_small_on_critical_pair(solved66):
@@ -337,17 +347,17 @@ def test_multisymplectic_bump_must_be_frontier(solved66):
     rng = np.random.default_rng(12)
     inner = {grid.vertex_id(2, 2): lg.random_skew(N, rng)}
     with pytest.raises(ValueError):
-        hm.run_multisymplectic_scenario(grid, solved66["config"], inner, inner)
+        hm.run_multisymplectic_scenario(grid, solved66["field"], inner, inner)
     # one check for the whole bump names its first non-frontier vertex
     frontier = classify_vertices(grid.full_faceset()).frontier
     mixed = {int(frontier[3]): lg.random_skew(N, rng), **inner}
     with pytest.raises(ValueError, match=f"bump vertex {grid.vertex_id(2, 2)} is not"):
-        hm.run_multisymplectic_scenario(grid, solved66["config"], mixed, mixed)
+        hm.run_multisymplectic_scenario(grid, solved66["field"], mixed, mixed)
 
 
 def test_multisymplectic_scenario_checks_no_derived_field(solved66, monkeypatch):
     """The Jacobi fields and the flowed sections derive from the base
-    solution as it is: no group membership check after the configuration's."""
+    solution as it is: no group membership check after the boundary's."""
     grid = solved66["grid"]
     frontier = sorted(classify_vertices(grid.full_faceset()).frontier)
     rng = np.random.default_rng(13)
@@ -356,8 +366,8 @@ def test_multisymplectic_scenario_checks_no_derived_field(solved66, monkeypatch)
     checked = []
     monkeypatch.setattr(hm, "group_array",
                         lambda m: checked.append(m) or lg.group_array(m))
-    assert hm.run_multisymplectic_scenario(grid, solved66["config"],
-                                           bump1, bump2).passed
+    assert _multisymplectic_passes(hm.run_multisymplectic_scenario(
+        grid, solved66["field"], bump1, bump2))
     assert checked == []
 
 
@@ -394,19 +404,14 @@ def test_multisymplectic_suite_is_exact_to_rounding(tmp_path, n):
     assert report["threshold"] == "0.0001"
 
 
-def test_multisymplectic_scenario_runs_one_newton_solve(solved66, monkeypatch):
-    """The base solve is the scenario's only trust-region Newton run."""
+def test_multisymplectic_scenario_runs_one_newton_solve(tmp_path, monkeypatch):
+    """The base solve is the only trust-region Newton run of ``verify
+    multisymplectic``: the scenario takes the solved field."""
     calls = []
     polish = hm._newton_polish
     monkeypatch.setattr(hm, "_newton_polish",
                         lambda *args: calls.append(1) or polish(*args))
-    grid = solved66["grid"]
-    frontier = classify_vertices(grid.full_faceset()).frontier
-    rng = np.random.default_rng(14)
-    bump1 = {int(frontier[1]): lg.random_skew(N, rng)}
-    bump2 = {int(frontier[8]): lg.random_skew(N, rng)}
-    assert hm.run_multisymplectic_scenario(grid, solved66["config"],
-                                           bump1, bump2).passed
+    assert _verify_multisymplectic(tmp_path, 3, 14)[0] == 0
     assert calls == [1]
 
 
@@ -423,8 +428,8 @@ def test_corner_bump_moves_no_interior_vertex(solved66):
     assert not np.delete(theta, corner, axis=0).any()
     frontier = classify_vertices(grid.full_faceset()).frontier
     other = {int(frontier[6]): lg.random_skew(N, np.random.default_rng(16))}
-    assert hm.run_multisymplectic_scenario(grid, solved66["config"],
-                                           {corner: eta}, other).passed
+    assert _multisymplectic_passes(hm.run_multisymplectic_scenario(
+        grid, solved66["field"], {corner: eta}, other))
 
 
 def test_nonpositive_curvature_fails_the_suite(tmp_path, monkeypatch, capsys):
@@ -459,8 +464,8 @@ def test_jacobi_fields_match_the_bumped_solves(monkeypatch, n):
     d = log(y0^T y1) / h and dlam = (lam1 - lam0) / h.  Its O(h) quotients
     agree with the linearised fields to 1e-4 relative."""
     grid = triangulated_grid(6, 6)
-    config = hm.SolverConfig(boundary=hm.random_boundary(grid, n, 7, 0.1),
-                             g_tol=1e-11)
+    field, _ = hm.solve_unreduced(grid, hm.random_boundary(grid, n, 7, 0.1),
+                                  g_tol=1e-11)
     frontier = classify_vertices(grid.full_faceset()).frontier
     rng = np.random.default_rng(20 + n)
     bumps = [{int(frontier[p]): lg.random_skew(n, rng)}
@@ -468,17 +473,16 @@ def test_jacobi_fields_match_the_bumped_solves(monkeypatch, n):
     exact, seen = hm.multisymplectic_check, []
     monkeypatch.setattr(hm, "multisymplectic_check",
                         lambda *args: seen.append(args) or exact(*args))
-    assert hm.run_multisymplectic_scenario(grid, config, *bumps).passed
+    assert _multisymplectic_passes(hm.run_multisymplectic_scenario(grid, field, *bumps))
     lagrangian, _, y0, lam0, d1, dl1, d2, dl2, _ = seen.pop()
     step = H_JACOBI
-    field, _ = hm.solve_unreduced(grid, config)
     zero = np.zeros((n, n))
     for bump, d, dlam in zip(bumps, (d1, d2), (dl1, dl2)):
         g = _array(grid, field).copy()
         blocks = g.reshape(-1, n, n)
         for vid, eta in bump.items():
             blocks[vid] = blocks[vid] @ lg.exp(step * eta)
-        g1 = hm._newton_polish(g, config.g_tol, config.max_iterations)[0]
+        g1 = hm._newton_polish(g, 1e-11, 5000)[0]
         y1 = red.reduce_field(grid, g1.reshape(-1, n, n))
         lam1, _ = red.recover_multipliers(lagrangian, grid, y1, zero)
         quotient = lg.log_near_identity(y0.swapaxes(-1, -2) @ y1) / step
@@ -592,8 +596,8 @@ def test_multisymplectic_check_matches_the_per_call_scenario(monkeypatch, n,
     scale 1.0 with two bump pairs; so do jacobi_residual and
     multisymplectic_defect on the same fields."""
     grid = triangulated_grid(width, height)
-    config = hm.SolverConfig(boundary=hm.random_boundary(grid, n, n, 1.0),
-                             g_tol=1e-11)
+    field, _ = hm.solve_unreduced(grid, hm.random_boundary(grid, n, n, 1.0),
+                                  g_tol=1e-11)
     frontier = classify_vertices(grid.full_faceset()).frontier
     exact, seen = hm.multisymplectic_check, []
 
@@ -606,10 +610,8 @@ def test_multisymplectic_check_matches_the_per_call_scenario(monkeypatch, n,
     for _ in range(2):
         bumps = [{int(frontier[p]): lg.random_skew(n, rng)}
                  for p in rng.choice(len(frontier), size=2, replace=False)]
-        scenario = hm.run_multisymplectic_scenario(grid, config, *bumps)
+        got = hm.run_multisymplectic_scenario(grid, field, *bumps)
         args = seen.pop()
-        got = (scenario.jacobi_residual_1, scenario.jacobi_residual_2,
-               scenario.defect)
         want = oracle_scenario_values(*args)
         assert same_bits(got, want)
         lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs = args
@@ -961,7 +963,7 @@ def test_model_path_follows_the_unknown_count(monkeypatch, width, n, dense):
     counted("_dense_hessian")
     grid = triangulated_grid(width, width)
     boundary = hm.random_boundary(grid, n, seed=1, scale=0.1)
-    _, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    _, report = hm.solve_unreduced(grid, boundary)
     assert report.hessian_products > 0
     if dense:
         assert calls == {"_hessian_product": 0,
@@ -1030,7 +1032,7 @@ def test_newton_residual_evaluations_per_step_do_not_grow(n):
     for width in (8, 16):
         grid = triangulated_grid(width, width)
         boundary = hm.random_boundary(grid, n, seed=21, scale=0.1)
-        _, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+        _, report = hm.solve_unreduced(grid, boundary)
         assert report.iterations >= 1
         accepted = report.iterations - report.backtracks
         assert report.residual_evaluations == accepted + 1 == len(report.history)
@@ -1055,7 +1057,7 @@ def test_singular_band_factor_ends_the_polish(tmp_path, monkeypatch, capsys):
     grid = triangulated_grid(6, 6)
     boundary = hm.random_boundary(grid, N, seed=22, scale=0.1)
     with pytest.raises(ConvergenceError) as err:
-        hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+        hm.solve_unreduced(grid, boundary)
     history = err.value.history
     assert len(history) < 100
     assert history[0]["phase"] == "start" and len(history) >= 2
@@ -1079,9 +1081,8 @@ def test_solver_converges_on_large_windows(width, n):
     10x10; all on the stacked model, tolerances only."""
     grid = triangulated_grid(width, width)
     boundary = hm.random_boundary(grid, n, seed=1, scale=0.1)
-    config = hm.SolverConfig(boundary=boundary)
-    _, report = hm.solve_unreduced(grid, config)
-    assert report.max_gradient <= config.g_tol
+    _, report = hm.solve_unreduced(grid, boundary)
+    assert report.max_gradient <= G_TOL
     assert report.max_ep_residual <= 1e-8
     assert report.max_constraint_residual <= 1e-12
 
@@ -1145,8 +1146,7 @@ TRUST_REGION = {
 @pytest.mark.parametrize("n,scale,seed,descent,newton", SAME_BRANCH)
 def test_retraction_keeps_the_iteration_counts(n, scale, seed, descent, newton):
     grid = triangulated_grid(6, 6)
-    config = hm.SolverConfig(boundary=hm.random_boundary(grid, n, seed, scale))
-    field, report = hm.solve_unreduced(grid, config)
+    field, report = hm.solve_unreduced(grid, hm.random_boundary(grid, n, seed, scale))
     iterations, backtracks, energy = TRUST_REGION[n, scale, seed]
     assert (report.iterations, report.backtracks) == (iterations, backtracks)
     assert report.iterations < descent + newton
@@ -1164,8 +1164,7 @@ def test_pool_seeds_recover_to_the_system_tolerance(seed):
     solve their system to the benchmark's 1e-10 (their gradient stopped
     between 5e-11 and 1e-10 before, and recovery about doubled that)."""
     grid = triangulated_grid(6, 6)
-    config = hm.SolverConfig(boundary=hm.random_boundary(grid, N, seed, 3.0))
-    _, report = hm.solve_unreduced(grid, config)
+    _, report = hm.solve_unreduced(grid, hm.random_boundary(grid, N, seed, 3.0))
     assert report.max_gradient <= 1e-14
     _, recovery = red.recover_multipliers(hm.TraceLagrangian(), grid,
                                           report.section, np.zeros((N, N)))

@@ -334,9 +334,8 @@ def test_the_seed_moves_each_face_by_its_norm(n):
     multiplier of every face but the origin corner by exactly |s|, to
     round-off, and that corner is zero for both seeds."""
     grid = triangulated_grid(6, 6)
-    config = hm.SolverConfig(boundary=hm.random_boundary(grid, n, n, 0.3),
-                             g_tol=1e-11)
-    y = hm.solve_unreduced(grid, config)[1].section
+    boundary = hm.random_boundary(grid, n, n, 0.3)
+    y = hm.solve_unreduced(grid, boundary, g_tol=1e-11)[1].section
     seed = lg.random_skew(n, np.random.default_rng(30 + n), 0.3)
     lam0, _ = red.recover_multipliers(TraceLagrangian(), grid, y, np.zeros((n, n)))
     lam1, _ = red.recover_multipliers(TraceLagrangian(), grid, y, seed)
@@ -390,7 +389,7 @@ def test_system_residual_bounds_ep_residual():
 
     grid = triangulated_grid(5, 5)
     boundary = hm.random_boundary(grid, N, seed=21, scale=0.1)
-    field, _ = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    field, _ = hm.solve_unreduced(grid, boundary)
     # move the solved interior off the critical point by about 1e-6
     rng = np.random.default_rng(21)
     values = field.reshape(6, 6, N, N).copy()
@@ -447,7 +446,7 @@ def test_returned_arrays_are_read_only_and_keep_their_values(tmp_path):
         assert np.array_equal(result, kept)
 
     boundary = np.array(hm.random_boundary(grid, N, 4, 0.3))
-    field, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary))
+    field, report = hm.solve_unreduced(grid, boundary)
     check(field, boundary)
     check(report.section)
     g = np.array(field)

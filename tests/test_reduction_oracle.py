@@ -338,8 +338,7 @@ def test_recovery_sweep_matches_oracle(n, w, h, flat):
 def test_recovery_on_solved_section_matches_oracle(n):
     grid = triangulated_grid(5, 4)
     boundary = hm.random_boundary(grid, n, seed=n, scale=0.3)
-    _, report = hm.solve_unreduced(grid, hm.SolverConfig(boundary=boundary,
-                                                         g_tol=1e-11))
+    _, report = hm.solve_unreduced(grid, boundary, g_tol=1e-11)
     lagrangian = TraceLagrangian()
     tols = dict(ep_tol=1e-8, cons_tol=1e-9, adm_tol=1e-10)
     zero = np.zeros((n, n))
