@@ -101,19 +101,19 @@ def jet_at(values: np.ndarray, faceset: FaceSet) -> np.ndarray:
     return values[..., vertices, :, :, :]
 
 
-def _fd_differences(value, jets: np.ndarray, slot: int) -> np.ndarray:
+def _fd_differences(value, jets: np.ndarray) -> np.ndarray:
     """Central differences of ``value`` for the default differentials,
-    shaped (P, c, d) + value shape.
+    shaped (P, k, c, d) + value shape.
 
-    Entry [p, m, e] is the value at jet p with component m of the slot moved
-    from g to g exp(h E_e), minus the same with g exp(-h E_e), h =
+    Entry [p, s, m, e] is the value at jet p with component m of slot s
+    moved from g to g exp(h E_e), minus the same with g exp(-h E_e), h =
     ``H_LAGRANGIAN``.  The jets go in blocks of at most ``_BLOCK_BYTES`` of
     moved stack: each block is repeated once per basis direction, and for
-    each component and sign the slot entry of every copy is moved in place,
-    ``value`` is called on the stack, and g is written back, so ``value``
-    runs 2 c times per block on d copies of each jet.  The plus values are
-    copied out before the stack moves again, since ``value`` may return a
-    view of its input.
+    each slot, component and sign that entry of every copy is moved in
+    place, ``value`` is called on the stack, and g is written back, so
+    ``value`` runs 2 k c times per block on d copies of each jet.  The plus
+    values are copied out before the stack moves again, since ``value`` may
+    return a view of its input.
     """
     count, k, c, n, _ = jets.shape
     steps = step_matrices(n, H_LAGRANGIAN)
@@ -123,20 +123,20 @@ def _fd_differences(value, jets: np.ndarray, slot: int) -> np.ndarray:
     for start in range(0, max(count, 1), size):
         block = jets[start:start + size]
         stack = np.repeat(block, d, axis=0)
-        moved = stack.reshape((len(block), d) + jets.shape[1:])[:, :, slot]
-        for m in range(c):
+        moved = stack.reshape((len(block), d) + jets.shape[1:])
+        for slot, m in np.ndindex(k, c):
             g = block[:, None, slot, m]
             for sign, turn in enumerate((steps, steps.swapaxes(-1, -2))):
-                moved[:, :, m] = g @ turn
+                moved[:, :, slot, m] = g @ turn
                 values = value(stack)
                 values = values.reshape((len(block), d) + values.shape[1:])
                 if out is None:
-                    out = np.empty((count, c) + values.shape[1:])
+                    out = np.empty((count, k, c) + values.shape[1:])
                 if sign:
-                    out[start:start + len(block), m] -= values
+                    out[start:start + len(block), slot, m] -= values
                 else:
-                    out[start:start + len(block), m] = values
-            moved[:, :, m] = g
+                    out[start:start + len(block), slot, m] = values
+            moved[:, :, slot, m] = g
     return out
 
 
@@ -171,23 +171,22 @@ class LagrangianDensity:
     stack of jets (from :func:`jet_at` on a face set, or any stack of k
     vertex fibers) and returns the (P,) values; a density reads nothing but
     its jets, never the complex or the face ids.  The differential
-    ``vertex_differential(jets, slot)`` defaults to central finite
-    differences along exponential curves with step ``H_LAGRANGIAN``, d
-    directions of a block of jets per :meth:`value` call (see
-    :func:`_fd_differences`); analytic overrides should reimplement it.
+    ``vertex_differential(jets)`` defaults to central finite differences
+    along exponential curves with step ``H_LAGRANGIAN``, d directions of a
+    block of jets per :meth:`value` call (see :func:`_fd_differences`);
+    analytic overrides should reimplement it.
     """
 
     def value(self, jets: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def vertex_differential(self, jets: np.ndarray, slot: int) -> np.ndarray:
-        """Differentials in the selected vertex slot, a (P, c, n, n) stack.
+    def vertex_differential(self, jets: np.ndarray) -> np.ndarray:
+        """Differentials in every vertex slot, a (P, k, c, n, n) stack.
 
         They act on left-log variation entries through the pairing, see
         :func:`apply_differential`.
         """
-        h = H_LAGRANGIAN
-        coeffs = _fd_differences(self.value, jets, slot) / (2.0 * h)
+        coeffs = _fd_differences(self.value, jets) / (2.0 * H_LAGRANGIAN)
         # coefficient against basis vector E equals <mu, E> = 2 mu_kl
         return coords_to_skew(coeffs / 2.0, jets.shape[-1])
 
@@ -197,34 +196,30 @@ class ConstraintMap:
 
     Subclasses implement ``value(jets)``, which maps a (P, k, c, n, n) jet
     stack to the (P, n, n) group matrices; like a density, it reads nothing
-    but its jets.  ``cartan_form(jets, slot)`` returns, per jet, the form of
-    one vertex slot: the linear map from that vertex's variation components
-    to the algebra, as a (d, c d) matrix over the skew basis, so a stack is
-    (P, d, c d) (see :func:`form_apply` and :func:`form_transpose`).  The
-    default differentiates the left-translated constraint by central finite
-    differences with step ``H_LAGRANGIAN``, 2 c :meth:`value` calls per
-    block of jets; analytic constraints override it.
-    The decomposition of the full differential into per-vertex forms is
-    unique here because each form acts on a disjoint block of variables.
+    but its jets.  ``cartan_form(jets)`` returns, per jet and vertex slot,
+    the form of that slot: the linear map from that vertex's variation
+    components to the algebra, as a (d, c d) matrix over the skew basis, so
+    a stack is (P, k, d, c d) (see :func:`form_apply` and
+    :func:`form_transpose`).  The default differentiates the left-translated
+    constraint by central finite differences with step ``H_LAGRANGIAN``,
+    2 k c :meth:`value` calls per block of jets; analytic constraints
+    override it.  The decomposition of the full differential into per-vertex
+    forms is unique here because each form acts on a disjoint block of
+    variables.
     """
 
     def value(self, jets: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def cartan_form(self, jets: np.ndarray, slot: int) -> np.ndarray:
-        h = H_LAGRANGIAN
-        c, n = jets.shape[-3], jets.shape[-1]
-        base_inv = self.value(jets).swapaxes(-1, -2)[:, None]
-        diff = _fd_differences(self.value, jets, slot).reshape(
-            len(jets), c * algebra_dim(n), n, n)
-        deriv = base_inv @ diff / (2.0 * h)
-        return skew_to_coords(skew_part(deriv)).swapaxes(-1, -2)
-
-
-def _per_slot(method, jets: np.ndarray) -> np.ndarray:
-    """A per-slot density or constraint method on a (P, k, ...) jet stack,
-    one call per slot, stacked [jet, slot]."""
-    return np.stack([method(jets, slot) for slot in range(jets.shape[1])], axis=1)
+    def cartan_form(self, jets: np.ndarray) -> np.ndarray:
+        count, k, c, n, _ = jets.shape
+        base_inv = self.value(jets).swapaxes(-1, -2)[:, None, None]
+        deriv = base_inv @ _fd_differences(self.value, jets).reshape(
+            count, k, c * algebra_dim(n), n, n)
+        deriv /= 2.0 * H_LAGRANGIAN
+        # the skew part's upper entries (X_kl - X_lk) / 2, no full-size copy
+        upper = skew_to_coords(deriv) - skew_to_coords(deriv.swapaxes(-1, -2))
+        return (upper / 2.0).swapaxes(-1, -2)
 
 
 def _sequential_sums(terms: np.ndarray) -> np.ndarray:
@@ -286,7 +281,7 @@ def constraint_derivative(constraint: ConstraintMap, y: np.ndarray, dy: np.ndarr
     reduction module tests.
     """
     n = y.shape[-1]
-    forms = _per_slot(constraint.cartan_form, jet_at(y, faceset))
+    forms = constraint.cartan_form(jet_at(y, faceset))
     out = np.zeros((len(faceset.complex.faces), n, n))
     out[faceset.face_ids] = form_apply(forms, dy[faceset.adherence]).sum(axis=1)
     return out
@@ -326,7 +321,7 @@ def regularity_report(constraint: ConstraintMap, y: np.ndarray, faceset: FaceSet
     variable = klass.interior if boundary_fixed \
         else np.sort(np.concatenate([klass.interior, klass.frontier]))
     faces = faceset.face_ids
-    forms = _per_slot(constraint.cartan_form, jet_at(y, faceset))
+    forms = constraint.cartan_form(jet_at(y, faceset))
     column = np.full(len(y), -1)
     column[variable] = np.arange(len(variable))
     column = column[faceset.adherence]
@@ -377,12 +372,12 @@ def _face_forms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     multiplier) points, ys (B, V, c, n, n) and lams (B, F, n, n): indexed
     [point, face, slot], the Lagrangian differential theta
     (B, F', k, c, n, n) and Cartan form A (B, F', k, d, c d) of every pair,
-    from one density and one constraint call per slot on all B F' jets, and
+    from one density and one constraint call on all B F' jets, and
     the multipliers (B, F', 1, n, n)."""
     jets = jet_at(ys, faceset)
     flat = jets.reshape((-1,) + jets.shape[2:])
-    theta = _per_slot(lagrangian.vertex_differential, flat)
-    forms = _per_slot(constraint.cartan_form, flat)
+    theta = lagrangian.vertex_differential(flat)
+    forms = constraint.cartan_form(flat)
     return (theta.reshape(jets.shape), forms.reshape(jets.shape[:3] + forms.shape[2:]),
             _face_values(lams, faceset)[:, :, None])
 

@@ -77,11 +77,11 @@ class TraceLagrangian(LagrangianDensity):
         return np.trace(jets[:, 0, 0], axis1=-2, axis2=-1) \
             + np.trace(jets[:, 0, 1], axis1=-2, axis2=-1)
 
-    def vertex_differential(self, jets: np.ndarray, slot: int) -> np.ndarray:
+    def vertex_differential(self, jets: np.ndarray) -> np.ndarray:
+        out = np.zeros(jets.shape)
         uv = jets[:, 0]
-        if slot != 0:
-            return np.zeros(uv.shape)
-        return (uv.swapaxes(-1, -2) - uv) / 2.0
+        out[:, 0] = (uv.swapaxes(-1, -2) - uv) / 2.0
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     of every reduced Lagrangian on this window.
     """
     mu = _on_window(grid, lagrangian.vertex_differential(
-        jet_at(y, grid.full_faceset()), 0))
+        jet_at(y, grid.full_faceset()))[:, 0])
     return mu, adjoint(p[:-1, :-1], mu)
 
 
@@ -140,20 +140,18 @@ class PlaquetteConstraint(ConstraintMap):
     def value(self, jets: np.ndarray) -> np.ndarray:
         return _holonomy(jets[:, 0, 0], jets[:, 0, 1], jets[:, 1, 1], jets[:, 2, 0])
 
-    def cartan_form(self, jets: np.ndarray, slot: int) -> np.ndarray:
+    def cartan_form(self, jets: np.ndarray) -> np.ndarray:
         # the u and v blocks are signed conjugations xi -> s P xi P^T
         v = jets[:, 0, 1]
         vu = v @ jets[:, 2, 0]
-        if slot == 0:
-            blocks = [adjoint_matrix(vu @ _t(jets[:, 1, 1])), -adjoint_matrix(v)]
-        elif slot in (1, 2):
-            conj = adjoint_matrix(vu)
-            blocks = [np.zeros_like(conj), conj] if slot == 1 \
-                else [-conj, np.zeros_like(conj)]
-        else:
-            raise ValueError(
-                f"plaquette faces have three adherent vertices, slot {slot}")
-        return np.concatenate(blocks, axis=-1)
+        conj = adjoint_matrix(vu)
+        d = conj.shape[-1]
+        out = np.zeros((len(jets), 3, d, 2 * d))
+        out[:, 0, :, :d] = adjoint_matrix(vu @ _t(jets[:, 1, 1]))
+        out[:, 0, :, d:] = -adjoint_matrix(v)
+        out[:, 1, :, d:] = conj
+        out[:, 2, :, :d] = -conj
+        return out
 
 
 # ---------------------------------------------------------------------------

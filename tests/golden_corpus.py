@@ -8,9 +8,12 @@ fresh directory; the corpus holds, per case, every command's exit code and
 every file the case writes, parsed: key=value reports and CSV tables as
 values, field files as header values plus numeric records.  It also holds
 each file's SHA-256.  ``tests/test_golden.py`` compares parsed values by the
-rule below, which holds across BLAS builds; ``--check`` compares exit codes
-and digests exactly, for the machine the corpus was written on.  Whoever
-rewrites the corpus lists every moved value, old and new, in CHANGES.md.
+rule below: that half is the cross-machine claim, and it held under every
+OpenBLAS kernel set tried.  ``--check`` compares exit codes and digests
+exactly: that half holds only within one OpenBLAS kernel set, since reports
+print round-off values with all 17 digits and another kernel set moves
+some of them.  Whoever rewrites the corpus lists every moved value, old and
+new, in CHANGES.md.
 
 Comparison rule:
 - integers, booleans, strings and exit codes compare exactly;
@@ -223,8 +226,15 @@ def main(argv=None) -> int:
     moved = [f"{name}: {what}" for name in CASES
              for what in ("exit_codes", "sha256")
              if stored[name][what] != results[name][what]]
-    print("\n".join(moved) or "exit codes and file digests match the corpus")
-    return 1 if moved else 0
+    if not moved:
+        print("exit codes and file digests match the corpus")
+        return 0
+    print("\n".join(moved))
+    print("The digests hold only within one OpenBLAS kernel set; under another "
+          "(OPENBLAS_CORETYPE), round-off values move in their last digits.  "
+          "The cross-machine claim is the tolerance rule: "
+          "python -m pytest tests/test_golden.py")
+    return 1
 
 
 if __name__ == "__main__":

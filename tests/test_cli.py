@@ -57,6 +57,38 @@ def test_solve_identity_boundary(tmp_path):
     assert float(report["max_ep_residual"]) == 0.0
 
 
+def read_report(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
+def test_solve_records_the_seed_and_scale_only_for_a_random_boundary(tmp_path):
+    """Only the random boundary reads the seed, the scale and its generator,
+    so only its reports record them, converged or not; the identity and a
+    boundary file record the other settings."""
+    grid = triangulated_grid(3, 3)
+    field = tmp_path / "field.txt"
+    ser.save_unreduced_field(field, grid, sampling.random_unreduced_field(
+        grid, 3, np.random.default_rng(0), scale=0.3))
+    cases = [("random", 5000, 0), ("random", 0, 1), ("identity", 5000, 0),
+             (field, 5000, 0), (field, 0, 1)]
+    for k, (boundary, budget, code) in enumerate(cases):
+        out = tmp_path / f"run-{k}"
+        assert run("solve", "--boundary", boundary, "--width", 3, "--height", 3,
+                   "--seed", 5, "--scale", 0.2, "--max-iterations", budget,
+                   "--out", out) == code
+        report = read_report(out / "solve_report.txt")
+        assert report["boundary"] == str(boundary)
+        assert report["converged"] == str(code == 0)
+        drawn = {key: report.get(key) for key in ("seed", "scale", "boundary_generator")}
+        if boundary == "random":
+            assert drawn == {"seed": "5", "scale": "0.2",
+                             "boundary_generator": cli.BOUNDARY_GENERATOR}
+        else:
+            assert drawn == dict.fromkeys(drawn)
+            assert list(report)[:7] == ["n", "width", "height", "boundary", "g_tol",
+                                        "ep_tol", "max_iterations"]
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"width": 3, "height": 3, "seed": 7}))
@@ -359,12 +391,9 @@ def per_instance_cartan(n, count, rng):
                                 FaceSet(grid, [faces[k % len(faces)]]))[0])
         states.append(rng.bit_generator.state)
     jets = np.array(jets)
-    defects = []
-    for slot in range(3):
-        analytic = constraint.cartan_form(jets, slot)
-        fd = core.ConstraintMap.cartan_form(constraint, jets, slot)
-        defects.append(block_norms(analytic - fd) / (1.0 + block_norms(analytic)))
-    return np.maximum.reduce(defects), states
+    analytic = constraint.cartan_form(jets)
+    fd = core.ConstraintMap.cartan_form(constraint, jets)
+    return (block_norms(analytic - fd) / (1.0 + block_norms(analytic))).max(axis=1), states
 
 
 def cartan_report(defects):
@@ -474,9 +503,9 @@ def test_recover_multipliers_evaluates_partials_once(tmp_path, monkeypatch):
     assert run("solve", "--width", 5, "--height", 4, "--out", out) == 0
     exact, calls = TraceLagrangian.vertex_differential, []
 
-    def counted(self, jets, slot):
+    def counted(self, jets):
         calls.append(len(jets))
-        return exact(self, jets, slot)
+        return exact(self, jets)
 
     monkeypatch.setattr(TraceLagrangian, "vertex_differential", counted)
     assert run("recover-multipliers", "--section", out / "reduced_section.txt",

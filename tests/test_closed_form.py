@@ -1,0 +1,74 @@
+"""Solves against a known answer: the closed-form harmonic maps
+g(i, j) = h0 U^i V^j of ``closed_form``, for n = 2..5 on windows up to 64x64
+with a total rotation of at most 2.8 rad across the window.
+
+From the family's own boundary, ``solve_unreduced`` must return the family
+within 1e-13 per entry, its ``final_energy`` must be W H (2n - tr U - tr V),
+its section (V^-j U V^j, V), and its Euler-Poincare and flatness residuals
+must sit at round-off.
+"""
+
+import numpy as np
+import pytest
+
+import closed_form as cf
+from groupvar import cli, harmonic, reduction
+from groupvar.complexes import triangulated_grid
+from groupvar.liegroup import block_norms, max_norm
+
+# (n, width, height, theta): every n, square and oblong windows, the domain's
+# edge theta = 2.8 and smaller turns.
+CASES = [(2, 6, 6, 1.0), (2, 64, 64, 2.8), (3, 7, 13, 2.8), (3, 16, 12, 2.8),
+         (3, 64, 64, 2.0), (4, 12, 10, 2.8), (4, 32, 32, 1.0), (5, 24, 24, 2.8),
+         (5, 8, 8, 0.5)]
+IDS = [f"n{n}-{w}x{h}-theta{theta}" for n, w, h, theta in CASES]
+
+
+@pytest.mark.parametrize("n, width, height, theta", CASES, ids=IDS)
+def test_solve_returns_the_closed_form(n, width, height, theta):
+    grid = triangulated_grid(width, height)
+    h0, a, b = cf.family(n, width, height, theta, seed=n)
+    g = cf.field(h0, a, b, width, height)
+    got, report = harmonic.solve_unreduced(grid, g)
+    assert np.max(np.abs(got - g)) <= cf.FIELD_TOL
+    assert abs(report.final_energy - cf.energy(a, b, width, height)) \
+        <= cf.energy_tol(n, width, height)
+    assert np.max(np.abs(report.section - cf.section(a, b, width, height))) \
+        <= cf.FIELD_TOL
+    assert report.max_ep_residual <= cf.FIELD_TOL
+    assert report.max_constraint_residual <= cf.FIELD_TOL
+
+
+@pytest.mark.parametrize("n, width, height, theta", CASES, ids=IDS)
+def test_the_closed_form_is_a_flat_critical_section(n, width, height, theta):
+    """The oracle on its own: the family reduces to (V^-j U V^j, V), and that
+    section is flat and solves the reduced critical equations to round-off."""
+    grid = triangulated_grid(width, height)
+    h0, a, b = cf.family(n, width, height, theta, seed=n)
+    y = cf.section(a, b, width, height)
+    reduced = reduction.reduce_field(grid, cf.field(h0, a, b, width, height))
+    assert np.max(np.abs(reduced - y)) <= cf.FIELD_TOL
+    ep = reduction.euler_poincare_residual(harmonic.TraceLagrangian(), grid, y)
+    assert max_norm(block_norms(ep)) <= cf.FIELD_TOL
+    assert max_norm(block_norms(reduction.plaquette_holonomy(grid, y) - np.eye(n))) \
+        <= cf.FIELD_TOL
+
+
+def test_the_family_stays_in_the_measured_domain():
+    with pytest.raises(ValueError, match="theta must lie in"):
+        cf.family(3, 8, 8, 3.0)
+
+
+def test_the_checker_passes_the_cli_solve_and_fails_another_family(tmp_path, capsys):
+    """The field-file round trip of the CI step, on a 16x16 window: the CLI
+    solve of the written family passes ``closed_form check``, and the same
+    solve checked against another family's turn fails it."""
+    shape = ["--n", "3", "--width", "16", "--height", "16", "--theta", "2.8"]
+    boundary = tmp_path / "family.txt"
+    assert cf.main(["write", str(boundary), *shape]) == 0
+    out = tmp_path / "solve"
+    assert cli.main(["solve", "--boundary", str(boundary), "--n", "3", "--width", "16",
+                     "--height", "16", "--out", str(out)]) == 0
+    assert cf.main(["check", str(out), *shape]) == 0
+    assert cf.main(["check", str(out), *shape[:-1], "2.0"]) == 1
+    assert "the solved field is not the closed form" in capsys.readouterr().out

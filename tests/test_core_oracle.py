@@ -132,7 +132,7 @@ def oracle_plaquette_form(jet, slot):
 
 
 def form_of(constraint, jet, slot):
-    return constraint.cartan_form(jet, slot)[0]
+    return constraint.cartan_form(jet)[0, slot]
 
 
 def apply_form(matrix, xi):
@@ -161,7 +161,7 @@ def oracle_paired_sum(lagrangian, constraint, y, lam, dy, complex, pairs):
         jet = one_jet(y, complex, f)
         slot = complex.adherence(f).index(v)
         xi = dy[v]
-        total += pairing(lagrangian.vertex_differential(jet, slot)[0], xi)
+        total += pairing(lagrangian.vertex_differential(jet)[0, slot], xi)
         total += float(np.trace(
             lam[f].T @ apply_form(form_of(constraint, jet, slot), xi)))
     return total
@@ -187,7 +187,7 @@ def oracle_noether(lagrangian, constraint, y, lam, d, faceset):
         jet = one_jet(y, complex, f)
         dl, dphi = 0.0, np.zeros((n, n))
         for slot, v in enumerate(complex.adherence(f)):
-            dl += pairing(lagrangian.vertex_differential(jet, slot)[0], d[v])
+            dl += pairing(lagrangian.vertex_differential(jet)[0, slot], d[v])
             dphi = dphi + apply_form(form_of(constraint, jet, slot), d[v])
         lag_defect = max(lag_defect, abs(dl))
         con_defect = max(con_defect, float(np.linalg.norm(dphi)))
@@ -247,7 +247,7 @@ def oracle_extended_residual(lagrangian, constraint, y, lam, complex, vertex):
     for f in sorted(complex.star(vertex).tolist()):
         jet = one_jet(y, complex, f)
         slot = complex.adherence(f).index(vertex)
-        theta = lagrangian.vertex_differential(jet, slot)[0]
+        theta = lagrangian.vertex_differential(jet)[0, slot]
         nu = transpose_form(form_of(constraint, jet, slot), lam[f], c)
         total = total + theta + nu
     return total
@@ -257,7 +257,7 @@ def oracle_euler_lagrange_form(lagrangian, y, complex, vertex):
     total = 0.0
     for f in sorted(complex.star(vertex).tolist()):
         slot = complex.adherence(f).index(vertex)
-        total = total + lagrangian.vertex_differential(one_jet(y, complex, f), slot)[0]
+        total = total + lagrangian.vertex_differential(one_jet(y, complex, f))[0, slot]
     return total
 
 
@@ -382,15 +382,15 @@ def test_stacked_forms_match_per_jet_oracles(n):
     grid, lagrangian, _, y, _, _ = problem(n, "fd", 300 + n)
     constraint = PlaquetteConstraint()
     jets = core.jet_at(y, grid.full_faceset())
-    for slot in range(3):
-        theta = lagrangian.vertex_differential(jets, slot)
-        fd_forms = core.ConstraintMap.cartan_form(constraint, jets, slot)
-        forms = constraint.cartan_form(jets, slot)
-        for f in grid.faces:
-            jet = jets[f:f + 1]
-            assert close(theta[f], oracle_fd_differential(lagrangian, jet, slot))
-            assert close(fd_forms[f], oracle_fd_cartan_form(constraint, jet, slot))
-            assert close(forms[f], oracle_plaquette_form(jet, slot))
+    theta = lagrangian.vertex_differential(jets)
+    fd_forms = core.ConstraintMap.cartan_form(constraint, jets)
+    forms = constraint.cartan_form(jets)
+    for f in grid.faces:
+        jet = jets[f:f + 1]
+        for slot in range(3):
+            assert close(theta[f, slot], oracle_fd_differential(lagrangian, jet, slot))
+            assert close(fd_forms[f, slot], oracle_fd_cartan_form(constraint, jet, slot))
+            assert close(forms[f, slot], oracle_plaquette_form(jet, slot))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -416,12 +416,10 @@ def test_fd_defaults_span_several_value_blocks():
     jets = core.jet_at(y, grid.full_faceset())
     repeats = fd_jet_block(3, 2) // len(jets) + 2
     stack = np.tile(jets, (repeats, 1, 1, 1, 1))
-    for slot in range(3):
-        assert close(lagrangian.vertex_differential(stack, slot),
-                     np.tile(lagrangian.vertex_differential(jets, slot),
-                             (repeats, 1, 1, 1)))
-        assert close(constraint.cartan_form(stack, slot),
-                     np.tile(constraint.cartan_form(jets, slot), (repeats, 1, 1)))
+    assert close(lagrangian.vertex_differential(stack),
+                 np.tile(lagrangian.vertex_differential(jets), (repeats, 1, 1, 1, 1)))
+    assert close(constraint.cartan_form(stack),
+                 np.tile(constraint.cartan_form(jets), (repeats, 1, 1, 1)))
 
 
 def chain_product(jets):
@@ -470,15 +468,17 @@ def random_jets(count, n, components, rng):
 @pytest.mark.parametrize("components", [1, 2])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_fd_differences_equal_the_broadcast_copies(n, components):
-    """In-place moves give, bit for bit, the differences of the broadcast
-    copies for every slot, on a stack of two full finite-difference blocks
-    and one more jet, also when ``value`` returns a view of its input."""
+    """In-place moves of every slot in one call give, bit for bit, the
+    differences of the broadcast copies and of the one-slot-per-call moves,
+    stacked [jet, slot], on a stack of two full finite-difference blocks and
+    one more jet, also when ``value`` returns a view of its input."""
     rng = np.random.default_rng(700 + 10 * n + components)
     jets = random_jets(2 * fd_jet_block(n, components) + 1, n, components, rng)
     for model in (ChainDensity(), ChainConstraint(), ViewDensity(), ViewConstraint()):
-        for slot in range(3):
-            got = core._fd_differences(model.value, jets, slot)
-            want = broadcast_fd_differences(model.value, jets, slot)
+        got = core._fd_differences(model.value, jets)
+        for oracle in (broadcast_fd_differences, per_slot_fd_differences):
+            want = np.stack([oracle(model.value, jets, slot) for slot in range(3)],
+                            axis=1)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -486,7 +486,108 @@ def test_fd_differences_equal_the_broadcast_copies(n, components):
 def test_fd_differences_leave_the_jets_unchanged():
     jets = random_jets(5, 3, 2, np.random.default_rng(750))
     before = jets.copy()
-    core._fd_differences(ViewConstraint().value, jets, 1)
+    core._fd_differences(ViewConstraint().value, jets)
     assert jets.tobytes() == before.tobytes()
-    empty = core._fd_differences(ChainConstraint().value, jets[:0], 0)
-    assert empty.shape == (0, 2, 3, 3, 3)
+    empty = core._fd_differences(ChainConstraint().value, jets[:0])
+    assert empty.shape == (0, 3, 2, 3, 3, 3)
+
+
+# ---------------------------------------------------------------------------
+# the forms one slot per call, as they were
+
+
+def per_slot_fd_differences(value, jets, slot):
+    """``core._fd_differences`` one slot per call, as it was: (P, c, d) +
+    value shape, each block's moved stack built once per slot."""
+    count, k, c, n, _ = jets.shape
+    steps = lg.step_matrices(n, H_LAGRANGIAN)
+    d = len(steps)
+    size = core._block_size(d * k * c * n * n)
+    out = None
+    for start in range(0, max(count, 1), size):
+        block = jets[start:start + size]
+        stack = np.repeat(block, d, axis=0)
+        moved = stack.reshape((len(block), d) + jets.shape[1:])[:, :, slot]
+        for m in range(c):
+            g = block[:, None, slot, m]
+            for sign, turn in enumerate((steps, steps.swapaxes(-1, -2))):
+                moved[:, :, m] = g @ turn
+                values = value(stack)
+                values = values.reshape((len(block), d) + values.shape[1:])
+                if out is None:
+                    out = np.empty((count, c) + values.shape[1:])
+                if sign:
+                    out[start:start + len(block), m] -= values
+                else:
+                    out[start:start + len(block), m] = values
+            moved[:, :, m] = g
+    return out
+
+
+def per_slot_fd_differential(density, jets, slot):
+    """The finite-difference ``vertex_differential`` of one slot, (P, c, n, n)."""
+    coeffs = per_slot_fd_differences(density.value, jets, slot) / (2.0 * H_LAGRANGIAN)
+    return lg.coords_to_skew(coeffs / 2.0, jets.shape[-1])
+
+
+def per_slot_fd_cartan_form(constraint, jets, slot):
+    """The finite-difference ``cartan_form`` of one slot, (P, d, c d)."""
+    c, n = jets.shape[-3], jets.shape[-1]
+    base_inv = constraint.value(jets).swapaxes(-1, -2)[:, None]
+    diff = per_slot_fd_differences(constraint.value, jets, slot).reshape(
+        len(jets), c * lg.algebra_dim(n), n, n)
+    deriv = base_inv @ diff / (2.0 * H_LAGRANGIAN)
+    return lg.skew_to_coords(lg.skew_part(deriv)).swapaxes(-1, -2)
+
+
+def per_slot_trace_differential(jets, slot):
+    """``TraceLagrangian.vertex_differential`` of one slot."""
+    uv = jets[:, 0]
+    if slot != 0:
+        return np.zeros(uv.shape)
+    return (uv.swapaxes(-1, -2) - uv) / 2.0
+
+
+def per_slot_plaquette_form(jets, slot):
+    """``PlaquetteConstraint.cartan_form`` of one slot, its two component
+    blocks concatenated."""
+    v = jets[:, 0, 1]
+    vu = v @ jets[:, 2, 0]
+    if slot == 0:
+        blocks = [lg.adjoint_matrix(vu @ jets[:, 1, 1].swapaxes(-1, -2)),
+                  -lg.adjoint_matrix(v)]
+    else:
+        conj = lg.adjoint_matrix(vu)
+        blocks = [np.zeros_like(conj), conj] if slot == 1 \
+            else [-conj, np.zeros_like(conj)]
+    return np.concatenate(blocks, axis=-1)
+
+
+def per_slot(form, jets):
+    """A one-slot form on every slot of a (P, k, ...) jet stack, stacked
+    [jet, slot]."""
+    return np.stack([form(jets, slot) for slot in range(jets.shape[1])], axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_forms_of_every_slot_equal_the_per_slot_stacks(n):
+    """Each density and constraint form of every slot from one call equals,
+    bit for bit, its one-slot-per-call predecessor stacked [jet, slot]: the
+    finite-difference defaults, the trace differential and the plaquette
+    forms, on a stack of two full finite-difference blocks and one more
+    jet."""
+    rng = np.random.default_rng(800 + n)
+    jets = random_jets(2 * fd_jet_block(n, 2) + 1, n, 2, rng)
+    density, constraint = LinearDensity(n, rng), PlaquetteConstraint()
+    pairs = [
+        (density.vertex_differential(jets),
+         per_slot(lambda j, s: per_slot_fd_differential(density, j, s), jets)),
+        (core.ConstraintMap.cartan_form(constraint, jets),
+         per_slot(lambda j, s: per_slot_fd_cartan_form(constraint, j, s), jets)),
+        (TraceLagrangian().vertex_differential(jets),
+         per_slot(per_slot_trace_differential, jets)),
+        (constraint.cartan_form(jets), per_slot(per_slot_plaquette_form, jets)),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)

@@ -35,7 +35,7 @@ def _trace_differentials(u, v):
     values[grid.vertex_id(0, 0)] = u, v
     y = values
     lagrangian = hm.TraceLagrangian()
-    left = lagrangian.vertex_differential(core.jet_at(y, FaceSet(grid, [0])), 0)[0]
+    left = lagrangian.vertex_differential(core.jet_at(y, FaceSet(grid, [0])))[0, 0]
     mu, right = red._partials(lagrangian, grid, y, red._on_window(grid, y))
     assert np.array_equal(mu[0, 0], left)
     return left, right[0, 0]
@@ -271,9 +271,9 @@ def test_conjugation_field_is_symmetry(solved66):
     # trace derivative along the field is a commutator trace, exactly zero
     for f in fs.face_ids.tolist():
         jets = core.jet_at(y, FaceSet(grid, [f]))
-        dl = sum(core.apply_differential(
-            lagrangian.vertex_differential(jets, slot)[0], d[v])
-            for slot, v in enumerate(grid.adherence(f)))
+        theta = lagrangian.vertex_differential(jets)[0]
+        dl = sum(core.apply_differential(theta[slot], d[v])
+                 for slot, v in enumerate(grid.adherence(f)))
         assert abs(dl) <= 1e-13
     dpsi = core.constraint_derivative(red.PlaquetteConstraint(), y, d, fs)
     assert max(np.linalg.norm(a) for a in dpsi) <= 1e-12

@@ -132,16 +132,17 @@ def test_split_identity_on_random_face_subsets(case, subset_seed):
 
 
 @PROPERTY
-@given(st.integers(2, 5), st.integers(0, 2), st.integers(1, 40),
-       st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
-def test_plaquette_cartan_forms_match_finite_differences(n, slot, count, seed, scale):
-    """The closed-form plaquette Cartan forms against the finite-difference
-    default on random jet stacks, at the tolerance of ``verify cartan``."""
+@given(st.integers(2, 5), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 3.0))
+def test_plaquette_cartan_forms_match_finite_differences(n, count, seed, scale):
+    """The closed-form plaquette Cartan forms of every slot against the
+    finite-difference default on random jet stacks, at the tolerance of
+    ``verify cartan``."""
     logs = lg.random_skew(n, np.random.default_rng(seed), scale, (count, 3, 2))
     jets = lg.exp_skew(logs)
-    constraint, grid = red.PlaquetteConstraint(), triangulated_grid(1, 1)
-    analytic = constraint.cartan_form(jets, slot)
-    fd = core.ConstraintMap.cartan_form(constraint, jets, slot)
+    constraint = red.PlaquetteConstraint()
+    analytic = constraint.cartan_form(jets)
+    fd = core.ConstraintMap.cartan_form(constraint, jets)
     defects = lg.block_norms(analytic - fd) / (1.0 + lg.block_norms(analytic))
     assert lg.max_norm(defects) <= 1e-6
 

@@ -103,8 +103,7 @@ def test_holonomy_derivative_along_single_factor():
 def plaquette_forms(grid, y, i, j):
     """The three (d, 2d) Cartan forms of face (i, j), in adherence order."""
     jets = core.jet_at(y, FaceSet(grid, [grid.face_id(i, j)]))
-    return tuple(red.PlaquetteConstraint().cartan_form(jets, slot)[0]
-                 for slot in range(3))
+    return tuple(red.PlaquetteConstraint().cartan_form(jets)[0])
 
 
 def test_cartan_forms_at_identity():

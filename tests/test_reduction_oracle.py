@@ -47,7 +47,7 @@ def _uv(y, grid, i, j):
 def _left_log_differentials(lagrangian, grid, y, i, j):
     face = grid.face_id(i, j)
     jets = np.array([[y[v] for v in grid.adherence(face)]])
-    return tuple(lagrangian.vertex_differential(jets, 0)[0])
+    return tuple(lagrangian.vertex_differential(jets)[0, 0])
 
 
 def oracle_reduce_field(grid, g):
