@@ -276,9 +276,11 @@ def _cartan_logs(grid, n: int, rng, start: int, count: int) -> np.ndarray:
 
 
 def _cartan_block(n: int) -> int:
-    """Instances per block of the cartan suite, sized like the blocks of
-    the finite-difference oracle: d moved copies of each (k, c, n, n) jet."""
-    return core._block_size(algebra_dim(n) * 3 * 2 * n * n)
+    """Instances per block of the cartan suite: a block holds three arrays
+    of d copies of each (k, c, n, n) jet at once, the finite-difference
+    moved stack, the differences of every slot and their product with the
+    inverse constraint value."""
+    return core._block_size(3 * algebra_dim(n) * 3 * 2 * n * n)
 
 
 def _suite_cartan(cfg, rng):

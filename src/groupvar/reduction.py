@@ -96,10 +96,11 @@ def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     right translates g mu g^T; both (H, W, 2, n, n) indexed [j, i].
 
     Assumes the density reads only the base-corner fiber, which is the shape
-    of every reduced Lagrangian on this window.
+    of every reduced Lagrangian on this window, so its jets carry that slot
+    alone and a finite-difference differential moves no other.
     """
     mu = _on_window(grid, lagrangian.vertex_differential(
-        jet_at(y, grid.full_faceset()))[:, 0])
+        jet_at(y, grid.full_faceset())[:, :1])[:, 0])
     return mu, adjoint(p[:-1, :-1], mu)
 
 

@@ -15,7 +15,7 @@ domain, 2.8 rad: U and V turn by theta / W and theta / H.
 ``write`` saves the family's field file, to pass to ``groupvar solve
 --boundary``; ``check`` compares the solve's ``unreduced_field.txt`` and the
 ``final_energy`` of its ``solve_report.txt`` in DIR with the closed form and
-exits 1 on a mismatch.  Both draw h0, U and V from ``--seed`` (default 1).
+exits 1 on a mismatch.  Both draw h0, U and V from ``family``'s default seed.
 """
 
 from __future__ import annotations
@@ -90,9 +90,8 @@ def energy_tol(n: int, width: int, height: int) -> float:
     return 16 * np.finfo(float).eps * 2 * n * width * height
 
 
-def _check(out: Path, n: int, width: int, height: int, theta: float,
-           seed: int) -> list[str]:
-    h0, a, b = family(n, width, height, theta, seed)
+def _check(out: Path, n: int, width: int, height: int, theta: float) -> list[str]:
+    h0, a, b = family(n, width, height, theta)
     _, got = serialization.load_unreduced_field(out / "unreduced_field.txt")
     report = dict(line.split("=", 1)
                   for line in (out / "solve_report.txt").read_text().splitlines())
@@ -117,9 +116,8 @@ def main(argv=None) -> int:
     parser.add_argument("--width", type=int, default=128)
     parser.add_argument("--height", type=int, default=128)
     parser.add_argument("--theta", type=float, default=2.0)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    shape = (args.n, args.width, args.height, args.theta, args.seed)
+    shape = (args.n, args.width, args.height, args.theta)
     if args.action == "write":
         h0, a, b = family(*shape)
         serialization.save_unreduced_field(
