@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: solve, verify <suite>, reconstruct, recover-multipliers, report.
-Configuration comes from an optional JSON file plus flags; flags win.  Exit
-codes are stable across subcommands: 0 success, 1 verification or convergence
-failure, 2 usage or configuration error.
+Every setting comes from its flag, or else its default.  Exit codes are
+stable across subcommands: 0 success, 1 verification or convergence failure,
+2 usage or configuration error.
 
 Reports are key=value records (floats via repr) with CSV tables alongside;
 nothing time- or host-dependent is written, so identical configuration gives
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -41,22 +40,6 @@ BOUNDARY_GENERATOR = "uniform-coordinate-geodesic"
 FAILURES = (ConvergenceError, HolonomyError, PreconditionError, RecoveryConflictError)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
-
-
 def _finite_nonnegative(value) -> bool:
     return math.isfinite(value) and value >= 0
 
@@ -72,11 +55,10 @@ SOLVING = ("verify noether", "verify multisymplectic", "verify multipliers",
            "verify elimination")
 SUITES = (*DRAWING, *SOLVING, "verify regularity")
 _WINDOW, _TOLS = (SOLVE, *SOLVING), "tolerances must be positive"
-# One row per setting: its default; its check (None: the type alone) and the
-# message a failed check raises, ``{value!r}`` naming the value; the
-# subcommands and suites that read it; the flag's help.  A reader takes the
-# flag and the config key of exactly the settings it reads, and checks them
-# in row order.
+# One row per setting: its default; its check (None: none) and the message a
+# failed check raises, ``{value!r}`` naming the value; the subcommands and
+# suites that read it; the flag's help.  A reader takes the flag of exactly
+# the settings it reads, and checks them in row order.
 SETTINGS = {
     "n": (3, lambda v: v >= 2, "group size n must be at least 2", (SOLVE, *SUITES),
           "group size"),
@@ -101,28 +83,27 @@ SETTINGS = {
                   (*DRAWING, "verify multipliers"), "checks per suite"),
     "out": (".", None, "", (SOLVE, *SUITES, REBUILD, RECOVER), "output directory"),
 }
+# The settings that only the random boundary reads, by the readers that read
+# them nowhere else: every solving suite but elimination draws from the seed.
+BOUNDARY_DRAWS = {"seed": (SOLVE, "verify elimination"), "scale": _WINDOW}
 
 
 def _settings(args) -> dict:
-    """The settings ``args.command`` reads: defaults, overridden by the
-    config file, overridden by flags, each checked."""
-    rows = {key: row for key, row in SETTINGS.items() if args.command in row[3]}
-    cfg = {key: row[0] for key, row in rows.items()}
-    file_cfg = _load_config(args.config)
-    unknown = set(file_cfg) - set(cfg)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    cfg.update(file_cfg)
-    for key, (default, ok, message, _, _) in rows.items():
-        flag = getattr(args, key, None)
-        value = cfg[key] = cfg[key] if flag is None else flag
-        want = type(default)
-        if isinstance(value, bool) or not isinstance(
-                value, (int, float) if want is float else want):
-            raise ValueError(f"setting {key} must be of type {want.__name__}, "
-                             f"got {value!r}")
-        if ok is not None and not ok(value):
-            raise ValueError(message.format(value=value))
+    """The settings ``args.command`` reads, each its flag or else its
+    default, checked in row order.  A seed or scale flag that the given
+    boundary leaves unread is an error, as an unread flag is."""
+    cfg = {}
+    for key, (default, ok, message, readers, _) in SETTINGS.items():
+        if args.command in readers:
+            flag = getattr(args, key)
+            value = cfg[key] = default if flag is None else flag
+            if ok is not None and not ok(value):
+                raise ValueError(message.format(value=value))
+    if cfg.get("boundary", "random") != "random":
+        for key, readers in BOUNDARY_DRAWS.items():
+            if args.command in readers and getattr(args, key) is not None:
+                raise ValueError(f"--{key} is read only by the random boundary, "
+                                 f"not by --boundary {cfg['boundary']}")
     return cfg
 
 
@@ -489,10 +470,9 @@ def cmd_recover_multipliers(args) -> int:
     if not _finite_nonnegative(args.seed_scale):
         raise ValueError(f"--seed-scale must be finite and nonnegative, "
                          f"got {args.seed_scale!r}")
-    if not args.seed_scale and (args.seed is not None
-                                or "seed" in _load_config(args.config)):
-        raise ValueError("the seed (--seed or the seed config key) draws the "
-                         "corner multiplier only with a positive --seed-scale")
+    if not args.seed_scale and args.seed is not None:
+        raise ValueError("--seed draws the corner multiplier only with a "
+                         "positive --seed-scale")
     grid, y = serialization.load_reduced_section(args.section)
     n = y.shape[-1]
     lagrangian = TraceLagrangian()
@@ -574,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale of a seeded random corner multiplier")
     # each reader's settings follow its own arguments
     for name, p in parsers.items():
-        p.add_argument("--config", help="JSON config file")
         for key, (default, _, _, commands, help) in SETTINGS.items():
             if name in commands:
                 p.add_argument("--" + key.replace("_", "-"), dest=key,

@@ -325,17 +325,18 @@ def regularity_report(constraint: ConstraintMap, y: np.ndarray, faceset: FaceSet
     column = np.full(len(y), -1)
     column[variable] = np.arange(len(variable))
     column = column[faceset.adherence]
-    # blocks[face, :, variable vertex, :] holds the (d, c d) form of that pair
-    blocks = np.zeros((len(faces), d, len(variable), forms.shape[-1]))
-    fi, slot = np.nonzero(column >= 0)
-    blocks[fi, :, column[fi, slot]] = forms[fi, slot]
-    rows, cols = len(faces) * d, blocks.shape[2] * blocks.shape[3]
-    matrix = blocks.reshape(rows, cols)
     reachable = (column >= 0).any(axis=1)
     unreachable = tuple(faces[~reachable].tolist())
-
-    kept = matrix[np.repeat(reachable, d)]
-    sigma = float(np.linalg.svd(kept, compute_uv=False)[-1]) if kept.size else 0.0
+    kept = np.flatnonzero(reachable)
+    # blocks[i, :, variable vertex, :] holds the (d, c d) form of that vertex
+    # and reachable face i; an unreachable face's rows would be zero
+    blocks = np.zeros((len(kept), d, len(variable), forms.shape[-1]))
+    fi, slot = np.nonzero(column[kept] >= 0)
+    blocks[fi, :, column[kept[fi], slot]] = forms[kept[fi], slot]
+    rows, cols = len(faces) * d, len(variable) * forms.shape[-1]
+    # the row count is explicit: reshape(-1, 0) fails on an empty face set
+    matrix = blocks.reshape(len(kept) * d, cols)
+    sigma = float(np.linalg.svd(matrix, compute_uv=False)[-1]) if matrix.size else 0.0
     return RegularityReport(rows, cols, sigma, unreachable)
 
 

@@ -1,5 +1,4 @@
 import importlib
-import json
 import tracemalloc
 from pathlib import Path
 
@@ -73,9 +72,9 @@ def test_solve_records_the_seed_and_scale_only_for_a_random_boundary(tmp_path):
              (field, 5000, 0), (field, 0, 1)]
     for k, (boundary, budget, code) in enumerate(cases):
         out = tmp_path / f"run-{k}"
+        flags = ("--seed", 5, "--scale", 0.2) if boundary == "random" else ()
         assert run("solve", "--boundary", boundary, "--width", 3, "--height", 3,
-                   "--seed", 5, "--scale", 0.2, "--max-iterations", budget,
-                   "--out", out) == code
+                   *flags, "--max-iterations", budget, "--out", out) == code
         report = read_report(out / "solve_report.txt")
         assert report["boundary"] == str(boundary)
         assert report["converged"] == str(code == 0)
@@ -89,61 +88,69 @@ def test_solve_records_the_seed_and_scale_only_for_a_random_boundary(tmp_path):
                                         "ep_tol", "max_iterations"]
 
 
-def test_config_file_and_flag_precedence(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"width": 3, "height": 3, "seed": 7}))
+@pytest.mark.parametrize("boundary", ["identity", "file"])
+def test_seed_and_scale_the_boundary_leaves_unread_exit_two(tmp_path, capsys, boundary):
+    """With the identity or a file boundary, a --scale flag exits 2 for every
+    reader, and a --seed flag for solve and verify elimination, which draw
+    nothing else; the message names the flag and the boundary, and nothing
+    is written.  The suites that draw from the seed themselves still take
+    it."""
+    if boundary == "file":
+        grid = triangulated_grid(3, 3)
+        boundary = tmp_path / "field.txt"
+        ser.save_unreduced_field(boundary, grid, sampling.random_unreduced_field(
+            grid, 3, np.random.default_rng(0), scale=0.3))
+    window = ("--boundary", boundary, "--width", 3, "--height", 3)
+    cases = [(reader, "--scale", 0.2) for reader in ("solve", *cli.SOLVING)]
+    cases += [(reader, "--seed", 5) for reader in ("solve", "verify elimination")]
+    for reader, flag, value in cases:
+        out = tmp_path / "out"
+        assert run(*reader.split(), *window, flag, value, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"groupvar: {flag} is read only by the random boundary, "
+            f"not by --boundary {boundary}\n")
+        assert not out.exists()
+    for suite in ("noether", "multisymplectic", "multipliers"):
+        assert run("verify", suite, *window, "--seed", 5, "--out", tmp_path / suite) == 0
+
+
+def test_flags_override_defaults(tmp_path):
+    """Each setting is its flag, or else its default."""
     out = tmp_path / "run"
-    assert run("solve", "--config", cfg, "--seed", 9, "--out", out) == 0
-    report = dict(line.split("=", 1)
-                  for line in (out / "solve_report.txt").read_text().splitlines())
-    assert report["width"] == "3"
-    assert report["seed"] == "9"
+    assert run("solve", "--width", 3, "--height", 3, "--seed", 9, "--out", out) == 0
+    report = read_report(out / "solve_report.txt")
+    assert (report["width"], report["seed"]) == ("3", "9")
+    assert (report["n"], report["scale"]) == ("3", "0.1")
 
 
 def test_malformed_config_exits_two(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("{nope")
-    assert run("solve", "--config", cfg) == 2
-    cfg.write_text(json.dumps({"unknown_key": 1}))
-    assert run("solve", "--config", cfg) == 2
-    assert run("solve", "--n", 1) == 2
-    assert run("solve", "--width", 0) == 2
-    # each bad value goes to a command that reads the setting, and its own
-    # message shows that the check, not a later step, rejected it
-    for argv, bad, message in (
-            (("solve",), {"n": "3"}, "setting n must be of type int"),
-            (("verify", "split"), {"instances": 2.5},
-             "setting instances must be of type int"),
-            (("solve",), {"width": True}, "setting width must be of type int"),
-            (("solve",), {"g_tol": "1e-10"}, "setting g_tol must be of type float"),
-            (("recover-multipliers", "--section", tmp_path / "none.txt"),
-             {"cons_tol": 0.0}, "tolerances"),
-            (("solve",), {"ep_tol": -1e-8}, "tolerances"),
-            (("solve",), {"max_iterations": -1}, "max_iterations must be"),
-            (("solve",), {"scale": float("nan")}, "scale must be finite")):
-        cfg.write_text(json.dumps(bad))
+    """A setting outside its range exits 2 before anything is written; each
+    bad value goes to a command that reads the setting, and its own message
+    shows that the check, not a later step, rejected it."""
+    for argv, message in (
+            (("solve", "--n", 1), "group size n must be at least 2"),
+            (("solve", "--width", 0), "grid dimensions must be positive"),
+            (("recover-multipliers", "--section", tmp_path / "none.txt",
+              "--cons-tol", 0.0), "tolerances"),
+            (("solve", "--ep-tol=-1e-08"), "tolerances"),
+            (("solve", "--max-iterations", -1), "max_iterations must be"),
+            (("solve", "--scale", "nan"), "scale must be finite"),
+            (("verify", "split", "--instances", 0), "instances must be at least 1"),
+            (("verify", "split", "--instances", -3), "instances must be at least 1"),
+            (("verify", "multipliers", "--scale", -1), "scale must be finite")):
         capsys.readouterr()
-        assert run(*argv, "--config", cfg, "--out", tmp_path / "bad") == 2
+        assert run(*argv, "--out", tmp_path / "bad") == 2
         assert capsys.readouterr().err.startswith(f"groupvar: {message}")
-    for argv in (("split", "--instances", 0), ("split", "--instances", -3),
-                 ("multipliers", "--scale", -1)):
-        assert run("verify", *argv, "--out", tmp_path / "bad") == 2
     assert not (tmp_path / "bad").exists()
-    cfg.write_text(json.dumps({"out": 3}))
-    assert run("solve", "--config", cfg) == 2
 
 
 @pytest.mark.parametrize("argv", [("solve",), ("verify", "split"),
                                   ("recover-multipliers", "--section", "none.txt")])
 def test_negative_seed_is_a_setting_error(tmp_path, capsys, argv):
-    """A negative seed, from a flag or a config key, exits 2 with a message
-    that names the setting, and nothing is written."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": -2}))
-    for flags, value in ((("--seed", -1), -1), (("--config", cfg), -2)):
-        assert run(*argv, *flags, "--out", tmp_path / "out") == 2
-        assert capsys.readouterr().err == \
-            f"groupvar: seed must be nonnegative, got {value}\n"
+    """A negative seed exits 2 with a message that names the setting, and
+    nothing is written."""
+    assert run(*argv, "--seed", -1, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "groupvar: seed must be nonnegative, got -1\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -161,8 +168,7 @@ def test_input_errors_write_nothing(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
-# The settings each subcommand or verify suite reads: its flags (plus
-# --config) and its config keys.
+# The settings each subcommand or verify suite reads: its flags.
 READS = {
     "solve": "n width height boundary seed scale g_tol ep_tol max_iterations out",
     **dict.fromkeys(("verify split", "verify cartan", "verify flatness"),
@@ -177,7 +183,7 @@ READS = {
     "recover-multipliers": "seed ep_tol cons_tol out",
 }
 # A valid value of each setting, and of adm_tol and rank_tol, which no
-# subcommand reads: as flags or config keys they exit 2 everywhere.
+# subcommand reads: as flags they exit 2 everywhere.
 VALUES = {"n": 5, "width": 4, "height": 4, "boundary": "random", "seed": 5,
           "scale": 0.0, "g_tol": 1e-12, "ep_tol": 0.1, "cons_tol": 1e-9,
           "adm_tol": 1e-9, "rank_tol": 1e-8, "max_iterations": 7, "instances": 2,
@@ -200,7 +206,7 @@ def _unread(keys):
     return cases
 
 
-UNREAD_FLAGS = _unread([*VALUES, "break_symmetry"])
+UNREAD_FLAGS = _unread([*VALUES, "break_symmetry", "config"])
 UNREAD_KEYS = _unread(VALUES)
 
 
@@ -220,7 +226,7 @@ def test_each_subcommand_takes_the_settings_it_reads():
     assert set(leaves) == set(READS) | {"report"}
     for command, reads in READS.items():
         dests = {a.dest for a in leaves[command]._actions} - {"help"}
-        assert dests == set(reads.split()) | {"config"} | own.get(command, set())
+        assert dests == set(reads.split()) | own.get(command, set())
         assert set(reads.split()) == {k for k, row in cli.SETTINGS.items()
                                       if command in row[3]}
 
@@ -229,9 +235,10 @@ def test_each_subcommand_takes_the_settings_it_reads():
 def test_unread_flags_exit_two(tmp_path, monkeypatch, command, key):
     """A flag the subcommand or suite does not read is a usage error:
     argparse exits 2 and nothing is written; no flag is taken as an
-    abbreviation of another."""
+    abbreviation of another.  No reader takes a --config file."""
     monkeypatch.chdir(tmp_path)
-    flag = ["--" + key.replace("_", "-"), *([VALUES[key]] if key in VALUES else [])]
+    value = {**VALUES, "config": "cfg.json"}.get(key)
+    flag = ["--" + key.replace("_", "-"), *([] if value is None else [value])]
     for reader in UNREAD_FLAGS[command, key]:
         with pytest.raises(SystemExit) as exc:
             run(*PREFIX[reader], *flag, "--out", "out")
@@ -240,16 +247,15 @@ def test_unread_flags_exit_two(tmp_path, monkeypatch, command, key):
 
 
 @pytest.mark.parametrize("command, key", list(UNREAD_KEYS))
-def test_unread_config_keys_exit_two(tmp_path, capsys, command, key):
-    """A config key the subcommand or suite does not read exits 2, named as
-    unknown, before anything is written."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: VALUES[key]}))
+def test_unread_config_keys_exit_two(capsys, command, key):
+    """A setting the subcommand or suite does not read has its flag as its
+    one way in, and the usage error names the flag and its value."""
+    flag = f"--{key.replace('_', '-')} {VALUES[key]}"
     for reader in UNREAD_KEYS[command, key]:
-        argv = [a if a != "section.txt" else tmp_path / a for a in PREFIX[reader]]
-        assert run(*argv, "--config", cfg, "--out", tmp_path / "out") == 2
-        assert capsys.readouterr().err == f"groupvar: unknown config keys: ['{key}']\n"
-    assert list(tmp_path.iterdir()) == [cfg]
+        with pytest.raises(SystemExit):
+            run(*PREFIX[reader], *flag.split())
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: {flag}\n")
 
 
 def test_parser_takes_the_benchmark_command_lines(monkeypatch, tmp_path):
@@ -690,9 +696,8 @@ def solved_section(tmp_path_factory):
 def test_scale_flags_must_be_finite_and_nonnegative(tmp_path, capsys, solved_section,
                                                     command, flag, value):
     """A NaN, infinite or negative scale is a usage error (exit 2), raised
-    before any output is written.  The message names the setting, which a
-    flag or a config key may give (``scale``), or the flag-only
-    ``--seed-scale``."""
+    before any output is written.  The message names the setting
+    (``scale``) or the flag ``--seed-scale``."""
     section = tmp_path / "section.txt"
     section.write_text("\n".join(solved_section) + "\n")
     argv = [command, f"{flag}={value}", "--out", tmp_path / "out"]
@@ -708,19 +713,15 @@ def test_scale_flags_must_be_finite_and_nonnegative(tmp_path, capsys, solved_sec
 
 
 def test_seed_without_seed_scale_is_a_usage_error(tmp_path, capsys, solved_section):
-    """With a zero --seed-scale no seed is drawn, so a seed given by flag or
-    config key exits 2, naming both, and nothing is written."""
+    """With a zero --seed-scale no seed is drawn, so a --seed flag exits 2,
+    naming both flags, and nothing is written."""
     section = tmp_path / "section.txt"
     section.write_text("\n".join(solved_section) + "\n")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 7}))
-    for flags in (("--seed", 7), ("--config", cfg),
-                  ("--seed", 7, "--seed-scale", 0.0)):
+    for flags in (("--seed", 7), ("--seed", 7, "--seed-scale", 0.0)):
         assert run("recover-multipliers", "--section", section, *flags,
                    "--out", tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("groupvar: ") and "seed config key" in err \
-            and "--seed-scale" in err
+        assert capsys.readouterr().err == ("groupvar: --seed draws the corner "
+                                           "multiplier only with a positive --seed-scale\n")
         assert not (tmp_path / "out").exists()
     assert run("recover-multipliers", "--section", section, "--seed", 7,
                "--seed-scale", 0.3, "--out", tmp_path / "out") == 0
@@ -767,8 +768,8 @@ def test_solve_with_boundary_file(tmp_path, capsys):
     because the blend restarts the same solve."""
     for n in (2, 3, 4):
         first, again = tmp_path / f"first{n}", tmp_path / f"again{n}"
-        window = ("--n", n, "--width", 5, "--height", 4, "--scale", 0.3)
-        assert run("solve", *window, "--out", first) == 0
+        window = ("--n", n, "--width", 5, "--height", 4)
+        assert run("solve", *window, "--scale", 0.3, "--out", first) == 0
         assert run("solve", *window, "--boundary", first / "unreduced_field.txt",
                    "--out", again) == 0
         for name in ("unreduced_field.txt", "reduced_section.txt"):

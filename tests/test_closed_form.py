@@ -5,7 +5,8 @@ with a total rotation of at most 2.8 rad across the window.
 From the family's own boundary, ``solve_unreduced`` must return the family
 within 1e-13 per entry, its ``final_energy`` must be W H (2n - tr U - tr V),
 its section (V^-j U V^j, V), and its Euler-Poincare and flatness residuals
-must sit at round-off.
+must sit at round-off.  Moving the family's generators gives a Jacobi field,
+which the Jacobi gauge of its frontier values must reproduce.
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 
 import closed_form as cf
 from groupvar import cli, harmonic, reduction
-from groupvar.complexes import triangulated_grid
-from groupvar.liegroup import block_norms, max_norm
+from groupvar.complexes import classify_vertices, triangulated_grid
+from groupvar.liegroup import block_norms, max_norm, random_skew
 
 # (n, width, height, theta): every n, square and oblong windows, the domain's
 # edge theta = 2.8 and smaller turns.
@@ -52,6 +53,24 @@ def test_the_closed_form_is_a_flat_critical_section(n, width, height, theta):
     assert max_norm(block_norms(ep)) <= cf.FIELD_TOL
     assert max_norm(block_norms(reduction.plaquette_holonomy(grid, y) - np.eye(n))) \
         <= cf.FIELD_TOL
+
+
+@pytest.mark.parametrize("n, width, height", [(3, 6, 6), (3, 16, 12), (5, 8, 8)])
+def test_the_jacobi_gauge_is_the_family_derivative(n, width, height):
+    """The derivative of h0 exp(A + s dA)^i exp(B + s dB)^j in s is a Jacobi
+    field of the family at s = 0; given its whole frontier as one bump,
+    ``_jacobi_gauges`` returns it on every vertex a face reads, within the
+    central difference's floor."""
+    grid = triangulated_grid(width, height)
+    h0, a, b = cf.family(n, width, height, cf.MAX_THETA, seed=n)
+    rng = np.random.default_rng(7)
+    want = cf.derivative(h0, a, b, random_skew(n, rng), random_skew(n, rng),
+                         width, height)
+    bump = {int(v): want[v] for v in classify_vertices(grid.full_faceset()).frontier}
+    g = cf.field(h0, a, b, width, height).reshape(height + 1, width + 1, n, n)
+    got, = harmonic._jacobi_gauges(g, [bump])
+    far = grid.vertex_id(width, height)
+    assert np.max(np.abs(np.delete(got - want, far, axis=0))) <= cf.DERIVATIVE_FLOOR
 
 
 def test_the_family_stays_in_the_measured_domain():
