@@ -76,6 +76,9 @@ SETTINGS = {
     "g_tol": (G_TOL, _positive, _TOLS, (SOLVE,), "solver gradient tolerance"),
     "ep_tol": (EP_TOL, _positive, _TOLS, (SOLVE, RECOVER), "accepted reduced residual"),
     "cons_tol": (CONS_TOL, _positive, _TOLS, (RECOVER,), "sweep consistency tolerance"),
+    "seed_scale": (0.0, _finite_nonnegative, "--seed-scale must be finite and "
+                   "nonnegative, got {value!r}", (RECOVER,),
+                   "scale of a seeded random corner multiplier"),
     "max_iterations": (5000, lambda v: v >= 0, "max_iterations must be nonnegative",
                        _WINDOW, "trust-region step budget"),
     # verify multipliers reads none: it takes the benchmark warm-up's --instances 2
@@ -90,8 +93,9 @@ BOUNDARY_DRAWS = {"seed": (SOLVE, "verify elimination"), "scale": _WINDOW}
 
 def _settings(args) -> dict:
     """The settings ``args.command`` reads, each its flag or else its
-    default, checked in row order.  A seed or scale flag that the given
-    boundary leaves unread is an error, as an unread flag is."""
+    default, checked in row order.  A seed or scale that the given boundary
+    leaves unread is dropped, and its flag is an error, as an unread flag
+    is."""
     cfg = {}
     for key, (default, ok, message, readers, _) in SETTINGS.items():
         if args.command in readers:
@@ -101,9 +105,11 @@ def _settings(args) -> dict:
                 raise ValueError(message.format(value=value))
     if cfg.get("boundary", "random") != "random":
         for key, readers in BOUNDARY_DRAWS.items():
-            if args.command in readers and getattr(args, key) is not None:
-                raise ValueError(f"--{key} is read only by the random boundary, "
-                                 f"not by --boundary {cfg['boundary']}")
+            if args.command in readers:
+                if getattr(args, key) is not None:
+                    raise ValueError(f"--{key} is read only by the random "
+                                     f"boundary, not by --boundary {cfg['boundary']}")
+                del cfg[key]
     return cfg
 
 
@@ -131,13 +137,10 @@ def _check_group_size(name: str, n: int, other: str, want: int) -> None:
 
 
 def _config_records(cfg) -> dict:
-    """The settings a solve report records; the seed, the scale and the
-    generator only for the random boundary, the one that reads them."""
-    drawn = cfg["boundary"] == "random"
-    rec = {key: cfg[key] for key in
-           ("n", "width", "height", "boundary", "seed", "scale", "g_tol",
-            "ep_tol", "max_iterations") if drawn or key not in ("seed", "scale")}
-    if drawn:
+    """The settings a solve report records: every one it read but ``out``,
+    and the boundary generator when it read a scale to draw with."""
+    rec = {key: value for key, value in cfg.items() if key != "out"}
+    if "scale" in cfg:
         rec["boundary_generator"] = BOUNDARY_GENERATOR
     return rec
 
@@ -410,9 +413,11 @@ def _suite_regularity(cfg, rng):
 def cmd_verify(args) -> int:
     cfg = _settings(args)
     suite = args.suite
-    name, head = f"verify_{suite}.txt", {"suite": suite, "seed": cfg["seed"]}
+    name, head = f"verify_{suite}.txt", {"suite": suite}
+    if "seed" in cfg:  # elimination reads none unless the boundary draws
+        head["seed"] = cfg["seed"]
     try:
-        passed, records = args.run(cfg, np.random.default_rng(cfg["seed"]))
+        passed, records = args.run(cfg, np.random.default_rng(cfg.get("seed")))
     except FAILURES as exc:
         serialization.write_report(_out_dir(cfg) / name,
                                    {**head, "passed": False, "error": str(exc)})
@@ -467,19 +472,16 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_recover_multipliers(args) -> int:
     cfg = _settings(args)
-    if not _finite_nonnegative(args.seed_scale):
-        raise ValueError(f"--seed-scale must be finite and nonnegative, "
-                         f"got {args.seed_scale!r}")
-    if not args.seed_scale and args.seed is not None:
+    if not cfg["seed_scale"] and args.seed is not None:
         raise ValueError("--seed draws the corner multiplier only with a "
                          "positive --seed-scale")
     grid, y = serialization.load_reduced_section(args.section)
     n = y.shape[-1]
     lagrangian = TraceLagrangian()
     seed = np.zeros((n, n))
-    if args.seed_scale:
+    if cfg["seed_scale"]:
         rng = np.random.default_rng(cfg["seed"])
-        seed = random_skew(n, rng, args.seed_scale)
+        seed = random_skew(n, rng, cfg["seed_scale"])
     try:
         lam, rep = reduction.recover_multipliers(
             lagrangian, grid, y, seed, ep_tol=cfg["ep_tol"], cons_tol=cfg["cons_tol"])
@@ -550,8 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul = command(RECOVER, cmd_recover_multipliers,
                     help="solve the multiplier system along a section")
     p_mul.add_argument("--section", required=True, help="reduced section file")
-    p_mul.add_argument("--seed-scale", dest="seed_scale", type=float, default=0.0,
-                       help="scale of a seeded random corner multiplier")
     # each reader's settings follow its own arguments
     for name, p in parsers.items():
         for key, (default, _, _, commands, help) in SETTINGS.items():

@@ -182,8 +182,6 @@ def _residual(g: np.ndarray) -> tuple[np.ndarray, float]:
 # is the measured crossover of the two (README, "Solver").
 _DENSE_UNKNOWNS = 256
 _EPS = np.finfo(float).eps
-# Window shapes whose model operators stay cached: a process may solve many.
-_SHAPES_CACHED = 16
 
 
 @functools.cache
@@ -238,12 +236,11 @@ def _hessian_product(hessian, v: np.ndarray) -> np.ndarray:
     return out[..., 0]
 
 
-@functools.lru_cache(maxsize=_SHAPES_CACHED)
 def _dense_index(rows: int, cols: int, d: int) -> np.ndarray:
-    """Read-only flat indices, into the dense (rows cols d)^2 matrix of H,
-    of the entries of ``_hessian``'s centre, east and north stacks,
-    flattened in that order, and then of the east and north entries again
-    at their transposed positions, which are the west and south blocks."""
+    """Flat indices, into the dense (rows cols d)^2 matrix of H, of the
+    entries of ``_hessian``'s centre, east and north stacks, flattened in
+    that order, and then of the east and north entries again at their
+    transposed positions, which are the west and south blocks."""
     size = rows * cols * d
     ids = np.arange(size).reshape(rows, cols, d)
 
@@ -251,22 +248,8 @@ def _dense_index(rows: int, cols: int, d: int) -> np.ndarray:
         return (a[..., :, None] * size + b[..., None, :]).ravel()
     neighbours = np.concatenate((places(ids[:, :-1], ids[:, 1:]),
                                  places(ids[:-1], ids[1:])))
-    index = np.concatenate((places(ids, ids), neighbours,
-                            neighbours % size * size + neighbours // size))
-    index.flags.writeable = False
-    return index
-
-
-def _dense_hessian(hessian, dense: np.ndarray) -> np.ndarray:
-    """H written into ``dense``, a square matrix over the unknowns,
-    vertex-major as ``_residual`` flattens them, and returned: H v is
-    ``_hessian_product`` up to the order of the sums.  Only the block band
-    is written, so ``dense`` must be zero elsewhere: fresh zeros, or a
-    matrix this function filled before for the same window."""
-    centre, east, north = hessian
-    dense.ravel()[_dense_index(*centre.shape[:3])] = np.concatenate(
-        (centre.ravel(), east.ravel(), north.ravel(), east.ravel(), north.ravel()))
-    return dense
+    return np.concatenate((places(ids, ids), neighbours,
+                           neighbours % size * size + neighbours // size))
 
 
 def _sines(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +261,6 @@ def _sines(m: int) -> tuple[np.ndarray, np.ndarray]:
     return q, 2.0 - 2.0 * np.cos(np.pi * k / (m + 1))
 
 
-@functools.lru_cache(maxsize=_SHAPES_CACHED)
 def _laplacian_solver(rows: int, cols: int):
     """Solver of L z = r for the 5-point Dirichlet Laplacian L of the
     interior, applied to each coordinate; L is H at a constant field.
@@ -298,17 +280,14 @@ def _laplacian_solver(rows: int, cols: int):
     return solve
 
 
-@functools.lru_cache(maxsize=_SHAPES_CACHED)
 def _inverse_laplacian(rows: int, cols: int) -> np.ndarray:
-    """Read-only (rows cols)^2 inverse of the 5-point Dirichlet Laplacian
-    of the interior, vertex-major: (Q_r x Q_c) diag(1 / lambda)
-    (Q_r x Q_c)^T with the factors of ``_laplacian_solver``.  Applied to
-    r.reshape(rows cols, d) it solves every coordinate at once."""
+    """(rows cols)^2 inverse of the 5-point Dirichlet Laplacian of the
+    interior, vertex-major: (Q_r x Q_c) diag(1 / lambda) (Q_r x Q_c)^T with
+    the factors of ``_laplacian_solver``.  Applied to r.reshape(rows cols,
+    d) it solves every coordinate at once."""
     (q_r, l_r), (q_c, l_c) = _sines(rows), _sines(cols)
     q = np.kron(q_r, q_c)
-    inverse = (q / (l_r[:, None] + l_c).ravel()) @ q.T
-    inverse.flags.writeable = False
-    return inverse
+    return (q / (l_r[:, None] + l_c).ravel()) @ q.T
 
 
 def _truncated_cg(product, precondition, f: np.ndarray, radius: float, target: float):
@@ -359,33 +338,38 @@ def _truncated_cg(product, precondition, f: np.ndarray, radius: float, target: f
     return p, model, False, k
 
 
-def _model_matrix(unknowns: int) -> np.ndarray | None:
-    """Zeros to hold H densely, or None above ``_DENSE_UNKNOWNS`` unknowns."""
-    return np.zeros((unknowns,) * 2) if unknowns <= _DENSE_UNKNOWNS else None
+def _model(shape: tuple[int, int, int]):
+    """The trust-region model of a window whose ``_residual`` coordinates
+    have ``shape`` (rows, cols, d): a function of a field g that returns
+    ``product(v)`` = H v for H = ``_hessian(g)``, ``precondition(r)`` =
+    L^-1 r, and the shape of the coordinates both act on.
 
-
-def _model_operators(g: np.ndarray, dense: np.ndarray | None):
-    """The operators of the trust-region model at ``g``: ``product(v)`` =
-    H v for H from ``_hessian``, ``precondition(r)`` = L^-1 r, and
-    ``shape``, the shape of the coordinates both act on.
-
-    Given a ``dense`` matrix for ``_dense_hessian`` to overwrite, each is
-    one matrix product on flat vectors, by that matrix and by
-    ``_inverse_laplacian``; given None, they are the stacked
-    ``_hessian_product`` and ``_laplacian_solver`` on ``_residual``'s
-    (rows, cols, d) stacks.
+    Up to ``_DENSE_UNKNOWNS`` unknowns both are matrix products on flat
+    vectors, by ``_inverse_laplacian`` and by the model's one dense H, whose
+    block band each call rewrites through ``_dense_index``, so a call's
+    product acts with the latest call's H; above, they are the stacked
+    ``_hessian_product`` and ``_laplacian_solver``.
     """
-    rows, cols = g.shape[0] - 2, g.shape[1] - 2
-    hessian = _hessian(g)
-    if dense is None:
-        return (functools.partial(_hessian_product, hessian),
-                _laplacian_solver(rows, cols), hessian[0].shape[:3])
+    rows, cols, d = shape
+    size = rows * cols * d
+    if size > _DENSE_UNKNOWNS:
+        solve = _laplacian_solver(rows, cols)
+
+        def stacked(g: np.ndarray):
+            return functools.partial(_hessian_product, _hessian(g)), solve, shape
+        return stacked
+    dense, index = np.zeros((size, size)), _dense_index(rows, cols, d)
     inverse = _inverse_laplacian(rows, cols)
 
     def precondition(r: np.ndarray) -> np.ndarray:
-        return (inverse @ r.reshape(rows * cols, -1)).ravel()
-    return (_dense_hessian(hessian, dense).__matmul__, precondition,
-            dense.shape[:1])
+        return (inverse @ r.reshape(rows * cols, d)).ravel()
+
+    def flat(g: np.ndarray):
+        centre, east, north = _hessian(g)
+        dense.ravel()[index] = np.concatenate(
+            (centre.ravel(), east.ravel(), north.ravel(), east.ravel(), north.ravel()))
+        return dense.__matmul__, precondition, (size,)
+    return flat
 
 
 def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
@@ -395,10 +379,9 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
 
     Each step solves the model of ``_hessian`` by ``_truncated_cg``,
     preconditioned by the Laplacian solve, in the trust region of that
-    norm, and retracts it.  ``_model_operators`` gives both in dense form
-    on an interior of at most ``_DENSE_UNKNOWNS`` unknowns, which reuses
-    one matrix for every step, and in stacked form above: only the input
-    size selects the path.  With the agreement ratio rho of actual to
+    norm, and retracts it.  One ``_model`` per call gives both, dense or
+    stacked by the number of unknowns alone, and the dense form reuses one
+    matrix for every step.  With the agreement ratio rho of actual to
     predicted energy decrease, both offset by 1e3 eps max(1, |E|) so that
     decrements at round-off read as agreement, the radius shrinks by 4
     below 0.25 and doubles above 0.75 when the step reached the boundary,
@@ -418,7 +401,7 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
     history = [_record(0, "start", g, energy, worst, 0.0)]
     counters = {"iterations": 0, "backtracks": 0, "residual_evaluations": 1,
                 "hessian_products": 0}
-    dense = _model_matrix(f.size)
+    operators = _model(f.shape)
     radius_max = np.pi * np.sqrt(f.shape[0] * f.shape[1])
     radius = radius_max / 8.0
     previous, model_at_g, stalled = worst, None, False
@@ -426,7 +409,7 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
             and (worst > g_tol or previous > g_tol):
         counters["iterations"] += 1
         if model_at_g is None:
-            model_at_g = _model_operators(g, dense)
+            model_at_g = operators(g)
         product, precondition, shape = model_at_g
         norm = np.sqrt(np.vdot(f, f))
         p, model, at_boundary, products = _truncated_cg(
@@ -604,7 +587,7 @@ def _jacobi_gauges(g: np.ndarray, bumps):
     1e-12 |df/deta|; nonpositive curvature raises PreconditionError."""
     n = g.shape[-1]
     f, _ = _residual(g)
-    product, precondition, shape = _model_operators(g, _model_matrix(f.size))
+    product, precondition, shape = _model(f.shape)(g)
     for bump in bumps:
         vids = list(bump)
         etas = np.array(list(bump.values()), dtype=float).reshape(-1, n, n)

@@ -60,14 +60,20 @@ def read_report(path):
     return dict(line.split("=", 1) for line in path.read_text().splitlines())
 
 
+def _field_file(tmp_path):
+    """A 3x3 SO(3) field file to use as a boundary."""
+    path = tmp_path / "field.txt"
+    grid = triangulated_grid(3, 3)
+    ser.save_unreduced_field(path, grid, sampling.random_unreduced_field(
+        grid, 3, np.random.default_rng(0), scale=0.3))
+    return path
+
+
 def test_solve_records_the_seed_and_scale_only_for_a_random_boundary(tmp_path):
     """Only the random boundary reads the seed, the scale and its generator,
     so only its reports record them, converged or not; the identity and a
     boundary file record the other settings."""
-    grid = triangulated_grid(3, 3)
-    field = tmp_path / "field.txt"
-    ser.save_unreduced_field(field, grid, sampling.random_unreduced_field(
-        grid, 3, np.random.default_rng(0), scale=0.3))
+    field = _field_file(tmp_path)
     cases = [("random", 5000, 0), ("random", 0, 1), ("identity", 5000, 0),
              (field, 5000, 0), (field, 0, 1)]
     for k, (boundary, budget, code) in enumerate(cases):
@@ -96,10 +102,7 @@ def test_seed_and_scale_the_boundary_leaves_unread_exit_two(tmp_path, capsys, bo
     is written.  The suites that draw from the seed themselves still take
     it."""
     if boundary == "file":
-        grid = triangulated_grid(3, 3)
-        boundary = tmp_path / "field.txt"
-        ser.save_unreduced_field(boundary, grid, sampling.random_unreduced_field(
-            grid, 3, np.random.default_rng(0), scale=0.3))
+        boundary = _field_file(tmp_path)
     window = ("--boundary", boundary, "--width", 3, "--height", 3)
     cases = [(reader, "--scale", 0.2) for reader in ("solve", *cli.SOLVING)]
     cases += [(reader, "--seed", 5) for reader in ("solve", "verify elimination")]
@@ -112,6 +115,22 @@ def test_seed_and_scale_the_boundary_leaves_unread_exit_two(tmp_path, capsys, bo
         assert not out.exists()
     for suite in ("noether", "multisymplectic", "multipliers"):
         assert run("verify", suite, *window, "--seed", 5, "--out", tmp_path / suite) == 0
+
+
+@pytest.mark.parametrize("boundary", ["identity", "file", "random"])
+def test_verify_records_the_seed_only_where_it_is_read(tmp_path, boundary):
+    """verify elimination reads the seed only to draw a random boundary, so
+    with the identity or a file boundary its report records none; the
+    suites that draw from the seed themselves record it with any
+    boundary."""
+    if boundary == "file":
+        boundary = _field_file(tmp_path)
+    window = ("--boundary", boundary, "--width", 3, "--height", 3)
+    for suite, seeded in (("elimination", boundary == "random"), ("noether", True)):
+        assert run("verify", suite, *window, "--out", tmp_path / "out") == 0
+        report = read_report(tmp_path / "out" / f"verify_{suite}.txt")
+        assert list(report)[:2] == ["suite", "seed" if seeded else "passed"]
+        assert report.get("seed", "42") == "42"
 
 
 def test_flags_override_defaults(tmp_path):
@@ -180,14 +199,14 @@ READS = {
                           "instances out",
     "verify regularity": "n seed out",
     "reconstruct": "out",
-    "recover-multipliers": "seed ep_tol cons_tol out",
+    "recover-multipliers": "seed ep_tol cons_tol seed_scale out",
 }
 # A valid value of each setting, and of adm_tol and rank_tol, which no
 # subcommand reads: as flags they exit 2 everywhere.
 VALUES = {"n": 5, "width": 4, "height": 4, "boundary": "random", "seed": 5,
           "scale": 0.0, "g_tol": 1e-12, "ep_tol": 0.1, "cons_tol": 1e-9,
-          "adm_tol": 1e-9, "rank_tol": 1e-8, "max_iterations": 7, "instances": 2,
-          "out": "."}
+          "seed_scale": 0.3, "adm_tol": 1e-9, "rank_tol": 1e-8, "max_iterations": 7,
+          "instances": 2, "out": "."}
 PREFIX = {reader: reader.split() for reader in READS} | {
     "reconstruct": ["reconstruct", "--section", "section.txt"],
     "recover-multipliers": ["recover-multipliers", "--section", "section.txt"]}
@@ -221,7 +240,7 @@ def _leaf_parsers(parser, prefix=""):
 
 def test_each_subcommand_takes_the_settings_it_reads():
     own = {"verify noether": {"run"}, "reconstruct": {"section", "seed_file"},
-           "recover-multipliers": {"section", "seed_scale"}}
+           "recover-multipliers": {"section"}}
     leaves = _leaf_parsers(cli.build_parser())
     assert set(leaves) == set(READS) | {"report"}
     for command, reads in READS.items():

@@ -437,14 +437,18 @@ def test_nonpositive_curvature_fails_the_suite(tmp_path, monkeypatch, capsys):
     nonpositive curvature at once: the base solution would be no strict
     minimum, so the suite exits 1 and says why.  The base solve keeps the
     true operators."""
-    gauges, operators = hm._jacobi_gauges, hm._model_operators
+    gauges, model = hm._jacobi_gauges, hm._model
 
-    def negated(g, dense):
-        product, precondition, shape = operators(g, dense)
-        return (lambda v: -product(v)), precondition, shape
+    def negated(shape):
+        operators = model(shape)
+
+        def at(g):
+            product, *rest = operators(g)
+            return (lambda v: -product(v)), *rest
+        return at
 
     def saddle_gauges(g, bumps):
-        monkeypatch.setattr(hm, "_model_operators", negated)
+        monkeypatch.setattr(hm, "_model", negated)
         return gauges(g, bumps)
 
     monkeypatch.setattr(hm, "_jacobi_gauges", saddle_gauges)
@@ -786,7 +790,7 @@ def _row_to_dense(jacobian):
     return dense.reshape(rows * cols * d, -1)
 
 
-def _dense_hessian(g):
+def _symmetric_jacobian(g):
     """sym(J) of the dense row Jacobian at g."""
     dense = _row_to_dense(_row_jacobian(g))
     return (dense + dense.T) / 2.0
@@ -868,7 +872,7 @@ def test_hessian_product_property(n, width, height, scale, seed):
     assert np.array_equal(centre, centre.swapaxes(-1, -2))
     v = rng.standard_normal(hm._residual(g)[0].shape)
     hv = hm._hessian_product(hessian, v)
-    oracle = _dense_hessian(g) @ v.ravel()
+    oracle = _symmetric_jacobian(g) @ v.ravel()
     assert hv.shape == v.shape
     assert np.max(np.abs(hv.ravel() - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
     t = 1e-4
@@ -899,7 +903,7 @@ def test_laplacian_solver_inverts_the_dense_laplacian(rows, cols, n):
     laplacian = _grid_laplacian(rows, cols, d)
     constant = np.tile(lg.exp(lg.random_skew(n, np.random.default_rng(n))),
                        (rows + 2, cols + 2, 1, 1))
-    assert np.max(np.abs(_dense_hessian(constant) - laplacian)) <= 1e-14
+    assert np.max(np.abs(_symmetric_jacobian(constant) - laplacian)) <= 1e-14
     assembled = _hessian_to_dense(hm._hessian(constant))
     assert np.max(np.abs(assembled - laplacian)) <= 1e-14
     r = np.random.default_rng(rows + 10 * cols).standard_normal((rows, cols, d))
@@ -917,23 +921,26 @@ DENSE_INTERIORS = [(1, 1, 2), (1, 7, 3), (6, 1, 3), (1, 9, 5), (5, 1, 5),
 @pytest.mark.parametrize("rows,cols,n", DENSE_INTERIORS)
 def test_dense_model_is_the_stacked_model(rows, cols, n):
     """The dense H places ``_hessian``'s blocks as the loop oracle does, bit
-    for bit, also when it overwrites the H of another field of the window;
-    the dense H v is ``_hessian_product`` and the dense preconditioner the
-    sine solve of ``_laplacian_solver``, each to 1e-13 relative."""
+    for bit, also when the model filled the H of another field of the
+    window first: its product on the unit vectors returns H itself.  The
+    dense H v is ``_hessian_product`` and the dense preconditioner the sine
+    solve of ``_laplacian_solver``, each to 1e-13 relative."""
     grid = triangulated_grid(cols + 1, rows + 1)
     rng = np.random.default_rng(rows + 10 * cols + 100 * n)
     g, other = (_array(grid, sampling.random_unreduced_field(grid, n, rng, 1.0))
                 for _ in range(2))
+    hessian = hm._hessian(g)
+    shape = hessian[0].shape[:3]
     size = rows * cols * (n * (n - 1) // 2)
     assert size <= hm._DENSE_UNKNOWNS
-    hessian = hm._hessian(g)
     oracle = _hessian_to_dense(hessian)
-    assert np.array_equal(hm._dense_hessian(hessian, np.zeros((size, size))), oracle)
-    reused = hm._dense_hessian(hm._hessian(other), np.zeros((size, size)))
-    assert np.array_equal(hm._dense_hessian(hessian, reused), oracle)
-    product, precondition, shape = hm._model_operators(g, np.zeros((size, size)))
-    assert shape == (size,)
-    for v in rng.standard_normal((3,) + hessian[0].shape[:3]):
+    assert np.array_equal(hm._model(shape)(g)[0](np.eye(size)), oracle)
+    operators = hm._model(shape)
+    operators(other)
+    product, precondition, flat = operators(g)
+    assert flat == (size,)
+    assert np.array_equal(product(np.eye(size)), oracle)
+    for v in rng.standard_normal((3,) + shape):
         stacked = hm._hessian_product(hessian, v).ravel()
         assert np.max(np.abs(product(v.ravel()) - stacked)) \
             <= 1e-13 * np.max(np.abs(stacked))
@@ -942,15 +949,20 @@ def test_dense_model_is_the_stacked_model(rows, cols, n):
             <= 1e-13 * np.max(np.abs(solved))
 
 
-@pytest.mark.parametrize("width,n,dense", [
-    pytest.param(6, 5, True, id="250-dense"),
-    pytest.param(12, 3, False, id="363-stacked")])
-def test_model_path_follows_the_unknown_count(monkeypatch, width, n, dense):
-    """A 6x6 SO(5) window has 250 interior unknowns, within the bound of
-    256: its solve fills the dense H once per accepted step and never calls
-    ``_hessian_product``.  12x12 SO(3) has 363 and calls it once for every
-    Hessian product the report counts, with no dense H."""
-    calls = {"_hessian_product": 0, "_dense_hessian": 0}
+@pytest.mark.parametrize("width,height,n,dense", [
+    pytest.param(6, 6, 5, True, id="250-dense"),
+    pytest.param(17, 17, 2, True, id="256-dense"),
+    pytest.param(18, 17, 2, False, id="272-stacked"),
+    pytest.param(12, 12, 3, False, id="363-stacked")])
+def test_model_path_follows_the_unknown_count(monkeypatch, width, height, n, dense):
+    """A 6x6 SO(5) window has 250 interior unknowns and 17x17 SO(2) has
+    256, within the bound of 256: each solve builds the dense inverse
+    Laplacian once, fills H once per accepted step and never calls
+    ``_hessian_product``.  18x17 SO(2) has 272 and 12x12 SO(3) 363: each
+    builds the sine solve once and calls ``_hessian_product`` once for
+    every Hessian product the report counts."""
+    calls = dict.fromkeys(("_hessian", "_hessian_product", "_inverse_laplacian",
+                           "_laplacian_solver"), 0)
 
     def counted(name):
         original = getattr(hm, name)
@@ -959,21 +971,18 @@ def test_model_path_follows_the_unknown_count(monkeypatch, width, n, dense):
             calls[name] += 1
             return original(*args)
         monkeypatch.setattr(hm, name, call)
-    counted("_hessian_product")
-    counted("_dense_hessian")
-    grid = triangulated_grid(width, width)
+    for name in calls:
+        counted(name)
+    grid = triangulated_grid(width, height)
     boundary = hm.random_boundary(grid, n, seed=1, scale=0.1)
     _, report = hm.solve_unreduced(grid, boundary)
     assert report.hessian_products > 0
-    if dense:
-        assert calls == {"_hessian_product": 0,
-                         "_dense_hessian": report.residual_evaluations - 1}
-    else:
-        assert calls == {"_hessian_product": report.hessian_products,
-                         "_dense_hessian": 0}
+    assert calls == {"_hessian": report.residual_evaluations - 1,
+                     "_hessian_product": 0 if dense else report.hessian_products,
+                     "_inverse_laplacian": int(dense), "_laplacian_solver": int(not dense)}
 
 
-def test_truncated_cg_is_the_newton_step_inside_the_region(solved66):
+def test_truncated_cg_is_the_newton_step_inside_the_region(solved66, monkeypatch):
     """With an inactive radius and a small gradient the truncated CG step is
     the Newton step H p = -f, to the forcing term |r| <= |f|^2; with a small
     radius it ends on the boundary of the Laplacian norm.  The model value
@@ -982,16 +991,19 @@ def test_truncated_cg_is_the_newton_step_inside_the_region(solved66):
     solution, after no product, and negative curvature ends the CG where it
     is.  All of it holds for the stacked
     operators on (rows, cols, d) coordinates and for the dense ones on flat
-    vectors."""
+    vectors, the window's two forms of ``_model`` under a bound below and
+    at its unknown count."""
     g = _array(solved66["grid"], solved66["field"])
-    dense = _dense_hessian(g)
+    dense = _symmetric_jacobian(g)
     rows, cols, d = g.shape[0] - 2, g.shape[1] - 2, 3
     f = np.random.default_rng(3).standard_normal((rows, cols, d))
     f *= 1e-8 / np.linalg.norm(f)
     newton = np.linalg.solve(dense, -f.ravel())
     norm = np.linalg.norm(f)
-    for matrix in (None, np.zeros((f.size, f.size))):
-        product, precondition, shape = hm._model_operators(g, matrix)
+    for bound, form in ((0, f.shape), (f.size, (f.size,))):
+        monkeypatch.setattr(hm, "_DENSE_UNKNOWNS", bound)
+        product, precondition, shape = hm._model(f.shape)(g)
+        assert shape == form
         for radius, boundary in ((1e6, False), (1e-9, True)):
             p, model, at_boundary, products = hm._truncated_cg(
                 product, precondition, f.reshape(shape), radius,
