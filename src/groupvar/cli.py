@@ -25,7 +25,6 @@ from .complexes import classify_vertices, triangulated_grid
 from .defaults import CONS_TOL, EP_TOL, G_TOL, RANK_TOL
 from .errors import (
     ConvergenceError,
-    DomainError,
     HolonomyError,
     PreconditionError,
     RecoveryConflictError,
@@ -570,7 +569,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, DomainError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"groupvar: {exc}", file=sys.stderr)
         return 2
     except FAILURES as exc:

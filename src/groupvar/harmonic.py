@@ -25,7 +25,6 @@ from . import liegroup as lg
 from .complexes import TriangulatedGrid, classify_vertices
 from .core import (
     LagrangianDensity,
-    action,
     noether_boundary_sum,
     multisymplectic_check,
     NoetherReport,
@@ -101,8 +100,9 @@ class SolveReport:
     residual operations, not taken from solver internals: ``section`` is its
     read-only (V, 2, n, n) reduced section.  ``history`` has one record for
     the start and one per accepted step: iteration, objective (the Dirichlet
-    energy), trace action, max per-vertex gradient norm and the coordinate
-    norm of the step.  The counters are deterministic: trust-region steps
+    energy), trace action (2n per face minus the energy; ``final_action`` is
+    the last row's), max per-vertex gradient norm and the step's coordinate
+    norm.  The counters are deterministic: trust-region steps
     (``iterations``), the rejected ones among them (``backtracks``),
     evaluations of the interior gradient (``residual_evaluations``: one at
     the start and one per accepted step) and Hessian-vector products
@@ -503,7 +503,7 @@ def solve_unreduced(grid: TriangulatedGrid, boundary: np.ndarray,
     flat = block_norms(plaquette_holonomy(grid, y) - np.eye(n))
     report = SolveReport(
         **counters,
-        final_action=action(lagrangian, y, grid.full_faceset()),
+        final_action=history[-1]["action"],
         final_energy=energy,
         max_gradient=worst,
         max_ep_residual=max_norm(ep),

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import TriangulatedGrid
-from .core import ConstraintMap, LagrangianDensity, jet_at
+from .core import ConstraintMap, LagrangianDensity
 from .defaults import CONS_TOL, EP_TOL, TOL_ADMISSIBLE
 from .errors import (
     HolonomyError,
@@ -90,8 +90,8 @@ def _on_window(grid: TriangulatedGrid, values: np.ndarray) -> np.ndarray:
     return values.reshape(grid.height + extra, grid.width + extra, *values.shape[1:])
 
 
-def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
-              y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _partials(lagrangian: LagrangianDensity,
+              p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left-log partials of every face Lagrangian at its base corner, and their
     right translates g mu g^T; both (H, W, 2, n, n) indexed [j, i].
 
@@ -99,9 +99,10 @@ def _partials(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     of every reduced Lagrangian on this window, so its jets carry that slot
     alone and a finite-difference differential moves no other.
     """
-    mu = _on_window(grid, lagrangian.vertex_differential(
-        jet_at(y, grid.full_faceset())[:, :1])[:, 0])
-    return mu, adjoint(p[:-1, :-1], mu)
+    base = p[:-1, :-1]
+    mu = lagrangian.vertex_differential(
+        base.reshape(-1, 1, *base.shape[2:]))[:, 0].reshape(base.shape)
+    return mu, adjoint(base, mu)
 
 
 def _reduced_residual(mu: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -189,8 +190,7 @@ def euler_poincare_residual(lagrangian: LagrangianDensity, grid: TriangulatedGri
     representation; zero exactly where the reduced equations hold.  Shape
     (H-1, W-1, n, n), indexed [j-1, i-1].
     """
-    p = _on_window(grid, y)
-    return _reduced_residual(*_partials(lagrangian, grid, y, p))
+    return _reduced_residual(*_partials(lagrangian, _on_window(grid, y)))
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def multiplier_system_residual(lagrangian: LagrangianDensity, grid: Triangulated
     system.  Each has shape (H-1, W-1, n, n), indexed [j-1, i-1].
     """
     p = _on_window(grid, y)
-    _, right = _partials(lagrangian, grid, y, p)
+    _, right = _partials(lagrangian, p)
     return _interior_system(p, right, _on_window(grid, lam))
 
 
@@ -340,7 +340,7 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     if grid.width < 2 or grid.height < 2:
         raise PreconditionError("window has no interior vertices")
     p = _on_window(grid, y)
-    mu, right = _partials(lagrangian, grid, y, p)
+    mu, right = _partials(lagrangian, p)
     ep = block_norms(_reduced_residual(mu, right))
     if bad := _first_over(ep, ep_tol):
         i, j = bad
@@ -380,7 +380,7 @@ def multiplier_elimination_check(lagrangian: LagrangianDensity,
                                  grid: TriangulatedGrid, y: np.ndarray,
                                  lam: np.ndarray) -> EliminationDefects:
     p = _on_window(grid, y)
-    _, right = _partials(lagrangian, grid, y, p)
+    _, right = _partials(lagrangian, p)
     m = _on_window(grid, lam)
     first, second = _system(p, right, m)
     u_w, v_s = p[1:-1, :-2, 0], p[:-2, 1:-1, 1]

@@ -1,11 +1,12 @@
 import importlib
+import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from groupvar import cli, core, sampling, serialization as ser
+from groupvar import cli, core, harmonic, sampling, serialization as ser
 from groupvar.cli import main
 from groupvar.complexes import FaceSet, classify_vertices, triangulated_grid
 from groupvar.harmonic import TraceLagrangian
@@ -518,6 +519,32 @@ def test_loads_of_one_window_share_the_grid(tmp_path):
     again, _ = ser.load_reduced_section(out / "reduced_section.txt")
     assert grid is again is triangulated_grid(4, 3)
     assert not grid.adherence_array.flags.writeable
+
+
+@pytest.mark.parametrize("size,scale", [(12, 0.1), (64, 3.0)])
+def test_final_action_is_the_last_history_row(tmp_path, monkeypatch, size, scale):
+    """The report's action is the history's 2n F - E of the returned field,
+    as text and as a float, and that lies within 2 ulp of the exactly
+    rounded sum of the base-corner traces."""
+    solved, exact = [], harmonic.solve_unreduced
+
+    def kept(*args):
+        solved.append(exact(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(harmonic, "solve_unreduced", kept)
+    out = tmp_path / "solve"
+    assert run("solve", "--width", size, "--height", size, "--scale", scale,
+               "--seed", 1, "--out", out) == 0
+    report = solved[0][1]
+    lines = (out / "solve_report.txt").read_text().splitlines()
+    text = next(line for line in lines if line.startswith("final_action="))
+    last = (out / "history.csv").read_text().splitlines()[-1].split(",")
+    assert text == "final_action=" + last[3]
+    assert report.final_action == report.history[-1]["action"]
+    base = report.section.reshape(size + 1, size + 1, 2, 3, 3)[:-1, :-1]
+    traces = math.fsum(np.trace(base, axis1=-2, axis2=-1).ravel())
+    assert abs(report.final_action - traces) <= 2 * np.spacing(traces)
 
 
 def test_recover_multipliers_evaluates_partials_once(tmp_path, monkeypatch):

@@ -36,7 +36,7 @@ def _trace_differentials(u, v):
     y = values
     lagrangian = hm.TraceLagrangian()
     left = lagrangian.vertex_differential(core.jet_at(y, FaceSet(grid, [0])))[0, 0]
-    mu, right = red._partials(lagrangian, grid, y, red._on_window(grid, y))
+    mu, right = red._partials(lagrangian, red._on_window(grid, y))
     assert np.array_equal(mu[0, 0], left)
     return left, right[0, 0]
 

@@ -4,13 +4,16 @@ The oracles below are the earlier per-vertex implementations, kept here as
 test-only code: one face or vertex at a time, on single (n, n) matrices,
 with their own one-matrix adjoint and coadjoint formulas.  The array
 versions must equal them bit for bit, for n = 2..5, on flat and non-flat
-sections and on 2 x H, W x 2 and non-square windows.
+sections and on 2 x H, W x 2 and non-square windows.  The face Lagrangian
+partials, sliced from the window's base corners, must equal those of the
+earlier gather of every face's jets over the full face set, also on
+1 x 1, 1 x H and W x 1 windows.
 """
 
 import numpy as np
 import pytest
 
-from groupvar import harmonic as hm, liegroup as lg, reduction as red, sampling
+from groupvar import core, harmonic as hm, liegroup as lg, reduction as red, sampling
 from groupvar.errors import HolonomyError, PreconditionError, RecoveryConflictError
 from groupvar.harmonic import TraceLagrangian
 from groupvar.complexes import triangulated_grid
@@ -18,7 +21,13 @@ from groupvar.complexes import triangulated_grid
 WINDOWS = [(2, 4), (4, 2), (6, 4)]
 CASES = [(n, w, h, flat) for n in (2, 3, 4, 5) for w, h in WINDOWS
          for flat in (True, False)]
-IDS = [f"n{n}-{w}x{h}-{'flat' if flat else 'nonflat'}" for n, w, h, flat in CASES]
+
+
+def _ids(cases):
+    return [f"n{n}-{w}x{h}-{'flat' if flat else 'nonflat'}" for n, w, h, flat in cases]
+
+
+IDS = _ids(CASES)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +57,14 @@ def _left_log_differentials(lagrangian, grid, y, i, j):
     face = grid.face_id(i, j)
     jets = np.array([[y[v] for v in grid.adherence(face)]])
     return tuple(lagrangian.vertex_differential(jets)[0, 0])
+
+
+def oracle_partials(lagrangian, grid, y):
+    """The face Lagrangian partials from the gathered base-corner jets of the
+    full face set, and their right translates, both indexed [j, i]."""
+    jets = core.jet_at(y, grid.full_faceset())[:, :1]
+    mu = red._on_window(grid, lagrangian.vertex_differential(jets)[:, 0])
+    return mu, lg.adjoint(red._on_window(grid, y)[:-1, :-1], mu)
 
 
 def oracle_reduce_field(grid, g):
@@ -247,8 +264,35 @@ def _bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+class BaseCornerDensity(core.LagrangianDensity):
+    """A nonlinear density of the base-corner pair with no analytic
+    differential, so its partials are central finite differences."""
+
+    def value(self, jets):
+        u, v = jets[:, 0, 0], jets[:, 0, 1]
+        return np.trace(u @ v, axis1=-2, axis2=-1) \
+            + np.trace(u, axis1=-2, axis2=-1) ** 2 / 4.0
+
+
 # ---------------------------------------------------------------------------
 # tests
+
+
+PARTIAL_CASES = [(n, w, h, flat) for n in (2, 3, 4, 5)
+                 for w, h in ((1, 1), (1, 4), (4, 1), (6, 4)) for flat in (True, False)]
+
+
+@pytest.mark.parametrize("density", [TraceLagrangian, BaseCornerDensity])
+@pytest.mark.parametrize("n,w,h,flat", PARTIAL_CASES, ids=_ids(PARTIAL_CASES))
+def test_window_partials_match_gathered_jets(n, w, h, flat, density):
+    """Slicing the base corners of the pair view gives the partials of the
+    gathered face jets bit for bit."""
+    grid, _, _, y, _ = _case(n, w, h, flat)
+    lagrangian = density()
+    mu, right = red._partials(lagrangian, red._on_window(grid, y))
+    want_mu, want_right = oracle_partials(lagrangian, grid, y)
+    assert mu.shape == right.shape == (h, w, 2, n, n)
+    assert np.array_equal(mu, want_mu) and np.array_equal(right, want_right)
 
 
 @pytest.mark.parametrize("n,w,h,flat", CASES, ids=IDS)
