@@ -399,8 +399,7 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
     energy = dirichlet_energy(g)
     f, worst = _residual(g)
     history = [_record(0, "start", g, energy, worst, 0.0)]
-    counters = {"iterations": 0, "backtracks": 0, "residual_evaluations": 1,
-                "hessian_products": 0}
+    counters = {"iterations": 0, "backtracks": 0, "hessian_products": 0}
     operators = _model(f.shape)
     radius_max = np.pi * np.sqrt(f.shape[0] * f.shape[1])
     radius = radius_max / 8.0
@@ -429,7 +428,6 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
         previous, model_at_g = worst, None
         g, energy = trial, trial_energy
         f, worst = _residual(g)
-        counters["residual_evaluations"] += 1
         # a step whose predicted decrease is round-off and which did not
         # lower the gradient: g_tol is out of the arithmetic's reach
         stalled = -2.0 * model <= offset and not worst < previous
@@ -503,6 +501,7 @@ def solve_unreduced(grid: TriangulatedGrid, boundary: np.ndarray,
     flat = block_norms(plaquette_holonomy(grid, y) - np.eye(n))
     report = SolveReport(
         **counters,
+        residual_evaluations=len(history),
         final_action=history[-1]["action"],
         final_energy=energy,
         max_gradient=worst,

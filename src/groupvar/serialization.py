@@ -1,15 +1,17 @@
 """Plain-text file formats for fields, multipliers, and reports.
 
 Field files carry a one-line magic, a key=value header (group size, component
-count, window dimensions), then one record per vertex or face with row-major
-matrix entries.  One writer produces every kind, each record's (i, j)
+count, window dimensions, one key per line in a fixed order), then one record
+per vertex or face with row-major matrix entries, line k of the body holding
+the record of id k.  One writer produces every kind, each record's (i, j)
 computed from its id.  Floats are written with repr, which round-trips
 bit-exactly, so identical inputs produce byte-identical files.  One parser
-reads every kind: it checks the body against the header (tags, record
-lengths, ids inside the window, duplicates, finiteness, missing records) on
-arrays, so its time and memory follow the file, and the window is built
-only once the body has passed.  Group-valued files then pass the membership
-check of ``liegroup.group_array``.
+reads every kind, in exactly the writer's layout: it checks each header line's
+key, then a block of body lines at a time (each line's tag and (i, j) against
+its position, record lengths, finiteness), then the line count, so its time
+and memory follow the file, and the window is built only once the body has
+passed.  Group-valued files then pass the membership check of
+``liegroup.group_array``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .complexes import TriangulatedGrid, triangulated_grid
 from .liegroup import group_array, read_only, skew_part
 
 MAGIC = "groupvar-field v1"
+_HEADER = ("kind", "n", "components", "width", "height")
+_BODY = 1 + len(_HEADER)  # index of the first body line
 _BLOCK_LINES = 64  # body lines written, or split and converted, at a time
 
 __all__ = [
@@ -54,9 +58,9 @@ def _save(path, kind: str, grid: TriangulatedGrid, tag: str, values: np.ndarray,
     columns = grid.width + 1 if tag == "v" else grid.width
     rows = values.reshape(len(values), -1)
     with Path(path).open("w") as out:
-        out.write(f"{MAGIC}\nkind={kind}\nn={values.shape[-1]}\n"
-                  f"components={components}\nwidth={grid.width}\n"
-                  f"height={grid.height}\n")
+        header = (kind, values.shape[-1], components, grid.width, grid.height)
+        out.write(f"{MAGIC}\n" + "".join(
+            f"{key}={value}\n" for key, value in zip(_HEADER, header)))
         for start in range(0, len(rows), _BLOCK_LINES):
             block = rows[start:start + _BLOCK_LINES].tolist()
             out.write("".join(
@@ -65,30 +69,19 @@ def _save(path, kind: str, grid: TriangulatedGrid, tag: str, values: np.ndarray,
 
 
 def _parse_header(lines: list[str], expected_kind: str):
-    """Group size, component count, window width and height, and the index
-    of the first body line."""
-    if not lines or lines[0].strip() != MAGIC:
+    """Group size, component count, window width and height, read from the
+    five lines after the magic as ``_save`` writes them: ``key=value``, in
+    ``_HEADER`` order."""
+    if not lines or lines[0] != MAGIC:
         raise ValueError("not a field file (bad magic line)")
-    header = {}
-    body_start = 1
-    for idx in range(1, len(lines)):
-        line = lines[idx].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            body_start = idx
-            break
-        key, _, value = line.partition("=")
-        header[key.strip()] = value.strip()
-        body_start = idx + 1
-    for key in ("kind", "n", "components", "width", "height"):
-        if key not in header:
+    header = lines[1:_BODY]
+    for k, key in enumerate(_HEADER):
+        if k == len(header) or not header[k].startswith(f"{key}="):
             raise ValueError(f"field file header missing {key}")
-    if header["kind"] != expected_kind:
-        raise ValueError(
-            f"expected a {expected_kind} file, found kind={header['kind']}")
-    n, components, width, height = (
-        int(header[key]) for key in ("n", "components", "width", "height"))
+    kind, *sizes = (line.partition("=")[2] for line in header)
+    if kind != expected_kind:
+        raise ValueError(f"expected a {expected_kind} file, found kind={kind}")
+    n, components, width, height = map(_header_int, _HEADER[1:], sizes)
     if n < 2:
         raise ValueError(f"field file header n={n}: group size must be at least 2")
     if width < 1 or height < 1:
@@ -96,77 +89,67 @@ def _parse_header(lines: list[str], expected_kind: str):
     if (width + 1) * (height + 1) > np.iinfo(np.int64).max:
         raise ValueError(f"a {width}x{height} window has more vertices than "
                          f"64-bit ids can address")
-    return n, components, width, height, body_start
+    return n, components, width, height
 
 
-def _parse_records(lines, body_start, tag, n, components, width, height,
+def _header_int(key: str, text: str) -> int:
+    """A header value as ``str`` writes an int."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise ValueError(f"field file header {key}={text!r} is not an integer")
+    return value
+
+
+def _parse_records(body, tag, n, components, width, height,
                    optional=False) -> np.ndarray:
     """The records as a (count, components, n, n) array indexed by id.
 
     Vertex records ("v") address the (W + 1) x (H + 1) vertices and face
-    records ("f") the W x H faces, by (i, j) at id j * columns + i.  Every
-    id needs exactly one record with finite entries; with ``optional`` the
-    last id may be left out and then holds the identity.  Blocks of lines
-    are split and checked for tags and record lengths, and their ids and
-    numbers converted, one np.array call each; window bounds, duplicates,
-    finiteness and missing records are then checked on the whole body's
-    arrays.  Nothing of the header's size exists before the body passes.
+    records ("f") the W x H faces; body line k must hold the record of id k,
+    ``tag i j`` with k = j * columns + i, and finite entries.  With
+    ``optional`` the last record may be left out and the last id then holds
+    the identity.  Blocks of lines are split, each line's tag, (i, j) and
+    length checked, and each block's numbers converted by one np.array call;
+    nothing of the header's size exists before the body passes.
     """
     per_record = components * n * n
-    name, columns, rows = (("vertex", width + 1, height + 1) if tag == "v"
-                           else ("face", width, height))
-    ij, numbers = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    columns, count = ((width + 1, (width + 1) * (height + 1)) if tag == "v"
+                      else (width, width * height))
+    if len(body) > count:
+        raise ValueError(f"line {_BODY + count + 1} is past the window's "
+                         f"{count} records")
+    numbers = []
     # blocks bound the split words held at once, which take several times
     # the memory of the lines themselves
-    for start in range(body_start, len(lines), _BLOCK_LINES):
-        records = [words for words in map(str.split, lines[start:start + _BLOCK_LINES])
-                   if words]
-        wrong = next((words for words in records if words[0] != tag), None)
-        if wrong is not None:
-            raise ValueError(f"unexpected record {wrong[0]!r}, wanted {tag!r}")
-        wrong = next((words for words in records if len(words) != 3 + per_record),
-                     None)
-        if wrong is not None:
-            raise ValueError(f"record has {len(wrong) - 3} numbers, "
-                             f"expected {per_record}")
-        # Python ints until the window check, so an id beyond int64 is
-        # reported as outside the window
-        ij.append(np.array(list(map(int, [w for words in records for w in words[1:3]])),
-                           dtype=object))
-        numbers.append(np.array([word for words in records for word in words[3:]],
-                                dtype=float))
-    ij = np.concatenate(ij).reshape(-1, 2)
-    numbers = np.concatenate(numbers).reshape(len(ij), components, n, n)
-    outside = np.flatnonzero(((ij < 0) | (ij >= (columns, rows))).any(axis=1))
-    if outside.size:
-        i, j = ij[outside[0]]
-        raise ValueError(f"{name} ({i}, {j}) outside the window")
-    ij = ij.astype(int)
-    ids = ij[:, 1] * columns + ij[:, 0]
-    # a stable sort puts each repeat after the line it repeats (np.unique
-    # would import numpy.ma on its first call)
-    order = np.argsort(ids, kind="stable")
-    present = ids[order]
-    repeats = order[1:][present[1:] == present[:-1]]
-    if repeats.size:
-        i, j = ij[repeats.min()]
-        raise ValueError(f"duplicate record {tag} {i} {j}")
-    bad = np.flatnonzero(~np.isfinite(numbers).all(axis=(1, 2, 3)))
-    if bad.size:
-        i, j = ij[bad[0]]
-        raise ValueError(f"record {tag} {i} {j} has non-finite entries")
-    count = columns * rows
-    if optional and not (present.size and present[-1] == count - 1):
-        present = np.append(present, count - 1)
-    if len(present) < count:
-        gaps = np.flatnonzero(present != np.arange(len(present)))
-        raise ValueError(f"{count - len(present)} of {count} records missing, "
-                         f"the first with id {gaps[0] if gaps.size else len(present)}")
-    values = np.empty((count, components, n, n))
-    values[ids] = numbers
-    if len(ids) < count:
-        values[-1] = np.eye(n)
-    return values
+    for start in range(0, len(body), _BLOCK_LINES):
+        records = [line.split() for line in body[start:start + _BLOCK_LINES]]
+        for k, words in enumerate(records, start):
+            expected = [tag, str(k % columns), str(k // columns)]
+            if words[:3] != expected:
+                raise ValueError(f"line {_BODY + k + 1} starts "
+                                 f"{' '.join(words[:3])!r}, expected "
+                                 f"{' '.join(expected)!r}")
+            if len(words) != 3 + per_record:
+                raise ValueError(f"record has {len(words) - 3} numbers, "
+                                 f"expected {per_record}")
+        block = np.array([word for words in records for word in words[3:]],
+                         dtype=float)
+        bad = np.flatnonzero(~np.isfinite(block))
+        if bad.size:
+            k = start + bad[0] // per_record
+            raise ValueError(f"record {tag} {k % columns} {k // columns} "
+                             f"has non-finite entries")
+        numbers.append(block)
+    missing = count - len(body) - optional
+    if missing > 0:
+        raise ValueError(f"{missing} of {count} records missing, "
+                         f"the first with id {len(body)}")
+    if len(body) < count:  # an optional far corner left out
+        numbers.append(np.tile(np.eye(n).ravel(), components))
+    return np.concatenate(numbers).reshape(count, components, n, n)
 
 
 def _load(path, kind: str, tag: str, components: int, mismatch: str,
@@ -175,10 +158,10 @@ def _load(path, kind: str, tag: str, components: int, mismatch: str,
     ``group_array`` keeps them without a copy; the window is built only
     once the body has passed every check."""
     lines = Path(path).read_text().splitlines()
-    n, found, width, height, body = _parse_header(lines, kind)
+    n, found, width, height = _parse_header(lines, kind)
     if found != components:
         raise ValueError(mismatch)
-    values = _parse_records(lines, body, tag, n, components, width, height,
+    values = _parse_records(lines[_BODY:], tag, n, components, width, height,
                             optional)
     return triangulated_grid(width, height), read_only(values)
 

@@ -840,9 +840,50 @@ def test_solve_with_boundary_file(tmp_path, capsys):
     capsys.readouterr()
     assert run("solve", "--width", 4, "--height", 4, "--boundary", partial,
                "--out", tmp_path / "partial") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("groupvar: ") and "records missing" in err
-    assert "Traceback" not in err
+    # file line 13 holds id 6, v 1 1, in the writer's layout; the
+    # frontier-only file holds the next frontier record, v 4 1, there
+    assert capsys.readouterr().err == \
+        "groupvar: line 13 starts 'v 4 1', expected 'v 1 1'\n"
+
+
+def _swapped(lines, a, b):
+    lines = list(lines)
+    lines[a], lines[b] = lines[b], lines[a]
+    return lines
+
+
+OTHER_LAYOUTS = {
+    # layout: (the saved 2x2 field's lines made into it, message)
+    "two records swapped": (lambda lines: _swapped(lines, 6, 7),
+                            "line 7 starts 'v 1 0', expected 'v 0 0'"),
+    "header reordered": (lambda lines: _swapped(lines, 1, 2),
+                         "field file header missing kind"),
+    # one line more than the window's records: rejected before any is split
+    "blank body line": (lambda lines: lines[:7] + [""] + lines[7:],
+                        "line 16 is past the window's 9 records"),
+    "unknown key": (lambda lines: lines[:2] + ["note=hand-made"] + lines[2:],
+                    "field file header missing n"),
+    "spaces around =": (lambda lines: [lines[0], "kind = unreduced_field", *lines[2:]],
+                        "field file header missing kind"),
+}
+
+
+@pytest.mark.parametrize("layout", list(OTHER_LAYOUTS))
+def test_field_files_in_another_layout_exit_two(tmp_path, capsys, layout):
+    """A boundary file in any layout but the writer's exits 2, naming the
+    header key or the file line that differs, and writes nothing."""
+    grid = triangulated_grid(2, 2)
+    path = tmp_path / "field.txt"
+    ser.save_unreduced_field(path, grid, sampling.random_unreduced_field(
+        grid, 3, np.random.default_rng(0)))
+    change, message = OTHER_LAYOUTS[layout]
+    path.write_text("\n".join(change(path.read_text().splitlines())) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("solve", "--width", 2, "--height", 2, "--boundary", path,
+               "--out", out) == 2
+    assert capsys.readouterr().err == f"groupvar: {message}\n"
+    assert not out.exists()
 
 
 HEADER_ONLY_DEFECTS = {

@@ -95,20 +95,25 @@ def _saved(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["section", "field", "multiplier"])
 def test_loaders_reject_missing_duplicate_and_nonfinite_records(tmp_path, kind):
+    """A non-finite entry names its record; a missing or repeated record
+    names the first line out of its place, and lines past the window's
+    records name the first of them."""
     path, load = _saved(tmp_path, kind)
     lines = path.read_text().splitlines()
-    body = next(k for k, line in enumerate(lines) if line[:2] in ("v ", "f "))
-    words = lines[body + 1].split()
+    tag = lines[6][0]
+    words = lines[7].split()
     for value in ("nan", "inf"):
-        bad = lines[:body + 1] + [" ".join(words[:4] + [value] + words[5:])] \
-            + lines[body + 2:]
+        bad = lines[:7] + [" ".join(words[:4] + [value] + words[5:])] + lines[8:]
         path.write_text("\n".join(bad) + "\n")
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"^record {tag} 1 0 has non-finite"):
             load(path)
-    for bad, message in ((lines[:body] + lines[body + 1:], "missing"),
-                         (lines + [lines[body]], "duplicate")):
+    count = 12 if tag == "v" else 6
+    for bad, message in (
+            (lines[:6] + lines[7:], f"line 7 starts '{tag} 1 0', expected '{tag} 0 0'"),
+            (lines[:8] + lines[7:8] + lines[9:], f"line 9 starts '{tag} 1 0', expected '{tag} 2 0'"),
+            (lines + lines[-2:], f"line {7 + count} is past the window's {count} records")):
         path.write_text("\n".join(bad) + "\n")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             load(path)
 
 
@@ -129,38 +134,37 @@ def test_far_corner_record_is_optional_for_sections_only(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the record parser against the per-line one it replaced
+# the record parser against a per-line one
 
 
-def per_line_parse_records(lines, body_start, tag, n, components, index, count,
-                           optional=None) -> np.ndarray:
-    """The per-line record parser that the array one replaced, kept as an
-    oracle.  ``index`` maps a record's (i, j) to its id; the id ``optional``
+def per_line_parse_records(body, tag, n, components, columns, count,
+                           optional=False) -> np.ndarray:
+    """The writer's layout read one line at a time, kept as the array
+    parser's oracle: body line k (file line 7 + k) holds the record of id k,
+    ``tag i j`` with k = j * columns + i; with ``optional`` the last record
     may be left out and then holds the identity."""
+    if len(body) > count:
+        raise ValueError(f"line {7 + count} is past the window's {count} records")
     values = np.empty((count, components, n, n))
     seen = np.zeros(count, dtype=bool)
     per_record = components * n * n
-    for line in lines[body_start:]:
+    for k, line in enumerate(body):
         words = line.split()
-        if not words:
-            continue
-        if words[0] != tag:
-            raise ValueError(f"unexpected record {words[0]!r}, wanted {tag!r}")
+        i, j = k % columns, k // columns
+        if words[:3] != [tag, str(i), str(j)]:
+            raise ValueError(f"line {7 + k} starts {' '.join(words[:3])!r}, "
+                             f"expected '{tag} {i} {j}'")
         if len(words) != 3 + per_record:
             raise ValueError(f"record has {len(words) - 3} numbers, "
                              f"expected {per_record}")
-        i, j = int(words[1]), int(words[2])
-        k = index(i, j)
-        if seen[k]:
-            raise ValueError(f"duplicate record {tag} {i} {j}")
         numbers = np.array([float(w) for w in words[3:]])
         if not np.isfinite(numbers).all():
             raise ValueError(f"record {tag} {i} {j} has non-finite entries")
         values[k] = numbers.reshape(components, n, n)
         seen[k] = True
-    if optional is not None and not seen[optional]:
-        values[optional] = np.eye(n)
-        seen[optional] = True
+    if optional and not seen[-1]:
+        values[-1] = np.eye(n)
+        seen[-1] = True
     if not seen.all():
         raise ValueError(f"{int(np.sum(~seen))} of {count} records missing, "
                          f"the first with id {int(np.argmin(seen))}")
@@ -175,21 +179,18 @@ KINDS = {
 }
 
 
-def _body(kind, width, height, n, rng):
-    """Header lines and one record line per id in id order, random entries."""
+def _records(kind, width, height, n, rng):
+    """One record line per id in id order, random entries."""
     tag, components, _ = KINDS[kind]
     columns, rows = (width + 1, height + 1) if tag == "v" else (width, height)
-    header = [ser.MAGIC, f"kind={kind}", f"n={n}", f"components={components}",
-              f"width={width}", f"height={height}"]
-    records = [f"{tag} {k % columns} {k // columns} "
-               + " ".join(map(repr, rng.standard_normal(components * n * n).tolist()))
-               for k in range(columns * rows)]
-    return header, records
+    return [f"{tag} {k % columns} {k // columns} "
+            + " ".join(map(repr, rng.standard_normal(components * n * n).tolist()))
+            for k in range(columns * rows)]
 
 
 DEFECTS = ("tag", "short", "long", "non-integer id", "non-number", "outside",
            "negative id", "int64 id", "duplicate", "nan", "inf", "missing",
-           "far corner")
+           "far corner", "shuffled", "swapped", "blank line")
 
 
 def _defective(records, defect, kind, width, height, rng):
@@ -225,6 +226,15 @@ def _defective(records, defect, kind, width, height, rng):
         return records[:k] + records[k + 1:]
     elif defect == "far corner":
         return records[:-1]
+    elif defect == "shuffled":
+        return [records[m] for m in rng.permutation(len(records))]
+    elif defect == "swapped":
+        m = int(rng.integers(len(records)))
+        records[k], records[m] = records[m], records[k]
+        return records
+    elif defect == "blank line":
+        records.insert(int(rng.integers(len(records) + 1)), ("", "  ")[int(rng.integers(2))])
+        return records
     records[k] = " ".join(words)
     return records
 
@@ -236,46 +246,39 @@ def _outcome(parse, *args):
         return str(exc)
 
 
-def _both(kind, lines, width, height, n):
+def _both(kind, body, width, height, n):
     """What the array parser and the per-line oracle make of one body."""
     tag, components, optional = KINDS[kind]
-    grid = triangulated_grid(width, height)
-    index, count = ((grid.vertex_id, len(grid.vertices)) if tag == "v"
-                    else (grid.face_id, len(grid.faces)))
-    got = _outcome(ser._parse_records, lines, 6, tag, n, components, width,
-                   height, optional)
-    want = _outcome(per_line_parse_records, lines, 6, tag, n, components, index,
-                    count, grid.vertices[-1] if optional else None)
+    columns, count = ((width + 1, (width + 1) * (height + 1)) if tag == "v"
+                      else (width, width * height))
+    got = _outcome(ser._parse_records, body, tag, n, components, width, height,
+                   optional)
+    want = _outcome(per_line_parse_records, body, tag, n, components, columns,
+                    count, optional)
     return got, want
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_parser_matches_per_line_oracle_on_single_defects(kind):
     """A seeded corpus: every single-defect body gets the oracle's exception
-    message, and every valid body (in id order, shuffled, with blank lines,
-    without the far corner) the oracle's values, bit for bit."""
+    message, and every body the writer writes (in id order, and a section
+    without its far corner) the oracle's values, bit for bit.  Only those
+    bodies load."""
     rng = np.random.default_rng(list(KINDS).index(kind))
     # the 12x9 bodies span several blocks of lines
     for width, height, n in ((1, 1, 2), (3, 2, 3), (2, 4, 2), (5, 3, 4), (12, 9, 2)):
-        header, records = _body(kind, width, height, n, rng)
-        shuffled = [records[k] for k in rng.permutation(len(records))]
-        for body in (records, shuffled, [""] + records[:2] + ["  "] + records[2:],
-                     records[:-1]):
-            got, want = _both(kind, header + body, width, height, n)
-            if isinstance(want, str):
-                assert got == want
-            else:
-                assert np.array_equal(got, want)
-        for defect in DEFECTS:
+        records = _records(kind, width, height, n, rng)
+        written = [records, records[:-1]] if kind == "section" else [records]
+        for defect in (None, *DEFECTS):
             for _ in range(3):
-                body = _defective(records, defect, kind, width, height, rng)
-                got, want = _both(kind, header + body, width, height, n)
+                body = records if defect is None else \
+                    _defective(records, defect, kind, width, height, rng)
+                got, want = _both(kind, body, width, height, n)
                 if isinstance(want, str):
                     assert got == want, (defect, body)
                 else:
-                    # a section may leave out its far corner record
-                    assert kind == "section" and len(body) == len(records) - 1
-                    assert body == records[:-1]
+                    # a shuffle or swap may leave a one-record body as it was
+                    assert body in written, (defect, body)
                     assert np.array_equal(got, want)
 
 
@@ -285,8 +288,9 @@ def test_two_defects_raise_one_of_their_messages(kind):
     the message of one of the two defects on its own."""
     rng = np.random.default_rng(10 + list(KINDS).index(kind))
     width, height, n = 3, 2, 2
-    header, records = _body(kind, width, height, n, rng)
-    in_place = [d for d in DEFECTS if d not in ("duplicate", "missing", "far corner")]
+    records = _records(kind, width, height, n, rng)
+    in_place = [d for d in DEFECTS if d not in ("duplicate", "missing", "far corner",
+                                                "shuffled", "swapped", "blank line")]
     for _ in range(40):
         first, second = rng.choice(len(in_place), size=2)
         a, b = sorted(rng.choice(len(records), size=2, replace=False))
@@ -295,9 +299,26 @@ def test_two_defects_raise_one_of_their_messages(kind):
         two[b] = _defective([records[b]], in_place[second], kind, width, height, rng)[0]
         both = list(one)
         both[b] = two[b]
-        got, _ = _both(kind, header + both, width, height, n)
-        alone = {_both(kind, header + body, width, height, n)[0] for body in (one, two)}
+        got, _ = _both(kind, both, width, height, n)
+        alone = {_both(kind, body, width, height, n)[0] for body in (one, two)}
         assert isinstance(got, str) and got in alone
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "3.0"), ("n", " 3"), ("components", "one"), ("width", "+4"),
+    ("height", "04"), ("height", ""),
+])
+def test_header_value_that_is_not_an_integer_names_its_key(tmp_path, key, value):
+    """A header value other than an int as the writer writes it raises with
+    the key and the value, not Python's bare int() message."""
+    path, load = _saved(tmp_path, "field")
+    lines = path.read_text().splitlines()
+    row = 1 + ["kind", "n", "components", "width", "height"].index(key)
+    lines[row] = f"{key}={value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"field file header {key}={value!r} is not an integer"
 
 
 def test_saved_field_golden_text(tmp_path):
