@@ -13,6 +13,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -144,15 +145,20 @@ def _config_records(cfg) -> dict:
     return rec
 
 
+def _fields(record, *skip: str) -> dict:
+    """A result record's fields but ``skip``, in declaration order: the keys
+    and values its report file carries."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
+            if f.name not in skip}
+
+
 # ---------------------------------------------------------------------------
 # solve
 
 
 def _write_history(path: Path, history: list[dict]) -> None:
-    serialization.write_csv(
-        path, ["iteration", "phase", "objective", "action", "max_gradient", "step"],
-        [(h["iteration"], h["phase"], h["objective"], h["action"],
-          h["max_gradient"], h["step"]) for h in history])
+    """One column per key of ``harmonic._record``'s rows, in their order."""
+    serialization.write_csv(path, list(history[0]), [row.values() for row in history])
 
 
 def cmd_solve(args) -> int:
@@ -173,20 +179,9 @@ def cmd_solve(args) -> int:
     serialization.save_unreduced_field(out / "unreduced_field.txt", grid, field)
     serialization.save_reduced_section(out / "reduced_section.txt", grid,
                                        report.section)
-    records = {
-        **_config_records(cfg),
-        "converged": True,
-        "iterations": report.iterations,
-        "backtracks": report.backtracks,
-        "residual_evaluations": report.residual_evaluations,
-        "hessian_products": report.hessian_products,
-        "final_action": report.final_action,
-        "final_energy": report.final_energy,
-        "max_gradient": report.max_gradient,
-        "max_ep_residual": report.max_ep_residual,
-        "max_constraint_residual": report.max_constraint_residual,
-    }
-    serialization.write_report(out / "solve_report.txt", records)
+    serialization.write_report(out / "solve_report.txt", {
+        **_config_records(cfg), "converged": True,
+        **_fields(report, "section", "history")})
     _write_history(out / "history.csv", report.history)
 
     ok = report.max_ep_residual <= cfg["ep_tol"] \
@@ -378,8 +373,8 @@ def _suite_multipliers(cfg, rng):
     return worst0 <= 1e-10 and worst1 <= 1e-10, {
         "system_residual_zero_seed": worst0,
         "system_residual_nonzero_seed": worst1,
-        "sweep_consistency_zero_seed": rep0.max_discrepancy,
-        "sweep_consistency_nonzero_seed": rep1.max_discrepancy,
+        "sweep_consistency_zero_seed": rep0.max_sweep_discrepancy,
+        "sweep_consistency_nonzero_seed": rep1.max_sweep_discrepancy,
     }
 
 
@@ -461,10 +456,7 @@ def cmd_reconstruct(args) -> int:
         return 1
     out = _out_dir(cfg)
     serialization.save_unreduced_field(out / "unreduced_field.txt", grid, rep.field)
-    serialization.write_report(out / "reconstruct_report.txt", {
-        "max_plaquette_defect": rep.max_plaquette_defect,
-        "path_agreement": rep.path_agreement,
-    })
+    serialization.write_report(out / "reconstruct_report.txt", _fields(rep, "field"))
     print(f"reconstruct: ok path_agreement={rep.path_agreement:.3e}")
     return 0
 
@@ -489,12 +481,8 @@ def cmd_recover_multipliers(args) -> int:
         return 1
     out = _out_dir(cfg)
     serialization.save_multiplier(out / "multiplier.txt", grid, lam)
-    worst = rep.max_system_residual
-    serialization.write_report(out / "recovery_report.txt", {
-        "max_sweep_discrepancy": rep.max_discrepancy,
-        "max_system_residual": worst,
-    })
-    print(f"recover-multipliers: ok max_system_residual={worst:.3e}")
+    serialization.write_report(out / "recovery_report.txt", _fields(rep))
+    print(f"recover-multipliers: ok max_system_residual={rep.max_system_residual:.3e}")
     return 0
 
 

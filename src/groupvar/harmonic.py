@@ -106,7 +106,8 @@ class SolveReport:
     (``iterations``), the rejected ones among them (``backtracks``),
     evaluations of the interior gradient (``residual_evaluations``: one at
     the start and one per accepted step) and Hessian-vector products
-    (``hessian_products``).
+    (``hessian_products``).  The fields but ``section`` and ``history`` are
+    the keys of ``solve_report.txt``, in this order.
     """
 
     iterations: int
@@ -392,8 +393,8 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
     ``max_iterations`` steps, accepted or rejected, are tried, and the loop
     gives up after an accepted step that predicted a decrease below the
     offset and did not lower the gradient max-norm.
-    Returns the iterate, its energy and gradient max-norm, one history row
-    for the start and one per accepted step, and the report counters.
+    Returns the iterate, its history rows (the start and each accepted step;
+    the last holds its energy and gradient max-norm) and the report counters.
     """
     n = g.shape[-1]
     energy = dirichlet_energy(g)
@@ -433,7 +434,7 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
         stalled = -2.0 * model <= offset and not worst < previous
         history.append(_record(counters["iterations"], "newton", g, energy,
                                worst, float(np.linalg.norm(p))))
-    return g, energy, worst, history, counters
+    return g, history, counters
 
 
 def _blend_initializer(g: np.ndarray) -> np.ndarray:
@@ -488,10 +489,11 @@ def solve_unreduced(grid: TriangulatedGrid, boundary: np.ndarray,
     g = boundary.reshape(grid.height + 1, grid.width + 1, n, n).copy()
     g[1:-1, 1:-1] = _blend_initializer(g)
 
-    g, energy, worst, history, counters = _newton_polish(g, g_tol, max_iterations)
-    if not worst <= g_tol:
+    g, history, counters = _newton_polish(g, g_tol, max_iterations)
+    last = history[-1]
+    if not last["max_gradient"] <= g_tol:
         raise ConvergenceError(
-            f"gradient norm {worst:.3e} > {g_tol:.1e} "
+            f"gradient norm {last['max_gradient']:.3e} > {g_tol:.1e} "
             f"after {counters['iterations']} iterations", history)
 
     field_ = read_only(g.reshape(-1, n, n))
@@ -502,9 +504,9 @@ def solve_unreduced(grid: TriangulatedGrid, boundary: np.ndarray,
     report = SolveReport(
         **counters,
         residual_evaluations=len(history),
-        final_action=history[-1]["action"],
-        final_energy=energy,
-        max_gradient=worst,
+        final_action=last["action"],
+        final_energy=last["objective"],
+        max_gradient=last["max_gradient"],
         max_ep_residual=max_norm(ep),
         max_constraint_residual=max_norm(flat),
         section=y,

@@ -315,12 +315,13 @@ def multiplier_sweep(grid: TriangulatedGrid, y: np.ndarray, first: np.ndarray,
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """``max_discrepancy`` is the largest one of the sweep's two paths;
+    """``max_sweep_discrepancy`` is the largest one of the sweep's two paths;
     ``max_system_residual`` is the largest block norm of the
     :func:`multiplier_system_residual` arrays of the recovered multiplier,
-    computed from the same Lagrangian partials as the recovery."""
+    computed from the same Lagrangian partials as the recovery.  The fields
+    are the keys of ``recovery_report.txt``, in this order."""
 
-    max_discrepancy: float
+    max_sweep_discrepancy: float
     max_system_residual: float
 
 

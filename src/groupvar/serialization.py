@@ -111,21 +111,20 @@ def _parse_records(body, tag, n, components, width, height,
     records ("f") the W x H faces; body line k must hold the record of id k,
     ``tag i j`` with k = j * columns + i, and finite entries.  With
     ``optional`` the last record may be left out and the last id then holds
-    the identity.  Blocks of lines are split, each line's tag, (i, j) and
-    length checked, and each block's numbers converted by one np.array call;
-    nothing of the header's size exists before the body passes.
+    the identity.  Blocks of the first count lines are split, each line's
+    tag, (i, j) and length checked, and each block's numbers converted by one
+    np.array call, before a longer body is rejected; nothing of the header's
+    size exists before the body passes.
     """
     per_record = components * n * n
     columns, count = ((width + 1, (width + 1) * (height + 1)) if tag == "v"
                       else (width, width * height))
-    if len(body) > count:
-        raise ValueError(f"line {_BODY + count + 1} is past the window's "
-                         f"{count} records")
     numbers = []
     # blocks bound the split words held at once, which take several times
     # the memory of the lines themselves
-    for start in range(0, len(body), _BLOCK_LINES):
-        records = [line.split() for line in body[start:start + _BLOCK_LINES]]
+    for start in range(0, min(len(body), count), _BLOCK_LINES):
+        records = [line.split()
+                   for line in body[start:min(start + _BLOCK_LINES, count)]]
         for k, words in enumerate(records, start):
             expected = [tag, str(k % columns), str(k // columns)]
             if words[:3] != expected:
@@ -133,8 +132,8 @@ def _parse_records(body, tag, n, components, width, height,
                                  f"{' '.join(words[:3])!r}, expected "
                                  f"{' '.join(expected)!r}")
             if len(words) != 3 + per_record:
-                raise ValueError(f"record has {len(words) - 3} numbers, "
-                                 f"expected {per_record}")
+                raise ValueError(f"line {_BODY + k + 1} has {len(words) - 3} "
+                                 f"numbers, expected {per_record}")
         block = np.array([word for words in records for word in words[3:]],
                          dtype=float)
         bad = np.flatnonzero(~np.isfinite(block))
@@ -143,6 +142,9 @@ def _parse_records(body, tag, n, components, width, height,
             raise ValueError(f"record {tag} {k % columns} {k // columns} "
                              f"has non-finite entries")
         numbers.append(block)
+    if len(body) > count:
+        raise ValueError(f"line {_BODY + count + 1} is past the window's "
+                         f"{count} records")
     missing = count - len(body) - optional
     if missing > 0:
         raise ValueError(f"{missing} of {count} records missing, "
@@ -157,7 +159,10 @@ def _load(path, kind: str, tag: str, components: int, mismatch: str,
     """The window and the read-only record values of a field file, so that
     ``group_array`` keeps them without a copy; the window is built only
     once the body has passed every check."""
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     n, found, width, height = _parse_header(lines, kind)
     if found != components:
         raise ValueError(mismatch)

@@ -132,13 +132,13 @@ def test_criterion_05_multiplier_recovery(solved66):
                    red.multiplier_system_residual(lagrangian, grid, y, mult))
 
     worst0 = worst_residual(lam)
-    cons0 = solved66["recovery"].max_discrepancy
+    cons0 = solved66["recovery"].max_sweep_discrepancy
     seed = lg.random_skew(N, np.random.default_rng(105), 0.3)
     lam2, rep2 = red.recover_multipliers(lagrangian, grid, y, seed)
     worst2 = worst_residual(lam2)
     distance = np.linalg.norm(lam - lam2, axis=(-2, -1)).max()
     ok = worst0 <= 1e-10 and cons0 <= 1e-9 and worst2 <= 1e-10 \
-        and rep2.max_discrepancy <= 1e-9 and distance > 1e-3
+        and rep2.max_sweep_discrepancy <= 1e-9 and distance > 1e-3
     announce(5, "multiplier-recovery", ok,
              f"residual {worst0:.2e} <= 1e-10, consistency {cons0:.2e} <= 1e-9, "
              f"seeded residual {worst2:.2e} <= 1e-10, distinct by {distance:.2e}")

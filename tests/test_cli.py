@@ -858,9 +858,9 @@ OTHER_LAYOUTS = {
                             "line 7 starts 'v 1 0', expected 'v 0 0'"),
     "header reordered": (lambda lines: _swapped(lines, 1, 2),
                          "field file header missing kind"),
-    # one line more than the window's records: rejected before any is split
+    # one line too many, named where it was inserted
     "blank body line": (lambda lines: lines[:7] + [""] + lines[7:],
-                        "line 16 is past the window's 9 records"),
+                        "line 8 starts '', expected 'v 1 0'"),
     "unknown key": (lambda lines: lines[:2] + ["note=hand-made"] + lines[2:],
                     "field file header missing n"),
     "spaces around =": (lambda lines: [lines[0], "kind = unreduced_field", *lines[2:]],
@@ -886,6 +886,30 @@ def test_field_files_in_another_layout_exit_two(tmp_path, capsys, layout):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("defect", ["cut", "binary"])
+def test_cut_and_binary_field_files_exit_two(tmp_path, capsys, defect):
+    """A field file cut inside its first record names that record's line,
+    and a file that is not UTF-8 names itself and its first byte that is
+    not; each exits 2 and writes nothing."""
+    grid = triangulated_grid(2, 2)
+    path = tmp_path / "field.txt"
+    ser.save_unreduced_field(path, grid, sampling.random_unreduced_field(
+        grid, 3, np.random.default_rng(0)))
+    if defect == "cut":
+        # the 73-byte header, then 27 bytes of line 7: its id and two numbers
+        path.write_bytes(path.read_bytes()[:100])
+        message = "line 7 has 2 numbers, expected 9"
+    else:
+        path.write_bytes(b"\xff\xfe\x00")
+        message = f"{path}: byte 0 is not UTF-8 text"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("solve", "--width", 2, "--height", 2, "--boundary", path,
+               "--out", out) == 2
+    assert capsys.readouterr().err == f"groupvar: {message}\n"
+    assert not out.exists()
+
+
 HEADER_ONLY_DEFECTS = {
     # a 600x600 window with one record: reported missing from the records
     # alone, without a 600x600 grid or a seen-array of its size
@@ -894,7 +918,7 @@ HEADER_ONLY_DEFECTS = {
     # n = 100000 on a 1x1 window: the record length is checked before any
     # array of the header's size (10^10 entries per record) is requested
     "huge group": (1, 100000, "v 0 0 1.0 0.0 0.0 1.0",
-                   "groupvar: record has 4 numbers, expected 10000000000"),
+                   "groupvar: line 7 has 4 numbers, expected 10000000000"),
     # a window whose vertex ids would not fit 64 bits
     "huge window": (10 ** 10, 3, "v 0 0 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0",
                     "groupvar: a 10000000000x10000000000 window has more "

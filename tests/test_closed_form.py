@@ -6,7 +6,9 @@ From the family's own boundary, ``solve_unreduced`` must return the family
 within 1e-13 per entry, its ``final_energy`` must be W H (2n - tr U - tr V),
 its section (V^-j U V^j, V), and its Euler-Poincare and flatness residuals
 must sit at round-off.  Moving the family's generators gives a Jacobi field,
-which the Jacobi gauge of its frontier values must reproduce.
+which the Jacobi gauge of its frontier values must reproduce.  The multiplier
+recovered from a zero seed on the family's section steps by constants, in
+the frame that V^j conjugates.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 import closed_form as cf
 from groupvar import cli, harmonic, reduction
 from groupvar.complexes import classify_vertices, triangulated_grid
-from groupvar.liegroup import block_norms, max_norm, random_skew
+from groupvar.liegroup import block_norms, exp_skew, max_norm, random_skew
 
 # (n, width, height, theta): every n, square and oblong windows, the domain's
 # edge theta = 2.8 and smaller turns.
@@ -91,3 +93,34 @@ def test_the_checker_passes_the_cli_solve_and_fails_another_family(tmp_path, cap
     assert cf.main(["check", str(out), *shape]) == 0
     assert cf.main(["check", str(out), *shape[:-1], "2.0"]) == 1
     assert "the solved field is not the closed form" in capsys.readouterr().out
+
+
+# Largest peak-to-peak spread, per entry, of the multiplier's steps.
+# Measured: at most 3.1e-14 on the windows below, whose largest step
+# entries are 0.1-0.64.
+MULTIPLIER_STEP_TOL = 1e-12
+
+
+@pytest.mark.parametrize("n, width, height, theta", [
+    (2, 6, 4, 2.8), (3, 7, 5, 2.8), (5, 9, 6, 2.8), (4, 12, 12, 2.0), (3, 12, 12, 2.8),
+])
+def test_the_zero_seed_multiplier_steps_by_constants(n, width, height, theta):
+    """In the frame lt(i, j) = V^j lam(i, j) V^-j, the multiplier recovered
+    from a zero seed on the family's section steps by one constant beta up
+    each column, and by U^-i gamma U^i along each row for one constant
+    gamma, on every pair of faces without the origin-corner face (which no
+    interior equation touches)."""
+    grid = triangulated_grid(width, height)
+    _, a, b = cf.family(n, width, height, theta, seed=n)
+    lam, _ = reduction.recover_multipliers(harmonic.TraceLagrangian(), grid,
+                                           cf.section(a, b, width, height),
+                                           np.zeros((n, n)))
+    v_pow = exp_skew(np.arange(height)[:, None, None, None] * b)
+    u_pow = exp_skew(np.arange(width - 1)[:, None, None] * a)
+    lt = v_pow @ lam.reshape(height, width, n, n) @ v_pow.swapaxes(-1, -2)
+    beta = lt[1:] - lt[:-1]
+    gamma = u_pow @ (lt[:, 1:] - lt[:, :-1]) @ u_pow.swapaxes(-1, -2)
+    for steps in (beta, gamma):
+        steps = steps.reshape(-1, n, n)[1:]  # the first leaves the origin corner
+        assert np.max(np.abs(steps)) > 1e-2  # the constants are not zero
+        assert np.max(np.ptp(steps, axis=0)) <= MULTIPLIER_STEP_TOL

@@ -257,7 +257,7 @@ def test_recover_identity_section_gives_zero():
     zero = np.zeros((N, N))
     lam, rep = red.recover_multipliers(TraceLagrangian(), grid, y, zero)
     assert np.all(lam == 0.0)
-    assert rep.max_discrepancy == 0.0
+    assert rep.max_sweep_discrepancy == 0.0
 
 
 def test_recover_requires_critical_section():
@@ -308,7 +308,7 @@ def test_recovered_multiplier_solves_system(solved66):
     worst = max(block_norms(r).max() for r in
                 red.multiplier_system_residual(lagrangian, grid, y, lam))
     assert worst <= 1e-10
-    assert solved66["recovery"].max_discrepancy <= 1e-9
+    assert solved66["recovery"].max_sweep_discrepancy <= 1e-9
 
 
 def test_recovery_seed_nonuniqueness(solved66):
@@ -323,7 +323,7 @@ def test_recovery_seed_nonuniqueness(solved66):
     worst = max(block_norms(r).max() for r in
                 red.multiplier_system_residual(lagrangian, grid, y, lam2))
     assert worst <= 1e-10
-    assert rep2.max_discrepancy <= 1e-9
+    assert rep2.max_sweep_discrepancy <= 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

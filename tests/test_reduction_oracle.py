@@ -337,7 +337,7 @@ def _assert_same_recovery(lagrangian, grid, y, seed, **tols):
     lam, rep = red.recover_multipliers(lagrangian, grid, y, seed, **tols)
     assert sorted(values) == list(range(len(lam)))
     assert all(_bits(lam[f], values[f]) for f in values)
-    assert rep.max_discrepancy == max_disc
+    assert rep.max_sweep_discrepancy == max_disc
     # no interior equation reaches the origin-corner face: it is zero
     assert unconstrained == (grid.face_id(0, 0),) and not lam[0].any()
     assert _bits(lam[-1], seed)

@@ -108,10 +108,14 @@ def test_loaders_reject_missing_duplicate_and_nonfinite_records(tmp_path, kind):
         with pytest.raises(ValueError, match=f"^record {tag} 1 0 has non-finite"):
             load(path)
     count = 12 if tag == "v" else 6
+    # a section leaves out its far corner, so its first appended line stands
+    # in the far corner's place
+    appended = ("line 18 starts 'v 1 2', expected 'v 3 2'" if kind == "section"
+                else f"line {7 + count} is past the window's {count} records")
     for bad, message in (
             (lines[:6] + lines[7:], f"line 7 starts '{tag} 1 0', expected '{tag} 0 0'"),
             (lines[:8] + lines[7:8] + lines[9:], f"line 9 starts '{tag} 1 0', expected '{tag} 2 0'"),
-            (lines + lines[-2:], f"line {7 + count} is past the window's {count} records")):
+            (lines + lines[-2:], appended)):
         path.write_text("\n".join(bad) + "\n")
         with pytest.raises(ValueError, match=f"^{message}$"):
             load(path)
@@ -142,26 +146,27 @@ def per_line_parse_records(body, tag, n, components, columns, count,
     """The writer's layout read one line at a time, kept as the array
     parser's oracle: body line k (file line 7 + k) holds the record of id k,
     ``tag i j`` with k = j * columns + i; with ``optional`` the last record
-    may be left out and then holds the identity."""
-    if len(body) > count:
-        raise ValueError(f"line {7 + count} is past the window's {count} records")
+    may be left out and then holds the identity; lines past the window's
+    records are named once the records before them pass."""
     values = np.empty((count, components, n, n))
     seen = np.zeros(count, dtype=bool)
     per_record = components * n * n
-    for k, line in enumerate(body):
+    for k, line in enumerate(body[:count]):
         words = line.split()
         i, j = k % columns, k // columns
         if words[:3] != [tag, str(i), str(j)]:
             raise ValueError(f"line {7 + k} starts {' '.join(words[:3])!r}, "
                              f"expected '{tag} {i} {j}'")
         if len(words) != 3 + per_record:
-            raise ValueError(f"record has {len(words) - 3} numbers, "
+            raise ValueError(f"line {7 + k} has {len(words) - 3} numbers, "
                              f"expected {per_record}")
         numbers = np.array([float(w) for w in words[3:]])
         if not np.isfinite(numbers).all():
             raise ValueError(f"record {tag} {i} {j} has non-finite entries")
         values[k] = numbers.reshape(components, n, n)
         seen[k] = True
+    if len(body) > count:
+        raise ValueError(f"line {7 + count} is past the window's {count} records")
     if optional and not seen[-1]:
         values[-1] = np.eye(n)
         seen[-1] = True
