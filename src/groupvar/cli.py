@@ -315,24 +315,28 @@ def _suite_flatness(cfg, rng):
 
 
 def _solve_for_suite(cfg):
-    """The window of ``cfg``, its stationary field and the ``SolveReport``:
-    the one solve of every solving suite, to the gradient target 1e-11 within
-    the step budget of ``cfg``; a solve that does not converge raises
-    ``ConvergenceError`` (exit 1)."""
+    """The window of ``cfg``, its stationary field, the ``SolveReport``, and
+    the zero-seed multiplier along its section with the ``RecoveryReport``:
+    the one solve (gradient target 1e-11, the step budget of ``cfg``) and the
+    one recovery (default tolerances) of every solving suite.  Either may
+    raise a failure (exit 1)."""
     grid = triangulated_grid(cfg["width"], cfg["height"])
     field, report = harmonic.solve_unreduced(grid, _boundary_map(cfg, grid), 1e-11,
                                              cfg["max_iterations"])
-    return grid, field, report
+    n = cfg["n"]
+    lam, recovery = reduction.recover_multipliers(TraceLagrangian(), grid,
+                                                  report.section, np.zeros((n, n)))
+    return grid, field, report, lam, recovery
 
 
 def _suite_noether(cfg, rng, break_symmetry=False):
     n = cfg["n"]
-    grid, _, solved = _solve_for_suite(cfg)
+    grid, _, solved, lam, _ = _solve_for_suite(cfg)
     xi = random_skew(n, rng)
     # like a reduced section, a random variation skips the far corner
-    bad = sampling.random_variation(grid, n, rng) if break_symmetry else None
-    noether = harmonic.run_noether_scenario(grid, solved.section, xi,
-                                            symmetry_field=bad)
+    d = sampling.random_variation(grid, n, rng) if break_symmetry \
+        else harmonic.conjugation_symmetry_field(solved.section, xi)
+    noether = harmonic.run_noether_scenario(grid, solved.section, lam, d)
     threshold = 1e-8 * (1.0 + abs(solved.final_action))
     return noether.symmetry_ok and abs(noether.boundary_sum) <= threshold, {
         "boundary_sum": noether.boundary_sum,
@@ -346,12 +350,11 @@ def _suite_noether(cfg, rng, break_symmetry=False):
 
 def _suite_multisymplectic(cfg, rng):
     n = cfg["n"]
-    grid, field, _ = _solve_for_suite(cfg)
+    grid, field, _, lam, _ = _solve_for_suite(cfg)
     frontier = classify_vertices(grid.full_faceset()).frontier
     picks = rng.choice(len(frontier), size=2, replace=False)
-    bump1 = {int(frontier[picks[0]]): random_skew(n, rng)}
-    bump2 = {int(frontier[picks[1]]): random_skew(n, rng)}
-    jr1, jr2, defect = harmonic.run_multisymplectic_scenario(grid, field, bump1, bump2)
+    bumps = [{int(frontier[pick]): random_skew(n, rng)} for pick in picks]
+    jr1, jr2, defect = harmonic.run_multisymplectic_scenario(grid, field, lam, *bumps)
     return jr1 <= 1e-4 and jr2 <= 1e-4 and abs(defect) <= 1e-4, {
         "jacobi_residual_1": jr1,
         "jacobi_residual_2": jr2,
@@ -361,13 +364,9 @@ def _suite_multisymplectic(cfg, rng):
 
 
 def _suite_multipliers(cfg, rng):
-    n = cfg["n"]
-    grid, _, solved = _solve_for_suite(cfg)
-    y = solved.section
-    lagrangian = TraceLagrangian()
-    _, rep0 = reduction.recover_multipliers(lagrangian, grid, y, np.zeros((n, n)))
-    _, rep1 = reduction.recover_multipliers(lagrangian, grid, y,
-                                            random_skew(n, rng, 0.3))
+    grid, _, solved, _, rep0 = _solve_for_suite(cfg)
+    _, rep1 = reduction.recover_multipliers(TraceLagrangian(), grid, solved.section,
+                                            random_skew(cfg["n"], rng, 0.3))
     worst0, worst1 = rep0.max_system_residual, rep1.max_system_residual
     # a sweep discrepancy beyond CONS_TOL raises in the recovery (exit 1)
     return worst0 <= 1e-10 and worst1 <= 1e-10, {
@@ -379,12 +378,9 @@ def _suite_multipliers(cfg, rng):
 
 
 def _suite_elimination(cfg, rng):
-    n = cfg["n"]
-    grid, _, solved = _solve_for_suite(cfg)
-    y = solved.section
-    lagrangian = TraceLagrangian()
-    lam, _ = reduction.recover_multipliers(lagrangian, grid, y, np.zeros((n, n)))
-    defects = reduction.multiplier_elimination_check(lagrangian, grid, y, lam)
+    grid, _, solved, lam, _ = _solve_for_suite(cfg)
+    defects = reduction.multiplier_elimination_check(TraceLagrangian(), grid,
+                                                     solved.section, lam)
     worst_combo = max_norm(defects.ep_combination)
     worst_cancel = max_norm(defects.cancellation)
     passed = worst_cancel <= 1e-12 and worst_combo <= 1e-9

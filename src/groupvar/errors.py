@@ -5,6 +5,16 @@ class DomainError(ValueError):
     """Input lies outside the mathematical domain of an operation."""
 
 
+class MembershipError(ValueError):
+    """A matrix is not in SO(n).  Carries the flat index of the first failing
+    block of a stack (None for a single matrix) and the reason."""
+
+    def __init__(self, matrix, reason):
+        name = "matrix" if matrix is None else f"matrix {matrix}"
+        super().__init__(f"{name} {reason}")
+        self.matrix, self.reason = matrix, reason
+
+
 class HolonomyError(RuntimeError):
     """Reconstruction failed because some plaquette holonomy is not the identity.
 

@@ -11,7 +11,8 @@ by the boundary blend initializer.  "Critical" throughout means stationary;
 reports claim no minimality of anything.
 
 Gradient assembly is vertex-parallel within an iteration.  The scenarios
-take a solved field or section and measure it: they neither solve nor judge.
+take a solved field or section and its multiplier and measure them: they
+neither solve, recover nor judge.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .reduction import (
     multiplier_sweep,
     multiplier_system_residual,
     plaquette_holonomy,
-    recover_multipliers,
     reduce_field,
     reduced_variation,
 )
@@ -560,23 +560,14 @@ def conjugation_symmetry_field(y: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return read_only(xi - coadjoint(y, xi))
 
 
-def run_noether_scenario(grid: TriangulatedGrid, y: np.ndarray, xi: np.ndarray,
-                         symmetry_field: np.ndarray | None = None) -> NoetherReport:
-    """The conservation boundary sum along a solved section ``y``.
-
-    Recovers the zero-seed multiplier along ``y`` and returns the
-    ``noether_boundary_sum`` report on the conjugation field of ``xi``;
-    passing an explicit ``symmetry_field`` (for negative controls) overrides
-    that construction.  Along a critical section the sum is predicted to
-    vanish; the bound is the caller's (``verify noether`` takes
-    1e-8 (1 + |action|)).
-    """
-    n = xi.shape[-1]
-    lagrangian = TraceLagrangian()
-    lam, _ = recover_multipliers(lagrangian, grid, y, np.zeros((n, n)))
-    d = symmetry_field if symmetry_field is not None \
-        else conjugation_symmetry_field(y, xi)
-    return noether_boundary_sum(lagrangian, PlaquetteConstraint(), y, lam, d,
+def run_noether_scenario(grid: TriangulatedGrid, y: np.ndarray, lam: np.ndarray,
+                         d: np.ndarray) -> NoetherReport:
+    """The ``noether_boundary_sum`` report of the trace density and the
+    plaquette constraint along the pair (``y``, ``lam``), on the variation
+    ``d``.  Along a critical pair and a symmetry field (such as
+    ``conjugation_symmetry_field``) the sum is predicted to vanish; the
+    bound is the caller's (``verify noether`` takes 1e-8 (1 + |action|))."""
+    return noether_boundary_sum(TraceLagrangian(), PlaquetteConstraint(), y, lam, d,
                                 grid.full_faceset())
 
 
@@ -607,32 +598,29 @@ def _jacobi_gauges(g: np.ndarray, bumps):
 
 
 def run_multisymplectic_scenario(grid: TriangulatedGrid, g: np.ndarray,
-                                 bump1: dict[int, np.ndarray],
+                                 lam0: np.ndarray, bump1: dict[int, np.ndarray],
                                  bump2: dict[int, np.ndarray]
                                  ) -> tuple[float, float, float]:
     """Both Jacobi residuals and the boundary two-form defect on the Jacobi
-    fields of two boundary bumps, at the solved (V, n, n) field ``g``.
+    fields of two boundary bumps, at the solved (V, n, n) field ``g`` and the
+    multiplier ``lam0`` recovered along its section y0.
 
     A bump maps frontier vertices to skew (n, n) arrays eta, moving them
-    along g exp(t eta); a vertex off the frontier raises ValueError.  After
-    one recovery lam0 at the section y0 of ``g``, each field is
-    ``reduced_variation`` of a gauge theta from ``_jacobi_gauges`` and dlam,
-    the linearised multiplier: ``multiplier_sweep`` at y0 from the zero
-    seed, on the central difference (step ``H_JACOBI``) of the multiplier
-    system at (g exp(+-t theta), lam0).  Returns the three values of
-    ``multisymplectic_check``; the bounds are the caller's."""
+    along g exp(t eta); a vertex off the frontier raises ValueError.  Each
+    field is ``reduced_variation`` of a gauge theta from ``_jacobi_gauges``
+    and dlam, the linearised multiplier: ``multiplier_sweep`` at y0 from the
+    zero seed, on the central difference (step ``H_JACOBI``) of the
+    multiplier system at (g exp(+-t theta), lam0).  Returns the three values
+    of ``multisymplectic_check``; the bounds are the caller's."""
     n = g.shape[-1]
     lagrangian = TraceLagrangian()
     faceset = grid.full_faceset()
     frontier = classify_vertices(faceset).frontier
-    zero_seed = np.zeros((n, n))
     for vid in (*bump1, *bump2):
         if vid not in frontier:
             raise ValueError(f"bump vertex {vid} is not a frontier vertex")
 
     y0 = reduce_field(grid, g)
-    lam0, _ = recover_multipliers(lagrangian, grid, y0, zero_seed)
-
     fields = []
     for theta in _jacobi_gauges(g.reshape(grid.height + 1, grid.width + 1, n, n),
                                 (bump1, bump2)):
@@ -640,7 +628,7 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, g: np.ndarray,
             lagrangian, grid, reduce_field(grid, g @ lg.exp_skew(t * theta)), lam0)
             for t in (H_JACOBI, -H_JACOBI))
         difference = np.subtract(plus, minus) / (2.0 * H_JACOBI)
-        dlam, _ = multiplier_sweep(grid, y0, *difference, zero_seed)
+        dlam, _ = multiplier_sweep(grid, y0, *difference, np.zeros((n, n)))
         fields += [reduced_variation(grid, g, theta), dlam]
 
     return multisymplectic_check(lagrangian, PlaquetteConstraint(), y0, lam0,

@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .defaults import TAU_GROUP
-from .errors import DomainError
+from .errors import DomainError, MembershipError
 
 __all__ = [
     "GroupElement",
@@ -60,7 +60,8 @@ def group_array(matrices) -> np.ndarray:
     This is the one membership check, made where data enters: the solver's
     boundary, file loading.  Every block must have finite entries, an
     orthogonality defect ||m^T m - I||_F within ``TAU_GROUP`` and det > 0;
-    anything else raises ValueError.  Blocks whose defect is above 1e-12 are
+    anything else raises ``MembershipError``, a ValueError naming the first
+    failing block by its flat index.  Blocks whose defect is above 1e-12 are
     re-orthonormalized (polar factor); the others are stored bit-identically,
     which keeps file round trips exact.  Copies unless the input is already
     read-only.  Use :func:`project_to_group` for genuine projection.
@@ -71,21 +72,21 @@ def group_array(matrices) -> np.ndarray:
     n = m.shape[-1]
     blocks = m.reshape(-1, n, n)
 
-    def first(bad) -> str:
+    def first(bad, reason) -> MembershipError:
         """The first failing block, named by its flat index in a stack."""
-        return f"matrix {int(np.argmax(bad))}" if m.ndim > 2 else "matrix"
+        return MembershipError(int(np.argmax(bad)) if m.ndim > 2 else None, reason)
 
     bad = ~np.isfinite(blocks).all(axis=(-2, -1))
     if bad.any():
-        raise ValueError(f"{first(bad)} has non-finite entries")
+        raise first(bad, "has non-finite entries")
     defect = block_norms(blocks.swapaxes(-1, -2) @ blocks - np.eye(n))
     bad = ~(defect <= TAU_GROUP)
     if bad.any():
-        raise ValueError(f"{first(bad)} is {defect[np.argmax(bad)]:.3e} from "
-                         f"orthogonal, beyond tolerance {TAU_GROUP:.1e}")
+        raise first(bad, f"is {defect[np.argmax(bad)]:.3e} from orthogonal, "
+                         f"beyond tolerance {TAU_GROUP:.1e}")
     bad = ~(np.linalg.det(blocks) > 0.0)
     if bad.any():
-        raise ValueError(f"{first(bad)} is in the reflection component, det <= 0")
+        raise first(bad, "is in the reflection component, det <= 0")
     dirty = defect > _CLEAN
     if dirty.any() or m.flags.writeable:
         m = m.copy()

@@ -3,7 +3,8 @@
 Field files carry a one-line magic, a key=value header (group size, component
 count, window dimensions, one key per line in a fixed order), then one record
 per vertex or face with row-major matrix entries, line k of the body holding
-the record of id k.  One writer produces every kind, each record's (i, j)
+the record of id k; a section has no record for its far corner, which adheres
+to no face.  One writer produces every kind, each record's (i, j)
 computed from its id.  Floats are written with repr, which round-trips
 bit-exactly, so identical inputs produce byte-identical files.  One parser
 reads every kind, in exactly the writer's layout: it checks each header line's
@@ -11,7 +12,8 @@ key, then a block of body lines at a time (each line's tag and (i, j) against
 its position, record lengths, finiteness), then the line count, so its time
 and memory follow the file, and the window is built only once the body has
 passed.  Group-valued files then pass the membership check of
-``liegroup.group_array``.
+``liegroup.group_array``.  Each error names the line, header key or byte
+where a file departs from the layout.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import TriangulatedGrid, triangulated_grid
+from .errors import MembershipError
 from .liegroup import group_array, read_only, skew_part
 
 MAGIC = "groupvar-field v1"
@@ -85,10 +88,8 @@ def _parse_header(lines: list[str], expected_kind: str):
     if n < 2:
         raise ValueError(f"field file header n={n}: group size must be at least 2")
     if width < 1 or height < 1:
-        raise ValueError("grid dimensions must be positive")
-    if (width + 1) * (height + 1) > np.iinfo(np.int64).max:
-        raise ValueError(f"a {width}x{height} window has more vertices than "
-                         f"64-bit ids can address")
+        raise ValueError(f"field file header width={width}, height={height}: grid "
+                         f"dimensions must be positive")
     return n, components, width, height
 
 
@@ -103,22 +104,16 @@ def _header_int(key: str, text: str) -> int:
     return value
 
 
-def _parse_records(body, tag, n, components, width, height,
-                   optional=False) -> np.ndarray:
-    """The records as a (count, components, n, n) array indexed by id.
+def _parse_records(body, tag, n, components, columns, count) -> np.ndarray:
+    """The ``count`` records, a (count, components, n, n) array by id.
 
-    Vertex records ("v") address the (W + 1) x (H + 1) vertices and face
-    records ("f") the W x H faces; body line k must hold the record of id k,
-    ``tag i j`` with k = j * columns + i, and finite entries.  With
-    ``optional`` the last record may be left out and the last id then holds
-    the identity.  Blocks of the first count lines are split, each line's
-    tag, (i, j) and length checked, and each block's numbers converted by one
-    np.array call, before a longer body is rejected; nothing of the header's
-    size exists before the body passes.
+    Body line k (file line 7 + k) must hold the record of id k, ``tag i j``
+    with k = j * columns + i, and finite entries.  Blocks of the first count
+    lines are split, each line's tag, (i, j) and length checked, and each
+    block's numbers converted by one np.array call, before a longer body is
+    rejected; nothing of the header's size exists before the body passes.
     """
     per_record = components * n * n
-    columns, count = ((width + 1, (width + 1) * (height + 1)) if tag == "v"
-                      else (width, width * height))
     numbers = []
     # blocks bound the split words held at once, which take several times
     # the memory of the lines themselves
@@ -134,41 +129,62 @@ def _parse_records(body, tag, n, components, width, height,
             if len(words) != 3 + per_record:
                 raise ValueError(f"line {_BODY + k + 1} has {len(words) - 3} "
                                  f"numbers, expected {per_record}")
-        block = np.array([word for words in records for word in words[3:]],
-                         dtype=float)
+        try:
+            block = np.array([word for words in records for word in words[3:]],
+                             dtype=float)
+        except ValueError:  # only now find the word that is not a number
+            k, word = next((k, word) for k, words in enumerate(records, start)
+                           for word in words[3:] if not _is_number(word))
+            raise ValueError(f"line {_BODY + k + 1} holds {word!r}, which is not "
+                             f"a number") from None
         bad = np.flatnonzero(~np.isfinite(block))
         if bad.size:
-            k = start + bad[0] // per_record
-            raise ValueError(f"record {tag} {k % columns} {k // columns} "
+            raise ValueError(f"line {_BODY + start + bad[0] // per_record + 1} "
                              f"has non-finite entries")
         numbers.append(block)
     if len(body) > count:
         raise ValueError(f"line {_BODY + count + 1} is past the window's "
                          f"{count} records")
-    missing = count - len(body) - optional
-    if missing > 0:
-        raise ValueError(f"{missing} of {count} records missing, "
-                         f"the first with id {len(body)}")
-    if len(body) < count:  # an optional far corner left out
-        numbers.append(np.tile(np.eye(n).ravel(), components))
+    if len(body) < count:
+        raise ValueError(f"{count - len(body)} of {count} records missing, "
+                         f"the first at line {_BODY + len(body) + 1}")
     return np.concatenate(numbers).reshape(count, components, n, n)
 
 
-def _load(path, kind: str, tag: str, components: int, mismatch: str,
-          optional: bool = False) -> tuple[TriangulatedGrid, np.ndarray]:
-    """The window and the read-only record values of a field file, so that
-    ``group_array`` keeps them without a copy; the window is built only
-    once the body has passed every check."""
+def _is_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _load(path, kind: str, tag: str, components: int,
+          mismatch: str) -> tuple[TriangulatedGrid, np.ndarray]:
+    """The window and the read-only values of the records the writer
+    writes: one per vertex ("v") or face ("f") in id order, but none for a
+    section's far corner.  The window is built only once the body has
+    passed every check."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     n, found, width, height = _parse_header(lines, kind)
     if found != components:
-        raise ValueError(mismatch)
-    values = _parse_records(lines[_BODY:], tag, n, components, width, height,
-                            optional)
+        raise ValueError(f"field file header components={found}: {mismatch}")
+    columns, rows = (width + 1, height + 1) if tag == "v" else (width, height)
+    count = columns * rows - (kind == "reduced_section")
+    values = _parse_records(lines[_BODY:], tag, n, components, columns, count)
     return triangulated_grid(width, height), read_only(values)
+
+
+def _group_records(values: np.ndarray) -> np.ndarray:
+    """``group_array`` of loaded records, naming a failing block's line."""
+    try:
+        return group_array(values)
+    except MembershipError as exc:
+        line = _BODY + 1 + exc.matrix // values.shape[1]
+        raise ValueError(f"line {line} holds a matrix that {exc.reason}") from None
 
 
 def save_reduced_section(path, grid: TriangulatedGrid, y: np.ndarray) -> None:
@@ -177,12 +193,12 @@ def save_reduced_section(path, grid: TriangulatedGrid, y: np.ndarray) -> None:
 
 
 def load_reduced_section(path) -> tuple[TriangulatedGrid, np.ndarray]:
-    """The window and the read-only (V, 2, n, n) section.  Every vertex needs
-    a record, except the far corner (identity if absent)."""
+    """The window and the read-only (V, 2, n, n) section: a record for every
+    vertex but the far corner, which holds the identity."""
     grid, values = _load(path, "reduced_section", "v", 2,
-                         "reduced sections carry two components per vertex",
-                         optional=True)
-    return grid, group_array(values)
+                         "reduced sections carry two components per vertex")
+    far_corner = np.broadcast_to(np.eye(values.shape[-1]), (1, *values.shape[1:]))
+    return grid, _group_records(read_only(np.concatenate([values, far_corner])))
 
 
 def save_unreduced_field(path, grid: TriangulatedGrid, g: np.ndarray) -> None:
@@ -193,7 +209,7 @@ def load_unreduced_field(path) -> tuple[TriangulatedGrid, np.ndarray]:
     """The window and the read-only (V, n, n) field."""
     grid, values = _load(path, "unreduced_field", "v", 1,
                          "vertex fields carry one component per vertex")
-    return grid, group_array(values[:, 0])
+    return grid, _group_records(values)[:, 0]
 
 
 def save_multiplier(path, grid: TriangulatedGrid, lam: np.ndarray) -> None:

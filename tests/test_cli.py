@@ -1,5 +1,8 @@
 import importlib
+import inspect
 import math
+import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -346,6 +349,31 @@ def test_solving_suite_out_of_budget_exits_one(tmp_path, capsys, suite):
 def test_verify_noether_broken_symmetry_fails(tmp_path):
     assert run("verify", "noether", "--break-symmetry", "--width", 4,
                "--height", 4, "--out", tmp_path) == 1
+
+
+@pytest.mark.parametrize("argv", [("noether",), ("noether", "--break-symmetry"),
+                                  ("multisymplectic",), ("multipliers",),
+                                  ("elimination",)])
+def test_solving_suites_take_one_zero_seed_recovery(tmp_path, monkeypatch, argv):
+    """Every solving suite reads its pair from ``_solve_for_suite``, which
+    recovers the zero-seed multiplier once; only ``verify multipliers``
+    recovers again, at its random seed, and no scenario recovers."""
+    from groupvar import reduction
+    calls, exact = [], reduction.recover_multipliers
+
+    def spy(lagrangian, grid, y, seed, **tols):
+        calls.append((sys._getframe(1).f_code.co_name, bool(seed.any())))
+        return exact(lagrangian, grid, y, seed, **tols)
+
+    monkeypatch.setattr(reduction, "recover_multipliers", spy)
+    expected = 1 if "--break-symmetry" in argv else 0
+    assert run("verify", *argv, "--width", 4, "--height", 4, "--out", tmp_path) \
+        == expected
+    again = [("_suite_multipliers", True)] if argv == ("multipliers",) else []
+    assert calls == [("_solve_for_suite", False), *again]
+    assert not hasattr(harmonic, "recover_multipliers")
+    assert list(inspect.signature(harmonic.run_noether_scenario).parameters) \
+        == ["grid", "y", "lam", "d"]
 
 
 def test_one_parser_serves_every_call(tmp_path):
@@ -910,19 +938,88 @@ def test_cut_and_binary_field_files_exit_two(tmp_path, capsys, defect):
     assert not out.exists()
 
 
+def _entry_changed(lines, line, entry, word):
+    """The file lines with entry ``entry`` (0-based, after ``tag i j``) of
+    file line ``line`` replaced by ``word(old)``."""
+    words = lines[line - 1].split()
+    words[3 + entry] = word(words[3 + entry])
+    return lines[:line - 1] + [" ".join(words)] + lines[line:]
+
+
+OFF_GROUP = (r"holds a matrix that is \d\.\d{3}e-07 from orthogonal, beyond "
+             r"tolerance 1\.0e-09")
+ENTRY_DEFECTS = {
+    # line 8 holds id 1, v 1 0; line 9 holds id 2, v 2 0
+    "not a number": (8, 0, lambda old: "x", "line 8 holds 'x', which is not a number"),
+    "infinite": (8, 4, lambda old: "-inf", "line 8 has non-finite entries"),
+    "off the group": (9, 0, lambda old: repr(float(old) + 2e-7), "line 9 " + OFF_GROUP),
+}
+
+
+@pytest.mark.parametrize("defect", list(ENTRY_DEFECTS))
+def test_a_bad_boundary_entry_names_its_line(tmp_path, capsys, defect):
+    """An entry that is not a number, is not finite or moves its matrix off
+    the group exits 2 naming the file line, not numpy's wording or the
+    matrix's place in a stack, and writes nothing."""
+    grid = triangulated_grid(2, 2)
+    path = tmp_path / "field.txt"
+    ser.save_unreduced_field(path, grid, sampling.random_unreduced_field(
+        grid, 3, np.random.default_rng(0)))
+    line, entry, word, message = ENTRY_DEFECTS[defect]
+    path.write_text("\n".join(_entry_changed(path.read_text().splitlines(), line,
+                                             entry, word)) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("solve", "--width", 2, "--height", 2, "--boundary", path,
+               "--out", out) == 2
+    assert re.fullmatch(f"groupvar: {message}\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_section_block_off_the_group_names_its_line(tmp_path, capsys,
+                                                      solved_section):
+    """A section record holds two matrices; one entry of the second of line 9
+    moved by 2e-7 is named by that line."""
+    section = tmp_path / "section.txt"
+    section.write_text("\n".join(_entry_changed(
+        solved_section, 9, 9 + 4, lambda old: repr(float(old) + 2e-7))) + "\n")
+    out = tmp_path / "out"
+    assert run("recover-multipliers", "--section", section, "--out", out) == 2
+    assert re.fullmatch(f"groupvar: line 9 {OFF_GROUP}\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_section_with_a_far_corner_record_exits_two(tmp_path, capsys,
+                                                      solved_section):
+    """The writer leaves out a section's far corner, which adheres to no
+    face, so a far-corner record is a line past the window's V - 1 records:
+    the 4x4 window's 24 records end at line 30."""
+    identity = " ".join(repr(float(x)) for x in np.eye(3).ravel())
+    section = tmp_path / "section.txt"
+    section.write_text("\n".join([*solved_section,
+                                  f"v 4 4 {identity} {identity}"]) + "\n")
+    out = tmp_path / "out"
+    for command in ("recover-multipliers", "reconstruct"):
+        assert run(command, "--section", section, "--out", out) == 2
+        assert capsys.readouterr().err == \
+            "groupvar: line 31 is past the window's 24 records\n"
+        assert not out.exists()
+
+
 HEADER_ONLY_DEFECTS = {
     # a 600x600 window with one record: reported missing from the records
     # alone, without a 600x600 grid or a seen-array of its size
     "wide window": (600, 3, "v 0 0 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0",
-                    "groupvar: 361200 of 361201 records missing, the first with id 1"),
+                    "groupvar: 361200 of 361201 records missing, the first at line 8"),
     # n = 100000 on a 1x1 window: the record length is checked before any
     # array of the header's size (10^10 entries per record) is requested
     "huge group": (1, 100000, "v 0 0 1.0 0.0 0.0 1.0",
                    "groupvar: line 7 has 4 numbers, expected 10000000000"),
-    # a window whose vertex ids would not fit 64 bits
+    # a window whose vertex ids would not fit 64 bits, reported missing from
+    # the records alone as well
     "huge window": (10 ** 10, 3, "v 0 0 1.0 0.0 0.0 0.0 1.0 0.0 0.0 0.0 1.0",
-                    "groupvar: a 10000000000x10000000000 window has more "
-                    "vertices than 64-bit ids can address"),
+                    "groupvar: 100000000020000000000 of 100000000020000000001 "
+                    "records missing, the first at line 8"),
 }
 
 

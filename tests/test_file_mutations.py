@@ -1,0 +1,148 @@
+"""Mutated field files through the commands that read them.
+
+Files that ``save_*`` wrote for n = 2..5 on small windows are mutated (byte
+flips, cuts, inserted, deleted, swapped and repeated lines, bad header
+values, non-finite entries, a reflected block, a block scaled to either side
+of ``TAU_GROUP``) and sent in-process through ``solve --boundary``,
+``reconstruct --section`` and ``recover-multipliers --section``.  Each run
+either exits 2, writes nothing and names where the file departs from the
+writer's layout, or the file loads, and then the command does what it does
+on the file the writer writes for the loaded values.
+
+Derandomized, so every run draws the same examples, and bounded, so the
+module stays a few seconds long.
+"""
+
+import functools
+import io
+import math
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from groupvar import serialization as ser
+from groupvar.cli import main
+from groupvar.defaults import TAU_GROUP
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+WINDOWS = ((1, 2), (2, 2), (3, 2))
+# kind: (file the solve writes, components, loader, writer)
+KINDS = {
+    "field": ("unreduced_field.txt", 1, ser.load_unreduced_field,
+              ser.save_unreduced_field),
+    "section": ("reduced_section.txt", 2, ser.load_reduced_section,
+                ser.save_reduced_section),
+}
+MUTATIONS = ("flip", "cut", "insert", "delete", "swap", "repeat", "header",
+             "non-finite", "reflect", "scale")
+# a message names a file line, a header key, the magic line or a byte
+NAMED = re.compile(r"\bline \d+\b|byte \d+ is not UTF-8|magic line|\bkind="
+                   r"|field file header (missing )?(kind|n|components|width|height)\b")
+FOREIGN = re.compile(r"could not convert|invalid literal|Traceback|numpy|dtype"
+                     r"|float|int\(|matrix \d|shape|index|object")
+
+
+@functools.cache
+def _written(kind, n, width, height):
+    """The bytes of the field or section file of one solve."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["solve", "--n", str(n), "--width", str(width), "--height",
+                     str(height), "--scale", "0.3", "--seed", "1", "--out", tmp]) == 0
+        return (Path(tmp) / KINDS[kind][0]).read_bytes()
+
+
+def _mutated(data: bytes, mutation: str, n: int, components: int, draw) -> bytes:
+    if mutation == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    if mutation == "cut":
+        return data[:draw(st.integers(0, len(data)))]
+    lines = data.decode().split("\n")[:-1]  # every written line ends in \n
+    at = draw(st.integers(0, len(lines) - 1))
+    if mutation == "insert":
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "v 0 0", "x", *lines])))
+    elif mutation == "delete":
+        del lines[at]
+    elif mutation == "swap":
+        other = draw(st.integers(0, len(lines) - 1))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif mutation == "repeat":
+        lines.insert(at, lines[at])
+    elif mutation == "header":
+        at = draw(st.integers(2, 5))  # n, components, width, height
+        value = draw(st.sampled_from(["0", "-1", "-7", str(10 ** 12), str(10 ** 30),
+                                      "2.5", "1e3", "x", ""]))
+        lines[at] = f"{lines[at].partition('=')[0]}={value}"
+    elif mutation == "non-finite":
+        body = draw(st.integers(6, len(lines) - 1))
+        words = lines[body].split()
+        words[draw(st.integers(3, len(words) - 1))] = draw(
+            st.sampled_from(["nan", "-nan", "inf", "-inf", "NaN", "Infinity"]))
+        lines[body] = " ".join(words)
+    else:
+        body = draw(st.integers(6, len(lines) - 1))
+        words = lines[body].split()
+        blocks = np.array(words[3:], dtype=float).reshape(components, n, n)
+        c = draw(st.integers(0, components - 1))
+        if mutation == "reflect":
+            blocks[c, draw(st.integers(0, n - 1))] *= -1.0
+        else:
+            # defect (2 eps + eps^2) sqrt(n): a factor of TAU_GROUP either side
+            factor = draw(st.sampled_from([0.5, 0.9, 1.1, 2.0]))
+            blocks[c] *= 1.0 + factor * TAU_GROUP / (2.0 * math.sqrt(n))
+        lines[body] = " ".join(words[:3] + list(map(repr, blocks.ravel().tolist())))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _commands(kind, path, n, width, height):
+    if kind == "field":
+        return [["solve", "--n", str(n), "--width", str(width), "--height",
+                 str(height), "--boundary", str(path)]]
+    return [["reconstruct", "--section", str(path)],
+            ["recover-multipliers", "--section", str(path)]]
+
+
+def _run(argv, out: Path):
+    """Exit code, standard output, standard error and the bytes of every
+    file written."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([*argv, "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+@PROPERTY
+@given(st.sampled_from(list(KINDS)), st.integers(2, 5), st.sampled_from(WINDOWS),
+       st.sampled_from(MUTATIONS), st.data())
+def test_a_mutated_file_exits_two_naming_its_defect_or_reads_as_written(
+        kind, n, window, mutation, data):
+    written = _written(kind, n, *window)
+    _, components, load, save = KINDS[kind]
+    mutated = _mutated(written, mutation, n, components, data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, tmp = Path(tmp) / "input.txt", Path(tmp)
+        path.write_bytes(mutated)
+        commands = _commands(kind, path, n, *window)
+        runs = [_run(argv, tmp / f"mutated{k}") for k, argv in enumerate(commands)]
+        try:
+            grid, values = load(path)
+        except ValueError:
+            for code, out, err, files in runs:
+                assert (code, out, files) == (2, "", None), err
+                assert err.startswith("groupvar: ") and err.count("\n") == 1
+                assert NAMED.search(err), err
+                assert not FOREIGN.search(err.replace(str(path), "")), err
+            return
+        if mutated == written:
+            (tmp / "written.txt").write_bytes(written)
+            assert values.tobytes() == load(tmp / "written.txt")[1].tobytes()
+        # the file the writer writes for the loaded values, at the same path
+        save(path, grid, values)
+        assert runs == [_run(argv, tmp / f"written{k}")
+                        for k, argv in enumerate(commands)]

@@ -295,7 +295,9 @@ def _multisymplectic_passes(values):
 
 def test_noether_scenario(solved66):
     xi = lg.random_skew(N, np.random.default_rng(8))
-    noether = hm.run_noether_scenario(solved66["grid"], solved66["y"], xi)
+    d = hm.conjugation_symmetry_field(solved66["y"], xi)
+    noether = hm.run_noether_scenario(solved66["grid"], solved66["y"],
+                                      solved66["lam"], d)
     assert _noether_passes(solved66, noether)
     assert noether.symmetry_ok
 
@@ -303,8 +305,8 @@ def test_noether_scenario(solved66):
 def test_noether_scenario_negative_control(solved66):
     xi = lg.random_skew(N, np.random.default_rng(9))
     bad = sampling.random_variation(solved66["grid"], N, np.random.default_rng(10))
-    noether = hm.run_noether_scenario(solved66["grid"], solved66["y"], xi,
-                                      symmetry_field=bad)
+    noether = hm.run_noether_scenario(solved66["grid"], solved66["y"],
+                                      solved66["lam"], bad)
     assert not _noether_passes(solved66, noether)
     assert abs(noether.boundary_sum) > 1e-3
 
@@ -316,7 +318,7 @@ def test_multisymplectic_scenario(solved66):
     bump1 = {frontier[5]: lg.random_skew(N, rng)}
     bump2 = {frontier[14]: lg.random_skew(N, rng)}
     assert _multisymplectic_passes(hm.run_multisymplectic_scenario(
-        grid, solved66["field"], bump1, bump2))
+        grid, solved66["field"], solved66["lam"], bump1, bump2))
 
 
 def test_extended_residual_small_on_critical_pair(solved66):
@@ -347,12 +349,14 @@ def test_multisymplectic_bump_must_be_frontier(solved66):
     rng = np.random.default_rng(12)
     inner = {grid.vertex_id(2, 2): lg.random_skew(N, rng)}
     with pytest.raises(ValueError):
-        hm.run_multisymplectic_scenario(grid, solved66["field"], inner, inner)
+        hm.run_multisymplectic_scenario(grid, solved66["field"], solved66["lam"],
+                                        inner, inner)
     # one check for the whole bump names its first non-frontier vertex
     frontier = classify_vertices(grid.full_faceset()).frontier
     mixed = {int(frontier[3]): lg.random_skew(N, rng), **inner}
     with pytest.raises(ValueError, match=f"bump vertex {grid.vertex_id(2, 2)} is not"):
-        hm.run_multisymplectic_scenario(grid, solved66["field"], mixed, mixed)
+        hm.run_multisymplectic_scenario(grid, solved66["field"], solved66["lam"],
+                                        mixed, mixed)
 
 
 def test_multisymplectic_scenario_checks_no_derived_field(solved66, monkeypatch):
@@ -367,8 +371,16 @@ def test_multisymplectic_scenario_checks_no_derived_field(solved66, monkeypatch)
     monkeypatch.setattr(hm, "group_array",
                         lambda m: checked.append(m) or lg.group_array(m))
     assert _multisymplectic_passes(hm.run_multisymplectic_scenario(
-        grid, solved66["field"], bump1, bump2))
+        grid, solved66["field"], solved66["lam"], bump1, bump2))
     assert checked == []
+
+
+def zero_seed_multiplier(grid, field):
+    """The multiplier recovered from the zero seed along the section of a
+    solved field, as ``verify`` recovers it."""
+    n = field.shape[-1]
+    return red.recover_multipliers(hm.TraceLagrangian(), grid,
+                                   red.reduce_field(grid, field), np.zeros((n, n)))[0]
 
 
 def _verify_multisymplectic(tmp_path, n, seed, *extra):
@@ -429,7 +441,7 @@ def test_corner_bump_moves_no_interior_vertex(solved66):
     frontier = classify_vertices(grid.full_faceset()).frontier
     other = {int(frontier[6]): lg.random_skew(N, np.random.default_rng(16))}
     assert _multisymplectic_passes(hm.run_multisymplectic_scenario(
-        grid, solved66["field"], {corner: eta}, other))
+        grid, solved66["field"], solved66["lam"], {corner: eta}, other))
 
 
 def test_nonpositive_curvature_fails_the_suite(tmp_path, monkeypatch, capsys):
@@ -477,7 +489,8 @@ def test_jacobi_fields_match_the_bumped_solves(monkeypatch, n):
     exact, seen = hm.multisymplectic_check, []
     monkeypatch.setattr(hm, "multisymplectic_check",
                         lambda *args: seen.append(args) or exact(*args))
-    assert _multisymplectic_passes(hm.run_multisymplectic_scenario(grid, field, *bumps))
+    assert _multisymplectic_passes(hm.run_multisymplectic_scenario(
+        grid, field, zero_seed_multiplier(grid, field), *bumps))
     lagrangian, _, y0, lam0, d1, dl1, d2, dl2, _ = seen.pop()
     step = H_JACOBI
     zero = np.zeros((n, n))
@@ -539,10 +552,9 @@ def test_swept_dlam_matches_the_recovered_difference(tmp_path, monkeypatch, n, s
 def test_verify_multisymplectic_runs_one_recovery(tmp_path, monkeypatch):
     """The base multiplier is the suite's only recovery; each dlam is one
     linear sweep."""
-    calls, exact = [], hm.recover_multipliers
-    monkeypatch.setattr(hm, "recover_multipliers",
+    calls, exact = [], red.recover_multipliers
+    monkeypatch.setattr(red, "recover_multipliers",
                         lambda *args, **kw: calls.append(1) or exact(*args, **kw))
-    monkeypatch.setattr(red, "recover_multipliers", hm.recover_multipliers)
     assert _verify_multisymplectic(tmp_path, 3, 7)[0] == 0
     assert calls == [1]
 
@@ -603,6 +615,7 @@ def test_multisymplectic_check_matches_the_per_call_scenario(monkeypatch, n,
     field, _ = hm.solve_unreduced(grid, hm.random_boundary(grid, n, n, 1.0),
                                   g_tol=1e-11)
     frontier = classify_vertices(grid.full_faceset()).frontier
+    lam = zero_seed_multiplier(grid, field)
     exact, seen = hm.multisymplectic_check, []
 
     def recorded(*args):
@@ -614,7 +627,7 @@ def test_multisymplectic_check_matches_the_per_call_scenario(monkeypatch, n,
     for _ in range(2):
         bumps = [{int(frontier[p]): lg.random_skew(n, rng)}
                  for p in rng.choice(len(frontier), size=2, replace=False)]
-        got = hm.run_multisymplectic_scenario(grid, field, *bumps)
+        got = hm.run_multisymplectic_scenario(grid, field, lam, *bumps)
         args = seen.pop()
         want = oracle_scenario_values(*args)
         assert same_bits(got, want)

@@ -95,7 +95,7 @@ def _saved(tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["section", "field", "multiplier"])
 def test_loaders_reject_missing_duplicate_and_nonfinite_records(tmp_path, kind):
-    """A non-finite entry names its record; a missing or repeated record
+    """A non-finite entry names its line; a missing or repeated record
     names the first line out of its place, and lines past the window's
     records name the first of them."""
     path, load = _saved(tmp_path, kind)
@@ -105,13 +105,11 @@ def test_loaders_reject_missing_duplicate_and_nonfinite_records(tmp_path, kind):
     for value in ("nan", "inf"):
         bad = lines[:7] + [" ".join(words[:4] + [value] + words[5:])] + lines[8:]
         path.write_text("\n".join(bad) + "\n")
-        with pytest.raises(ValueError, match=f"^record {tag} 1 0 has non-finite"):
+        with pytest.raises(ValueError, match="^line 8 has non-finite entries$"):
             load(path)
-    count = 12 if tag == "v" else 6
-    # a section leaves out its far corner, so its first appended line stands
-    # in the far corner's place
-    appended = ("line 18 starts 'v 1 2', expected 'v 3 2'" if kind == "section"
-                else f"line {7 + count} is past the window's {count} records")
+    # a section has no record for its far corner
+    count = len(lines) - 6
+    appended = f"line {7 + count} is past the window's {count} records"
     for bad, message in (
             (lines[:6] + lines[7:], f"line 7 starts '{tag} 1 0', expected '{tag} 0 0'"),
             (lines[:8] + lines[7:8] + lines[9:], f"line 9 starts '{tag} 1 0', expected '{tag} 2 0'"),
@@ -121,14 +119,18 @@ def test_loaders_reject_missing_duplicate_and_nonfinite_records(tmp_path, kind):
             load(path)
 
 
-def test_far_corner_record_is_optional_for_sections_only(tmp_path):
+def test_sections_alone_leave_out_the_far_corner_record(tmp_path):
     """Saving a section writes no far-corner record and loading puts the
-    identity there; a vertex field needs the record like any other."""
+    identity there, and a far-corner record is a line past the section's
+    records; a vertex field needs the record like any other."""
     path, load = _saved(tmp_path, "section")
     lines = path.read_text().splitlines()
     assert not any(line.startswith("v 3 2 ") for line in lines)
     grid, y = load(path)
     assert np.array_equal(y[grid.vertex_id(3, 2)], np.stack([np.eye(3)] * 2))
+    path.write_text("\n".join(lines + [lines[-1].replace("v 2 2 ", "v 3 2 ")]) + "\n")
+    with pytest.raises(ValueError, match="^line 18 is past the window's 11 records$"):
+        load(path)
     field_path, load_field = _saved(tmp_path, "field")
     lines = field_path.read_text().splitlines()
     kept = [line for line in lines if not line.startswith("v 3 2 ")]
@@ -141,13 +143,11 @@ def test_far_corner_record_is_optional_for_sections_only(tmp_path):
 # the record parser against a per-line one
 
 
-def per_line_parse_records(body, tag, n, components, columns, count,
-                           optional=False) -> np.ndarray:
+def per_line_parse_records(body, tag, n, components, columns, count) -> np.ndarray:
     """The writer's layout read one line at a time, kept as the array
     parser's oracle: body line k (file line 7 + k) holds the record of id k,
-    ``tag i j`` with k = j * columns + i; with ``optional`` the last record
-    may be left out and then holds the identity; lines past the window's
-    records are named once the records before them pass."""
+    ``tag i j`` with k = j * columns + i, and there are ``count`` records;
+    lines past them are named once the records before them pass."""
     values = np.empty((count, components, n, n))
     seen = np.zeros(count, dtype=bool)
     per_record = components * n * n
@@ -160,37 +160,48 @@ def per_line_parse_records(body, tag, n, components, columns, count,
         if len(words) != 3 + per_record:
             raise ValueError(f"line {7 + k} has {len(words) - 3} numbers, "
                              f"expected {per_record}")
-        numbers = np.array([float(w) for w in words[3:]])
+        numbers = []
+        for word in words[3:]:
+            try:
+                numbers.append(float(word))
+            except ValueError:
+                raise ValueError(f"line {7 + k} holds {word!r}, which is not a "
+                                 f"number") from None
         if not np.isfinite(numbers).all():
-            raise ValueError(f"record {tag} {i} {j} has non-finite entries")
-        values[k] = numbers.reshape(components, n, n)
+            raise ValueError(f"line {7 + k} has non-finite entries")
+        values[k] = np.reshape(numbers, (components, n, n))
         seen[k] = True
     if len(body) > count:
         raise ValueError(f"line {7 + count} is past the window's {count} records")
-    if optional and not seen[-1]:
-        values[-1] = np.eye(n)
-        seen[-1] = True
     if not seen.all():
         raise ValueError(f"{int(np.sum(~seen))} of {count} records missing, "
-                         f"the first with id {int(np.argmin(seen))}")
+                         f"the first at line {7 + int(np.argmin(seen))}")
     return values
 
 
 KINDS = {
-    # kind: (tag, components, optional far corner)
-    "section": ("v", 2, True),
-    "field": ("v", 1, False),
-    "multiplier": ("f", 1, False),
+    # kind: (tag, components, records left out: a section's far corner)
+    "section": ("v", 2, 1),
+    "field": ("v", 1, 0),
+    "multiplier": ("f", 1, 0),
 }
 
 
-def _records(kind, width, height, n, rng):
-    """One record line per id in id order, random entries."""
-    tag, components, _ = KINDS[kind]
+def _layout(kind, width, height):
+    """Columns and record count of a kind's body."""
+    tag, _, left_out = KINDS[kind]
     columns, rows = (width + 1, height + 1) if tag == "v" else (width, height)
+    return columns, columns * rows - left_out
+
+
+def _records(kind, width, height, n, rng):
+    """One record line per id the writer writes, in id order, random
+    entries."""
+    tag, components, _ = KINDS[kind]
+    columns, count = _layout(kind, width, height)
     return [f"{tag} {k % columns} {k // columns} "
             + " ".join(map(repr, rng.standard_normal(components * n * n).tolist()))
-            for k in range(columns * rows)]
+            for k in range(count)]
 
 
 DEFECTS = ("tag", "short", "long", "non-integer id", "non-number", "outside",
@@ -253,27 +264,21 @@ def _outcome(parse, *args):
 
 def _both(kind, body, width, height, n):
     """What the array parser and the per-line oracle make of one body."""
-    tag, components, optional = KINDS[kind]
-    columns, count = ((width + 1, (width + 1) * (height + 1)) if tag == "v"
-                      else (width, width * height))
-    got = _outcome(ser._parse_records, body, tag, n, components, width, height,
-                   optional)
-    want = _outcome(per_line_parse_records, body, tag, n, components, columns,
-                    count, optional)
-    return got, want
+    tag, components, _ = KINDS[kind]
+    args = (body, tag, n, components, *_layout(kind, width, height))
+    return _outcome(ser._parse_records, *args), _outcome(per_line_parse_records, *args)
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_parser_matches_per_line_oracle_on_single_defects(kind):
     """A seeded corpus: every single-defect body gets the oracle's exception
-    message, and every body the writer writes (in id order, and a section
+    message, and every body the writer writes (in id order, a section
     without its far corner) the oracle's values, bit for bit.  Only those
     bodies load."""
     rng = np.random.default_rng(list(KINDS).index(kind))
     # the 12x9 bodies span several blocks of lines
     for width, height, n in ((1, 1, 2), (3, 2, 3), (2, 4, 2), (5, 3, 4), (12, 9, 2)):
         records = _records(kind, width, height, n, rng)
-        written = [records, records[:-1]] if kind == "section" else [records]
         for defect in (None, *DEFECTS):
             for _ in range(3):
                 body = records if defect is None else \
@@ -283,7 +288,7 @@ def test_parser_matches_per_line_oracle_on_single_defects(kind):
                     assert got == want, (defect, body)
                 else:
                     # a shuffle or swap may leave a one-record body as it was
-                    assert body in written, (defect, body)
+                    assert body == records, (defect, body)
                     assert np.array_equal(got, want)
 
 
