@@ -3,10 +3,10 @@
 Only vertices and top-dimensional faces are materialized: every formula in
 the discrete theory indexes on (vertex, face) pairs, so intermediate cells
 never need to exist.  Vertices and faces are ids 0..V-1 and 0..F-1, and the
-whole incidence lives in int arrays: the (F, k) adherence array and its
-transpose, the stars, in compressed sparse row (CSR) form (Saad, *Iterative
-Methods for Sparse Linear Systems*, 2003).  A complex is immutable after
-construction and safe for concurrent reads.
+whole incidence lives in int arrays: the (F, k) adherence array and, per
+face set, its rows and their transpose, the stars, in compressed sparse row
+(CSR) form (Saad, *Iterative Methods for Sparse Linear Systems*, 2003).  A
+complex is immutable after construction and safe for concurrent reads.
 
 The triangulated grid built here is a finite window of the standard
 triangulation of the plane.  Vertices on the window boundary have part of
@@ -41,8 +41,8 @@ class CellComplex:
     vertices adherent to face f, in order.  It is kept as the read-only
     ``adherence_array``, whose rows each face set gathers once, and
     ``vertices`` and ``faces`` list the ids 0..V-1 and 0..F-1 as read-only
-    int arrays.  The star of every vertex, the exact transpose, is one
-    stable argsort of the adherence, kept in CSR form.  ``vertex_count`` may
+    int arrays.  The star of every vertex, the exact transpose, is read
+    from the stars of the complex's whole face set.  ``vertex_count`` may
     add isolated vertices beyond the adherent ones (a grid window has one
     such corner).  ``truncated_star`` lists vertices whose ambient star is
     only partially materialized; they are kept as a boolean mask.
@@ -56,19 +56,13 @@ class CellComplex:
         repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
         if repeated.size:
             raise ValueError(f"face {repeated[0]} has duplicate adherent vertices")
-        flat = array.ravel()
-        count = max(vertex_count, int(flat.max(initial=-1)) + 1)
-        # flat index f k + slot grows with f, so a stable sort lists each
-        # vertex's faces in increasing id order
-        self._star_faces = read_only(np.argsort(flat, kind="stable") // array.shape[1])
-        ptr = np.zeros(count + 1, dtype=int)
-        np.cumsum(np.bincount(flat, minlength=count), out=ptr[1:])
-        self._star_ptr = read_only(ptr)
+        count = max(vertex_count, int(array.max(initial=-1)) + 1)
         self._truncated = np.zeros(count, dtype=bool)
         self._truncated[np.asarray(truncated_star, dtype=int)] = True
         self.adherence_array = read_only(array)
         self.vertices = read_only(np.arange(count))
         self.faces = read_only(np.arange(len(array)))
+        self._whole = FaceSet(self, self.faces)
 
     def adherence(self, face: int) -> tuple[int, ...]:
         return tuple(self.adherence_array[face].tolist())
@@ -76,7 +70,9 @@ class CellComplex:
     def star(self, vertex: int) -> np.ndarray:
         """Faces having the vertex adherent (its spherical neighborhood), a
         sorted read-only int array."""
-        return self._star_faces[self._star_ptr[vertex]:self._star_ptr[vertex + 1]]
+        pairs, ptr = self._whole.stars
+        k = self.adherence_array.shape[1]
+        return read_only(pairs[ptr[vertex]:ptr[vertex + 1]] // k)
 
 
 class FaceSet:
@@ -87,6 +83,9 @@ class FaceSet:
     repeats; ValueError for an id outside 0..F-1.  ``face_ids`` holds the
     distinct ids sorted, and ``adherence`` their rows of the complex's
     adherence, (F', k), gathered once; both are read-only int arrays.
+    ``stars``, built on first use, is the transpose of ``adherence`` in CSR
+    form: the flat [face, slot] indices into it vertex after vertex, each
+    vertex's faces in id order, and the V + 1 vertex pointers.
     """
 
     def __init__(self, complex: CellComplex, faces):
@@ -102,12 +101,21 @@ class FaceSet:
         self.adherence = read_only(complex.adherence_array[self.face_ids])
 
     @cached_property
+    def stars(self) -> tuple[np.ndarray, np.ndarray]:
+        flat = self.adherence.ravel()
+        ptr = np.zeros(len(self.complex.vertices) + 1, dtype=int)
+        np.cumsum(np.bincount(flat, minlength=len(ptr) - 1), out=ptr[1:])
+        # flat index f k + slot grows with f, so a stable sort lists each
+        # vertex's faces in increasing id order
+        return read_only(np.argsort(flat, kind="stable")), read_only(ptr)
+
+    @cached_property
     def _vertex_class(self) -> VertexClass:
         c = self.complex
-        # faces of each vertex's star that lie in the set
-        inside = np.bincount(self.adherence.ravel(), minlength=len(c.vertices))
+        # faces of each vertex's star that lie in the set, and in the complex
+        inside, whole = (np.diff(s.stars[1]) for s in (self, c._whole))
         adherent = inside > 0
-        interior = adherent & ~c._truncated & (inside == np.diff(c._star_ptr))
+        interior = adherent & ~c._truncated & (inside == whole)
         return VertexClass(read_only(np.flatnonzero(interior)),
                            read_only(np.flatnonzero(adherent & ~interior)))
 
@@ -128,8 +136,8 @@ def classify_vertices(faceset: FaceSet) -> VertexClass:
     A vertex is interior when its whole spherical neighborhood lies in the
     face set; a vertex whose star is truncated by the materialized window
     always counts as frontier, since its ambient star cannot be contained in
-    any window face set.  The split is one ``np.bincount`` of the set's
-    adherence, computed once per face set.
+    any window face set.  The split compares the star sizes of the face
+    set's ``stars`` with those of the whole complex's, once per face set.
     """
     return faceset._vertex_class
 
@@ -156,7 +164,6 @@ class TriangulatedGrid(CellComplex):
         edge = (i == 0) | (j == 0) | (i == width) | (j == height)
         super().__init__(adherence.reshape(-1, 3), vertex_count=len(edge),
                          truncated_star=np.flatnonzero(edge))
-        self._full = FaceSet(self, self.faces)
 
     def vertex_id(self, i: int, j: int) -> int:
         if not (0 <= i <= self.width and 0 <= j <= self.height):
@@ -182,7 +189,7 @@ class TriangulatedGrid(CellComplex):
 
     def full_faceset(self) -> FaceSet:
         """The face set of the whole window; one instance, shared."""
-        return self._full
+        return self._whole
 
 
 @cache

@@ -344,27 +344,14 @@ def regularity_report(constraint: ConstraintMap, y: np.ndarray, faceset: FaceSet
 # Euler-Lagrange machinery
 
 
-def _vertex_major(vertices: np.ndarray, chosen) -> np.ndarray:
-    """Flat [face, slot] indices of the (vertex, face) pairs whose vertex is
-    in ``chosen``: vertex after vertex in id order, each vertex's faces in id
-    order (``vertices`` is the (F', k) adherence of faces in id order, and
-    each chosen vertex adheres to one of those faces)."""
-    flat = vertices.ravel()
-    mask = np.zeros(flat.max(initial=-1) + 1, bool)
+def _vertex_major(faceset: FaceSet, chosen) -> np.ndarray:
+    """Flat [face, slot] indices into ``faceset.adherence`` of the pairs of
+    the ``chosen`` vertices: their segments of the face set's stars, vertex
+    after vertex in id order, each vertex's faces in id order."""
+    pairs, ptr = faceset.stars
+    mask = np.zeros(len(ptr) - 1, bool)
     mask[chosen] = True
-    picked = np.flatnonzero(mask[flat])
-    return picked[np.argsort(flat[picked], kind="stable")]
-
-
-def _vertex_sums(covectors: np.ndarray, vertices: np.ndarray,
-                 chosen: np.ndarray) -> np.ndarray:
-    """Per-vertex sums of pair covectors (F', k, ...) over the sorted
-    ``chosen`` vertices, each over its faces in id order: (len(chosen), ...)."""
-    order = _vertex_major(vertices, chosen)
-    out = np.zeros((len(chosen),) + covectors.shape[2:])
-    np.add.at(out, np.searchsorted(chosen, vertices.ravel()[order]),
-              covectors.reshape(-1, *covectors.shape[2:])[order])
-    return out
+    return pairs[np.repeat(mask, np.diff(ptr))]
 
 
 def _face_forms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
@@ -383,12 +370,18 @@ def _face_forms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
             _face_values(lams, faceset)[:, :, None])
 
 
-def _residual_sums(point, vertices: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+def _residual_sums(point, faceset: FaceSet, chosen: np.ndarray) -> np.ndarray:
     """Per point of a :func:`_face_forms` stack, the extended Cartan forms
-    theta + A^T lam summed per chosen vertex, (B, len(chosen), c, n, n)."""
+    theta + A^T lam summed per sorted ``chosen`` vertex, each over its faces
+    in id order: (B, len(chosen), c, n, n)."""
     theta, forms, lam = point
-    return np.array([_vertex_sums(covectors, vertices, chosen)
-                     for covectors in theta + form_transpose(forms, lam)])
+    covectors = theta + form_transpose(forms, lam)
+    covectors = covectors.reshape(len(theta), -1, *theta.shape[3:])
+    segment_ids = np.repeat(np.arange(len(chosen)), np.diff(faceset.stars[1])[chosen])
+    out = np.zeros((len(covectors), len(chosen)) + covectors.shape[2:])
+    np.add.at(out, (slice(None), segment_ids),
+              covectors[:, _vertex_major(faceset, chosen)])
+    return out
 
 
 def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
@@ -402,8 +395,7 @@ def extended_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     value on basis vector E_kl is <mu, E_kl> = 2 mu_kl.
     """
     point = _face_forms(lagrangian, constraint, y[None], lam[None], faceset)
-    return _residual_sums(point, faceset.adherence,
-                          classify_vertices(faceset).interior)[0]
+    return _residual_sums(point, faceset, classify_vertices(faceset).interior)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +424,11 @@ def _pair_terms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     return _probe_terms(point, dys, faceset.adherence)
 
 
-def _vertex_major_sums(vertices: np.ndarray, terms: np.ndarray, *groups) -> np.ndarray:
+def _vertex_major_sums(faceset: FaceSet, terms: np.ndarray, *groups) -> np.ndarray:
     """Per instance, the pair terms (B, F', k) of the vertex groups, one
     group after another, each vertex-major (see :func:`_vertex_major`),
     summed in that order: (B,)."""
-    order = np.concatenate([_vertex_major(vertices, g) for g in groups])
+    order = np.concatenate([_vertex_major(faceset, g) for g in groups])
     return _sequential_sums(terms.reshape(len(terms), -1)[:, order])
 
 
@@ -460,8 +452,7 @@ def variational_split(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     klass = classify_vertices(faceset)
     terms = _pair_terms(lagrangian, constraint, ys, lams, dys, faceset)[2]
     return (_sequential_sums(terms.reshape(len(terms), -1)),
-            _vertex_major_sums(faceset.adherence, terms, klass.interior,
-                               klass.frontier))
+            _vertex_major_sums(faceset, terms, klass.interior, klass.frontier))
 
 
 @dataclass(frozen=True)
@@ -495,7 +486,7 @@ def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMa
                                   d[None], faceset)
     lag_defect = max_norm(np.abs(dl[0].sum(axis=1)))
     con_defect = max_norm(block_norms(dphi[0].sum(axis=1)))
-    total = float(_vertex_major_sums(faceset.adherence, terms, frontier)[0])
+    total = float(_vertex_major_sums(faceset, terms, frontier)[0])
     ok = lag_defect <= SYMMETRY_TOL and con_defect <= SYMMETRY_TOL
     return NoetherReport(total, lag_defect, con_defect, ok)
 
@@ -516,11 +507,11 @@ def _flows(y: np.ndarray, lam: np.ndarray, fields):
     return np.concatenate([ys, y[None]]), np.array([m for _, m in flows] + [lam])
 
 
-def _jacobi_norms(point, vertices: np.ndarray, interior: np.ndarray) -> list[float]:
+def _jacobi_norms(point, faceset: FaceSet, interior: np.ndarray) -> list[float]:
     """Central-difference norms of the extended residual over the interior,
     one per consecutive pair of points (flowed by +``H_JACOBI``, then by
     -``H_JACOBI``)."""
-    coords = 2.0 * skew_to_coords(_residual_sums(point, vertices, interior))
+    coords = 2.0 * skew_to_coords(_residual_sums(point, faceset, interior))
     coords = coords.reshape(len(coords), -1)
     return [float(np.linalg.norm((plus - minus) / (2.0 * H_JACOBI)))
             for plus, minus in zip(coords[0::2], coords[1::2])]
@@ -537,8 +528,7 @@ def jacobi_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     """
     ys, lams = _flows(y, lam, ((dy, dlam),))
     point = _face_forms(lagrangian, constraint, ys[:2], lams[:2], faceset)
-    return _jacobi_norms(point, faceset.adherence,
-                         classify_vertices(faceset).interior)[0]
+    return _jacobi_norms(point, faceset, classify_vertices(faceset).interior)[0]
 
 
 def _two_form(x_plus, x_minus, y_plus, y_minus, bracket) -> float:
@@ -577,16 +567,15 @@ def multisymplectic_check(lagrangian: LagrangianDensity, constraint: ConstraintM
     forms at each of the five points (y exp(+-h d_i), lam +- h dlam_i),
     h = ``H_JACOBI``, and (y, lam)."""
     klass = classify_vertices(faceset)
-    vertices = faceset.adherence
     ys, lams = _flows(y, lam, ((d1, dlam1), (d2, dlam2)))
     point = _face_forms(lagrangian, constraint, ys, lams, faceset)
-    jacobi = _jacobi_norms(tuple(a[:4] for a in point), vertices, klass.interior)
+    jacobi = _jacobi_norms(tuple(a[:4] for a in point), faceset, klass.interior)
     # omega, the frontier sum of the pair terms, at the flows of d1 probed by
     # d2, at the flows of d2 probed by d1, and at (y, lam) probed by the
     # bracket of the left-invariant extensions, the commutator
     omega = np.concatenate([
-        _vertex_major_sums(vertices, _probe_terms(tuple(a[at] for a in point),
-                                                  dy[None], vertices)[2], klass.frontier)
+        _vertex_major_sums(faceset, _probe_terms(tuple(a[at] for a in point), dy[None],
+                                                 faceset.adherence)[2], klass.frontier)
         for dy, at in ((d2, slice(0, 2)), (d1, slice(2, 4)),
                        (skew_part(d1 @ d2 - d2 @ d1), slice(4, 5)))])
     return (*jacobi, _two_form(*omega[0:2], *omega[2:4], omega[4]))

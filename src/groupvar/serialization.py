@@ -83,7 +83,7 @@ def _parse_header(lines: list[str], expected_kind: str):
             raise ValueError(f"field file header missing {key}")
     kind, *sizes = (line.partition("=")[2] for line in header)
     if kind != expected_kind:
-        raise ValueError(f"expected a {expected_kind} file, found kind={kind}")
+        raise ValueError(f"expected a {expected_kind} file, found kind={kind!r}")
     n, components, width, height = map(_header_int, _HEADER[1:], sizes)
     if n < 2:
         raise ValueError(f"field file header n={n}: group size must be at least 2")
@@ -165,8 +165,10 @@ def _load(path, kind: str, tag: str, components: int,
     writes: one per vertex ("v") or face ("f") in id order, but none for a
     section's far corner.  The window is built only once the body has
     passed every check."""
+    # lines end at "\n" alone, as the writer's do: str.splitlines would also
+    # break at form feeds and other separators that str.split skips
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: byte {exc.start} is not UTF-8 text") from None
     n, found, width, height = _parse_header(lines, kind)

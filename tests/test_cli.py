@@ -1006,6 +1006,48 @@ def test_a_section_with_a_far_corner_record_exits_two(tmp_path, capsys,
         assert not out.exists()
 
 
+def _solved_files(path, out):
+    assert run("solve", "--width", 2, "--height", 2, "--boundary", path,
+               "--out", out) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("separator", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                         ids=lambda c: f"U+{ord(c):04X}")
+def test_a_line_separator_other_than_newline_ends_no_boundary_line(tmp_path, separator):
+    """Lines end at "\\n" alone, as the writer ends them: a separator that
+    str.splitlines would also break at, appended to line 8 of a 2x2 identity
+    field, is whitespace inside that record, so the file solves as the
+    writer's file does."""
+    path = tmp_path / "field.txt"
+    assert run("solve", "--boundary", "identity", "--width", 2, "--height", 2,
+               "--out", tmp_path / "base") == 0
+    lines = (tmp_path / "base" / "unreduced_field.txt").read_text().split("\n")
+    path.write_text("\n".join(lines))
+    written = _solved_files(path, tmp_path / "written")
+    lines[7] += separator
+    path.write_text("\n".join(lines))
+    assert _solved_files(path, tmp_path / "separated") == written
+
+
+def test_a_wrong_kind_is_echoed_escaped(tmp_path, capsys):
+    """A kind holding a control character exits 2 with the value quoted and
+    escaped, so the terminal shows the character, and writes nothing."""
+    grid = triangulated_grid(2, 2)
+    path = tmp_path / "field.txt"
+    ser.save_unreduced_field(path, grid, np.broadcast_to(np.eye(3), (9, 1, 3, 3)))
+    lines = path.read_text().split("\n")
+    lines[1] = "kind=unreduced_fi\x1beld"
+    path.write_text("\n".join(lines))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("solve", "--width", 2, "--height", 2, "--boundary", path,
+               "--out", out) == 2
+    assert capsys.readouterr().err == ("groupvar: expected a unreduced_field file, "
+                                       "found kind='unreduced_fi\\x1beld'\n")
+    assert not out.exists()
+
+
 HEADER_ONLY_DEFECTS = {
     # a 600x600 window with one record: reported missing from the records
     # alone, without a 600x600 grid or a seen-array of its size

@@ -5,6 +5,7 @@ from groupvar import core
 from groupvar.complexes import (
     CellComplex,
     FaceSet,
+    TriangulatedGrid,
     classify_vertices,
     triangulated_grid,
 )
@@ -121,6 +122,23 @@ def test_full_faceset_and_its_classes_are_shared():
     fs = grid.full_faceset()
     assert grid.full_faceset() is fs
     assert classify_vertices(fs) is classify_vertices(fs)
+
+
+def test_star_and_the_whole_face_set_stars_are_built_once(monkeypatch):
+    """CellComplex.star reads the stars of the complex's one whole face set,
+    which its classification shares: one sort per complex, and one more per
+    other face set classified."""
+    sorts, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(a) or argsort(*a, **k))
+    grid = TriangulatedGrid(3, 3)
+    fs = grid.full_faceset()
+    classify_vertices(fs)
+    stars = [grid.star(v) for v in grid.vertices]
+    assert fs.stars is fs.stars and len(sorts) == 1
+    assert stars[grid.vertex_id(1, 1)].tolist() == [1, 3, 4]
+    assert not any(star.flags.writeable for star in stars)
+    classify_vertices(FaceSet(grid, [1, 3, 4]))
+    assert len(sorts) == 2
 
 
 def test_empty_faceset():

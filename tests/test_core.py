@@ -469,6 +469,29 @@ def test_multisymplectic_antisymmetry_structural():
     assert aa == 0.0
 
 
+def test_the_sums_sort_no_pairs_once_the_stars_exist(monkeypatch):
+    """Every per-vertex sum reads the face set's cached stars: after one
+    call of each on a fresh face set, calling them again sorts nothing."""
+    grid = triangulated_grid(4, 4)
+    fs = FaceSet(grid, grid.faces)
+    rng = np.random.default_rng(18)
+    y = reduce_field(grid, sampling.random_unreduced_field(grid, N, rng))
+    lam, dl1, dl2 = (sampling.random_multiplier(grid, N, rng) for _ in range(3))
+    d1, d2 = (sampling.random_variation(grid, N, rng) for _ in range(2))
+    args = (TraceLagrangian(), PlaquetteConstraint())
+    sums = [lambda: core.variational_split(*args, y[None], lam[None], d1[None], fs),
+            lambda: core.noether_boundary_sum(*args, y, lam, d1, fs),
+            lambda: core.extended_residual(*args, y, lam, fs),
+            lambda: core.multisymplectic_check(*args, y, lam, d1, dl1, d2, dl2, fs)]
+    for call in sums:
+        call()
+    sorts, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(a) or argsort(*a, **k))
+    for call in sums:
+        call()
+    assert sorts == []
+
+
 def test_regularity_zero_columns():
     grid = triangulated_grid(2, 2)
     y = identity_section(grid)

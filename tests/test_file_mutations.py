@@ -3,7 +3,8 @@
 Files that ``save_*`` wrote for n = 2..5 on small windows are mutated (byte
 flips, cuts, inserted, deleted, swapped and repeated lines, bad header
 values, non-finite entries, a reflected block, a block scaled to either side
-of ``TAU_GROUP``) and sent in-process through ``solve --boundary``,
+of ``TAU_GROUP``, a separator that ``str.splitlines`` breaks at but the
+writer never writes) and sent in-process through ``solve --boundary``,
 ``reconstruct --section`` and ``recover-multipliers --section``.  Each run
 either exits 2, writes nothing and names where the file departs from the
 writer's layout, or the file loads, and then the command does what it does
@@ -38,7 +39,9 @@ KINDS = {
                 ser.save_reduced_section),
 }
 MUTATIONS = ("flip", "cut", "insert", "delete", "swap", "repeat", "header",
-             "non-finite", "reflect", "scale")
+             "non-finite", "reflect", "scale", "separator")
+# the line boundaries of str.splitlines other than \n and \r
+SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # a message names a file line, a header key, the magic line or a byte
 NAMED = re.compile(r"\bline \d+\b|byte \d+ is not UTF-8|magic line|\bkind="
                    r"|field file header (missing )?(kind|n|components|width|height)\b")
@@ -73,6 +76,11 @@ def _mutated(data: bytes, mutation: str, n: int, components: int, draw) -> bytes
         lines[at], lines[other] = lines[other], lines[at]
     elif mutation == "repeat":
         lines.insert(at, lines[at])
+    elif mutation == "separator":
+        # at the end of the line as often as anywhere inside it
+        end = len(lines[at])
+        cut = draw(st.one_of(st.just(end), st.integers(0, end)))
+        lines[at] = lines[at][:cut] + draw(st.sampled_from(SEPARATORS)) + lines[at][cut:]
     elif mutation == "header":
         at = draw(st.integers(2, 5))  # n, components, width, height
         value = draw(st.sampled_from(["0", "-1", "-7", str(10 ** 12), str(10 ** 30),
@@ -132,12 +140,17 @@ def test_a_mutated_file_exits_two_naming_its_defect_or_reads_as_written(
         runs = [_run(argv, tmp / f"mutated{k}") for k, argv in enumerate(commands)]
         try:
             grid, values = load(path)
-        except ValueError:
+        except ValueError as exc:
             for code, out, err, files in runs:
                 assert (code, out, files) == (2, "", None), err
                 assert err.startswith("groupvar: ") and err.count("\n") == 1
                 assert NAMED.search(err), err
                 assert not FOREIGN.search(err.replace(str(path), "")), err
+            # a separator changes one line, the only line its message may name
+            named = re.search(r"\bline (\d+)\b", str(exc))
+            if mutation == "separator" and named:
+                k = int(named[1]) - 1
+                assert mutated.split(b"\n")[k] != written.split(b"\n")[k], exc
             return
         if mutated == written:
             (tmp / "written.txt").write_bytes(written)
