@@ -82,7 +82,8 @@ class FaceSet:
     ``faces`` is any int array-like of face ids, in any order and with
     repeats; ValueError for an id outside 0..F-1.  ``face_ids`` holds the
     distinct ids sorted, and ``adherence`` their rows of the complex's
-    adherence, (F', k), gathered once; both are read-only int arrays.
+    adherence, (F', k), gathered once (the complex's own array when the set
+    holds every face); both are read-only int arrays.
     ``stars``, built on first use, is the transpose of ``adherence`` in CSR
     form: the flat [face, slot] indices into it vertex after vertex, each
     vertex's faces in id order, and the V + 1 vertex pointers.
@@ -98,7 +99,8 @@ class FaceSet:
         chosen[ids] = True
         self.complex = complex
         self.face_ids = read_only(np.flatnonzero(chosen))
-        self.adherence = read_only(complex.adherence_array[self.face_ids])
+        self.adherence = (complex.adherence_array if chosen.all()
+                          else read_only(complex.adherence_array[self.face_ids]))
 
     @cached_property
     def stars(self) -> tuple[np.ndarray, np.ndarray]:

@@ -121,6 +121,7 @@ def test_full_faceset_and_its_classes_are_shared():
     grid = triangulated_grid(3, 3)
     fs = grid.full_faceset()
     assert grid.full_faceset() is fs
+    assert np.shares_memory(fs.adherence, grid.adherence_array)
     assert classify_vertices(fs) is classify_vertices(fs)
 
 
@@ -284,17 +285,21 @@ def test_star_is_the_csr_transpose_of_a_generic_complex():
                 vertex_count=9),
 ], ids=["grid", "cell complex"])
 def test_faceset_gathers_adherence_once_and_jets_through_it(complex):
-    """The full set, a subset given unsorted with a repeat, and the empty
-    set: ``adherence`` is the read-only gather of the complex's rows at the
-    sorted face ids, jet_at on values with a leading instance axis is the
-    gather through it, and values one vertex short of an adherent vertex
-    raise."""
+    """The full set, every face shuffled with repeats, a subset given
+    unsorted with a repeat, and the empty set: ``adherence`` is the
+    read-only gather of the complex's rows at the sorted face ids (for a set
+    of every face, the complex's own array, no copy), jet_at on values with
+    a leading instance axis is the gather through it, and values one vertex
+    short of an adherent vertex raise."""
     rng = np.random.default_rng(3)
     last = len(complex.faces) - 1
     values = rng.normal(size=(2, len(complex.vertices), 1, 3, 3))
-    for faces in (complex.faces, [last, 1, last], []):
+    shuffled = rng.permutation(np.repeat(complex.faces, 2))
+    for faces in (complex.faces, shuffled, [last, 1, last], []):
         faceset = FaceSet(complex, faces)
         expected = complex.adherence_array[faceset.face_ids]
+        every = len(faceset.face_ids) == len(complex.faces)
+        assert np.shares_memory(faceset.adherence, complex.adherence_array) == every
         assert not faceset.adherence.flags.writeable
         assert np.array_equal(faceset.adherence, expected)
         assert faceset.adherence.shape == (len(faceset.face_ids), expected.shape[1])

@@ -301,6 +301,18 @@ def test_pairing_gram_matrix():
     assert lg.block_dot(np.zeros((4, 4)), basis[0]) == 0.0
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_block_pairing_in_a_stack_equals_the_block_alone(n):
+    """Every block of a C-ordered stack pairs and norms bit for bit as a
+    fresh copy of itself.  At odd n every other block starts 8 bytes past a
+    16-byte boundary, where some BLAS kernel sets sum in another order."""
+    rng = np.random.default_rng(60 + n)
+    a, b = rng.normal(size=(401, n, n)), rng.normal(size=(401, n, n))
+    assert np.array_equal(lg.block_dot(a, b),
+                          [lg.block_dot(x.copy(), y.copy()) for x, y in zip(a, b)])
+    assert np.array_equal(lg.block_norms(a), [lg.block_norms(x.copy()) for x in a])
+
+
 def test_project_small_perturbation():
     rng = np.random.default_rng(19)
     m = np.eye(3) + 1e-9 * rng.standard_normal((3, 3))

@@ -134,7 +134,7 @@ def oracle_elimination(lagrangian, grid, y, lam, i, j):
     lam_sw = lam[grid.face_id(i - 1, j - 1)]
     one_way = coadjoint(v_s, coadjoint(u_sw, lam_sw))
     other_way = coadjoint(u_w, coadjoint(v_sw, lam_sw))
-    return np.linalg.norm(combo), np.linalg.norm(one_way - other_way)
+    return lg.block_norms(combo), lg.block_norms(one_way - other_way)
 
 
 def oracle_recover(lagrangian, grid, y, seed, ep_tol, cons_tol, adm_tol):
@@ -142,12 +142,12 @@ def oracle_recover(lagrangian, grid, y, seed, ep_tol, cons_tol, adm_tol):
     interior_ij = sorted(((i, j) for i in range(1, grid.width)
                           for j in range(1, grid.height)), reverse=True)
     for i, j in interior_ij:
-        res = np.linalg.norm(oracle_ep(lagrangian, grid, y, i, j))
+        res = lg.block_norms(oracle_ep(lagrangian, grid, y, i, j))
         if res > ep_tol:
             raise PreconditionError(
                 f"reduced residual {res:.3e} > {ep_tol:.1e} at ({i}, {j})")
     worst_hol = max(
-        float(np.linalg.norm(oracle_holonomy(grid, y, i, j) - np.eye(y.shape[-1])))
+        float(lg.block_norms(oracle_holonomy(grid, y, i, j) - np.eye(y.shape[-1])))
         for j in range(grid.height) for i in range(grid.width))
     if worst_hol > adm_tol:
         raise PreconditionError(
@@ -160,7 +160,7 @@ def oracle_recover(lagrangian, grid, y, seed, ep_tol, cons_tol, adm_tol):
     def assign(face, value):
         nonlocal max_disc
         if face in values:
-            disc = np.linalg.norm(values[face] - value)
+            disc = lg.block_norms(values[face] - value)
             discs.append(disc)
             if disc > cons_tol:
                 raise RecoveryConflictError(face, disc)
@@ -190,7 +190,7 @@ def oracle_reconstruction(grid, y, seed, tol):
     worst_face, worst = None, 0.0
     for j in range(grid.height):
         for i in range(grid.width):
-            defect = float(np.linalg.norm(oracle_holonomy(grid, y, i, j) - eye))
+            defect = float(lg.block_norms(oracle_holonomy(grid, y, i, j) - eye))
             if defect > worst:
                 worst, worst_face = defect, grid.face_id(i, j)
     if worst > tol:
@@ -214,7 +214,7 @@ def oracle_reconstruction(grid, y, seed, tol):
     for i in range(grid.width):
         for j in range(grid.height + 1):
             cols[grid.vertex_id(i + 1, j)] = cols[grid.vertex_id(i, j)] @ u_of(i, j)
-    agreement = max(float(np.linalg.norm(rows[vid] - cols[vid])) for vid in rows)
+    agreement = max(float(lg.block_norms(rows[vid] - cols[vid])) for vid in rows)
     field = dict(sorted(rows.items()))
     return field, worst, agreement
 
@@ -371,7 +371,7 @@ def test_recovery_sweep_matches_oracle(n, w, h, flat):
         _assert_same_raise(lagrangian, grid, y, seed, **{**loose, "cons_tol": cut})
         _assert_same_raise(lagrangian, grid, y, seed, **{**loose, "cons_tol": 1e-18})
     # the first offending vertex in sweep order names the precondition failure
-    ep = np.linalg.norm(red.euler_poincare_residual(lagrangian, grid, y), axis=(-2, -1))
+    ep = lg.block_norms(red.euler_poincare_residual(lagrangian, grid, y))
     cut = sorted(ep.ravel())[ep.size // 2]
     _assert_same_raise(lagrangian, grid, y, seed, **{**loose, "ep_tol": cut})
     if not flat:
