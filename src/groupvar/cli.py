@@ -24,20 +24,13 @@ import numpy as np
 from . import core, harmonic, reduction, sampling, serialization
 from .complexes import classify_vertices, triangulated_grid
 from .defaults import CONS_TOL, EP_TOL, G_TOL, RANK_TOL
-from .errors import (
-    ConvergenceError,
-    HolonomyError,
-    PreconditionError,
-    RecoveryConflictError,
-)
+from .errors import ConvergenceError, Failure, HolonomyError
 from .liegroup import (algebra_dim, block_norms, coords_to_skew, exp_skew,
                        max_norm, random_skew)
 from .reduction import PlaquetteConstraint
 from .harmonic import TraceLagrangian
 
 BOUNDARY_GENERATOR = "uniform-coordinate-geodesic"
-# The errors of a failed check or solve: exit code 1.
-FAILURES = (ConvergenceError, HolonomyError, PreconditionError, RecoveryConflictError)
 
 
 def _finite_nonnegative(value) -> bool:
@@ -173,8 +166,7 @@ def cmd_solve(args) -> int:
         serialization.write_report(out / "solve_report.txt", {
             **_config_records(cfg), "converged": False, "error": str(exc)})
         _write_history(out / "history.csv", exc.history)
-        print(f"solve: {exc}", file=sys.stderr)
-        return 1
+        raise
 
     serialization.save_unreduced_field(out / "unreduced_field.txt", grid, field)
     serialization.save_reduced_section(out / "reduced_section.txt", grid,
@@ -408,7 +400,7 @@ def cmd_verify(args) -> int:
         head["seed"] = cfg["seed"]
     try:
         passed, records = args.run(cfg, np.random.default_rng(cfg.get("seed")))
-    except FAILURES as exc:
+    except Failure as exc:
         serialization.write_report(_out_dir(cfg) / name,
                                    {**head, "passed": False, "error": str(exc)})
         raise
@@ -443,13 +435,7 @@ def cmd_reconstruct(args) -> int:
         seed = sfield[sgrid.vertex_id(0, 0)]
     else:
         seed = np.eye(y.shape[-1])
-    try:
-        rep = reduction.reconstruction_report(grid, y, seed)
-    except HolonomyError as exc:
-        i, j = grid.face_ij(exc.face)
-        print(f"reconstruct: holonomy defect {exc.defect:.3e} at plaquette "
-              f"({i}, {j})", file=sys.stderr)
-        return 1
+    rep = reduction.reconstruction_report(grid, y, seed)
     out = _out_dir(cfg)
     serialization.save_unreduced_field(out / "unreduced_field.txt", grid, rep.field)
     serialization.write_report(out / "reconstruct_report.txt", _fields(rep, "field"))
@@ -469,12 +455,8 @@ def cmd_recover_multipliers(args) -> int:
     if cfg["seed_scale"]:
         rng = np.random.default_rng(cfg["seed"])
         seed = random_skew(n, rng, cfg["seed_scale"])
-    try:
-        lam, rep = reduction.recover_multipliers(
-            lagrangian, grid, y, seed, ep_tol=cfg["ep_tol"], cons_tol=cfg["cons_tol"])
-    except (PreconditionError, RecoveryConflictError) as exc:
-        print(f"recover-multipliers: {exc}", file=sys.stderr)
-        return 1
+    lam, rep = reduction.recover_multipliers(
+        lagrangian, grid, y, seed, ep_tol=cfg["ep_tol"], cons_tol=cfg["cons_tol"])
     out = _out_dir(cfg)
     serialization.save_multiplier(out / "multiplier.txt", grid, lam)
     serialization.write_report(out / "recovery_report.txt", _fields(rep))
@@ -483,11 +465,8 @@ def cmd_recover_multipliers(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read report: {exc}") from exc
-    rows = [line.partition("=") for line in text.splitlines() if line.strip()]
+    rows = [line.partition("=")
+            for line in serialization.read_text(args.file).splitlines() if line.strip()]
     width = max((len(k) for k, _, _ in rows), default=0)
     for key, _, value in rows:
         print(f"{key.ljust(width)}  {value}")
@@ -556,7 +535,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"groupvar: {exc}", file=sys.stderr)
         return 2
-    except FAILURES as exc:
+    except Failure as exc:
         print(f"groupvar: {exc}", file=sys.stderr)
         return 1
 

@@ -414,16 +414,6 @@ def _probe_terms(point, dys: np.ndarray, vertices: np.ndarray):
     return dl, dphi, dl + block_dot(lam, dphi)
 
 
-def _pair_terms(lagrangian: LagrangianDensity, constraint: ConstraintMap,
-                ys: np.ndarray, lams: np.ndarray, dys: np.ndarray,
-                faceset: FaceSet):
-    """The :func:`_probe_terms` on a face set of B instances: sections ys
-    (B, V, c, n, n), multipliers lams (B, F, n, n) and variations dys
-    (B, V, c, n, n)."""
-    point = _face_forms(lagrangian, constraint, ys, lams, faceset)
-    return _probe_terms(point, dys, faceset.adherence)
-
-
 def _vertex_major_sums(faceset: FaceSet, terms: np.ndarray, *groups) -> np.ndarray:
     """Per instance, the pair terms (B, F', k) of the vertex groups, one
     group after another, each vertex-major (see :func:`_vertex_major`),
@@ -450,7 +440,8 @@ def variational_split(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     values it gets on its own, as a stack of one, bit for bit.
     """
     klass = classify_vertices(faceset)
-    terms = _pair_terms(lagrangian, constraint, ys, lams, dys, faceset)[2]
+    terms = _probe_terms(_face_forms(lagrangian, constraint, ys, lams, faceset), dys,
+                         faceset.adherence)[2]
     return (_sequential_sums(terms.reshape(len(terms), -1)),
             _vertex_major_sums(faceset, terms, klass.interior, klass.frontier))
 
@@ -482,8 +473,9 @@ def noether_boundary_sum(lagrangian: LagrangianDensity, constraint: ConstraintMa
     instead of raising.
     """
     frontier = classify_vertices(faceset).frontier
-    dl, dphi, terms = _pair_terms(lagrangian, constraint, y[None], lam[None],
-                                  d[None], faceset)
+    dl, dphi, terms = _probe_terms(
+        _face_forms(lagrangian, constraint, y[None], lam[None], faceset), d[None],
+        faceset.adherence)
     lag_defect = max_norm(np.abs(dl[0].sum(axis=1)))
     con_defect = max_norm(block_norms(dphi[0].sum(axis=1)))
     total = float(_vertex_major_sums(faceset, terms, frontier)[0])
@@ -531,15 +523,6 @@ def jacobi_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,
     return _jacobi_norms(point, faceset, classify_vertices(faceset).interior)[0]
 
 
-def _two_form(x_plus, x_minus, y_plus, y_minus, bracket) -> float:
-    """d omega(X, Y) = X(omega(Y)) - Y(omega(X)) - omega([X, Y]) from omega
-    at the flows of X probed by Y, at those of Y probed by X, and at the
-    base point probed by the bracket."""
-    h = H_JACOBI
-    return float((x_plus - x_minus) / (2.0 * h) - (y_plus - y_minus) / (2.0 * h)
-                 - bracket)
-
-
 def multisymplectic_defect(lagrangian: LagrangianDensity, constraint: ConstraintMap,
                            y: np.ndarray, lam: np.ndarray,
                            d1: np.ndarray, dlam1: np.ndarray,
@@ -578,4 +561,9 @@ def multisymplectic_check(lagrangian: LagrangianDensity, constraint: ConstraintM
                                                  faceset.adherence)[2], klass.frontier)
         for dy, at in ((d2, slice(0, 2)), (d1, slice(2, 4)),
                        (skew_part(d1 @ d2 - d2 @ d1), slice(4, 5)))])
-    return (*jacobi, _two_form(*omega[0:2], *omega[2:4], omega[4]))
+    # d omega(X, Y) = X(omega(Y)) - Y(omega(X)) - omega([X, Y]) from omega at
+    # the flows of X probed by Y, at those of Y probed by X, and at the base
+    # point probed by the bracket
+    h = H_JACOBI
+    return (*jacobi, float((omega[0] - omega[1]) / (2.0 * h)
+                           - (omega[2] - omega[3]) / (2.0 * h) - omega[4]))

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  The type decides the exit
+code of ``groupvar``: a :class:`Failure` exits 1, a ``ValueError`` 2."""
+
+
+class Failure(RuntimeError):
+    """A check, recovery or solve that ran and failed: exit 1."""
 
 
 class DomainError(ValueError):
@@ -15,19 +20,19 @@ class MembershipError(ValueError):
         self.matrix, self.reason = matrix, reason
 
 
-class HolonomyError(RuntimeError):
+class HolonomyError(Failure):
     """Reconstruction failed because some plaquette holonomy is not the identity.
 
     Carries the offending face id and the defect norm.
     """
 
-    def __init__(self, face, defect):
-        super().__init__(f"holonomy defect {defect:.3e} at face {face}")
+    def __init__(self, face, defect, plaquette):
+        super().__init__(f"holonomy defect {defect:.3e} at plaquette {plaquette}")
         self.face = face
         self.defect = defect
 
 
-class RecoveryConflictError(RuntimeError):
+class RecoveryConflictError(Failure):
     """The multiplier recovery reached a face along two sweep paths that disagree."""
 
     def __init__(self, face, discrepancy):
@@ -38,11 +43,11 @@ class RecoveryConflictError(RuntimeError):
         self.discrepancy = discrepancy
 
 
-class PreconditionError(RuntimeError):
+class PreconditionError(Failure):
     """A documented precondition of an operation failed a numerical check."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(Failure):
     """The solver exhausted its iteration budget.
 
     The residual history is attached for diagnosis.

@@ -217,7 +217,8 @@ def reconstruction_report(grid: TriangulatedGrid, y: np.ndarray, seed: np.ndarra
     worst = max_norm(defects)
     if not worst <= tol:
         # the first face in id order with the largest defect, or the first NaN
-        raise HolonomyError(int(np.argmax(defects)) if worst != 0.0 else None, worst)
+        face = int(np.argmax(defects))
+        raise HolonomyError(face, worst, grid.face_ij(face))
 
     u, v = p[..., 0, :, :], p[..., 1, :, :]
     rows = np.empty(p.shape[:2] + (n, n))

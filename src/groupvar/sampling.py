@@ -23,14 +23,6 @@ __all__ = [
 ]
 
 
-def _pair_draws(grid: TriangulatedGrid, n: int, rng, scale: float) -> np.ndarray:
-    """(V, 2, n, n) skew draws, vertex after vertex, u before v; the far
-    corner (the last id) draws nothing and holds zero."""
-    values = np.zeros((len(grid.vertices), 2, n, n))
-    values[:-1] = random_skew(n, rng, scale, (len(grid.vertices) - 1, 2))
-    return values
-
-
 def random_unreduced_field(grid: TriangulatedGrid, n: int,
                            rng: np.random.Generator,
                            scale: float = 0.4) -> np.ndarray:
@@ -49,7 +41,11 @@ def random_section(grid: TriangulatedGrid, n: int, rng: np.random.Generator,
 
 def random_variation(grid: TriangulatedGrid, n: int, rng: np.random.Generator,
                      scale: float = 1.0) -> np.ndarray:
-    return read_only(_pair_draws(grid, n, rng, scale))
+    """(V, 2, n, n) skew draws, vertex after vertex, u before v; the far
+    corner (the last id) draws nothing and holds zero."""
+    values = np.zeros((len(grid.vertices), 2, n, n))
+    values[:-1] = random_skew(n, rng, scale, (len(grid.vertices) - 1, 2))
+    return read_only(values)
 
 
 def random_multiplier(grid: TriangulatedGrid, n: int, rng: np.random.Generator,

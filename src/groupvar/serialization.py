@@ -41,6 +41,7 @@ __all__ = [
     "write_report",
     "write_csv",
     "format_value",
+    "read_text",
 ]
 
 
@@ -159,6 +160,14 @@ def _is_number(word: str) -> bool:
     return True
 
 
+def read_text(path) -> str:
+    """A file's text; one that is not UTF-8 names its first byte that is not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+
+
 def _load(path, kind: str, tag: str, components: int,
           mismatch: str) -> tuple[TriangulatedGrid, np.ndarray]:
     """The window and the read-only values of the records the writer
@@ -167,10 +176,7 @@ def _load(path, kind: str, tag: str, components: int,
     passed every check."""
     # lines end at "\n" alone, as the writer's do: str.splitlines would also
     # break at form feeds and other separators that str.split skips
-    try:
-        lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    lines = read_text(path).removesuffix("\n").split("\n")
     n, found, width, height = _parse_header(lines, kind)
     if found != components:
         raise ValueError(f"field file header components={found}: {mismatch}")

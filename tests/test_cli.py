@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupvar import cli, core, harmonic, sampling, serialization as ser
+from groupvar import cli, core, errors, harmonic, sampling, serialization as ser
 from groupvar.cli import main
 from groupvar.complexes import FaceSet, classify_vertices, triangulated_grid
 from groupvar.harmonic import TraceLagrangian
@@ -727,6 +727,20 @@ def test_report_pretty_print(tmp_path, capsys):
     assert "2.5" in lines[1]
 
 
+def test_report_reads_through_the_loaders_utf8_rule(tmp_path, capsys):
+    """``report`` reads its file as the field loaders do: one that is not
+    UTF-8 exits 2 naming itself and its first byte that is not, and a file
+    that cannot be read exits 2 as well, each with one line."""
+    path = tmp_path / "report.txt"
+    path.write_bytes(b"\xffkey=1\n")
+    capsys.readouterr()
+    assert run("report", path) == 2
+    assert capsys.readouterr().err == f"groupvar: {path}: byte 0 is not UTF-8 text\n"
+    assert run("report", tmp_path / "nope.txt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("groupvar: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("width,height", [(1, 3), (3, 1)])
 def test_recover_multipliers_without_interior_exits_one(tmp_path, capsys,
                                                         width, height):
@@ -737,6 +751,74 @@ def test_recover_multipliers_without_interior_exits_one(tmp_path, capsys,
                "--out", mout) == 1
     assert "window has no interior vertices" in capsys.readouterr().err
     assert not (mout / "multiplier.txt").exists()
+
+
+def _saved_section(path, width, height, seed, tamper):
+    """The reduced section of a random SO(3) vertex field, saved at ``path``:
+    flat but not critical, and not flat either once ``tamper`` turns its u at
+    vertex (1, 1) by about 1e-5."""
+    grid = triangulated_grid(width, height)
+    rng = np.random.default_rng(seed)
+    y = reduce_field(grid, sampling.random_unreduced_field(grid, 3, rng)).copy()
+    if tamper:
+        vid = grid.vertex_id(1, 1)
+        y[vid, 0] = y[vid, 0] @ scipy.linalg.expm(1e-5 * random_skew(3, rng))
+    ser.save_reduced_section(path, grid, y)
+    return path
+
+
+# argv, the section it reads (width, height, seed, tamper) or None, and the
+# message of its one stderr line
+EXIT_ONE = {
+    "solve-budget": (("solve", "--scale", 3.0, "--seed", 2, "--max-iterations", 3),
+                     None, r"gradient norm \S+ > 1\.0e-10 after 3 iterations"),
+    "reconstruct-tampered": (("reconstruct",), (3, 3, 1, True),
+                             r"holonomy defect \S+ at plaquette \(\d+, \d+\)"),
+    "recover-noncritical": (("recover-multipliers",), (3, 3, 2, False),
+                            r"reduced residual \S+ > 1\.0e-08 at \(\d+, \d+\)"),
+    "recover-1x3": (("recover-multipliers",), (1, 3, 0, False),
+                    "window has no interior vertices"),
+    "verify-budget": (("verify", "multisymplectic", "--scale", 3.0,
+                       "--max-iterations", 1),
+                      None, r"gradient norm \S+ > 1\.0e-11 after 1 iterations"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_ONE)
+def test_an_exit_one_prints_one_groupvar_line(tmp_path, capsys, case):
+    """A failed check, recovery or solve exits 1 with exactly one stderr
+    line, ``groupvar: <message>``, printed by ``main`` alone; reconstruct and
+    recover-multipliers then write nothing."""
+    argv, section, message = EXIT_ONE[case]
+    if section:
+        argv += ("--section", _saved_section(tmp_path / "section.txt", *section))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 1
+    assert re.fullmatch(f"groupvar: {message}\n", capsys.readouterr().err)
+    if section:
+        assert not out.exists()
+
+
+ERRORS = [value for value in vars(errors).values() if isinstance(value, type)
+          and issubclass(value, Exception) and value.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda error: error.__name__)
+def test_the_error_type_decides_the_exit_code(monkeypatch, capsys, error):
+    """Each error type of the package is exactly one of ``Failure`` (exit 1)
+    and ``ValueError`` (exit 2), and ``main`` maps a raise of it to that
+    code with one stderr line."""
+    failure = issubclass(error, errors.Failure)
+    assert failure != issubclass(error, ValueError)
+
+    def read_text(path):
+        raise error.__new__(error, f"{error.__name__} at {path}")
+
+    monkeypatch.setattr(ser, "read_text", read_text)
+    capsys.readouterr()
+    assert run("report", "r.txt") == (1 if failure else 2)
+    assert capsys.readouterr().err == f"groupvar: {error.__name__} at r.txt\n"
 
 
 @pytest.mark.parametrize("width,height", [(2, 2), (2, 5), (5, 2)])

@@ -194,7 +194,7 @@ def oracle_reconstruction(grid, y, seed, tol):
             if defect > worst:
                 worst, worst_face = defect, grid.face_id(i, j)
     if worst > tol:
-        raise HolonomyError(worst_face, worst)
+        raise HolonomyError(worst_face, worst, grid.face_ij(worst_face))
 
     def u_of(i, j):
         return y[grid.vertex_id(i, j)][0]
