@@ -466,7 +466,7 @@ def cmd_recover_multipliers(args) -> int:
 
 def cmd_report(args) -> int:
     rows = [line.partition("=")
-            for line in serialization.read_text(args.file).splitlines() if line.strip()]
+            for line in serialization.read_lines(args.file) if line.strip()]
     width = max((len(k) for k, _, _ in rows), default=0)
     for key, _, value in rows:
         print(f"{key.ljust(width)}  {value}")

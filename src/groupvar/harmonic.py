@@ -179,78 +179,77 @@ def _residual(g: np.ndarray) -> tuple[np.ndarray, float]:
 
 # Interiors with at most this many unknowns (vertices times d) hold the
 # trust-region model as dense matrices, one matrix product per Hessian or
-# preconditioner application; larger ones keep the stacked blocks.  The bound
+# preconditioner application; larger ones apply the block columns.  The bound
 # is the measured crossover of the two (README, "Solver").
 _DENSE_UNKNOWNS = 256
 _EPS = np.finfo(float).eps
 
 
 @functools.cache
-def _trace_table(n: int) -> np.ndarray:
-    """Read-only (d^2, n^2) table of the flattened E_a E_b over the skew
-    basis: tr(E_a P E_b) is row (a, b) dotted with P flattened.  Each row
-    holds at most two nonzero entries, each +-1."""
+def _trace_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only, C-contiguous (n^2, d^2) factors: P flattened times column
+    (a, b) is -tr(E_a P E_b) / 4, tr(E_a P E_b) / 2 or tr(E_b P E_a) / 2
+    over the skew basis E.  Each column holds at most two nonzero entries,
+    +-1 scaled, so each product is exact to one rounding in any order."""
     basis = lg.skew_basis(n)
-    table = (basis[:, None] @ basis).reshape(-1, n * n)
-    table.flags.writeable = False
-    return table
+    table = (basis[:, None] @ basis).reshape(len(basis), len(basis), n * n)
+    return tuple(read_only(np.ascontiguousarray((factor * t).reshape(-1, n * n).T))
+                 for factor, t in ((-0.25, table), (0.5, table),
+                                   (0.5, table.swapaxes(0, 1))))
 
 
-def _hessian(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H, half the Hessian of the energy pulled back by the retraction, as
-    its centre, east and north block stacks in the coordinates of
-    ``_residual``: along g exp(X) the energy is E + 2 (f . x + x . H x / 2)
-    + O(|x|^3).  West and south blocks are the transposed east and north
-    blocks of the neighbours; blocks facing the frontier are dropped.
+def _stencil(rows: int, cols: int) -> np.ndarray:
+    """(rows cols, 5) vertex-major index of each interior vertex and of its
+    east, west, north and south neighbours; a neighbour on the frontier is
+    rows cols, the index of one coordinate appended as zero."""
+    ids = np.full((rows + 2, cols + 2), rows * cols)
+    ids[1:-1, 1:-1] = np.arange(rows * cols).reshape(rows, cols)
+    return np.stack((ids[1:-1, 1:-1], ids[1:-1, 2:], ids[1:-1, :-2],
+                     ids[2:, 1:-1], ids[:-2, 1:-1]), axis=-1).reshape(-1, 5)
+
+
+def _hessian(g: np.ndarray) -> np.ndarray:
+    """H, half the Hessian of the energy pulled back by the retraction, in
+    the coordinates of ``_residual`` (along g exp(X) the energy is
+    E + 2 (f . x + x . H x / 2) + O(|x|^3)), as one (5d, d) block column
+    per interior vertex p, vertex-major: the transposed blocks of row p of H
+    at p's ``_stencil`` members, zero where they face the frontier.
 
     With c = g_ij, A_E = c^T g_E, A_N = c^T g_N, S = A_E + A_N
     + (g_W^T + g_S^T) c and the skew basis E: centre[a, b] =
     -tr(E_a E_b (S + S^T)) / 4, which for the symmetric S + S^T is
     -tr(E_a (S + S^T) E_b) / 4 and exactly symmetric in (a, b);
-    east[a, b] = tr(E_a A_E E_b) / 2 and north[a, b] = tr(E_a A_N E_b) / 2.
-    Each stack is one product with ``_trace_table``.
+    east[a, b] = tr(E_a A_E E_b) / 2 and north[a, b] = tr(E_a A_N E_b) / 2;
+    west and south are the transposed east and north blocks of the
+    neighbours.  So column p holds centre_p, east_p^T, east_W, north_p^T
+    and north_S, each one product with ``_trace_tables`` written in place.
     """
     n = g.shape[-1]
-    d = lg.algebra_dim(n)
     c = g[1:-1, 1:-1]
     ct = c.swapaxes(-1, -2)
     east, north = ct @ g[1:-1, 2:], ct @ g[2:, 1:-1]
     s = east + north + (g[1:-1, :-2] + g[:-2, 1:-1]).swapaxes(-1, -2) @ c
-
-    def blocks(p, factor):
-        rows, cols = p.shape[:2]
-        return (factor * (p.reshape(rows, cols, n * n) @ _trace_table(n).T)
-                ).reshape(rows, cols, d, d)
-    return (blocks(s + s.swapaxes(-1, -2), -0.25),
-            blocks(east[:, :-1], 0.5), blocks(north[:-1], 0.5))
-
-
-def _hessian_product(hessian, v: np.ndarray) -> np.ndarray:
-    """H v for coordinates v shaped like ``_residual``'s."""
-    centre, east, north = hessian
-    v = v[..., None]
-    out = centre @ v
-    out[:, :-1] += east @ v[:, 1:]
-    out[:, 1:] += east.swapaxes(-1, -2) @ v[:, :-1]
-    out[:-1] += north @ v[1:]
-    out[1:] += north.swapaxes(-1, -2) @ v[:-1]
-    return out[..., 0]
+    (rows, cols), d = c.shape[:2], lg.algebra_dim(n)
+    centre, plain, swapped = _trace_tables(n)
+    out = np.empty((rows, cols, 5, d * d))
+    np.matmul((s + s.swapaxes(-1, -2)).reshape(rows, cols, n * n), centre,
+              out=out[:, :, 0])
+    east = east[:, :-1].reshape(rows, cols - 1, n * n)
+    north = north[:-1].reshape(rows - 1, cols, n * n)
+    np.matmul(east, swapped, out=out[:, :-1, 1])
+    np.matmul(east, plain, out=out[:, 1:, 2])
+    np.matmul(north, swapped, out=out[:-1, :, 3])
+    np.matmul(north, plain, out=out[1:, :, 4])
+    out[:, -1, 1] = out[:, 0, 2] = out[-1, :, 3] = out[0, :, 4] = 0.0
+    return out.reshape(rows * cols, 5 * d, d)
 
 
-def _dense_index(rows: int, cols: int, d: int) -> np.ndarray:
-    """Flat indices, into the dense (rows cols d)^2 matrix of H, of the
-    entries of ``_hessian``'s centre, east and north stacks, flattened in
-    that order, and then of the east and north entries again at their
-    transposed positions, which are the west and south blocks."""
-    size = rows * cols * d
-    ids = np.arange(size).reshape(rows, cols, d)
-
-    def places(a, b):
-        return (a[..., :, None] * size + b[..., None, :]).ravel()
-    neighbours = np.concatenate((places(ids[:, :-1], ids[:, 1:]),
-                                 places(ids[:-1], ids[1:])))
-    return np.concatenate((places(ids, ids), neighbours,
-                           neighbours % size * size + neighbours // size))
+def _stencil_product(stencil, columns, v: np.ndarray) -> np.ndarray:
+    """H v for coordinates v shaped like ``_residual``'s and ``_hessian``'s
+    columns: one gather of the zero-padded v and one batched matmul."""
+    padded = np.concatenate((v.reshape(len(stencil), -1), np.zeros((1, v.shape[-1]))))
+    gathered = np.take(padded, stencil, axis=0).reshape(len(stencil), 1, -1)
+    return (gathered @ columns).reshape(v.shape)
 
 
 def _sines(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +263,8 @@ def _sines(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _laplacian_solver(rows: int, cols: int):
     """Solver of L z = r for the 5-point Dirichlet Laplacian L of the
-    interior, applied to each coordinate; L is H at a constant field.
+    interior, applied to each coordinate of (rows, cols, d) arrays r and z,
+    each as a (rows, cols) matrix; L is H at a constant field.
 
     The orthonormal sine matrices Q diagonalise L in each direction, so
     z = Q_r ((Q_r r Q_c) / lambda) Q_c with lambda_ab = 4 - 2 cos(pi a /
@@ -274,8 +274,6 @@ def _laplacian_solver(rows: int, cols: int):
     eigenvalues = l_r[:, None] + l_c
 
     def solve(r: np.ndarray) -> np.ndarray:
-        """r and the result are (rows, cols, d); each coordinate is solved
-        as a (rows, cols) matrix."""
         x = r.transpose(2, 0, 1)
         return (q_r @ ((q_r @ x @ q_c) / eigenvalues) @ q_c).transpose(1, 2, 0)
     return solve
@@ -345,31 +343,34 @@ def _model(shape: tuple[int, int, int]):
     ``product(v)`` = H v for H = ``_hessian(g)``, ``precondition(r)`` =
     L^-1 r, and the shape of the coordinates both act on.
 
-    Up to ``_DENSE_UNKNOWNS`` unknowns both are matrix products on flat
-    vectors, by ``_inverse_laplacian`` and by the model's one dense H, whose
-    block band each call rewrites through ``_dense_index``, so a call's
-    product acts with the latest call's H; above, they are the stacked
-    ``_hessian_product`` and ``_laplacian_solver``.
+    The form is chosen by the unknown count alone.  Up to
+    ``_DENSE_UNKNOWNS`` both are matrix products on flat vectors, by
+    ``_inverse_laplacian`` and by the model's one dense H, reused for every
+    step: each call scatters the block columns into it, so a call's product
+    acts with the latest call's H.  Above, they are ``_stencil_product``
+    and ``_laplacian_solver``.
     """
     rows, cols, d = shape
     size = rows * cols * d
+    stencil = _stencil(rows, cols)
     if size > _DENSE_UNKNOWNS:
         solve = _laplacian_solver(rows, cols)
 
-        def stacked(g: np.ndarray):
-            return functools.partial(_hessian_product, _hessian(g)), solve, shape
-        return stacked
-    dense, index = np.zeros((size, size)), _dense_index(rows, cols, d)
+        def stencilled(g: np.ndarray):
+            return functools.partial(_stencil_product, stencil, _hessian(g)), solve, shape
+        return stencilled
+    # H = H^T: entry (b, a) of column p at stencil member q is H[q d + b, p d + a]
+    index = (((stencil[..., None] * d + np.arange(d))[..., None]) * size
+             + np.arange(size).reshape(-1, 1, 1, d)).ravel()
+    dense = np.zeros((size + d, size))  # a frontier q writes d spare rows
     inverse = _inverse_laplacian(rows, cols)
 
     def precondition(r: np.ndarray) -> np.ndarray:
         return (inverse @ r.reshape(rows * cols, d)).ravel()
 
     def flat(g: np.ndarray):
-        centre, east, north = _hessian(g)
-        dense.ravel()[index] = np.concatenate(
-            (centre.ravel(), east.ravel(), north.ravel(), east.ravel(), north.ravel()))
-        return dense.__matmul__, precondition, (size,)
+        dense.ravel()[index] = _hessian(g).ravel()
+        return dense[:size].__matmul__, precondition, (size,)
     return flat
 
 
@@ -378,11 +379,9 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
     Gallivan, FoCM 2007), from ``g`` until the gradient max-norm meets
     ``g_tol``, and then one step more.
 
-    Each step solves the model of ``_hessian`` by ``_truncated_cg``,
+    Each step solves the call's one ``_model`` by ``_truncated_cg``,
     preconditioned by the Laplacian solve, in the trust region of that
-    norm, and retracts it.  One ``_model`` per call gives both, dense or
-    stacked by the number of unknowns alone, and the dense form reuses one
-    matrix for every step.  With the agreement ratio rho of actual to
+    norm, and retracts it.  With the agreement ratio rho of actual to
     predicted energy decrease, both offset by 1e3 eps max(1, |E|) so that
     decrements at round-off read as agreement, the radius shrinks by 4
     below 0.25 and doubles above 0.75 when the step reached the boundary,

@@ -41,7 +41,7 @@ __all__ = [
     "write_report",
     "write_csv",
     "format_value",
-    "read_text",
+    "read_lines",
 ]
 
 
@@ -160,12 +160,15 @@ def _is_number(word: str) -> bool:
     return True
 
 
-def read_text(path) -> str:
-    """A file's text; one that is not UTF-8 names its first byte that is not."""
+def read_lines(path) -> list[str]:
+    """A file's lines, ended at "\n" alone as the writer ends them, not at
+    the form feeds and other separators of str.splitlines; a file that is
+    not UTF-8 names its first byte that is not."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    return text.removesuffix("\n").split("\n")
 
 
 def _load(path, kind: str, tag: str, components: int,
@@ -174,9 +177,7 @@ def _load(path, kind: str, tag: str, components: int,
     writes: one per vertex ("v") or face ("f") in id order, but none for a
     section's far corner.  The window is built only once the body has
     passed every check."""
-    # lines end at "\n" alone, as the writer's do: str.splitlines would also
-    # break at form feeds and other separators that str.split skips
-    lines = read_text(path).removesuffix("\n").split("\n")
+    lines = read_lines(path)
     n, found, width, height = _parse_header(lines, kind)
     if found != components:
         raise ValueError(f"field file header components={found}: {mismatch}")

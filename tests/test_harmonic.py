@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -809,9 +811,97 @@ def _symmetric_jacobian(g):
     return (dense + dense.T) / 2.0
 
 
+@functools.cache
+def _trace_table(n: int) -> np.ndarray:
+    """Read-only (d^2, n^2) table of the flattened E_a E_b over the skew
+    basis: tr(E_a P E_b) is row (a, b) dotted with P flattened.  Each row
+    holds at most two nonzero entries, each +-1."""
+    basis = lg.skew_basis(n)
+    table = (basis[:, None] @ basis).reshape(-1, n * n)
+    table.flags.writeable = False
+    return table
+
+
+def stacked_hessian(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H, half the Hessian of the energy pulled back by the retraction, as
+    its centre, east and north block stacks in the coordinates of
+    ``_residual``: along g exp(X) the energy is E + 2 (f . x + x . H x / 2)
+    + O(|x|^3).  West and south blocks are the transposed east and north
+    blocks of the neighbours; blocks facing the frontier are dropped.
+
+    With c = g_ij, A_E = c^T g_E, A_N = c^T g_N, S = A_E + A_N
+    + (g_W^T + g_S^T) c and the skew basis E: centre[a, b] =
+    -tr(E_a E_b (S + S^T)) / 4, which for the symmetric S + S^T is
+    -tr(E_a (S + S^T) E_b) / 4 and exactly symmetric in (a, b);
+    east[a, b] = tr(E_a A_E E_b) / 2 and north[a, b] = tr(E_a A_N E_b) / 2.
+    Each stack is one product with ``_trace_table``.
+
+    The earlier ``hm._hessian``, kept as the oracle of its block columns.
+    """
+    n = g.shape[-1]
+    d = lg.algebra_dim(n)
+    c = g[1:-1, 1:-1]
+    ct = c.swapaxes(-1, -2)
+    east, north = ct @ g[1:-1, 2:], ct @ g[2:, 1:-1]
+    s = east + north + (g[1:-1, :-2] + g[:-2, 1:-1]).swapaxes(-1, -2) @ c
+
+    def blocks(p, factor):
+        rows, cols = p.shape[:2]
+        return (factor * (p.reshape(rows, cols, n * n) @ _trace_table(n).T)
+                ).reshape(rows, cols, d, d)
+    return (blocks(s + s.swapaxes(-1, -2), -0.25),
+            blocks(east[:, :-1], 0.5), blocks(north[:-1], 0.5))
+
+
+def stacked_hessian_product(hessian, v: np.ndarray) -> np.ndarray:
+    """H v for coordinates v shaped like ``_residual``'s.
+
+    The earlier product of the stacks, kept as the oracle of
+    ``hm._stencil_product``."""
+    centre, east, north = hessian
+    v = v[..., None]
+    out = centre @ v
+    out[:, :-1] += east @ v[:, 1:]
+    out[:, 1:] += east.swapaxes(-1, -2) @ v[:, :-1]
+    out[:-1] += north @ v[1:]
+    out[1:] += north.swapaxes(-1, -2) @ v[:-1]
+    return out[..., 0]
+
+
+def _placed_columns(hessian):
+    """The oracle's centre, east and north stacks placed as the block
+    columns of ``hm._hessian``, one vertex and one neighbour at a time:
+    column p holds the transposed blocks H[p, q] of row p at q = p and at
+    its east, west, north and south neighbours, zero where q is on the
+    frontier."""
+    centre, east, north = hessian
+    rows, cols, d = centre.shape[:3]
+    columns = np.zeros((rows, cols, 5, d, d))
+    for j, i in np.ndindex(rows, cols):
+        columns[j, i, 0] = centre[j, i].T
+        if i + 1 < cols:
+            columns[j, i, 1] = east[j, i].T
+        if i > 0:
+            columns[j, i, 2] = east[j, i - 1]
+        if j + 1 < rows:
+            columns[j, i, 3] = north[j, i].T
+        if j > 0:
+            columns[j, i, 4] = north[j - 1, i]
+    return columns.reshape(rows * cols, 5 * d, d)
+
+
+def _stencil_dense(g):
+    """The H of ``hm._hessian`` at g as a dense matrix: its stencil product
+    on each unit vector, unknowns vertex-major."""
+    shape = hm._residual(g)[0].shape
+    stencil, columns = hm._stencil(*shape[:2]), hm._hessian(g)
+    return np.array([hm._stencil_product(stencil, columns, e.reshape(shape)).ravel()
+                     for e in np.eye(np.prod(shape))]).T
+
+
 def _hessian_to_dense(hessian):
-    """The centre, east and north stacks of ``hm._hessian`` placed in one
-    dense symmetric matrix, unknowns vertex-major."""
+    """The centre, east and north stacks of ``stacked_hessian`` placed in
+    one dense symmetric matrix, unknowns vertex-major."""
     centre, east, north = hessian
     rows, cols, d = centre.shape[:3]
     dense = np.zeros((rows, cols, d, rows, cols, d))
@@ -873,18 +963,20 @@ def test_band_jacobian_property(n, width, height, scale, seed):
 def test_hessian_product_property(n, width, height, scale, seed):
     """H v is sym(J) v for the dense row Jacobian J, to 1e-12, and v . H v
     is half the second derivative of the energy along g exp(t v), to the
-    accuracy of a central second difference.  The centre blocks of H are
-    exactly symmetric, and g is left alone."""
+    accuracy of a central second difference; H v is the stencil product of
+    the block columns.  The centre blocks of H are exactly symmetric, and g
+    is left alone."""
     grid = triangulated_grid(width, height)
     rng = np.random.default_rng(seed)
     g = _array(grid, sampling.random_unreduced_field(grid, n, rng, scale))
     before = g.copy()
-    hessian = hm._hessian(g)
+    columns = hm._hessian(g)
     assert np.array_equal(g, before)
-    centre = hessian[0]
-    assert np.array_equal(centre, centre.swapaxes(-1, -2))
     v = rng.standard_normal(hm._residual(g)[0].shape)
-    hv = hm._hessian_product(hessian, v)
+    d = v.shape[-1]
+    centre = columns.reshape(-1, 5, d, d)[:, 0]
+    assert np.array_equal(centre, centre.swapaxes(-1, -2))
+    hv = hm._stencil_product(hm._stencil(*v.shape[:2]), columns, v)
     oracle = _symmetric_jacobian(g) @ v.ravel()
     assert hv.shape == v.shape
     assert np.max(np.abs(hv.ravel() - oracle)) <= 1e-12 * (1.0 + np.max(np.abs(oracle)))
@@ -910,15 +1002,16 @@ def _grid_laplacian(rows, cols, d):
                                          (5, 8, 3), (9, 4, 4), (4, 6, 5)])
 def test_laplacian_solver_inverts_the_dense_laplacian(rows, cols, n):
     """The sine-matrix solve is the inverse of the 5-point Laplacian, which
-    is the Hessian H at a constant field, both as ``hm._hessian`` assembles
-    it and as its oracle does."""
+    is the Hessian H at a constant field, both as ``hm._hessian`` and its
+    stencil product assemble it and as its oracles do."""
     d = n * (n - 1) // 2
     laplacian = _grid_laplacian(rows, cols, d)
     constant = np.tile(lg.exp(lg.random_skew(n, np.random.default_rng(n))),
                        (rows + 2, cols + 2, 1, 1))
     assert np.max(np.abs(_symmetric_jacobian(constant) - laplacian)) <= 1e-14
-    assembled = _hessian_to_dense(hm._hessian(constant))
-    assert np.max(np.abs(assembled - laplacian)) <= 1e-14
+    for assembled in (_stencil_dense(constant),
+                      _hessian_to_dense(stacked_hessian(constant))):
+        assert np.max(np.abs(assembled - laplacian)) <= 1e-14
     r = np.random.default_rng(rows + 10 * cols).standard_normal((rows, cols, d))
     z = hm._laplacian_solver(rows, cols)(r)
     oracle = np.linalg.solve(laplacian, r.ravel())
@@ -933,16 +1026,16 @@ DENSE_INTERIORS = [(1, 1, 2), (1, 7, 3), (6, 1, 3), (1, 9, 5), (5, 1, 5),
 
 @pytest.mark.parametrize("rows,cols,n", DENSE_INTERIORS)
 def test_dense_model_is_the_stacked_model(rows, cols, n):
-    """The dense H places ``_hessian``'s blocks as the loop oracle does, bit
+    """The dense H places the oracle's blocks as the loop oracle does, bit
     for bit, also when the model filled the H of another field of the
     window first: its product on the unit vectors returns H itself.  The
-    dense H v is ``_hessian_product`` and the dense preconditioner the sine
-    solve of ``_laplacian_solver``, each to 1e-13 relative."""
+    dense H v is ``stacked_hessian_product`` and the dense preconditioner
+    the sine solve of ``_laplacian_solver``, each to 1e-13 relative."""
     grid = triangulated_grid(cols + 1, rows + 1)
     rng = np.random.default_rng(rows + 10 * cols + 100 * n)
     g, other = (_array(grid, sampling.random_unreduced_field(grid, n, rng, 1.0))
                 for _ in range(2))
-    hessian = hm._hessian(g)
+    hessian = stacked_hessian(g)
     shape = hessian[0].shape[:3]
     size = rows * cols * (n * (n - 1) // 2)
     assert size <= hm._DENSE_UNKNOWNS
@@ -954,12 +1047,49 @@ def test_dense_model_is_the_stacked_model(rows, cols, n):
     assert flat == (size,)
     assert np.array_equal(product(np.eye(size)), oracle)
     for v in rng.standard_normal((3,) + shape):
-        stacked = hm._hessian_product(hessian, v).ravel()
+        stacked = stacked_hessian_product(hessian, v).ravel()
         assert np.max(np.abs(product(v.ravel()) - stacked)) \
             <= 1e-13 * np.max(np.abs(stacked))
         solved = hm._laplacian_solver(rows, cols)(v).ravel()
         assert np.max(np.abs(precondition(v.ravel()) - solved)) \
             <= 1e-13 * np.max(np.abs(solved))
+
+
+@pytest.mark.parametrize("rows,cols,n", DENSE_INTERIORS + [(9, 4, 4), (4, 6, 5)])
+def test_block_columns_are_the_placed_stacks(rows, cols, n):
+    """``hm._hessian``'s block columns hold the oracle's centre, east and
+    north blocks, transposed or not, at their places, bit for bit, and
+    zero where a block faces the frontier."""
+    grid = triangulated_grid(cols + 1, rows + 1)
+    rng = np.random.default_rng(rows + 10 * cols + 100 * n)
+    g = _array(grid, sampling.random_unreduced_field(grid, n, rng, 2.0))
+    columns = hm._hessian(g)
+    assert columns.shape == (rows * cols, 5 * (n * (n - 1) // 2), n * (n - 1) // 2)
+    assert np.array_equal(columns, _placed_columns(stacked_hessian(g)))
+
+
+# (interior rows, interior columns, n): 1 x k and k x 1 interiors, 2x2
+# windows, and 250, 256, 272 and 363 unknowns, either side of the dense bound
+STENCIL_INTERIORS = [(1, 7, 3), (6, 1, 3), (1, 9, 5), (5, 1, 5), (1, 1, 2), (1, 1, 3),
+                     (1, 1, 5), (5, 5, 5), (16, 16, 2), (16, 17, 2), (11, 11, 3)]
+
+
+@pytest.mark.parametrize("rows,cols,n", STENCIL_INTERIORS)
+def test_stencil_product_is_the_stacked_product(rows, cols, n):
+    """The stencil product of the block columns is the oracle's product of
+    the stacks to 1e-13 relative, and leaves its input alone."""
+    grid = triangulated_grid(cols + 1, rows + 1)
+    rng = np.random.default_rng(rows + 10 * cols + 100 * n)
+    g = _array(grid, sampling.random_unreduced_field(grid, n, rng, 1.0))
+    stencil, columns = hm._stencil(rows, cols), hm._hessian(g)
+    hessian = stacked_hessian(g)
+    for v in rng.standard_normal((3, rows, cols, n * (n - 1) // 2)):
+        before = v.copy()
+        product = hm._stencil_product(stencil, columns, v)
+        assert np.array_equal(v, before)
+        stacked = stacked_hessian_product(hessian, v)
+        assert product.shape == v.shape
+        assert np.max(np.abs(product - stacked)) <= 1e-13 * np.max(np.abs(stacked))
 
 
 @pytest.mark.parametrize("width,height,n,dense", [
@@ -971,10 +1101,10 @@ def test_model_path_follows_the_unknown_count(monkeypatch, width, height, n, den
     """A 6x6 SO(5) window has 250 interior unknowns and 17x17 SO(2) has
     256, within the bound of 256: each solve builds the dense inverse
     Laplacian once, fills H once per accepted step and never calls
-    ``_hessian_product``.  18x17 SO(2) has 272 and 12x12 SO(3) 363: each
-    builds the sine solve once and calls ``_hessian_product`` once for
+    ``_stencil_product``.  18x17 SO(2) has 272 and 12x12 SO(3) 363: each
+    builds the sine solve once and calls ``_stencil_product`` once for
     every Hessian product the report counts."""
-    calls = dict.fromkeys(("_hessian", "_hessian_product", "_inverse_laplacian",
+    calls = dict.fromkeys(("_hessian", "_stencil_product", "_inverse_laplacian",
                            "_laplacian_solver"), 0)
 
     def counted(name):
@@ -991,7 +1121,7 @@ def test_model_path_follows_the_unknown_count(monkeypatch, width, height, n, den
     _, report = hm.solve_unreduced(grid, boundary)
     assert report.hessian_products > 0
     assert calls == {"_hessian": report.residual_evaluations - 1,
-                     "_hessian_product": 0 if dense else report.hessian_products,
+                     "_stencil_product": 0 if dense else report.hessian_products,
                      "_inverse_laplacian": int(dense), "_laplacian_solver": int(not dense)}
 
 
@@ -1075,7 +1205,7 @@ def test_singular_band_factor_ends_the_polish(tmp_path, monkeypatch, capsys):
     ConvergenceError with its history, and the CLI exits 1, with no
     RuntimeWarning on the way (they are errors here)."""
     def singular(g):
-        return tuple(np.zeros_like(b) for b in hessian(g))
+        return np.zeros_like(hessian(g))
 
     hessian = hm._hessian
     monkeypatch.setattr(hm, "_hessian", singular)
