@@ -180,7 +180,8 @@ def _residual(g: np.ndarray) -> tuple[np.ndarray, float]:
 # Interiors with at most this many unknowns (vertices times d) hold the
 # trust-region model as dense matrices, one matrix product per Hessian or
 # preconditioner application; larger ones apply the block columns.  The bound
-# is the measured crossover of the two (README, "Solver").
+# is no longer their crossover, but rough 6x6 windows still solve faster dense,
+# and moving it would move the bytes of the windows it moves (README, "Solver").
 _DENSE_UNKNOWNS = 256
 _EPS = np.finfo(float).eps
 

@@ -64,12 +64,13 @@ def read_report(path):
     return dict(line.split("=", 1) for line in path.read_text().splitlines())
 
 
-def _field_file(tmp_path):
-    """A 3x3 SO(3) field file to use as a boundary."""
+def _field_file(tmp_path, size=3, scale=0.3):
+    """A random SO(3) field file of the size x size window, to use as a
+    boundary."""
     path = tmp_path / "field.txt"
-    grid = triangulated_grid(3, 3)
+    grid = triangulated_grid(size, size)
     ser.save_unreduced_field(path, grid, sampling.random_unreduced_field(
-        grid, 3, np.random.default_rng(0), scale=0.3))
+        grid, 3, np.random.default_rng(0), scale=scale))
     return path
 
 
@@ -157,10 +158,8 @@ def test_malformed_config_exits_two(tmp_path, capsys):
               "--cons-tol", 0.0), "tolerances"),
             (("solve", "--ep-tol=-1e-08"), "tolerances"),
             (("solve", "--max-iterations", -1), "max_iterations must be"),
-            (("solve", "--scale", "nan"), "scale must be finite"),
             (("verify", "split", "--instances", 0), "instances must be at least 1"),
-            (("verify", "split", "--instances", -3), "instances must be at least 1"),
-            (("verify", "multipliers", "--scale", -1), "scale must be finite")):
+            (("verify", "split", "--instances", -3), "instances must be at least 1")):
         capsys.readouterr()
         assert run(*argv, "--out", tmp_path / "bad") == 2
         assert capsys.readouterr().err.startswith(f"groupvar: {message}")
@@ -305,16 +304,6 @@ def test_failed_solve_writes_history(tmp_path):
     rows = (out / "history.csv").read_text().splitlines()
     assert rows[0] == "iteration,phase,objective,action,max_gradient,step"
     assert len(rows) >= 2
-
-
-def test_iteration_budget_covers_newton_steps(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert run("solve", "--width", 6, "--height", 6, "--scale", 3.0, "--seed", 2,
-               "--max-iterations", 3, "--out", out) == 1
-    rows = (out / "history.csv").read_text().splitlines()[1:]
-    assert 1 <= len(rows) <= 4
-    assert "after 3 iterations" in capsys.readouterr().err
-    assert "after 3 iterations" in (out / "solve_report.txt").read_text()
 
 
 @pytest.mark.parametrize("suite", ["split", "cartan", "flatness", "regularity"])
@@ -610,10 +599,6 @@ def test_reconstruct_roundtrip(tmp_path):
     assert worst <= 1e-12
 
 
-def test_reconstruct_missing_file_exits_two(tmp_path):
-    assert run("reconstruct", "--section", tmp_path / "nope.txt") == 2
-
-
 def test_recover_multipliers_cmd(tmp_path):
     out = tmp_path / "solve"
     assert run("solve", "--width", 4, "--height", 4, "--g-tol", 1e-11,
@@ -773,16 +758,24 @@ EXIT_ONE = {
 def test_an_exit_one_prints_one_groupvar_line(tmp_path, capsys, case):
     """A failed check, recovery or solve exits 1 with exactly one stderr
     line, ``groupvar: <message>``, printed by ``main`` alone; reconstruct and
-    recover-multipliers then write nothing."""
+    recover-multipliers then write nothing.  A solve out of its budget, which
+    counts Newton steps, writes the start and at most one history row per
+    step, and a report that ends with the message."""
     argv, section, message = EXIT_ONE[case]
     if section:
         argv += ("--section", _saved_section(tmp_path / "section.txt", *section))
     out = tmp_path / "out"
     capsys.readouterr()
     assert run(*argv, "--out", out) == 1
-    assert re.fullmatch(f"groupvar: {message}\n", capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"groupvar: {message}\n", err)
     if section:
         assert not out.exists()
+    if case == "solve-budget":
+        rows = (out / "history.csv").read_text().splitlines()[1:]
+        assert 1 <= len(rows) <= 4
+        report = (out / "solve_report.txt").read_text().splitlines()
+        assert report[-1] == "error=" + err.strip().removeprefix("groupvar: ")
 
 
 ERRORS = [value for value in vars(errors).values() if isinstance(value, type)
@@ -963,22 +956,25 @@ OTHER_LAYOUTS = {
 }
 
 
-@pytest.mark.parametrize("layout", list(OTHER_LAYOUTS))
-def test_field_files_in_another_layout_exit_two(tmp_path, capsys, layout):
-    """A boundary file in any layout but the writer's exits 2, naming the
-    header key or the file line that differs, and writes nothing."""
-    grid = triangulated_grid(2, 2)
-    path = tmp_path / "field.txt"
-    ser.save_unreduced_field(path, grid, sampling.random_unreduced_field(
-        grid, 3, np.random.default_rng(0)))
-    change, message = OTHER_LAYOUTS[layout]
-    path.write_text("\n".join(change(path.read_text().splitlines())) + "\n")
+def _boundary_exit_two(tmp_path, capsys, path):
+    """The stderr of solving the 2x2 window from the boundary file at
+    ``path``, which exits 2 and writes nothing."""
     out = tmp_path / "out"
     capsys.readouterr()
     assert run("solve", "--width", 2, "--height", 2, "--boundary", path,
                "--out", out) == 2
-    assert capsys.readouterr().err == f"groupvar: {message}\n"
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layout", list(OTHER_LAYOUTS))
+def test_field_files_in_another_layout_exit_two(tmp_path, capsys, layout):
+    """A boundary file in any layout but the writer's exits 2, naming the
+    header key or the file line that differs, and writes nothing."""
+    path = _field_file(tmp_path, 2, 0.4)
+    change, message = OTHER_LAYOUTS[layout]
+    path.write_text("\n".join(change(path.read_text().splitlines())) + "\n")
+    assert _boundary_exit_two(tmp_path, capsys, path) == f"groupvar: {message}\n"
 
 
 @pytest.mark.parametrize("defect", ["cut", "binary"])
@@ -986,10 +982,7 @@ def test_cut_and_binary_field_files_exit_two(tmp_path, capsys, defect):
     """A field file cut inside its first record names that record's line,
     and a file that is not UTF-8 names itself and its first byte that is
     not; each exits 2 and writes nothing."""
-    grid = triangulated_grid(2, 2)
-    path = tmp_path / "field.txt"
-    ser.save_unreduced_field(path, grid, sampling.random_unreduced_field(
-        grid, 3, np.random.default_rng(0)))
+    path = _field_file(tmp_path, 2, 0.4)
     if defect == "cut":
         # the 73-byte header, then 27 bytes of line 7: its id and two numbers
         path.write_bytes(path.read_bytes()[:100])
@@ -997,12 +990,7 @@ def test_cut_and_binary_field_files_exit_two(tmp_path, capsys, defect):
     else:
         path.write_bytes(b"\xff\xfe\x00")
         message = f"{path}: byte 0 is not UTF-8 text"
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert run("solve", "--width", 2, "--height", 2, "--boundary", path,
-               "--out", out) == 2
-    assert capsys.readouterr().err == f"groupvar: {message}\n"
-    assert not out.exists()
+    assert _boundary_exit_two(tmp_path, capsys, path) == f"groupvar: {message}\n"
 
 
 def _entry_changed(lines, line, entry, word):
@@ -1028,19 +1016,12 @@ def test_a_bad_boundary_entry_names_its_line(tmp_path, capsys, defect):
     """An entry that is not a number, is not finite or moves its matrix off
     the group exits 2 naming the file line, not numpy's wording or the
     matrix's place in a stack, and writes nothing."""
-    grid = triangulated_grid(2, 2)
-    path = tmp_path / "field.txt"
-    ser.save_unreduced_field(path, grid, sampling.random_unreduced_field(
-        grid, 3, np.random.default_rng(0)))
+    path = _field_file(tmp_path, 2, 0.4)
     line, entry, word, message = ENTRY_DEFECTS[defect]
     path.write_text("\n".join(_entry_changed(path.read_text().splitlines(), line,
                                              entry, word)) + "\n")
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert run("solve", "--width", 2, "--height", 2, "--boundary", path,
-               "--out", out) == 2
-    assert re.fullmatch(f"groupvar: {message}\n", capsys.readouterr().err)
-    assert not out.exists()
+    assert re.fullmatch(f"groupvar: {message}\n",
+                        _boundary_exit_two(tmp_path, capsys, path))
 
 
 def test_a_section_block_off_the_group_names_its_line(tmp_path, capsys,
@@ -1100,19 +1081,12 @@ def test_a_line_separator_other_than_newline_ends_no_boundary_line(tmp_path, sep
 def test_a_wrong_kind_is_echoed_escaped(tmp_path, capsys):
     """A kind holding a control character exits 2 with the value quoted and
     escaped, so the terminal shows the character, and writes nothing."""
-    grid = triangulated_grid(2, 2)
-    path = tmp_path / "field.txt"
-    ser.save_unreduced_field(path, grid, np.broadcast_to(np.eye(3), (9, 1, 3, 3)))
+    path = _field_file(tmp_path, 2, 0.4)
     lines = path.read_text().split("\n")
     lines[1] = "kind=unreduced_fi\x1beld"
     path.write_text("\n".join(lines))
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert run("solve", "--width", 2, "--height", 2, "--boundary", path,
-               "--out", out) == 2
-    assert capsys.readouterr().err == ("groupvar: expected a unreduced_field file, "
-                                       "found kind='unreduced_fi\\x1beld'\n")
-    assert not out.exists()
+    assert _boundary_exit_two(tmp_path, capsys, path) == (
+        "groupvar: expected a unreduced_field file, found kind='unreduced_fi\\x1beld'\n")
 
 
 HEADER_ONLY_DEFECTS = {
@@ -1180,22 +1154,24 @@ def test_group_size_mismatch_exits_two(tmp_path, capsys):
 
 
 def test_seed_file_from_another_window_exits_two(tmp_path, capsys):
-    """A reconstruct seed file whose window is not the section's is a usage
-    error, as a boundary file's is for solve, raised before anything is
-    written."""
+    """A reconstruct seed file whose window is not the section's, in both
+    dimensions or in one, is a usage error, as a boundary file's is for
+    solve, raised before anything is written."""
     rng = np.random.default_rng(0)
     seeds, section = tmp_path / "field.txt", tmp_path / "section.txt"
-    small = triangulated_grid(1, 1)
-    ser.save_unreduced_field(seeds, small, sampling.random_unreduced_field(small, 3, rng))
     grid = triangulated_grid(6, 4)
     ser.save_reduced_section(
         section, grid, reduce_field(grid, sampling.random_unreduced_field(grid, 3, rng)))
     out = tmp_path / "out"
-    assert run("reconstruct", "--section", section, "--seed-file", seeds,
-               "--out", out) == 2
-    err = capsys.readouterr().err
-    assert err == "groupvar: seed file window does not match the section\n"
-    assert not out.exists()
+    for width, height in ((1, 1), (6, 3), (5, 4)):
+        small = triangulated_grid(width, height)
+        ser.save_unreduced_field(seeds, small,
+                                 sampling.random_unreduced_field(small, 3, rng))
+        assert run("reconstruct", "--section", section, "--seed-file", seeds,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "groupvar: seed file window does not match the section\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, kind, n", [

@@ -4,14 +4,17 @@ Files that ``save_*`` wrote for n = 2..5 on small windows are mutated (byte
 flips, cuts, inserted, deleted, swapped and repeated lines, bad header
 values, non-finite entries, a reflected block, a block scaled to either side
 of ``TAU_GROUP``, a separator that ``str.splitlines`` breaks at but the
-writer never writes) and sent in-process through ``solve --boundary``,
-``reconstruct --section`` and ``recover-multipliers --section``.  Each run
-either exits 2, writes nothing and names where the file departs from the
-writer's layout, or the file loads, and then the command does what it does
-on the file the writer writes for the loaded values.
+writer never writes) and sent in-process through ``solve --boundary`` and
+``reconstruct --seed-file`` (fields) or ``reconstruct --section`` and
+``recover-multipliers --section`` (sections).  Each run either exits 2,
+writes nothing and names where the file departs from the writer's layout
+(an in-place mutation, the line it changed), or the file loads, and then the
+command does what it does on the file the writer writes for the loaded
+values.
 
-Derandomized, so every run draws the same examples, and bounded, so the
-module stays a few seconds long.
+Every (kind, mutation) pair is a case of its own; hypothesis draws the group
+size, the window and the mutation's place.  Derandomized, so every run draws
+the same examples, and bounded, so the module stays a few seconds long.
 """
 
 import functools
@@ -23,13 +26,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupvar import serialization as ser
 from groupvar.cli import main
 from groupvar.defaults import TAU_GROUP
 
-PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+# 9 examples for each of the 22 (kind, mutation) pairs
+PROPERTY = settings(derandomize=True, max_examples=9, deadline=None, database=None)
 WINDOWS = ((1, 2), (2, 2), (3, 2))
 # kind: (file the solve writes, components, loader, writer)
 KINDS = {
@@ -40,6 +45,8 @@ KINDS = {
 }
 MUTATIONS = ("flip", "cut", "insert", "delete", "swap", "repeat", "header",
              "non-finite", "reflect", "scale", "separator")
+# the mutations that change one line and keep the line count
+IN_PLACE = ("non-finite", "reflect", "scale", "separator")
 # the line boundaries of str.splitlines other than \n and \r
 SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # a message names a file line, a header key, the magic line or a byte
@@ -50,12 +57,12 @@ FOREIGN = re.compile(r"could not convert|invalid literal|Traceback|numpy|dtype"
 
 
 @functools.cache
-def _written(kind, n, width, height):
-    """The bytes of the field or section file of one solve."""
+def _written(n, width, height):
+    """The bytes of each file of one solve, by name."""
     with tempfile.TemporaryDirectory() as tmp:
         assert main(["solve", "--n", str(n), "--width", str(width), "--height",
                      str(height), "--scale", "0.3", "--seed", "1", "--out", tmp]) == 0
-        return (Path(tmp) / KINDS[kind][0]).read_bytes()
+        return {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
 
 
 def _mutated(data: bytes, mutation: str, n: int, components: int, draw) -> bytes:
@@ -107,10 +114,13 @@ def _mutated(data: bytes, mutation: str, n: int, components: int, draw) -> bytes
     return ("\n".join(lines) + "\n").encode()
 
 
-def _commands(kind, path, n, width, height):
+def _commands(kind, path, n, width, height, section):
+    """The commands that read the file at ``path``; a field seeds the
+    reconstruction of ``section``, the same solve's section."""
     if kind == "field":
         return [["solve", "--n", str(n), "--width", str(width), "--height",
-                 str(height), "--boundary", str(path)]]
+                 str(height), "--boundary", str(path)],
+                ["reconstruct", "--section", str(section), "--seed-file", str(path)]]
     return [["reconstruct", "--section", str(path)],
             ["recover-multipliers", "--section", str(path)]]
 
@@ -125,18 +135,22 @@ def _run(argv, out: Path):
     return code, stdout.getvalue(), stderr.getvalue(), files
 
 
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("kind", list(KINDS))
 @PROPERTY
-@given(st.sampled_from(list(KINDS)), st.integers(2, 5), st.sampled_from(WINDOWS),
-       st.sampled_from(MUTATIONS), st.data())
+@given(n=st.integers(2, 5), window=st.sampled_from(WINDOWS), data=st.data())
 def test_a_mutated_file_exits_two_naming_its_defect_or_reads_as_written(
-        kind, n, window, mutation, data):
-    written = _written(kind, n, *window)
-    _, components, load, save = KINDS[kind]
+        kind, mutation, n, window, data):
+    solved = _written(n, *window)
+    name, components, load, save = KINDS[kind]
+    written = solved[name]
     mutated = _mutated(written, mutation, n, components, data.draw)
     with tempfile.TemporaryDirectory() as tmp:
-        path, tmp = Path(tmp) / "input.txt", Path(tmp)
+        tmp = Path(tmp)
+        path, section = tmp / "input.txt", tmp / "section.txt"
         path.write_bytes(mutated)
-        commands = _commands(kind, path, n, *window)
+        section.write_bytes(solved["reduced_section.txt"])
+        commands = _commands(kind, path, n, *window, section)
         runs = [_run(argv, tmp / f"mutated{k}") for k, argv in enumerate(commands)]
         try:
             grid, values = load(path)
@@ -146,9 +160,10 @@ def test_a_mutated_file_exits_two_naming_its_defect_or_reads_as_written(
                 assert err.startswith("groupvar: ") and err.count("\n") == 1
                 assert NAMED.search(err), err
                 assert not FOREIGN.search(err.replace(str(path), "")), err
-            # a separator changes one line, the only line its message may name
+            # an in-place mutation changes one line, the only line its
+            # message may name
             named = re.search(r"\bline (\d+)\b", str(exc))
-            if mutation == "separator" and named:
+            if mutation in IN_PLACE and named:
                 k = int(named[1]) - 1
                 assert mutated.split(b"\n")[k] != written.split(b"\n")[k], exc
             return

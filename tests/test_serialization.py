@@ -40,31 +40,6 @@ def test_multiplier_roundtrip(tmp_path):
     assert np.array_equal(lam, lam2)
 
 
-def test_loader_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("not a field file\n")
-    with pytest.raises(ValueError):
-        ser.load_reduced_section(bad)
-
-    wrong_kind = tmp_path / "kind.txt"
-    grid = triangulated_grid(2, 2)
-    rng = np.random.default_rng(3)
-    ser.save_unreduced_field(wrong_kind, grid,
-                             sampling.random_unreduced_field(grid, 3, rng))
-    with pytest.raises(ValueError):
-        ser.load_reduced_section(wrong_kind)
-
-    truncated = tmp_path / "trunc.txt"
-    good = tmp_path / "good.txt"
-    y = reduce_field(grid, sampling.random_unreduced_field(grid, 3, rng))
-    ser.save_reduced_section(good, grid, y)
-    lines = good.read_text().splitlines()
-    lines[-1] = " ".join(lines[-1].split()[:-1])
-    truncated.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
-        ser.load_reduced_section(truncated)
-
-
 def test_report_format(tmp_path):
     path = tmp_path / "report.txt"
     ser.write_report(path, {"alpha": 1, "beta": 0.5, "label": "ok"})
@@ -117,26 +92,6 @@ def test_loaders_reject_missing_duplicate_and_nonfinite_records(tmp_path, kind):
         path.write_text("\n".join(bad) + "\n")
         with pytest.raises(ValueError, match=f"^{message}$"):
             load(path)
-
-
-def test_sections_alone_leave_out_the_far_corner_record(tmp_path):
-    """Saving a section writes no far-corner record and loading puts the
-    identity there, and a far-corner record is a line past the section's
-    records; a vertex field needs the record like any other."""
-    path, load = _saved(tmp_path, "section")
-    lines = path.read_text().splitlines()
-    assert not any(line.startswith("v 3 2 ") for line in lines)
-    grid, y = load(path)
-    assert np.array_equal(y[grid.vertex_id(3, 2)], np.stack([np.eye(3)] * 2))
-    path.write_text("\n".join(lines + [lines[-1].replace("v 2 2 ", "v 3 2 ")]) + "\n")
-    with pytest.raises(ValueError, match="^line 18 is past the window's 11 records$"):
-        load(path)
-    field_path, load_field = _saved(tmp_path, "field")
-    lines = field_path.read_text().splitlines()
-    kept = [line for line in lines if not line.startswith("v 3 2 ")]
-    field_path.write_text("\n".join(kept) + "\n")
-    with pytest.raises(ValueError, match="missing"):
-        load_field(field_path)
 
 
 # ---------------------------------------------------------------------------
