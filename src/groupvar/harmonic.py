@@ -144,8 +144,9 @@ def _record(iteration: int, phase: str, g: np.ndarray, energy: float,
             "max_gradient": worst, "step": step}
 
 
-def _interior_gradients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Energy gradient blocks of the interior vertices and their norms.
+def _interior_gradients(g: np.ndarray):
+    """Energy gradient blocks of the interior vertices, their norms, and the
+    products c^T g_E and c^T g_N, c = g_ij, that ``_hessian`` reads.
 
     Blocks are in left-log coordinates, one per interior vertex, shaped like
     g[1:-1, 1:-1].  The block at (i, j) is the skew part transposed,
@@ -155,11 +156,11 @@ def _interior_gradients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     c = g[1:-1, 1:-1]
     ct = c.swapaxes(-1, -2)
-    m = ct @ g[1:-1, 2:] + ct @ g[2:, 1:-1] \
-        - g[1:-1, :-2].swapaxes(-1, -2) @ c \
+    east, north = ct @ g[1:-1, 2:], ct @ g[2:, 1:-1]
+    m = east + north - g[1:-1, :-2].swapaxes(-1, -2) @ c \
         - g[:-2, 1:-1].swapaxes(-1, -2) @ c
     grads = (m.swapaxes(-1, -2) - m) / 2.0
-    return grads, block_norms(grads)
+    return grads, block_norms(grads), (east, north)
 
 
 def _retract(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -169,12 +170,12 @@ def _retract(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residual(g: np.ndarray) -> tuple[np.ndarray, float]:
+def _residual(g: np.ndarray):
     """Upper-triangle gradient entries, shaped (interior rows, interior
-    columns, d), and the largest block norm.  Along g exp(t X) the energy
-    changes at the rate 2 f . x, x the coordinates of X."""
-    grads, norms = _interior_gradients(g)
-    return lg.skew_to_coords(grads), max_norm(norms)
+    columns, d), the largest block norm and ``_interior_gradients``' products.
+    Along g exp(t X) the energy changes at the rate 2 f . x, x the coordinates of X."""
+    grads, norms, products = _interior_gradients(g)
+    return lg.skew_to_coords(grads), max_norm(norms), products
 
 
 # Interiors with at most this many unknowns (vertices times d) hold the
@@ -209,14 +210,14 @@ def _stencil(rows: int, cols: int) -> np.ndarray:
                      ids[2:, 1:-1], ids[:-2, 1:-1]), axis=-1).reshape(-1, 5)
 
 
-def _hessian(g: np.ndarray) -> np.ndarray:
+def _hessian(g: np.ndarray, east: np.ndarray, north: np.ndarray) -> np.ndarray:
     """H, half the Hessian of the energy pulled back by the retraction, in
     the coordinates of ``_residual`` (along g exp(X) the energy is
     E + 2 (f . x + x . H x / 2) + O(|x|^3)), as one (5d, d) block column
     per interior vertex p, vertex-major: the transposed blocks of row p of H
     at p's ``_stencil`` members, zero where they face the frontier.
 
-    With c = g_ij, A_E = c^T g_E, A_N = c^T g_N, S = A_E + A_N
+    With c = g_ij, A_E = c^T g_E = ``east``, A_N = c^T g_N = ``north``, S = A_E + A_N
     + (g_W^T + g_S^T) c and the skew basis E: centre[a, b] =
     -tr(E_a E_b (S + S^T)) / 4, which for the symmetric S + S^T is
     -tr(E_a (S + S^T) E_b) / 4 and exactly symmetric in (a, b);
@@ -227,8 +228,6 @@ def _hessian(g: np.ndarray) -> np.ndarray:
     """
     n = g.shape[-1]
     c = g[1:-1, 1:-1]
-    ct = c.swapaxes(-1, -2)
-    east, north = ct @ g[1:-1, 2:], ct @ g[2:, 1:-1]
     s = east + north + (g[1:-1, :-2] + g[:-2, 1:-1]).swapaxes(-1, -2) @ c
     (rows, cols), d = c.shape[:2], lg.algebra_dim(n)
     centre, plain, swapped = _trace_tables(n)
@@ -340,9 +339,9 @@ def _truncated_cg(product, precondition, f: np.ndarray, radius: float, target: f
 
 def _model(shape: tuple[int, int, int]):
     """The trust-region model of a window whose ``_residual`` coordinates
-    have ``shape`` (rows, cols, d): a function of a field g that returns
-    ``product(v)`` = H v for H = ``_hessian(g)``, ``precondition(r)`` =
-    L^-1 r, and the shape of the coordinates both act on.
+    have ``shape`` (rows, cols, d): a function of g and the products of
+    ``_residual(g)`` that returns ``product(v)`` = H v for H = ``_hessian``
+    at g, ``precondition(r)`` = L^-1 r, and the shape both act on.
 
     The form is chosen by the unknown count alone.  Up to
     ``_DENSE_UNKNOWNS`` both are matrix products on flat vectors, by
@@ -357,8 +356,9 @@ def _model(shape: tuple[int, int, int]):
     if size > _DENSE_UNKNOWNS:
         solve = _laplacian_solver(rows, cols)
 
-        def stencilled(g: np.ndarray):
-            return functools.partial(_stencil_product, stencil, _hessian(g)), solve, shape
+        def stencilled(g: np.ndarray, products):
+            return (functools.partial(_stencil_product, stencil, _hessian(g, *products)),
+                    solve, shape)
         return stencilled
     # H = H^T: entry (b, a) of column p at stencil member q is H[q d + b, p d + a]
     index = (((stencil[..., None] * d + np.arange(d))[..., None]) * size
@@ -369,8 +369,8 @@ def _model(shape: tuple[int, int, int]):
     def precondition(r: np.ndarray) -> np.ndarray:
         return (inverse @ r.reshape(rows * cols, d)).ravel()
 
-    def flat(g: np.ndarray):
-        dense.ravel()[index] = _hessian(g).ravel()
+    def flat(g: np.ndarray, products):
+        dense.ravel()[index] = _hessian(g, *products).ravel()
         return dense[:size].__matmul__, precondition, (size,)
     return flat
 
@@ -398,7 +398,7 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
     """
     n = g.shape[-1]
     energy = dirichlet_energy(g)
-    f, worst = _residual(g)
+    f, worst, products = _residual(g)
     history = [_record(0, "start", g, energy, worst, 0.0)]
     counters = {"iterations": 0, "backtracks": 0, "hessian_products": 0}
     operators = _model(f.shape)
@@ -409,12 +409,12 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
             and (worst > g_tol or previous > g_tol):
         counters["iterations"] += 1
         if model_at_g is None:
-            model_at_g = operators(g)
+            model_at_g = operators(g, products)
         product, precondition, shape = model_at_g
         norm = np.sqrt(np.vdot(f, f))
-        p, model, at_boundary, products = _truncated_cg(
+        p, model, at_boundary, spent = _truncated_cg(
             product, precondition, f.reshape(shape), radius, norm * min(norm, 0.1))
-        counters["hessian_products"] += products
+        counters["hessian_products"] += spent
         trial = _retract(g, lg.coords_to_skew(p.reshape(f.shape), n))
         trial_energy = dirichlet_energy(trial)
         offset = 1e3 * _EPS * max(1.0, abs(energy))
@@ -428,7 +428,7 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
             continue
         previous, model_at_g = worst, None
         g, energy = trial, trial_energy
-        f, worst = _residual(g)
+        f, worst, products = _residual(g)
         # a step whose predicted decrease is round-off and which did not
         # lower the gradient: g_tol is out of the arithmetic's reach
         stalled = -2.0 * model <= offset and not worst < previous
@@ -578,8 +578,8 @@ def _jacobi_gauges(g: np.ndarray, bumps):
     so df/deta is f at g_b + g_b eta minus f at g.  CG at infinite radius to
     1e-12 |df/deta|; nonpositive curvature raises PreconditionError."""
     n = g.shape[-1]
-    f, _ = _residual(g)
-    product, precondition, shape = _model(f.shape)(g)
+    f, _, products = _residual(g)
+    product, precondition, shape = _model(f.shape)(g, products)
     for bump in bumps:
         vids = list(bump)
         etas = np.array(list(bump.values()), dtype=float).reshape(-1, n, n)

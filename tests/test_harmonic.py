@@ -197,10 +197,10 @@ def test_nan_gradient_is_not_convergence(tmp_path, monkeypatch):
     exact = hm._interior_gradients
 
     def one_nan(g):
-        grads, _ = exact(g)
+        grads, _, products = exact(g)
         grads = grads.copy()
         grads[0, 0, 0, 1], grads[0, 0, 1, 0] = np.nan, -np.nan
-        return grads, lg.block_norms(grads)
+        return grads, lg.block_norms(grads), products
 
     monkeypatch.setattr(hm, "_interior_gradients", one_nan)
     grid = triangulated_grid(3, 3)
@@ -456,8 +456,8 @@ def test_nonpositive_curvature_fails_the_suite(tmp_path, monkeypatch, capsys):
     def negated(shape):
         operators = model(shape)
 
-        def at(g):
-            product, *rest = operators(g)
+        def at(g, products):
+            product, *rest = operators(g, products)
             return (lambda v: -product(v)), *rest
         return at
 
@@ -697,11 +697,12 @@ def _array(grid, field):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_interior_gradients_match_ep_defect(n):
     """The batched gradient blocks are minus half the symmetric EP defect,
-    and bit for bit the per-vertex products they replace."""
+    and bit for bit the per-vertex products they replace, as are the east
+    and north products handed to ``hm._hessian``."""
     grid = triangulated_grid(5, 4)
     field = sampling.random_unreduced_field(grid, n, np.random.default_rng(40 + n))
     g = _array(grid, field)
-    grads, norms = hm._interior_gradients(g)
+    grads, norms, (east, north) = hm._interior_gradients(g)
     y = red.reduce_field(grid, field)
     assert grads.shape == (grid.height - 1, grid.width - 1, n, n)
     for j in range(1, grid.height):
@@ -714,6 +715,8 @@ def test_interior_gradients_match_ep_defect(n):
                 - g[j, i - 1].T @ c - g[j - 1, i].T @ c
             assert np.array_equal(block, (m.T - m) / 2.0)
             assert norms[j - 1, i - 1] == lg.block_norms(block)
+            assert np.array_equal(east[j - 1, i - 1], c.T @ g[j, i + 1])
+            assert np.array_equal(north[j - 1, i - 1], c.T @ g[j + 1, i])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -890,11 +893,16 @@ def _placed_columns(hessian):
     return columns.reshape(rows * cols, 5 * d, d)
 
 
+def _columns(g):
+    """``hm._hessian`` at g, given the products ``hm._residual`` returns."""
+    return hm._hessian(g, *hm._residual(g)[2])
+
+
 def _stencil_dense(g):
     """The H of ``hm._hessian`` at g as a dense matrix: its stencil product
     on each unit vector, unknowns vertex-major."""
     shape = hm._residual(g)[0].shape
-    stencil, columns = hm._stencil(*shape[:2]), hm._hessian(g)
+    stencil, columns = hm._stencil(*shape[:2]), _columns(g)
     return np.array([hm._stencil_product(stencil, columns, e.reshape(shape)).ravel()
                      for e in np.eye(np.prod(shape))]).T
 
@@ -930,7 +938,7 @@ JACOBIAN_WINDOWS = [
 ]
 
 
-def _check_band_jacobian(width, height, n, scale, seed):
+def _check_row_jacobian(width, height, n, scale, seed):
     """The closed-form row Jacobian agrees with the dense FD Jacobian to
     1e-8 and leaves its input alone."""
     grid = triangulated_grid(width, height)
@@ -946,15 +954,15 @@ def _check_band_jacobian(width, height, n, scale, seed):
 
 
 @pytest.mark.parametrize("width,height,n,scale", JACOBIAN_WINDOWS)
-def test_band_jacobian_equals_dense_oracle(width, height, n, scale):
-    _check_band_jacobian(width, height, n, scale, 60 + width + 7 * height + n)
+def test_row_jacobian_equals_dense_fd_oracle(width, height, n, scale):
+    _check_row_jacobian(width, height, n, scale, 60 + width + 7 * height + n)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(st.integers(2, 5), st.integers(2, 6), st.integers(2, 6),
        st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
-def test_band_jacobian_property(n, width, height, scale, seed):
-    _check_band_jacobian(width, height, n, scale, seed)
+def test_row_jacobian_property(n, width, height, scale, seed):
+    _check_row_jacobian(width, height, n, scale, seed)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
@@ -970,7 +978,7 @@ def test_hessian_product_property(n, width, height, scale, seed):
     rng = np.random.default_rng(seed)
     g = _array(grid, sampling.random_unreduced_field(grid, n, rng, scale))
     before = g.copy()
-    columns = hm._hessian(g)
+    columns = _columns(g)
     assert np.array_equal(g, before)
     v = rng.standard_normal(hm._residual(g)[0].shape)
     d = v.shape[-1]
@@ -1040,10 +1048,11 @@ def test_dense_model_is_the_stacked_model(rows, cols, n):
     size = rows * cols * (n * (n - 1) // 2)
     assert size <= hm._DENSE_UNKNOWNS
     oracle = _hessian_to_dense(hessian)
-    assert np.array_equal(hm._model(shape)(g)[0](np.eye(size)), oracle)
+    products = hm._residual(g)[2]
+    assert np.array_equal(hm._model(shape)(g, products)[0](np.eye(size)), oracle)
     operators = hm._model(shape)
-    operators(other)
-    product, precondition, flat = operators(g)
+    operators(other, hm._residual(other)[2])
+    product, precondition, flat = operators(g, products)
     assert flat == (size,)
     assert np.array_equal(product(np.eye(size)), oracle)
     for v in rng.standard_normal((3,) + shape):
@@ -1063,7 +1072,7 @@ def test_block_columns_are_the_placed_stacks(rows, cols, n):
     grid = triangulated_grid(cols + 1, rows + 1)
     rng = np.random.default_rng(rows + 10 * cols + 100 * n)
     g = _array(grid, sampling.random_unreduced_field(grid, n, rng, 2.0))
-    columns = hm._hessian(g)
+    columns = _columns(g)
     assert columns.shape == (rows * cols, 5 * (n * (n - 1) // 2), n * (n - 1) // 2)
     assert np.array_equal(columns, _placed_columns(stacked_hessian(g)))
 
@@ -1081,7 +1090,7 @@ def test_stencil_product_is_the_stacked_product(rows, cols, n):
     grid = triangulated_grid(cols + 1, rows + 1)
     rng = np.random.default_rng(rows + 10 * cols + 100 * n)
     g = _array(grid, sampling.random_unreduced_field(grid, n, rng, 1.0))
-    stencil, columns = hm._stencil(rows, cols), hm._hessian(g)
+    stencil, columns = hm._stencil(rows, cols), _columns(g)
     hessian = stacked_hessian(g)
     for v in rng.standard_normal((3, rows, cols, n * (n - 1) // 2)):
         before = v.copy()
@@ -1145,7 +1154,7 @@ def test_truncated_cg_is_the_newton_step_inside_the_region(solved66, monkeypatch
     norm = np.linalg.norm(f)
     for bound, form in ((0, f.shape), (f.size, (f.size,))):
         monkeypatch.setattr(hm, "_DENSE_UNKNOWNS", bound)
-        product, precondition, shape = hm._model(f.shape)(g)
+        product, precondition, shape = hm._model(f.shape)(g, hm._residual(g)[2])
         assert shape == form
         for radius, boundary in ((1e6, False), (1e-9, True)):
             p, model, at_boundary, products = hm._truncated_cg(
@@ -1196,16 +1205,15 @@ def test_newton_residual_evaluations_per_step_do_not_grow(n):
     assert spent[1][1] <= 2 * spent[0][1]
 
 
-def test_singular_band_factor_ends_the_polish(tmp_path, monkeypatch, capsys):
-    """A zeroed Hessian (the name is from the banded factorisation this
-    solver once used) leaves only the linear model: the truncated CG meets
+def test_zero_hessian_ends_the_polish(tmp_path, monkeypatch, capsys):
+    """A zeroed Hessian leaves only the linear model: the truncated CG meets
     zero curvature at once and every step runs to the trust-region
     boundary, so the gradient stalls above g_tol and the loop gives up well
-    within its budget.  The solve ends in
-    ConvergenceError with its history, and the CLI exits 1, with no
-    RuntimeWarning on the way (they are errors here)."""
-    def singular(g):
-        return np.zeros_like(hessian(g))
+    within its budget.  The solve ends in ConvergenceError with its
+    history, and the CLI exits 1, with no RuntimeWarning on the way (they
+    are errors here)."""
+    def singular(g, east, north):
+        return np.zeros_like(hessian(g, east, north))
 
     hessian = hm._hessian
     monkeypatch.setattr(hm, "_hessian", singular)
