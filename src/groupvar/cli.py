@@ -328,7 +328,8 @@ def _suite_noether(cfg, rng, break_symmetry=False):
     # like a reduced section, a random variation skips the far corner
     d = sampling.random_variation(grid, n, rng) if break_symmetry \
         else harmonic.conjugation_symmetry_field(solved.section, xi)
-    noether = harmonic.run_noether_scenario(grid, solved.section, lam, d)
+    noether = core.noether_boundary_sum(TraceLagrangian(), PlaquetteConstraint(),
+                                        solved.section, lam, d, grid.full_faceset())
     threshold = 1e-8 * (1.0 + abs(solved.final_action))
     return noether.symmetry_ok and abs(noether.boundary_sum) <= threshold, {
         "boundary_sum": noether.boundary_sum,

@@ -10,9 +10,9 @@ rise by no more than round-off, keeps the iteration near the branch selected
 by the boundary blend initializer.  "Critical" throughout means stationary;
 reports claim no minimality of anything.
 
-Gradient assembly is vertex-parallel within an iteration.  The scenarios
-take a solved field or section and its multiplier and measure them: they
-neither solve, recover nor judge.
+Gradient assembly is vertex-parallel within an iteration.  The
+multisymplectic scenario takes a solved field and its multiplier and
+measures them: it neither solves, recovers nor judges.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ import numpy as np
 
 from . import liegroup as lg
 from .complexes import TriangulatedGrid, classify_vertices
-from .core import (
+# harmonic calls no noether_boundary_sum: perfbench's span test reads this
+# binding to check that a span wraps every module's binding of its target
+from .core import (  # noqa: F401
     LagrangianDensity,
-    noether_boundary_sum,
     multisymplectic_check,
-    NoetherReport,
+    noether_boundary_sum,
 )
 from .defaults import G_TOL, H_JACOBI
 from .errors import ConvergenceError, PreconditionError
@@ -59,7 +60,6 @@ __all__ = [
     "identity_boundary",
     "random_boundary",
     "conjugation_symmetry_field",
-    "run_noether_scenario",
     "run_multisymplectic_scenario",
 ]
 
@@ -545,7 +545,7 @@ def random_boundary(grid: TriangulatedGrid, n: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# symmetry field and scenarios
+# symmetry field and the multisymplectic scenario
 
 
 def conjugation_symmetry_field(y: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -558,17 +558,6 @@ def conjugation_symmetry_field(y: np.ndarray, xi: np.ndarray) -> np.ndarray:
     fixed along flat sections.
     """
     return read_only(xi - coadjoint(y, xi))
-
-
-def run_noether_scenario(grid: TriangulatedGrid, y: np.ndarray, lam: np.ndarray,
-                         d: np.ndarray) -> NoetherReport:
-    """The ``noether_boundary_sum`` report of the trace density and the
-    plaquette constraint along the pair (``y``, ``lam``), on the variation
-    ``d``.  Along a critical pair and a symmetry field (such as
-    ``conjugation_symmetry_field``) the sum is predicted to vanish; the
-    bound is the caller's (``verify noether`` takes 1e-8 (1 + |action|))."""
-    return noether_boundary_sum(TraceLagrangian(), PlaquetteConstraint(), y, lam, d,
-                                grid.full_faceset())
 
 
 def _jacobi_gauges(g: np.ndarray, bumps):
@@ -607,11 +596,12 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, g: np.ndarray,
 
     A bump maps frontier vertices to skew (n, n) arrays eta, moving them
     along g exp(t eta); a vertex off the frontier raises ValueError.  Each
-    field is ``reduced_variation`` of a gauge theta from ``_jacobi_gauges``
-    and dlam, the linearised multiplier: ``multiplier_sweep`` at y0 from the
-    zero seed, on the central difference (step ``H_JACOBI``) of the
-    multiplier system at (g exp(+-t theta), lam0).  Returns the three values
-    of ``multisymplectic_check``; the bounds are the caller's."""
+    field is ``reduced_variation`` at y0 of a gauge theta from
+    ``_jacobi_gauges`` and dlam, the linearised multiplier:
+    ``multiplier_sweep`` at y0 from the zero seed, on the central difference
+    (step ``H_JACOBI``) of the multiplier system at (g exp(+-t theta), lam0).
+    Returns the three values of ``multisymplectic_check``; the bounds are the
+    caller's."""
     n = g.shape[-1]
     lagrangian = TraceLagrangian()
     faceset = grid.full_faceset()
@@ -629,7 +619,7 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, g: np.ndarray,
             for t in (H_JACOBI, -H_JACOBI))
         difference = np.subtract(plus, minus) / (2.0 * H_JACOBI)
         dlam, _ = multiplier_sweep(grid, y0, *difference, np.zeros((n, n)))
-        fields += [reduced_variation(grid, g, theta), dlam]
+        fields += [reduced_variation(grid, y0, theta), dlam]
 
     return multisymplectic_check(lagrangian, PlaquetteConstraint(), y0, lam0,
                                  *fields, faceset)

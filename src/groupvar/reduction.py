@@ -237,9 +237,10 @@ def reconstruction_report(grid: TriangulatedGrid, y: np.ndarray, seed: np.ndarra
     return ReconstructionReport(read_only(rows.reshape(-1, n, n)), worst, agreement)
 
 
-def reduced_variation(grid: TriangulatedGrid, g: np.ndarray,
+def reduced_variation(grid: TriangulatedGrid, y: np.ndarray,
                       theta: np.ndarray) -> np.ndarray:
-    """Push a vertex gauge field through reduction, in left-log coordinates.
+    """Push a vertex gauge field through reduction at the section ``y`` of a
+    field g, in left-log coordinates.
 
     ``theta`` is a (V, n, n) skew array indexed by vertex id.  The u entry at
     (i, j) is theta(i+1, j) - Ad_{u^{-1}} theta(i, j) and the v entry is
@@ -248,7 +249,7 @@ def reduced_variation(grid: TriangulatedGrid, g: np.ndarray,
     are tangent to the flat set along any flat section.  The edge slots and
     the far corner stay zero.
     """
-    p = _on_window(grid, reduce_field(grid, g))
+    p = _on_window(grid, y)
     t = _on_window(grid, theta)
     xi = np.zeros(p.shape)
     # Ad_{g^{-1}} is the coadjoint formula g^T xi g

@@ -1,5 +1,4 @@
 import importlib
-import inspect
 import math
 import re
 import sys
@@ -361,8 +360,31 @@ def test_solving_suites_take_one_zero_seed_recovery(tmp_path, monkeypatch, argv)
     again = [("_suite_multipliers", True)] if argv == ("multipliers",) else []
     assert calls == [("_solve_for_suite", False), *again]
     assert not hasattr(harmonic, "recover_multipliers")
-    assert list(inspect.signature(harmonic.run_noether_scenario).parameters) \
-        == ["grid", "y", "lam", "d"]
+    assert not hasattr(harmonic, "run_noether_scenario")
+
+
+def test_multisymplectic_reduces_the_solved_field_twice(tmp_path, monkeypatch):
+    """A ``verify multisymplectic`` run reduces its solved field twice: once
+    for the solve's report and once in the scenario, whose Jacobi fields are
+    taken at that one section."""
+    from groupvar import reduction
+    solved, reduced = [], []
+    exact_solve, exact_reduce = harmonic.solve_unreduced, reduction.reduce_field
+
+    def kept(*args):
+        solved.append(exact_solve(*args))
+        return solved[-1]
+
+    def spy(grid, g):
+        reduced.append(g.tobytes())
+        return exact_reduce(grid, g)
+
+    monkeypatch.setattr(harmonic, "solve_unreduced", kept)
+    for module in (reduction, harmonic):
+        monkeypatch.setattr(module, "reduce_field", spy)
+    assert run("verify", "multisymplectic", "--n", 3, "--seed", 7, "--out", tmp_path) == 0
+    [(field, _)] = solved
+    assert reduced.count(field.tobytes()) == 2
 
 
 def test_one_parser_serves_every_call(tmp_path):

@@ -281,6 +281,14 @@ def test_conjugation_field_is_symmetry(solved66):
     assert max(np.linalg.norm(a) for a in dpsi) <= 1e-12
 
 
+def _noether(solved66, d):
+    """The report of ``verify noether``: ``noether_boundary_sum`` of the trace
+    density and the plaquette constraint along the solved pair, on ``d``."""
+    return core.noether_boundary_sum(solved66["lagrangian"], red.PlaquetteConstraint(),
+                                     solved66["y"], solved66["lam"], d,
+                                     solved66["grid"].full_faceset())
+
+
 def _noether_passes(solved66, noether):
     """The gate of ``verify noether``: the symmetry holds and the sum is
     within 1e-8 (1 + |action|)."""
@@ -298,8 +306,7 @@ def _multisymplectic_passes(values):
 def test_noether_scenario(solved66):
     xi = lg.random_skew(N, np.random.default_rng(8))
     d = hm.conjugation_symmetry_field(solved66["y"], xi)
-    noether = hm.run_noether_scenario(solved66["grid"], solved66["y"],
-                                      solved66["lam"], d)
+    noether = _noether(solved66, d)
     assert _noether_passes(solved66, noether)
     assert noether.symmetry_ok
 
@@ -307,8 +314,7 @@ def test_noether_scenario(solved66):
 def test_noether_scenario_negative_control(solved66):
     xi = lg.random_skew(N, np.random.default_rng(9))
     bad = sampling.random_variation(solved66["grid"], N, np.random.default_rng(10))
-    noether = hm.run_noether_scenario(solved66["grid"], solved66["y"],
-                                      solved66["lam"], bad)
+    noether = _noether(solved66, bad)
     assert not _noether_passes(solved66, noether)
     assert abs(noether.boundary_sum) > 1e-3
 

@@ -226,13 +226,13 @@ def test_reduced_variation_zero_and_constant_gauge():
     rng = np.random.default_rng(12)
     g = sampling.random_unreduced_field(grid, N, rng)
     zero_theta = np.zeros((len(grid.vertices), N, N))
-    dv = red.reduced_variation(grid, g, zero_theta)
+    dv = red.reduced_variation(grid, red.reduce_field(grid, g), zero_theta)
     assert np.all(block_norms(dv) == 0.0)
 
     eye = constant_field(grid, np.eye(N))
     xi = lg.random_skew(N, rng)
     const = np.broadcast_to(xi, (len(grid.vertices), N, N))
-    dv = red.reduced_variation(grid, eye, const)
+    dv = red.reduced_variation(grid, red.reduce_field(grid, eye), const)
     assert block_norms(dv).max() <= 1e-15
 
 
@@ -416,7 +416,7 @@ def test_boundary_fixed_gauge_kernel_is_real():
     y = red.reduce_field(grid, g)
     theta = np.zeros((len(grid.vertices), N, N))
     theta[grid.vertex_id(2, 2)] = lg.random_skew(N, rng)
-    dv = red.reduced_variation(grid, g, theta)
+    dv = red.reduced_variation(grid, y, theta)
     klass = classify_vertices(grid.full_faceset())
     for v, fib in enumerate(dv):
         if v not in klass.interior:
@@ -456,8 +456,8 @@ def test_returned_arrays_are_read_only_and_keep_their_values(tmp_path):
     check(lam, section, seed)
     section, seed = np.array(y), np.eye(N)
     check(red.reconstruction_report(grid, section, seed).field, section, seed)
-    g, theta = np.array(field), lg.random_skew(N, rng, 1.0, (len(grid.vertices),))
-    check(red.reduced_variation(grid, g, theta), g, theta)
+    section, theta = np.array(y), lg.random_skew(N, rng, 1.0, (len(grid.vertices),))
+    check(red.reduced_variation(grid, section, theta), section, theta)
     section, dy = np.array(y), np.array(sampling.random_variation(grid, N, rng))
     check(core.section_exp(section, dy, 0.1), section, dy)
     section, xi = np.array(y), lg.random_skew(N, rng)

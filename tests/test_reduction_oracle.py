@@ -326,7 +326,7 @@ def test_window_equations_match_oracle(n, w, h, flat):
         assert defects.cancellation[k] == cancel
 
     theta = lg.random_skew(n, rng, 1.0, (len(grid.vertices),))
-    dv = red.reduced_variation(grid, g, theta)
+    dv = red.reduced_variation(grid, reduced, theta)
     assert _same_per_vertex(dv, oracle_reduced_variation(grid, g, theta),
                             far, np.zeros((n, n)))
 
