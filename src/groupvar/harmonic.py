@@ -32,7 +32,7 @@ from .core import (  # noqa: F401
     noether_boundary_sum,
 )
 from .defaults import G_TOL, H_JACOBI
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, MembershipError, PreconditionError
 from .liegroup import (
     block_dot,
     block_norms,
@@ -279,16 +279,6 @@ def _laplacian_solver(rows: int, cols: int):
     return solve
 
 
-def _inverse_laplacian(rows: int, cols: int) -> np.ndarray:
-    """(rows cols)^2 inverse of the 5-point Dirichlet Laplacian of the
-    interior, vertex-major: (Q_r x Q_c) diag(1 / lambda) (Q_r x Q_c)^T with
-    the factors of ``_laplacian_solver``.  Applied to r.reshape(rows cols,
-    d) it solves every coordinate at once."""
-    (q_r, l_r), (q_c, l_c) = _sines(rows), _sines(cols)
-    q = np.kron(q_r, q_c)
-    return (q / (l_r[:, None] + l_c).ravel()) @ q.T
-
-
 def _truncated_cg(product, precondition, f: np.ndarray, radius: float, target: float):
     """Steihaug-Toint truncated CG on the model f . p + p . H p / 2 in the
     trust region p . L p <= radius^2, with ``product(v)`` = H v and
@@ -343,19 +333,18 @@ def _model(shape: tuple[int, int, int]):
     ``_residual(g)`` that returns ``product(v)`` = H v for H = ``_hessian``
     at g, ``precondition(r)`` = L^-1 r, and the shape both act on.
 
-    The form is chosen by the unknown count alone.  Up to
-    ``_DENSE_UNKNOWNS`` both are matrix products on flat vectors, by
-    ``_inverse_laplacian`` and by the model's one dense H, reused for every
-    step: each call scatters the block columns into it, so a call's product
-    acts with the latest call's H.  Above, they are ``_stencil_product``
-    and ``_laplacian_solver``.
+    The form is chosen by the unknown count alone.  Both forms build the
+    one ``_laplacian_solver``.  Up to ``_DENSE_UNKNOWNS`` both operators are
+    matrix products on flat vectors: the solve applied once to the unit
+    vectors, and the model's one dense H, reused for every step: each call
+    scatters the block columns into it, so a call's product acts with the
+    latest call's H.  Above, they are ``_stencil_product`` and the solve.
     """
     rows, cols, d = shape
     size = rows * cols * d
     stencil = _stencil(rows, cols)
+    solve = _laplacian_solver(rows, cols)
     if size > _DENSE_UNKNOWNS:
-        solve = _laplacian_solver(rows, cols)
-
         def stencilled(g: np.ndarray, products):
             return (functools.partial(_stencil_product, stencil, _hessian(g, *products)),
                     solve, shape)
@@ -364,10 +353,12 @@ def _model(shape: tuple[int, int, int]):
     index = (((stencil[..., None] * d + np.arange(d))[..., None]) * size
              + np.arange(size).reshape(-1, 1, 1, d)).ravel()
     dense = np.zeros((size + d, size))  # a frontier q writes d spare rows
-    inverse = _inverse_laplacian(rows, cols)
+    vertices = rows * cols  # not reshape(-1): a window may have no interior vertex
+    inverse = solve(np.eye(vertices).reshape(vertices, rows, cols).transpose(1, 2, 0)
+                    ).reshape(vertices, vertices)
 
     def precondition(r: np.ndarray) -> np.ndarray:
-        return (inverse @ r.reshape(rows * cols, d)).ravel()
+        return (inverse @ r.reshape(vertices, d)).ravel()
 
     def flat(g: np.ndarray, products):
         dense.ravel()[index] = _hessian(g, *products).ravel()
@@ -534,12 +525,17 @@ def random_boundary(grid: TriangulatedGrid, n: int, seed: int,
     so the draw is reproducible.  The far corner, which adheres to no face
     and only feeds an edge slot of the reduced section, repeats the value
     at (W, H-1), which keeps the construction equivariant under constant
-    left translation; interior vertices hold the identity.
+    left translation; interior vertices hold the identity.  A scale whose
+    exponentials overflow raises ValueError naming it.
     """
     rng = np.random.default_rng(seed)
     frontier = classify_vertices(grid.full_faceset()).frontier
     values = np.tile(np.eye(n), (len(grid.vertices), 1, 1))
-    values[frontier] = lg.exp(random_skew(n, rng, scale, (len(frontier),)))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values[frontier] = lg.exp(random_skew(n, rng, scale, (len(frontier),)))
+    except MembershipError as error:
+        raise ValueError(f"scale {scale!r} draws a boundary matrix that {error.reason}")
     values[-1] = values[grid.vertex_id(grid.width, grid.height - 1)]
     return read_only(values)
 

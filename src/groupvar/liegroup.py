@@ -79,7 +79,9 @@ def group_array(matrices) -> np.ndarray:
     bad = ~np.isfinite(blocks).all(axis=(-2, -1))
     if bad.any():
         raise first(bad, "has non-finite entries")
-    defect = block_norms(blocks.swapaxes(-1, -2) @ blocks - np.eye(n))
+    # a finite block far off the group may overflow: ~(defect <= TAU_GROUP) rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = block_norms(blocks.swapaxes(-1, -2) @ blocks - np.eye(n))
     bad = ~(defect <= TAU_GROUP)
     if bad.any():
         raise first(bad, f"is {defect[np.argmax(bad)]:.3e} from orthogonal, "

@@ -868,6 +868,17 @@ def test_scale_flags_must_be_finite_and_nonnegative(tmp_path, capsys, solved_sec
     assert not (tmp_path / "out").exists()
 
 
+def test_a_scale_that_overflows_the_boundary_exits_two(tmp_path, capsys):
+    """A finite scale so large that the boundary's exponentials overflow is
+    an input error (exit 2) with one stderr line naming the scale, and no
+    numpy warning; nothing is written."""
+    out = tmp_path / "out"
+    assert run("solve", "--width", 3, "--height", 3, "--scale", 1e300, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "groupvar: scale 1e+300 draws a boundary matrix that has non-finite entries\n")
+    assert not out.exists()
+
+
 def test_seed_without_seed_scale_is_a_usage_error(tmp_path, capsys, solved_section):
     """With a zero --seed-scale no seed is drawn, so a --seed flag exits 2,
     naming both flags, and nothing is written."""
@@ -1025,19 +1036,23 @@ def _entry_changed(lines, line, entry, word):
 
 OFF_GROUP = (r"holds a matrix that is \d\.\d{3}e-07 from orthogonal, beyond "
              r"tolerance 1\.0e-09")
+# a finite entry whose square overflows: no numpy warning reaches stderr
+OVERFLOW = r"holds a matrix that is inf from orthogonal, beyond tolerance 1\.0e-09"
 ENTRY_DEFECTS = {
     # line 8 holds id 1, v 1 0; line 9 holds id 2, v 2 0
     "not a number": (8, 0, lambda old: "x", "line 8 holds 'x', which is not a number"),
     "infinite": (8, 4, lambda old: "-inf", "line 8 has non-finite entries"),
     "off the group": (9, 0, lambda old: repr(float(old) + 2e-7), "line 9 " + OFF_GROUP),
+    "overflowing": (8, 0, lambda old: "1e200", "line 8 " + OVERFLOW),
 }
 
 
 @pytest.mark.parametrize("defect", list(ENTRY_DEFECTS))
 def test_a_bad_boundary_entry_names_its_line(tmp_path, capsys, defect):
-    """An entry that is not a number, is not finite or moves its matrix off
-    the group exits 2 naming the file line, not numpy's wording or the
-    matrix's place in a stack, and writes nothing."""
+    """An entry that is not a number, is not finite, moves its matrix off
+    the group or overflows its group check exits 2 naming the file line,
+    not numpy's wording or the matrix's place in a stack, and writes
+    nothing."""
     path = _field_file(tmp_path, 2, 0.4)
     line, entry, word, message = ENTRY_DEFECTS[defect]
     path.write_text("\n".join(_entry_changed(path.read_text().splitlines(), line,
@@ -1049,14 +1064,16 @@ def test_a_bad_boundary_entry_names_its_line(tmp_path, capsys, defect):
 def test_a_section_block_off_the_group_names_its_line(tmp_path, capsys,
                                                       solved_section):
     """A section record holds two matrices; one entry of the second of line 9
-    moved by 2e-7 is named by that line."""
+    moved by 2e-7, or set to 1e200, is named by that line."""
     section = tmp_path / "section.txt"
-    section.write_text("\n".join(_entry_changed(
-        solved_section, 9, 9 + 4, lambda old: repr(float(old) + 2e-7))) + "\n")
     out = tmp_path / "out"
-    assert run("recover-multipliers", "--section", section, "--out", out) == 2
-    assert re.fullmatch(f"groupvar: line 9 {OFF_GROUP}\n", capsys.readouterr().err)
-    assert not out.exists()
+    for word, message in ((lambda old: repr(float(old) + 2e-7), OFF_GROUP),
+                          (lambda old: "1e200", OVERFLOW)):
+        section.write_text("\n".join(_entry_changed(solved_section, 9, 9 + 4, word))
+                           + "\n")
+        assert run("recover-multipliers", "--section", section, "--out", out) == 2
+        assert re.fullmatch(f"groupvar: line 9 {message}\n", capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_a_section_with_a_far_corner_record_exits_two(tmp_path, capsys,
