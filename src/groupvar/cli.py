@@ -68,7 +68,8 @@ SETTINGS = {
               "got {value!r}", _WINDOW, "boundary perturbation scale"),
     "g_tol": (G_TOL, _positive, _TOLS, (SOLVE,), "solver gradient tolerance"),
     "ep_tol": (EP_TOL, _positive, _TOLS, (SOLVE, RECOVER), "accepted reduced residual"),
-    "cons_tol": (CONS_TOL, _positive, _TOLS, (RECOVER,), "sweep consistency tolerance"),
+    "cons_tol": (CONS_TOL, _positive, _TOLS, (RECOVER,),
+                 "sweep path agreement, times max(1, largest multiplier block norm)"),
     "seed_scale": (0.0, _finite_nonnegative, "--seed-scale must be finite and "
                    "nonnegative, got {value!r}", (RECOVER,),
                    "scale of a seeded random corner multiplier"),
@@ -343,11 +344,12 @@ def _suite_noether(cfg, rng, break_symmetry=False):
 
 def _suite_multisymplectic(cfg, rng):
     n = cfg["n"]
-    grid, field, _, lam, _ = _solve_for_suite(cfg)
+    grid, field, solved, lam, _ = _solve_for_suite(cfg)
     frontier = classify_vertices(grid.full_faceset()).frontier
     picks = rng.choice(len(frontier), size=2, replace=False)
     bumps = [{int(frontier[pick]): random_skew(n, rng)} for pick in picks]
-    jr1, jr2, defect = harmonic.run_multisymplectic_scenario(grid, field, lam, *bumps)
+    jr1, jr2, defect = harmonic.run_multisymplectic_scenario(grid, field, solved.section,
+                                                             lam, *bumps)
     return jr1 <= 1e-4 and jr2 <= 1e-4 and abs(defect) <= 1e-4, {
         "jacobi_residual_1": jr1,
         "jacobi_residual_2": jr2,

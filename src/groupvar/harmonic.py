@@ -10,9 +10,9 @@ rise by no more than round-off, keeps the iteration near the branch selected
 by the boundary blend initializer.  "Critical" throughout means stationary;
 reports claim no minimality of anything.
 
-Gradient assembly is vertex-parallel within an iteration.  The
-multisymplectic scenario takes a solved field and its multiplier and
-measures them: it neither solves, recovers nor judges.
+The gradient and Hessian read each accepted field's one ``reduce_field``.
+The multisymplectic scenario takes a solved field, its section and
+multiplier and measures them: it neither solves, recovers nor judges.
 """
 
 from __future__ import annotations
@@ -96,13 +96,13 @@ class SolveReport:
     """Post-hoc diagnostics of a converged solve (a solve that does not
     converge raises ``ConvergenceError``).
 
-    Residual fields are recomputed from the returned field with the public
-    residual operations, not taken from solver internals: ``section`` is its
-    read-only (V, 2, n, n) reduced section.  ``history`` has one record for
-    the start and one per accepted step: iteration, objective (the Dirichlet
-    energy), trace action (2n per face minus the energy; ``final_action`` is
-    the last row's), max per-vertex gradient norm and the step's coordinate
-    norm.  The counters are deterministic: trust-region steps
+    ``section`` is the read-only (V, 2, n, n) reduced section of the
+    returned field, which the last gradient read; the residual fields are
+    recomputed from it with the public residual operations.  ``history`` has
+    one record for the start and one per accepted step: iteration, objective
+    (the Dirichlet energy), trace action (2n per face minus the energy;
+    ``final_action`` is the last row's), max per-vertex gradient norm and
+    the step's coordinate norm.  The counters are deterministic: trust-region steps
     (``iterations``), the rejected ones among them (``backtracks``),
     evaluations of the interior gradient (``residual_evaluations``: one at
     the start and one per accepted step) and Hessian-vector products
@@ -144,23 +144,20 @@ def _record(iteration: int, phase: str, g: np.ndarray, energy: float,
             "max_gradient": worst, "step": step}
 
 
-def _interior_gradients(g: np.ndarray):
-    """Energy gradient blocks of the interior vertices, their norms, and the
-    products c^T g_E and c^T g_N, c = g_ij, that ``_hessian`` reads.
+def _interior_gradients(p: np.ndarray):
+    """Energy gradient blocks of the interior vertices and their norms, read
+    from the window's reduced section p, shaped (H+1, W+1, 2, n, n).
 
     Blocks are in left-log coordinates, one per interior vertex, shaped like
-    g[1:-1, 1:-1].  The block at (i, j) is the skew part transposed,
+    p[1:-1, 1:-1, 0].  The block at (i, j) is the skew part transposed,
     (M^T - M) / 2 with M = u_ij + v_ij - u_{i-1,j} - v_{i,j-1}, which is also
     the reduced residual of the trace equations there; its negation is the
     action gradient.
     """
-    c = g[1:-1, 1:-1]
-    ct = c.swapaxes(-1, -2)
-    east, north = ct @ g[1:-1, 2:], ct @ g[2:, 1:-1]
-    m = east + north - g[1:-1, :-2].swapaxes(-1, -2) @ c \
-        - g[:-2, 1:-1].swapaxes(-1, -2) @ c
+    u, v = p[..., 0, :, :], p[..., 1, :, :]
+    m = u[1:-1, 1:-1] + v[1:-1, 1:-1] - u[1:-1, :-2] - v[:-2, 1:-1]
     grads = (m.swapaxes(-1, -2) - m) / 2.0
-    return grads, block_norms(grads), (east, north)
+    return grads, block_norms(grads)
 
 
 def _retract(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -170,12 +167,13 @@ def _retract(g: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residual(g: np.ndarray):
-    """Upper-triangle gradient entries, shaped (interior rows, interior
-    columns, d), the largest block norm and ``_interior_gradients``' products.
+def _residual(grid: TriangulatedGrid, g: np.ndarray):
+    """Upper-triangle gradient entries, shaped (interior rows, interior columns,
+    d), the largest block norm and the (V, 2, n, n) ``reduce_field`` of g they read.
     Along g exp(t X) the energy changes at the rate 2 f . x, x the coordinates of X."""
-    grads, norms, products = _interior_gradients(g)
-    return lg.skew_to_coords(grads), max_norm(norms), products
+    y = reduce_field(grid, g.reshape(-1, *g.shape[2:]))
+    grads, norms = _interior_gradients(y.reshape(g.shape[:2] + y.shape[1:]))
+    return lg.skew_to_coords(grads), max_norm(norms), y
 
 
 # Interiors with at most this many unknowns (vertices times d) hold the
@@ -210,26 +208,26 @@ def _stencil(rows: int, cols: int) -> np.ndarray:
                      ids[2:, 1:-1], ids[:-2, 1:-1]), axis=-1).reshape(-1, 5)
 
 
-def _hessian(g: np.ndarray, east: np.ndarray, north: np.ndarray) -> np.ndarray:
+def _hessian(p: np.ndarray) -> np.ndarray:
     """H, half the Hessian of the energy pulled back by the retraction, in
     the coordinates of ``_residual`` (along g exp(X) the energy is
     E + 2 (f . x + x . H x / 2) + O(|x|^3)), as one (5d, d) block column
-    per interior vertex p, vertex-major: the transposed blocks of row p of H
-    at p's ``_stencil`` members, zero where they face the frontier.
+    per interior vertex, vertex-major: the transposed blocks of its row of H
+    at its ``_stencil`` members, zero where they face the frontier.  It reads
+    the section p as ``_interior_gradients`` does.
 
-    With c = g_ij, A_E = c^T g_E = ``east``, A_N = c^T g_N = ``north``, S = A_E + A_N
-    + (g_W^T + g_S^T) c and the skew basis E: centre[a, b] =
-    -tr(E_a E_b (S + S^T)) / 4, which for the symmetric S + S^T is
-    -tr(E_a (S + S^T) E_b) / 4 and exactly symmetric in (a, b);
-    east[a, b] = tr(E_a A_E E_b) / 2 and north[a, b] = tr(E_a A_N E_b) / 2;
-    west and south are the transposed east and north blocks of the
-    neighbours.  So column p holds centre_p, east_p^T, east_W, north_p^T
-    and north_S, each one product with ``_trace_tables`` written in place.
+    With A_E = u_ij, A_N = v_ij, S = A_E + A_N + u_{i-1,j} + v_{i,j-1} and
+    the skew basis E: centre[a, b] = -tr(E_a E_b (S + S^T)) / 4, which for
+    the symmetric S + S^T is -tr(E_a (S + S^T) E_b) / 4 and exactly
+    symmetric in (a, b); east[a, b] = tr(E_a A_E E_b) / 2 and north[a, b] =
+    tr(E_a A_N E_b) / 2; west and south are the transposed east and north
+    blocks of the neighbours.  So a column holds centre, east^T, east_W,
+    north^T and north_S, each one product with ``_trace_tables`` in place.
     """
-    n = g.shape[-1]
-    c = g[1:-1, 1:-1]
-    s = east + north + (g[1:-1, :-2] + g[:-2, 1:-1]).swapaxes(-1, -2) @ c
-    (rows, cols), d = c.shape[:2], lg.algebra_dim(n)
+    u, v = p[..., 0, :, :], p[..., 1, :, :]
+    east, north = u[1:-1, 1:-1], v[1:-1, 1:-1]
+    s = east + north + u[1:-1, :-2] + v[:-2, 1:-1]
+    (rows, cols, n), d = east.shape[:3], lg.algebra_dim(p.shape[-1])
     centre, plain, swapped = _trace_tables(n)
     out = np.empty((rows, cols, 5, d * d))
     np.matmul((s + s.swapaxes(-1, -2)).reshape(rows, cols, n * n), centre,
@@ -329,9 +327,9 @@ def _truncated_cg(product, precondition, f: np.ndarray, radius: float, target: f
 
 def _model(shape: tuple[int, int, int]):
     """The trust-region model of a window whose ``_residual`` coordinates
-    have ``shape`` (rows, cols, d): a function of g and the products of
-    ``_residual(g)`` that returns ``product(v)`` = H v for H = ``_hessian``
-    at g, ``precondition(r)`` = L^-1 r, and the shape both act on.
+    have ``shape`` (rows, cols, d): a function of the section ``_residual``
+    returns that returns ``product(v)`` = H v for H = ``_hessian`` of it,
+    ``precondition(r)`` = L^-1 r, and the shape both act on.
 
     The form is chosen by the unknown count alone.  Both forms build the
     one ``_laplacian_solver``.  Up to ``_DENSE_UNKNOWNS`` both operators are
@@ -342,12 +340,13 @@ def _model(shape: tuple[int, int, int]):
     """
     rows, cols, d = shape
     size = rows * cols * d
+    window = (rows + 2, cols + 2)
     stencil = _stencil(rows, cols)
     solve = _laplacian_solver(rows, cols)
     if size > _DENSE_UNKNOWNS:
-        def stencilled(g: np.ndarray, products):
-            return (functools.partial(_stencil_product, stencil, _hessian(g, *products)),
-                    solve, shape)
+        def stencilled(y: np.ndarray):
+            columns = _hessian(y.reshape(window + y.shape[1:]))
+            return functools.partial(_stencil_product, stencil, columns), solve, shape
         return stencilled
     # H = H^T: entry (b, a) of column p at stencil member q is H[q d + b, p d + a]
     index = (((stencil[..., None] * d + np.arange(d))[..., None]) * size
@@ -360,13 +359,14 @@ def _model(shape: tuple[int, int, int]):
     def precondition(r: np.ndarray) -> np.ndarray:
         return (inverse @ r.reshape(vertices, d)).ravel()
 
-    def flat(g: np.ndarray, products):
-        dense.ravel()[index] = _hessian(g, *products).ravel()
+    def flat(y: np.ndarray):
+        dense.ravel()[index] = _hessian(y.reshape(window + y.shape[1:])).ravel()
         return dense[:size].__matmul__, precondition, (size,)
     return flat
 
 
-def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
+def _newton_polish(grid: TriangulatedGrid, g: np.ndarray, g_tol: float,
+                   max_iterations: int):
     """Riemannian trust-region Newton on the Dirichlet energy (Absil, Baker &
     Gallivan, FoCM 2007), from ``g`` until the gradient max-norm meets
     ``g_tol``, and then one step more.
@@ -384,12 +384,12 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
     ``max_iterations`` steps, accepted or rejected, are tried, and the loop
     gives up after an accepted step that predicted a decrease below the
     offset and did not lower the gradient max-norm.
-    Returns the iterate, its history rows (the start and each accepted step;
-    the last holds its energy and gradient max-norm) and the report counters.
+    Returns the iterate, its section, its history rows (the start and each
+    accepted step) and the report counters.
     """
     n = g.shape[-1]
     energy = dirichlet_energy(g)
-    f, worst, products = _residual(g)
+    f, worst, y = _residual(grid, g)
     history = [_record(0, "start", g, energy, worst, 0.0)]
     counters = {"iterations": 0, "backtracks": 0, "hessian_products": 0}
     operators = _model(f.shape)
@@ -400,7 +400,7 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
             and (worst > g_tol or previous > g_tol):
         counters["iterations"] += 1
         if model_at_g is None:
-            model_at_g = operators(g, products)
+            model_at_g = operators(y)
         product, precondition, shape = model_at_g
         norm = np.sqrt(np.vdot(f, f))
         p, model, at_boundary, spent = _truncated_cg(
@@ -419,13 +419,13 @@ def _newton_polish(g: np.ndarray, g_tol: float, max_iterations: int):
             continue
         previous, model_at_g = worst, None
         g, energy = trial, trial_energy
-        f, worst, products = _residual(g)
+        f, worst, y = _residual(grid, g)
         # a step whose predicted decrease is round-off and which did not
         # lower the gradient: g_tol is out of the arithmetic's reach
         stalled = -2.0 * model <= offset and not worst < previous
         history.append(_record(counters["iterations"], "newton", g, energy,
                                worst, float(np.linalg.norm(p))))
-    return g, history, counters
+    return g, y, history, counters
 
 
 def _blend_initializer(g: np.ndarray) -> np.ndarray:
@@ -480,19 +480,16 @@ def solve_unreduced(grid: TriangulatedGrid, boundary: np.ndarray,
     g = boundary.reshape(grid.height + 1, grid.width + 1, n, n).copy()
     g[1:-1, 1:-1] = _blend_initializer(g)
 
-    g, history, counters = _newton_polish(g, g_tol, max_iterations)
+    g, y, history, counters = _newton_polish(grid, g, g_tol, max_iterations)
     last = history[-1]
     if not last["max_gradient"] <= g_tol:
         raise ConvergenceError(
             f"gradient norm {last['max_gradient']:.3e} > {g_tol:.1e} "
             f"after {counters['iterations']} iterations", history)
 
-    field_ = read_only(g.reshape(-1, n, n))
-    lagrangian = TraceLagrangian()
-    y = reduce_field(grid, field_)
-    ep = block_norms(euler_poincare_residual(lagrangian, grid, y))
+    ep = block_norms(euler_poincare_residual(TraceLagrangian(), grid, y))
     flat = block_norms(plaquette_holonomy(grid, y) - np.eye(n))
-    report = SolveReport(
+    return read_only(g.reshape(-1, n, n)), SolveReport(
         **counters,
         residual_evaluations=len(history),
         final_action=last["action"],
@@ -503,7 +500,6 @@ def solve_unreduced(grid: TriangulatedGrid, boundary: np.ndarray,
         section=y,
         history=history,
     )
-    return field_, report
 
 
 # ---------------------------------------------------------------------------
@@ -556,21 +552,21 @@ def conjugation_symmetry_field(y: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return read_only(xi - coadjoint(y, xi))
 
 
-def _jacobi_gauges(g: np.ndarray, bumps):
+def _jacobi_gauges(grid: TriangulatedGrid, g: np.ndarray, y: np.ndarray, bumps):
     """Yields per bump the (V, n, n) gauge of the Jacobi field at the stationary
-    (H+1, W+1, n, n) field g: eta at the bumped vertices, zero on the rest of
-    the frontier, x with H x = -df/deta inside; f is linear in each neighbour,
-    so df/deta is f at g_b + g_b eta minus f at g.  CG at infinite radius to
-    1e-12 |df/deta|; nonpositive curvature raises PreconditionError."""
+    (H+1, W+1, n, n) field g with section y: eta at the bumped vertices, zero
+    on the rest of the frontier, x with H x = -df/deta inside; f is linear in
+    each neighbour, so df/deta is f at g_b + g_b eta minus f at g.  CG at infinite
+    radius to 1e-12 |df/deta|; nonpositive curvature raises PreconditionError."""
     n = g.shape[-1]
-    f, _, products = _residual(g)
-    product, precondition, shape = _model(f.shape)(g, products)
+    f = lg.skew_to_coords(_interior_gradients(y.reshape(g.shape[:2] + y.shape[1:]))[0])
+    product, precondition, shape = _model(f.shape)(y)
     for bump in bumps:
         vids = list(bump)
         etas = np.array(list(bump.values()), dtype=float).reshape(-1, n, n)
         moved = g.reshape(-1, n, n).copy()
         moved[vids] += moved[vids] @ etas
-        rhs = (_residual(moved.reshape(g.shape))[0] - f).reshape(shape)
+        rhs = (_residual(grid, moved.reshape(g.shape))[0] - f).reshape(shape)
         x, _, saddle, _ = _truncated_cg(product, precondition, rhs, np.inf,
                                         1e-12 * np.sqrt(np.vdot(rhs, rhs)))
         if saddle:
@@ -582,13 +578,13 @@ def _jacobi_gauges(g: np.ndarray, bumps):
         yield theta.reshape(-1, n, n)
 
 
-def run_multisymplectic_scenario(grid: TriangulatedGrid, g: np.ndarray,
+def run_multisymplectic_scenario(grid: TriangulatedGrid, g: np.ndarray, y0: np.ndarray,
                                  lam0: np.ndarray, bump1: dict[int, np.ndarray],
                                  bump2: dict[int, np.ndarray]
                                  ) -> tuple[float, float, float]:
     """Both Jacobi residuals and the boundary two-form defect on the Jacobi
-    fields of two boundary bumps, at the solved (V, n, n) field ``g`` and the
-    multiplier ``lam0`` recovered along its section y0.
+    fields of two boundary bumps, at the solved (V, n, n) field ``g``, its
+    section ``y0`` (``SolveReport.section``) and the multiplier ``lam0``.
 
     A bump maps frontier vertices to skew (n, n) arrays eta, moving them
     along g exp(t eta); a vertex off the frontier raises ValueError.  Each
@@ -606,10 +602,9 @@ def run_multisymplectic_scenario(grid: TriangulatedGrid, g: np.ndarray,
         if vid not in frontier:
             raise ValueError(f"bump vertex {vid} is not a frontier vertex")
 
-    y0 = reduce_field(grid, g)
     fields = []
-    for theta in _jacobi_gauges(g.reshape(grid.height + 1, grid.width + 1, n, n),
-                                (bump1, bump2)):
+    for theta in _jacobi_gauges(grid, g.reshape(grid.height + 1, grid.width + 1, n, n),
+                                y0, (bump1, bump2)):
         plus, minus = (multiplier_system_residual(
             lagrangian, grid, reduce_field(grid, g @ lg.exp_skew(t * theta)), lam0)
             for t in (H_JACOBI, -H_JACOBI))

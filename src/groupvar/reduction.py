@@ -338,8 +338,10 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     residual is below ``ep_tol`` at every interior vertex; the first
     offending vertex in sweep order (decreasing lexicographic (i, j)) is
     reported, and so is the first face the sweep compares (east column
-    first, then top row first) whose path discrepancy exceeds ``cons_tol``:
-    existence is only local in general, so consistency is in the contract."""
+    first, then top row first) whose path discrepancy exceeds ``cons_tol``
+    max(1, |lam|), |lam| the largest block norm of lam (0 if not finite): the
+    round-off grows with lam, and existence is only local in general, so
+    consistency is in the contract."""
     if grid.width < 2 or grid.height < 2:
         raise PreconditionError("window has no interior vertices")
     p = _on_window(grid, y)
@@ -355,7 +357,8 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
             f"section is not flat, worst holonomy defect {worst_hol:.3e}")
 
     lam, disc = multiplier_sweep(grid, y, right[1:, 1:, 0], right[1:, 1:, 1], seed)
-    if bad := _first_over(disc, cons_tol):
+    scale = max_norm(block_norms(lam))
+    if bad := _first_over(disc, cons_tol * (scale if 1.0 < scale < np.inf else 1.0)):
         i, j = bad
         raise RecoveryConflictError(grid.face_id(i, j), float(disc[j - 1, i - 1]))
     residual = max_norm(*map(block_norms, _interior_system(p, right,

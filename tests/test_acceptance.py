@@ -186,10 +186,11 @@ def test_criterion_08_multisymplectic_form(solved66):
     bump1 = {frontier[4]: lg.random_skew(N, rng)}
     bump2 = {frontier[17]: lg.random_skew(N, rng)}
     start = time.perf_counter()
-    field, _ = hm.solve_unreduced(grid, solved66["boundary"], g_tol=1e-11)
-    lam, _ = red.recover_multipliers(solved66["lagrangian"], grid,
-                                     red.reduce_field(grid, field), np.zeros((N, N)))
-    jr1, jr2, defect = hm.run_multisymplectic_scenario(grid, field, lam, bump1, bump2)
+    field, solved = hm.solve_unreduced(grid, solved66["boundary"], g_tol=1e-11)
+    lam, _ = red.recover_multipliers(solved66["lagrangian"], grid, solved.section,
+                                     np.zeros((N, N)))
+    jr1, jr2, defect = hm.run_multisymplectic_scenario(grid, field, solved.section, lam,
+                                                       bump1, bump2)
     elapsed = time.perf_counter() - start
     ok = jr1 <= 1e-4 and jr2 <= 1e-4 and abs(defect) <= 1e-4 and elapsed < 120.0
     announce(8, "multisymplectic-form", ok,

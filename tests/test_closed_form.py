@@ -69,8 +69,9 @@ def test_the_jacobi_gauge_is_the_family_derivative(n, width, height):
     want = cf.derivative(h0, a, b, random_skew(n, rng), random_skew(n, rng),
                          width, height)
     bump = {int(v): want[v] for v in classify_vertices(grid.full_faceset()).frontier}
-    g = cf.field(h0, a, b, width, height).reshape(height + 1, width + 1, n, n)
-    got, = harmonic._jacobi_gauges(g, [bump])
+    field = cf.field(h0, a, b, width, height)
+    got, = harmonic._jacobi_gauges(grid, field.reshape(height + 1, width + 1, n, n),
+                                   reduction.reduce_field(grid, field), [bump])
     far = grid.vertex_id(width, height)
     assert np.max(np.abs(np.delete(got - want, far, axis=0))) <= cf.DERIVATIVE_FLOOR
 

@@ -150,6 +150,23 @@ def test_solver_newton_phase_gradient_monotone(solved66):
     assert all(b < a for a, b in zip(grads, grads[1:]))
 
 
+@pytest.mark.parametrize("width,height,n,scale", [
+    pytest.param(6, 6, 3, 0.1, id="6x6-dense"),
+    pytest.param(12, 12, 3, 0.1, id="12x12-stacked"),
+    pytest.param(9, 9, 5, 0.3, id="9x9-so5-stacked"),
+    pytest.param(6, 6, 2, 1.0, id="6x6-so2"),
+    pytest.param(1, 5, 3, 0.5, id="1x5-no-interior"),
+    pytest.param(2, 1, 3, 0.5, id="2x1-no-interior")])
+def test_report_section_is_the_reduced_field(width, height, n, scale):
+    """The section the solver's last gradient read, kept in the report, is
+    ``reduce_field`` of the returned field bit for bit, and read-only."""
+    grid = triangulated_grid(width, height)
+    field, report = hm.solve_unreduced(grid, hm.random_boundary(grid, n, 2, scale))
+    assert report.section.tobytes() == red.reduce_field(grid, field).tobytes()
+    assert report.section.shape == (len(grid.vertices), 2, n, n)
+    assert not report.section.flags.writeable
+
+
 def test_solver_admissible_even_when_loose():
     grid = triangulated_grid(4, 4)
     boundary = hm.random_boundary(grid, N, seed=3, scale=0.1)
@@ -196,11 +213,10 @@ def test_nan_gradient_is_not_convergence(tmp_path, monkeypatch):
     identity boundary every other block is exactly zero."""
     exact = hm._interior_gradients
 
-    def one_nan(g):
-        grads, _, products = exact(g)
-        grads = grads.copy()
+    def one_nan(p):
+        grads = exact(p)[0].copy()
         grads[0, 0, 0, 1], grads[0, 0, 1, 0] = np.nan, -np.nan
-        return grads, lg.block_norms(grads), products
+        return grads, lg.block_norms(grads)
 
     monkeypatch.setattr(hm, "_interior_gradients", one_nan)
     grid = triangulated_grid(3, 3)
@@ -326,7 +342,7 @@ def test_multisymplectic_scenario(solved66):
     bump1 = {frontier[5]: lg.random_skew(N, rng)}
     bump2 = {frontier[14]: lg.random_skew(N, rng)}
     assert _multisymplectic_passes(hm.run_multisymplectic_scenario(
-        grid, solved66["field"], solved66["lam"], bump1, bump2))
+        grid, solved66["field"], solved66["y"], solved66["lam"], bump1, bump2))
 
 
 def test_extended_residual_small_on_critical_pair(solved66):
@@ -357,14 +373,14 @@ def test_multisymplectic_bump_must_be_frontier(solved66):
     rng = np.random.default_rng(12)
     inner = {grid.vertex_id(2, 2): lg.random_skew(N, rng)}
     with pytest.raises(ValueError):
-        hm.run_multisymplectic_scenario(grid, solved66["field"], solved66["lam"],
-                                        inner, inner)
+        hm.run_multisymplectic_scenario(grid, solved66["field"], solved66["y"],
+                                        solved66["lam"], inner, inner)
     # one check for the whole bump names its first non-frontier vertex
     frontier = classify_vertices(grid.full_faceset()).frontier
     mixed = {int(frontier[3]): lg.random_skew(N, rng), **inner}
     with pytest.raises(ValueError, match=f"bump vertex {grid.vertex_id(2, 2)} is not"):
-        hm.run_multisymplectic_scenario(grid, solved66["field"], solved66["lam"],
-                                        mixed, mixed)
+        hm.run_multisymplectic_scenario(grid, solved66["field"], solved66["y"],
+                                        solved66["lam"], mixed, mixed)
 
 
 def test_multisymplectic_scenario_checks_no_derived_field(solved66, monkeypatch):
@@ -379,7 +395,7 @@ def test_multisymplectic_scenario_checks_no_derived_field(solved66, monkeypatch)
     monkeypatch.setattr(hm, "group_array",
                         lambda m: checked.append(m) or lg.group_array(m))
     assert _multisymplectic_passes(hm.run_multisymplectic_scenario(
-        grid, solved66["field"], solved66["lam"], bump1, bump2))
+        grid, solved66["field"], solved66["y"], solved66["lam"], bump1, bump2))
     assert checked == []
 
 
@@ -443,13 +459,13 @@ def test_corner_bump_moves_no_interior_vertex(solved66):
     corner = grid.vertex_id(0, 0)
     eta = lg.random_skew(N, np.random.default_rng(15))
     g = _array(grid, solved66["field"])
-    theta, = hm._jacobi_gauges(g, [{corner: eta}])
+    theta, = hm._jacobi_gauges(grid, g, solved66["y"], [{corner: eta}])
     assert np.array_equal(theta[corner], eta)
     assert not np.delete(theta, corner, axis=0).any()
     frontier = classify_vertices(grid.full_faceset()).frontier
     other = {int(frontier[6]): lg.random_skew(N, np.random.default_rng(16))}
     assert _multisymplectic_passes(hm.run_multisymplectic_scenario(
-        grid, solved66["field"], solved66["lam"], {corner: eta}, other))
+        grid, solved66["field"], solved66["y"], solved66["lam"], {corner: eta}, other))
 
 
 def test_nonpositive_curvature_fails_the_suite(tmp_path, monkeypatch, capsys):
@@ -462,14 +478,14 @@ def test_nonpositive_curvature_fails_the_suite(tmp_path, monkeypatch, capsys):
     def negated(shape):
         operators = model(shape)
 
-        def at(g, products):
-            product, *rest = operators(g, products)
+        def at(y):
+            product, *rest = operators(y)
             return (lambda v: -product(v)), *rest
         return at
 
-    def saddle_gauges(g, bumps):
+    def saddle_gauges(*args):
         monkeypatch.setattr(hm, "_model", negated)
-        return gauges(g, bumps)
+        return gauges(*args)
 
     monkeypatch.setattr(hm, "_jacobi_gauges", saddle_gauges)
     code, report = _verify_multisymplectic(tmp_path, 3, 7)
@@ -488,8 +504,8 @@ def test_jacobi_fields_match_the_bumped_solves(monkeypatch, n):
     d = log(y0^T y1) / h and dlam = (lam1 - lam0) / h.  Its O(h) quotients
     agree with the linearised fields to 1e-4 relative."""
     grid = triangulated_grid(6, 6)
-    field, _ = hm.solve_unreduced(grid, hm.random_boundary(grid, n, 7, 0.1),
-                                  g_tol=1e-11)
+    field, solved = hm.solve_unreduced(grid, hm.random_boundary(grid, n, 7, 0.1),
+                                       g_tol=1e-11)
     frontier = classify_vertices(grid.full_faceset()).frontier
     rng = np.random.default_rng(20 + n)
     bumps = [{int(frontier[p]): lg.random_skew(n, rng)}
@@ -498,7 +514,7 @@ def test_jacobi_fields_match_the_bumped_solves(monkeypatch, n):
     monkeypatch.setattr(hm, "multisymplectic_check",
                         lambda *args: seen.append(args) or exact(*args))
     assert _multisymplectic_passes(hm.run_multisymplectic_scenario(
-        grid, field, zero_seed_multiplier(grid, field), *bumps))
+        grid, field, solved.section, zero_seed_multiplier(grid, field), *bumps))
     lagrangian, _, y0, lam0, d1, dl1, d2, dl2, _ = seen.pop()
     step = H_JACOBI
     zero = np.zeros((n, n))
@@ -507,7 +523,7 @@ def test_jacobi_fields_match_the_bumped_solves(monkeypatch, n):
         blocks = g.reshape(-1, n, n)
         for vid, eta in bump.items():
             blocks[vid] = blocks[vid] @ lg.exp(step * eta)
-        g1 = hm._newton_polish(g, 1e-11, 5000)[0]
+        g1 = hm._newton_polish(grid, g, 1e-11, 5000)[0]
         y1 = red.reduce_field(grid, g1.reshape(-1, n, n))
         lam1, _ = red.recover_multipliers(lagrangian, grid, y1, zero)
         quotient = lg.log_near_identity(y0.swapaxes(-1, -2) @ y1) / step
@@ -541,8 +557,8 @@ def test_swept_dlam_matches_the_recovered_difference(tmp_path, monkeypatch, n, s
     gauges, check = hm._jacobi_gauges, hm.multisymplectic_check
     thetas, seen = [], []
 
-    def spy(g, bumps):
-        for theta in gauges(g, bumps):
+    def spy(grid, g, y, bumps):
+        for theta in gauges(grid, g, y, bumps):
             thetas.append((g.reshape(-1, n, n), theta))
             yield theta
 
@@ -620,8 +636,8 @@ def test_multisymplectic_check_matches_the_per_call_scenario(monkeypatch, n,
     scale 1.0 with two bump pairs; so do jacobi_residual and
     multisymplectic_defect on the same fields."""
     grid = triangulated_grid(width, height)
-    field, _ = hm.solve_unreduced(grid, hm.random_boundary(grid, n, n, 1.0),
-                                  g_tol=1e-11)
+    field, solved = hm.solve_unreduced(grid, hm.random_boundary(grid, n, n, 1.0),
+                                       g_tol=1e-11)
     frontier = classify_vertices(grid.full_faceset()).frontier
     lam = zero_seed_multiplier(grid, field)
     exact, seen = hm.multisymplectic_check, []
@@ -635,7 +651,7 @@ def test_multisymplectic_check_matches_the_per_call_scenario(monkeypatch, n,
     for _ in range(2):
         bumps = [{int(frontier[p]): lg.random_skew(n, rng)}
                  for p in rng.choice(len(frontier), size=2, replace=False)]
-        got = hm.run_multisymplectic_scenario(grid, field, lam, *bumps)
+        got = hm.run_multisymplectic_scenario(grid, field, solved.section, lam, *bumps)
         args = seen.pop()
         want = oracle_scenario_values(*args)
         assert same_bits(got, want)
@@ -700,15 +716,47 @@ def _array(grid, field):
     return field.reshape(grid.height + 1, grid.width + 1, *field.shape[1:]).copy()
 
 
+def _grid(g):
+    """The window of an (H+1, W+1, n, n) field."""
+    return triangulated_grid(g.shape[1] - 1, g.shape[0] - 1)
+
+
+def _residual(g):
+    """``hm._residual`` of an (H+1, W+1, n, n) field on its window."""
+    return hm._residual(_grid(g), g)
+
+
+def _section(g):
+    """The reduced section of an (H+1, W+1, n, n) field, shaped
+    (H+1, W+1, 2, n, n) as ``hm._interior_gradients`` and ``hm._hessian``
+    read it."""
+    y = red.reduce_field(_grid(g), g.reshape(-1, *g.shape[2:]))
+    return y.reshape(g.shape[:2] + y.shape[1:])
+
+
+def product_gradients(g):
+    """The earlier ``hm._interior_gradients``, kept as its oracle: the
+    gradient blocks from four products per interior vertex, c^T g_E,
+    c^T g_N, g_W^T c and g_S^T c with c = g_ij, and their norms."""
+    c = g[1:-1, 1:-1]
+    ct = c.swapaxes(-1, -2)
+    m = ct @ g[1:-1, 2:] + ct @ g[2:, 1:-1] - g[1:-1, :-2].swapaxes(-1, -2) @ c \
+        - g[:-2, 1:-1].swapaxes(-1, -2) @ c
+    grads = (m.swapaxes(-1, -2) - m) / 2.0
+    return grads, lg.block_norms(grads)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_interior_gradients_match_ep_defect(n):
-    """The batched gradient blocks are minus half the symmetric EP defect,
-    and bit for bit the per-vertex products they replace, as are the east
-    and north products handed to ``hm._hessian``."""
+    """The gradient blocks read from the reduced section are minus half the
+    symmetric EP defect, and bit for bit the per-vertex products they
+    replace, batched (``product_gradients``) and one vertex at a time."""
     grid = triangulated_grid(5, 4)
     field = sampling.random_unreduced_field(grid, n, np.random.default_rng(40 + n))
     g = _array(grid, field)
-    grads, norms, (east, north) = hm._interior_gradients(g)
+    grads, norms = hm._interior_gradients(_section(g))
+    for got, want in zip((grads, norms), product_gradients(g), strict=True):
+        assert got.tobytes() == want.tobytes()
     y = red.reduce_field(grid, field)
     assert grads.shape == (grid.height - 1, grid.width - 1, n, n)
     for j in range(1, grid.height):
@@ -721,8 +769,6 @@ def test_interior_gradients_match_ep_defect(n):
                 - g[j, i - 1].T @ c - g[j - 1, i].T @ c
             assert np.array_equal(block, (m.T - m) / 2.0)
             assert norms[j - 1, i - 1] == lg.block_norms(block)
-            assert np.array_equal(east[j - 1, i - 1], c.T @ g[j, i + 1])
-            assert np.array_equal(north[j - 1, i - 1], c.T @ g[j + 1, i])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -753,16 +799,16 @@ def _dense_fd_jacobian(g):
     h = 1e-6
     steps = [lg.exp(h * e) for e in lg.skew_basis(n)]
     block = g[1:-1, 1:-1]
-    size = hm._residual(g)[0].size
+    size = _residual(g)[0].size
     jac = np.empty((size, size))
     col = 0
     for vertex in np.ndindex(block.shape[:2]):
         center = block[vertex].copy()
         for step in steps:
             block[vertex] = center @ step
-            plus = hm._residual(g)[0].ravel()
+            plus = _residual(g)[0].ravel()
             block[vertex] = center @ step.T
-            jac[:, col] = (plus - hm._residual(g)[0].ravel()) / (2.0 * h)
+            jac[:, col] = (plus - _residual(g)[0].ravel()) / (2.0 * h)
             col += 1
         block[vertex] = center
     return jac
@@ -838,21 +884,24 @@ def stacked_hessian(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     + O(|x|^3).  West and south blocks are the transposed east and north
     blocks of the neighbours; blocks facing the frontier are dropped.
 
-    With c = g_ij, A_E = c^T g_E, A_N = c^T g_N, S = A_E + A_N
-    + (g_W^T + g_S^T) c and the skew basis E: centre[a, b] =
+    With c = g_ij, A_E = c^T g_E, A_N = c^T g_N, S = A_E + A_N + g_W^T c
+    + g_S^T c and the skew basis E: centre[a, b] =
     -tr(E_a E_b (S + S^T)) / 4, which for the symmetric S + S^T is
     -tr(E_a (S + S^T) E_b) / 4 and exactly symmetric in (a, b);
     east[a, b] = tr(E_a A_E E_b) / 2 and north[a, b] = tr(E_a A_N E_b) / 2.
     Each stack is one product with ``_trace_table``.
 
     The earlier ``hm._hessian``, kept as the oracle of its block columns.
+    It forms S from g, one product per term and vertex, in the order of the
+    reduced section's u + v + u_W + v_S.
     """
     n = g.shape[-1]
     d = lg.algebra_dim(n)
     c = g[1:-1, 1:-1]
     ct = c.swapaxes(-1, -2)
     east, north = ct @ g[1:-1, 2:], ct @ g[2:, 1:-1]
-    s = east + north + (g[1:-1, :-2] + g[:-2, 1:-1]).swapaxes(-1, -2) @ c
+    s = east + north + g[1:-1, :-2].swapaxes(-1, -2) @ c \
+        + g[:-2, 1:-1].swapaxes(-1, -2) @ c
 
     def blocks(p, factor):
         rows, cols = p.shape[:2]
@@ -900,14 +949,14 @@ def _placed_columns(hessian):
 
 
 def _columns(g):
-    """``hm._hessian`` at g, given the products ``hm._residual`` returns."""
-    return hm._hessian(g, *hm._residual(g)[2])
+    """``hm._hessian`` at g, given the reduced section of g."""
+    return hm._hessian(_section(g))
 
 
 def _stencil_dense(g):
     """The H of ``hm._hessian`` at g as a dense matrix: its stencil product
     on each unit vector, unknowns vertex-major."""
-    shape = hm._residual(g)[0].shape
+    shape = _residual(g)[0].shape
     stencil, columns = hm._stencil(*shape[:2]), _columns(g)
     return np.array([hm._stencil_product(stencil, columns, e.reshape(shape)).ravel()
                      for e in np.eye(np.prod(shape))]).T
@@ -986,7 +1035,7 @@ def test_hessian_product_property(n, width, height, scale, seed):
     before = g.copy()
     columns = _columns(g)
     assert np.array_equal(g, before)
-    v = rng.standard_normal(hm._residual(g)[0].shape)
+    v = rng.standard_normal(_residual(g)[0].shape)
     d = v.shape[-1]
     centre = columns.reshape(-1, 5, d, d)[:, 0]
     assert np.array_equal(centre, centre.swapaxes(-1, -2))
@@ -1054,11 +1103,11 @@ def test_dense_model_is_the_stacked_model(rows, cols, n):
     size = rows * cols * (n * (n - 1) // 2)
     assert size <= hm._DENSE_UNKNOWNS
     oracle = _hessian_to_dense(hessian)
-    products = hm._residual(g)[2]
-    assert np.array_equal(hm._model(shape)(g, products)[0](np.eye(size)), oracle)
+    section = _residual(g)[2]
+    assert np.array_equal(hm._model(shape)(section)[0](np.eye(size)), oracle)
     operators = hm._model(shape)
-    operators(other, hm._residual(other)[2])
-    product, precondition, flat = operators(g, products)
+    operators(_residual(other)[2])
+    product, precondition, flat = operators(section)
     assert flat == (size,)
     assert np.array_equal(product(np.eye(size)), oracle)
     for v in rng.standard_normal((3,) + shape):
@@ -1090,7 +1139,7 @@ def test_dense_preconditioner_is_the_kronecker_inverse(rows, cols):
     size = rows * cols
     assert size <= hm._DENSE_UNKNOWNS
     g = np.tile(np.eye(2), (rows + 2, cols + 2, 1, 1))
-    precondition = hm._model((rows, cols, 1))(g, hm._residual(g)[2])[1]
+    precondition = hm._model((rows, cols, 1))(_residual(g)[2])[1]
     oracle = kronecker_inverse_laplacian(rows, cols)
     dense = np.stack([precondition(e) for e in np.eye(size)], axis=1)
     assert np.max(np.abs(dense - oracle)) <= 1e-13 * np.max(np.abs(oracle))
@@ -1185,7 +1234,7 @@ def test_truncated_cg_is_the_newton_step_inside_the_region(solved66, monkeypatch
     norm = np.linalg.norm(f)
     for bound, form in ((0, f.shape), (f.size, (f.size,))):
         monkeypatch.setattr(hm, "_DENSE_UNKNOWNS", bound)
-        product, precondition, shape = hm._model(f.shape)(g, hm._residual(g)[2])
+        product, precondition, shape = hm._model(f.shape)(_residual(g)[2])
         assert shape == form
         for radius, boundary in ((1e6, False), (1e-9, True)):
             p, model, at_boundary, products = hm._truncated_cg(
@@ -1243,8 +1292,8 @@ def test_zero_hessian_ends_the_polish(tmp_path, monkeypatch, capsys):
     within its budget.  The solve ends in ConvergenceError with its
     history, and the CLI exits 1, with no RuntimeWarning on the way (they
     are errors here)."""
-    def singular(g, east, north):
-        return np.zeros_like(hessian(g, east, north))
+    def singular(p):
+        return np.zeros_like(hessian(p))
 
     hessian = hm._hessian
     monkeypatch.setattr(hm, "_hessian", singular)
