@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import TriangulatedGrid
-from .core import ConstraintMap, LagrangianDensity
+from .core import ConstraintMap, LagrangianDensity, extended_residual
 from .defaults import CONS_TOL, EP_TOL, TOL_ADMISSIBLE
 from .errors import (
     HolonomyError,
@@ -123,12 +123,6 @@ def _system(p: np.ndarray, right: np.ndarray, lam: np.ndarray):
     return first, second
 
 
-def _interior_system(p: np.ndarray, right: np.ndarray, lam: np.ndarray):
-    """Both multiplier equations at the interior vertices, [j-1, i-1]."""
-    first, second = _system(p, right, lam)
-    return first[:, 1:], second[1:]
-
-
 class PlaquetteConstraint(ConstraintMap):
     """Holonomy of the plaquette attached to a face, valued in SO(n).
 
@@ -170,9 +164,9 @@ def reduce_field(grid: TriangulatedGrid, g: np.ndarray) -> np.ndarray:
     x = _on_window(grid, g)
     n = x.shape[-1]
     p = np.empty(x.shape[:2] + (2, n, n))
-    p[...] = np.eye(n)
-    p[:, :-1, 0] = _t(x[:, :-1]) @ x[:, 1:]
-    p[:-1, :, 1] = _t(x[:-1]) @ x[1:]
+    p[:, -1, 0] = p[-1, :, 1] = np.eye(n)
+    np.matmul(_t(x[:, :-1]), x[:, 1:], out=p[:, :-1, 0])
+    np.matmul(_t(x[:-1]), x[1:], out=p[:-1, :, 1])
     return read_only(p.reshape(-1, 2, n, n))
 
 
@@ -271,8 +265,8 @@ def multiplier_system_residual(lagrangian: LagrangianDensity, grid: Triangulated
     system.  Each has shape (H-1, W-1, n, n), indexed [j-1, i-1].
     """
     p = _on_window(grid, y)
-    _, right = _partials(lagrangian, p)
-    return _interior_system(p, right, _on_window(grid, lam))
+    first, second = _system(p, _partials(lagrangian, p)[1], _on_window(grid, lam))
+    return first[:, 1:], second[1:]
 
 
 def _first_over(x: np.ndarray, tol: float) -> tuple[int, int] | None:
@@ -318,10 +312,10 @@ def multiplier_sweep(grid: TriangulatedGrid, y: np.ndarray, first: np.ndarray,
 @dataclass(frozen=True)
 class RecoveryReport:
     """``max_sweep_discrepancy`` is the largest one of the sweep's two paths;
-    ``max_system_residual`` is the largest block norm of the
-    :func:`multiplier_system_residual` arrays of the recovered multiplier,
-    computed from the same Lagrangian partials as the recovery.  The fields
-    are the keys of ``recovery_report.txt``, in this order."""
+    ``max_system_residual`` the largest block norm of the paper's equation,
+    :func:`core.extended_residual` of y and lam on the full face set, which
+    shares no evaluation with the sweep.  The fields are the keys of
+    ``recovery_report.txt``, in this order."""
 
     max_sweep_discrepancy: float
     max_system_residual: float
@@ -337,11 +331,11 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
     multipliers.  Preconditions (checked): y is flat and its reduced
     residual is below ``ep_tol`` at every interior vertex; the first
     offending vertex in sweep order (decreasing lexicographic (i, j)) is
-    reported, and so is the first face the sweep compares (east column
-    first, then top row first) whose path discrepancy exceeds ``cons_tol``
-    max(1, |lam|), |lam| the largest block norm of lam (0 if not finite): the
-    round-off grows with lam, and existence is only local in general, so
-    consistency is in the contract."""
+    reported.  A seed that overflows the sweep raises ValueError; otherwise
+    the first face the sweep compares (east column first, then top row
+    first) whose path discrepancy exceeds ``cons_tol`` max(1, |lam|), |lam|
+    the largest block norm of lam, is reported: the round-off grows with lam,
+    and existence is only local in general, so consistency is in the contract."""
     if grid.width < 2 or grid.height < 2:
         raise PreconditionError("window has no interior vertices")
     p = _on_window(grid, y)
@@ -356,14 +350,18 @@ def recover_multipliers(lagrangian: LagrangianDensity, grid: TriangulatedGrid,
         raise PreconditionError(
             f"section is not flat, worst holonomy defect {worst_hol:.3e}")
 
-    lam, disc = multiplier_sweep(grid, y, right[1:, 1:, 0], right[1:, 1:, 1], seed)
-    scale = max_norm(block_norms(lam))
-    if bad := _first_over(disc, cons_tol * (scale if 1.0 < scale < np.inf else 1.0)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam, disc = multiplier_sweep(grid, y, right[1:, 1:, 0], right[1:, 1:, 1], seed)
+        scale = max_norm(block_norms(lam))
+    if not scale < np.inf:
+        raise ValueError(f"seed entries up to {np.abs(seed).max():.3e} overflow "
+                         "the multiplier sweep")
+    if bad := _first_over(disc, cons_tol * max(1.0, scale)):
         i, j = bad
         raise RecoveryConflictError(grid.face_id(i, j), float(disc[j - 1, i - 1]))
-    residual = max_norm(*map(block_norms, _interior_system(p, right,
-                                                           _on_window(grid, lam))))
-    return lam, RecoveryReport(max_norm(disc), residual)
+    residual = extended_residual(lagrangian, PlaquetteConstraint(), y, lam,
+                                 grid.full_faceset())
+    return lam, RecoveryReport(max_norm(disc), max_norm(block_norms(residual)))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import importlib
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -586,9 +588,30 @@ def test_final_action_is_the_last_history_row(tmp_path, monkeypatch, size, scale
     assert abs(report.final_action - traces) <= 2 * np.spacing(traces)
 
 
-def test_recover_multipliers_evaluates_partials_once(tmp_path, monkeypatch):
-    """Recovery and its residual check share one stacked evaluation of the
-    face Lagrangian partials."""
+def test_a_64x64_solve_writes_the_same_bytes_on_one_and_two_blas_threads(tmp_path):
+    """The solver sums its inner products by numpy's loop, not BLAS, so a
+    64x64 default solve writes the same four files under one and two
+    OpenBLAS threads.  Above 126 interior rows the sine solve's matrix
+    product may still round differently with the thread count."""
+    path = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src")]
+                           + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-m", "groupvar.cli", "solve",
+                               "--width", "64", "--height", "64",
+                               "--out", str(tmp_path / threads)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+    for name in sorted(SOLVE_FILES):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_recover_multipliers_evaluates_partials_for_sweep_and_certificate(
+        tmp_path, monkeypatch):
+    """Recovery evaluates the face Lagrangian partials twice, in one stacked
+    call each: once for the sweep and once for its certificate, the extended
+    residual, which shares no evaluation with the sweep it checks."""
     from groupvar.harmonic import TraceLagrangian
     out = tmp_path / "solve"
     assert run("solve", "--width", 5, "--height", 4, "--out", out) == 0
@@ -601,7 +624,7 @@ def test_recover_multipliers_evaluates_partials_once(tmp_path, monkeypatch):
     monkeypatch.setattr(TraceLagrangian, "vertex_differential", counted)
     assert run("recover-multipliers", "--section", out / "reduced_section.txt",
                "--out", tmp_path / "mult") == 0
-    assert calls == [20]
+    assert calls == [20, 20]
 
 
 def test_reconstruct_roundtrip(tmp_path):
@@ -892,6 +915,24 @@ def test_a_scale_that_overflows_the_boundary_exits_two(tmp_path, capsys):
     assert run("solve", "--width", 3, "--height", 3, "--scale", 1e300, "--out", out) == 2
     assert capsys.readouterr().err == (
         "groupvar: scale 1e+300 draws a boundary matrix that has non-finite entries\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e308])
+def test_a_seed_that_overflows_the_sweep_exits_two(tmp_path, capsys, solved_section,
+                                                   scale):
+    """A finite --seed-scale so large that the multiplier sweep overflows is
+    an input error (exit 2) with one stderr line naming the seed's size, and
+    no numpy warning, which tier-1 would raise as an error; nothing is
+    written."""
+    section = tmp_path / "section.txt"
+    section.write_text("\n".join(solved_section) + "\n")
+    out = tmp_path / "out"
+    assert run("recover-multipliers", "--section", section, "--seed-scale", scale,
+               "--seed", 1, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"groupvar: seed entries up to \S+ overflow the multiplier "
+                        r"sweep\n", err)
     assert not out.exists()
 
 

@@ -7,7 +7,9 @@ versions must equal them bit for bit, for n = 2..5, on flat and non-flat
 sections and on 2 x H, W x 2 and non-square windows.  The face Lagrangian
 partials, sliced from the window's base corners, must equal those of the
 earlier gather of every face's jets over the full face set, also on
-1 x 1, 1 x H and W x 1 windows.
+1 x 1, 1 x H and W x 1 windows.  The grid multiplier system,
+``multiplier_system_residual``, is in turn the oracle of the recovery's
+certificate, the extended residual of ``groupvar.core``.
 """
 
 import numpy as np
@@ -396,6 +398,51 @@ def test_recovery_on_solved_section_matches_oracle(n):
     conflict = _assert_same_raise(lagrangian, grid, report.section, zero,
                                   **{**tols, "cons_tol": 1e-18})
     assert conflict.face in grid.faces
+
+
+def _solved(n):
+    grid = triangulated_grid(5, 4)
+    boundary = hm.random_boundary(grid, n, seed=n, scale=0.3)
+    return grid, hm.solve_unreduced(grid, boundary, g_tol=1e-11)[1].section
+
+
+def _extended_norms(lagrangian, grid, y, lam):
+    """Block norms of the extended residual, (H-1, W-1, 2) indexed [j-1, i-1]:
+    the interior vertices in id order are the window's interior row-major."""
+    residual = core.extended_residual(lagrangian, red.PlaquetteConstraint(), y, lam,
+                                      grid.full_faceset())
+    return lg.block_norms(residual).reshape(grid.height - 1, grid.width - 1, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_system_residual_is_the_extended_residual(n):
+    """The recovery's certificate is the paper's equation on the full face
+    set: ``max_system_residual`` is the largest block norm of
+    ``core.extended_residual`` at the recovered multiplier, bit for bit,
+    from the zero seed and from a random one."""
+    grid, y = _solved(n)
+    lagrangian = TraceLagrangian()
+    for seed in (np.zeros((n, n)), lg.random_skew(n, np.random.default_rng(n), 0.3)):
+        lam, rep = red.recover_multipliers(lagrangian, grid, y, seed)
+        assert rep.max_system_residual == lg.max_norm(
+            _extended_norms(lagrangian, grid, y, lam))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_grid_system_agrees_with_extended_residual(n):
+    """Per interior vertex on a solved section, the block norms of the two
+    grid equations are those of the u and v components of the extended
+    residual, to round-off: at the recovered multiplier, where both are
+    round-off, and at a random one, where both are of order one."""
+    grid, y = _solved(n)
+    lagrangian = TraceLagrangian()
+    recovered = red.recover_multipliers(lagrangian, grid, y, np.zeros((n, n)))[0]
+    drawn = sampling.random_multiplier(grid, n, np.random.default_rng(n))
+    for lam in (recovered, drawn):
+        want = np.stack([lg.block_norms(r) for r in
+                         red.multiplier_system_residual(lagrangian, grid, y, lam)], -1)
+        got = _extended_norms(lagrangian, grid, y, lam)
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, want.max())
 
 
 @pytest.mark.parametrize("n,w,h,flat", CASES, ids=IDS)
