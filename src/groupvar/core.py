@@ -36,7 +36,6 @@ from .liegroup import (
     block_norms,
     coords_to_skew,
     exp_skew,
-    flat_dot,
     max_norm,
     read_only,
     skew_part,
@@ -505,8 +504,9 @@ def _jacobi_norms(point, faceset: FaceSet, interior: np.ndarray) -> list[float]:
     one per consecutive pair of points (flowed by +``H_JACOBI``, then by
     -``H_JACOBI``)."""
     coords = 2.0 * skew_to_coords(_residual_sums(point, faceset, interior))
-    return [float(np.sqrt(flat_dot(d, d)))
-            for d in (coords[0::2] - coords[1::2]) / (2.0 * H_JACOBI)]
+    coords = coords.reshape(len(coords), -1)
+    return [float(np.linalg.norm((plus - minus) / (2.0 * H_JACOBI)))
+            for plus, minus in zip(coords[0::2], coords[1::2])]
 
 
 def jacobi_residual(lagrangian: LagrangianDensity, constraint: ConstraintMap,

@@ -294,14 +294,14 @@ def _truncated_cg(product, precondition, f: np.ndarray, radius: float, target: f
     r = f
     z = precondition(r)
     d = -z
-    rz = lg.flat_dot(r, z)
+    rz = np.vdot(r, z)
     if rz == 0.0:
         return p, 0.0, False, 0
     pmp, pmd, dmd = 0.0, 0.0, rz
     model = 0.0
     for k in range(1, f.size + 1):
         hd = product(d)
-        dhd = lg.flat_dot(d, hd)
+        dhd = np.vdot(d, hd)
         # nonpositive curvature, or a CG step that would leave the region:
         # go to the boundary along d
         alpha = rz / dhd if dhd > 0.0 else np.inf
@@ -309,15 +309,15 @@ def _truncated_cg(product, precondition, f: np.ndarray, radius: float, target: f
             if radius == np.inf:
                 return p, model, True, k
             tau = (np.sqrt(pmd * pmd + dmd * (radius * radius - pmp)) - pmd) / dmd
-            model += tau * lg.flat_dot(r, d) + tau * tau * dhd / 2.0
+            model += tau * np.vdot(r, d) + tau * tau * dhd / 2.0
             return p + tau * d, model, True, k
-        model += alpha * lg.flat_dot(r, d) + alpha * alpha * dhd / 2.0
+        model += alpha * np.vdot(r, d) + alpha * alpha * dhd / 2.0
         p, r = p + alpha * d, r + alpha * hd
         pmp += (2.0 * pmd + alpha * dmd) * alpha
-        if np.sqrt(lg.flat_dot(r, r)) <= target:
+        if np.sqrt(np.vdot(r, r)) <= target:
             break
         z = precondition(r)
-        rz, rz_old = lg.flat_dot(r, z), rz
+        rz, rz_old = np.vdot(r, z), rz
         beta = rz / rz_old
         pmd = beta * (pmd + alpha * dmd)
         dmd = rz + beta * beta * dmd
@@ -402,7 +402,7 @@ def _newton_polish(grid: TriangulatedGrid, g: np.ndarray, g_tol: float,
         if model_at_g is None:
             model_at_g = operators(y)
         product, precondition, shape = model_at_g
-        norm = np.sqrt(lg.flat_dot(f, f))
+        norm = np.sqrt(np.vdot(f, f))
         p, model, at_boundary, spent = _truncated_cg(
             product, precondition, f.reshape(shape), radius, norm * min(norm, 0.1))
         counters["hessian_products"] += spent
@@ -424,7 +424,7 @@ def _newton_polish(grid: TriangulatedGrid, g: np.ndarray, g_tol: float,
         # lower the gradient: g_tol is out of the arithmetic's reach
         stalled = -2.0 * model <= offset and not worst < previous
         history.append(_record(counters["iterations"], "newton", g, energy,
-                               worst, float(np.sqrt(lg.flat_dot(p, p)))))
+                               worst, float(np.linalg.norm(p))))
     return g, y, history, counters
 
 
@@ -568,7 +568,7 @@ def _jacobi_gauges(grid: TriangulatedGrid, g: np.ndarray, y: np.ndarray, bumps):
         moved[vids] += moved[vids] @ etas
         rhs = (_residual(grid, moved.reshape(g.shape))[0] - f).reshape(shape)
         x, _, saddle, _ = _truncated_cg(product, precondition, rhs, np.inf,
-                                        1e-12 * np.sqrt(lg.flat_dot(rhs, rhs)))
+                                        1e-12 * np.sqrt(np.vdot(rhs, rhs)))
         if saddle:
             raise PreconditionError("nonpositive curvature: the solution is no strict "
                                     "minimum, so its Jacobi fields are not unique")

@@ -27,7 +27,6 @@ __all__ = [
     "exp_skew",
     "block_dot",
     "block_norms",
-    "flat_dot",
     "max_norm",
     "log_near_identity",
     "adjoint",
@@ -211,12 +210,6 @@ def block_norms(x: np.ndarray) -> np.ndarray:
     """Frobenius norm of every n x n block, the same inside a stack as alone
     on every BLAS kernel set."""
     return np.sqrt(block_dot(x, x))
-
-
-def flat_dot(a: np.ndarray, b: np.ndarray) -> np.floating:
-    """Inner product of two same-shape arrays as flat vectors, summed by
-    numpy's einsum loop, not BLAS, so the same for every BLAS thread count."""
-    return np.einsum("i,i->", a.ravel(), b.ravel())
 
 
 def max_norm(*norms: np.ndarray) -> float:

@@ -597,8 +597,7 @@ def oracle_jacobi(lagrangian, constraint, y, lam, dy, dlam, fs):
     plus, minus = ((2.0 * lg.skew_to_coords(core.extended_residual(
         lagrangian, constraint, core.section_exp(y, dy, t),
         flowed_multiplier(lam, dlam, t), fs))).ravel() for t in (step, -step))
-    quotient = (plus - minus) / (2.0 * step)
-    return float(np.sqrt(lg.flat_dot(quotient, quotient)))
+    return float(np.linalg.norm((plus - minus) / (2.0 * step)))
 
 
 def oracle_two_form(lagrangian, constraint, y, lam, d1, dl1, d2, dl2, fs):
