@@ -94,8 +94,8 @@ def test_solve_records_the_seed_and_scale_only_for_a_random_boundary(tmp_path):
                              "boundary_generator": cli.BOUNDARY_GENERATOR}
         else:
             assert drawn == dict.fromkeys(drawn)
-            assert list(report)[:7] == ["n", "width", "height", "boundary", "g_tol",
-                                        "ep_tol", "max_iterations"]
+            assert list(report)[:6] == ["n", "width", "height", "boundary", "ep_tol",
+                                        "max_iterations"]
 
 
 @pytest.mark.parametrize("boundary", ["identity", "file"])
@@ -153,9 +153,8 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     for argv, message in (
             (("solve", "--n", 1), "group size n must be at least 2"),
             (("solve", "--width", 0), "grid dimensions must be positive"),
-            (("recover-multipliers", "--section", tmp_path / "none.txt",
-              "--cons-tol", 0.0), "tolerances"),
-            (("solve", "--ep-tol=-1e-08"), "tolerances"),
+            (("solve", "--ep-tol", 0.0), "ep_tol must be positive"),
+            (("solve", "--ep-tol=-1e-08"), "ep_tol must be positive"),
             (("solve", "--max-iterations", -1), "max_iterations must be"),
             (("verify", "split", "--instances", 0), "instances must be at least 1"),
             (("verify", "split", "--instances", -3), "instances must be at least 1")):
@@ -176,22 +175,27 @@ def test_negative_seed_is_a_setting_error(tmp_path, capsys, argv):
 
 
 def test_input_errors_write_nothing(tmp_path, capsys):
-    """A missing section or a malformed boundary file exits 2 before the
-    output directory is made."""
+    """A missing section, a malformed boundary file or a boundary file of
+    another window exits 2 before the output directory is made."""
     boundary = tmp_path / "boundary.txt"
     boundary.write_text("not a field file\n")
-    for argv in (("recover-multipliers", "--section", tmp_path / "missing.txt"),
-                 ("reconstruct", "--section", tmp_path / "missing.txt"),
-                 ("solve", "--boundary", boundary),
-                 ("verify", "noether", "--boundary", boundary)):
+    field, window = (_field_file(tmp_path),
+                     "boundary file window does not match the requested grid\n")
+    for argv, message in (
+            (("recover-multipliers", "--section", tmp_path / "missing.txt"), ""),
+            (("reconstruct", "--section", tmp_path / "missing.txt"), ""),
+            (("solve", "--boundary", boundary), ""),
+            (("verify", "noether", "--boundary", boundary), ""),
+            (("solve", "--boundary", field, "--width", 4, "--height", 3), window),
+            (("solve", "--boundary", field, "--width", 3, "--height", 4), window)):
         assert run(*argv, "--out", tmp_path / "out") == 2
-        assert capsys.readouterr().err.startswith("groupvar: ")
+        assert capsys.readouterr().err.startswith(f"groupvar: {message}")
         assert not (tmp_path / "out").exists()
 
 
 # The settings each subcommand or verify suite reads: its flags.
 READS = {
-    "solve": "n width height boundary seed scale g_tol ep_tol max_iterations out",
+    "solve": "n width height boundary seed scale ep_tol max_iterations out",
     **dict.fromkeys(("verify split", "verify cartan", "verify flatness"),
                     "n seed instances out"),
     **dict.fromkeys(("verify noether", "verify multisymplectic", "verify elimination"),
@@ -201,10 +205,10 @@ READS = {
                           "instances out",
     "verify regularity": "n seed out",
     "reconstruct": "out",
-    "recover-multipliers": "seed ep_tol cons_tol seed_scale out",
+    "recover-multipliers": "seed seed_scale out",
 }
-# A valid value of each setting, and of adm_tol and rank_tol, which no
-# subcommand reads: as flags they exit 2 everywhere.
+# A valid value of each setting, and of adm_tol, rank_tol, g_tol and cons_tol,
+# which no subcommand reads: as flags they exit 2 everywhere.
 VALUES = {"n": 5, "width": 4, "height": 4, "boundary": "random", "seed": 5,
           "scale": 0.0, "g_tol": 1e-12, "ep_tol": 0.1, "cons_tol": 1e-9,
           "seed_scale": 0.3, "adm_tol": 1e-9, "rank_tol": 1e-8, "max_iterations": 7,
@@ -296,7 +300,7 @@ def test_parser_takes_the_benchmark_command_lines(monkeypatch, tmp_path):
 
 def test_failed_solve_writes_history(tmp_path):
     out = tmp_path / "run"
-    assert run("solve", "--width", 3, "--height", 3, "--g-tol", 1e-300,
+    assert run("solve", "--width", 3, "--height", 3, "--max-iterations", 1,
                "--out", out) == 1
     report = (out / "solve_report.txt").read_text()
     assert "converged=False" in report
@@ -371,8 +375,8 @@ def test_multisymplectic_reduces_the_solved_field_once(tmp_path, monkeypatch):
     solved, reduced = [], []
     exact_solve, exact_reduce = harmonic.solve_unreduced, reduction.reduce_field
 
-    def kept(*args):
-        solved.append(exact_solve(*args))
+    def kept(*args, **kwargs):
+        solved.append(exact_solve(*args, **kwargs))
         return solved[-1]
 
     def spy(grid, g):
@@ -567,8 +571,8 @@ def test_final_action_is_the_last_history_row(tmp_path, monkeypatch, size, scale
     rounded sum of the base-corner traces."""
     solved, exact = [], harmonic.solve_unreduced
 
-    def kept(*args):
-        solved.append(exact(*args))
+    def kept(*args, **kwargs):
+        solved.append(exact(*args, **kwargs))
         return solved[-1]
 
     monkeypatch.setattr(harmonic, "solve_unreduced", kept)
@@ -625,8 +629,7 @@ def test_reconstruct_roundtrip(tmp_path):
 
 def test_recover_multipliers_cmd(tmp_path):
     out = tmp_path / "solve"
-    assert run("solve", "--width", 4, "--height", 4, "--g-tol", 1e-11,
-               "--out", out) == 0
+    assert run("solve", "--width", 4, "--height", 4, "--out", out) == 0
     mout = tmp_path / "mult"
     assert run("recover-multipliers", "--section", out / "reduced_section.txt",
                "--out", mout) == 0
@@ -638,21 +641,21 @@ def test_recover_multipliers_cmd(tmp_path):
 
 
 def test_recover_multipliers_honours_adm_tol(tmp_path, capsys):
-    """A solved section turned by about 1e-8 at one vertex is not flat beyond
-    ``TOL_ADMISSIBLE``: recovery rejects it as reconstruction does, exit 1
-    and no multiplier file, though its reduced residual is within --ep-tol."""
+    """A solved section turned by about 1.5e-9 at one vertex is not flat
+    beyond ``TOL_ADMISSIBLE`` (1e-10): recovery rejects it as reconstruction
+    does, exit 1 and no multiplier file, though its reduced residual is
+    within ``EP_TOL`` (1e-8)."""
     out = tmp_path / "solve"
     assert run("solve", "--width", 5, "--height", 4, "--out", out) == 0
     grid, y = ser.load_reduced_section(out / "reduced_section.txt")
     y = y.copy()
-    bump = scipy.linalg.expm(1e-8 * random_skew(3, np.random.default_rng(0)))
+    bump = scipy.linalg.expm(1e-9 * random_skew(3, np.random.default_rng(0)))
     y[grid.vertex_id(2, 2), 0] = y[grid.vertex_id(2, 2), 0] @ bump
     section = tmp_path / "tilted.txt"
     ser.save_reduced_section(section, grid, y)
     assert run("reconstruct", "--section", section, "--out", tmp_path / "rec") == 1
     mout = tmp_path / "mult"
-    assert run("recover-multipliers", "--section", section, "--ep-tol", 1e-6,
-               "--out", mout) == 1
+    assert run("recover-multipliers", "--section", section, "--out", mout) == 1
     assert "not flat" in capsys.readouterr().err
     assert not (mout / "multiplier.txt").exists()
 

@@ -231,6 +231,12 @@ def test_id_layout_roundtrip():
         grid.vertex_id(5, 0)
     with pytest.raises(ValueError):
         grid.face_id(0, 3)
+    for bad in (-1, 20):
+        with pytest.raises(ValueError, match=f"^vertex id {bad} outside the window$"):
+            grid.vertex_ij(bad)
+    for bad in (-1, 12):
+        with pytest.raises(ValueError, match=f"^face id {bad} outside the window$"):
+            grid.face_ij(bad)
 
 
 WINDOWS = [(1, 1), (1, 7), (7, 1), (1, 16), (16, 1), (2, 5), (4, 4), (9, 6), (16, 16)]

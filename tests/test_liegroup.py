@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -336,6 +338,9 @@ def test_group_element_validation():
         lg.GroupElement(np.eye(3) + 1e-3)
     with pytest.raises(ValueError):
         lg.GroupElement(np.diag([1.0, -1.0, 1.0]))
+    for shape in ((3,), (2, 3), (4, 3, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"matrix, got shape {shape}")):
+            lg.GroupElement(np.zeros(shape))
     rng = np.random.default_rng(21)
     near = lg.exp(rand_skew(3, 22)) + 1e-11 * rng.standard_normal((3, 3))
     cleaned = lg.GroupElement(near)
@@ -393,5 +398,8 @@ def test_group_array_checks_every_block():
         lg.group_array(reflected)
     with pytest.raises(ValueError, match="from orthogonal"):
         lg.group_array(good + 1e-3)
+    for shape in ((3,), (4, 2, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"matrices, got shape {shape}")):
+            lg.group_array(np.zeros(shape))
     with pytest.raises(ValueError, match="non-finite"):
         lg.GroupElement(np.full((3, 3), np.nan))
