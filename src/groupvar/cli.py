@@ -67,10 +67,6 @@ SETTINGS = {
              (SOLVE, *SUITES, RECOVER), "random seed"),
     "scale": (0.1, _finite_nonnegative, "scale must be finite and nonnegative, "
               "got {value!r}", _WINDOW, "boundary perturbation scale"),
-    # a flag only because perfbench/workloads.py checks each solve against
-    # the ep_tol its report records, which holds the settings solve reads
-    "ep_tol": (EP_TOL, _positive, "ep_tol must be positive", (SOLVE,),
-               "accepted reduced residual"),
     "seed_scale": (0.0, _finite_nonnegative, "--seed-scale must be finite and "
                    "nonnegative, got {value!r}", (RECOVER,),
                    "scale of a seeded random corner multiplier"),
@@ -133,8 +129,12 @@ def _check_group_size(name: str, n: int, other: str, want: int) -> None:
 
 def _config_records(cfg) -> dict:
     """The settings a solve report records: every one it read but ``out``,
-    and the boundary generator when it read a scale to draw with."""
-    rec = {key: value for key, value in cfg.items() if key != "out"}
+    the exit code's bound ``EP_TOL`` on the reduced residual before
+    ``max_iterations``, and the boundary generator when it read a scale to
+    draw with."""
+    rec = {key: value for key, value in cfg.items()
+           if key not in ("out", "max_iterations")}
+    rec |= {"ep_tol": EP_TOL, "max_iterations": cfg["max_iterations"]}
     if "scale" in cfg:
         rec["boundary_generator"] = BOUNDARY_GENERATOR
     return rec
@@ -178,7 +178,7 @@ def cmd_solve(args) -> int:
         **_fields(report, "section", "history")})
     _write_history(out / "history.csv", report.history)
 
-    ok = report.max_ep_residual <= cfg["ep_tol"] \
+    ok = report.max_ep_residual <= EP_TOL \
         and report.max_constraint_residual <= 1e-12
     print(f"solve: converged=True iterations={report.iterations} "
           f"max_ep={report.max_ep_residual:.3e} "

@@ -1,17 +1,17 @@
 """The ``src/groupvar`` lines that no tier-1 test reaches.
 
-    PYTHONPATH=src python tests/line_reach.py          # list the unreached lines
-    PYTHONPATH=src python tests/line_reach.py --check  # and compare with ALLOWED
+    PYTHONPATH=src python tests/line_reach.py [pytest arguments]
 
 Runs the tier-1 suite in this process under ``sys.settrace`` and
 ``threading.settrace``, with the standard library alone, and prints every
 executable line of ``src/groupvar`` that no test ran, as ``path:line: text``.
 A line is executable when the compiled module attributes bytecode to it; a
 function's own ``def`` line counts as the statement that defines it.  Lines
-run only in a subprocess do not count.  With ``--check`` the exit code is 1
-when the unreached lines, by file and text, differ from ``ALLOWED``, and the
-suite's own exit code when a test fails.  The traced run takes about twice
-as long as a plain one.
+run only in a subprocess do not count.  The exit code is the suite's own
+when a test fails, else 1 when the unreached lines, by file and text, differ
+from ``ALLOWED``.  The arguments go to pytest after its own (say
+``--durations=10``).  On a 2-vCPU machine with Python 3.11 the traced run
+took 31-36 s, against 26-31 s for a plain one.
 """
 
 from __future__ import annotations
@@ -77,11 +77,10 @@ def reached_lines(targets: set[str], argv: list[str]) -> tuple[int, set]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    check = "--check" in argv
     files = {os.path.realpath(path): path for path in sorted(PACKAGE.glob("*.py"))}
     os.chdir(ROOT)
     code, reached = reached_lines(set(files), ["-q", "-p", "no:cacheprovider",
-                                               "--continue-on-collection-errors"])
+                                               "--continue-on-collection-errors", *argv])
     missed = []
     for real, path in files.items():
         text = path.read_text().splitlines()
@@ -94,7 +93,7 @@ def main(argv=None) -> int:
         print(f"{rel}:{line}: {source}")
     if code:
         return code
-    if check and sorted((rel, source) for rel, _, source in missed) != ALLOWED:
+    if sorted((rel, source) for rel, _, source in missed) != ALLOWED:
         print("the unreached lines differ from ALLOWED in tests/line_reach.py")
         return 1
     return 0

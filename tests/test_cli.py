@@ -153,8 +153,8 @@ def test_malformed_config_exits_two(tmp_path, capsys):
     for argv, message in (
             (("solve", "--n", 1), "group size n must be at least 2"),
             (("solve", "--width", 0), "grid dimensions must be positive"),
-            (("solve", "--ep-tol", 0.0), "ep_tol must be positive"),
-            (("solve", "--ep-tol=-1e-08"), "ep_tol must be positive"),
+            (("solve", "--scale", -0.1), "scale must be finite and nonnegative"),
+            (("solve", "--scale", "inf"), "scale must be finite and nonnegative"),
             (("solve", "--max-iterations", -1), "max_iterations must be"),
             (("verify", "split", "--instances", 0), "instances must be at least 1"),
             (("verify", "split", "--instances", -3), "instances must be at least 1")):
@@ -195,7 +195,7 @@ def test_input_errors_write_nothing(tmp_path, capsys):
 
 # The settings each subcommand or verify suite reads: its flags.
 READS = {
-    "solve": "n width height boundary seed scale ep_tol max_iterations out",
+    "solve": "n width height boundary seed scale max_iterations out",
     **dict.fromkeys(("verify split", "verify cartan", "verify flatness"),
                     "n seed instances out"),
     **dict.fromkeys(("verify noether", "verify multisymplectic", "verify elimination"),
@@ -207,8 +207,8 @@ READS = {
     "reconstruct": "out",
     "recover-multipliers": "seed seed_scale out",
 }
-# A valid value of each setting, and of adm_tol, rank_tol, g_tol and cons_tol,
-# which no subcommand reads: as flags they exit 2 everywhere.
+# A valid value of each setting, and of adm_tol, rank_tol, g_tol, ep_tol and
+# cons_tol, which no subcommand reads: as flags they exit 2 everywhere.
 VALUES = {"n": 5, "width": 4, "height": 4, "boundary": "random", "seed": 5,
           "scale": 0.0, "g_tol": 1e-12, "ep_tol": 0.1, "cons_tol": 1e-9,
           "seed_scale": 0.3, "adm_tol": 1e-9, "rank_tol": 1e-8, "max_iterations": 7,
